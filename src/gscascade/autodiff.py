@@ -9,10 +9,16 @@ Conventions:
   * Ops build a graph only when an input has requires_grad=True; otherwise they
     are plain (slightly wrapped) numpy calls.
   * Gradient accumulation order is the reverse topological order of creation,
-    and scatter-adds use np.add.at, so backward passes are deterministic.
+    and gather's scatter-add is one np.bincount per trailing column (which
+    sums in index order), so backward passes are deterministic.
+  * Per-node Python overhead dominates at the pipeline's array sizes, so hot
+    composite kernels (`eigh3` here, the quaternion kernels in `tapemath`)
+    are primitives with closed-form VJPs, not chains of elementwise ops.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,7 +38,6 @@ __all__ = [
     "outer",
     "tanh",
     "exp",
-    "log",
     "sqrt",
     "square",
     "absval",
@@ -40,8 +45,6 @@ __all__ = [
     "clamp_min",
     "where",
     "gather",
-    "stack_last",
-    "unstack_last",
     "reshape",
     "transpose_last2",
     "eigh3",
@@ -143,8 +146,11 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        # a fresh copy: g may be a view of another node's gradient
+        shape = t.value.shape
+        t.grad = np.array(g if g.shape == shape else np.broadcast_to(g, shape))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -233,13 +239,9 @@ def tsum(a, axis=None, keepdims=False):
     v = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.value.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.value.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.value.shape))
 
     return _make(v, (a,), vjp)
 
@@ -325,15 +327,6 @@ def exp(a):
     return _make(v, (a,), vjp)
 
 
-def log(a):
-    a = _wrap(a)
-
-    def vjp(g):
-        _accum(a, g / a.value)
-
-    return _make(np.log(a.value), (a,), vjp)
-
-
 def sqrt(a):
     a = _wrap(a)
     v = np.sqrt(a.value)
@@ -403,46 +396,25 @@ def where(mask, a, b):
 
 
 def gather(a, idx):
-    """Row lookup a[idx] along axis 0; backward scatter-adds with np.add.at."""
+    """Row lookup a[idx] along axis 0 (idx nonnegative, any shape).
+
+    Backward sums the rows of g that share an index with one np.bincount per
+    trailing column; bincount adds in index order, as np.add.at does.
+    """
     a = _wrap(a)
     idx = np.asarray(idx)
     v = a.value[idx]
 
     def vjp(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
+        rows, width = a.value.shape[0], math.prod(a.value.shape[1:])
+        flat = idx.ravel()
+        cols = g.reshape(flat.size, width)
+        out = np.empty((rows, width))
+        for c in range(width):
+            out[:, c] = np.bincount(flat, weights=cols[:, c], minlength=rows)
+        _accum(a, out.reshape(a.value.shape))
 
     return _make(v, (a,), vjp)
-
-
-def stack_last(parts):
-    """Stack a list of equally shaped tensors along a new trailing axis."""
-    parts = [_wrap(p) for p in parts]
-    v = np.stack([p.value for p in parts], axis=-1)
-
-    def vjp(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[..., i])
-
-    return _make(v, tuple(parts), vjp)
-
-
-def unstack_last(a):
-    """Inverse of stack_last: split the trailing axis into a list of tensors."""
-    a = _wrap(a)
-    n = a.value.shape[-1]
-    out = []
-    for i in range(n):
-        def vjp(g, i=i):
-            gg = np.zeros_like(a.value)
-            gg[..., i] = g
-            _accum(a, gg)
-
-        out.append(_make(np.ascontiguousarray(a.value[..., i]), (a,), vjp))
-    return out
 
 
 def reshape(a, shape):

@@ -84,8 +84,15 @@ def load_scene_dir(path):
     )
     observations = []
     for t in range(spec.n_frames):
-        pts, _ = iof.read_ply(root / "frames" / f"frame_{t:03d}.ply")
-        observations.append(DataObservation(points=pts, correspondence=np.arange(len(pts))))
+        ply = root / "frames" / f"frame_{t:03d}.ply"
+        pts, _ = iof.read_ply(ply)
+        # scene frames observe every Gaussian, in index order
+        if len(pts) != frame0.n:
+            raise ConfigError(f"{ply}: {len(pts)} points, expected one per Gaussian ({frame0.n})")
+        try:
+            observations.append(DataObservation(points=pts, correspondence=np.arange(len(pts))))
+        except ValueError as e:
+            raise ConfigError(f"{ply}: {e}") from e
     return SceneSequence(
         spec=spec,
         frame0=frame0,

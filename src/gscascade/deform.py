@@ -244,8 +244,15 @@ def _inv3(A):
 
 
 def _polar_rotation_batch(J):
-    """Rotation nearest to each J (det forced to +1), via Newton iteration."""
-    X = np.asarray(J, dtype=np.float64).copy()
+    """Rotation nearest to each J (det forced to +1), via Newton iteration.
+
+    Newton converges to the orthogonal polar factor U V^T of J = U S V^T. When
+    that is a reflection, the nearest rotation is U diag(1, 1, -1) V^T: the
+    factor reflected along the least singular direction of J, which is the
+    eigenvector of the smallest eigenvalue of the symmetric factor X^T J.
+    """
+    J = np.asarray(J, dtype=np.float64)
+    X = J.copy()
     done = np.zeros(X.shape[:-2], dtype=bool)
     for _ in range(20):
         # 0/0 for singular entries is handled by the `bad` mask below
@@ -263,11 +270,13 @@ def _polar_rotation_batch(J):
         done |= res < 1e-12
         if np.all(done):
             break
-    det = np.linalg.det(X)
-    flip = det < 0.0
+    flip = np.linalg.det(X) < 0.0
     if np.any(flip):
-        X = X.copy()
-        X[flip, :, 2] *= -1.0
+        Xf = X[flip]
+        H = np.swapaxes(Xf, -1, -2) @ J[flip]
+        v = np.linalg.eigh(0.5 * (H + np.swapaxes(H, -1, -2)))[1][..., :, 0]
+        Xv = np.einsum("...ij,...j->...i", Xf, v)
+        X[flip] = Xf - 2.0 * Xv[..., :, None] * v[..., None, :]
     return X
 
 
@@ -338,8 +347,8 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
         leaves[f"layer{k}.scale_biases"] = sbias
 
         cid = hier.assignments[k]
-        q = ad.gather(quat_normalize_t(rot), cid)  # (N, 4)
-        R = quat_to_mat_t(q)  # (N, 3, 3)
+        # convert the layer's L rotations once, then look them up per Gaussian
+        R = ad.gather(quat_to_mat_t(quat_normalize_t(rot)), cid)  # (N, 3, 3)
         t = ad.gather(tra, cid)
         c = ad.gather(cdir, cid)
         s = ad.gather(sbias, cid)

@@ -51,8 +51,13 @@ def quat_inverse(q):
 
 
 def quat_to_matrix(q):
-    """Unit quaternion -> rotation matrix, shape (..., 3, 3)."""
-    q = quat_normalize(q)
+    """Quaternion -> rotation matrix, shape (..., 3, 3); normalizes first."""
+    return unit_quat_to_matrix(quat_normalize(q))
+
+
+def unit_quat_to_matrix(q):
+    """Rotation matrix of quaternions already of unit length (not renormalized)."""
+    q = np.asarray(q, dtype=np.float64)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     out = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
     out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)

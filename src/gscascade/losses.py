@@ -107,10 +107,14 @@ class DataObservation:
             raise ValueError(f"points must be (M, 3), got {self.points.shape}")
         if self.points.shape[0] == 0:
             raise ValueError("observation is empty")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("points contain non-finite values")
         if self.correspondence is not None:
             self.correspondence = np.ascontiguousarray(self.correspondence, dtype=np.int64)
             if self.correspondence.shape != (self.points.shape[0],):
                 raise ValueError("correspondence must have one Gaussian index per point")
+            if np.any(self.correspondence < 0):
+                raise ValueError("correspondence contains negative Gaussian indices")
 
 
 # ---------------------------------------------------------------------------

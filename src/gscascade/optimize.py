@@ -203,10 +203,17 @@ def fit_sequence(initial_set, sequence, config, hierarchy=None):
 
     `sequence` is a SceneSequence or any object with an `observations` list
     aligned to frames 0..T-1 (a plain list works too); observation 0
-    corresponds to the given initial set and is not fitted.
+    corresponds to the given initial set and is not fitted. Raises ValueError,
+    naming the frame, on a correspondence index past the last Gaussian.
     """
     t0 = time.perf_counter()
     observations = getattr(sequence, "observations", sequence)
+    for frame, obs in enumerate(observations):
+        if obs.correspondence is not None and np.any(obs.correspondence >= initial_set.n):
+            raise ValueError(
+                f"frame {frame}: correspondence index {int(obs.correspondence.max())}"
+                f" is out of range for {initial_set.n} Gaussians"
+            )
     if hierarchy is None:
         hierarchy = build_hierarchy(initial_set.centers, config.layer_sizes, seed=config.seed)
     graph = build_neighbor_graph(

@@ -166,16 +166,31 @@ def test_where_selects_and_masks_grad():
     np.testing.assert_allclose(t.grad, [2.0, 10.0, 6.0])
 
 
-def test_stack_unstack_reshape_roundtrip_grads():
+def test_reshape_roundtrip_grads():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 4))
     t = ad.leaf(x)
-    parts = ad.unstack_last(t)
-    assert len(parts) == 4
-    re = ad.stack_last(parts)
-    flat = ad.reshape(re, (20,))
-    ad.tsum(ad.square(flat)).backward()
+    flat = ad.reshape(t, (20,))
+    back = ad.reshape(flat, (5, 4))
+    ad.tsum(ad.square(back)).backward()
     np.testing.assert_allclose(t.grad, 2.0 * x, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows, idx_shape, trailing", [
+    (7, (40,), ()),
+    (7, (40,), (3,)),
+    (9, (12, 5), (3, 3)),
+])
+def test_gather_scatter_equals_add_at_on_fresh_grad(rows, idx_shape, trailing):
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows,) + trailing)
+    idx = rng.integers(0, rows - 2, size=idx_shape)  # duplicates; the last rows unused
+    upstream = rng.normal(size=idx_shape + trailing)
+    t = ad.leaf(x)
+    ad.tsum(ad.mul(ad.gather(t, idx), ad.constant(upstream))).backward()
+    want = np.zeros_like(x)
+    np.add.at(want, idx, upstream)
+    np.testing.assert_array_equal(t.grad, want)
 
 
 def test_backward_accumulates_through_shared_subexpression():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gscascade.cli import INIT_GAUSSIANS_HEADER, load_scene_dir, main, write_scene_dir
-from gscascade.io_formats import read_csv, read_json
+from gscascade.io_formats import read_csv, read_json, read_ply, write_ply
 from gscascade.scenegen import SceneSpec, generate
 
 TINY = {
@@ -162,6 +162,22 @@ def test_missing_scene_dir_exits_2(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "missing"), "--config", cfg,
                  "--out", str(tmp_path / "f")]) == 2
     assert "missing input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda pts: pts[:-1], "29 points, expected one per Gaussian (30)"),
+    (lambda pts: np.where(np.arange(len(pts))[:, None] == 4, np.nan, pts), "non-finite"),
+])
+def test_bad_frame_ply_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
+    cfg = write_config(tmp_path)
+    scene = tmp_path / "scene"
+    assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
+    ply = scene / "frames" / "frame_001.ply"
+    write_ply(ply, corrupt(read_ply(ply)[0]))
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "frame_001.ply" in err and message in err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

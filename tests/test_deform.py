@@ -16,6 +16,7 @@ from gscascade.deform import (
     CascadeDeform,
     ClusterDeformParams,
     DeformLayer,
+    _polar_rotation_batch,
     cascade_apply,
     cascade_from_payload,
     cascade_jacobians,
@@ -301,6 +302,25 @@ def test_decomposed_state_recomposes_to_propagated_covariance():
     want = propagated_covariances(casc, gset)
     got = out.covariances()
     assert np.abs(got - want).max() < 1e-7 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["random", "near_rotation", "reflected"])
+def test_newton_polar_matches_svd_polar(kind):
+    rng = np.random.default_rng(16)
+    J = rng.normal(size=(300, 3, 3))
+    if kind == "near_rotation":
+        R = geometry.quat_to_matrix(rng.normal(size=(300, 4)))
+        J = R + 1e-3 * J
+    elif kind == "reflected":
+        J[np.linalg.det(J) > 0.0, :, 0] *= -1.0
+        assert np.all(np.linalg.det(J) < 0.0)
+    else:
+        assert np.any(np.linalg.det(J) < 0.0) and np.any(np.linalg.det(J) > 0.0)
+    got = _polar_rotation_batch(J)
+    np.testing.assert_allclose(got, geometry.polar_rotation(J), atol=1e-10)
+    np.testing.assert_allclose(np.linalg.det(got), 1.0, atol=1e-12)
+    np.testing.assert_allclose(got @ np.swapaxes(got, -1, -2), np.broadcast_to(np.eye(3), J.shape),
+                               atol=1e-12)
 
 
 def test_degenerate_jacobian_raises():

@@ -262,6 +262,14 @@ def test_data_observation_validation():
         DataObservation(points=np.zeros((4, 2)))
     with pytest.raises(ValueError, match="one Gaussian index per point"):
         DataObservation(points=np.zeros((4, 3)), correspondence=np.zeros(3, dtype=int))
+    pts = np.zeros((4, 3))
+    pts[2, 1] = np.nan
+    with pytest.raises(ValueError, match="points contain non-finite"):
+        DataObservation(points=pts)
+    with pytest.raises(ValueError, match="points contain non-finite"):
+        DataObservation(points=np.full((2, 3), np.inf))
+    with pytest.raises(ValueError, match="correspondence contains negative"):
+        DataObservation(points=np.zeros((3, 3)), correspondence=np.array([0, -1, 2]))
 
 
 def test_loss_weights_reject_negative():

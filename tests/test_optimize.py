@@ -198,6 +198,16 @@ def test_static_sequence_stays_put():
         assert np.all(s.scales > 0.0)
 
 
+def test_sequence_rejects_correspondence_past_last_gaussian():
+    rng = np.random.default_rng(6)
+    gset = scene(rng, n=25)
+    obs = [DataObservation(points=gset.centers.copy(), correspondence=np.arange(25))
+           for _ in range(3)]
+    obs[2] = DataObservation(points=gset.centers.copy(), correspondence=np.arange(1, 26))
+    with pytest.raises(ValueError, match="frame 2: correspondence index 25 .* 25 Gaussians"):
+        fit_sequence(gset, obs, TrainConfig(iters_per_frame=2, layer_sizes=(2, 8)))
+
+
 def test_sequence_tracks_a_uniform_drift():
     rng = np.random.default_rng(7)
     gset = scene(rng, n=25)

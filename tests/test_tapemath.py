@@ -1,0 +1,176 @@
+"""Fused quaternion tape primitives.
+
+Each kernel's forward is checked against its plain-numpy counterpart in
+`geometry`, and each closed-form VJP against central finite differences of
+the kernel's own forward, including every piecewise branch: the four
+Shepperd branches and the hemisphere flip of mat_to_quat_t, and the norm
+floor of quat_normalize_t.
+"""
+
+import numpy as np
+import pytest
+
+import gscascade.autodiff as ad
+from gscascade import geometry
+from gscascade.tapemath import mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t
+
+
+def numeric_grad(fn, x, eps=1e-6):
+    """Central finite differences of a scalar-valued fn at x."""
+    g = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        g[i] = (fn(xp) - fn(xm)) / (2.0 * eps)
+    return g
+
+
+def check_vjp(op, x, eps=1e-6, atol=1e-8):
+    """Tape gradient of <W, op(x)> against finite differences, W random."""
+    W = np.random.default_rng(x.size).normal(size=op(ad.constant(x)).shape)
+    t = ad.leaf(x)
+    ad.tsum(ad.mul(op(t), ad.constant(W))).backward()
+    num = numeric_grad(lambda v: float(np.sum(W * op(ad.constant(v)).value)), x, eps)
+    np.testing.assert_allclose(t.grad, num, atol=atol, rtol=1e-6)
+    return t.grad, W
+
+
+def unit_quats(rng, n):
+    return geometry.quat_normalize(rng.normal(size=(n, 4)))
+
+
+def axis_angle_matrix(axis, angle):
+    axis = np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
+    q = np.concatenate([[np.cos(angle / 2.0)], np.sin(angle / 2.0) * axis])
+    return geometry.quat_to_matrix(q)
+
+
+# ---------------------------------------------------------------------------
+# quat_to_mat_t
+
+
+def test_quat_to_mat_matches_geometry():
+    q = unit_quats(np.random.default_rng(0), 50)
+    out = quat_to_mat_t(ad.constant(q))
+    np.testing.assert_allclose(out.value, geometry.quat_to_matrix(q), atol=1e-15)
+    assert out.value.shape == (50, 3, 3)
+
+
+def test_quat_to_mat_vjp_matches_fd():
+    rng = np.random.default_rng(1)
+    check_vjp(quat_to_mat_t, unit_quats(rng, 6))
+    # R(q) is a quadratic form, differentiable off the unit sphere too
+    check_vjp(quat_to_mat_t, rng.normal(size=(2, 3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# quat_multiply_t
+
+
+def test_quat_multiply_matches_geometry():
+    rng = np.random.default_rng(2)
+    a, b = unit_quats(rng, 20), unit_quats(rng, 20)
+    out = quat_multiply_t(ad.constant(a), ad.constant(b))
+    np.testing.assert_array_equal(out.value, geometry.quat_multiply(a, b))
+
+
+def test_quat_multiply_vjp_matches_fd_for_both_operands():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+    check_vjp(lambda t: quat_multiply_t(t, ad.constant(b)), a)
+    check_vjp(lambda t: quat_multiply_t(ad.constant(a), t), b)
+
+
+def test_quat_multiply_constant_operand_gets_no_grad():
+    rng = np.random.default_rng(4)
+    a, b = ad.leaf(rng.normal(size=(5, 4))), ad.constant(rng.normal(size=(5, 4)))
+    W = rng.normal(size=(5, 4))
+    ad.tsum(ad.mul(quat_multiply_t(a, b), ad.constant(W))).backward()
+    assert b.grad is None
+    # grad_a = W * conj(b) for any b, unit or not
+    np.testing.assert_allclose(a.grad, geometry.quat_multiply(W, geometry.quat_conjugate(b.value)),
+                               atol=1e-14)
+
+
+def test_quat_multiply_vjp_unbroadcasts():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(4,)), rng.normal(size=(6, 4))
+    grad_a, _ = check_vjp(lambda t: quat_multiply_t(t, ad.constant(b)), a)
+    assert grad_a.shape == (4,)
+    grad_b, _ = check_vjp(lambda t: quat_multiply_t(ad.constant(b), t), rng.normal(size=(3, 1, 4)))
+    assert grad_b.shape == (3, 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# quat_normalize_t
+
+
+def test_quat_normalize_matches_geometry_and_fd():
+    q = np.random.default_rng(6).normal(size=(8, 4)) * 3.0
+    np.testing.assert_allclose(quat_normalize_t(ad.constant(q)).value,
+                               geometry.quat_normalize(q), atol=1e-15)
+    check_vjp(quat_normalize_t, q)
+
+
+def test_quat_normalize_below_floor_divides_by_the_floor():
+    rng = np.random.default_rng(7)
+    q = np.stack([rng.normal(size=4) * 1e-14, rng.normal(size=4)])  # row 0 below 1e-12
+    out = quat_normalize_t(ad.constant(q)).value
+    np.testing.assert_allclose(out[0], q[0] / 1e-12, rtol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(out[1]), 1.0, rtol=1e-15)
+    # below the floor the norm is a constant: the map is linear there
+    grad, W = check_vjp(quat_normalize_t, q[:1], eps=1e-16, atol=1e-6)
+    np.testing.assert_allclose(grad, W / 1e-12, rtol=1e-12)
+    # and a row below the floor leaves its batch neighbours' gradients alone
+    t = ad.leaf(q)
+    W = np.random.default_rng(8).normal(size=q.shape)
+    ad.tsum(ad.mul(quat_normalize_t(t), ad.constant(W))).backward()
+    np.testing.assert_allclose(t.grad[0], W[0] / 1e-12, rtol=1e-12)
+    u = q[1] / np.linalg.norm(q[1])
+    np.testing.assert_allclose(t.grad[1], (W[1] - u * (u @ W[1])) / np.linalg.norm(q[1]),
+                               atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# mat_to_quat_t
+
+_E = np.eye(3)
+# (rotation, Shepperd branch it selects, whether the hemisphere flip fires)
+_BRANCH_CASES = {
+    "trace": (axis_angle_matrix([0.3, -0.5, 0.8], 0.7), 0, False),
+    "r00": (axis_angle_matrix(_E[0] + [0.0, 0.2, -0.1], 2.8), 1, False),
+    "r11": (axis_angle_matrix(_E[1] + [0.15, 0.0, 0.2], 2.8), 2, False),
+    "r22": (axis_angle_matrix(_E[2] + [-0.2, 0.1, 0.0], 2.8), 3, False),
+    "r00_flip": (axis_angle_matrix(-_E[0] + [0.0, 0.2, -0.1], 2.8), 1, True),
+    "r11_flip": (axis_angle_matrix(-_E[1] + [0.15, 0.0, 0.2], 2.8), 2, True),
+    "r22_flip": (axis_angle_matrix(-_E[2] + [-0.2, 0.1, 0.0], 2.8), 3, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRANCH_CASES))
+def test_mat_to_quat_branches_match_geometry_and_fd(case):
+    R, branch, flips = _BRANCH_CASES[case]
+    scores = [np.trace(R), R[0, 0], R[1, 1], R[2, 2]]
+    assert int(np.argmax(scores)) == branch
+    q = mat_to_quat_t(ad.constant(R)).value
+    np.testing.assert_allclose(q, geometry.matrix_to_quat(R), atol=1e-15)
+    assert q[0] > 0.0
+    # Shepperd's dominant component comes out positive unless the w >= 0
+    # hemisphere flipped the whole quaternion
+    assert (q[branch] < 0.0) == flips
+    check_vjp(mat_to_quat_t, R)
+
+
+def test_mat_to_quat_batch_mixes_branches():
+    Rs = np.stack([case[0] for case in _BRANCH_CASES.values()])
+    q = mat_to_quat_t(ad.constant(Rs)).value
+    np.testing.assert_allclose(q, geometry.matrix_to_quat(Rs), atol=1e-15)
+    check_vjp(mat_to_quat_t, Rs)
+
+
+def test_mat_to_quat_inverts_quat_to_mat_on_the_tape():
+    q = unit_quats(np.random.default_rng(8), 30)
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    np.testing.assert_allclose(mat_to_quat_t(quat_to_mat_t(ad.constant(q))).value, q, atol=1e-14)
+    check_vjp(lambda t: mat_to_quat_t(quat_to_mat_t(t)), q[:5])
