@@ -10,87 +10,4 @@ rotation-consistency + scale hinge), with gradients from a small reverse-mode
 tape over numpy.
 """
 
-from .core import GaussianSet, GaussianState
-from .clustering import ClusterHierarchy, agglomerate, build_hierarchy, kmeans, recluster
-from .deform import (
-    CascadeDeform,
-    CascadeTrace,
-    ClusterDeformParams,
-    DeformLayer,
-    PerGaussianDelta,
-    cascade_apply,
-    cascade_from_payload,
-    cascade_jacobians,
-    cascade_to_payload,
-    cascade_zero,
-    layer_apply,
-    layer_jacobian,
-    propagated_covariances,
-    scaling_factor,
-    trace_cascade,
-)
-from .geometry import (
-    compose_covariance,
-    decompose_covariance,
-    matrix_to_quat,
-    polar_rotation,
-    quat_conjugate,
-    quat_distance,
-    quat_inverse,
-    quat_multiply,
-    quat_normalize,
-    quat_rotate,
-    quat_to_matrix,
-    relative_rotation_angle,
-    rotation_angle,
-)
-from .losses import (
-    DataObservation,
-    LossWeights,
-    NeighborGraph,
-    build_neighbor_graph,
-    data_loss,
-    isometry_loss,
-    rigidity_loss,
-    rotation_loss,
-    scale_loss,
-    total_loss,
-)
-from .optimize import FitReport, FrameReport, TrainConfig, fit_frame, fit_sequence, mean_center_error
-from .scenegen import KINDS, SceneSequence, SceneSpec, generate, perturb
-from .segmentation import (
-    adjusted_rand_index,
-    build_features,
-    fitted_subpart_check,
-    procrustes_rotation,
-    rigid_subpart_rotation_check,
-    segment,
-)
-from .tracking import PinholeCamera, Track2D, look_at_camera, mte, project, project_track, select_candidate
-from .config import ConfigError, RunConfig, load_run_config
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GaussianSet", "GaussianState",
-    "ClusterHierarchy", "kmeans", "agglomerate", "build_hierarchy", "recluster",
-    "CascadeDeform", "CascadeTrace", "ClusterDeformParams", "DeformLayer",
-    "PerGaussianDelta", "cascade_zero", "cascade_apply", "cascade_jacobians",
-    "cascade_to_payload", "cascade_from_payload", "layer_apply",
-    "layer_jacobian", "propagated_covariances", "scaling_factor", "trace_cascade",
-    "quat_normalize", "quat_multiply", "quat_conjugate", "quat_inverse",
-    "quat_to_matrix", "matrix_to_quat", "quat_rotate", "quat_distance",
-    "rotation_angle", "relative_rotation_angle", "compose_covariance",
-    "decompose_covariance", "polar_rotation",
-    "LossWeights", "NeighborGraph", "DataObservation", "build_neighbor_graph",
-    "scale_loss", "rigidity_loss", "isometry_loss", "rotation_loss",
-    "data_loss", "total_loss",
-    "TrainConfig", "FrameReport", "FitReport", "fit_frame", "fit_sequence",
-    "mean_center_error",
-    "SceneSpec", "SceneSequence", "KINDS", "generate", "perturb",
-    "build_features", "segment", "adjusted_rand_index", "procrustes_rotation",
-    "rigid_subpart_rotation_check", "fitted_subpart_check",
-    "PinholeCamera", "Track2D", "look_at_camera", "project", "project_track",
-    "mte", "select_candidate",
-    "ConfigError", "RunConfig", "load_run_config",
-]

@@ -378,19 +378,6 @@ def clamp_min(a, floor):
     return _make(np.where(mask, a.value, floor), (a,), vjp)
 
 
-def where(mask, a, b):
-    """Select by a constant boolean mask (no gradient w.r.t. the mask)."""
-    a, b = _wrap(a), _wrap(b)
-    mask = np.asarray(mask, dtype=bool)
-    v = np.where(mask, a.value, b.value)
-
-    def vjp(g):
-        _accum(a, _unbroadcast(np.where(mask, g, 0.0), a.value.shape))
-        _accum(b, _unbroadcast(np.where(mask, 0.0, g), b.value.shape))
-
-    return _make(v, (a, b), vjp)
-
-
 # ---------------------------------------------------------------------------
 # indexing / shaping
 

@@ -218,8 +218,3 @@ def build_hierarchy(centers, layer_sizes, seed=0):
     )
     hier.update_centroids(centers)
     return hier
-
-
-def recluster(centers, hierarchy):
-    """Rebuild the hierarchy from current centers, keeping sizes and seed."""
-    return build_hierarchy(centers, hierarchy.layer_sizes, seed=hierarchy.seed)

@@ -8,7 +8,7 @@ starts; unknown keys anywhere are an error (exit code 2 in the CLI).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .losses import LossWeights
 from .optimize import TrainConfig
@@ -19,14 +19,14 @@ class ConfigError(Exception):
     pass
 
 
-_SCENE_KEYS = {"kind", "n_gaussians", "n_frames", "motion_magnitude", "noise_sigma", "seed"}
-_TRAIN_KEYS = {
-    "iters_per_frame", "lr_rot", "lr_trans", "lr_scaledir", "lr_sbias", "lr_delta",
-    "adam_beta1", "adam_beta2", "adam_eps", "max_scale", "layer_sizes", "k_neighbors",
-    "lambda_weight", "propagate_covariance", "anchored", "warm_start_params",
-    "recluster_every",
-}
-_WEIGHT_KEYS = {"w_rigid", "w_iso", "w_rot", "w_scale", "w_data"}
+def _field_names(cls):
+    return {f.name for f in fields(cls)}
+
+
+_SCENE_KEYS = _field_names(SceneSpec)
+# weights, seed, scene_scale and threads come from elsewhere in the run config
+_TRAIN_KEYS = _field_names(TrainConfig) - {"weights", "seed", "scene_scale", "threads"}
+_WEIGHT_KEYS = _field_names(LossWeights)
 _SEG_KEYS = {"k_parts", "lambda_p", "lambda_r", "lambda_p0"}
 _TRACK_KEYS = {"camera_index", "n_tracks"}
 _TOP_KEYS = {"scene", "scene_dir", "train", "weights", "segmentation", "tracking",

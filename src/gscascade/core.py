@@ -21,20 +21,6 @@ from . import geometry
 
 
 @dataclass
-class GaussianState:
-    """Single-Gaussian view (mostly for tests and debugging)."""
-
-    center: np.ndarray  # (3,)
-    orientation: np.ndarray  # (4,) unit, (w, x, y, z)
-    scale: np.ndarray  # (3,) > 0
-    color: np.ndarray  # (3,) in [0, 1]
-    cluster_ids: tuple  # one id per hierarchy layer, coarsest first
-
-    def covariance(self):
-        return geometry.compose_covariance(self.orientation, self.scale)
-
-
-@dataclass
 class GaussianSet:
     """All Gaussians of one time frame, index-aligned across frames."""
 
@@ -79,15 +65,6 @@ class GaussianSet:
         """(N, 3, 3) stack of R diag(s^2) R^T; exactly symmetric by construction."""
         return geometry.compose_covariance(self.orientations, self.scales)
 
-    def state(self, i, cluster_ids=()):
-        return GaussianState(
-            center=self.centers[i].copy(),
-            orientation=self.orientations[i].copy(),
-            scale=self.scales[i].copy(),
-            color=self.colors[i].copy(),
-            cluster_ids=tuple(cluster_ids),
-        )
-
     def copy(self):
         return GaussianSet(
             centers=self.centers.copy(),
@@ -96,8 +73,3 @@ class GaussianSet:
             colors=self.colors.copy(),
             frame_index=self.frame_index,
         )
-
-    def with_frame_index(self, frame_index):
-        out = self.copy()
-        out.frame_index = int(frame_index)
-        return out

@@ -22,9 +22,6 @@ simply co-rotates instead of snapping to a sorted-eigenvalue convention. The
 reference rotation and permutation only fix the gauge — the factored output
 as a function of the covariance is invariant to them — so treating them as
 constants of the backward pass leaves gradients exact.
-
-An `anchored=False` switch drops the leading p_c term (the map is then not an
-identity at zero parameters; kept for comparison experiments).
 """
 
 from __future__ import annotations
@@ -40,42 +37,6 @@ from .tapemath import mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_
 
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 _PD_FLOOR = 1e-12
-
-
-@dataclass
-class ClusterDeformParams:
-    """One cluster's deformation: rotation, translation, and the scaling field."""
-
-    rotation: np.ndarray  # (4,) unit quaternion
-    translation: np.ndarray  # (3,)
-    scale_dir: np.ndarray  # (3,) direction of the scaling-factor gradient
-    scale_bias: float  # scalar offset inside the tanh
-
-    @classmethod
-    def zero(cls):
-        return cls(
-            rotation=_IDENTITY_QUAT.copy(),
-            translation=np.zeros(3),
-            scale_dir=np.zeros(3),
-            scale_bias=0.0,
-        )
-
-
-@dataclass
-class PerGaussianDelta:
-    """Per-Gaussian refinement applied after the cluster cascade."""
-
-    d_center: np.ndarray  # (3,)
-    d_rotation: np.ndarray  # (4,) unit quaternion, left-multiplies
-    d_log_scale: np.ndarray  # (3,) additive in log-scale space
-
-    @classmethod
-    def zero(cls):
-        return cls(
-            d_center=np.zeros(3),
-            d_rotation=_IDENTITY_QUAT.copy(),
-            d_log_scale=np.zeros(3),
-        )
 
 
 @dataclass
@@ -100,14 +61,6 @@ class DeformLayer:
     def size(self):
         return self.rotations.shape[0]
 
-    def params(self, j):
-        return ClusterDeformParams(
-            rotation=self.rotations[j].copy(),
-            translation=self.translations[j].copy(),
-            scale_dir=self.scale_dirs[j].copy(),
-            scale_bias=float(self.scale_biases[j]),
-        )
-
     def is_zero(self):
         return (
             np.array_equal(self.rotations, np.tile(_IDENTITY_QUAT, (self.size, 1)))
@@ -126,7 +79,6 @@ class CascadeDeform:
     d_rotations: np.ndarray  # (N, 4)
     d_log_scales: np.ndarray  # (N, 3)
     hierarchy: object  # ClusterHierarchy this cascade is bound to
-    anchored: bool = True
 
     def __post_init__(self):
         sizes = tuple(layer.size for layer in self.layers)
@@ -138,13 +90,6 @@ class CascadeDeform:
     @property
     def n(self):
         return self.d_centers.shape[0]
-
-    def delta(self, i):
-        return PerGaussianDelta(
-            d_center=self.d_centers[i].copy(),
-            d_rotation=self.d_rotations[i].copy(),
-            d_log_scale=self.d_log_scales[i].copy(),
-        )
 
     def is_zero(self):
         return (
@@ -158,26 +103,8 @@ class CascadeDeform:
         """Total number of scalar parameters (11 per cluster, 10 per Gaussian)."""
         return sum(11 * layer.size for layer in self.layers) + 10 * self.n
 
-    def copy(self):
-        return CascadeDeform(
-            layers=[
-                DeformLayer(
-                    rotations=l.rotations.copy(),
-                    translations=l.translations.copy(),
-                    scale_dirs=l.scale_dirs.copy(),
-                    scale_biases=l.scale_biases.copy(),
-                )
-                for l in self.layers
-            ],
-            d_centers=self.d_centers.copy(),
-            d_rotations=self.d_rotations.copy(),
-            d_log_scales=self.d_log_scales.copy(),
-            hierarchy=self.hierarchy,
-            anchored=self.anchored,
-        )
 
-
-def cascade_zero(hierarchy, n_gaussians, anchored=True):
+def cascade_zero(hierarchy, n_gaussians):
     """Identity cascade bound to `hierarchy` (fixed point of cascade_apply)."""
     return CascadeDeform(
         layers=[DeformLayer.zero(size) for size in hierarchy.layer_sizes],
@@ -185,53 +112,11 @@ def cascade_zero(hierarchy, n_gaussians, anchored=True):
         d_rotations=np.tile(_IDENTITY_QUAT, (n_gaussians, 1)),
         d_log_scales=np.zeros((n_gaussians, 3)),
         hierarchy=hierarchy,
-        anchored=anchored,
     )
 
 
 # ---------------------------------------------------------------------------
-# single-layer reference implementations (plain numpy)
-
-
-def scaling_factor(params, centroid, x):
-    """sigma(x) = tanh(c . (x - p_c) + s) + 1, always in (0, 2)."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x - np.asarray(centroid, dtype=np.float64)
-    u = d @ np.asarray(params.scale_dir, dtype=np.float64) + params.scale_bias
-    return np.tanh(u) + 1.0
-
-
-def layer_apply(params, centroid, x, anchored=True):
-    """Apply one cluster deformation to point(s) x of shape (..., 3)."""
-    x = np.asarray(x, dtype=np.float64)
-    centroid = np.asarray(centroid, dtype=np.float64)
-    d = x - centroid
-    R = geometry.quat_to_matrix(params.rotation)
-    moved = d @ R.T + params.translation
-    sig = scaling_factor(params, centroid, x)
-    if anchored:
-        return x + (sig[..., None] * moved - d)
-    return sig[..., None] * moved
-
-
-def layer_jacobian(params, centroid, x):
-    """Spatial Jacobian of layer_apply at x; identical for both anchor modes."""
-    x = np.asarray(x, dtype=np.float64)
-    centroid = np.asarray(centroid, dtype=np.float64)
-    d = x - centroid
-    R = geometry.quat_to_matrix(params.rotation)
-    moved = d @ R.T + params.translation
-    u = d @ np.asarray(params.scale_dir, dtype=np.float64) + params.scale_bias
-    th = np.tanh(u)
-    sig = th + 1.0
-    sigp = 1.0 - th * th
-    return sig[..., None, None] * R + np.einsum(
-        "...i,...j->...ij", moved, sigp[..., None] * np.broadcast_to(params.scale_dir, x.shape)
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched 3x3 polar rotation (Newton iteration, SVD fallback)
+# batched 3x3 polar rotation (Newton iteration)
 
 
 def _inv3(A):
@@ -359,13 +244,9 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
         th = ad.tanh(u)
         sig = th + 1.0
         moved = ad.matvec(R, d) + t
-        scaled = ad.mul(moved, ad.reshape(sig, (n, 1)))
-        if cascade.anchored:
-            # written as x + (sigma*moved - d) so the zero cascade is an
-            # exact identity in floating point
-            x = x + (scaled - d)
-        else:
-            x = scaled
+        # written as x + (sigma*moved - d) so the zero cascade is an exact
+        # identity in floating point
+        x = x + (ad.mul(moved, ad.reshape(sig, (n, 1))) - d)
         sigp = 1.0 - ad.mul(th, th)
         Jk = ad.mul(R, ad.reshape(sig, (n, 1, 1))) + ad.outer(
             moved, ad.mul(c, ad.reshape(sigp, (n, 1)))
@@ -472,7 +353,6 @@ def _arr_from_hex(payload):
 
 def cascade_to_payload(cascade):
     return {
-        "anchored": bool(cascade.anchored),
         "layers": [
             {
                 "rotations": _arr_to_hex(l.rotations),
@@ -489,6 +369,10 @@ def cascade_to_payload(cascade):
 
 
 def cascade_from_payload(payload, hierarchy):
+    # checkpoints may carry an "anchored" flag; the map below is the anchored one
+    if payload.get("anchored", True) is not True:
+        raise ValueError("checkpoint field 'anchored' is not true: only the anchored"
+                         " cascade map can be replayed")
     return CascadeDeform(
         layers=[
             DeformLayer(
@@ -503,5 +387,4 @@ def cascade_from_payload(payload, hierarchy):
         d_rotations=_arr_from_hex(payload["d_rotations"]),
         d_log_scales=_arr_from_hex(payload["d_log_scales"]),
         hierarchy=hierarchy,
-        anchored=bool(payload["anchored"]),
     )

@@ -124,20 +124,6 @@ def matrix_to_quat(R):
     return q
 
 
-def quat_rotate(q, v):
-    """Rotate vectors v (..., 3) by unit quaternions q (..., 4)."""
-    return np.einsum("...ij,...j->...i", quat_to_matrix(q), np.asarray(v, dtype=np.float64))
-
-
-def quat_distance(a, b):
-    """Sign-insensitive chordal distance min(|a-b|, |a+b|)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d1 = np.linalg.norm(a - b, axis=-1)
-    d2 = np.linalg.norm(a + b, axis=-1)
-    return np.minimum(d1, d2)
-
-
 def rotation_angle(q):
     """Rotation angle in radians of a unit quaternion, in [0, pi]."""
     q = quat_normalize(q)
@@ -193,15 +179,3 @@ def decompose_covariance(sigma):
     det = np.linalg.det(V)
     V = np.where(det[..., None, None] < 0.0, -V, V)
     return matrix_to_quat(V), np.sqrt(w)
-
-
-def polar_rotation(M):
-    """Closest rotation (orthogonal polar factor, det +1) to matrices M."""
-    M = np.asarray(M, dtype=np.float64)
-    U, _, Vt = np.linalg.svd(M)
-    R = U @ Vt
-    det = np.linalg.det(R)
-    # flip the least significant singular direction when det == -1
-    U2 = U.copy()
-    U2[..., :, -1] *= np.where(det < 0.0, -1.0, 1.0)[..., None]
-    return U2 @ Vt

@@ -36,6 +36,9 @@ from .tapemath import quat_multiply_t, quat_to_mat_t, safe_norm
 
 DEFAULT_NEIGHBOR_COUNT = 20
 DEFAULT_LAMBDA_SCALE = 2000.0  # lambda_weight = 2000 / scene_scale**2
+# isometry dead zone, in ulps of the largest center coordinate: rounding moves
+# the lengths of rigidly moved edges by up to about 4 of them
+_RIGID_NOISE_ULPS = 16
 
 
 @dataclass
@@ -148,6 +151,11 @@ def isometry_loss_t(frame0_centers, centers_t, graph):
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
     d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
     dt = safe_norm(ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3)))
+    # a rigidly moved edge still differs from d0 by the rounding of its
+    # endpoint coordinates; within that dead zone take d0 = dt, so absval's
+    # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
+    coord = max(np.abs(frame0_centers).max(), np.abs(centers_t.value).max())
+    d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
     return ad.tmean(ad.absval(ad.constant(d0) - dt))
 
 
@@ -178,60 +186,6 @@ def data_loss_t(centers_t, obs, workers=1):
         ad.tsum(ad.square(ad.gather(centers_t, nn_o) - ad.constant(obs.points)), axis=-1)
     )
     return ad.mul(to_obs + to_set, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# plain evaluation wrappers (value + gradient w.r.t. direct state arrays)
-
-
-def scale_loss(gset, max_scale):
-    """Hinge value and its (N, 3) gradient w.r.t. scales."""
-    if max_scale <= 0.0:
-        raise ValueError("max_scale must be positive")
-    over = gset.scales - max_scale
-    mask = over > 0.0
-    value = float(np.where(mask, over, 0.0).sum() / gset.n)
-    return value, mask.astype(np.float64) / gset.n
-
-
-def _eval_with_grads(build, leaves):
-    loss = build()
-    loss.backward()
-    grads = {
-        name: (np.zeros_like(t.value) if t.grad is None else t.grad) for name, t in leaves.items()
-    }
-    return float(loss.value), grads
-
-
-def rigidity_loss(prev_set, curr_set, graph):
-    c = ad.leaf(curr_set.centers)
-    q = ad.leaf(curr_set.orientations)
-    value, grads = _eval_with_grads(
-        lambda: rigidity_loss_t(prev_set, c, q, graph), {"centers": c, "orientations": q}
-    )
-    return value, grads
-
-
-def isometry_loss(frame0_set, curr_set, graph):
-    c = ad.leaf(curr_set.centers)
-    value, grads = _eval_with_grads(
-        lambda: isometry_loss_t(frame0_set.centers, c, graph), {"centers": c}
-    )
-    return value, grads
-
-
-def rotation_loss(prev_set, curr_set, graph):
-    q = ad.leaf(curr_set.orientations)
-    value, grads = _eval_with_grads(
-        lambda: rotation_loss_t(prev_set, q, graph), {"orientations": q}
-    )
-    return value, grads
-
-
-def data_loss(curr_set, obs, workers=1):
-    c = ad.leaf(curr_set.centers)
-    value, grads = _eval_with_grads(lambda: data_loss_t(c, obs, workers=workers), {"centers": c})
-    return value, grads
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Each frame starts from the previous frame's converged Gaussians (the state
 warm start) with a fresh zero cascade and fresh optimizer moments, runs a
 fixed iteration budget of the total objective, and emits the deformed set.
-Cluster centroids are recomputed from the previous frame's centers at the
-frame transition and stay frozen while that frame optimizes. A flag switches
-to copying the previous frame's parameter values instead of the zero cascade
-(motion-extrapolation variant).
+The hierarchy's assignments are fixed for the whole sequence; its centroids
+are recomputed from the previous frame's centers at the frame transition and
+stay frozen while that frame optimizes.
 
 Each parameter class steps with its own learning rate; quaternion parameters
 are renormalized to unit length after every step.
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .clustering import build_hierarchy, recluster
+from .clustering import build_hierarchy
 from .deform import cascade_apply, cascade_zero
 from .losses import LossWeights, build_neighbor_graph, total_loss
 
@@ -34,7 +33,6 @@ class TrainConfig:
     lr_trans: float = None  # defaults to 1.6e-2 * scene_scale
     lr_scaledir: float = 1e-3
     lr_sbias: float = 1e-3
-    lr_delta: float = None  # defaults to DELTA_LR_FRACTION of each cluster rate
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -46,9 +44,6 @@ class TrainConfig:
     k_neighbors: int = 20
     lambda_weight: float = None  # defaults to 2000 / scene_scale**2
     propagate_covariance: bool = True
-    anchored: bool = True
-    warm_start_params: bool = False
-    recluster_every: int = 0  # frames between hierarchy rebuilds; 0 = never
     threads: int = 1
 
     def __post_init__(self):
@@ -70,9 +65,6 @@ class TrainConfig:
             return self.lr_scaledir
         if key.endswith(".scale_biases"):
             return self.lr_sbias
-        if self.lr_delta is not None:
-            if key in ("d_centers", "d_rotations", "d_log_scales"):
-                return self.lr_delta
         if key == "d_centers":
             return DELTA_LR_FRACTION * lr_trans
         if key == "d_rotations":
@@ -85,8 +77,7 @@ class TrainConfig:
 class AdamState:
     """Per-parameter-array Adam moments."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self.m = {}
         self.v = {}
         self.t = 0
@@ -147,24 +138,28 @@ class FitReport:
     wall_time: float
 
 
-def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None,
-              graph=None, init_cascade=None):
-    """Fit one frame transition; returns (deformed set, cascade, FrameReport)."""
+def _neighbor_graph(centers, config):
+    return build_neighbor_graph(
+        centers,
+        k=min(config.k_neighbors, centers.shape[0] - 1),
+        lambda_weight=config.lambda_weight,
+        scene_scale=config.scene_scale,
+        workers=config.threads,
+    )
+
+
+def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None):
+    """Fit one frame transition from the zero cascade.
+
+    Returns (deformed set, cascade, FrameReport).
+    """
     t0 = time.perf_counter()
     if graph is None:
-        graph = build_neighbor_graph(
-            prev_set.centers,
-            k=min(config.k_neighbors, prev_set.n - 1),
-            lambda_weight=config.lambda_weight,
-            scene_scale=config.scene_scale,
-            workers=config.threads,
-        )
+        graph = _neighbor_graph(prev_set.centers, config)
     if frame0_centers is None:
         frame0_centers = prev_set.centers
-    cascade = init_cascade.copy() if init_cascade is not None else cascade_zero(
-        hierarchy, prev_set.n, anchored=config.anchored
-    )
-    state = AdamState(config)
+    cascade = cascade_zero(hierarchy, prev_set.n)
+    state = AdamState()
     curve = []
     for _ in range(config.iters_per_frame):
         value, components, grads = total_loss(
@@ -216,45 +211,19 @@ def fit_sequence(initial_set, sequence, config, hierarchy=None):
             )
     if hierarchy is None:
         hierarchy = build_hierarchy(initial_set.centers, config.layer_sizes, seed=config.seed)
-    graph = build_neighbor_graph(
-        initial_set.centers,
-        k=min(config.k_neighbors, initial_set.n - 1),
-        lambda_weight=config.lambda_weight,
-        scene_scale=config.scene_scale,
-        workers=config.threads,
-    )
+    graph = _neighbor_graph(initial_set.centers, config)
     sets = [initial_set]
     cascades = []
     reports = []
-    prev = initial_set
-    prev_cascade = None
-    for frame, obs in enumerate(observations):
-        if frame == 0:
-            continue
-        if config.recluster_every and frame > 1 and (frame - 1) % config.recluster_every == 0:
-            hierarchy = recluster(prev.centers, hierarchy)
-            graph = build_neighbor_graph(
-                prev.centers,
-                k=min(config.k_neighbors, prev.n - 1),
-                lambda_weight=config.lambda_weight,
-                scene_scale=config.scene_scale,
-                workers=config.threads,
-            )
+    for obs in observations[1:]:
+        prev = sets[-1]
         hierarchy.update_centroids(prev.centers)
-        init = None
-        if config.warm_start_params and prev_cascade is not None:
-            init = prev_cascade
         new_set, cascade, report = fit_frame(
-            prev, obs, hierarchy, config,
-            frame0_centers=initial_set.centers,
-            graph=graph,
-            init_cascade=init,
+            prev, obs, hierarchy, config, frame0_centers=initial_set.centers, graph=graph
         )
         sets.append(new_set)
         cascades.append(cascade)
         reports.append(report)
-        prev = new_set
-        prev_cascade = cascade
     return FitReport(
         frames=reports,
         sets=sets,

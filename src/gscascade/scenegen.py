@@ -23,7 +23,7 @@ units/frame for two_blobs, and wave amplitude in world units for cloth_wave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,21 +341,3 @@ def generate(spec):
         part_quats=np.asarray(part_quats, dtype=np.float64),
         cameras=_camera_ring(),
     )
-
-
-def perturb(sequence, sigma, seed=None):
-    """Fresh copy with observations re-noised at std `sigma`; ground truth kept."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if seed is None:
-        seed = sequence.spec.seed + 104729
-    rng = np.random.default_rng(seed)
-    observations = []
-    for t in range(sequence.n_frames):
-        pts = sequence.gt_centers[t].copy()
-        if sigma > 0.0:
-            pts += rng.normal(scale=sigma, size=pts.shape)
-        observations.append(
-            DataObservation(points=pts, correspondence=np.arange(pts.shape[0]))
-        )
-    return replace(sequence, observations=observations)

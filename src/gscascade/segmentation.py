@@ -1,4 +1,4 @@
-"""Motion-based part segmentation and rigid-motion diagnostics.
+"""Motion-based part segmentation, its score, and Procrustes rotation fits.
 
 Each Gaussian's motion signature is a (T, 15) matrix per frame t:
 [lambda_p * center_t | lambda_R * flattened rotation matrix_t |
@@ -6,7 +6,7 @@ Each Gaussian's motion signature is a (T, 15) matrix per frame t:
 Gaussians that move together; for truly articulated scenes the grouping
 recovers the rigid parts (any sub-body of a rigid body rotating about its
 centroid rotates by exactly the body's rotation, so per-part signatures are
-consistent — `rigid_subpart_rotation_check` tests that property directly).
+consistent; `procrustes_rotation` recovers that rotation from point sets).
 """
 
 from __future__ import annotations
@@ -100,50 +100,3 @@ def procrustes_rotation(src, dst):
     D = np.eye(3)
     D[2, 2] = np.sign(np.linalg.det(Vt.T @ U.T))
     return Vt.T @ D @ U.T
-
-
-def rigid_subpart_rotation_check(subset_a, subset_b, rotation, translation=None, tol=1e-7):
-    """Do two subsets of a rigidly moving body recover the same rotation?
-
-    Moves the union of both subsets by (rotation, translation), Procrustes-fits
-    each subset and the union independently, and returns True when all three
-    rotations agree within `tol` quaternion distance. For an exactly rigid
-    motion this always holds; it fails when a subset moves on its own.
-    """
-    subset_a = np.asarray(subset_a, dtype=np.float64)
-    subset_b = np.asarray(subset_b, dtype=np.float64)
-    rotation = np.asarray(rotation, dtype=np.float64)
-    R = geometry.quat_to_matrix(rotation) if rotation.shape == (4,) else rotation
-    t = np.zeros(3) if translation is None else np.asarray(translation, dtype=np.float64)
-
-    union = np.concatenate([subset_a, subset_b])
-    moved = union @ R.T + t
-    moved_a = moved[: len(subset_a)]
-    moved_b = moved[len(subset_a):]
-
-    q_union = geometry.matrix_to_quat(procrustes_rotation(union, moved))
-    q_a = geometry.matrix_to_quat(procrustes_rotation(subset_a, moved_a))
-    q_b = geometry.matrix_to_quat(procrustes_rotation(subset_b, moved_b))
-    return bool(
-        geometry.quat_distance(q_a, q_union) <= tol
-        and geometry.quat_distance(q_b, q_union) <= tol
-        and geometry.quat_distance(q_a, q_b) <= tol
-    )
-
-
-def fitted_subpart_check(points_before, points_after, split, tol=1e-7):
-    """Same property on observed before/after point sets with a given split."""
-    points_before = np.asarray(points_before, dtype=np.float64)
-    points_after = np.asarray(points_after, dtype=np.float64)
-    split = np.asarray(split, dtype=bool)
-    qs = []
-    for mask in (split, ~split, np.ones_like(split)):
-        qs.append(
-            geometry.matrix_to_quat(
-                procrustes_rotation(points_before[mask], points_after[mask])
-            )
-        )
-    return bool(
-        geometry.quat_distance(qs[0], qs[2]) <= tol
-        and geometry.quat_distance(qs[1], qs[2]) <= tol
-    )

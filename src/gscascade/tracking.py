@@ -95,17 +95,6 @@ def project(camera, points):
     return pix, depth, valid
 
 
-def unproject(camera, pixels, depth):
-    """Inverse of project given per-pixel depth (for round-trip checks)."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    depth = np.asarray(depth, dtype=np.float64)
-    x = (pixels[..., 0] - camera.cx) / camera.fx * depth
-    y = (pixels[..., 1] - camera.cy) / camera.fy * depth
-    cam = np.stack([x, y, depth], axis=-1)
-    R = geometry.quat_to_matrix(camera.rotation)
-    return (cam - camera.translation) @ R
-
-
 @dataclass
 class Track2D:
     """Pixel positions of one tracked point over time."""

@@ -19,12 +19,9 @@ from gscascade.cli import main
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import (
-    ClusterDeformParams,
     cascade_apply,
     cascade_jacobians,
     cascade_zero,
-    layer_apply,
-    layer_jacobian,
     propagated_covariances,
 )
 from gscascade.losses import DataObservation, LossWeights, build_neighbor_graph, total_loss
@@ -37,6 +34,7 @@ from gscascade.segmentation import (
     segment,
 )
 from gscascade.tracking import mte, project_track, select_candidate
+from oracles import ClusterDeformParams, layer_apply, layer_jacobian
 
 
 # ---------------------------------------------------------------------------

@@ -156,16 +156,6 @@ def test_gather_accumulates_duplicate_indices():
     np.testing.assert_array_equal(t.grad, [2.0, 0.0, 3.0])
 
 
-def test_where_selects_and_masks_grad():
-    x = np.array([1.0, -2.0, 3.0])
-    mask = np.array([True, False, True])
-    t = ad.leaf(x)
-    out = ad.where(mask, ad.square(t), ad.mul(t, 10.0))
-    ad.tsum(out).backward()
-    np.testing.assert_allclose(out.value, [1.0, -20.0, 9.0])
-    np.testing.assert_allclose(t.grad, [2.0, 10.0, 6.0])
-
-
 def test_reshape_roundtrip_grads():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, 4))

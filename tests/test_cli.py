@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from gscascade.cli import INIT_GAUSSIANS_HEADER, load_scene_dir, main, write_scene_dir
-from gscascade.io_formats import read_csv, read_json, read_ply, write_ply
+from gscascade.clustering import ClusterHierarchy
+from gscascade.core import GaussianSet
+from gscascade.deform import cascade_apply, cascade_from_payload
+from gscascade.io_formats import read_csv, read_json, read_ply, read_trajectory_csv, write_ply
 from gscascade.scenegen import SceneSpec, generate
 
 TINY = {
@@ -225,3 +228,44 @@ def test_repro_pipeline_smoke(tmp_path):
         assert (out / f"scene_{name}" / "scene.json").exists()
         assert (out / f"fit_{name}_k3" / "trajectory.csv").exists()
         assert (out / f"fit_{name}_k1" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("anchored", False), ("warm_start_params", True), ("recluster_every", 1), ("lr_delta", 1e-3),
+])
+def test_removed_train_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    doc = dict(TINY, train=dict(TINY["train"], **{key: value}))
+    cfg = write_config(tmp_path, doc=doc)
+    scene = tmp_path / "scene"
+    assert main(["generate", "--config", write_config(tmp_path, name="gen.json"),
+                 "--out", str(scene)]) == 0
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and key in err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_checkpoint_replays_the_trajectory_bit_for_bit(tmp_path):
+    """Checkpoint t applied to trajectory frame t-1 gives frame t exactly, once
+    the hierarchy's centroids are recomputed from frame t-1; hierarchy.json
+    stores the centroids of the last fitted transition."""
+    doc = dict(TINY, scene={"kind": "two_link_arm", "n_gaussians": 40, "n_frames": 4})
+    cfg = write_config(tmp_path, doc=doc)
+    scene, fit = tmp_path / "scene", tmp_path / "fit"
+    assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(fit)]) == 0
+    centers, quats, scales = read_trajectory_csv(fit / "trajectory.csv")
+    hierarchy = ClusterHierarchy.from_payload(read_json(fit / "hierarchy.json"))
+    stored = [c.copy() for c in hierarchy.centroids]
+    hierarchy.update_centroids(centers[-2])
+    for a, b in zip(stored, hierarchy.centroids):
+        assert np.array_equal(a, b)
+    for t in range(1, len(centers)):
+        prev = GaussianSet(centers=centers[t - 1], orientations=quats[t - 1],
+                           scales=scales[t - 1], frame_index=t - 1)
+        hierarchy.update_centroids(prev.centers)
+        ckpt = read_json(fit / "checkpoints" / f"frame_{t:03d}.json")
+        out = cascade_apply(cascade_from_payload(ckpt, hierarchy), prev)
+        assert np.array_equal(out.centers, centers[t])
+        assert np.array_equal(out.orientations, quats[t])
+        assert np.array_equal(out.scales, scales[t])

@@ -10,7 +10,6 @@ from gscascade.clustering import (
     agglomerate,
     build_hierarchy,
     kmeans,
-    recluster,
 )
 
 
@@ -193,20 +192,6 @@ def test_hierarchy_payload_roundtrip():
         np.testing.assert_array_equal(a, b)
     for a, b in zip(h.centroids, h2.centroids):
         np.testing.assert_array_equal(a, b)
-
-
-def test_recluster_rebuilds_from_new_positions():
-    rng = np.random.default_rng(14)
-    pts = rng.normal(size=(80, 3))
-    h = build_hierarchy(pts, (2, 8), seed=0)
-    new_pts = rng.normal(size=(80, 3)) + 10.0
-    h2 = recluster(new_pts, h)
-    assert h2.layer_sizes == h.layer_sizes
-    # centroids are exact member means of the new positions
-    for k in range(2):
-        for j in range(h2.layer_sizes[k]):
-            members = new_pts[h2.assignments[k] == j]
-            np.testing.assert_allclose(h2.centroids[k][j], members.mean(axis=0), atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

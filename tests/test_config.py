@@ -1,10 +1,12 @@
 """Config merging: document/env/CLI precedence, key validation, layer parsing."""
 
+import dataclasses
 import types
 
 import pytest
 
 from gscascade.config import ConfigError, load_run_config
+from gscascade.optimize import TrainConfig
 from gscascade.scenegen import SceneSpec
 
 
@@ -53,6 +55,11 @@ def test_document_values_land():
         ({"weights": {"w_smooth": 1.0}}, "weights"),
         ({"segmentation": {"clusters": 2}}, "segmentation"),
         ({"tracking": {"camera": 0}}, "tracking"),
+        # training variants that were removed
+        ({"train": {"anchored": False}}, "'train'.*anchored"),
+        ({"train": {"warm_start_params": True}}, "'train'.*warm_start_params"),
+        ({"train": {"recluster_every": 1}}, "'train'.*recluster_every"),
+        ({"train": {"lr_delta": 1e-3}}, "'train'.*lr_delta"),
     ],
 )
 def test_unknown_keys_rejected(doc, needle):
@@ -60,6 +67,19 @@ def test_unknown_keys_rejected(doc, needle):
         load_run_config(document=doc, env={})
     with pytest.raises(ConfigError, match=needle):
         load_run_config(document=doc, env={})
+
+
+def test_every_train_config_field_but_the_run_level_ones_is_a_train_key():
+    run_level = {"weights", "seed", "scene_scale", "threads"}
+    defaults = TrainConfig()
+    for f in dataclasses.fields(TrainConfig):
+        doc = {"train": {f.name: getattr(defaults, f.name)}}
+        if f.name in run_level:
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_run_config(document=doc, env={})
+        else:
+            tc = load_run_config(document=doc, env={}).train_config()
+            assert getattr(tc, f.name) == getattr(defaults, f.name)
 
 
 def test_section_must_be_object():

@@ -14,7 +14,6 @@ from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import (
     CascadeDeform,
-    ClusterDeformParams,
     DeformLayer,
     _polar_rotation_batch,
     cascade_apply,
@@ -22,11 +21,16 @@ from gscascade.deform import (
     cascade_jacobians,
     cascade_to_payload,
     cascade_zero,
+    propagated_covariances,
+    trace_cascade,
+)
+from oracles import (
+    ClusterDeformParams,
     layer_apply,
     layer_jacobian,
-    propagated_covariances,
+    polar_rotation,
+    quat_distance,
     scaling_factor,
-    trace_cascade,
 )
 
 
@@ -38,9 +42,9 @@ def random_set(rng, n=40, spread=1.0):
     )
 
 
-def random_cascade(rng, gset, sizes=(2, 5, 12), mag=0.1, anchored=True):
+def random_cascade(rng, gset, sizes=(2, 5, 12), mag=0.1):
     h = build_hierarchy(gset.centers, sizes, seed=0)
-    casc = cascade_zero(h, gset.n, anchored=anchored)
+    casc = cascade_zero(h, gset.n)
     for layer in casc.layers:
         layer.rotations = layer.rotations + rng.normal(scale=mag, size=layer.rotations.shape)
         layer.translations = rng.normal(scale=mag * 0.2, size=layer.translations.shape)
@@ -85,10 +89,9 @@ def test_layer_apply_identity_at_zero_params():
 
 
 def test_layer_apply_anchored_vs_plain_form():
-    # with sigma == 1 (zero scaling field) and a rigid (R, t):
-    #   plain    = R(x - pc) + t
-    #   anchored = x + (R(x - pc) + t - (x - pc)) = pc + R(x - pc) + t
-    # so the two forms differ by exactly the centroid
+    # with sigma == 1 (zero scaling field) and a rigid (R, t), the anchored
+    # form x + (R(x - pc) + t - (x - pc)) equals the plain rigid motion about
+    # the centroid, pc + R(x - pc) + t
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 3))
     pc = np.array([0.3, -0.1, 0.2])
@@ -98,9 +101,8 @@ def test_layer_apply_anchored_vs_plain_form():
         scale_dir=np.zeros(3),
         scale_bias=0.0,
     )
-    anchored = layer_apply(params, pc, x, anchored=True)
-    plain = layer_apply(params, pc, x, anchored=False)
-    np.testing.assert_allclose(anchored, plain + pc, atol=1e-12)
+    plain = pc + (x - pc) @ geometry.quat_to_matrix(params.rotation).T + params.translation
+    np.testing.assert_allclose(layer_apply(params, pc, x), plain, atol=1e-12)
 
 
 def test_layer_jacobian_matches_finite_differences():
@@ -184,7 +186,7 @@ def test_single_cluster_translation_moves_everything():
     out = cascade_apply(casc, gset)
     np.testing.assert_allclose(out.centers, gset.centers + [0.5, -0.25, 1.0], atol=1e-12)
     np.testing.assert_allclose(out.scales, gset.scales, atol=1e-12)
-    assert np.max(geometry.quat_distance(out.orientations, gset.orientations)) < 1e-9
+    assert np.max(quat_distance(out.orientations, gset.orientations)) < 1e-9
 
 
 def test_global_rotation_co_rotates_centers_orientations_covariances():
@@ -203,7 +205,7 @@ def test_global_rotation_co_rotates_centers_orientations_covariances():
     np.testing.assert_allclose(out.centers, gset.centers + (d @ R.T - d), atol=1e-12)
 
     want_q = geometry.quat_multiply(np.broadcast_to(q, (25, 4)), gset.orientations)
-    assert np.max(geometry.quat_distance(out.orientations, want_q)) < 1e-7
+    assert np.max(quat_distance(out.orientations, want_q)) < 1e-7
     want_cov = np.einsum("ij,njk,lk->nil", R, gset.covariances(), R)
     np.testing.assert_allclose(out.covariances(), want_cov, atol=1e-9)
     np.testing.assert_allclose(np.sort(out.scales, -1), np.sort(gset.scales, -1), atol=1e-9)
@@ -227,7 +229,7 @@ def test_stacked_rotations_compose():
     out = cascade_apply(casc, gset)
     composed = geometry.quat_multiply(qs[2], geometry.quat_multiply(qs[1], qs[0]))
     want_q = geometry.quat_multiply(np.broadcast_to(composed, (n, 4)), gset.orientations)
-    assert np.max(geometry.quat_distance(out.orientations, want_q)) < 1e-7
+    assert np.max(quat_distance(out.orientations, want_q)) < 1e-7
     np.testing.assert_allclose(np.sort(out.scales, -1), np.sort(gset.scales, -1), atol=1e-7)
     J = cascade_jacobians(casc, gset)
     Rc = geometry.quat_to_matrix(composed)
@@ -248,7 +250,7 @@ def test_per_gaussian_deltas_apply_after_cascade():
     out = cascade_apply(casc, gset)
     np.testing.assert_allclose(out.centers, gset.centers + casc.d_centers, atol=1e-12)
     want_q = geometry.quat_multiply(dq, gset.orientations)
-    assert np.max(geometry.quat_distance(out.orientations, want_q)) < 1e-9
+    assert np.max(quat_distance(out.orientations, want_q)) < 1e-9
     np.testing.assert_allclose(out.scales, gset.scales * np.exp(casc.d_log_scales), atol=1e-12)
 
 
@@ -317,7 +319,7 @@ def test_newton_polar_matches_svd_polar(kind):
     else:
         assert np.any(np.linalg.det(J) < 0.0) and np.any(np.linalg.det(J) > 0.0)
     got = _polar_rotation_batch(J)
-    np.testing.assert_allclose(got, geometry.polar_rotation(J), atol=1e-10)
+    np.testing.assert_allclose(got, polar_rotation(J), atol=1e-10)
     np.testing.assert_allclose(np.linalg.det(got), 1.0, atol=1e-12)
     np.testing.assert_allclose(got @ np.swapaxes(got, -1, -2), np.broadcast_to(np.eye(3), J.shape),
                                atol=1e-12)
@@ -334,21 +336,6 @@ def test_degenerate_jacobian_raises():
         cascade_apply(casc, gset)
 
 
-def test_anchor_flag_shifts_centers_not_jacobians():
-    rng = np.random.default_rng(15)
-    gset = random_set(rng, n=16)
-    casc_a = random_cascade(rng, gset, sizes=(3,), mag=0.1, anchored=True)
-    casc_u = casc_a.copy()
-    casc_u.anchored = False
-    out_a = cascade_apply(casc_a, gset)
-    out_u = cascade_apply(casc_u, gset)
-    assert not np.allclose(out_a.centers, out_u.centers)
-    # a single layer's Jacobian is evaluated at the same input either way
-    np.testing.assert_allclose(
-        cascade_jacobians(casc_a, gset), cascade_jacobians(casc_u, gset), atol=1e-15
-    )
-
-
 def test_payload_roundtrip_bit_exact():
     rng = np.random.default_rng(16)
     gset = random_set(rng, n=14)
@@ -363,10 +350,23 @@ def test_payload_roundtrip_bit_exact():
     assert np.array_equal(casc.d_centers, back.d_centers)
     assert np.array_equal(casc.d_rotations, back.d_rotations)
     assert np.array_equal(casc.d_log_scales, back.d_log_scales)
-    assert back.anchored == casc.anchored
     out_a = cascade_apply(casc, gset)
     out_b = cascade_apply(back, gset)
     assert np.array_equal(out_a.centers, out_b.centers)
+
+
+def test_payload_rejects_an_unanchored_checkpoint():
+    rng = np.random.default_rng(17)
+    gset = random_set(rng, n=10)
+    casc = random_cascade(rng, gset, sizes=(2,))
+    payload = cascade_to_payload(casc)
+    assert "anchored" not in payload
+    # checkpoints written with the flag still load when it is true
+    payload["anchored"] = True
+    cascade_from_payload(payload, casc.hierarchy)
+    payload["anchored"] = False
+    with pytest.raises(ValueError, match="'anchored'"):
+        cascade_from_payload(payload, casc.hierarchy)
 
 
 def test_trace_gradients_flow_at_zero_parameters():

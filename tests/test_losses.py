@@ -12,17 +12,8 @@ from gscascade import geometry
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
-from gscascade.losses import (
-    DataObservation,
-    LossWeights,
-    build_neighbor_graph,
-    data_loss,
-    isometry_loss,
-    rigidity_loss,
-    rotation_loss,
-    scale_loss,
-    total_loss,
-)
+from gscascade.losses import DataObservation, LossWeights, build_neighbor_graph, total_loss
+from oracles import data_loss, isometry_loss, rigidity_loss, rotation_loss, scale_loss
 
 FD_EPS = 1e-6
 
@@ -425,3 +416,17 @@ def test_zero_cascade_isometry_gradient_exactly_zero():
     for g in grads.values():
         assert np.all(np.isfinite(g))
         assert np.abs(g).max() == 0.0
+
+
+def test_rigid_motion_isometry_gradient_exactly_zero():
+    """A rigid motion keeps every edge length up to rounding; the isometry
+    subgradient must then be 0, not a sign taken from that rounding."""
+    rng = np.random.default_rng(13)
+    for offset in (0.0, 5.0):
+        f0 = small_scene(rng, n=400, spread=1.0)
+        f0.centers = f0.centers + offset
+        graph = build_neighbor_graph(f0.centers, k=20)
+        moved = rigid_move(f0, geometry.quat_normalize(rng.normal(size=4)), rng.normal(size=3))
+        value, grads = isometry_loss(f0, moved, graph)
+        assert value < 1e-14
+        assert np.abs(grads["centers"]).max() == 0.0

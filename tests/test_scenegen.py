@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gscascade import geometry
-from gscascade.scenegen import KINDS, SceneSpec, generate, perturb
+from gscascade.scenegen import KINDS, SceneSpec, generate
 from gscascade.tracking import PinholeCamera
 
 
@@ -163,7 +163,7 @@ def test_arm_distal_link_composes_both_joints():
 
 
 # ---------------------------------------------------------------------------
-# observation noise and perturb
+# observation noise
 
 
 def test_noise_statistics_match_sigma():
@@ -178,25 +178,3 @@ def test_noise_statistics_match_sigma():
     # ground truth itself stays exact
     assert np.array_equal(seq.gt_centers[0], seq.frame0.centers)
 
-
-def test_perturb_renoise_keeps_ground_truth_and_is_deterministic():
-    seq = generate(SceneSpec(kind="two_blobs", n_gaussians=40, n_frames=3))
-    clean0 = seq.observations[1].points.copy()
-    a = perturb(seq, sigma=0.02, seed=3)
-    b = perturb(seq, sigma=0.02, seed=3)
-    c = perturb(seq, sigma=0.02, seed=4)
-    assert np.array_equal(a.observations[1].points, b.observations[1].points)
-    assert not np.array_equal(a.observations[1].points, c.observations[1].points)
-    # the source sequence is untouched; ground truth is shared, not re-noised
-    assert np.array_equal(seq.observations[1].points, clean0)
-    assert np.array_equal(a.gt_centers, seq.gt_centers)
-    assert np.abs(a.observations[1].points - seq.gt_centers[1]).max() > 1e-4
-
-
-def test_perturb_zero_sigma_returns_exact_points():
-    seq = generate(SceneSpec(kind="wheel", n_gaussians=30, n_frames=3, noise_sigma=0.05))
-    clean = perturb(seq, sigma=0.0)
-    for t, obs in enumerate(clean.observations):
-        assert np.array_equal(obs.points, seq.gt_centers[t])
-    with pytest.raises(ValueError, match="sigma"):
-        perturb(seq, sigma=-1.0)

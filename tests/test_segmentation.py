@@ -15,11 +15,10 @@ from gscascade.segmentation import (
     FEATURE_WIDTH,
     adjusted_rand_index,
     build_features,
-    fitted_subpart_check,
     procrustes_rotation,
-    rigid_subpart_rotation_check,
     segment,
 )
+from oracles import fitted_subpart_check, rigid_subpart_rotation_check
 
 
 def pair_count_ari(a, b):

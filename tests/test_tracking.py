@@ -17,8 +17,8 @@ from gscascade.tracking import (
     project,
     project_track,
     select_candidate,
-    unproject,
 )
+from oracles import unproject
 
 
 def identity_camera(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=200, height=200):
