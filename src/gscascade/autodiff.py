@@ -22,36 +22,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "leaf",
-    "constant",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "tsum",
-    "tmean",
-    "matmul",
-    "matvec",
-    "outer",
-    "tanh",
-    "exp",
-    "sqrt",
-    "square",
-    "absval",
-    "relu",
-    "clamp_min",
-    "where",
-    "gather",
-    "reshape",
-    "transpose_last2",
-    "eigh3",
-    "jacobi_eigh3",
-    "eigh3_offdiag_tol",
-]
-
 
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode AD."""

@@ -85,7 +85,10 @@ def load_scene_dir(path):
     observations = []
     for t in range(spec.n_frames):
         ply = root / "frames" / f"frame_{t:03d}.ply"
-        pts, _ = iof.read_ply(ply)
+        try:
+            pts, _ = iof.read_ply(ply)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         # scene frames observe every Gaussian, in index order
         if len(pts) != frame0.n:
             raise ConfigError(f"{ply}: {len(pts)} points, expected one per Gaussian ({frame0.n})")
@@ -124,7 +127,11 @@ def cmd_fit(cfg, scene_dir):
     t0 = time.perf_counter()
     seq = load_scene_dir(scene_dir)
     tc = cfg.train_config(scene_scale=seq.scene_scale)
-    hierarchy = build_hierarchy(seq.frame0.centers, tc.layer_sizes, seed=tc.seed)
+    try:
+        hierarchy = build_hierarchy(seq.frame0.centers, tc.layer_sizes, seed=tc.seed)
+    except ValueError as e:
+        raise ConfigError(f"layer_sizes {list(tc.layer_sizes)} for N={seq.frame0.n}"
+                          f" Gaussians: {e}") from e
     report = fit_sequence(seq.frame0, seq.observations, tc, hierarchy)
 
     out = Path(cfg.out)
@@ -224,7 +231,10 @@ def cmd_track(cfg, fit_dir, scene_dir=None):
     summary, centers, _, _ = _load_fit_dir(fit_dir)
     seq = _scene_for_fit(summary, scene_dir)
     opts = cfg.track_options()
-    camera = seq.cameras[opts["camera_index"] % len(seq.cameras)]
+    if opts["camera_index"] >= len(seq.cameras):
+        raise ConfigError(f"tracking.camera_index {opts['camera_index']} is out of range:"
+                          f" the scene has {len(seq.cameras)} cameras")
+    camera = seq.cameras[opts["camera_index"]]
 
     rng = np.random.default_rng(cfg.seed)
     n = seq.gt_centers.shape[1]

@@ -7,6 +7,7 @@ starts; unknown keys anywhere are an error (exit code 2 in the CLI).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -27,8 +28,11 @@ _SCENE_KEYS = _field_names(SceneSpec)
 # weights, seed, scene_scale and threads come from elsewhere in the run config
 _TRAIN_KEYS = _field_names(TrainConfig) - {"weights", "seed", "scene_scale", "threads"}
 _WEIGHT_KEYS = _field_names(LossWeights)
-_SEG_KEYS = {"k_parts", "lambda_p", "lambda_r", "lambda_p0"}
-_TRACK_KEYS = {"camera_index", "n_tracks"}
+# option -> (type, least allowed value); camera_index's upper bound is the
+# scene's camera count, checked by the track command
+_SEG_OPTIONS = {"k_parts": (int, 1), "lambda_p": (float, None), "lambda_r": (float, None),
+                "lambda_p0": (float, None)}
+_TRACK_OPTIONS = {"camera_index": (int, 0), "n_tracks": (int, 1)}
 _TOP_KEYS = {"scene", "scene_dir", "train", "weights", "segmentation", "tracking",
              "out", "seed", "threads"}
 
@@ -41,6 +45,22 @@ def _check_keys(section, mapping, allowed):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
+
+
+def _check_options(section, mapping, options):
+    """Schema-check a section of numeric options; returns it with typed values."""
+    _check_keys(section, mapping, set(options))
+    checked = {}
+    for key, value in mapping.items():
+        kind, least = options[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or (kind is int and value != int(value))
+                or (least is not None and value < least)):
+            what = "an integer" if kind is int else "a finite number"
+            bound = "" if least is None else f" >= {least}"
+            raise ConfigError(f"{section}.{key} must be {what}{bound}, got {value!r}")
+        checked[key] = kind(value)
+    return checked
 
 
 @dataclass
@@ -128,11 +148,10 @@ def load_run_config(document=None, env=None, cli=None):
             _check_keys("weights", document["weights"], _WEIGHT_KEYS)
             cfg.weights = dict(document["weights"])
         if "segmentation" in document:
-            _check_keys("segmentation", document["segmentation"], _SEG_KEYS)
-            cfg.segmentation = dict(document["segmentation"])
+            cfg.segmentation = _check_options(
+                "segmentation", document["segmentation"], _SEG_OPTIONS)
         if "tracking" in document:
-            _check_keys("tracking", document["tracking"], _TRACK_KEYS)
-            cfg.tracking = dict(document["tracking"])
+            cfg.tracking = _check_options("tracking", document["tracking"], _TRACK_OPTIONS)
         if "scene_dir" in document:
             cfg.scene_dir = str(document["scene_dir"])
         if "out" in document:

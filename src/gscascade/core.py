@@ -6,9 +6,9 @@ deviations), and carried-along colors. The list index of a Gaussian is its
 identity for the whole sequence — no operation in this package ever permutes
 it, which is what makes per-index tracking meaningful.
 
-Covariance is never stored; it is derived on demand as R diag(s^2) R^T so the
-(orientation, scale) factorization stays exact and per-Gaussian orientation /
-scale deltas remain well-defined.
+Covariance is never stored; `geometry.compose_covariance` derives it on demand
+as R diag(s^2) R^T, so the (orientation, scale) factorization stays exact and
+per-Gaussian orientation / scale deltas remain well-defined.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class GaussianSet:
     @property
     def n(self):
         return self.centers.shape[0]
-
-    def covariances(self):
-        """(N, 3, 3) stack of R diag(s^2) R^T; exactly symmetric by construction."""
-        return geometry.compose_covariance(self.orientations, self.scales)
 
     def copy(self):
         return GaussianSet(

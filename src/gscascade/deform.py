@@ -16,12 +16,17 @@ back into (orientation, scale). Per-Gaussian deltas are applied afterwards:
 center shift adds, orientation delta left-multiplies, log-scale delta adds.
 
 The covariance factorization inside the cascade is gauge-continuous: the
-eigenbasis is expressed relative to the rotation polar(J) * R_prev and rounded
-to it through a signed permutation, so under a rigid J every orientation
-simply co-rotates instead of snapping to a sorted-eigenvalue convention. The
-reference rotation and permutation only fix the gauge — the factored output
-as a function of the covariance is invariant to them — so treating them as
-constants of the backward pass leaves gradients exact.
+eigenbasis is expressed relative to R_casc * R_prev, where R_casc = R_K ... R_1
+is the product of the Gaussian's layer rotations, and rounded to it through a
+signed permutation. With a flat scaling field (c = 0), J_k = sigma_k R_k and
+R_casc is exactly polar(J), so every orientation co-rotates instead of
+snapping to a sorted-eigenvalue convention; R_casc is a proper rotation even
+where J is singular or reflecting. The scaling field moves polar(J) away from
+R_casc (under a degree in fitted sequences, where both round to the same axes;
+a strong field can label the axes of the same covariance differently). The
+reference rotation and permutation only fix the gauge — near a given reference
+the factored output does not depend on it — so treating them as constants of
+the backward pass leaves gradients exact.
 """
 
 from __future__ import annotations
@@ -99,10 +104,6 @@ class CascadeDeform:
             and not self.d_log_scales.any()
         )
 
-    def parameter_count(self):
-        """Total number of scalar parameters (11 per cluster, 10 per Gaussian)."""
-        return sum(11 * layer.size for layer in self.layers) + 10 * self.n
-
 
 def cascade_zero(hierarchy, n_gaussians):
     """Identity cascade bound to `hierarchy` (fixed point of cascade_apply)."""
@@ -116,53 +117,7 @@ def cascade_zero(hierarchy, n_gaussians):
 
 
 # ---------------------------------------------------------------------------
-# batched 3x3 polar rotation (Newton iteration)
-
-
-def _inv3(A):
-    c0 = np.cross(A[..., :, 1], A[..., :, 2], axis=-1)
-    c1 = np.cross(A[..., :, 2], A[..., :, 0], axis=-1)
-    c2 = np.cross(A[..., :, 0], A[..., :, 1], axis=-1)
-    det = np.einsum("...i,...i->...", A[..., :, 0], c0)
-    inv = np.stack([c0, c1, c2], axis=-2) / det[..., None, None]
-    return inv, det
-
-
-def _polar_rotation_batch(J):
-    """Rotation nearest to each J (det forced to +1), via Newton iteration.
-
-    Newton converges to the orthogonal polar factor U V^T of J = U S V^T. When
-    that is a reflection, the nearest rotation is U diag(1, 1, -1) V^T: the
-    factor reflected along the least singular direction of J, which is the
-    eigenvector of the smallest eigenvalue of the symmetric factor X^T J.
-    """
-    J = np.asarray(J, dtype=np.float64)
-    X = J.copy()
-    done = np.zeros(X.shape[:-2], dtype=bool)
-    for _ in range(20):
-        # 0/0 for singular entries is handled by the `bad` mask below
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv, det = _inv3(X)
-        bad = np.abs(det) < 1e-30
-        if np.any(bad & ~done):
-            # singular: replace with identity; caller rejects these via the
-            # positive-definiteness check on the propagated covariance
-            X[bad & ~done] = np.eye(3)
-            done |= bad
-        Xn = 0.5 * (X + np.swapaxes(inv, -1, -2))
-        X = np.where(done[..., None, None], X, Xn)
-        res = np.abs(np.einsum("...ki,...kj->...ij", X, X) - np.eye(3)).max(axis=(-1, -2))
-        done |= res < 1e-12
-        if np.all(done):
-            break
-    flip = np.linalg.det(X) < 0.0
-    if np.any(flip):
-        Xf = X[flip]
-        H = np.swapaxes(Xf, -1, -2) @ J[flip]
-        v = np.linalg.eigh(0.5 * (H + np.swapaxes(H, -1, -2)))[1][..., :, 0]
-        Xv = np.einsum("...ij,...j->...i", Xf, v)
-        X[flip] = Xf - 2.0 * Xv[..., :, None] * v[..., None, :]
-    return X
+# gauge rounding
 
 
 def _nearest_signed_permutation(V):
@@ -221,6 +176,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
 
     x = ad.constant(gset.centers)
     J = None
+    R_casc = None  # composed layer rotations R_K ... R_1, the gauge reference
     for k, layer in enumerate(cascade.layers):
         rot = mk(layer.rotations)
         tra = mk(layer.translations)
@@ -252,6 +208,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
             moved, ad.mul(c, ad.reshape(sigp, (n, 1)))
         )
         J = Jk if J is None else ad.matmul(Jk, J)
+        R_casc = R.value if R_casc is None else R.value @ R_casc
 
     d_centers = mk(cascade.d_centers)
     d_rotations = mk(cascade.d_rotations)
@@ -272,7 +229,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
         cov = M
 
         # gauge reference: constants of the backward pass (see module docstring)
-        Q = _polar_rotation_batch(J.value) @ prev_R
+        Q = R_casc @ prev_R
         B = ad.matmul(ad.matmul(ad.constant(np.swapaxes(Q, -1, -2)), M), ad.constant(Q))
         B = ad.mul(B + ad.transpose_last2(B), 0.5)
         evals, evecs = ad.eigh3(B)

@@ -62,8 +62,13 @@ def read_ply(path):
             break
     if n is None or body_at is None:
         raise ValueError(f"{path}: malformed PLY header")
-    rows = [text[body_at + i].split() for i in range(n)]
-    data = np.array([[float(v) for v in r] for r in rows])
+    if len(text) - body_at < n:
+        raise ValueError(f"{path}: header declares {n} vertices,"
+                         f" body has {len(text) - body_at} rows")
+    try:
+        data = np.array([[float(v) for v in text[body_at + i].split()] for i in range(n)])
+    except ValueError as e:
+        raise ValueError(f"{path}: bad vertex row: {e}") from e
     points = data[:, :3]
     colors = None
     if len(props) >= 6:

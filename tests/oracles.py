@@ -2,10 +2,11 @@
 
 None of these run in the pipeline. Each one restates a shipped computation in
 its simplest form, or measures one: a sign-insensitive quaternion distance,
-an SVD polar factor for the Newton polar iteration, one cluster layer in
-plain numpy for the traced cascade, value-and-gradient wrappers around single
-loss terms, the inverse camera map, and Procrustes subset checks for the
-rigid-subpart rotation property.
+an SVD polar factor (the gauge reference that the cascade's own composed
+rotation is checked against), one cluster layer in plain numpy for the traced
+cascade, value-and-gradient wrappers around single loss terms, the inverse
+camera map, and Procrustes subset checks for the rigid-subpart rotation
+property.
 """
 
 from dataclasses import dataclass

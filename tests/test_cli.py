@@ -167,20 +167,80 @@ def test_missing_scene_dir_exits_2(tmp_path, capsys):
     assert "missing input" in capsys.readouterr().err
 
 
+def _rewrite_points(ply, corrupt):
+    write_ply(ply, corrupt(read_ply(ply)[0]))
+
+
+def _drop_last_line(ply):
+    lines = ply.read_text().splitlines()
+    ply.write_text("\n".join(lines[:-1]) + "\n")  # the header still declares 30
+
+
+def _garble_last_line(ply):
+    lines = ply.read_text().splitlines()
+    ply.write_text("\n".join(lines[:-1] + ["0.1 zero 0.3 128 128 128"]) + "\n")
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda pts: pts[:-1], "29 points, expected one per Gaussian (30)"),
-    (lambda pts: np.where(np.arange(len(pts))[:, None] == 4, np.nan, pts), "non-finite"),
+    (lambda ply: _rewrite_points(ply, lambda pts: pts[:-1]),
+     "29 points, expected one per Gaussian (30)"),
+    (lambda ply: _rewrite_points(
+        ply, lambda pts: np.where(np.arange(len(pts))[:, None] == 4, np.nan, pts)),
+     "non-finite"),
+    (_drop_last_line, "declares 30 vertices, body has 29 rows"),
+    (_garble_last_line, "bad vertex row"),
 ])
 def test_bad_frame_ply_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
     cfg = write_config(tmp_path)
     scene = tmp_path / "scene"
     assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
     ply = scene / "frames" / "frame_001.ply"
-    write_ply(ply, corrupt(read_ply(ply)[0]))
+    corrupt(ply)
     assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
     err = capsys.readouterr().err
     assert "frame_001.ply" in err and message in err
     assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("layers", ["8,4", "2,31"])
+def test_bad_layer_sizes_exit_2_naming_them(tmp_path, capsys, layers):
+    cfg = write_config(tmp_path)
+    scene = tmp_path / "scene"
+    assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit"),
+                 "--layers", layers]) == 2
+    err = capsys.readouterr().err
+    assert f"layer_sizes [{layers.replace(',', ', ')}] for N=30" in err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_fit(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny_fit")
+    cfg = write_config(root)
+    assert main(["generate", "--config", cfg, "--out", str(root / "scene")]) == 0
+    assert main(["fit", str(root / "scene"), "--config", cfg, "--out", str(root / "fit")]) == 0
+    return root / "fit"
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("segment", "segmentation", "k_parts", 0),
+    ("segment", "segmentation", "k_parts", 2.5),
+    ("segment", "segmentation", "lambda_r", "heavy"),
+    ("track", "tracking", "n_tracks", 0),
+    ("track", "tracking", "n_tracks", -3),
+    ("track", "tracking", "camera_index", -1),
+    ("track", "tracking", "camera_index", 11),
+])
+def test_bad_segmentation_and_tracking_options_exit_2(tiny_fit, tmp_path, capsys,
+                                                      command, section, key, value):
+    doc = dict(TINY, **{section: {key: value}})
+    cfg = write_config(tmp_path, doc=doc)
+    out = tmp_path / "out"
+    assert main([command, str(tiny_fit), "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{section}.{key}" in err
+    assert not out.exists()
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

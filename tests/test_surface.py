@@ -1,14 +1,19 @@
-"""Every public function and class in the package has a caller that ships.
+"""Every public function, class and method in the package has a caller that ships.
 
 A caller is any reference by name (a name, an attribute, an imported name or a
 bare identifier string such as a `getattr` key) in `src/`, `scripts/`, `bench/`
 or the acceptance suite. A re-export from the package's `__init__.py` is not a
 use, and unit tests do not count: code that only unit tests reach belongs in
 `tests/` (see `tests/oracles.py`) or nowhere.
+
+The scan is by name, so a dead method escapes it when anything else of the
+same name is referenced (an attribute, a field or a method of another class).
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gscascade"
@@ -20,13 +25,21 @@ CALLERS = [
 ]
 
 
+def _public(nodes, kinds):
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def public_definitions(path):
+    """Public module-level functions and classes, and the public methods of
+    those classes as `Class.method`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    names = {}
+    for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+        names[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            for method in _public(node.body, ast.FunctionDef):
+                names[f"{node.name}.{method.name}"] = method.name
+    return names
 
 
 def referenced_names(path):
@@ -47,8 +60,14 @@ def referenced_names(path):
 def test_every_public_definition_has_a_shipped_caller():
     referenced = set().union(*(referenced_names(p) for p in CALLERS))
     unused = sorted(
-        f"{path.stem}.{name}"
+        f"{path.stem}.{qualname}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in public_definitions(path) - referenced
+        for qualname, name in public_definitions(path).items()
+        if name not in referenced
     )
     assert not unused, f"public but used only by unit tests (or not at all): {unused}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_star_import_succeeds(module):
+    exec(f"from gscascade.{module} import *", {})
