@@ -188,6 +188,9 @@ def cmd_segment(cfg, fit_dir, scene_dir=None):
     summary, centers, quats, scales = _load_fit_dir(fit_dir)
     seq = _scene_for_fit(summary, scene_dir)
     opts = cfg.seg_options()
+    if opts["k_parts"] > centers.shape[1]:
+        raise ConfigError(f"segmentation.k_parts {opts['k_parts']} exceeds the number of"
+                          f" Gaussians (N={centers.shape[1]})")
     sets = [
         GaussianSet(centers=centers[t], orientations=quats[t], scales=scales[t],
                     frame_index=t)

@@ -31,6 +31,7 @@ the backward pass leaves gradients exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,31 +121,33 @@ def cascade_zero(hierarchy, n_gaussians):
 # gauge rounding
 
 
+def _proper_signed_permutations():
+    """The 24 signed permutation matrices with det +1, the identity first."""
+    table = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            P = np.zeros((3, 3))
+            P[range(3), perm] = signs
+            if np.linalg.det(P) > 0.0:
+                table.append(P)
+    return np.array(table)
+
+
+_SIGNED_PERMUTATIONS = _proper_signed_permutations()  # (24, 3, 3)
+# trace(V @ P) = sum_ij V_ij P_ji: one row of P^T per candidate, flattened
+_SIGNED_PERMUTATION_SCORES = np.swapaxes(_SIGNED_PERMUTATIONS, 1, 2).reshape(24, 9).T
+
+
 def _nearest_signed_permutation(V):
     """Signed permutation P with V @ P closest to the identity, det(P) = +1.
 
-    Greedy on |V| (largest entries first); if the resulting permutation is
-    odd, the weakest chosen entry flips sign to restore det +1.
+    For orthogonal V, |V P - I|_F^2 = 6 - 2 trace(V P), so the nearest of the
+    24 proper signed permutations is the one of largest trace; ties go to the
+    first in table order.
     """
     V = np.asarray(V, dtype=np.float64)
-    n = V.shape[0]
-    work = np.abs(V).copy()
-    P = np.zeros_like(V)
-    batch = np.arange(n)
-    last_i = last_j = None
-    for _ in range(3):
-        flat = work.reshape(n, 9).argmax(axis=1)
-        i, j = np.divmod(flat, 3)
-        # V's entry (i, j) dominant -> P maps output axis j back to input axis i
-        P[batch, j, i] = np.where(V[batch, i, j] >= 0.0, 1.0, -1.0)
-        work[batch, i, :] = -1.0
-        work[batch, :, j] = -1.0
-        last_i, last_j = i, j
-    det = np.linalg.det(P)
-    neg = det < 0.0
-    if np.any(neg):
-        P[batch[neg], last_j[neg], last_i[neg]] *= -1.0
-    return P
+    best = np.argmax(V.reshape(-1, 9) @ _SIGNED_PERMUTATION_SCORES, axis=1)
+    return _SIGNED_PERMUTATIONS[best]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,19 @@ Five terms, all reduced as means so weights are comparable across scene sizes:
   * data: squared distance to observed points, matched by correspondence when
     available, else symmetric nearest-neighbor (Chamfer) distance.
 
+The Chamfer term queries two k-d trees. The tree over the M scan points
+(`observation_tree`) does not change while a frame is fitted: `fit_frame`
+builds it once, every evaluation of that frame shares it, and it is dropped
+when the frame is done (a caller that passes none gets one built per call).
+The tree over the N moving centers is rebuilt per evaluation. The scan-to-set
+half is evaluated on per-Gaussian moments: with n_i the number of points whose
+nearest Gaussian is i and mu_i their mean,
+
+    sum_m |c_nn(m) - p_m|^2 = sum_i n_i |c_i - mu_i|^2 + sum_m |p_m - mu_nn(m)|^2,
+
+so the tape works on (N, 3) arrays instead of gathering and scattering M rows;
+a Gaussian that no point matches contributes 0 and gets no gradient from it.
+
 The rigidity/rotation neighborhood is a frozen k-NN graph built from frame-0
 centers with Gaussian falloff weights exp(-lambda * d^2).
 
@@ -173,18 +186,32 @@ def rotation_loss_t(prev_set, orientations_t, graph):
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
-def data_loss_t(centers_t, obs, workers=1):
+def observation_tree(obs):
+    """k-d tree over a scan's points; None for a correspondence-matched observation."""
+    return None if obs.correspondence is not None else cKDTree(obs.points)
+
+
+def data_loss_t(centers_t, obs, obs_tree=None, workers=1):
     if obs.correspondence is not None:
         matched = ad.gather(centers_t, obs.correspondence)
         return ad.tmean(ad.tsum(ad.square(matched - ad.constant(obs.points)), axis=-1))
     # symmetric Chamfer on squared distances; NN matches fixed from forward
+    if obs_tree is None:
+        obs_tree = observation_tree(obs)
     centers = centers_t.value
-    nn_c = cKDTree(obs.points).query(centers, workers=workers)[1]
+    n, m = centers.shape[0], obs.points.shape[0]
+    nn_c = obs_tree.query(centers, workers=workers)[1]
     nn_o = cKDTree(centers).query(obs.points, workers=workers)[1]
     to_obs = ad.tmean(ad.tsum(ad.square(centers_t - ad.constant(obs.points[nn_c])), axis=-1))
-    to_set = ad.tmean(
-        ad.tsum(ad.square(ad.gather(centers_t, nn_o) - ad.constant(obs.points)), axis=-1)
-    )
+    # scan-to-set on the count and mean of each Gaussian's matched points
+    # (the moment form of the module docstring)
+    counts = np.bincount(nn_o, minlength=n)
+    sums = np.stack([np.bincount(nn_o, weights=obs.points[:, a], minlength=n) for a in range(3)],
+                    axis=-1)
+    mu = sums / np.maximum(counts, 1)[:, None]
+    spread = np.sum(np.square(obs.points - mu[nn_o]))
+    to_set = ad.tsum(ad.mul(ad.square(centers_t - ad.constant(mu)),
+                            ad.constant((counts / m)[:, None]))) + spread / m
     return ad.mul(to_obs + to_set, 0.5)
 
 
@@ -194,13 +221,15 @@ def data_loss_t(centers_t, obs, workers=1):
 
 def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
                frame0_centers=None, propagate_covariance=True, workers=1,
-               with_grads=True):
+               with_grads=True, obs_tree=None):
     """Weighted objective through cascade_apply.
 
     Returns (total, components, grads) where components maps each term name to
     its unweighted value and grads maps every cascade parameter leaf (same
     keys as CascadeTrace.leaves) to its gradient array. With with_grads=False
-    the forward runs on constants and grads is None.
+    the forward runs on constants and grads is None. `obs_tree` is
+    `observation_tree(obs)`, which a frame's fit builds once for all its
+    evaluations; without it the data term builds one for this call.
     """
     if frame0_centers is None:
         frame0_centers = prev_set.centers
@@ -214,7 +243,7 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
         "isometry": isometry_loss_t(frame0_centers, trace.centers, graph),
         "rotation": rotation_loss_t(prev_set, trace.orientations, graph),
         "scale": scale_loss_t(trace.scales, max_scale),
-        "data": data_loss_t(trace.centers, obs, workers=workers),
+        "data": data_loss_t(trace.centers, obs, obs_tree=obs_tree, workers=workers),
     }
     wmap = {
         "rigidity": weights.w_rigid,

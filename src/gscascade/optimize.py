@@ -21,7 +21,7 @@ import numpy as np
 from . import geometry
 from .clustering import build_hierarchy
 from .deform import cascade_apply, cascade_zero
-from .losses import LossWeights, build_neighbor_graph, total_loss
+from .losses import LossWeights, build_neighbor_graph, observation_tree, total_loss
 
 DELTA_LR_FRACTION = 0.1
 
@@ -158,6 +158,7 @@ def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None)
         graph = _neighbor_graph(prev_set.centers, config)
     if frame0_centers is None:
         frame0_centers = prev_set.centers
+    obs_tree = observation_tree(obs)  # every evaluation of this frame shares it
     cascade = cascade_zero(hierarchy, prev_set.n)
     state = AdamState()
     curve = []
@@ -166,7 +167,7 @@ def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None)
             cascade, prev_set, obs, graph, config.weights, config.max_scale,
             frame0_centers=frame0_centers,
             propagate_covariance=config.propagate_covariance,
-            workers=config.threads,
+            workers=config.threads, obs_tree=obs_tree,
         )
         entry = dict(components)
         entry["total"] = value
@@ -177,7 +178,7 @@ def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None)
         cascade, prev_set, obs, graph, config.weights, config.max_scale,
         frame0_centers=frame0_centers,
         propagate_covariance=config.propagate_covariance,
-        workers=config.threads,
+        workers=config.threads, obs_tree=obs_tree,
         with_grads=False,
     )
     final = dict(final_components)

@@ -3,10 +3,11 @@
 None of these run in the pipeline. Each one restates a shipped computation in
 its simplest form, or measures one: a sign-insensitive quaternion distance,
 an SVD polar factor (the gauge reference that the cascade's own composed
-rotation is checked against), one cluster layer in plain numpy for the traced
-cascade, value-and-gradient wrappers around single loss terms, the inverse
-camera map, and Procrustes subset checks for the rigid-subpart rotation
-property.
+rotation is checked against), the 24 cube rotations and an exhaustive
+nearest-signed-permutation search, one cluster layer in plain numpy for the
+traced cascade, value-and-gradient wrappers around single loss terms, a
+brute-force Chamfer term, the inverse camera map, and Procrustes subset checks
+for the rigid-subpart rotation property.
 """
 
 from dataclasses import dataclass
@@ -40,6 +41,29 @@ def polar_rotation(M):
     U2 = U.copy()
     U2[..., :, -1] *= np.where(det < 0.0, -1.0, 1.0)[..., None]
     return U2 @ Vt
+
+
+def cube_rotations():
+    """The 24 rotations that map the cube onto itself (the proper signed
+    permutation matrices), generated as the closure of quarter turns about x
+    and about z."""
+    turns = (np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
+             np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]))
+    group = [np.eye(3, dtype=int)]
+    for g in group:  # grows while it is walked
+        for turn in turns:
+            h = turn @ g
+            if not any(np.array_equal(h, k) for k in group):
+                group.append(h)
+    return np.array(group, dtype=np.float64)
+
+
+def nearest_signed_permutation(V):
+    """Per basis V, the cube rotation P minimising |V P - I|_F, by trying all."""
+    V = np.asarray(V, dtype=np.float64)
+    rots = cube_rotations()
+    dist = np.linalg.norm(V[:, None] @ rots[None] - np.eye(3), axis=(-2, -1))
+    return rots[np.argmin(dist, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +168,22 @@ def rotation_loss(prev_set, curr_set, graph):
 def data_loss(curr_set, obs, workers=1):
     c = ad.leaf(curr_set.centers)
     return eval_with_grads(lambda: data_loss_t(c, obs, workers=workers), {"centers": c})
+
+
+def chamfer_loss(centers, points):
+    """Symmetric Chamfer value (mean squared nearest distance each way, halved)
+    and its (N, 3) gradient w.r.t. centers, from the full distance matrix."""
+    centers = np.asarray(centers, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    n, m = centers.shape[0], points.shape[0]
+    d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)  # (N, M)
+    nn_c = np.argmin(d2, axis=1)
+    nn_o = np.argmin(d2, axis=0)
+    value = 0.5 * (d2[np.arange(n), nn_c].mean() + d2[nn_o, np.arange(m)].mean())
+    grad = (centers - points[nn_c]) / n
+    for j in range(m):
+        grad[nn_o[j]] += (centers[nn_o[j]] - points[j]) / m
+    return float(value), grad
 
 
 # ---------------------------------------------------------------------------

@@ -243,17 +243,25 @@ def test_bad_segmentation_and_tracking_options_exit_2(tiny_fit, tmp_path, capsys
     assert not out.exists()
 
 
+def test_k_parts_above_gaussian_count_exits_2(tiny_fit, tmp_path, capsys):
+    cfg = write_config(tmp_path, doc=dict(TINY, segmentation={"k_parts": 31}))
+    out = tmp_path / "seg"
+    assert main(["segment", str(tiny_fit), "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "segmentation.k_parts 31" in err and "N=30" in err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    scene, fit = tmp_path / "scene", tmp_path / "fit"
+    # a huge scaling-bias rate drives sigma to 0: the propagated covariance
+    # degenerates inside the optimizer, a numerical failure, not bad input
+    doc = dict(TINY, train=dict(TINY["train"], lr_sbias=1e3))
+    cfg = write_config(tmp_path, doc=doc)
+    scene = tmp_path / "scene"
     assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
-    assert main(["fit", str(scene), "--config", cfg, "--out", str(fit)]) == 0
-    doc = dict(TINY)
-    doc["segmentation"] = {"k_parts": 999}  # more parts than Gaussians
-    bad_cfg = write_config(tmp_path, doc=doc, name="bad.json")
-    assert main(["segment", str(fit), "--config", bad_cfg,
-                 "--out", str(tmp_path / "seg")]) == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "not positive definite" in err
 
 
 def test_cli_flags_override_config(tmp_path, monkeypatch):

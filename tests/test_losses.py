@@ -12,8 +12,21 @@ from gscascade import geometry
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
-from gscascade.losses import DataObservation, LossWeights, build_neighbor_graph, total_loss
-from oracles import data_loss, isometry_loss, rigidity_loss, rotation_loss, scale_loss
+from gscascade.losses import (
+    DataObservation,
+    LossWeights,
+    build_neighbor_graph,
+    observation_tree,
+    total_loss,
+)
+from oracles import (
+    chamfer_loss,
+    data_loss,
+    isometry_loss,
+    rigidity_loss,
+    rotation_loss,
+    scale_loss,
+)
 
 FD_EPS = 1e-6
 
@@ -244,6 +257,47 @@ def test_data_loss_chamfer_convention():
     obs = DataObservation(points=np.array([[1.0, 0.0, 0.0]]))
     v, _ = data_loss(gset, obs)
     np.testing.assert_allclose(v, 1.0, atol=1e-12)
+
+
+def _clumped_scan(rng):
+    """Gaussians and scan points where some Gaussians match many points and
+    others, far from every point, match none."""
+    near = rng.normal(size=(12, 3)) * 0.5
+    far = rng.normal(size=(6, 3)) * 0.5 + np.array([6.0, 0.0, 0.0])
+    centers = np.concatenate([near, far])
+    clumps = near[:3, None, :] + rng.normal(size=(3, 40, 3)) * 0.05
+    points = np.concatenate([clumps.reshape(-1, 3), rng.normal(size=(30, 3)) * 0.5])
+    gset = GaussianSet(centers=centers, orientations=np.tile([1.0, 0, 0, 0], (18, 1)),
+                       scales=np.full((18, 3), 0.01))
+    return gset, points
+
+
+def test_chamfer_matches_bruteforce_oracle():
+    rng = np.random.default_rng(21)
+    gset, points = _clumped_scan(rng)
+    d2 = np.sum((gset.centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    counts = np.bincount(np.argmin(d2, axis=0), minlength=gset.n)
+    assert (counts == 0).sum() >= 6 and counts.max() >= 30
+    v, g = data_loss(gset, DataObservation(points=points))
+    want_v, want_g = chamfer_loss(gset.centers, points)
+    np.testing.assert_allclose(v, want_v, rtol=1e-12)
+    np.testing.assert_allclose(g["centers"], want_g, rtol=1e-12,
+                               atol=1e-12 * np.abs(want_g).max())
+
+
+def test_chamfer_with_a_given_tree_is_bit_identical():
+    rng = np.random.default_rng(22)
+    gset, points = _clumped_scan(rng)
+    obs = DataObservation(points=points)
+    h = build_hierarchy(gset.centers, (2, 5), seed=0)
+    graph = build_neighbor_graph(gset.centers, k=3, lambda_weight=1.0)
+    args = (cascade_zero(h, gset.n), gset, obs, graph, LossWeights(), 0.02)
+    v, comps, grads = total_loss(*args)
+    v_t, comps_t, grads_t = total_loss(*args, obs_tree=observation_tree(obs))
+    assert v == v_t and comps == comps_t
+    assert all(np.array_equal(grads[k], grads_t[k]) for k in grads)
+    assert observation_tree(DataObservation(points=points, correspondence=np.zeros(
+        len(points), dtype=int))) is None
 
 
 def test_data_observation_validation():

@@ -8,6 +8,7 @@ correct answer is known by construction (static scene, uniform shift).
 import numpy as np
 import pytest
 
+from gscascade import losses, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
@@ -153,6 +154,46 @@ def test_fit_frame_reduces_loss_on_uniform_shift():
     err = np.linalg.norm(new_set.centers - (gset.centers + shift), axis=-1).mean()
     assert err < 0.02
     assert not cascade.is_zero()
+
+
+def test_fit_frame_builds_the_scan_tree_once(monkeypatch):
+    """One k-d tree over the scan serves every evaluation of the frame; the
+    tree over the moving centers is rebuilt per evaluation."""
+    rng = np.random.default_rng(5)
+    gset = scene(rng, n=25)
+    points = gset.centers[:, None, :] + rng.normal(size=(25, 4, 3)) * 0.01
+    obs = DataObservation(points=points.reshape(-1, 3) + np.array([0.02, 0.0, 0.0]))
+    built = []
+
+    def counting_tree(data, *args, **kwargs):
+        built.append(len(data))
+        return tree_cls(data, *args, **kwargs)
+
+    h = build_hierarchy(gset.centers, (2, 8), seed=0)
+    cfg = TrainConfig(iters_per_frame=6, layer_sizes=(2, 8), seed=0)
+    graph = losses.build_neighbor_graph(gset.centers, k=8)
+    tree_cls = losses.cKDTree
+    monkeypatch.setattr(losses, "cKDTree", counting_tree)
+    fit_frame(gset, obs, h, cfg, graph=graph)
+    assert built.count(100) == 1
+    assert built.count(25) == cfg.iters_per_frame + 1
+
+
+def test_chamfer_fit_regression():
+    """A scan fit without correspondences, pinned at its measured value: the
+    paper states no bound for this path, so the test shows change, not
+    quality."""
+    seq = scenegen.generate(scenegen.SceneSpec("two_link_arm", n_gaussians=100, n_frames=4,
+                                               seed=3))
+    rng = np.random.default_rng(5)
+    obs = [DataObservation(points=(c[:, None, :] + rng.normal(scale=0.005, size=(100, 16, 3)))
+                           .reshape(-1, 3))
+           for c in seq.gt_centers]
+    cfg = TrainConfig(iters_per_frame=20, layer_sizes=(4, 16), seed=0,
+                      scene_scale=seq.scene_scale, k_neighbors=8)
+    report = fit_sequence(seq.frame0, obs, cfg)
+    err = mean_center_error(report.sets, seq.gt_centers)
+    np.testing.assert_allclose(err, 0.024388595627535658, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

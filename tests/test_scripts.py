@@ -1,0 +1,42 @@
+"""Smoke runs of the scripts in scripts/: each main() on tiny arguments."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from gscascade.io_formats import read_csv
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_depth_ablation_writes_one_row_per_scene(tmp_path):
+    script = load_script("depth_ablation")
+    out = tmp_path / "ablation.csv"
+    assert script.main(["--n-gaussians", "30", "--n-frames", "2", "--iters", "2",
+                        "--deep-layers", "2,6", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["scene", "err_single_layer", "err_cascade", "ratio"]
+    assert [row[0] for row in rows] == [kind for kind, _ in script.SCENES]
+    values = np.array([row[1:] for row in rows], dtype=np.float64)
+    assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+    np.testing.assert_allclose(values[:, 2], values[:, 0] / values[:, 1], rtol=1e-6)
+
+
+def test_convergence_sweep_writes_one_row_per_budget(tmp_path):
+    script = load_script("convergence_sweep")
+    out = tmp_path / "sweep.csv"
+    assert script.main(["--n-gaussians", "30", "--n-frames", "2", "--layers", "2,6",
+                        "--budgets", "1,3", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["iters_per_frame", "mean_center_error", "wall_seconds"]
+    values = np.array(rows, dtype=np.float64)
+    assert values[:, 0].tolist() == [1.0, 3.0]
+    assert np.all(np.isfinite(values)) and np.all(values[:, 1:] > 0.0)
