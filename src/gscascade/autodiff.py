@@ -14,6 +14,8 @@ Conventions:
   * Per-node Python overhead dominates at the pipeline's array sizes, so hot
     composite kernels (`eigh3` here, the quaternion kernels in `tapemath`)
     are primitives with closed-form VJPs, not chains of elementwise ops.
+    Their forwards (the Jacobi eigensolver, Shepperd's table) live in
+    `geometry`; this module owns only the tape.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .geometry import jacobi_eigh3
 
 
 class Tensor:
@@ -69,15 +73,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def leaf(value):
@@ -178,26 +173,6 @@ def mul(a, b):
         _accum(b, _unbroadcast(g * a.value, b.value.shape))
 
     return _make(v, (a, b), vjp)
-
-
-def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    v = a.value / b.value
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    return _make(v, (a, b), vjp)
-
-
-def neg(a):
-    a = _wrap(a)
-
-    def vjp(g):
-        _accum(a, -g)
-
-    return _make(-a.value, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -387,82 +362,16 @@ def reshape(a, shape):
 # ---------------------------------------------------------------------------
 # symmetric 3x3 eigendecomposition
 
-# Relative off-diagonal Frobenius residual at which the cyclic Jacobi sweep
-# stops; also the documented accuracy of the factorization.
-eigh3_offdiag_tol = 1e-10
-
 # Smoothing of 1/(lambda_j - lambda_i) in the backward pass; keeps gradients
 # finite near (physically meaningless) repeated-eigenvalue configurations
 # while staying exact to ~(eps/gap)^2 for well separated spectra.
 _EIG_GAP_EPS = 1e-9
 
 
-def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
-    """Batched cyclic Jacobi diagonalization of symmetric 3x3 matrices.
-
-    Returns (evals, evecs) with S = V diag(w) V^T, V a proper rotation.
-    Eigenvalues come out unsorted, in whatever axis order the sweep leaves
-    them; callers that need a canonical order sort on top. Convergence is
-    declared when the off-diagonal Frobenius mass drops below tol relative
-    to the matrix norm.
-    """
-    S = np.asarray(S, dtype=np.float64)
-    A = S.copy()
-    V = np.zeros_like(A)
-    V[..., 0, 0] = 1.0
-    V[..., 1, 1] = 1.0
-    V[..., 2, 2] = 1.0
-    norm = np.sqrt(np.einsum("...ij,...ij->...", S, S))
-    thresh = tol * np.maximum(norm, 1e-300)
-
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for _ in range(max_sweeps):
-        off = np.sqrt(
-            A[..., 0, 1] ** 2 + A[..., 0, 2] ** 2 + A[..., 1, 2] ** 2
-        )
-        if np.all(off <= thresh):
-            break
-        for p, q in pairs:
-            apq = A[..., p, q]
-            app = A[..., p, p]
-            aqq = A[..., q, q]
-            nonzero = np.abs(apq) > 1e-300
-            tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
-            sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
-            # |tau| can be ~1/eps when the off-diagonal is tiny; tau*tau then
-            # overflows to inf, which still yields the correct t -> 0 limit.
-            with np.errstate(over="ignore"):
-                t = np.where(
-                    nonzero, sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0
-                )
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-
-            r = 3 - p - q  # the untouched index
-            arp = A[..., r, p].copy()
-            arq = A[..., r, q].copy()
-            A[..., p, p] = app - t * apq
-            A[..., q, q] = aqq + t * apq
-            A[..., p, q] = 0.0
-            A[..., q, p] = 0.0
-            A[..., r, p] = c * arp - s * arq
-            A[..., p, r] = A[..., r, p]
-            A[..., r, q] = s * arp + c * arq
-            A[..., q, r] = A[..., r, q]
-
-            vp = V[..., :, p].copy()
-            vq = V[..., :, q].copy()
-            V[..., :, p] = c[..., None] * vp - s[..., None] * vq
-            V[..., :, q] = s[..., None] * vp + c[..., None] * vq
-
-    evals = np.stack([A[..., 0, 0], A[..., 1, 1], A[..., 2, 2]], axis=-1)
-    return evals, V
-
-
 def eigh3(S):
     """Differentiable symmetric 3x3 eigendecomposition (tape primitive).
 
-    Forward uses the Jacobi routine above; backward is the standard
+    Forward is `geometry.jacobi_eigh3`; backward is the standard
     eigendecomposition adjoint restricted to symmetric perturbations:
 
         dS = V (diag(dw) + F o (V^T dV)) V^T,  F_ij = 1/(w_j - w_i),
@@ -472,9 +381,6 @@ def eigh3(S):
     """
     S = _wrap(S)
     w, V = jacobi_eigh3(S.value)
-
-    out_w = None
-    out_V = None
 
     def vjp_w(g):
         _backprop(g, None)
@@ -498,6 +404,4 @@ def eigh3(S):
         gS = 0.5 * (gS + np.swapaxes(gS, -1, -2))
         _accum(S, gS)
 
-    out_w = _make(w, (S,), vjp_w)
-    out_V = _make(V, (S,), vjp_V)
-    return out_w, out_V
+    return _make(w, (S,), vjp_w), _make(V, (S,), vjp_V)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io_formats as iof
-from .clustering import ClusterHierarchy, build_hierarchy
+from .clustering import build_hierarchy
 from .config import ConfigError, load_run_config
 from .core import GaussianSet
 from .deform import cascade_to_payload
@@ -27,7 +28,7 @@ from .losses import DataObservation
 from .optimize import fit_sequence, mean_center_error
 from .scenegen import _PALETTE, SceneSpec, SceneSequence, generate
 from .segmentation import adjusted_rand_index, build_features, segment
-from .tracking import PinholeCamera, Track2D, mte, project, project_track, select_candidate
+from .tracking import PinholeCamera, mte, project_track, select_candidate
 
 INIT_GAUSSIANS_HEADER = ["index", "x", "y", "z", "qw", "qx", "qy", "qz",
                          "sx", "sy", "sz", "r", "g", "b"]
@@ -62,49 +63,49 @@ def write_scene_dir(seq, out_dir):
     iof.write_csv(out / "init_gaussians.csv", INIT_GAUSSIANS_HEADER, rows)
 
 
+@contextlib.contextmanager
+def _input_file(path):
+    """Report malformed content of `path` as a config error (exit 2) that names the file."""
+    try:
+        yield path
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e) if str(e).startswith(str(path)) else f"{path}: {e}") from e
+
+
 def load_scene_dir(path):
     root = Path(path)
-    if not (root / "scene.json").exists():
-        raise FileNotFoundError(f"{root}/scene.json")
-    meta = iof.read_json(root / "scene.json")
-    spec = SceneSpec.from_payload(meta["spec"])
-    cameras = [PinholeCamera.from_payload(c) for c in meta["cameras"]]
-    gt = iof.read_gt_trajectory_csv(root / "gt_trajectory.csv")
-    labels = iof.read_labels_csv(root / "labels.csv")
-    header, rows = iof.read_csv(root / "init_gaussians.csv")
-    if header != INIT_GAUSSIANS_HEADER:
-        raise ValueError("unexpected init_gaussians.csv header")
-    data = np.array([[float(v) for v in r[1:]] for r in rows])
-    frame0 = GaussianSet(
-        centers=data[:, 0:3],
-        orientations=data[:, 3:7],
-        scales=data[:, 7:10],
-        colors=data[:, 10:13],
-        frame_index=0,
-    )
+    with _input_file(root / "scene.json") as meta_path:
+        meta = iof.read_json(meta_path)
+        spec = SceneSpec.from_payload(meta["spec"])
+        cameras = [PinholeCamera.from_payload(c) for c in meta["cameras"]]
+        part_quats = np.asarray(meta["part_quats"], dtype=np.float64)
+    with _input_file(root / "init_gaussians.csv") as init_path:
+        data = iof.read_table(init_path, INIT_GAUSSIANS_HEADER, "initial Gaussians")
+        if not np.array_equal(data[:, 0], np.arange(len(data))):
+            raise ValueError("index column must count 0, 1, ... in row order")
+        frame0 = GaussianSet(centers=data[:, 1:4], orientations=data[:, 4:8],
+                             scales=data[:, 8:11], colors=data[:, 11:14], frame_index=0)
+    with _input_file(root / "gt_trajectory.csv") as gt_path:
+        gt = iof.read_gt_trajectory_csv(gt_path)
+        if gt.shape[:2] != (spec.n_frames, frame0.n):
+            raise ValueError(f"{gt.shape[0]} frames x {gt.shape[1]} Gaussians, expected"
+                             f" {spec.n_frames} x {frame0.n} (scene.json, init_gaussians.csv)")
+    with _input_file(root / "labels.csv") as labels_path:
+        labels = iof.read_labels_csv(labels_path)
+        if len(labels) != frame0.n:
+            raise ValueError(f"{len(labels)} labels, expected one per Gaussian ({frame0.n})")
     observations = []
     for t in range(spec.n_frames):
-        ply = root / "frames" / f"frame_{t:03d}.ply"
-        try:
+        with _input_file(root / "frames" / f"frame_{t:03d}.ply") as ply:
             pts, _ = iof.read_ply(ply)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        # scene frames observe every Gaussian, in index order
-        if len(pts) != frame0.n:
-            raise ConfigError(f"{ply}: {len(pts)} points, expected one per Gaussian ({frame0.n})")
-        try:
+            # scene frames observe every Gaussian, in index order
+            if len(pts) != frame0.n:
+                raise ValueError(f"{len(pts)} points, expected one per Gaussian ({frame0.n})")
             observations.append(DataObservation(points=pts, correspondence=np.arange(len(pts))))
-        except ValueError as e:
-            raise ConfigError(f"{ply}: {e}") from e
-    return SceneSequence(
-        spec=spec,
-        frame0=frame0,
-        observations=observations,
-        gt_centers=gt,
-        part_labels=labels,
-        part_quats=np.asarray(meta["part_quats"], dtype=np.float64),
-        cameras=cameras,
-    )
+    return SceneSequence(spec=spec, frame0=frame0, observations=observations, gt_centers=gt,
+                         part_labels=labels, part_quats=part_quats, cameras=cameras)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,10 @@ def cmd_fit(cfg, scene_dir):
 
 def _load_fit_dir(fit_dir):
     fit = Path(fit_dir)
-    if not (fit / "summary.json").exists():
-        raise FileNotFoundError(f"{fit}/summary.json")
-    summary = iof.read_json(fit / "summary.json")
-    centers, quats, scales = iof.read_trajectory_csv(fit / "trajectory.csv")
+    with _input_file(fit / "summary.json") as path:
+        summary = iof.read_json(path)
+    with _input_file(fit / "trajectory.csv") as path:
+        centers, quats, scales = iof.read_trajectory_csv(path)
     return summary, centers, quats, scales
 
 

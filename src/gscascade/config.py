@@ -33,8 +33,7 @@ _WEIGHT_KEYS = _field_names(LossWeights)
 _SEG_OPTIONS = {"k_parts": (int, 1), "lambda_p": (float, None), "lambda_r": (float, None),
                 "lambda_p0": (float, None)}
 _TRACK_OPTIONS = {"camera_index": (int, 0), "n_tracks": (int, 1)}
-_TOP_KEYS = {"scene", "scene_dir", "train", "weights", "segmentation", "tracking",
-             "out", "seed", "threads"}
+_TOP_KEYS = {"scene", "train", "weights", "segmentation", "tracking", "out", "seed", "threads"}
 
 ENV_PREFIX = "GSCASCADE_"
 
@@ -66,7 +65,6 @@ def _check_options(section, mapping, options):
 @dataclass
 class RunConfig:
     scene: dict = None  # raw SceneSpec kwargs (seed filled at build time)
-    scene_dir: str = None
     train: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
     segmentation: dict = field(default_factory=dict)
@@ -152,8 +150,6 @@ def load_run_config(document=None, env=None, cli=None):
                 "segmentation", document["segmentation"], _SEG_OPTIONS)
         if "tracking" in document:
             cfg.tracking = _check_options("tracking", document["tracking"], _TRACK_OPTIONS)
-        if "scene_dir" in document:
-            cfg.scene_dir = str(document["scene_dir"])
         if "out" in document:
             cfg.out = str(document["out"])
         if "seed" in document:

@@ -1,8 +1,13 @@
-"""Quaternion / rotation / covariance primitives (plain numpy, batched).
+"""Quaternion / rotation / covariance numerics (plain numpy, batched).
 
 Quaternions are stored (w, x, y, z) and interpreted in the Hamilton
 convention; rotation matrices act on column vectors. All functions broadcast
 over leading axes.
+
+This module is the one implementation of each rotation kernel: the norm
+floor and floored normalize, Shepperd's matrix -> quaternion table and the
+cyclic Jacobi 3x3 eigensolver. The tape primitives in `tapemath` and
+`autodiff.eigh3` call these as their forwards and add only the VJPs.
 """
 
 from __future__ import annotations
@@ -72,56 +77,65 @@ def unit_quat_to_matrix(q):
     return out
 
 
-def matrix_to_quat(R):
-    """Rotation matrix -> unit quaternion with w >= 0.
+# Shepperd's method (J. Guidance & Control 1(3), 1978): branch b is chosen
+# where (trace, R00, R11, R22)[b] is largest, so the division is always well
+# conditioned. Its dominant component b is 0.25 s with
+# s = 2 sqrt(1 + D_b . diag R), and every other component i is (N[b, i] . vec R) / s.
+_SHEPPERD_DIAG = np.array(
+    [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+)
 
-    Shepperd branch selection: pick the largest of (trace, R00, R11, R22) so
-    the division is always well conditioned.
+
+def _shepperd_numerators():
+    """N[b, i]: 4 q_b q_i = R[e] + sign R[f] over vec R (index 3 row + col)."""
+    terms = {(0, 1): (7, 5, -1.0), (0, 2): (2, 6, -1.0), (0, 3): (3, 1, -1.0),
+             (1, 2): (1, 3, 1.0), (1, 3): (2, 6, 1.0), (2, 3): (5, 7, 1.0)}
+    N = np.zeros((4, 4, 9))
+    for (i, j), (e, f, sign) in terms.items():
+        N[i, j, e] = N[j, i, e] = 1.0
+        N[i, j, f] = N[j, i, f] = sign
+    return N
+
+
+_SHEPPERD_NUM = _shepperd_numerators()
+
+
+def _normalize(q):
+    """q / max(|q|, floor) plus what its VJP needs: (unit, 1/norm, above-floor mask)."""
+    ssq = (q * q).sum(axis=-1)
+    above = ssq > _NORM_FLOOR * _NORM_FLOOR
+    inv = 1.0 / np.sqrt(np.where(above, ssq, _NORM_FLOOR * _NORM_FLOOR))
+    return q * inv[..., None], inv, above
+
+
+def shepperd(R):
+    """Rotation matrix -> (unit quaternion with w >= 0, branch data), batched.
+
+    The branch data are the forward values that `tapemath.mat_to_quat_t`'s
+    VJP holds constant.
     """
     R = np.asarray(R, dtype=np.float64)
-    batch = R.shape[:-2]
-    r00, r11, r22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
-    tr = r00 + r11 + r22
+    flat = R.reshape(R.shape[:-2] + (9,))
+    diag = flat[..., ::4]
+    tr = diag[..., 0] + diag[..., 1] + diag[..., 2]
+    pick = np.argmax(np.stack([tr, diag[..., 0], diag[..., 1], diag[..., 2]], axis=-1), axis=-1)
+    dominant = np.eye(4, dtype=bool)[pick]  # (..., 4), True at component `pick`
+    D = _SHEPPERD_DIAG[pick]  # (..., 3)
+    Nb = _SHEPPERD_NUM[pick]  # (..., 4, 9)
 
-    cand = np.empty(batch + (4, 4), dtype=np.float64)
-    # branch 0: trace dominant
-    t0 = 1.0 + tr
-    s0 = np.sqrt(np.maximum(t0, 1e-300)) * 2.0
-    cand[..., 0, 0] = 0.25 * s0
-    cand[..., 0, 1] = (R[..., 2, 1] - R[..., 1, 2]) / s0
-    cand[..., 0, 2] = (R[..., 0, 2] - R[..., 2, 0]) / s0
-    cand[..., 0, 3] = (R[..., 1, 0] - R[..., 0, 1]) / s0
-    # branch 1: R00 dominant
-    t1 = 1.0 + r00 - r11 - r22
-    s1 = np.sqrt(np.maximum(t1, 1e-300)) * 2.0
-    cand[..., 1, 0] = (R[..., 2, 1] - R[..., 1, 2]) / s1
-    cand[..., 1, 1] = 0.25 * s1
-    cand[..., 1, 2] = (R[..., 0, 1] + R[..., 1, 0]) / s1
-    cand[..., 1, 3] = (R[..., 0, 2] + R[..., 2, 0]) / s1
-    # branch 2: R11 dominant
-    t2 = 1.0 - r00 + r11 - r22
-    s2 = np.sqrt(np.maximum(t2, 1e-300)) * 2.0
-    cand[..., 2, 0] = (R[..., 0, 2] - R[..., 2, 0]) / s2
-    cand[..., 2, 1] = (R[..., 0, 1] + R[..., 1, 0]) / s2
-    cand[..., 2, 2] = 0.25 * s2
-    cand[..., 2, 3] = (R[..., 1, 2] + R[..., 2, 1]) / s2
-    # branch 3: R22 dominant
-    t3 = 1.0 - r00 - r11 + r22
-    s3 = np.sqrt(np.maximum(t3, 1e-300)) * 2.0
-    cand[..., 3, 0] = (R[..., 1, 0] - R[..., 0, 1]) / s3
-    cand[..., 3, 1] = (R[..., 0, 2] + R[..., 2, 0]) / s3
-    cand[..., 3, 2] = (R[..., 1, 2] + R[..., 2, 1]) / s3
-    cand[..., 3, 3] = 0.25 * s3
+    t_raw = 1.0 + (D * diag).sum(axis=-1)
+    open_ = t_raw > 1e-12
+    s = np.sqrt(np.where(open_, t_raw, 1e-12)) * 2.0
+    num = np.einsum("...ij,...j->...i", Nb, flat)
+    cand = np.where(dominant, 0.25 * s[..., None], num / s[..., None])
+    norm = _normalize(cand)
+    hemi = np.where(norm[0][..., :1] < 0.0, -1.0, 1.0)
+    return norm[0] * hemi, (dominant, D, Nb, s, open_, cand, norm, hemi)
 
-    scores = np.stack([tr, r00, r11, r22], axis=-1)
-    pick = np.argmax(scores, axis=-1)
-    q = np.take_along_axis(cand, pick[..., None, None].repeat(4, axis=-1), axis=-2)
-    q = q.reshape(batch + (4,))
-    q = quat_normalize(q)
-    # canonical hemisphere: w >= 0
-    flip = q[..., 0] < 0.0
-    q = np.where(flip[..., None], -q, q)
-    return q
+
+def matrix_to_quat(R):
+    """Rotation matrix -> unit quaternion with w >= 0 (Shepperd's method)."""
+    return shepperd(R)[0]
 
 
 def rotation_angle(q):
@@ -151,6 +165,73 @@ def compose_covariance(q, scales):
     return 0.5 * (C + np.swapaxes(C, -1, -2))
 
 
+# Relative off-diagonal Frobenius residual at which the cyclic Jacobi sweep
+# stops; also the documented accuracy of the factorization.
+eigh3_offdiag_tol = 1e-10
+
+
+def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
+    """Batched cyclic Jacobi diagonalization of symmetric 3x3 matrices.
+
+    Returns (evals, evecs) with S = V diag(w) V^T, V a proper rotation.
+    Eigenvalues come out unsorted, in whatever axis order the sweep leaves
+    them; callers that need a canonical order sort on top. Convergence is
+    declared when the off-diagonal Frobenius mass drops below tol relative
+    to the matrix norm.
+    """
+    S = np.asarray(S, dtype=np.float64)
+    A = S.copy()
+    V = np.zeros_like(A)
+    V[..., 0, 0] = 1.0
+    V[..., 1, 1] = 1.0
+    V[..., 2, 2] = 1.0
+    norm = np.sqrt(np.einsum("...ij,...ij->...", S, S))
+    thresh = tol * np.maximum(norm, 1e-300)
+
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for _ in range(max_sweeps):
+        off = np.sqrt(
+            A[..., 0, 1] ** 2 + A[..., 0, 2] ** 2 + A[..., 1, 2] ** 2
+        )
+        if np.all(off <= thresh):
+            break
+        for p, q in pairs:
+            apq = A[..., p, q]
+            app = A[..., p, p]
+            aqq = A[..., q, q]
+            nonzero = np.abs(apq) > 1e-300
+            tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
+            sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
+            # |tau| can be ~1/eps when the off-diagonal is tiny; tau*tau then
+            # overflows to inf, which still yields the correct t -> 0 limit.
+            with np.errstate(over="ignore"):
+                t = np.where(
+                    nonzero, sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0
+                )
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+
+            r = 3 - p - q  # the untouched index
+            arp = A[..., r, p].copy()
+            arq = A[..., r, q].copy()
+            A[..., p, p] = app - t * apq
+            A[..., q, q] = aqq + t * apq
+            A[..., p, q] = 0.0
+            A[..., q, p] = 0.0
+            A[..., r, p] = c * arp - s * arq
+            A[..., p, r] = A[..., r, p]
+            A[..., r, q] = s * arp + c * arq
+            A[..., q, r] = A[..., r, q]
+
+            vp = V[..., :, p].copy()
+            vq = V[..., :, q].copy()
+            V[..., :, p] = c[..., None] * vp - s[..., None] * vq
+            V[..., :, q] = s[..., None] * vp + c[..., None] * vq
+
+    evals = np.stack([A[..., 0, 0], A[..., 1, 1], A[..., 2, 2]], axis=-1)
+    return evals, V
+
+
 _EVAL_FLOOR = 1e-12
 
 
@@ -166,8 +247,6 @@ def decompose_covariance(sigma):
     sym_err = np.abs(sigma - np.swapaxes(sigma, -1, -2)).max()
     if sym_err > 1e-9:
         raise ValueError("covariance must be symmetric")
-    from .autodiff import jacobi_eigh3
-
     w, V = jacobi_eigh3(sigma)
     if np.any(w <= _EVAL_FLOOR):
         raise ValueError("covariance is not positive definite")

@@ -96,8 +96,35 @@ def write_csv(path, header, rows):
 
 def read_csv(path):
     lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     return header, [line.split(",") for line in lines[1:] if line]
+
+
+def read_table(path, header, name, kind=float):
+    """(rows, len(header)) array of a `name` CSV that has exactly `header` and finite cells."""
+    got, rows = read_csv(path)
+    if got != header:
+        raise ValueError(f"{path}: unexpected {name} header {got}, expected {header}")
+    try:
+        data = np.array([[kind(v) for v in r] for r in rows]).reshape(len(rows), len(header))
+    except ValueError as e:
+        raise ValueError(f"{path}: bad row: {e}") from e
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite {header[bad[0, 1]]} in data row {bad[0, 0] + 1}")
+    return data
+
+
+def _read_frame_table(path, header, name):
+    """(T, N, len(header)) array of a CSV keyed by (frame, index), one row per grid cell."""
+    data = read_table(path, header, name)
+    T, n = (int(m) + 1 for m in data[:, :2].max(axis=0, initial=-1))
+    data = data[np.lexsort((data[:, 1], data[:, 0]))]
+    if min(T, n) < 1 or len(data) != T * n or not np.array_equal(
+            data[:, :2], np.indices((T, n)).reshape(2, -1).T):
+        raise ValueError(f"{path}: ragged {name} table: (frame, index) pairs must cover"
+                         f" the {max(T, 0)} x {max(n, 0)} grid exactly once")
+    return data.reshape(T, n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +176,7 @@ def write_trajectory_csv(path, sets):
 
 def read_trajectory_csv(path):
     """Returns (centers (T,N,3), orientations (T,N,4), scales (T,N,3))."""
-    header, rows = read_csv(path)
-    if header != TRAJECTORY_HEADER:
-        raise ValueError(f"{path}: unexpected trajectory header {header}")
-    data = np.array([[float(v) for v in r] for r in rows])
-    T = int(data[:, 0].max()) + 1
-    n = int(data[:, 1].max()) + 1
-    if data.shape[0] != T * n:
-        raise ValueError(f"{path}: ragged trajectory table")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    data = data[order].reshape(T, n, -1)
+    data = _read_frame_table(path, TRAJECTORY_HEADER, "trajectory")
     return data[..., 2:5], data[..., 5:9], data[..., 9:12]
 
 
@@ -182,13 +200,11 @@ def write_labels_csv(path, labels):
 
 
 def read_labels_csv(path):
-    header, rows = read_csv(path)
-    if header != ["index", "label"]:
-        raise ValueError(f"{path}: unexpected labels header {header}")
-    out = np.empty(len(rows), dtype=np.int64)
-    for r in rows:
-        out[int(r[0])] = int(r[1])
-    return out
+    data = read_table(path, ["index", "label"], "labels", kind=int)
+    data = data[np.argsort(data[:, 0], kind="stable")]
+    if not np.array_equal(data[:, 0], np.arange(len(data))):
+        raise ValueError(f"{path}: each index 0..{len(data) - 1} must appear exactly once")
+    return data[:, 1]
 
 
 def write_gt_trajectory_csv(path, gt_centers):
@@ -201,14 +217,7 @@ def write_gt_trajectory_csv(path, gt_centers):
 
 
 def read_gt_trajectory_csv(path):
-    header, rows = read_csv(path)
-    if header != ["frame", "index", "x", "y", "z"]:
-        raise ValueError(f"{path}: unexpected header {header}")
-    data = np.array([[float(v) for v in r] for r in rows])
-    T = int(data[:, 0].max()) + 1
-    n = int(data[:, 1].max()) + 1
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    return data[order].reshape(T, n, -1)[..., 2:5]
+    return _read_frame_table(path, ["frame", "index", "x", "y", "z"], "gt trajectory")[..., 2:5]
 
 
 def write_mte_csv(path, entries):

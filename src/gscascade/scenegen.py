@@ -30,7 +30,7 @@ import numpy as np
 from . import geometry
 from .core import GaussianSet
 from .losses import DataObservation
-from .tracking import PinholeCamera, look_at_camera
+from .tracking import look_at_camera
 
 KINDS = ("wheel", "pendulum", "two_link_arm", "cloth_wave", "two_blobs")
 

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: pipeline happy path, exit codes, byte determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,66 @@ def test_bad_frame_ply_exits_2_naming_the_file(tmp_path, capsys, corrupt, messag
     assert not (tmp_path / "fit").exists()
 
 
+def _edit_rows(edit):
+    """Corrupt a CSV by rewriting its list of lines (header first) with `edit`."""
+    def corrupt(path):
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return corrupt
+
+
+def _edit_cell(row, col, value):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = value
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return _edit_rows(edit)
+
+
+def _edit_scene_json(edit):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
+_GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    pytest.param("gt_trajectory.csv", _edit_rows(lambda rows: rows[:7] + rows[8:]), _GRID,
+                 id="gt-missing-row"),
+    pytest.param("gt_trajectory.csv", _edit_cell(5, 3, "0.1x"), "bad row", id="gt-garbled"),
+    # a duplicated pair and a missing one keep the row count
+    pytest.param("gt_trajectory.csv", _edit_cell(8, 1, "6"), _GRID, id="gt-duplicate"),
+    pytest.param("gt_trajectory.csv", _edit_rows(lambda rows: rows[:61]),
+                 "2 frames x 30 Gaussians, expected 3 x 30", id="gt-short"),
+    pytest.param("labels.csv", _edit_cell(30, 0, "999"), "exactly once", id="labels-999"),
+    pytest.param("labels.csv", _edit_cell(3, 0, "1"), "exactly once", id="labels-duplicate"),
+    pytest.param("labels.csv", _edit_cell(3, 1, "two"), "bad row", id="labels-garbled"),
+    pytest.param("init_gaussians.csv",
+                 _edit_rows(lambda rows: [rows[0].replace("qw", "w")] + rows[1:]),
+                 "unexpected initial Gaussians header", id="init-header"),
+    pytest.param("init_gaussians.csv", _edit_cell(4, 12, "nan"), "non-finite g in data row 4",
+                 id="init-nan"),
+    pytest.param("init_gaussians.csv", _edit_cell(4, 9, "-0.5"),
+                 "scales must be strictly positive", id="init-scale"),
+    pytest.param("scene.json", _edit_scene_json(lambda meta: meta.pop("part_quats")),
+                 "missing key 'part_quats'", id="scene-no-part-quats"),
+    pytest.param("scene.json", _edit_scene_json(lambda meta: meta["spec"].update(kind="ship")),
+                 "unknown scene kind 'ship'", id="scene-kind"),
+])
+def test_bad_scene_file_exits_2_naming_it(tmp_path, capsys, name, corrupt, message):
+    cfg = write_config(tmp_path)
+    scene = tmp_path / "scene"
+    assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
+    corrupt(scene / name)
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err and message in err
+    assert not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize("layers", ["8,4", "2,31"])
 def test_bad_layer_sizes_exit_2_naming_them(tmp_path, capsys, layers):
     cfg = write_config(tmp_path)
@@ -250,6 +311,24 @@ def test_k_parts_above_gaussian_count_exits_2(tiny_fit, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "segmentation.k_parts 31" in err and "N=30" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "track"])
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_edit_rows(lambda rows: rows[:-1]), _GRID, id="missing-row"),
+    pytest.param(_edit_cell(40, 6, "?"), "bad row", id="garbled"),
+    pytest.param(_edit_cell(12, 0, "1"), _GRID, id="duplicate"),
+])
+def test_bad_trajectory_csv_exits_2_naming_it(tiny_fit, tmp_path, capsys, command, corrupt,
+                                              message):
+    fit = tmp_path / "fit"
+    shutil.copytree(tiny_fit, fit)
+    corrupt(fit / "trajectory.csv")
+    cfg = write_config(tmp_path)
+    assert main([command, str(fit), "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "trajectory.csv" in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

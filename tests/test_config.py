@@ -21,7 +21,6 @@ def test_defaults():
     assert cfg.threads == 1
     assert cfg.out is None
     assert cfg.scene is None
-    assert cfg.scene_dir is None
     assert cfg.train == {}
     assert cfg.weights == {}
 
@@ -60,6 +59,8 @@ def test_document_values_land():
         ({"train": {"warm_start_params": True}}, "'train'.*warm_start_params"),
         ({"train": {"recluster_every": 1}}, "'train'.*recluster_every"),
         ({"train": {"lr_delta": 1e-3}}, "'train'.*lr_delta"),
+        # a top-level key that nothing read
+        ({"scene_dir": "scenes/a"}, "'config'.*scene_dir"),
     ],
 )
 def test_unknown_keys_rejected(doc, needle):

@@ -12,7 +12,7 @@ from gscascade import losses, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
-from gscascade.losses import DataObservation, LossWeights
+from gscascade.losses import DataObservation
 from gscascade.optimize import (
     AdamState,
     TrainConfig,

@@ -8,6 +8,8 @@ use, and unit tests do not count: code that only unit tests reach belongs in
 
 The scan is by name, so a dead method escapes it when anything else of the
 same name is referenced (an attribute, a field or a method of another class).
+An imported name counts as a reference, so no module in `src/` or `scripts/`
+may import a name it never uses.
 """
 
 import ast
@@ -23,6 +25,7 @@ CALLERS = [
     *sorted((ROOT / "bench").rglob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
+IMPORTERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").rglob("*.py"))]
 
 
 def _public(nodes, kinds):
@@ -66,6 +69,25 @@ def test_every_public_definition_has_a_shipped_caller():
         if name not in referenced
     )
     assert not unused, f"public but used only by unit tests (or not at all): {unused}"
+
+
+def unused_imports(path):
+    """`file:line name` for each name the module imports and never mentions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    unused = [entry for path in IMPORTERS for entry in unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))

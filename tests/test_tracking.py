@@ -7,7 +7,6 @@ is pinned by literal pixel arithmetic.
 import numpy as np
 import pytest
 
-from gscascade import geometry
 from gscascade.tracking import (
     CANDIDATE_RADIUS_PX,
     PinholeCamera,
