@@ -169,25 +169,24 @@ def cmd_fit(cfg, scene_dir):
     return 0
 
 
-def _load_fit_dir(fit_dir):
+def _load_fit_dir(fit_dir, scene_dir=None):
+    """(scene kind, scene, centers, quats, scales) of a fit; the scene is read
+    from `scene_dir`, else from the directory the fit recorded."""
     fit = Path(fit_dir)
     with _input_file(fit / "summary.json") as path:
         summary = iof.read_json(path)
+        kind = str(summary["scene_kind"])
+        if scene_dir is None:
+            scene_dir = str(summary["scene_dir"])
     with _input_file(fit / "trajectory.csv") as path:
         centers, quats, scales = iof.read_trajectory_csv(path)
-    return summary, centers, quats, scales
-
-
-def _scene_for_fit(summary, scene_dir=None):
-    path = scene_dir if scene_dir is not None else summary["scene_dir"]
-    return load_scene_dir(path)
+    return kind, load_scene_dir(scene_dir), centers, quats, scales
 
 
 def cmd_segment(cfg, fit_dir, scene_dir=None):
     if cfg.out is None:
         raise ConfigError("segment needs an output directory (--out)")
-    summary, centers, quats, scales = _load_fit_dir(fit_dir)
-    seq = _scene_for_fit(summary, scene_dir)
+    kind, seq, centers, quats, scales = _load_fit_dir(fit_dir, scene_dir)
     opts = cfg.seg_options()
     if opts["k_parts"] > centers.shape[1]:
         raise ConfigError(f"segmentation.k_parts {opts['k_parts']} exceeds the number of"
@@ -215,7 +214,7 @@ def cmd_segment(cfg, fit_dir, scene_dir=None):
     colors = _PALETTE[labels % len(_PALETTE)]
     for t in range(centers.shape[0]):
         iof.write_ply(out / "labeled" / f"frame_{t:03d}.ply", centers[t], colors)
-    print(f"segment {summary['scene_kind']}: k={opts['k_parts']} ARI {ari:.4f} -> {out}")
+    print(f"segment {kind}: k={opts['k_parts']} ARI {ari:.4f} -> {out}")
     return 0
 
 
@@ -232,8 +231,7 @@ def _draw_dots(image, pixels, color, radius=1):
 def cmd_track(cfg, fit_dir, scene_dir=None):
     if cfg.out is None:
         raise ConfigError("track needs an output directory (--out)")
-    summary, centers, _, _ = _load_fit_dir(fit_dir)
-    seq = _scene_for_fit(summary, scene_dir)
+    kind, seq, centers, _, _ = _load_fit_dir(fit_dir, scene_dir)
     opts = cfg.track_options()
     if opts["camera_index"] >= len(seq.cameras):
         raise ConfigError(f"tracking.camera_index {opts['camera_index']} is out of range:"
@@ -273,7 +271,7 @@ def cmd_track(cfg, fit_dir, scene_dir=None):
         "median_mte": float(np.median(errs)),
         "max_mte": float(errs.max()),
     })
-    print(f"track {summary['scene_kind']}: median MTE {np.median(errs) * 100:.3f}% "
+    print(f"track {kind}: median MTE {np.median(errs) * 100:.3f}% "
           f"over {len(entries)} tracks -> {out}")
     return 0
 
@@ -283,10 +281,8 @@ def cmd_eval(cfg, run_dirs):
         raise ConfigError("eval needs an output path (--out)")
     runs = {}
     for d in run_dirs:
-        summary_path = Path(d) / "summary.json"
-        if not summary_path.exists():
-            raise FileNotFoundError(str(summary_path))
-        runs[Path(d).name] = iof.read_json(summary_path)
+        with _input_file(Path(d) / "summary.json") as path:
+            runs[Path(d).name] = iof.read_json(path)
     out = Path(cfg.out)
     if out.suffix != ".json":
         out.mkdir(parents=True, exist_ok=True)

@@ -27,9 +27,15 @@ def _field_names(cls):
 _SCENE_KEYS = _field_names(SceneSpec)
 # weights, seed, scene_scale and threads come from elsewhere in the run config
 _TRAIN_KEYS = _field_names(TrainConfig) - {"weights", "seed", "scene_scale", "threads"}
-_WEIGHT_KEYS = _field_names(LossWeights)
-# option -> (type, least allowed value); camera_index's upper bound is the
-# scene's camera count, checked by the track command
+# option -> (type, least allowed value); the upper bounds are checked apart:
+# adam_beta* < 1 here, camera_index below the scene's camera count by the
+# track command
+_TRAIN_OPTIONS = {"iters_per_frame": (int, 1), "k_neighbors": (int, 1),
+                  **dict.fromkeys(("lr_rot", "lr_trans", "lr_scaledir", "lr_sbias", "adam_beta1",
+                                   "adam_beta2", "adam_eps", "max_scale", "lambda_weight"),
+                                  (float, 0.0))}
+_NULLABLE_TRAIN = {"lr_trans", "lambda_weight"}  # null: scaled to the scene
+_WEIGHT_OPTIONS = dict.fromkeys(_field_names(LossWeights), (float, 0.0))
 _SEG_OPTIONS = {"k_parts": (int, 1), "lambda_p": (float, None), "lambda_r": (float, None),
                 "lambda_p0": (float, None)}
 _TRACK_OPTIONS = {"camera_index": (int, 0), "n_tracks": (int, 1)}
@@ -59,6 +65,20 @@ def _check_options(section, mapping, options):
             bound = "" if least is None else f" >= {least}"
             raise ConfigError(f"{section}.{key} must be {what}{bound}, got {value!r}")
         checked[key] = kind(value)
+    return checked
+
+
+def _check_train(train):
+    """Schema-check the merged train section; returns it with typed numbers."""
+    numeric = {key: value for key, value in train.items()
+               if key in _TRAIN_OPTIONS and not (value is None and key in _NULLABLE_TRAIN)}
+    checked = dict(train, **_check_options("train", numeric, _TRAIN_OPTIONS))
+    for key in ("adam_beta1", "adam_beta2"):
+        if checked.get(key, 0.0) >= 1.0:
+            raise ConfigError(f"train.{key} must be < 1, got {checked[key]!r}")
+    if not isinstance(checked.get("propagate_covariance", True), bool):
+        raise ConfigError("train.propagate_covariance must be true or false, got"
+                          f" {checked['propagate_covariance']!r}")
     return checked
 
 
@@ -143,8 +163,7 @@ def load_run_config(document=None, env=None, cli=None):
                     sizes = _parse_layers(sizes)
                 cfg.train["layer_sizes"] = tuple(int(s) for s in sizes)
         if "weights" in document:
-            _check_keys("weights", document["weights"], _WEIGHT_KEYS)
-            cfg.weights = dict(document["weights"])
+            cfg.weights = _check_options("weights", document["weights"], _WEIGHT_OPTIONS)
         if "segmentation" in document:
             cfg.segmentation = _check_options(
                 "segmentation", document["segmentation"], _SEG_OPTIONS)
@@ -191,4 +210,5 @@ def load_run_config(document=None, env=None, cli=None):
 
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    cfg.train = _check_train(cfg.train)
     return cfg

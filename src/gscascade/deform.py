@@ -15,6 +15,14 @@ pushes each Gaussian's covariance forward as J Sigma J^T, which is factored
 back into (orientation, scale). Per-Gaussian deltas are applied afterwards:
 center shift adds, orientation delta left-multiplies, log-scale delta adds.
 
+That makes seven parameter classes: four per cluster of each layer
+(`rotations`, `translations`, `scale_dirs`, `scale_biases`) and three per
+Gaussian (`d_centers`, `d_rotations`, `d_log_scales`). `IDENTITY_ROWS` names
+them once, with the row each holds in the identity cascade, and
+`CascadeDeform.arrays()` hands out the live arrays under the keys of
+`CascadeTrace.leaves`. `cascade_zero`, `is_zero`, `trace_cascade` and the
+checkpoint payload all iterate that table.
+
 The covariance factorization inside the cascade is gauge-continuous: the
 eigenbasis is expressed relative to R_casc * R_prev, where R_casc = R_K ... R_1
 is the product of the Gaussian's layer rotations, and rounded to it through a
@@ -44,6 +52,20 @@ from .tapemath import mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 _PD_FLOOR = 1e-12
 
+# the row each parameter class holds in the identity cascade: the d_* classes
+# are CascadeDeform fields (per Gaussian), the rest DeformLayer fields (per cluster)
+IDENTITY_ROWS = {
+    "rotations": _IDENTITY_QUAT,
+    "translations": np.zeros(3),
+    "scale_dirs": np.zeros(3),
+    "scale_biases": np.zeros(()),
+    "d_centers": np.zeros(3),
+    "d_rotations": _IDENTITY_QUAT,
+    "d_log_scales": np.zeros(3),
+}
+_LAYER_CLASSES = tuple(name for name in IDENTITY_ROWS if not name.startswith("d_"))
+_GAUSSIAN_CLASSES = tuple(name for name in IDENTITY_ROWS if name.startswith("d_"))
+
 
 @dataclass
 class DeformLayer:
@@ -54,26 +76,9 @@ class DeformLayer:
     scale_dirs: np.ndarray  # (L, 3)
     scale_biases: np.ndarray  # (L,)
 
-    @classmethod
-    def zero(cls, size):
-        return cls(
-            rotations=np.tile(_IDENTITY_QUAT, (size, 1)),
-            translations=np.zeros((size, 3)),
-            scale_dirs=np.zeros((size, 3)),
-            scale_biases=np.zeros(size),
-        )
-
     @property
     def size(self):
         return self.rotations.shape[0]
-
-    def is_zero(self):
-        return (
-            np.array_equal(self.rotations, np.tile(_IDENTITY_QUAT, (self.size, 1)))
-            and not self.translations.any()
-            and not self.scale_dirs.any()
-            and not self.scale_biases.any()
-        )
 
 
 @dataclass
@@ -97,22 +102,29 @@ class CascadeDeform:
     def n(self):
         return self.d_centers.shape[0]
 
+    def arrays(self):
+        """{key: live parameter array}, keyed and ordered like CascadeTrace.leaves:
+        `layer<k>.<class>` for every layer, then the d_* classes."""
+        out = {f"layer{k}.{name}": getattr(layer, name)
+               for k, layer in enumerate(self.layers) for name in _LAYER_CLASSES}
+        out.update((name, getattr(self, name)) for name in _GAUSSIAN_CLASSES)
+        return out
+
     def is_zero(self):
-        return (
-            all(layer.is_zero() for layer in self.layers)
-            and not self.d_centers.any()
-            and np.array_equal(self.d_rotations, np.tile(_IDENTITY_QUAT, (self.n, 1)))
-            and not self.d_log_scales.any()
-        )
+        zero = cascade_zero(self.hierarchy, self.n).arrays()
+        return all(np.array_equal(a, zero[key]) for key, a in self.arrays().items())
+
+
+def _identity_rows(names, count):
+    return {name: np.repeat(IDENTITY_ROWS[name][None], count, axis=0) for name in names}
 
 
 def cascade_zero(hierarchy, n_gaussians):
     """Identity cascade bound to `hierarchy` (fixed point of cascade_apply)."""
     return CascadeDeform(
-        layers=[DeformLayer.zero(size) for size in hierarchy.layer_sizes],
-        d_centers=np.zeros((n_gaussians, 3)),
-        d_rotations=np.tile(_IDENTITY_QUAT, (n_gaussians, 1)),
-        d_log_scales=np.zeros((n_gaussians, 3)),
+        layers=[DeformLayer(**_identity_rows(_LAYER_CLASSES, size))
+                for size in hierarchy.layer_sizes],
+        **_identity_rows(_GAUSSIAN_CLASSES, n_gaussians),
         hierarchy=hierarchy,
     )
 
@@ -175,27 +187,19 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
     hier = cascade.hierarchy
     n = gset.n
     mk = ad.leaf if differentiable else ad.constant
-    leaves = {}
+    leaves = {key: mk(a) for key, a in cascade.arrays().items()}
 
     x = ad.constant(gset.centers)
     J = None
     R_casc = None  # composed layer rotations R_K ... R_1, the gauge reference
-    for k, layer in enumerate(cascade.layers):
-        rot = mk(layer.rotations)
-        tra = mk(layer.translations)
-        cdir = mk(layer.scale_dirs)
-        sbias = mk(layer.scale_biases)
-        leaves[f"layer{k}.rotations"] = rot
-        leaves[f"layer{k}.translations"] = tra
-        leaves[f"layer{k}.scale_dirs"] = cdir
-        leaves[f"layer{k}.scale_biases"] = sbias
-
+    for k in range(len(cascade.layers)):
+        layer = {name: leaves[f"layer{k}.{name}"] for name in _LAYER_CLASSES}
         cid = hier.assignments[k]
         # convert the layer's L rotations once, then look them up per Gaussian
-        R = ad.gather(quat_to_mat_t(quat_normalize_t(rot)), cid)  # (N, 3, 3)
-        t = ad.gather(tra, cid)
-        c = ad.gather(cdir, cid)
-        s = ad.gather(sbias, cid)
+        R = ad.gather(quat_to_mat_t(quat_normalize_t(layer["rotations"])), cid)  # (N, 3, 3)
+        t = ad.gather(layer["translations"], cid)
+        c = ad.gather(layer["scale_dirs"], cid)
+        s = ad.gather(layer["scale_biases"], cid)
         pc = ad.constant(hier.centroids[k][cid])
 
         d = x - pc
@@ -213,14 +217,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
         J = Jk if J is None else ad.matmul(Jk, J)
         R_casc = R.value if R_casc is None else R.value @ R_casc
 
-    d_centers = mk(cascade.d_centers)
-    d_rotations = mk(cascade.d_rotations)
-    d_log_scales = mk(cascade.d_log_scales)
-    leaves["d_centers"] = d_centers
-    leaves["d_rotations"] = d_rotations
-    leaves["d_log_scales"] = d_log_scales
-
-    centers_out = x + d_centers
+    centers_out = x + leaves["d_centers"]
 
     cov = None
     if propagate_covariance:
@@ -251,9 +248,9 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
         q_prop = ad.constant(gset.orientations)
         scales_prop = ad.constant(gset.scales)
 
-    dq = quat_normalize_t(d_rotations)
+    dq = quat_normalize_t(leaves["d_rotations"])
     orientations_out = quat_normalize_t(quat_multiply_t(dq, q_prop))
-    scales_out = ad.mul(scales_prop, ad.exp(d_log_scales))
+    scales_out = ad.mul(scales_prop, ad.exp(leaves["d_log_scales"]))
 
     return CascadeTrace(
         centers=centers_out,
@@ -313,18 +310,9 @@ def _arr_from_hex(payload):
 
 def cascade_to_payload(cascade):
     return {
-        "layers": [
-            {
-                "rotations": _arr_to_hex(l.rotations),
-                "translations": _arr_to_hex(l.translations),
-                "scale_dirs": _arr_to_hex(l.scale_dirs),
-                "scale_biases": _arr_to_hex(l.scale_biases),
-            }
-            for l in cascade.layers
-        ],
-        "d_centers": _arr_to_hex(cascade.d_centers),
-        "d_rotations": _arr_to_hex(cascade.d_rotations),
-        "d_log_scales": _arr_to_hex(cascade.d_log_scales),
+        "layers": [{name: _arr_to_hex(getattr(layer, name)) for name in _LAYER_CLASSES}
+                   for layer in cascade.layers],
+        **{name: _arr_to_hex(getattr(cascade, name)) for name in _GAUSSIAN_CLASSES},
     }
 
 
@@ -334,17 +322,8 @@ def cascade_from_payload(payload, hierarchy):
         raise ValueError("checkpoint field 'anchored' is not true: only the anchored"
                          " cascade map can be replayed")
     return CascadeDeform(
-        layers=[
-            DeformLayer(
-                rotations=_arr_from_hex(l["rotations"]),
-                translations=_arr_from_hex(l["translations"]),
-                scale_dirs=_arr_from_hex(l["scale_dirs"]),
-                scale_biases=_arr_from_hex(l["scale_biases"]),
-            )
-            for l in payload["layers"]
-        ],
-        d_centers=_arr_from_hex(payload["d_centers"]),
-        d_rotations=_arr_from_hex(payload["d_rotations"]),
-        d_log_scales=_arr_from_hex(payload["d_log_scales"]),
+        layers=[DeformLayer(**{name: _arr_from_hex(layer[name]) for name in _LAYER_CLASSES})
+                for layer in payload["layers"]],
+        **{name: _arr_from_hex(payload[name]) for name in _GAUSSIAN_CLASSES},
         hierarchy=hierarchy,
     )

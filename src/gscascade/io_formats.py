@@ -204,6 +204,10 @@ def read_labels_csv(path):
     data = data[np.argsort(data[:, 0], kind="stable")]
     if not np.array_equal(data[:, 0], np.arange(len(data))):
         raise ValueError(f"{path}: each index 0..{len(data) - 1} must appear exactly once")
+    if np.any(data[:, 1] < 0):
+        i = int(np.argmax(data[:, 1] < 0))
+        raise ValueError(f"{path}: label {data[i, 1]} of index {i} is negative;"
+                         " part labels count from 0")
     return data[:, 1]
 
 

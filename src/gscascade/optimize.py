@@ -7,8 +7,10 @@ The hierarchy's assignments are fixed for the whole sequence; its centroids
 are recomputed from the previous frame's centers at the frame transition and
 stay frozen while that frame optimizes.
 
-Each parameter class steps with its own learning rate; quaternion parameters
-are renormalized to unit length after every step.
+Adam updates the live arrays of `CascadeDeform.arrays()` in place, keyed like
+the gradients. Each parameter class steps with the rate of one TrainConfig
+field, the per-Gaussian d_* classes at DELTA_LR_FRACTION of it; quaternion
+parameters are renormalized to unit length after every step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from .clustering import build_hierarchy
 from .deform import cascade_apply, cascade_zero
 from .losses import LossWeights, build_neighbor_graph, observation_tree, total_loss
 
-DELTA_LR_FRACTION = 0.1
+DELTA_LR_FRACTION = 0.1  # the d_* classes step at this share of their rate
+# parameter class (deform.IDENTITY_ROWS) -> the TrainConfig field of its rate
+_LR_FIELDS = {
+    "rotations": "lr_rot", "translations": "lr_trans", "scale_dirs": "lr_scaledir",
+    "scale_biases": "lr_sbias",
+    "d_centers": "lr_trans", "d_rotations": "lr_rot", "d_log_scales": "lr_scaledir",
+}
 
 
 @dataclass
@@ -50,28 +58,19 @@ class TrainConfig:
         if self.iters_per_frame < 1:
             raise ValueError("iters_per_frame must be >= 1")
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        for name in ("lr_rot", "lr_scaledir", "lr_sbias"):
+        for name in ("lr_rot", "lr_scaledir", "lr_sbias", "adam_eps"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
     def resolved_lr(self, key):
-        """Learning rate for a parameter leaf named like CascadeTrace.leaves."""
-        lr_trans = self.lr_trans if self.lr_trans is not None else 1.6e-2 * self.scene_scale
-        if key.endswith(".rotations"):
-            return self.lr_rot
-        if key.endswith(".translations"):
-            return lr_trans
-        if key.endswith(".scale_dirs"):
-            return self.lr_scaledir
-        if key.endswith(".scale_biases"):
-            return self.lr_sbias
-        if key == "d_centers":
-            return DELTA_LR_FRACTION * lr_trans
-        if key == "d_rotations":
-            return DELTA_LR_FRACTION * self.lr_rot
-        if key == "d_log_scales":
-            return DELTA_LR_FRACTION * self.lr_scaledir
-        raise KeyError(f"unknown parameter class: {key}")
+        """Learning rate for a parameter key of CascadeDeform.arrays()."""
+        name = key.rpartition(".")[2]
+        if name not in _LR_FIELDS:
+            raise KeyError(f"unknown parameter class: {key}")
+        lr = getattr(self, _LR_FIELDS[name])
+        if lr is None:  # lr_trans scales with the scene unless set
+            lr = 1.6e-2 * self.scene_scale
+        return DELTA_LR_FRACTION * lr if name.startswith("d_") else lr
 
 
 class AdamState:
@@ -83,13 +82,6 @@ class AdamState:
         self.t = 0
 
 
-def _param_array(cascade, key):
-    if key.startswith("layer"):
-        layer_idx, attr = key[len("layer"):].split(".")
-        return getattr(cascade.layers[int(layer_idx)], attr)
-    return getattr(cascade, key)
-
-
 def adam_step(cascade, grads, state, config):
     """One Adam update in place; returns (cascade, state).
 
@@ -98,6 +90,7 @@ def adam_step(cascade, grads, state, config):
     """
     state.t += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    arrays = cascade.arrays()
     for key in sorted(grads):
         g = grads[key]
         if not np.all(np.isfinite(g)):
@@ -113,7 +106,7 @@ def adam_step(cascade, grads, state, config):
         state.v[key] = v
         mhat = m / (1.0 - b1**state.t)
         vhat = v / (1.0 - b2**state.t)
-        arr = _param_array(cascade, key)
+        arr = arrays[key]
         arr -= config.resolved_lr(key) * mhat / (np.sqrt(vhat) + eps)
         if key.endswith("rotations"):
             arr[:] = geometry.quat_normalize(arr)
@@ -125,7 +118,6 @@ class FrameReport:
     frame_index: int
     curve: list  # per iteration: dict of component values + "total"
     final_losses: dict
-    iterations: int
     wall_time: float
 
 
@@ -135,7 +127,6 @@ class FitReport:
     sets: list  # GaussianSet per frame, index 0 = the given initial set
     cascades: list  # converged CascadeDeform per fitted frame
     hierarchy: object
-    wall_time: float
 
 
 def _neighbor_graph(centers, config):
@@ -188,7 +179,6 @@ def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None)
         frame_index=new_set.frame_index,
         curve=curve,
         final_losses=final,
-        iterations=config.iters_per_frame,
         wall_time=time.perf_counter() - t0,
     )
     return new_set, cascade, report
@@ -202,7 +192,6 @@ def fit_sequence(initial_set, sequence, config, hierarchy=None):
     corresponds to the given initial set and is not fitted. Raises ValueError,
     naming the frame, on a correspondence index past the last Gaussian.
     """
-    t0 = time.perf_counter()
     observations = getattr(sequence, "observations", sequence)
     for frame, obs in enumerate(observations):
         if obs.correspondence is not None and np.any(obs.correspondence >= initial_set.n):
@@ -225,13 +214,7 @@ def fit_sequence(initial_set, sequence, config, hierarchy=None):
         sets.append(new_set)
         cascades.append(cascade)
         reports.append(report)
-    return FitReport(
-        frames=reports,
-        sets=sets,
-        cascades=cascades,
-        hierarchy=hierarchy,
-        wall_time=time.perf_counter() - t0,
-    )
+    return FitReport(frames=reports, sets=sets, cascades=cascades, hierarchy=hierarchy)
 
 
 def mean_center_error(sets, gt_centers):

@@ -218,11 +218,11 @@ def _edit_cell(row, col, value):
     return _edit_rows(edit)
 
 
-def _edit_scene_json(edit):
+def _edit_json(edit):
     def corrupt(path):
-        meta = json.loads(path.read_text())
-        edit(meta)
-        path.write_text(json.dumps(meta))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
     return corrupt
 
 
@@ -240,6 +240,8 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
     pytest.param("labels.csv", _edit_cell(30, 0, "999"), "exactly once", id="labels-999"),
     pytest.param("labels.csv", _edit_cell(3, 0, "1"), "exactly once", id="labels-duplicate"),
     pytest.param("labels.csv", _edit_cell(3, 1, "two"), "bad row", id="labels-garbled"),
+    pytest.param("labels.csv", _edit_cell(3, 1, "-4"), "label -4 of index 2 is negative",
+                 id="labels-negative"),
     pytest.param("init_gaussians.csv",
                  _edit_rows(lambda rows: [rows[0].replace("qw", "w")] + rows[1:]),
                  "unexpected initial Gaussians header", id="init-header"),
@@ -247,9 +249,9 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
                  id="init-nan"),
     pytest.param("init_gaussians.csv", _edit_cell(4, 9, "-0.5"),
                  "scales must be strictly positive", id="init-scale"),
-    pytest.param("scene.json", _edit_scene_json(lambda meta: meta.pop("part_quats")),
+    pytest.param("scene.json", _edit_json(lambda meta: meta.pop("part_quats")),
                  "missing key 'part_quats'", id="scene-no-part-quats"),
-    pytest.param("scene.json", _edit_scene_json(lambda meta: meta["spec"].update(kind="ship")),
+    pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(kind="ship")),
                  "unknown scene kind 'ship'", id="scene-kind"),
 ])
 def test_bad_scene_file_exits_2_naming_it(tmp_path, capsys, name, corrupt, message):
@@ -276,12 +278,40 @@ def test_bad_layer_sizes_exit_2_naming_them(tmp_path, capsys, layers):
 
 
 @pytest.fixture(scope="module")
-def tiny_fit(tmp_path_factory):
+def tiny_scene(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny_scene")
+    assert main(["generate", "--config", write_config(root), "--out", str(root / "scene")]) == 0
+    return root / "scene"
+
+
+@pytest.fixture(scope="module")
+def tiny_fit(tmp_path_factory, tiny_scene):
     root = tmp_path_factory.mktemp("tiny_fit")
     cfg = write_config(root)
-    assert main(["generate", "--config", cfg, "--out", str(root / "scene")]) == 0
-    assert main(["fit", str(root / "scene"), "--config", cfg, "--out", str(root / "fit")]) == 0
+    assert main(["fit", str(tiny_scene), "--config", cfg, "--out", str(root / "fit")]) == 0
     return root / "fit"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "k_neighbors", 0),
+    ("train", "k_neighbors", 2.5),
+    ("train", "adam_beta1", 1.0),
+    ("train", "adam_eps", 0.0),
+    ("train", "lr_rot", float("nan")),
+    ("weights", "w_rigid", float("nan")),
+    ("train", "lr_trans", -1),
+    ("train", "max_scale", -1),
+    ("train", "propagate_covariance", "no"),
+])
+def test_bad_train_and_weight_values_exit_2_naming_them(tiny_scene, tmp_path, capsys,
+                                                       section, key, value):
+    doc = dict(TINY, **{section: dict(TINY.get(section, {}), **{key: value})})
+    cfg = write_config(tmp_path, doc=doc)
+    out = tmp_path / "fit"
+    assert main(["fit", str(tiny_scene), "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -328,6 +358,26 @@ def test_bad_trajectory_csv_exits_2_naming_it(tiny_fit, tmp_path, capsys, comman
     assert main([command, str(fit), "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "trajectory.csv" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, corrupt, message", [
+    pytest.param("segment", _edit_json(lambda s: s.pop("scene_kind")),
+                 "missing key 'scene_kind'", id="segment-no-kind"),
+    pytest.param("track", _edit_json(lambda s: s.pop("scene_dir")),
+                 "missing key 'scene_dir'", id="track-no-scene-dir"),
+    pytest.param("eval", lambda path: path.write_text('{"scene_kind": '), "Expecting value",
+                 id="eval-malformed"),
+])
+def test_bad_fit_summary_exits_2_naming_it(tiny_fit, tmp_path, capsys, command, corrupt,
+                                           message):
+    fit = tmp_path / "fit"
+    shutil.copytree(tiny_fit, fit)
+    corrupt(fit / "summary.json")
+    cfg = write_config(tmp_path)
+    assert main([command, str(fit), "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(fit / "summary.json") in err and message in err
     assert not (tmp_path / "out").exists()
 
 

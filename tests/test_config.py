@@ -202,12 +202,36 @@ def test_train_config_wiring():
 
 
 def test_train_config_validation_is_wrapped():
-    doc = {"weights": {"w_rigid": -1.0}}
-    with pytest.raises(ConfigError, match="invalid train config"):
-        load_run_config(document=doc, env={}).train_config()
-    doc = {"train": {"iters_per_frame": 0}}
-    with pytest.raises(ConfigError, match="invalid train config"):
-        load_run_config(document=doc, env={}).train_config()
+    # values the schema lets through but TrainConfig rejects
+    for train in ({"lr_rot": 0.0}, {"adam_eps": 0.0}):
+        with pytest.raises(ConfigError, match="invalid train config"):
+            load_run_config(document={"train": train}, env={}).train_config()
+
+
+@pytest.mark.parametrize("doc, env, needle", [
+    ({"weights": {"w_rigid": -1.0}}, {}, "weights.w_rigid must be a finite number >= 0.0"),
+    ({"weights": {"w_data": "1"}}, {}, "weights.w_data must be a finite number"),
+    ({"train": {"iters_per_frame": 0}}, {}, "train.iters_per_frame must be an integer >= 1"),
+    ({"train": {"lambda_weight": float("inf")}}, {}, "train.lambda_weight must be a finite"),
+    ({"train": {"adam_beta2": 1.5}}, {}, "train.adam_beta2 must be < 1"),
+    ({"train": {"propagate_covariance": 0}}, {}, "train.propagate_covariance must be true"),
+    # merged values are checked, whichever layer set them
+    (None, {"GSCASCADE_MAX_SCALE": "-0.5"}, "train.max_scale must be a finite number >= 0.0"),
+])
+def test_train_and_weight_values_are_schema_checked(doc, env, needle):
+    with pytest.raises(ConfigError, match=needle):
+        load_run_config(document=doc, env=env)
+
+
+def test_train_values_land_typed_and_nulls_stay():
+    doc = {"train": {"iters_per_frame": 4.0, "lr_trans": None, "lambda_weight": None,
+                     "max_scale": 1, "propagate_covariance": False}}
+    cfg = load_run_config(document=doc, env={})
+    assert cfg.train["iters_per_frame"] == 4 and type(cfg.train["iters_per_frame"]) is int
+    assert type(cfg.train["max_scale"]) is float
+    tc = cfg.train_config(scene_scale=2.0)
+    assert tc.lr_trans is None and tc.lambda_weight is None
+    assert tc.propagate_covariance is False
 
 
 def test_seg_and_track_option_defaults_merge():

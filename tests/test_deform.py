@@ -14,7 +14,6 @@ from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import (
     CascadeDeform,
-    DeformLayer,
     _nearest_signed_permutation,
     cascade_apply,
     cascade_from_payload,
@@ -163,12 +162,13 @@ def test_layer_size_mismatch_rejected():
     rng = np.random.default_rng(60)
     gset = random_set(rng, n=20)
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
+    other = cascade_zero(build_hierarchy(gset.centers, (2, 7), seed=0), 20)
     with pytest.raises(ValueError, match="do not match"):
         CascadeDeform(
-            layers=[DeformLayer.zero(2), DeformLayer.zero(7)],
-            d_centers=np.zeros((20, 3)),
-            d_rotations=np.tile([1.0, 0, 0, 0], (20, 1)),
-            d_log_scales=np.zeros((20, 3)),
+            layers=other.layers,
+            d_centers=other.d_centers,
+            d_rotations=other.d_rotations,
+            d_log_scales=other.d_log_scales,
             hierarchy=h,
         )
 

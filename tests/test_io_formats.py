@@ -162,7 +162,7 @@ def test_losses_csv_layout(tmp_path):
                             "scale": 0.0, "data": 1.5, "total": 2.1},
                            {"rigidity": 0.05, "isometry": 0.1, "rotation": 0.2,
                             "scale": 0.0, "data": 0.7, "total": 1.05}],
-                    final_losses={}, iterations=2, wall_time=0.1),
+                    final_losses={}, wall_time=0.1),
     ]
     p = tmp_path / "losses.csv"
     write_losses_csv(p, reports)
