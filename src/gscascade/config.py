@@ -40,6 +40,7 @@ _SEG_OPTIONS = {"k_parts": (int, 1), "lambda_p": (float, None), "lambda_r": (flo
                 "lambda_p0": (float, None)}
 _TRACK_OPTIONS = {"camera_index": (int, 0), "n_tracks": (int, 1)}
 _TOP_KEYS = {"scene", "train", "weights", "segmentation", "tracking", "out", "seed", "threads"}
+_RUN_OPTIONS = {"seed": 0, "threads": 1}  # top-level integer option -> least allowed value
 
 ENV_PREFIX = "GSCASCADE_"
 
@@ -52,15 +53,20 @@ def _check_keys(section, mapping, allowed):
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
 
 
+def _is_option(value, kind, least):
+    """Is a JSON value a finite number, integral if `kind` is int, and >= `least`?"""
+    return not (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or (kind is int and value != int(value))
+                or (least is not None and value < least))
+
+
 def _check_options(section, mapping, options):
     """Schema-check a section of numeric options; returns it with typed values."""
     _check_keys(section, mapping, set(options))
     checked = {}
     for key, value in mapping.items():
         kind, least = options[key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value) or (kind is int and value != int(value))
-                or (least is not None and value < least)):
+        if not _is_option(value, kind, least):
             what = "an integer" if kind is int else "a finite number"
             bound = "" if least is None else f" >= {least}"
             raise ConfigError(f"{section}.{key} must be {what}{bound}, got {value!r}")
@@ -138,6 +144,25 @@ def _parse_layers(text):
     return sizes
 
 
+def _check_layer_list(sizes):
+    """A document's non-string train.layer_sizes: a non-empty list of integers >= 1."""
+    if not (isinstance(sizes, (list, tuple)) and sizes
+            and all(_is_option(s, int, 1) for s in sizes)):
+        raise ConfigError("train.layer_sizes must be a non-empty list of integers >= 1 or a"
+                          f" comma-separated string, got {sizes!r}")
+    return tuple(int(s) for s in sizes)
+
+
+def _run_option(key, value, source):
+    """`seed` or `threads` as one layer (`source`) sets it: an integer >= its least value."""
+    least = _RUN_OPTIONS[key]
+    if not _is_option(value, int, None):
+        raise ConfigError(f"{key} must be an integer, got {value!r} from {source}")
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value!r} from {source}")
+    return int(value)
+
+
 def _coerce(name, value, kind):
     try:
         return kind(value)
@@ -159,9 +184,8 @@ def load_run_config(document=None, env=None, cli=None):
             cfg.train = dict(document["train"])
             if "layer_sizes" in cfg.train:
                 sizes = cfg.train["layer_sizes"]
-                if isinstance(sizes, str):
-                    sizes = _parse_layers(sizes)
-                cfg.train["layer_sizes"] = tuple(int(s) for s in sizes)
+                cfg.train["layer_sizes"] = (_parse_layers(sizes) if isinstance(sizes, str)
+                                            else _check_layer_list(sizes))
         if "weights" in document:
             cfg.weights = _check_options("weights", document["weights"], _WEIGHT_OPTIONS)
         if "segmentation" in document:
@@ -171,16 +195,15 @@ def load_run_config(document=None, env=None, cli=None):
             cfg.tracking = _check_options("tracking", document["tracking"], _TRACK_OPTIONS)
         if "out" in document:
             cfg.out = str(document["out"])
-        if "seed" in document:
-            cfg.seed = _coerce("seed", document["seed"], int)
-        if "threads" in document:
-            cfg.threads = _coerce("threads", document["threads"], int)
+        for key in _RUN_OPTIONS:
+            if key in document:
+                setattr(cfg, key, _run_option(key, document[key], "the config"))
 
     env = os.environ if env is None else env
-    if env.get(ENV_PREFIX + "SEED") is not None:
-        cfg.seed = _coerce("GSCASCADE_SEED", env[ENV_PREFIX + "SEED"], int)
-    if env.get(ENV_PREFIX + "THREADS") is not None:
-        cfg.threads = _coerce("GSCASCADE_THREADS", env[ENV_PREFIX + "THREADS"], int)
+    for key in _RUN_OPTIONS:
+        var = ENV_PREFIX + key.upper()
+        if env.get(var) is not None:
+            setattr(cfg, key, _run_option(key, _coerce(var, env[var], int), var))
     if env.get(ENV_PREFIX + "OUT") is not None:
         cfg.out = env[ENV_PREFIX + "OUT"]
     if env.get(ENV_PREFIX + "ITERS") is not None:
@@ -195,10 +218,9 @@ def load_run_config(document=None, env=None, cli=None):
         )
 
     if cli is not None:
-        if getattr(cli, "seed", None) is not None:
-            cfg.seed = int(cli.seed)
-        if getattr(cli, "threads", None) is not None:
-            cfg.threads = int(cli.threads)
+        for key in _RUN_OPTIONS:
+            if getattr(cli, key, None) is not None:
+                setattr(cfg, key, _run_option(key, getattr(cli, key), f"--{key}"))
         if getattr(cli, "out", None) is not None:
             cfg.out = cli.out
         if getattr(cli, "iters", None) is not None:
@@ -208,7 +230,5 @@ def load_run_config(document=None, env=None, cli=None):
         if getattr(cli, "max_scale", None) is not None:
             cfg.train["max_scale"] = float(cli.max_scale)
 
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     cfg.train = _check_train(cfg.train)
     return cfg

@@ -3,6 +3,12 @@
 A tracked point is just a Gaussian index: its predicted 2D track is the
 projection of that Gaussian's center at every frame. No re-association ever
 happens — index identity across frames is the tracker.
+
+A ground-truth track is matched to a Gaussian by scoring every candidate in
+one batched pass: the whole trajectory is projected once, and each
+candidate's median track error is taken column-wise over the frames it shares
+with the track (`_median_error`, the one definition of the median track error,
+which `mte` uses too).
 """
 
 from __future__ import annotations
@@ -115,13 +121,33 @@ def project_track(camera, centers_over_time):
     return Track2D(pixels=pix, valid=valid)
 
 
+def _median_error(dist, shared, image_diagonal):
+    """Per-column median of `dist` (T, C) over the frames where `shared` (T, C)
+    holds, divided by `image_diagonal`: (C,) errors as diagonal fractions.
+
+    Bit-equal to `np.median(dist[shared[:, c], c]) / image_diagonal` for every
+    column c: the unshared frames become NaN and sort last, and the median is
+    the middle sample, or the half-sum of the two middle ones. A column with a
+    NaN distance on a shared frame scores NaN, as `np.median` does. Every
+    column needs at least one shared frame.
+    """
+    count = shared.sum(axis=0)
+    ordered = np.sort(np.where(shared, dist, np.nan), axis=0)
+    cols = np.arange(dist.shape[1])
+    lo = ordered[(count - 1) // 2, cols]
+    hi = ordered[count // 2, cols]
+    median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
+    median[(np.isnan(dist) & shared).any(axis=0)] = np.nan
+    return median / image_diagonal
+
+
 def mte(pred, gt, image_diagonal):
     """Median pixel distance between two tracks / image diagonal (a fraction)."""
     both = pred.valid & gt.valid
     if not np.any(both):
         raise ValueError("tracks share no valid frames")
-    d = np.linalg.norm(pred.pixels[both] - gt.pixels[both], axis=-1)
-    return float(np.median(d) / image_diagonal)
+    d = np.linalg.norm(pred.pixels - gt.pixels, axis=-1)
+    return float(_median_error(d[:, None], both[:, None], image_diagonal)[0])
 
 
 def select_candidate(centers_traj, camera, gt_track):
@@ -130,19 +156,26 @@ def select_candidate(centers_traj, camera, gt_track):
     centers_traj is the fitted (T, N, 3) center trajectory. Candidates are
     all Gaussians whose frame-0 projection lands within 10 pixels of the
     track's first point; among them the one with the lowest full-sequence
-    MTE wins. Raises if no candidate is in range.
+    MTE wins. All candidates are scored at once: the trajectory is projected
+    in one call and the candidates' MTEs come from one (T, C) array of pixel
+    distances, each column over the frames valid in both the candidate and
+    the track (frame 0 always is, through the gate). A tie goes to the lowest
+    index. A non-finite MTE (a candidate whose valid frames project to
+    non-finite pixels) never wins. Raises ValueError if no candidate is in
+    range, or if no candidate has a finite MTE.
     """
     centers_traj = np.asarray(centers_traj, dtype=np.float64)
-    pix0, _, valid0 = project(camera, centers_traj[0])
-    d0 = np.linalg.norm(pix0 - gt_track.pixels[0], axis=-1)
-    cand = np.nonzero(valid0 & (d0 <= CANDIDATE_RADIUS_PX))[0]
+    pix, _, valid = project(camera, centers_traj)
+    d0 = np.linalg.norm(pix[0] - gt_track.pixels[0], axis=-1)
+    cand = np.nonzero(valid[0] & (d0 <= CANDIDATE_RADIUS_PX))[0]
     if cand.size == 0:
         raise ValueError("no Gaussian projects within 10 px of the track start")
-    best_idx = -1
-    best_err = np.inf
-    for i in cand:
-        err = mte(project_track(camera, centers_traj[:, i]), gt_track, camera.image_diagonal)
-        if err < best_err:
-            best_err = err
-            best_idx = int(i)
-    return best_idx
+    dist = np.linalg.norm(pix[:, cand] - gt_track.pixels[:, None], axis=-1)
+    shared = valid[:, cand] & gt_track.valid[:, None]
+    errors = _median_error(dist, shared, camera.image_diagonal)
+    finite = np.isfinite(errors)
+    if not finite.any():
+        u, v = gt_track.pixels[0]
+        raise ValueError(f"no candidate for the track starting at pixel ({u:.6g}, {v:.6g})"
+                         " has a finite error")
+    return int(cand[np.argmin(np.where(finite, errors, np.inf))])

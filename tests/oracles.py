@@ -6,8 +6,9 @@ an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, value-and-gradient wrappers around single loss terms, a
-brute-force Chamfer term, the inverse camera map, and Procrustes subset checks
-for the rigid-subpart rotation property.
+brute-force Chamfer term, the inverse camera map, the per-candidate loop of
+track selection, and Procrustes subset checks for the rigid-subpart rotation
+property.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from gscascade import autodiff as ad
 from gscascade import geometry
 from gscascade.losses import data_loss_t, isometry_loss_t, rigidity_loss_t, rotation_loss_t
 from gscascade.segmentation import procrustes_rotation
+from gscascade.tracking import CANDIDATE_RADIUS_PX, mte, project, project_track
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -199,6 +201,29 @@ def unproject(camera, pixels, depth):
     cam = np.stack([x, y, depth], axis=-1)
     R = geometry.quat_to_matrix(camera.rotation)
     return (cam - camera.translation) @ R
+
+
+def select_candidate_loop(centers_traj, camera, gt_track):
+    """tracking.select_candidate as one projection and one median per candidate.
+
+    Keeps the first candidate whose MTE is strictly below the best so far, so
+    a tie goes to the lowest index and a NaN or inf MTE never wins; returns -1
+    when no candidate's MTE is finite.
+    """
+    centers_traj = np.asarray(centers_traj, dtype=np.float64)
+    pix0, _, valid0 = project(camera, centers_traj[0])
+    d0 = np.linalg.norm(pix0 - gt_track.pixels[0], axis=-1)
+    cand = np.nonzero(valid0 & (d0 <= CANDIDATE_RADIUS_PX))[0]
+    if cand.size == 0:
+        raise ValueError("no Gaussian projects within 10 px of the track start")
+    best_idx = -1
+    best_err = np.inf
+    for i in cand:
+        err = mte(project_track(camera, centers_traj[:, i]), gt_track, camera.image_diagonal)
+        if err < best_err:
+            best_err = err
+            best_idx = int(i)
+    return best_idx
 
 
 # ---------------------------------------------------------------------------

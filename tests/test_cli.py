@@ -13,6 +13,8 @@ from gscascade.core import GaussianSet
 from gscascade.deform import cascade_apply, cascade_from_payload
 from gscascade.io_formats import read_csv, read_json, read_ply, read_trajectory_csv, write_ply
 from gscascade.scenegen import SceneSpec, generate
+from gscascade.tracking import mte, project_track
+from oracles import select_candidate_loop
 
 TINY = {
     "scene": {"kind": "wheel", "n_gaussians": 30, "n_frames": 3, "motion_magnitude": 18.0},
@@ -332,6 +334,57 @@ def test_bad_segmentation_and_tracking_options_exit_2(tiny_fit, tmp_path, capsys
     err = capsys.readouterr().err
     assert "config error" in err and f"{section}.{key}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [5, ["a"], [2.5, 8], [], [0, 8], [True, 8]])
+def test_bad_layer_size_list_exits_2_naming_it(tiny_scene, tmp_path, capsys, sizes):
+    cfg = write_config(tmp_path, doc=dict(TINY, train=dict(TINY["train"], layer_sizes=sizes)))
+    out = tmp_path / "fit"
+    assert main(["fit", str(tiny_scene), "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "train.layer_sizes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top, env, name", [
+    ({"seed": 1.7}, {}, "seed"),
+    ({"seed": True}, {}, "seed"),
+    ({"seed": -1}, {}, "seed"),
+    ({"threads": 2.9}, {}, "threads"),
+    ({}, {"GSCASCADE_SEED": "-1"}, "GSCASCADE_SEED"),
+    ({}, {"GSCASCADE_THREADS": "2.9"}, "GSCASCADE_THREADS"),
+    ({}, {"GSCASCADE_THREADS": "0"}, "GSCASCADE_THREADS"),
+])
+def test_bad_seed_or_threads_exits_2_naming_it(tmp_path, capsys, monkeypatch, top, env, name):
+    for var, text in env.items():
+        monkeypatch.setenv(var, text)
+    cfg = write_config(tmp_path, doc=dict(TINY, **top))
+    out = tmp_path / "scene"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not out.exists()
+
+
+def test_track_picks_match_the_per_candidate_loop(tiny_fit, tmp_path):
+    out = tmp_path / "track"
+    assert main(["track", str(tiny_fit), "--config", write_config(tmp_path),
+                 "--out", str(out)]) == 0
+    seq = load_scene_dir(read_json(tiny_fit / "summary.json")["scene_dir"])
+    centers, _, _ = read_trajectory_csv(tiny_fit / "trajectory.csv")
+    camera = seq.cameras[0]
+    # the targets cmd_track draws: n_tracks of the N Gaussians, seeded by the run seed
+    n = seq.gt_centers.shape[1]
+    targets = np.sort(np.random.default_rng(TINY["seed"]).choice(
+        n, size=TINY["tracking"]["n_tracks"], replace=False))
+    _, rows = read_csv(out / "mte.csv")
+    assert rows
+    for track_id, gaussian_index, err in rows:
+        gt_track = project_track(camera, seq.gt_centers[:, targets[int(track_id)]])
+        pick = select_candidate_loop(centers, camera, gt_track)
+        assert int(gaussian_index) == pick
+        pred_track = project_track(camera, centers[:, pick])
+        assert float(err) == mte(pred_track, gt_track, camera.image_diagonal)
 
 
 def test_k_parts_above_gaussian_count_exits_2(tiny_fit, tmp_path, capsys):

@@ -95,6 +95,39 @@ def test_layer_sizes_from_document_string_and_list():
     assert cfg.train["layer_sizes"] == (2, 8)
 
 
+@pytest.mark.parametrize("sizes", [5, ["a"], [2.5, 8], [], [0, 8], [True, 8], {"a": 1}, None])
+def test_bad_layer_size_documents_rejected(sizes):
+    with pytest.raises(ConfigError, match="train.layer_sizes must be a non-empty list of"
+                                          " integers >= 1"):
+        load_run_config(document={"train": {"layer_sizes": sizes}}, env={})
+
+
+@pytest.mark.parametrize("doc, env, needle", [
+    ({"seed": 1.7}, {}, "seed must be an integer, got 1.7 from the config"),
+    ({"seed": True}, {}, "seed must be an integer, got True from the config"),
+    ({"seed": "3"}, {}, "seed must be an integer, got '3' from the config"),
+    ({"seed": -1}, {}, "seed must be >= 0, got -1 from the config"),
+    ({"threads": 2.9}, {}, "threads must be an integer, got 2.9 from the config"),
+    ({"threads": False}, {}, "threads must be an integer, got False from the config"),
+    (None, {"GSCASCADE_SEED": "-1"}, "seed must be >= 0, got -1 from GSCASCADE_SEED"),
+    (None, {"GSCASCADE_SEED": "1.7"}, "invalid value for GSCASCADE_SEED"),
+    (None, {"GSCASCADE_THREADS": "2.9"}, "invalid value for GSCASCADE_THREADS"),
+    (None, {"GSCASCADE_THREADS": "0"}, "threads must be >= 1, got 0 from GSCASCADE_THREADS"),
+])
+def test_seed_and_threads_are_schema_checked(doc, env, needle):
+    with pytest.raises(ConfigError, match=needle):
+        load_run_config(document=doc, env=env)
+
+
+def test_seed_and_threads_land_as_integers():
+    cfg = load_run_config(document={"seed": 0, "threads": 2.0}, env={})
+    assert cfg.seed == 0 and cfg.threads == 2 and type(cfg.threads) is int
+    cfg = load_run_config(document=None, env={}, cli=cli_ns(seed=5))
+    assert cfg.seed == 5
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -4 from --seed"):
+        load_run_config(document=None, env={}, cli=cli_ns(seed=-4))
+
+
 def test_layer_parsing_tolerates_trailing_comma():
     cfg = load_run_config(document=None, env={"GSCASCADE_LAYERS": "4,20,"})
     assert cfg.train["layer_sizes"] == (4, 20)

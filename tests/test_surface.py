@@ -8,8 +8,8 @@ use, and unit tests do not count: code that only unit tests reach belongs in
 
 The scan is by name, so a dead method escapes it when anything else of the
 same name is referenced (an attribute, a field or a method of another class).
-An imported name counts as a reference, so no module in `src/` or `scripts/`
-may import a name it never uses.
+An imported name counts as a reference, so no module in `src/`, `scripts/`,
+`tests/` or `bench/` may import a name it never uses.
 """
 
 import ast
@@ -25,7 +25,8 @@ CALLERS = [
     *sorted((ROOT / "bench").rglob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
-IMPORTERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").rglob("*.py"))]
+IMPORTERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").rglob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def _public(nodes, kinds):

@@ -1,7 +1,8 @@
 """Pinhole projection geometry and 2D track-error scoring.
 
 Projection oracles are hand-worked similar-triangle cases; the error metric
-is pinned by literal pixel arithmetic.
+is pinned by literal pixel arithmetic. Batched candidate selection is checked
+against the per-candidate loop in `oracles.select_candidate_loop`.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from gscascade.tracking import (
     project_track,
     select_candidate,
 )
-from oracles import unproject
+from oracles import select_candidate_loop, unproject
 
 
 def identity_camera(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=200, height=200):
@@ -187,3 +188,98 @@ def test_select_candidate_gate_is_10_px():
     traj[:, 0] = [0.09, 0.0, 1.0]
     assert select_candidate(traj, cam, gt) == 0
     assert CANDIDATE_RADIUS_PX == 10.0
+
+
+def _random_selection_case(rng, camera):
+    """(centers_traj (T, N, 3), gt_track, features) of one random selection case.
+
+    The ground truth starts near the origin, and each Gaussian follows it with
+    its own offset and drift, so some start inside the 10 px gate and some
+    outside (50 px per scene unit at the origin). Some cases copy Gaussians
+    (ties), send Gaussians or the ground truth behind the camera after frame
+    0, or move every Gaussian out of the gate.
+    """
+    T = int(rng.integers(2, 8))
+    N = int(rng.integers(1, 16))
+    gt_traj = np.cumsum(rng.normal(scale=0.05, size=(T, 3)), axis=0)
+    offsets = rng.normal(scale=0.12, size=(N, 3))
+    drift = np.cumsum(rng.normal(scale=0.05, size=(T, N, 3)), axis=0)
+    traj = gt_traj[:, None, :] + offsets + drift - drift[:1]
+    features = set()
+    if rng.random() < 0.3 and N > 1:
+        traj = traj[:, rng.integers(0, max(1, N // 3), size=N)]  # copies: ties
+        features.add("copies")
+    if rng.random() < 0.3:
+        behind = rng.random((T, N)) < 0.3
+        behind[0] = False
+        traj[behind, 2] = -6.0  # the camera sits at z = -4, looking at +z
+        features.add("candidates behind")
+    if rng.random() < 0.3:
+        gone = rng.random(T) < 0.4
+        gone[0] = False
+        gt_traj[gone, 2] = -6.0
+        features.add("track invalid later")
+    if rng.random() < 0.08:
+        traj[..., 0] += 1.0  # 50 px away: no candidate
+        features.add("no candidate")
+    return traj, project_track(camera, gt_traj), features
+
+
+def test_select_candidate_matches_the_per_candidate_loop():
+    cam = look_at_camera(eye=[0.0, 0.0, -4.0], target=[0.0, 0.0, 0.0],
+                         fx=200.0, fy=200.0, width=160, height=120)
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(300):
+        traj, gt, features = _random_selection_case(rng, cam)
+        seen |= features
+        try:
+            expected = select_candidate_loop(traj, cam, gt)
+        except ValueError as e:
+            assert "10 px" in str(e)
+            with pytest.raises(ValueError, match="10 px"):
+                select_candidate(traj, cam, gt)
+            seen.add("raised")
+            continue
+        assert select_candidate(traj, cam, gt) == expected
+        _, _, valid = project(cam, traj)
+        if (traj[:, expected:expected + 1] == traj).all(axis=(0, 2)).sum() > 1:
+            seen.add("winner tied")
+        shared = (valid[:, expected] & gt.valid).sum()
+        seen.add(f"{'odd' if shared % 2 else 'even'} shared frames")
+    assert seen == {"copies", "candidates behind", "track invalid later", "no candidate",
+                    "raised", "winner tied", "odd shared frames", "even shared frames"}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_select_candidate_never_returns_minus_one():
+    # an inf coordinate after frame 0 puts the Gaussian at infinite depth,
+    # where it is valid but its pixels are NaN: its MTE is NaN
+    cam = look_at_camera(eye=[1.0, 2.0, -4.0], target=[0.0, 0.0, 0.0],
+                         fx=200.0, fy=200.0, width=160, height=120)
+    traj = np.zeros((3, 2, 3))
+    traj[:, 1] = [0.01, 0.0, 0.0]
+    traj[1, 0, 0] = -np.inf
+    gt = project_track(cam, np.zeros((3, 3)))
+    pix, _, valid = project(cam, traj[1, 0])
+    assert valid and np.isnan(pix).all()
+    assert select_candidate_loop(traj, cam, gt) == select_candidate(traj, cam, gt) == 1
+    # with no finite candidate the loop fell through to -1
+    only = traj[:, :1]
+    assert select_candidate_loop(only, cam, gt) == -1
+    u, v = gt.pixels[0]
+    with pytest.raises(ValueError, match=rf"starting at pixel \({u:.6g}, {v:.6g}\)"):
+        select_candidate(only, cam, gt)
+
+
+def test_mte_is_bit_identical_to_the_median_formula():
+    rng = np.random.default_rng(5)
+    for T in range(1, 12):
+        for _ in range(10):
+            pred = Track2D(rng.uniform(0, 640, size=(T, 2)), rng.random(T) < 0.8)
+            gt = Track2D(rng.uniform(0, 640, size=(T, 2)), rng.random(T) < 0.8)
+            both = pred.valid & gt.valid
+            if not both.any():
+                continue
+            d = np.linalg.norm(pred.pixels[both] - gt.pixels[both], axis=-1)
+            assert mte(pred, gt, 800.0).hex() == float(np.median(d) / 800.0).hex()
