@@ -8,14 +8,18 @@ Conventions:
   * float64 everywhere; shapes follow numpy broadcasting.
   * Ops build a graph only when an input has requires_grad=True; otherwise they
     are plain (slightly wrapped) numpy calls.
+  * A node's VJP computes the gradient of an operand only when that operand
+    requires it: nothing is computed for constants and then thrown away.
   * Gradient accumulation order is the reverse topological order of creation,
-    and gather's scatter-add is one np.bincount per trailing column (which
-    sums in index order), so backward passes are deterministic.
+    and the scatter-add of `gather` and `edge_diff` is one np.bincount per
+    trailing column (which sums in index order), so backward passes are
+    deterministic.
   * Per-node Python overhead dominates at the pipeline's array sizes, so hot
-    composite kernels (`eigh3` here, the quaternion kernels in `tapemath`)
-    are primitives with closed-form VJPs, not chains of elementwise ops.
-    Their forwards (the Jacobi eigensolver, Shepperd's table) live in
-    `geometry`; this module owns only the tape.
+    composite kernels (`eigh3` and the neighbour-graph `edge_diff` here, the
+    quaternion kernels and `safe_norm` in `tapemath`) are primitives with
+    closed-form VJPs, not chains of elementwise ops. Their forwards (the
+    Jacobi eigensolver, Shepperd's table) live in `geometry`; this module
+    owns only the tape.
 """
 
 from __future__ import annotations
@@ -147,8 +151,10 @@ def add(a, b):
     v = a.value + b.value
 
     def vjp(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.value.shape))
 
     return _make(v, (a, b), vjp)
 
@@ -158,8 +164,10 @@ def sub(a, b):
     v = a.value - b.value
 
     def vjp(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.value.shape))
 
     return _make(v, (a, b), vjp)
 
@@ -169,8 +177,10 @@ def mul(a, b):
     v = a.value * b.value
 
     def vjp(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.value, b.value.shape))
 
     return _make(v, (a, b), vjp)
 
@@ -209,8 +219,10 @@ def matmul(a, b):
     v = a.value @ b.value
 
     def vjp(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
 
     return _make(v, (a, b), vjp)
 
@@ -221,8 +233,10 @@ def matvec(a, x):
     v = np.einsum("...ij,...j->...i", a.value, x.value)
 
     def vjp(g):
-        _accum(a, _unbroadcast(np.einsum("...i,...j->...ij", g, x.value), a.value.shape))
-        _accum(x, _unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.einsum("...i,...j->...ij", g, x.value), a.value.shape))
+        if x.requires_grad:
+            _accum(x, _unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
 
     return _make(v, (a, x), vjp)
 
@@ -312,39 +326,53 @@ def relu(a):
     return _make(np.where(mask, a.value, 0.0), (a,), vjp)
 
 
-def clamp_min(a, floor):
-    """max(a, floor) for a constant floor; gradient passes only where a > floor."""
-    a = _wrap(a)
-    mask = a.value > floor
-
-    def vjp(g):
-        _accum(a, g * mask)
-
-    return _make(np.where(mask, a.value, floor), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # indexing / shaping
 
 
-def gather(a, idx):
-    """Row lookup a[idx] along axis 0 (idx nonnegative, any shape).
+def _scatter_rows(g, idx, shape):
+    """Adjoint of the row lookup a[idx] for a of `shape`: the rows of g summed
+    by index, one np.bincount per trailing column (in index order, as
+    np.add.at adds)."""
+    rows, width = shape[0], math.prod(shape[1:])
+    flat = idx.ravel()
+    cols = g.reshape(flat.size, width)
+    out = np.empty((rows, width))
+    for c in range(width):
+        out[:, c] = np.bincount(flat, weights=cols[:, c], minlength=rows)
+    return out.reshape(shape)
 
-    Backward sums the rows of g that share an index with one np.bincount per
-    trailing column; bincount adds in index order, as np.add.at does.
+
+def gather(a, idx):
+    """Row lookup a[idx] along axis 0 (idx nonnegative, any shape)."""
+    a = _wrap(a)
+    idx = np.asarray(idx)
+
+    def vjp(g):
+        _accum(a, _scatter_rows(g, idx, a.value.shape))
+
+    return _make(a.value[idx], (a,), vjp)
+
+
+def edge_diff(a, idx, signs=None):
+    """Edge vectors a[idx] * signs - a[:, None] of a neighbour graph, as one node.
+
+    `idx` is (N, k) with row i listing the neighbours of row i of `a` (N, ...);
+    the optional constant `signs` broadcasts against a[idx]. Backward scatters
+    g * signs to the neighbour rows (as gather does) and subtracts each row's
+    sum of g over its k edges.
     """
     a = _wrap(a)
     idx = np.asarray(idx)
-    v = a.value[idx]
+    v = np.take(a.value, idx, axis=0)  # a fresh array, several times faster than a[idx]
+    if signs is not None:
+        v *= signs
+    v -= a.value[:, None]
 
     def vjp(g):
-        rows, width = a.value.shape[0], math.prod(a.value.shape[1:])
-        flat = idx.ravel()
-        cols = g.reshape(flat.size, width)
-        out = np.empty((rows, width))
-        for c in range(width):
-            out[:, c] = np.bincount(flat, weights=cols[:, c], minlength=rows)
-        _accum(a, out.reshape(a.value.shape))
+        out = _scatter_rows(g if signs is None else g * signs, idx, a.value.shape)
+        out -= g.sum(axis=1)
+        _accum(a, out)
 
     return _make(v, (a,), vjp)
 

@@ -53,6 +53,10 @@ def read_ply(path):
         tok = line.split()
         if not tok:
             continue
+        # `element <name> <count>` with a count >= 0, `property <type> <name>`
+        if (tok[0] == "element" and (len(tok) != 3 or not tok[2].isdecimal())
+                or tok[0] == "property" and len(tok) < 3):
+            raise ValueError(f"{path}: malformed PLY header line {i + 1}: {line.strip()!r}")
         if tok[0] == "element" and tok[1] == "vertex":
             n = int(tok[2])
         elif tok[0] == "property":
@@ -65,6 +69,8 @@ def read_ply(path):
     if len(text) - body_at < n:
         raise ValueError(f"{path}: header declares {n} vertices,"
                          f" body has {len(text) - body_at} rows")
+    if n == 0:
+        return np.zeros((0, 3)), None
     try:
         data = np.array([[float(v) for v in text[body_at + i].split()] for i in range(n)])
     except ValueError as e:

@@ -25,7 +25,11 @@ so the tape works on (N, 3) arrays instead of gathering and scattering M rows;
 a Gaussian that no point matches contributes 0 and gets no gradient from it.
 
 The rigidity/rotation neighborhood is a frozen k-NN graph built from frame-0
-centers with Gaussian falloff weights exp(-lambda * d^2).
+centers with Gaussian falloff weights exp(-lambda * d^2). The three neighbour
+terms are short tapes: `autodiff.edge_diff` forms each term's (N, k, .) edge
+vectors as one node (with rotation's sign alignment folded in), rigidity
+maps its edges back to the previous frame with one batched (N, k, 3) @
+(N, 3, 3) matmul, and `tapemath.safe_norm` is one node.
 
 Everything routes through the autodiff tape, so `total_loss` returns exact
 gradients for every cascade parameter (including through covariance
@@ -143,27 +147,25 @@ def scale_loss_t(scales_t, max_scale):
 
 
 def rigidity_loss_t(prev_set, centers_t, orientations_t, graph):
-    n = prev_set.n
     idx = graph.indices
     rot_prev = geometry.quat_to_matrix(prev_set.orientations)  # constant
     rot_curr = quat_to_mat_t(orientations_t)
-    # R_prev R_curr^-1 maps current-frame offsets back to the previous frame
-    rel = ad.matmul(ad.constant(rot_prev), ad.transpose_last2(rot_curr))
+    # edge offsets are rows, so d (R_curr R_prev^T) = (R_prev R_curr^-1 d^T)^T
+    # maps current-frame offsets back to the previous frame
+    back = ad.matmul(rot_curr, ad.constant(np.swapaxes(rot_prev, -1, -2)))
     d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
-    d_curr = ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3))
-    pred = ad.matvec(ad.reshape(rel, (n, 1, 3, 3)), d_curr)
+    pred = ad.matmul(ad.edge_diff(centers_t, idx), back)  # (N,k,3) @ (N,3,3)
     per_edge = safe_norm(ad.constant(d_prev) - pred)
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
 def isometry_loss_t(frame0_centers, centers_t, graph):
-    n = centers_t.shape[0]
     idx = graph.indices
     # mirror safe_norm's formula bit-for-bit so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
     d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
-    dt = safe_norm(ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3)))
+    dt = safe_norm(ad.edge_diff(centers_t, idx))
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
@@ -173,16 +175,13 @@ def isometry_loss_t(frame0_centers, centers_t, graph):
 
 
 def rotation_loss_t(prev_set, orientations_t, graph):
-    n = prev_set.n
     idx = graph.indices
     prev_inv = geometry.quat_conjugate(geometry.quat_normalize(prev_set.orientations))
     rel = quat_multiply_t(orientations_t, ad.constant(prev_inv))  # (N, 4) increments
-    rel_j = ad.gather(rel, idx)  # (N, k, 4)
-    rel_i = ad.reshape(rel, (n, 1, 4))
     # q and -q are the same rotation: align signs before differencing
-    dots = np.sum(rel_j.value * rel_i.value, axis=-1)
+    dots = np.sum(rel.value[idx] * rel.value[:, None], axis=-1)
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
-    per_edge = safe_norm(ad.mul(rel_j, ad.constant(signs)) - rel_i)
+    per_edge = safe_norm(ad.edge_diff(rel, idx, signs))
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 

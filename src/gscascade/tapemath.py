@@ -1,9 +1,9 @@
-"""Quaternion / rotation kernels as fused autodiff-tape primitives.
+"""Quaternion / rotation kernels and the floored norm as fused tape primitives.
 
-Each kernel's forward is the plain-numpy function in `geometry`; this module
-holds only the tape wrappers, so gradients flow through them. Each is a
-single tape node whose backward pass is a closed-form vector-Jacobian
-product:
+Each quaternion kernel's forward is the plain-numpy function in `geometry`;
+this module holds only the tape wrappers, so gradients flow through them.
+Each kernel is a single tape node whose backward pass is a closed-form
+vector-Jacobian product:
 
   * quat_to_mat_t: R(q) is quadratic in q, so the VJP is 2 K(G) q with K a
     symmetric 4x4 matrix read off the upstream (3, 3) gradient G;
@@ -12,7 +12,9 @@ product:
   * quat_normalize_t: (g - n (n . g)) / |q| above the norm floor; below it
     the norm is the constant floor;
   * mat_to_quat_t: the chosen Shepperd branch's 4x9 Jacobian after the
-    normalize VJP.
+    normalize VJP;
+  * safe_norm: x / |x| above the norm floor and 0 below it, where the norm
+    is the constant floor.
 
 Piecewise definitions (branch selection, hemisphere signs, norm floors)
 take their branch from the forward values and treat it as constant, which is
@@ -28,9 +30,31 @@ from . import geometry
 
 
 def safe_norm(x, floor=geometry._NORM_FLOOR):
-    """Euclidean norm over the last axis; gradient 0 below the floor."""
-    ssq = ad.tsum(ad.square(x), axis=-1)
-    return ad.sqrt(ad.clamp_min(ssq, floor * floor))
+    """Euclidean norm over the last axis, floored; gradient 0 below the floor.
+
+    The forward is sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)), a formula
+    the isometry term's frame-0 lengths mirror bit for bit.
+    """
+    x = ad._wrap(x)
+    # the squares added in order, bit for bit what np.sum does over a short
+    # last axis, but one whole component at a time: numpy's per-row loops
+    # over 3 or 4 elements cost several times more at the terms' sizes
+    ssq = x.value[..., 0] * x.value[..., 0]
+    for c in range(1, x.shape[-1]):
+        ssq += x.value[..., c] * x.value[..., c]
+    above = ssq > floor * floor
+    v = np.sqrt(np.where(above, ssq, floor * floor))
+
+    def vjp(g):
+        # (g * 0.5 / v)[..., None] * 2x above the floor, one component at a
+        # time as in the forward
+        scale = (g * (0.5 / v)) * above
+        gx = 2.0 * x.value
+        for c in range(x.shape[-1]):
+            gx[..., c] *= scale
+        ad._accum(x, gx)
+
+    return ad._make(v, (x,), vjp)
 
 
 def _normalize_vjp(g, unit, inv, above):

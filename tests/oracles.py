@@ -5,10 +5,10 @@ its simplest form, or measures one: a sign-insensitive quaternion distance,
 an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
-traced cascade, value-and-gradient wrappers around single loss terms, a
-brute-force Chamfer term, the inverse camera map, the per-candidate loop of
-track selection, and Procrustes subset checks for the rigid-subpart rotation
-property.
+traced cascade, value-and-gradient wrappers around single loss terms, the
+three neighbour terms as chains of generic tape ops, a brute-force Chamfer
+term, the inverse camera map, the per-candidate loop of track selection, and
+Procrustes subset checks for the rigid-subpart rotation property.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,10 @@ import numpy as np
 
 from gscascade import autodiff as ad
 from gscascade import geometry
-from gscascade.losses import data_loss_t, isometry_loss_t, rigidity_loss_t, rotation_loss_t
+from gscascade.losses import (_RIGID_NOISE_ULPS, data_loss_t, isometry_loss_t,
+                              rigidity_loss_t, rotation_loss_t)
 from gscascade.segmentation import procrustes_rotation
+from gscascade.tapemath import quat_multiply_t, quat_to_mat_t
 from gscascade.tracking import CANDIDATE_RADIUS_PX, mte, project, project_track
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,71 @@ def isometry_loss(frame0_set, curr_set, graph):
 def rotation_loss(prev_set, curr_set, graph):
     q = ad.leaf(curr_set.orientations)
     return eval_with_grads(lambda: rotation_loss_t(prev_set, q, graph), {"orientations": q})
+
+
+def clamp_min_t(a, floor):
+    """max(a, floor) for a constant floor; gradient passes only where a > floor."""
+    mask = a.value > floor
+
+    def vjp(g):
+        ad._accum(a, g * mask)
+
+    return ad._make(np.where(mask, a.value, floor), (a,), vjp)
+
+
+def safe_norm_chain_t(x, floor=geometry._NORM_FLOOR):
+    """tapemath.safe_norm as the square, sum, clamp and sqrt nodes it replaced."""
+    ssq = ad.tsum(ad.square(x), axis=-1)
+    return ad.sqrt(clamp_min_t(ssq, floor * floor))
+
+
+# The three neighbour terms as chains of generic tape ops (gather, reshape,
+# sub, the broadcast matvec), which the shipped terms replace with edge_diff,
+# one batched matmul and the one-node safe_norm.
+
+
+def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
+    n = prev_set.n
+    idx = graph.indices
+    rot_prev = geometry.quat_to_matrix(prev_set.orientations)  # constant
+    rot_curr = quat_to_mat_t(orientations_t)
+    # R_prev R_curr^-1 maps current-frame offsets back to the previous frame
+    rel = ad.matmul(ad.constant(rot_prev), ad.transpose_last2(rot_curr))
+    d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
+    d_curr = ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3))
+    pred = ad.matvec(ad.reshape(rel, (n, 1, 3, 3)), d_curr)
+    per_edge = safe_norm_chain_t(ad.constant(d_prev) - pred)
+    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+
+
+def isometry_loss_chain_t(frame0_centers, centers_t, graph):
+    n = centers_t.shape[0]
+    idx = graph.indices
+    # mirror safe_norm's formula bit-for-bit so unmoved centers give
+    # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
+    diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
+    d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
+    dt = safe_norm_chain_t(ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3)))
+    # a rigidly moved edge still differs from d0 by the rounding of its
+    # endpoint coordinates; within that dead zone take d0 = dt, so absval's
+    # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
+    coord = max(np.abs(frame0_centers).max(), np.abs(centers_t.value).max())
+    d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
+    return ad.tmean(ad.absval(ad.constant(d0) - dt))
+
+
+def rotation_loss_chain_t(prev_set, orientations_t, graph):
+    n = prev_set.n
+    idx = graph.indices
+    prev_inv = geometry.quat_conjugate(geometry.quat_normalize(prev_set.orientations))
+    rel = quat_multiply_t(orientations_t, ad.constant(prev_inv))  # (N, 4) increments
+    rel_j = ad.gather(rel, idx)  # (N, k, 4)
+    rel_i = ad.reshape(rel, (n, 1, 4))
+    # q and -q are the same rotation: align signs before differencing
+    dots = np.sum(rel_j.value * rel_i.value, axis=-1)
+    signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
+    per_edge = safe_norm_chain_t(ad.mul(rel_j, ad.constant(signs)) - rel_i)
+    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
 def data_loss(curr_set, obs, workers=1):

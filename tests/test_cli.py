@@ -184,6 +184,12 @@ def _garble_last_line(ply):
     ply.write_text("\n".join(lines[:-1] + ["0.1 zero 0.3 128 128 128"]) + "\n")
 
 
+def _edit_header(old, new):
+    def edit_header(ply):
+        ply.write_text(ply.read_text().replace(old + "\n", new + "\n", 1))
+    return edit_header
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda ply: _rewrite_points(ply, lambda pts: pts[:-1]),
      "29 points, expected one per Gaussian (30)"),
@@ -192,6 +198,14 @@ def _garble_last_line(ply):
      "non-finite"),
     (_drop_last_line, "declares 30 vertices, body has 29 rows"),
     (_garble_last_line, "bad vertex row"),
+    (_edit_header("format ascii 1.0", "format ascii 1.0\nelement"),
+     "malformed PLY header line 3: 'element'"),
+    (_edit_header("element vertex 30", "element vertex"),
+     "malformed PLY header line 3: 'element vertex'"),
+    (_edit_header("element vertex 30", "element vertex -1"),
+     "malformed PLY header line 3: 'element vertex -1'"),
+    (_edit_header("property double x", "property double"),
+     "malformed PLY header line 4: 'property double'"),
 ])
 def test_bad_frame_ply_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
     cfg = write_config(tmp_path)

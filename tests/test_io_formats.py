@@ -66,6 +66,29 @@ def test_ply_rejects_garbage(tmp_path):
         read_ply(p)
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("format ascii 1.0", "format ascii 1.0\nelement", "line 3: 'element'"),
+    ("element vertex 2", "element vertex", "line 3: 'element vertex'"),
+    ("element vertex 2", "element vertex -1", "line 3: 'element vertex -1'"),
+    ("element vertex 2", "element vertex two", "line 3: 'element vertex two'"),
+    ("property double y", "property double", "line 5: 'property double'"),
+], ids=["bare-element", "no-count", "negative-count", "word-count", "unnamed-property"])
+def test_ply_malformed_header_line_is_named(tmp_path, old, new, line):
+    p = tmp_path / "bad.ply"
+    write_ply(p, np.zeros((2, 3)))
+    p.write_text(p.read_text().replace(old, new, 1))
+    with pytest.raises(ValueError) as err:
+        read_ply(p)
+    assert str(err.value) == f"{p}: malformed PLY header {line}"
+
+
+def test_ply_with_no_vertices_reads_as_no_points(tmp_path):
+    p = tmp_path / "empty.ply"
+    write_ply(p, np.zeros((0, 3)))
+    points, colors = read_ply(p)
+    assert points.shape == (0, 3) and colors is None
+
+
 def test_ply_writer_is_byte_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(10, 3)) * 1e-7  # exercise scientific notation

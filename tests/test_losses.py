@@ -8,6 +8,7 @@ moved states.
 import numpy as np
 import pytest
 
+from gscascade import autodiff as ad
 from gscascade import geometry
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
@@ -15,16 +16,23 @@ from gscascade.deform import cascade_zero
 from gscascade.losses import (
     DataObservation,
     LossWeights,
+    NeighborGraph,
     build_neighbor_graph,
+    isometry_loss_t,
     observation_tree,
+    rigidity_loss_t,
+    rotation_loss_t,
     total_loss,
 )
 from oracles import (
     chamfer_loss,
     data_loss,
     isometry_loss,
+    isometry_loss_chain_t,
     rigidity_loss,
+    rigidity_loss_chain_t,
     rotation_loss,
+    rotation_loss_chain_t,
     scale_loss,
 )
 
@@ -385,6 +393,86 @@ def test_data_gradient_matches_fd_both_branches():
 
 
 # ---------------------------------------------------------------------------
+# the neighbour terms against their tape-chain oracles
+
+
+def _neighbour_case(seed):
+    """A random frame pair and graph for the neighbour terms: previous
+    orientations far from the identity, repeated and self neighbour indices,
+    and in some cases coincident or unmoved centers and q -> -q flips."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    k = int(rng.integers(1, min(8, n)))
+    prev = small_scene(rng, n=n)
+    idx = rng.integers(0, n, size=(n, k))
+    centers = prev.centers + rng.normal(scale=0.1, size=(n, 3))
+    if rng.random() < 0.4:  # some Gaussians sit on their first neighbour
+        for i in rng.choice(n, size=n // 3, replace=False):
+            prev.centers[i] = prev.centers[idx[i, 0]]
+            centers[i] = centers[idx[i, 0]]
+    if rng.random() < 0.3:  # some Gaussians do not move at all
+        still = rng.random(n) < 0.5
+        centers[still] = prev.centers[still]
+    turn = geometry.quat_normalize(rng.normal(size=(n, 4)) * [4.0, 1.0, 1.0, 1.0])
+    orientations = geometry.quat_multiply(turn, prev.orientations)
+    if rng.random() < 0.5:  # q and -q are the same orientation
+        orientations *= np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
+    graph = NeighborGraph(indices=idx, weights=rng.uniform(0.05, 1.0, size=(n, k)),
+                          lambda_weight=1.0)
+    return prev, centers, orientations, graph
+
+
+_TERMS_AND_CHAINS = {
+    "rigidity": (rigidity_loss_t, rigidity_loss_chain_t),
+    "isometry": (isometry_loss_t, isometry_loss_chain_t),
+    "rotation": (rotation_loss_t, rotation_loss_chain_t),
+}
+
+
+def _value_and_grads(fn, term, prev, centers, orientations, graph):
+    c, q = ad.leaf(centers), ad.leaf(orientations)
+    args = {"rigidity": (prev, c, q, graph), "isometry": (prev.centers, c, graph),
+            "rotation": (prev, q, graph)}[term]
+    value = fn(*args)
+    value.backward()
+    return float(value.value), (c.grad, q.grad)
+
+
+@pytest.mark.parametrize("term", sorted(_TERMS_AND_CHAINS))
+def test_neighbour_terms_match_their_tape_chains(term):
+    """Values bit-equal, gradients to 1e-12 of their largest entry.
+
+    Rigidity's value may differ in its last bits: its edges are predicted by
+    a batched matmul, whose BLAS kernel sums each component's three products
+    with fused multiply-adds, and the chain's einsum does not.
+    """
+    seen = {"coincident": 0, "repeated": 0, "flipped": 0}
+    for seed in range(120):
+        prev, centers, orientations, graph = _neighbour_case(seed)
+        idx = graph.indices
+        edges = np.linalg.norm(centers[idx] - centers[:, None], axis=-1)
+        seen["coincident"] += np.any((edges < 1e-12) & (idx != np.arange(len(idx))[:, None]))
+        ordered = np.sort(idx, axis=1)
+        seen["repeated"] += np.any(ordered[:, 1:] == ordered[:, :-1])
+        rel = geometry.quat_multiply(orientations, geometry.quat_conjugate(prev.orientations))
+        seen["flipped"] += np.any(np.sum(rel[idx] * rel[:, None], axis=-1) < 0.0)
+
+        (value, grads), (want, want_grads) = (
+            _value_and_grads(fn, term, prev, centers, orientations, graph)
+            for fn in _TERMS_AND_CHAINS[term])
+        if term == "rigidity":
+            assert abs(value - want) <= 4 * np.spacing(want), seed
+        else:
+            assert value == want, seed
+        for g, w in zip(grads, want_grads):
+            assert (g is None) == (w is None), seed
+            if w is not None:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max(),
+                                           err_msg=f"seed {seed}")
+    assert min(seen.values()) > 0, seen
+
+
+# ---------------------------------------------------------------------------
 # the assembled objective
 
 
@@ -452,6 +540,41 @@ def test_total_loss_gradient_spot_check_fd():
         ("d_log_scales", casc.d_log_scales),
     ):
         _fd_check(value, array, grads[name], 4, rng)
+
+
+def _tape_size(root):
+    """Nodes the backward pass from `root` visits: root plus differentiable ancestors."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("scan, nodes", [(False, 158), (True, 164)],
+                         ids=["correspondences", "scan"])
+def test_total_loss_tape_size(monkeypatch, scan, nodes):
+    """One iteration's tape on a 3-layer cascade with covariance propagation;
+    the count does not depend on N, so a regression in it shows here."""
+    rng = np.random.default_rng(14)
+    gset = small_scene(rng, n=30, spread=2.0)
+    casc = cascade_zero(build_hierarchy(gset.centers, (2, 4, 8), seed=0), 30)
+    graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
+    points = gset.centers + rng.normal(scale=0.02, size=(30, 3))
+    obs = DataObservation(points=points, correspondence=None if scan else np.arange(30))
+    sizes = []
+    backward = ad.Tensor.backward
+
+    def counted(root):
+        sizes.append(_tape_size(root))
+        return backward(root)
+
+    monkeypatch.setattr(ad.Tensor, "backward", counted)
+    total_loss(casc, gset, obs, graph, LossWeights(), max_scale=0.02)
+    assert sizes == [nodes]
 
 
 def test_zero_cascade_isometry_gradient_exactly_zero():

@@ -4,7 +4,7 @@ Each kernel's forward is checked against its plain-numpy counterpart in
 `geometry`, and each closed-form VJP against central finite differences of
 the kernel's own forward, including every piecewise branch: the four
 Shepperd branches and the hemisphere flip of mat_to_quat_t, and the norm
-floor of quat_normalize_t.
+floors of quat_normalize_t and safe_norm.
 """
 
 import numpy as np
@@ -12,7 +12,10 @@ import pytest
 
 import gscascade.autodiff as ad
 from gscascade import geometry
-from gscascade.tapemath import mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t
+from gscascade.tapemath import (mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t,
+                                safe_norm)
+
+from oracles import safe_norm_chain_t
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -174,3 +177,36 @@ def test_mat_to_quat_inverts_quat_to_mat_on_the_tape():
     q = np.where(q[:, :1] < 0.0, -q, q)
     np.testing.assert_allclose(mat_to_quat_t(quat_to_mat_t(ad.constant(q))).value, q, atol=1e-14)
     check_vjp(lambda t: mat_to_quat_t(quat_to_mat_t(t)), q[:5])
+
+
+# ---------------------------------------------------------------------------
+# safe_norm
+
+
+def test_safe_norm_is_one_node_equal_to_the_chain_and_fd():
+    x = np.random.default_rng(9).normal(size=(5, 3, 4))
+    t = ad.leaf(x)
+    out = safe_norm(t)
+    assert out._parents == (t,)
+    np.testing.assert_array_equal(out.value, np.sqrt(np.sum(x * x, axis=-1)))
+    W = np.random.default_rng(10).normal(size=out.shape)
+    ad.tsum(ad.mul(out, ad.constant(W))).backward()
+    chain = ad.leaf(x)
+    ad.tsum(ad.mul(safe_norm_chain_t(chain), ad.constant(W))).backward()
+    np.testing.assert_array_equal(t.grad, chain.grad)
+    check_vjp(safe_norm, x)
+
+
+def test_safe_norm_below_the_floor_is_the_floor_with_zero_gradient():
+    rng = np.random.default_rng(11)
+    x = np.stack([np.zeros(3), rng.normal(size=3) * 1e-14, rng.normal(size=3)])
+    t = ad.leaf(x)
+    out = safe_norm(t)
+    np.testing.assert_array_equal(out.value[:2], [1e-12, 1e-12])
+    W = rng.normal(size=3)
+    ad.tsum(ad.mul(out, ad.constant(W))).backward()
+    np.testing.assert_array_equal(t.grad[:2], np.zeros((2, 3)))
+    np.testing.assert_allclose(t.grad[2], W[2] * x[2] / np.linalg.norm(x[2]), rtol=1e-15)
+    # the rows above the floor match finite differences; the norm is flat below
+    check_vjp(safe_norm, x[2:])
+    check_vjp(safe_norm, x[1:2], eps=1e-16, atol=1e-6)
