@@ -371,7 +371,13 @@ def edge_diff(a, idx, signs=None):
 
     def vjp(g):
         out = _scatter_rows(g if signs is None else g * signs, idx, a.value.shape)
-        out -= g.sum(axis=1)
+        # each row's sum of g over its k edges, adding whole (N, ...) slices
+        # in turn: g.sum(axis=1)'s order for several trailing columns, without
+        # its per-row loops
+        rows = g[:, 0].copy()
+        for j in range(1, g.shape[1]):
+            rows += g[:, j]
+        out -= rows
         _accum(a, out)
 
     return _make(v, (a,), vjp)

@@ -113,8 +113,6 @@ def load_scene_dir(path):
 
 
 def cmd_generate(cfg):
-    if cfg.out is None:
-        raise ConfigError("generate needs an output directory (--out)")
     seq = generate(cfg.scene_spec())
     write_scene_dir(seq, cfg.out)
     print(f"wrote scene '{seq.spec.kind}' ({seq.frame0.n} Gaussians, "
@@ -123,8 +121,6 @@ def cmd_generate(cfg):
 
 
 def cmd_fit(cfg, scene_dir):
-    if cfg.out is None:
-        raise ConfigError("fit needs an output directory (--out)")
     t0 = time.perf_counter()
     seq = load_scene_dir(scene_dir)
     tc = cfg.train_config(scene_scale=seq.scene_scale)
@@ -184,8 +180,6 @@ def _load_fit_dir(fit_dir, scene_dir=None):
 
 
 def cmd_segment(cfg, fit_dir, scene_dir=None):
-    if cfg.out is None:
-        raise ConfigError("segment needs an output directory (--out)")
     kind, seq, centers, quats, scales = _load_fit_dir(fit_dir, scene_dir)
     opts = cfg.seg_options()
     if opts["k_parts"] > centers.shape[1]:
@@ -229,8 +223,6 @@ def _draw_dots(image, pixels, color, radius=1):
 
 
 def cmd_track(cfg, fit_dir, scene_dir=None):
-    if cfg.out is None:
-        raise ConfigError("track needs an output directory (--out)")
     kind, seq, centers, _, _ = _load_fit_dir(fit_dir, scene_dir)
     opts = cfg.track_options()
     if opts["camera_index"] >= len(seq.cameras):
@@ -277,8 +269,6 @@ def cmd_track(cfg, fit_dir, scene_dir=None):
 
 
 def cmd_eval(cfg, run_dirs):
-    if cfg.out is None:
-        raise ConfigError("eval needs an output path (--out)")
     runs = {}
     for d in run_dirs:
         with _input_file(Path(d) / "summary.json") as path:
@@ -294,8 +284,6 @@ def cmd_eval(cfg, run_dirs):
 
 def cmd_repro(cfg):
     """Small end-to-end pipeline: generate, fit K=3 vs K=1, segment, track, eval."""
-    if cfg.out is None:
-        raise ConfigError("repro needs an output directory (--out)")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
@@ -411,6 +399,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(_config_document(args), cli=args)
+        if not cfg.out:  # unset, or empty: "" would write into the working directory
+            raise ConfigError(f"{args.command} needs a non-empty output path (--out)")
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "fit":

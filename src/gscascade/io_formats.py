@@ -121,6 +121,13 @@ def read_table(path, header, name, kind=float):
     return data
 
 
+def _write_frame_table(path, header, frames):
+    """CSV keyed by (frame, index): frame t's (N, len(header) - 2) array gives
+    the rows (t, i, *frames[t][i])."""
+    write_csv(path, header, ([t, i, *row] for t, frame in enumerate(frames)
+                             for i, row in enumerate(frame)))
+
+
 def _read_frame_table(path, header, name):
     """(T, N, len(header)) array of a CSV keyed by (frame, index), one row per grid cell."""
     data = read_table(path, header, name)
@@ -171,13 +178,8 @@ TRAJECTORY_HEADER = ["frame", "index", "x", "y", "z", "qw", "qx", "qy", "qz",
 
 
 def write_trajectory_csv(path, sets):
-    rows = []
-    for t, gset in enumerate(sets):
-        for i in range(gset.n):
-            rows.append(
-                [t, i, *gset.centers[i], *gset.orientations[i], *gset.scales[i]]
-            )
-    write_csv(path, TRAJECTORY_HEADER, rows)
+    _write_frame_table(path, TRAJECTORY_HEADER,
+                       (np.hstack([g.centers, g.orientations, g.scales]) for g in sets))
 
 
 def read_trajectory_csv(path):
@@ -191,14 +193,9 @@ LOSSES_HEADER = ["frame", "iteration", "rigidity", "isometry", "rotation",
 
 
 def write_losses_csv(path, frame_reports):
-    rows = []
-    for rep in frame_reports:
-        for it, entry in enumerate(rep.curve):
-            rows.append(
-                [rep.frame_index, it, entry["rigidity"], entry["isometry"],
-                 entry["rotation"], entry["scale"], entry["data"], entry["total"]]
-            )
-    write_csv(path, LOSSES_HEADER, rows)
+    columns = LOSSES_HEADER[2:]  # keys of each curve entry
+    write_csv(path, LOSSES_HEADER, ([rep.frame_index, it, *(entry[c] for c in columns)]
+                                    for rep in frame_reports for it, entry in enumerate(rep.curve)))
 
 
 def write_labels_csv(path, labels):
@@ -217,17 +214,15 @@ def read_labels_csv(path):
     return data[:, 1]
 
 
+GT_TRAJECTORY_HEADER = ["frame", "index", "x", "y", "z"]
+
+
 def write_gt_trajectory_csv(path, gt_centers):
-    rows = []
-    T, n = gt_centers.shape[:2]
-    for t in range(T):
-        for i in range(n):
-            rows.append([t, i, *gt_centers[t, i]])
-    write_csv(path, ["frame", "index", "x", "y", "z"], rows)
+    _write_frame_table(path, GT_TRAJECTORY_HEADER, gt_centers)
 
 
 def read_gt_trajectory_csv(path):
-    return _read_frame_table(path, ["frame", "index", "x", "y", "z"], "gt trajectory")[..., 2:5]
+    return _read_frame_table(path, GT_TRAJECTORY_HEADER, "gt trajectory")[..., 2:5]
 
 
 def write_mte_csv(path, entries):

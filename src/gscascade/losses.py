@@ -24,12 +24,15 @@ nearest Gaussian is i and mu_i their mean,
 so the tape works on (N, 3) arrays instead of gathering and scattering M rows;
 a Gaussian that no point matches contributes 0 and gets no gradient from it.
 
-The rigidity/rotation neighborhood is a frozen k-NN graph built from frame-0
-centers with Gaussian falloff weights exp(-lambda * d^2). The three neighbour
-terms are short tapes: `autodiff.edge_diff` forms each term's (N, k, .) edge
-vectors as one node (with rotation's sign alignment folded in), rigidity
-maps its edges back to the previous frame with one batched (N, k, 3) @
-(N, 3, 3) matmul, and `tapemath.safe_norm` is one node.
+The three neighbour terms share one `NeighborGraph`: a k-NN graph frozen at
+frame 0, with Gaussian falloff weights exp(-lambda * d^2). It carries the
+frame-0 structure the isometry term compares against, derived once from the
+frame-0 centers: the floored rest length of every edge (`safe_norm` itself)
+and the largest absolute frame-0 coordinate. Every (N, k, .) edge array,
+taped or constant, comes from `autodiff.edge_diff` (with rotation's sign
+alignment folded in). The terms are short tapes: rigidity maps its edges
+back to the previous frame with one batched (N, k, 3) @ (N, 3, 3) matmul,
+and `tapemath.safe_norm` is one node.
 
 Everything routes through the autodiff tape, so `total_loss` returns exact
 gradients for every cascade parameter (including through covariance
@@ -41,7 +44,7 @@ during the backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -69,18 +72,36 @@ class LossWeights:
     w_data: float = 1.0
 
     def __post_init__(self):
-        for name in ("w_rigid", "w_iso", "w_rot", "w_scale", "w_data"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be nonnegative")
+
+
+# loss term -> the LossWeights field of its weight, in the order total_loss
+# sums the weighted terms (which fixes the bits of the total)
+_TERM_WEIGHTS = {"rigidity": "w_rigid", "isometry": "w_iso", "rotation": "w_rot",
+                "scale": "w_scale", "data": "w_data"}
 
 
 @dataclass
 class NeighborGraph:
-    """Frozen k-nearest-neighbor graph with Gaussian falloff weights."""
+    """Frozen k-nearest-neighbor graph on the frame-0 centers.
 
+    Holds the Gaussian falloff weights and, derived once from `centers`, the
+    floored rest length of every edge and the largest absolute frame-0
+    coordinate (the scale of the isometry dead zone).
+    """
+
+    centers: np.ndarray  # (N, 3) frame-0 centers the graph is built on
     indices: np.ndarray  # (N, k) neighbor Gaussian indices
     weights: np.ndarray  # (N, k) in (0, 1]
     lambda_weight: float
+    rest_lengths: np.ndarray = field(init=False, repr=False)  # (N, k)
+    max_abs_coord: float = field(init=False)
+
+    def __post_init__(self):
+        self.rest_lengths = safe_norm(ad.edge_diff(self.centers, self.indices)).value
+        self.max_abs_coord = np.abs(self.centers).max()
 
     @property
     def k(self):
@@ -105,10 +126,11 @@ def build_neighbor_graph(centers, k=DEFAULT_NEIGHBOR_COUNT, lambda_weight=None,
     for i in np.nonzero(excess > 0)[0]:
         kept_cols = np.nonzero(keep[i])[0]
         keep[i, kept_cols[-1]] = False  # drop the farthest
-    neighbors = idx[keep].reshape(n, k)
-    d2 = np.sum((centers[neighbors] - centers[:, None, :]) ** 2, axis=-1)
+    neighbors = idx[keep].reshape(n, k).astype(np.int64)
+    d2 = np.sum(ad.edge_diff(centers, neighbors).value ** 2, axis=-1)
     return NeighborGraph(
-        indices=neighbors.astype(np.int64),
+        centers=centers,
+        indices=neighbors,
         weights=np.exp(-lambda_weight * d2),
         lambda_weight=float(lambda_weight),
     )
@@ -153,23 +175,21 @@ def rigidity_loss_t(prev_set, centers_t, orientations_t, graph):
     # edge offsets are rows, so d (R_curr R_prev^T) = (R_prev R_curr^-1 d^T)^T
     # maps current-frame offsets back to the previous frame
     back = ad.matmul(rot_curr, ad.constant(np.swapaxes(rot_prev, -1, -2)))
-    d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
+    d_prev = ad.edge_diff(prev_set.centers, idx)  # constant (N,k,3)
     pred = ad.matmul(ad.edge_diff(centers_t, idx), back)  # (N,k,3) @ (N,3,3)
-    per_edge = safe_norm(ad.constant(d_prev) - pred)
+    per_edge = safe_norm(d_prev - pred)
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
-def isometry_loss_t(frame0_centers, centers_t, graph):
-    idx = graph.indices
-    # mirror safe_norm's formula bit-for-bit so unmoved centers give
+def isometry_loss_t(centers_t, graph):
+    # the rest lengths come from safe_norm too, so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
-    diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
-    d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
-    dt = safe_norm(ad.edge_diff(centers_t, idx))
+    dt = safe_norm(ad.edge_diff(centers_t, graph.indices))
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
-    coord = max(np.abs(frame0_centers).max(), np.abs(centers_t.value).max())
+    d0 = graph.rest_lengths
+    coord = max(graph.max_abs_coord, np.abs(centers_t.value).max())
     d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
     return ad.tmean(ad.absval(ad.constant(d0) - dt))
 
@@ -219,19 +239,17 @@ def data_loss_t(centers_t, obs, obs_tree=None, workers=1):
 
 
 def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
-               frame0_centers=None, propagate_covariance=True, workers=1,
-               with_grads=True, obs_tree=None):
+               propagate_covariance=True, workers=1, with_grads=True, obs_tree=None):
     """Weighted objective through cascade_apply.
 
-    Returns (total, components, grads) where components maps each term name to
-    its unweighted value and grads maps every cascade parameter leaf (same
+    Returns (total, components, grads) where components maps each term name
+    to its unweighted value and grads maps every cascade parameter leaf (same
     keys as CascadeTrace.leaves) to its gradient array. With with_grads=False
-    the forward runs on constants and grads is None. `obs_tree` is
-    `observation_tree(obs)`, which a frame's fit builds once for all its
-    evaluations; without it the data term builds one for this call.
+    the forward runs on constants and grads is None. `graph` is the frame-0
+    neighbour graph, whose rest lengths the isometry term holds the edges to.
+    `obs_tree` is `observation_tree(obs)`, which a frame's fit builds once for
+    all its evaluations; without it the data term builds one for this call.
     """
-    if frame0_centers is None:
-        frame0_centers = prev_set.centers
     trace = trace_cascade(
         cascade, prev_set,
         propagate_covariance=propagate_covariance,
@@ -239,21 +257,14 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
     )
     terms = {
         "rigidity": rigidity_loss_t(prev_set, trace.centers, trace.orientations, graph),
-        "isometry": isometry_loss_t(frame0_centers, trace.centers, graph),
+        "isometry": isometry_loss_t(trace.centers, graph),
         "rotation": rotation_loss_t(prev_set, trace.orientations, graph),
         "scale": scale_loss_t(trace.scales, max_scale),
         "data": data_loss_t(trace.centers, obs, obs_tree=obs_tree, workers=workers),
     }
-    wmap = {
-        "rigidity": weights.w_rigid,
-        "isometry": weights.w_iso,
-        "rotation": weights.w_rot,
-        "scale": weights.w_scale,
-        "data": weights.w_data,
-    }
     total = None
-    for name, term in terms.items():
-        piece = ad.mul(term, wmap[name])
+    for name, weight_field in _TERM_WEIGHTS.items():
+        piece = ad.mul(terms[name], getattr(weights, weight_field))
         total = piece if total is None else total + piece
     components = {name: float(term.value) for name, term in terms.items()}
 

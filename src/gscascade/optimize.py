@@ -139,16 +139,15 @@ def _neighbor_graph(centers, config):
     )
 
 
-def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None):
+def fit_frame(prev_set, obs, hierarchy, config, graph=None):
     """Fit one frame transition from the zero cascade.
 
-    Returns (deformed set, cascade, FrameReport).
+    `graph` is the frame-0 neighbour graph; without it `prev_set` is taken as
+    frame 0. Returns (deformed set, cascade, FrameReport).
     """
     t0 = time.perf_counter()
     if graph is None:
         graph = _neighbor_graph(prev_set.centers, config)
-    if frame0_centers is None:
-        frame0_centers = prev_set.centers
     obs_tree = observation_tree(obs)  # every evaluation of this frame shares it
     cascade = cascade_zero(hierarchy, prev_set.n)
     state = AdamState()
@@ -156,7 +155,6 @@ def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None)
     for _ in range(config.iters_per_frame):
         value, components, grads = total_loss(
             cascade, prev_set, obs, graph, config.weights, config.max_scale,
-            frame0_centers=frame0_centers,
             propagate_covariance=config.propagate_covariance,
             workers=config.threads, obs_tree=obs_tree,
         )
@@ -167,7 +165,6 @@ def fit_frame(prev_set, obs, hierarchy, config, frame0_centers=None, graph=None)
 
     final_value, final_components, _ = total_loss(
         cascade, prev_set, obs, graph, config.weights, config.max_scale,
-        frame0_centers=frame0_centers,
         propagate_covariance=config.propagate_covariance,
         workers=config.threads, obs_tree=obs_tree,
         with_grads=False,
@@ -208,9 +205,7 @@ def fit_sequence(initial_set, sequence, config, hierarchy=None):
     for obs in observations[1:]:
         prev = sets[-1]
         hierarchy.update_centroids(prev.centers)
-        new_set, cascade, report = fit_frame(
-            prev, obs, hierarchy, config, frame0_centers=initial_set.centers, graph=graph
-        )
+        new_set, cascade, report = fit_frame(prev, obs, hierarchy, config, graph=graph)
         sets.append(new_set)
         cascades.append(cascade)
         reports.append(report)

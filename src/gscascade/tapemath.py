@@ -32,8 +32,8 @@ from . import geometry
 def safe_norm(x, floor=geometry._NORM_FLOOR):
     """Euclidean norm over the last axis, floored; gradient 0 below the floor.
 
-    The forward is sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)), a formula
-    the isometry term's frame-0 lengths mirror bit for bit.
+    The forward is sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)); the
+    neighbour graph's rest lengths are this forward of the frame-0 edges.
     """
     x = ad._wrap(x)
     # the squares added in order, bit for bit what np.sum does over a short

@@ -159,9 +159,9 @@ def rigidity_loss(prev_set, curr_set, graph):
     )
 
 
-def isometry_loss(frame0_set, curr_set, graph):
+def isometry_loss(curr_set, graph):
     c = ad.leaf(curr_set.centers)
-    return eval_with_grads(lambda: isometry_loss_t(frame0_set.centers, c, graph), {"centers": c})
+    return eval_with_grads(lambda: isometry_loss_t(c, graph), {"centers": c})
 
 
 def rotation_loss(prev_set, curr_set, graph):
@@ -204,9 +204,10 @@ def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
-def isometry_loss_chain_t(frame0_centers, centers_t, graph):
+def isometry_loss_chain_t(centers_t, graph):
     n = centers_t.shape[0]
     idx = graph.indices
+    frame0_centers = graph.centers
     # mirror safe_norm's formula bit-for-bit so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]

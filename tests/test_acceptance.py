@@ -166,11 +166,9 @@ def test_criterion_1_gradient_finite_difference_agreement():
         graph = build_neighbor_graph(gset.centers, k=8, lambda_weight=1.0)
 
         def value():
-            return total_loss(casc, gset, obs, graph, weights, 0.02,
-                              frame0_centers=gset.centers, with_grads=False)[0]
+            return total_loss(casc, gset, obs, graph, weights, 0.02, with_grads=False)[0]
 
-        _, _, grads = total_loss(casc, gset, obs, graph, weights, 0.02,
-                                 frame0_centers=gset.centers)
+        _, _, grads = total_loss(casc, gset, obs, graph, weights, 0.02)
         probe_rng = np.random.default_rng(2000 + seed)
         for key, grad in grads.items():
             flat = param_array(casc, key).reshape(-1)

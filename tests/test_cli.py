@@ -139,11 +139,22 @@ def test_fit_outputs_invariant_to_thread_count(tmp_path):
     ["segment", "somewhere"],
     ["track", "somewhere"],
     ["eval", "somewhere"],
+    pytest.param(["repro"], id="repro"),
+    pytest.param(["generate", "--out", ""], id="empty-flag"),
+    pytest.param(["GSCASCADE_OUT=", "generate"], id="empty-env"),
 ])
-def test_missing_out_is_a_config_error(argv, tmp_path, capsys):
+def test_missing_out_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
+    """No output path, or an empty one. Leading VAR=value words set the
+    environment, as on a shell command line."""
+    while "=" in argv[0]:
+        var, value = argv[0].split("=", 1)
+        monkeypatch.setenv(var, value)
+        argv = argv[1:]
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path)
     assert main(argv + ["--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]  # nothing written
 
 
 def test_bad_config_file_paths(tmp_path, capsys):

@@ -24,6 +24,7 @@ from gscascade.losses import (
     rotation_loss_t,
     total_loss,
 )
+from gscascade.tapemath import safe_norm
 from oracles import (
     chamfer_loss,
     data_loss,
@@ -107,6 +108,42 @@ def test_neighbor_graph_handles_duplicate_points():
     assert g.weights.max() == 1.0
 
 
+def _frame0_rest_lengths(centers, idx):
+    return safe_norm(centers[idx] - centers[:, None]).value
+
+
+def test_neighbor_graph_rest_lengths_are_safe_norm_of_frame0_edges():
+    """Built or constructed directly, the graph's rest lengths are bit for bit
+    safe_norm of its frame-0 edges, and its dead-zone scale is the largest
+    absolute frame-0 coordinate."""
+    rng = np.random.default_rng(15)
+    pts = rng.normal(size=(40, 3)) + 3.0
+    pts[7] = pts[8]  # a zero-length edge sits on the norm floor
+    built = build_neighbor_graph(pts, k=6)
+    idx = rng.integers(0, 40, size=(40, 4))  # repeated and self neighbours
+    direct = NeighborGraph(centers=pts, indices=idx, weights=np.ones((40, 4)),
+                           lambda_weight=0.0)
+    for g in (built, direct):
+        assert np.array_equal(g.rest_lengths, _frame0_rest_lengths(pts, g.indices))
+        assert g.max_abs_coord == np.abs(pts).max()
+    assert built.rest_lengths.min() == geometry._NORM_FLOOR
+
+
+def test_isometry_of_frame0_is_exactly_zero():
+    """The frame-0 centers reproduce every rest length bit for bit: the
+    isometry term is 0 and so is its gradient, on built and direct graphs."""
+    rng = np.random.default_rng(16)
+    f0 = small_scene(rng, n=50, spread=2.0)
+    f0.centers = f0.centers + 5.0
+    f0.centers[3] = f0.centers[4]
+    direct = NeighborGraph(centers=f0.centers, indices=rng.integers(0, 50, size=(50, 5)),
+                           weights=np.ones((50, 5)), lambda_weight=0.0)
+    for graph in (build_neighbor_graph(f0.centers, k=8), direct):
+        value, grads = isometry_loss(f0, graph)
+        assert value == 0.0
+        assert not np.any(grads["centers"])
+
+
 def test_neighbor_graph_rejects_bad_k():
     pts = np.zeros((4, 3))
     with pytest.raises(ValueError, match="k must be"):
@@ -125,7 +162,7 @@ def test_all_motion_losses_vanish_when_nothing_moves():
     graph = build_neighbor_graph(gset.centers, k=3, lambda_weight=1.0)
     curr = gset.copy()
     v_rig, g_rig = rigidity_loss(gset, curr, graph)
-    v_iso, g_iso = isometry_loss(gset, curr, graph)
+    v_iso, g_iso = isometry_loss(curr, graph)
     v_rot, g_rot = rotation_loss(gset, curr, graph)
     # safe-norm floor keeps values at ~1e-12 instead of exactly 0
     assert v_rig < 1e-9 and v_iso < 1e-9 and v_rot < 1e-9
@@ -143,7 +180,7 @@ def test_rigidity_and_isometry_invariant_under_rigid_motion():
     q = geometry.quat_normalize(np.array([0.7, -0.2, 0.5, 0.1]))
     moved = rigid_move(gset, q, np.array([0.3, -1.0, 0.2]))
     v_rig, _ = rigidity_loss(gset, moved, graph)
-    v_iso, _ = isometry_loss(gset, moved, graph)
+    v_iso, _ = isometry_loss(moved, graph)
     v_rot, _ = rotation_loss(gset, moved, graph)
     assert v_rig < 1e-9
     assert v_iso < 1e-9
@@ -204,7 +241,7 @@ def test_isometry_hand_value():
     d01 = np.sqrt(1.0 + 0.01)
     d21 = np.sqrt(4.0 + 0.01)
     want = (abs(d01 - 1.0) + abs(d01 - 1.0) + abs(d21 - 2.0)) / 3.0
-    v, _ = isometry_loss(f0, curr, graph)
+    v, _ = isometry_loss(curr, graph)
     np.testing.assert_allclose(v, want, atol=1e-12)
 
 
@@ -365,8 +402,8 @@ def test_isometry_gradient_matches_fd():
     f0 = small_scene(rng, n=8)
     curr = small_scene(rng, n=8)
     graph = build_neighbor_graph(f0.centers, k=3, lambda_weight=1.0)
-    _, grads = isometry_loss(f0, curr, graph)
-    _fd_check(lambda: isometry_loss(f0, curr, graph)[0], curr.centers,
+    _, grads = isometry_loss(curr, graph)
+    _fd_check(lambda: isometry_loss(curr, graph)[0], curr.centers,
               grads["centers"], 8, rng)
 
 
@@ -417,8 +454,8 @@ def _neighbour_case(seed):
     orientations = geometry.quat_multiply(turn, prev.orientations)
     if rng.random() < 0.5:  # q and -q are the same orientation
         orientations *= np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
-    graph = NeighborGraph(indices=idx, weights=rng.uniform(0.05, 1.0, size=(n, k)),
-                          lambda_weight=1.0)
+    graph = NeighborGraph(centers=prev.centers, indices=idx,
+                          weights=rng.uniform(0.05, 1.0, size=(n, k)), lambda_weight=1.0)
     return prev, centers, orientations, graph
 
 
@@ -431,7 +468,7 @@ _TERMS_AND_CHAINS = {
 
 def _value_and_grads(fn, term, prev, centers, orientations, graph):
     c, q = ad.leaf(centers), ad.leaf(orientations)
-    args = {"rigidity": (prev, c, q, graph), "isometry": (prev.centers, c, graph),
+    args = {"rigidity": (prev, c, q, graph), "isometry": (c, graph),
             "rotation": (prev, q, graph)}[term]
     value = fn(*args)
     value.backward()
@@ -604,6 +641,6 @@ def test_rigid_motion_isometry_gradient_exactly_zero():
         f0.centers = f0.centers + offset
         graph = build_neighbor_graph(f0.centers, k=20)
         moved = rigid_move(f0, geometry.quat_normalize(rng.normal(size=4)), rng.normal(size=3))
-        value, grads = isometry_loss(f0, moved, graph)
+        value, grads = isometry_loss(moved, graph)
         assert value < 1e-14
         assert np.abs(grads["centers"]).max() == 0.0
