@@ -11,15 +11,19 @@ Conventions:
   * A node's VJP computes the gradient of an operand only when that operand
     requires it: nothing is computed for constants and then thrown away.
   * Gradient accumulation order is the reverse topological order of creation,
-    and the scatter-add of `gather` and `edge_diff` is one np.bincount per
-    trailing column (which sums in index order), so backward passes are
-    deterministic.
+    and a scatter (the adjoint of a row lookup: `gather`, `edge_diff`, the
+    cascade layer) is one product with a `RowIndex`'s sparse transpose, which
+    sums each row in index order, so backward passes are deterministic. An
+    index fixed for a whole sequence (a hierarchy layer's assignments, the
+    neighbour graph) keeps its transpose, built once.
+  * A node may have several outputs (`_make_multi`): its VJP runs once, with
+    the gradient of every output, or None for one the loss does not reach.
   * Per-node Python overhead dominates at the pipeline's array sizes, so hot
     composite kernels (`eigh3` and the neighbour-graph `edge_diff` here, the
-    quaternion kernels and `safe_norm` in `tapemath`) are primitives with
-    closed-form VJPs, not chains of elementwise ops. Their forwards (the
-    Jacobi eigensolver, Shepperd's table) live in `geometry`; this module
-    owns only the tape.
+    quaternion kernels and `safe_norm` in `tapemath`, a cascade layer and the
+    covariance steps in `deform`) are primitives with closed-form VJPs, not
+    chains of elementwise ops. Their forwards (the Jacobi eigensolver,
+    Shepperd's table) live in `geometry`; this module owns only the tape.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .geometry import jacobi_eigh3
 
@@ -135,11 +140,47 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _transposed(a):
+    """a with its last two axes swapped, as a contiguous copy: numpy's batched
+    matmul of small matrices runs 2-3x slower on the swapped view. VJPs use
+    it; forwards keep the view, whose products round differently."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
 def _make(value, parents, vjp):
     parents = tuple(parents)
     if any(p.requires_grad for p in parents):
         return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
     return Tensor(value)
+
+
+def _make_multi(values, parents, vjp):
+    """The outputs of one node with several outputs, as a tuple of Tensors.
+
+    `vjp(*grads)` runs once per backward pass, after the gradient of every
+    output is complete; an output the loss does not reach passes None. The
+    first output carries the node (its parents and the VJP); each other
+    output is a child of the first that hands its gradient over, so reverse
+    topological order reaches the first output after all the others.
+    """
+    parents = tuple(parents)
+    if not any(p.requires_grad for p in parents):
+        return tuple(Tensor(v) for v in values)
+    grads = [None] * len(values)
+
+    def run(g):
+        grads[0] = g
+        vjp(*grads)
+
+    head = Tensor(values[0], requires_grad=True, parents=parents, vjp=run)
+
+    def handing_over(i):
+        def hand_over(g):
+            grads[i] = g
+
+        return Tensor(values[i], requires_grad=True, parents=(head,), vjp=hand_over)
+
+    return (head, *(handing_over(i) for i in range(1, len(values))))
 
 
 # ---------------------------------------------------------------------------
@@ -220,60 +261,15 @@ def matmul(a, b):
 
     def vjp(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
+            _accum(a, _unbroadcast(g @ _transposed(b.value), a.value.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
+            _accum(b, _unbroadcast(_transposed(a.value) @ g, b.value.shape))
 
     return _make(v, (a, b), vjp)
 
 
-def matvec(a, x):
-    """(..., m, n) @ (..., n) -> (..., m)."""
-    a, x = _wrap(a), _wrap(x)
-    v = np.einsum("...ij,...j->...i", a.value, x.value)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.einsum("...i,...j->...ij", g, x.value), a.value.shape))
-        if x.requires_grad:
-            _accum(x, _unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
-
-    return _make(v, (a, x), vjp)
-
-
-def outer(u, w):
-    """(..., m) x (..., n) -> (..., m, n)."""
-    u, w = _wrap(u), _wrap(w)
-    v = np.einsum("...i,...j->...ij", u.value, w.value)
-
-    def vjp(g):
-        _accum(u, _unbroadcast(np.einsum("...ij,...j->...i", g, w.value), u.value.shape))
-        _accum(w, _unbroadcast(np.einsum("...ij,...i->...j", g, u.value), w.value.shape))
-
-    return _make(v, (u, w), vjp)
-
-
-def transpose_last2(a):
-    a = _wrap(a)
-
-    def vjp(g):
-        _accum(a, np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.value, -1, -2), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
-
-
-def tanh(a):
-    a = _wrap(a)
-    v = np.tanh(a.value)
-
-    def vjp(g):
-        _accum(a, g * (1.0 - v * v))
-
-    return _make(v, (a,), vjp)
 
 
 def exp(a):
@@ -282,16 +278,6 @@ def exp(a):
 
     def vjp(g):
         _accum(a, g * v)
-
-    return _make(v, (a,), vjp)
-
-
-def sqrt(a):
-    a = _wrap(a)
-    v = np.sqrt(a.value)
-
-    def vjp(g):
-        _accum(a, g * (0.5 / v))
 
     return _make(v, (a,), vjp)
 
@@ -330,47 +316,70 @@ def relu(a):
 # indexing / shaping
 
 
-def _scatter_rows(g, idx, shape):
-    """Adjoint of the row lookup a[idx] for a of `shape`: the rows of g summed
-    by index, one np.bincount per trailing column (in index order, as
-    np.add.at adds)."""
-    rows, width = shape[0], math.prod(shape[1:])
-    flat = idx.ravel()
-    cols = g.reshape(flat.size, width)
-    out = np.empty((rows, width))
-    for c in range(width):
-        out[:, c] = np.bincount(flat, weights=cols[:, c], minlength=rows)
-    return out.reshape(shape)
+class RowIndex:
+    """A row-index array fixed for many evaluations, with its scatter adjoint.
+
+    The adjoint of the lookup a[idx] sums the rows of the upstream gradient by
+    index. Here that sum is one product with the CSR transpose of the lookup
+    (rows x idx.size, all ones, column indices sorted within each row), built
+    on the first backward pass that needs it and kept with the index. Each
+    output row adds its entries in index order, starting from 0, as
+    np.bincount (and np.add.at) does, so the result is bit for bit theirs.
+    """
+
+    __slots__ = ("idx", "rows", "_transpose")
+
+    def __init__(self, idx, rows):
+        self.idx = np.asarray(idx)
+        self.rows = rows
+        self._transpose = None
+
+    def scatter(self, g):
+        """Rows of g (idx.shape + trailing) summed by index: (rows,) + trailing."""
+        if self._transpose is None:
+            flat = self.idx.ravel()
+            indptr = np.zeros(self.rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=self.rows), out=indptr[1:])
+            order = np.argsort(flat, kind="stable")
+            self._transpose = csr_array((np.ones(flat.size), order, indptr),
+                                        shape=(self.rows, flat.size))
+        trailing = g.shape[self.idx.ndim:]
+        out = self._transpose @ g.reshape(self.idx.size, math.prod(trailing))
+        return out.reshape((self.rows,) + trailing)
+
+
+def _row_index(idx, a):
+    return idx if isinstance(idx, RowIndex) else RowIndex(idx, a.value.shape[0])
 
 
 def gather(a, idx):
-    """Row lookup a[idx] along axis 0 (idx nonnegative, any shape)."""
+    """Row lookup a[idx] along axis 0 (idx a RowIndex, or nonnegative ints of any shape)."""
     a = _wrap(a)
-    idx = np.asarray(idx)
+    index = _row_index(idx, a)
 
     def vjp(g):
-        _accum(a, _scatter_rows(g, idx, a.value.shape))
+        _accum(a, index.scatter(g))
 
-    return _make(a.value[idx], (a,), vjp)
+    return _make(a.value[index.idx], (a,), vjp)
 
 
 def edge_diff(a, idx, signs=None):
     """Edge vectors a[idx] * signs - a[:, None] of a neighbour graph, as one node.
 
-    `idx` is (N, k) with row i listing the neighbours of row i of `a` (N, ...);
-    the optional constant `signs` broadcasts against a[idx]. Backward scatters
-    g * signs to the neighbour rows (as gather does) and subtracts each row's
-    sum of g over its k edges.
+    `idx` (a RowIndex, or ints) is (N, k) with row i listing the neighbours of
+    row i of `a` (N, ...); the optional constant `signs` broadcasts against
+    a[idx]. Backward scatters g * signs to the neighbour rows (as gather does)
+    and subtracts each row's sum of g over its k edges.
     """
     a = _wrap(a)
-    idx = np.asarray(idx)
-    v = np.take(a.value, idx, axis=0)  # a fresh array, several times faster than a[idx]
+    index = _row_index(idx, a)
+    v = np.take(a.value, index.idx, axis=0)  # a fresh array, several times faster than a[idx]
     if signs is not None:
         v *= signs
     v -= a.value[:, None]
 
     def vjp(g):
-        out = _scatter_rows(g if signs is None else g * signs, idx, a.value.shape)
+        out = index.scatter(g if signs is None else g * signs)
         # each row's sum of g over its k edges, adding whole (N, ...) slices
         # in turn: g.sum(axis=1)'s order for several trailing columns, without
         # its per-row loops
@@ -381,16 +390,6 @@ def edge_diff(a, idx, signs=None):
         _accum(a, out)
 
     return _make(v, (a,), vjp)
-
-
-def reshape(a, shape):
-    a = _wrap(a)
-    old = a.value.shape
-
-    def vjp(g):
-        _accum(a, g.reshape(old))
-
-    return _make(a.value.reshape(shape), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +410,14 @@ def eigh3(S):
         dS = V (diag(dw) + F o (V^T dV)) V^T,  F_ij = 1/(w_j - w_i),
 
     symmetrized, with the gap denominators smoothed by _EIG_GAP_EPS.
-    Returns (evals, evecs) as two tensors.
+    Returns (evals, evecs), the two outputs of one node: the adjoint is
+    formed once, from the gradients of both.
     """
     S = _wrap(S)
     w, V = jacobi_eigh3(S.value)
 
-    def vjp_w(g):
-        _backprop(g, None)
-
-    def vjp_V(g):
-        _backprop(None, g)
-
-    def _backprop(gw, gV):
+    def vjp(gw, gV):
+        Vt = _transposed(V)
         M = np.zeros(V.shape, dtype=np.float64)
         if gw is not None:
             M[..., 0, 0] = gw[..., 0]
@@ -433,9 +428,9 @@ def eigh3(S):
             F = gap / (gap * gap + _EIG_GAP_EPS * _EIG_GAP_EPS)
             for i in range(3):
                 F[..., i, i] = 0.0
-            M = M + F * (np.swapaxes(V, -1, -2) @ gV)
-        gS = V @ M @ np.swapaxes(V, -1, -2)
+            M = M + F * (Vt @ gV)
+        gS = V @ M @ Vt
         gS = 0.5 * (gS + np.swapaxes(gS, -1, -2))
         _accum(S, gS)
 
-    return _make(w, (S,), vjp_w), _make(V, (S,), vjp_V)
+    return _make_multi((w, V), (S,), vjp)

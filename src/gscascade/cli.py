@@ -167,16 +167,21 @@ def cmd_fit(cfg, scene_dir):
 
 def _load_fit_dir(fit_dir, scene_dir=None):
     """(scene kind, scene, centers, quats, scales) of a fit; the scene is read
-    from `scene_dir`, else from the directory the fit recorded."""
+    from `scene_dir`, else from the directory the fit recorded. The trajectory
+    must hold every frame (at least 2) and every Gaussian of the scene."""
     fit = Path(fit_dir)
     with _input_file(fit / "summary.json") as path:
         summary = iof.read_json(path)
         kind = str(summary["scene_kind"])
         if scene_dir is None:
             scene_dir = str(summary["scene_dir"])
+    seq = load_scene_dir(scene_dir)
     with _input_file(fit / "trajectory.csv") as path:
         centers, quats, scales = iof.read_trajectory_csv(path)
-    return kind, load_scene_dir(scene_dir), centers, quats, scales
+        if centers.shape[:2] != (seq.n_frames, seq.frame0.n):
+            raise ValueError(f"{centers.shape[0]} frames x {centers.shape[1]} Gaussians, expected"
+                             f" the scene's {seq.n_frames} x {seq.frame0.n}")
+    return kind, seq, centers, quats, scales
 
 
 def cmd_segment(cfg, fit_dir, scene_dir=None):

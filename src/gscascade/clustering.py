@@ -13,8 +13,11 @@ segmentation reuses it with D = 15*T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .autodiff import RowIndex
 
 _LLOYD_TOL = 1e-7
 _LLOYD_MAX_ITERS = 300
@@ -146,6 +149,13 @@ class ClusterHierarchy:
     @property
     def n(self):
         return self.assignments[0].shape[0]
+
+    @cached_property
+    def row_indices(self):
+        """Per layer, the assignments as a RowIndex: the sparse transpose that
+        scatters the layer's gradients is built by the first fit that needs it
+        and serves the whole sequence, over which assignments stay fixed."""
+        return [RowIndex(a, size) for a, size in zip(self.assignments, self.layer_sizes)]
 
     def update_centroids(self, centers):
         """Recompute every layer's centroids as exact member means of `centers`."""

@@ -35,12 +35,31 @@ a strong field can label the axes of the same covariance differently). The
 reference rotation and permutation only fix the gauge — near a given reference
 the factored output does not depend on it — so treating them as constants of
 the backward pass leaves gradients exact.
+
+One differentiable evaluation (`trace_cascade`) builds a short tape of fused
+nodes with closed-form VJPs; their forwards are the original op chains, op
+for op, so only the summation order of the backward differs from a chain of
+generic ops:
+
+  * per layer, `quat_normalize_t` and `quat_to_mat_t` on the L cluster rows,
+    then one two-output layer node (x, J) -> (x_next, J_k J), which looks up
+    the four per-cluster rows per Gaussian and scatters their gradients back
+    through the layer's RowIndex;
+  * the covariance: one node J -> B = Q^T (J A0)(J A0)^T Q, `autodiff.eigh3`
+    (two outputs), one node (w, V) -> (R_dec, scales), and `mat_to_quat_t`;
+  * the per-Gaussian deltas: an add, two `quat_normalize_t`, one
+    `quat_multiply_t`, an exp and a mul.
+
+The constants of one previous frame (R_prev, A0 = R_prev diag(s_prev), each
+layer's looked-up centroids) live in a `CascadeFrame`, which a frame's fit
+builds once for all its evaluations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,64 +193,160 @@ class CascadeTrace:
     orientations: ad.Tensor  # (N, 4)
     scales: ad.Tensor  # (N, 3)
     jacobians: ad.Tensor  # (N, 3, 3) accumulated spatial Jacobian
-    covariances: ad.Tensor  # (N, 3, 3) propagated, exactly symmetric; None if off
+    covariances: np.ndarray  # (N, 3, 3) propagated, exactly symmetric; None if off
     leaves: dict  # parameter name -> leaf Tensor
 
 
-def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True):
+class CascadeFrame:
+    """The cascade's constants on one previous frame: its rotations R_prev,
+    A0 = R_prev diag(s_prev), and each layer's centroids looked up per
+    Gaussian. Each is computed on first use and then shared by every
+    evaluation of the frame; the hierarchy's centroids must be the frame's
+    before then."""
+
+    def __init__(self, prev_set, hierarchy):
+        self.prev_set = prev_set
+        self.hierarchy = hierarchy
+
+    @cached_property
+    def prev_R(self):
+        return geometry.quat_to_matrix(self.prev_set.orientations)
+
+    @cached_property
+    def A0(self):
+        return self.prev_R * self.prev_set.scales[:, None, :]
+
+    @cached_property
+    def centroids(self):
+        hier = self.hierarchy
+        return [c[a] for c, a in zip(hier.centroids, hier.assignments)]
+
+
+def _cascade_layer_t(x, J, R, t, c, s, index, pc):
+    """One cascade layer as one tape node: (x, J) -> (x_next, J_next = J_k J).
+
+    R, t, c, s hold the layer's per-cluster rows, looked up per Gaussian
+    through the RowIndex `index`; pc are the looked-up centroids (constant).
+    J is None on the first layer. Returns (x_next, J_next, the looked-up
+    rotations as an array). The VJP needs only sigma, sigma', d and `moved`
+    from the forward, and scatters the four per-Gaussian gradients back to
+    the clusters in one sparse product.
+    """
+    n = x.shape[0]
+    cid = index.idx
+    Rg, tg, cg, sg = R.value[cid], t.value[cid], c.value[cid], s.value[cid]
+    d = x.value - pc
+    th = np.tanh((cg * d).sum(axis=-1) + sg)  # (N,)
+    sig = th + 1.0
+    moved = np.einsum("...ij,...j->...i", Rg, d) + tg
+    # written as x + (sigma*moved - d) so the zero cascade is an exact
+    # identity in floating point
+    x_next = x.value + (moved * sig.reshape(n, 1) - d)
+    sigp = 1.0 - th * th
+    cs = cg * sigp.reshape(n, 1)
+    Jk = Rg * sig.reshape(n, 1, 1) + np.einsum("...i,...j->...ij", moved, cs)
+    J_next = Jk if J is None else Jk @ J.value
+
+    def vjp(gx, gJ):
+        gx = np.zeros((n, 3)) if gx is None else gx
+        gK = np.zeros((n, 3, 3)) if gJ is None else gJ
+        if J is not None:
+            if J.requires_grad and gJ is not None:
+                ad._accum(J, ad._transposed(Jk) @ gJ)
+            gK = gK @ ad._transposed(J.value)
+        # x_next = x + sigma moved - d and J_k = sigma R + moved (sigma' c)^T
+        g_moved = gx * sig[:, None] + np.einsum("...ij,...j->...i", gK, cs)
+        g_cs = np.einsum("...ij,...i->...j", gK, moved)
+        g_sig = (gx * moved).sum(axis=-1) + (gK * Rg).sum(axis=(-2, -1))
+        g_u = (g_sig - 2.0 * th * (g_cs * cg).sum(axis=-1)) * sigp
+        g_d = g_u[:, None] * cg + np.einsum("...ij,...i->...j", Rg, g_moved)
+        if x.requires_grad:  # d = x - pc, and x_next's own x cancels -d's
+            ad._accum(x, g_d)
+        per_gaussian = np.concatenate([
+            (gK * sig[:, None, None] + g_moved[:, :, None] * d[:, None, :]).reshape(n, 9),
+            g_moved,
+            g_cs * sigp[:, None] + g_u[:, None] * d,
+            g_u[:, None],
+        ], axis=1)
+        per_cluster = index.scatter(per_gaussian)
+        ad._accum(R, per_cluster[:, :9].reshape(R.shape))
+        ad._accum(t, per_cluster[:, 9:12])
+        ad._accum(c, per_cluster[:, 12:15])
+        ad._accum(s, per_cluster[:, 15])
+
+    parents = (x, R, t, c, s) if J is None else (x, R, t, c, s, J)
+    x_next, J_next = ad._make_multi((x_next, J_next), parents, vjp)
+    return x_next, J_next, Rg
+
+
+def _covariance_t(J, A0, Q):
+    """J -> B = Q^T M Q with M = (J A0)(J A0)^T, as one tape node.
+
+    Both products are symmetrized bit-exactly, (X + X^T) * 0.5, in the
+    association of the original op chain. Returns (B, M as an array).
+    """
+    A = J.value @ A0
+    M = A @ np.swapaxes(A, -1, -2)
+    M = (M + np.swapaxes(M, -1, -2)) * 0.5
+    B = (np.swapaxes(Q, -1, -2) @ M) @ Q
+    B = (B + np.swapaxes(B, -1, -2)) * 0.5
+
+    def vjp(gB):
+        gB = 0.5 * (gB + np.swapaxes(gB, -1, -2))
+        gM = Q @ (gB @ ad._transposed(Q))
+        gA = (gM + np.swapaxes(gM, -1, -2)) @ A
+        ad._accum(J, gA @ ad._transposed(A0))
+
+    return ad._make(B, (J,), vjp), M
+
+
+def _factored_t(evals, evecs, Q, P):
+    """(w, V) -> (R_dec = Q (V P), scales = sqrt(|P|^T w)) as one tape node."""
+    R_dec = Q @ (evecs.value @ P)
+    perm = np.abs(np.swapaxes(P, -1, -2))
+    scales = np.sqrt(np.einsum("...ij,...j->...i", perm, evals.value))
+
+    def vjp(gR, gs):
+        if gR is not None:
+            ad._accum(evecs, (ad._transposed(Q) @ gR) @ ad._transposed(P))
+        if gs is not None:
+            ad._accum(evals, np.einsum("...ij,...i->...j", perm, gs * (0.5 / scales)))
+
+    return ad._make_multi((R_dec, scales), (evals, evecs), vjp)
+
+
+def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True, frame=None):
     """Run the cascade on `gset`, building the autodiff graph.
 
     With differentiable=False the same code path runs on constants (no graph),
     which keeps the evaluation and training forwards numerically identical.
+    `frame` is the CascadeFrame of `gset` that a frame's fit shares between its
+    evaluations; without it one is built for this call.
     """
     hier = cascade.hierarchy
-    n = gset.n
+    if frame is None:
+        frame = CascadeFrame(gset, hier)
     mk = ad.leaf if differentiable else ad.constant
     leaves = {key: mk(a) for key, a in cascade.arrays().items()}
 
     x = ad.constant(gset.centers)
     J = None
     R_casc = None  # composed layer rotations R_K ... R_1, the gauge reference
-    for k in range(len(cascade.layers)):
+    for k, (index, pc) in enumerate(zip(hier.row_indices, frame.centroids)):
         layer = {name: leaves[f"layer{k}.{name}"] for name in _LAYER_CLASSES}
-        cid = hier.assignments[k]
-        # convert the layer's L rotations once, then look them up per Gaussian
-        R = ad.gather(quat_to_mat_t(quat_normalize_t(layer["rotations"])), cid)  # (N, 3, 3)
-        t = ad.gather(layer["translations"], cid)
-        c = ad.gather(layer["scale_dirs"], cid)
-        s = ad.gather(layer["scale_biases"], cid)
-        pc = ad.constant(hier.centroids[k][cid])
-
-        d = x - pc
-        u = ad.tsum(ad.mul(c, d), axis=-1) + s  # (N,)
-        th = ad.tanh(u)
-        sig = th + 1.0
-        moved = ad.matvec(R, d) + t
-        # written as x + (sigma*moved - d) so the zero cascade is an exact
-        # identity in floating point
-        x = x + (ad.mul(moved, ad.reshape(sig, (n, 1))) - d)
-        sigp = 1.0 - ad.mul(th, th)
-        Jk = ad.mul(R, ad.reshape(sig, (n, 1, 1))) + ad.outer(
-            moved, ad.mul(c, ad.reshape(sigp, (n, 1)))
-        )
-        J = Jk if J is None else ad.matmul(Jk, J)
-        R_casc = R.value if R_casc is None else R.value @ R_casc
+        # convert the layer's L rotations once; the layer node looks them up
+        R = quat_to_mat_t(quat_normalize_t(layer["rotations"]))  # (L, 3, 3)
+        x, J, Rg = _cascade_layer_t(x, J, R, layer["translations"], layer["scale_dirs"],
+                                    layer["scale_biases"], index, pc)
+        R_casc = Rg if R_casc is None else Rg @ R_casc
 
     centers_out = x + leaves["d_centers"]
 
     cov = None
     if propagate_covariance:
-        prev_R = geometry.quat_to_matrix(gset.orientations)
-        A0 = ad.constant(prev_R * gset.scales[:, None, :])  # R_prev diag(s_prev)
-        A = ad.matmul(J, A0)
-        M = ad.matmul(A, ad.transpose_last2(A))
-        M = ad.mul(M + ad.transpose_last2(M), 0.5)  # bitwise-exact symmetry
-        cov = M
-
         # gauge reference: constants of the backward pass (see module docstring)
-        Q = R_casc @ prev_R
-        B = ad.matmul(ad.matmul(ad.constant(np.swapaxes(Q, -1, -2)), M), ad.constant(Q))
-        B = ad.mul(B + ad.transpose_last2(B), 0.5)
+        Q = R_casc @ frame.prev_R
+        B, cov = _covariance_t(J, frame.A0, Q)
         evals, evecs = ad.eigh3(B)
         if np.any(evals.value <= _PD_FLOOR):
             idx = int(np.argmax(np.min(evals.value, axis=-1) <= _PD_FLOOR))
@@ -239,10 +354,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True)
                 f"propagated covariance is not positive definite for Gaussian {idx}"
                 " (degenerate deformation Jacobian)"
             )
-        P = _nearest_signed_permutation(evecs.value)
-        R_dec = ad.matmul(ad.constant(Q), ad.matmul(evecs, ad.constant(P)))
-        perm = np.abs(np.swapaxes(P, -1, -2))
-        scales_prop = ad.sqrt(ad.matvec(ad.constant(perm), evals))
+        R_dec, scales_prop = _factored_t(evals, evecs, Q, _nearest_signed_permutation(evecs.value))
         q_prop = mat_to_quat_t(R_dec)
     else:
         q_prop = ad.constant(gset.orientations)
@@ -292,7 +404,7 @@ def cascade_jacobians(cascade, gset):
 def propagated_covariances(cascade, gset):
     """J Sigma J^T per Gaussian (exactly symmetric), without the refactoring."""
     trace = trace_cascade(cascade, gset, propagate_covariance=True, differentiable=False)
-    return trace.covariances.value
+    return trace.covariances
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,17 @@ Five terms, all reduced as means so weights are comparable across scene sizes:
   * data: squared distance to observed points, matched by correspondence when
     available, else symmetric nearest-neighbor (Chamfer) distance.
 
-The Chamfer term queries two k-d trees. The tree over the M scan points
-(`observation_tree`) does not change while a frame is fitted: `fit_frame`
-builds it once, every evaluation of that frame shares it, and it is dropped
-when the frame is done (a caller that passes none gets one built per call).
-The tree over the N moving centers is rebuilt per evaluation. The scan-to-set
-half is evaluated on per-Gaussian moments: with n_i the number of points whose
+What stays fixed while one frame transition is fitted lives in one
+`FrameConstants` holder, which `fit_frame` builds once and every evaluation
+of the frame shares (a caller that passes none gets one built per call): the
+cascade's R_prev, A0 and looked-up centroids, rigidity's R_prev^T and
+previous-frame edges, rotation's inverse previous orientations, the
+correspondence as a RowIndex and, for a scan, the k-d tree over its M points
+(`observation_tree`). It is dropped when the frame is done.
+
+The Chamfer term queries two k-d trees: the scan's, from the holder, and one
+over the N moving centers, rebuilt per evaluation. The scan-to-set half is
+evaluated on per-Gaussian moments: with n_i the number of points whose
 nearest Gaussian is i and mu_i their mean,
 
     sum_m |c_nn(m) - p_m|^2 = sum_i n_i |c_i - mu_i|^2 + sum_m |p_m - mu_nn(m)|^2,
@@ -28,11 +33,12 @@ The three neighbour terms share one `NeighborGraph`: a k-NN graph frozen at
 frame 0, with Gaussian falloff weights exp(-lambda * d^2). It carries the
 frame-0 structure the isometry term compares against, derived once from the
 frame-0 centers: the floored rest length of every edge (`safe_norm` itself)
-and the largest absolute frame-0 coordinate. Every (N, k, .) edge array,
-taped or constant, comes from `autodiff.edge_diff` (with rotation's sign
-alignment folded in). The terms are short tapes: rigidity maps its edges
-back to the previous frame with one batched (N, k, 3) @ (N, 3, 3) matmul,
-and `tapemath.safe_norm` is one node.
+and the largest absolute frame-0 coordinate, and its indices as a RowIndex
+whose sparse transpose scatters every edge term's gradient for the whole
+sequence. Every (N, k, .) edge array, taped or constant, comes from
+`autodiff.edge_diff` (with rotation's sign alignment folded in). The terms
+are short tapes: rigidity maps its edges back to the previous frame with one
+batched (N, k, 3) @ (N, 3, 3) matmul, and `tapemath.safe_norm` is one node.
 
 Everything routes through the autodiff tape, so `total_loss` returns exact
 gradients for every cascade parameter (including through covariance
@@ -45,13 +51,14 @@ during the backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from . import geometry
-from .deform import trace_cascade
+from .deform import CascadeFrame, trace_cascade
 from .tapemath import quat_multiply_t, quat_to_mat_t, safe_norm
 
 DEFAULT_NEIGHBOR_COUNT = 20
@@ -88,19 +95,22 @@ class NeighborGraph:
     """Frozen k-nearest-neighbor graph on the frame-0 centers.
 
     Holds the Gaussian falloff weights and, derived once from `centers`, the
-    floored rest length of every edge and the largest absolute frame-0
-    coordinate (the scale of the isometry dead zone).
+    indices as a RowIndex (whose scatter every edge term shares for the whole
+    sequence), the floored rest length of every edge and the largest absolute
+    frame-0 coordinate (the scale of the isometry dead zone).
     """
 
     centers: np.ndarray  # (N, 3) frame-0 centers the graph is built on
     indices: np.ndarray  # (N, k) neighbor Gaussian indices
     weights: np.ndarray  # (N, k) in (0, 1]
     lambda_weight: float
+    index: ad.RowIndex = field(init=False, repr=False)  # indices, with their scatter
     rest_lengths: np.ndarray = field(init=False, repr=False)  # (N, k)
     max_abs_coord: float = field(init=False)
 
     def __post_init__(self):
-        self.rest_lengths = safe_norm(ad.edge_diff(self.centers, self.indices)).value
+        self.index = ad.RowIndex(self.indices, self.centers.shape[0])
+        self.rest_lengths = safe_norm(ad.edge_diff(self.centers, self.index)).value
         self.max_abs_coord = np.abs(self.centers).max()
 
     @property
@@ -168,23 +178,20 @@ def scale_loss_t(scales_t, max_scale):
     return ad.mul(ad.tsum(ad.relu(scales_t - max_scale)), 1.0 / n)
 
 
-def rigidity_loss_t(prev_set, centers_t, orientations_t, graph):
-    idx = graph.indices
-    rot_prev = geometry.quat_to_matrix(prev_set.orientations)  # constant
+def rigidity_loss_t(frame, centers_t, orientations_t):
     rot_curr = quat_to_mat_t(orientations_t)
     # edge offsets are rows, so d (R_curr R_prev^T) = (R_prev R_curr^-1 d^T)^T
     # maps current-frame offsets back to the previous frame
-    back = ad.matmul(rot_curr, ad.constant(np.swapaxes(rot_prev, -1, -2)))
-    d_prev = ad.edge_diff(prev_set.centers, idx)  # constant (N,k,3)
-    pred = ad.matmul(ad.edge_diff(centers_t, idx), back)  # (N,k,3) @ (N,3,3)
-    per_edge = safe_norm(d_prev - pred)
-    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+    back = ad.matmul(rot_curr, ad.constant(frame.prev_R_T))
+    pred = ad.matmul(ad.edge_diff(centers_t, frame.graph.index), back)  # (N,k,3) @ (N,3,3)
+    per_edge = safe_norm(frame.d_prev - pred)
+    return ad.tmean(ad.mul(ad.constant(frame.graph.weights), per_edge))
 
 
 def isometry_loss_t(centers_t, graph):
     # the rest lengths come from safe_norm too, so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
-    dt = safe_norm(ad.edge_diff(centers_t, graph.indices))
+    dt = safe_norm(ad.edge_diff(centers_t, graph.index))
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
@@ -194,14 +201,19 @@ def isometry_loss_t(centers_t, graph):
     return ad.tmean(ad.absval(ad.constant(d0) - dt))
 
 
-def rotation_loss_t(prev_set, orientations_t, graph):
-    idx = graph.indices
-    prev_inv = geometry.quat_conjugate(geometry.quat_normalize(prev_set.orientations))
-    rel = quat_multiply_t(orientations_t, ad.constant(prev_inv))  # (N, 4) increments
-    # q and -q are the same rotation: align signs before differencing
-    dots = np.sum(rel.value[idx] * rel.value[:, None], axis=-1)
+def rotation_loss_t(frame, orientations_t):
+    graph = frame.graph
+    rel = quat_multiply_t(orientations_t, ad.constant(frame.prev_inv))  # (N, 4) increments
+    # q and -q are the same rotation: align signs before differencing. The
+    # dot products add their four component products in order, bit for bit
+    # what np.sum does over the last axis, without its per-row loops.
+    r = rel.value
+    nb = np.take(r, graph.indices, axis=0)
+    dots = nb[..., 0] * r[:, None, 0]
+    for c in range(1, 4):
+        dots += nb[..., c] * r[:, None, c]
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
-    per_edge = safe_norm(ad.edge_diff(rel, idx, signs))
+    per_edge = safe_norm(ad.edge_diff(rel, graph.index, signs))
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
@@ -210,16 +222,55 @@ def observation_tree(obs):
     return None if obs.correspondence is not None else cKDTree(obs.points)
 
 
-def data_loss_t(centers_t, obs, obs_tree=None, workers=1):
+class FrameConstants(CascadeFrame):
+    """Everything that stays fixed while one frame transition is fitted.
+
+    Built once per frame (by `fit_frame`, or by `total_loss` for a single
+    call) and shared by all of that frame's evaluations. Besides the cascade's
+    constants of `CascadeFrame`, it holds the frame's observation and the
+    frame-0 neighbour graph, and derives on first use:
+
+      * `scan_tree`: `observation_tree(obs)`, the k-d tree over the scan;
+      * `correspondence`: the observation's correspondence as a RowIndex;
+      * `prev_R_T`, `d_prev`: rigidity's R_prev^T and previous-frame edges;
+      * `prev_inv`: rotation's inverse previous orientations.
+    """
+
+    def __init__(self, prev_set, obs, hierarchy, graph):
+        super().__init__(prev_set, hierarchy)
+        self.obs = obs
+        self.graph = graph
+
+    @cached_property
+    def scan_tree(self):
+        return observation_tree(self.obs)
+
+    @cached_property
+    def correspondence(self):
+        return ad.RowIndex(self.obs.correspondence, self.prev_set.n)
+
+    @cached_property
+    def prev_R_T(self):
+        return np.swapaxes(self.prev_R, -1, -2)
+
+    @cached_property
+    def d_prev(self):
+        return ad.edge_diff(self.prev_set.centers, self.graph.index)  # constant (N, k, 3)
+
+    @cached_property
+    def prev_inv(self):
+        return geometry.quat_conjugate(geometry.quat_normalize(self.prev_set.orientations))
+
+
+def data_loss_t(centers_t, frame, workers=1):
+    obs = frame.obs
     if obs.correspondence is not None:
-        matched = ad.gather(centers_t, obs.correspondence)
+        matched = ad.gather(centers_t, frame.correspondence)
         return ad.tmean(ad.tsum(ad.square(matched - ad.constant(obs.points)), axis=-1))
     # symmetric Chamfer on squared distances; NN matches fixed from forward
-    if obs_tree is None:
-        obs_tree = observation_tree(obs)
     centers = centers_t.value
     n, m = centers.shape[0], obs.points.shape[0]
-    nn_c = obs_tree.query(centers, workers=workers)[1]
+    nn_c = frame.scan_tree.query(centers, workers=workers)[1]
     nn_o = cKDTree(centers).query(obs.points, workers=workers)[1]
     to_obs = ad.tmean(ad.tsum(ad.square(centers_t - ad.constant(obs.points[nn_c])), axis=-1))
     # scan-to-set on the count and mean of each Gaussian's matched points
@@ -239,7 +290,7 @@ def data_loss_t(centers_t, obs, obs_tree=None, workers=1):
 
 
 def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
-               propagate_covariance=True, workers=1, with_grads=True, obs_tree=None):
+               propagate_covariance=True, workers=1, with_grads=True, frame=None):
     """Weighted objective through cascade_apply.
 
     Returns (total, components, grads) where components maps each term name
@@ -247,20 +298,23 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
     keys as CascadeTrace.leaves) to its gradient array. With with_grads=False
     the forward runs on constants and grads is None. `graph` is the frame-0
     neighbour graph, whose rest lengths the isometry term holds the edges to.
-    `obs_tree` is `observation_tree(obs)`, which a frame's fit builds once for
-    all its evaluations; without it the data term builds one for this call.
+    `frame` is the FrameConstants of (prev_set, obs), which a frame's fit
+    builds once for all its evaluations; without it one is built for this call.
     """
+    if frame is None:
+        frame = FrameConstants(prev_set, obs, cascade.hierarchy, graph)
     trace = trace_cascade(
         cascade, prev_set,
         propagate_covariance=propagate_covariance,
         differentiable=with_grads,
+        frame=frame,
     )
     terms = {
-        "rigidity": rigidity_loss_t(prev_set, trace.centers, trace.orientations, graph),
+        "rigidity": rigidity_loss_t(frame, trace.centers, trace.orientations),
         "isometry": isometry_loss_t(trace.centers, graph),
-        "rotation": rotation_loss_t(prev_set, trace.orientations, graph),
+        "rotation": rotation_loss_t(frame, trace.orientations),
         "scale": scale_loss_t(trace.scales, max_scale),
-        "data": data_loss_t(trace.centers, obs, obs_tree=obs_tree, workers=workers),
+        "data": data_loss_t(trace.centers, frame, workers=workers),
     }
     total = None
     for name, weight_field in _TERM_WEIGHTS.items():

@@ -8,9 +8,10 @@ are recomputed from the previous frame's centers at the frame transition and
 stay frozen while that frame optimizes.
 
 Adam updates the live arrays of `CascadeDeform.arrays()` in place, keyed like
-the gradients. Each parameter class steps with the rate of one TrainConfig
-field, the per-Gaussian d_* classes at DELTA_LR_FRACTION of it; quaternion
-parameters are renormalized to unit length after every step.
+the gradients, with one update over the classes' flat concatenation. Each
+parameter class steps with the rate of one TrainConfig field, the
+per-Gaussian d_* classes at DELTA_LR_FRACTION of it; quaternion parameters
+are renormalized to unit length after every step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import geometry
 from .clustering import build_hierarchy
 from .deform import cascade_apply, cascade_zero
-from .losses import LossWeights, build_neighbor_graph, observation_tree, total_loss
+from .losses import FrameConstants, LossWeights, build_neighbor_graph, total_loss
 
 DELTA_LR_FRACTION = 0.1  # the d_* classes step at this share of their rate
 # parameter class (deform.IDENTITY_ROWS) -> the TrainConfig field of its rate
@@ -74,11 +75,13 @@ class TrainConfig:
 
 
 class AdamState:
-    """Per-parameter-array Adam moments."""
+    """Adam moments of every parameter class as two flat vectors, in sorted key
+    order, with the per-element learning rates; built at the first step."""
 
     def __init__(self):
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
+        self.rates = None
         self.t = 0
 
 
@@ -90,24 +93,27 @@ def adam_step(cascade, grads, state, config):
     """
     state.t += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    keys = sorted(grads)
+    g = np.concatenate([grads[key].ravel() for key in keys])
+    if not np.all(np.isfinite(g)):
+        bad = next(key for key in keys if not np.all(np.isfinite(grads[key])))
+        raise ValueError(f"non-finite gradient in parameter class '{bad}'")
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+        state.rates = np.concatenate([np.full(grads[key].size, config.resolved_lr(key))
+                                      for key in keys])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g * g
+    mhat = state.m / (1.0 - b1**state.t)
+    vhat = state.v / (1.0 - b2**state.t)
+    step = state.rates * mhat / (np.sqrt(vhat) + eps)
     arrays = cascade.arrays()
-    for key in sorted(grads):
-        g = grads[key]
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in parameter class '{key}'")
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(g)
-            state.v[key] = np.zeros_like(g)
-        v = state.v[key]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[key] = m
-        state.v[key] = v
-        mhat = m / (1.0 - b1**state.t)
-        vhat = v / (1.0 - b2**state.t)
+    start = 0
+    for key in keys:
         arr = arrays[key]
-        arr -= config.resolved_lr(key) * mhat / (np.sqrt(vhat) + eps)
+        arr -= step[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
         if key.endswith("rotations"):
             arr[:] = geometry.quat_normalize(arr)
     return cascade, state
@@ -148,7 +154,7 @@ def fit_frame(prev_set, obs, hierarchy, config, graph=None):
     t0 = time.perf_counter()
     if graph is None:
         graph = _neighbor_graph(prev_set.centers, config)
-    obs_tree = observation_tree(obs)  # every evaluation of this frame shares it
+    frame = FrameConstants(prev_set, obs, hierarchy, graph)  # shared by every evaluation
     cascade = cascade_zero(hierarchy, prev_set.n)
     state = AdamState()
     curve = []
@@ -156,7 +162,7 @@ def fit_frame(prev_set, obs, hierarchy, config, graph=None):
         value, components, grads = total_loss(
             cascade, prev_set, obs, graph, config.weights, config.max_scale,
             propagate_covariance=config.propagate_covariance,
-            workers=config.threads, obs_tree=obs_tree,
+            workers=config.threads, frame=frame,
         )
         entry = dict(components)
         entry["total"] = value
@@ -166,7 +172,7 @@ def fit_frame(prev_set, obs, hierarchy, config, graph=None):
     final_value, final_components, _ = total_loss(
         cascade, prev_set, obs, graph, config.weights, config.max_scale,
         propagate_covariance=config.propagate_covariance,
-        workers=config.threads, obs_tree=obs_tree,
+        workers=config.threads, frame=frame,
         with_grads=False,
     )
     final = dict(final_components)

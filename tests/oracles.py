@@ -6,7 +6,9 @@ an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, value-and-gradient wrappers around single loss terms, the
-three neighbour terms as chains of generic tape ops, a brute-force Chamfer
+three neighbour terms as chains of generic tape ops (with the sqrt,
+transpose, reshape and matvec ops that only they use), the bincount scatter
+and the two-node eigh3 that the shipped tape replaced, a brute-force Chamfer
 term, the inverse camera map, the per-candidate loop of track selection, and
 Procrustes subset checks for the rigid-subpart rotation property.
 """
@@ -17,8 +19,8 @@ import numpy as np
 
 from gscascade import autodiff as ad
 from gscascade import geometry
-from gscascade.losses import (_RIGID_NOISE_ULPS, data_loss_t, isometry_loss_t,
-                              rigidity_loss_t, rotation_loss_t)
+from gscascade.losses import (_RIGID_NOISE_ULPS, FrameConstants, data_loss_t,
+                              isometry_loss_t, rigidity_loss_t, rotation_loss_t)
 from gscascade.segmentation import procrustes_rotation
 from gscascade.tapemath import quat_multiply_t, quat_to_mat_t
 from gscascade.tracking import CANDIDATE_RADIUS_PX, mte, project, project_track
@@ -155,7 +157,8 @@ def rigidity_loss(prev_set, curr_set, graph):
     c = ad.leaf(curr_set.centers)
     q = ad.leaf(curr_set.orientations)
     return eval_with_grads(
-        lambda: rigidity_loss_t(prev_set, c, q, graph), {"centers": c, "orientations": q}
+        lambda: rigidity_loss_t(FrameConstants(prev_set, None, None, graph), c, q),
+        {"centers": c, "orientations": q},
     )
 
 
@@ -166,7 +169,86 @@ def isometry_loss(curr_set, graph):
 
 def rotation_loss(prev_set, curr_set, graph):
     q = ad.leaf(curr_set.orientations)
-    return eval_with_grads(lambda: rotation_loss_t(prev_set, q, graph), {"orientations": q})
+    frame = FrameConstants(prev_set, None, None, graph)
+    return eval_with_grads(lambda: rotation_loss_t(frame, q), {"orientations": q})
+
+
+# ---------------------------------------------------------------------------
+# generic tape ops the fused primitives replaced, kept for the chain oracles
+
+
+def sqrt_t(a):
+    v = np.sqrt(a.value)
+
+    def vjp(g):
+        ad._accum(a, g * (0.5 / v))
+
+    return ad._make(v, (a,), vjp)
+
+
+def transpose_last2_t(a):
+    def vjp(g):
+        ad._accum(a, np.swapaxes(g, -1, -2))
+
+    return ad._make(np.swapaxes(a.value, -1, -2), (a,), vjp)
+
+
+def reshape_t(a, shape):
+    old = a.value.shape
+
+    def vjp(g):
+        ad._accum(a, g.reshape(old))
+
+    return ad._make(a.value.reshape(shape), (a,), vjp)
+
+
+def matvec_t(a, x):
+    """(..., m, n) @ (..., n) -> (..., m)."""
+    a, x = ad._wrap(a), ad._wrap(x)
+    v = np.einsum("...ij,...j->...i", a.value, x.value)
+
+    def vjp(g):
+        if a.requires_grad:
+            ad._accum(a, ad._unbroadcast(np.einsum("...i,...j->...ij", g, x.value), a.value.shape))
+        if x.requires_grad:
+            ad._accum(x, ad._unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
+
+    return ad._make(v, (a, x), vjp)
+
+
+def bincount_scatter(g, idx, rows):
+    """The rows of g summed by index, one np.bincount per trailing column:
+    the scatter a RowIndex's sparse transpose replaced."""
+    width = int(np.prod(g.shape[idx.ndim:]))
+    flat = idx.ravel()
+    cols = g.reshape(flat.size, width)
+    out = np.empty((rows, width))
+    for c in range(width):
+        out[:, c] = np.bincount(flat, weights=cols[:, c], minlength=rows)
+    return out.reshape((rows,) + g.shape[idx.ndim:])
+
+
+def eigh3_two_nodes(S):
+    """autodiff.eigh3 as two single-output nodes, each forming the whole
+    adjoint V M V^T from its own output's gradient."""
+    w, V = geometry.jacobi_eigh3(S.value)
+
+    def backprop(gw, gV):
+        M = np.zeros(V.shape)
+        if gw is not None:
+            for i in range(3):
+                M[..., i, i] = gw[..., i]
+        if gV is not None:
+            gap = w[..., None, :] - w[..., :, None]
+            F = gap / (gap * gap + ad._EIG_GAP_EPS * ad._EIG_GAP_EPS)
+            for i in range(3):
+                F[..., i, i] = 0.0
+            M = M + F * (np.swapaxes(V, -1, -2) @ gV)
+        gS = V @ M @ np.swapaxes(V, -1, -2)
+        ad._accum(S, 0.5 * (gS + np.swapaxes(gS, -1, -2)))
+
+    return (ad._make(w, (S,), lambda g: backprop(g, None)),
+            ad._make(V, (S,), lambda g: backprop(None, g)))
 
 
 def clamp_min_t(a, floor):
@@ -182,7 +264,7 @@ def clamp_min_t(a, floor):
 def safe_norm_chain_t(x, floor=geometry._NORM_FLOOR):
     """tapemath.safe_norm as the square, sum, clamp and sqrt nodes it replaced."""
     ssq = ad.tsum(ad.square(x), axis=-1)
-    return ad.sqrt(clamp_min_t(ssq, floor * floor))
+    return sqrt_t(clamp_min_t(ssq, floor * floor))
 
 
 # The three neighbour terms as chains of generic tape ops (gather, reshape,
@@ -196,10 +278,10 @@ def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
     rot_prev = geometry.quat_to_matrix(prev_set.orientations)  # constant
     rot_curr = quat_to_mat_t(orientations_t)
     # R_prev R_curr^-1 maps current-frame offsets back to the previous frame
-    rel = ad.matmul(ad.constant(rot_prev), ad.transpose_last2(rot_curr))
+    rel = ad.matmul(ad.constant(rot_prev), transpose_last2_t(rot_curr))
     d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
-    d_curr = ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3))
-    pred = ad.matvec(ad.reshape(rel, (n, 1, 3, 3)), d_curr)
+    d_curr = ad.gather(centers_t, idx) - reshape_t(centers_t, (n, 1, 3))
+    pred = matvec_t(reshape_t(rel, (n, 1, 3, 3)), d_curr)
     per_edge = safe_norm_chain_t(ad.constant(d_prev) - pred)
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
@@ -212,7 +294,7 @@ def isometry_loss_chain_t(centers_t, graph):
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
     d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
-    dt = safe_norm_chain_t(ad.gather(centers_t, idx) - ad.reshape(centers_t, (n, 1, 3)))
+    dt = safe_norm_chain_t(ad.gather(centers_t, idx) - reshape_t(centers_t, (n, 1, 3)))
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
@@ -227,7 +309,7 @@ def rotation_loss_chain_t(prev_set, orientations_t, graph):
     prev_inv = geometry.quat_conjugate(geometry.quat_normalize(prev_set.orientations))
     rel = quat_multiply_t(orientations_t, ad.constant(prev_inv))  # (N, 4) increments
     rel_j = ad.gather(rel, idx)  # (N, k, 4)
-    rel_i = ad.reshape(rel, (n, 1, 4))
+    rel_i = reshape_t(rel, (n, 1, 4))
     # q and -q are the same rotation: align signs before differencing
     dots = np.sum(rel_j.value * rel_i.value, axis=-1)
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
@@ -237,7 +319,8 @@ def rotation_loss_chain_t(prev_set, orientations_t, graph):
 
 def data_loss(curr_set, obs, workers=1):
     c = ad.leaf(curr_set.centers)
-    return eval_with_grads(lambda: data_loss_t(c, obs, workers=workers), {"centers": c})
+    frame = FrameConstants(curr_set, obs, None, None)
+    return eval_with_grads(lambda: data_loss_t(c, frame, workers=workers), {"centers": c})
 
 
 def chamfer_loss(centers, points):

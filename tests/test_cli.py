@@ -439,6 +439,31 @@ def test_bad_trajectory_csv_exits_2_naming_it(tiny_fit, tmp_path, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
+def _first_gaussians(count):
+    """Keep the trajectory rows (header first) of the Gaussians below `count`."""
+    return _edit_rows(lambda rows: rows[:1] + [r for r in rows[1:] if int(r.split(",")[1]) < count])
+
+
+@pytest.mark.parametrize("command", ["segment", "track"])
+@pytest.mark.parametrize("corrupt, message", [
+    # a complete grid of the wrong size: frame 0 only, or 29 of the 30 Gaussians
+    pytest.param(_edit_rows(lambda rows: rows[:31]),
+                 "1 frames x 30 Gaussians, expected the scene's 3 x 30", id="frame-0-only"),
+    pytest.param(_first_gaussians(29),
+                 "3 frames x 29 Gaussians, expected the scene's 3 x 30", id="gaussian-short"),
+])
+def test_trajectory_of_the_wrong_size_exits_2_naming_it(tiny_fit, tmp_path, capsys, command,
+                                                       corrupt, message):
+    fit = tmp_path / "fit"
+    shutil.copytree(tiny_fit, fit)
+    corrupt(fit / "trajectory.csv")
+    cfg = write_config(tmp_path)
+    assert main([command, str(fit), "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(fit / "trajectory.csv") in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, corrupt, message", [
     pytest.param("segment", _edit_json(lambda s: s.pop("scene_kind")),
                  "missing key 'scene_kind'", id="segment-no-kind"),

@@ -15,6 +15,7 @@ from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
 from gscascade.losses import (
     DataObservation,
+    FrameConstants,
     LossWeights,
     NeighborGraph,
     build_neighbor_graph,
@@ -338,7 +339,7 @@ def test_chamfer_with_a_given_tree_is_bit_identical():
     graph = build_neighbor_graph(gset.centers, k=3, lambda_weight=1.0)
     args = (cascade_zero(h, gset.n), gset, obs, graph, LossWeights(), 0.02)
     v, comps, grads = total_loss(*args)
-    v_t, comps_t, grads_t = total_loss(*args, obs_tree=observation_tree(obs))
+    v_t, comps_t, grads_t = total_loss(*args, frame=FrameConstants(gset, obs, h, graph))
     assert v == v_t and comps == comps_t
     assert all(np.array_equal(grads[k], grads_t[k]) for k in grads)
     assert observation_tree(DataObservation(points=points, correspondence=np.zeros(
@@ -459,18 +460,24 @@ def _neighbour_case(seed):
     return prev, centers, orientations, graph
 
 
+def _frame(prev, graph):
+    return FrameConstants(prev, None, None, graph)
+
+
+# term -> (shipped term, its chain), each called as (prev, centers, orientations, graph)
 _TERMS_AND_CHAINS = {
-    "rigidity": (rigidity_loss_t, rigidity_loss_chain_t),
-    "isometry": (isometry_loss_t, isometry_loss_chain_t),
-    "rotation": (rotation_loss_t, rotation_loss_chain_t),
+    "rigidity": (lambda prev, c, q, graph: rigidity_loss_t(_frame(prev, graph), c, q),
+                 rigidity_loss_chain_t),
+    "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph),
+                 lambda prev, c, q, graph: isometry_loss_chain_t(c, graph)),
+    "rotation": (lambda prev, c, q, graph: rotation_loss_t(_frame(prev, graph), q),
+                 lambda prev, c, q, graph: rotation_loss_chain_t(prev, q, graph)),
 }
 
 
-def _value_and_grads(fn, term, prev, centers, orientations, graph):
+def _value_and_grads(fn, prev, centers, orientations, graph):
     c, q = ad.leaf(centers), ad.leaf(orientations)
-    args = {"rigidity": (prev, c, q, graph), "isometry": (c, graph),
-            "rotation": (prev, q, graph)}[term]
-    value = fn(*args)
+    value = fn(prev, c, q, graph)
     value.backward()
     return float(value.value), (c.grad, q.grad)
 
@@ -495,7 +502,7 @@ def test_neighbour_terms_match_their_tape_chains(term):
         seen["flipped"] += np.any(np.sum(rel[idx] * rel[:, None], axis=-1) < 0.0)
 
         (value, grads), (want, want_grads) = (
-            _value_and_grads(fn, term, prev, centers, orientations, graph)
+            _value_and_grads(fn, prev, centers, orientations, graph)
             for fn in _TERMS_AND_CHAINS[term])
         if term == "rigidity":
             assert abs(value - want) <= 4 * np.spacing(want), seed
@@ -591,7 +598,7 @@ def _tape_size(root):
     return len(seen)
 
 
-@pytest.mark.parametrize("scan, nodes", [(False, 158), (True, 164)],
+@pytest.mark.parametrize("scan, nodes", [(False, 79), (True, 85)],
                          ids=["correspondences", "scan"])
 def test_total_loss_tape_size(monkeypatch, scan, nodes):
     """One iteration's tape on a 3-layer cascade with covariance propagation;

@@ -1,10 +1,13 @@
-"""Fused quaternion tape primitives.
+"""Fused tape primitives: the quaternion kernels, safe_norm, and the cascade
+layer and covariance nodes of `deform`.
 
-Each kernel's forward is checked against its plain-numpy counterpart in
-`geometry`, and each closed-form VJP against central finite differences of
-the kernel's own forward, including every piecewise branch: the four
-Shepperd branches and the hemisphere flip of mat_to_quat_t, and the norm
-floors of quat_normalize_t and safe_norm.
+Each quaternion kernel's forward is checked against its plain-numpy
+counterpart in `geometry`, and each closed-form VJP against central finite
+differences of the kernel's own forward, including every piecewise branch:
+the four Shepperd branches and the hemisphere flip of mat_to_quat_t, and the
+norm floors of quat_normalize_t and safe_norm. The multi-output cascade
+nodes are checked the same way, with every output used and with one unused,
+and the covariance node's forward against the op chain it replaced.
 """
 
 import numpy as np
@@ -12,10 +15,11 @@ import pytest
 
 import gscascade.autodiff as ad
 from gscascade import geometry
+from gscascade.deform import _SIGNED_PERMUTATIONS, _cascade_layer_t, _covariance_t, _factored_t
 from gscascade.tapemath import (mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t,
                                 safe_norm)
 
-from oracles import safe_norm_chain_t
+from oracles import safe_norm_chain_t, transpose_last2_t
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -210,3 +214,103 @@ def test_safe_norm_below_the_floor_is_the_floor_with_zero_gradient():
     # the rows above the floor match finite differences; the norm is flat below
     check_vjp(safe_norm, x[2:])
     check_vjp(safe_norm, x[1:2], eps=1e-16, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the cascade's layer and covariance nodes
+
+
+def check_multi_vjp(node, inputs, used, eps=1e-6, atol=1e-7):
+    """Tape gradients of sum_k <W_k, out_k> over the `used` outputs of `node`
+    against central finite differences, input by input."""
+    outs = node(*(ad.constant(v) for v in inputs))
+    rng = np.random.default_rng(len(inputs))
+    W = [rng.normal(size=o.shape) for o in outs]
+
+    def value(*vals, taped=False):
+        outs = node(*vals)
+        terms = [ad.tsum(ad.mul(o, ad.constant(w))) for o, w, u in zip(outs, W, used) if u]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total if taped else float(total.value)
+
+    leaves = [ad.leaf(v) for v in inputs]
+    value(*leaves, taped=True).backward()
+    for i, (t, v) in enumerate(zip(leaves, inputs)):
+        def moved(x, i=i):
+            return value(*(ad.constant(x if j == i else u) for j, u in enumerate(inputs)))
+
+        num = numeric_grad(moved, v.copy(), eps)
+        got = np.zeros_like(v) if t.grad is None else t.grad
+        np.testing.assert_allclose(got, num, atol=atol, rtol=1e-6)
+
+
+def layer_case(rng, first):
+    n, L = 7, 3
+    cid = rng.integers(0, L, size=n)
+    cid[:L] = np.arange(L)  # every cluster has a member
+    inputs = [rng.normal(size=(n, 3))]
+    if not first:
+        inputs.append(np.eye(3) + 0.3 * rng.normal(size=(n, 3, 3)))
+    inputs += [np.array([axis_angle_matrix(rng.normal(size=3), a) for a in rng.normal(size=L)]),
+               0.2 * rng.normal(size=(L, 3)), 0.8 * rng.normal(size=(L, 3)),
+               0.3 * rng.normal(size=L)]
+    return inputs, ad.RowIndex(cid, L), rng.normal(size=(n, 3))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-layer", "inner-layer"])
+@pytest.mark.parametrize("used", [(True, True), (True, False), (False, True)],
+                         ids=["both", "x-only", "J-only"])
+def test_cascade_layer_vjp_matches_fd(first, used):
+    inputs, index, pc = layer_case(np.random.default_rng(20 + first), first)
+
+    def node(x, *rest):
+        J, (R, t, c, s) = (None, rest) if first else (rest[0], rest[1:])
+        return _cascade_layer_t(x, J, R, t, c, s, index, pc)[:2]
+
+    check_multi_vjp(node, inputs, used)
+
+
+def _rotations(rng, n):
+    return geometry.quat_to_matrix(unit_quats(rng, n))
+
+
+def test_covariance_node_vjp_matches_fd():
+    rng = np.random.default_rng(23)
+    J = np.eye(3) + 0.4 * rng.normal(size=(5, 3, 3))
+    A0 = _rotations(rng, 5) * rng.uniform(0.5, 2.0, size=(5, 1, 3))
+    Q = _rotations(rng, 5)
+    check_multi_vjp(lambda t: (_covariance_t(t, A0, Q)[0],), [J], (True,))
+
+
+def test_covariance_node_forward_is_the_op_chain_bit_for_bit():
+    """A = J A0, M = A A^T and B = (Q^T M) Q, each symmetrized, exactly as the
+    generic matmul, transpose and mul nodes compute them."""
+    rng = np.random.default_rng(24)
+    J = np.eye(3) + 0.4 * rng.normal(size=(200, 3, 3))
+    A0 = _rotations(rng, 200) * rng.uniform(1e-3, 2.0, size=(200, 1, 3))
+    Q = _rotations(rng, 200)
+    A = ad.matmul(ad.constant(J), ad.constant(A0))
+    M = ad.matmul(A, transpose_last2_t(A))
+    M = ad.mul(M + transpose_last2_t(M), 0.5)
+    B = ad.matmul(ad.matmul(ad.constant(np.swapaxes(Q, -1, -2)), M), ad.constant(Q))
+    B = ad.mul(B + transpose_last2_t(B), 0.5)
+    got_B, got_M = _covariance_t(ad.constant(J), A0, Q)
+    assert np.array_equal(got_M, M.value)
+    assert np.array_equal(got_B.value, B.value)
+
+
+@pytest.mark.parametrize("used", [(True, True), (True, False), (False, True)],
+                         ids=["both", "rotation-only", "scales-only"])
+def test_factored_node_vjp_matches_fd(used):
+    rng = np.random.default_rng(25)
+    w = rng.uniform(0.5, 3.0, size=(5, 3))
+    V = _rotations(rng, 5)
+    Q = _rotations(rng, 5)
+    P = _SIGNED_PERMUTATIONS[rng.integers(0, 24, size=5)]
+
+    def node(evals, evecs):
+        return _factored_t(evals, evecs, Q, P)
+
+    check_multi_vjp(node, [w, V], used)
