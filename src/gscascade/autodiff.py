@@ -10,18 +10,29 @@ Conventions:
     are plain (slightly wrapped) numpy calls.
   * A node's VJP computes the gradient of an operand only when that operand
     requires it: nothing is computed for constants and then thrown away.
-  * Gradient accumulation order is the reverse topological order of creation,
-    and a scatter (the adjoint of a row lookup: `gather`, `edge_diff`, the
+  * Every graph keeps a record of its nodes in creation order, which is
+    topological; `backward` walks that record in reverse, so gradients
+    accumulate in reverse creation order, and then clears it. The record
+    belongs to the graph (each leaf starts one; an op joining two graphs
+    joins their records), so an evaluation that fails halfway leaves nothing
+    for the next backward to walk.
+  * A scatter (the adjoint of a row lookup: `gather`, `edge_adjoint`, the
     cascade layer) is one product with a `RowIndex`'s sparse transpose, which
     sums each row in index order, so backward passes are deterministic. An
     index fixed for a whole sequence (a hierarchy layer's assignments, the
     neighbour graph) keeps its transpose, built once.
   * A node may have several outputs (`_make_multi`): its VJP runs once, with
     the gradient of every output, or None for one the loss does not reach.
+  * `_accum` keeps the first gradient that reaches a node as it is: a VJP
+    hands over an array it has just made. A VJP whose array someone else
+    holds (its own upstream gradient, a read-only broadcast) passes
+    `shared=True`, and the first such array is copied.
+  * A leaf may be given its gradient buffer (zeros, or a view of one flat
+    buffer); gradients are then added into it.
   * Per-node Python overhead dominates at the pipeline's array sizes, so hot
-    composite kernels (`eigh3` and the neighbour-graph `edge_diff` here, the
-    quaternion kernels and `safe_norm` in `tapemath`, a cascade layer and the
-    covariance steps in `deform`) are primitives with closed-form VJPs, not
+    composite kernels (`eigh3` here, the quaternion kernels and `safe_norm`
+    in `tapemath`, a cascade layer and the covariance steps in `deform`, each
+    neighbour term in `losses`) are primitives with closed-form VJPs, not
     chains of elementwise ops. Their forwards (the Jacobi eigensolver,
     Shepperd's table) live in `geometry`; this module owns only the tape.
 """
@@ -39,7 +50,7 @@ from .geometry import jacobi_eigh3
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode AD."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_tape")
 
     def __init__(self, value, requires_grad=False, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -47,6 +58,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._vjp = vjp
+        self._tape = None  # the record of this node's graph (a list); None for constants
 
     @property
     def shape(self):
@@ -55,14 +67,17 @@ class Tensor:
     def backward(self):
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
-        order = _toposort(self)
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._vjp is not None:
+        tape = self._tape
+        if tape is None:
+            return
+        for node in reversed(tape):
+            if node.grad is not None and node._vjp is not None:
                 node._vjp(node.grad)
             # free graph refs as we go; grads on leaves survive
             node._vjp = None
             node._parents = ()
+        tape.clear()  # each node refers to the record: clearing it frees the graph
 
     # operator sugar
     def __add__(self, other):
@@ -84,9 +99,13 @@ class Tensor:
         return mul(other, self)
 
 
-def leaf(value):
-    """A differentiable input; gradients accumulate on .grad."""
-    return Tensor(value, requires_grad=True)
+def leaf(value, grad=None):
+    """A differentiable input; gradients accumulate on .grad, which may be given
+    as a zeroed buffer of the value's shape to add them into."""
+    t = Tensor(value, requires_grad=True)
+    t.grad = grad
+    t._tape = [t]
+    return t
 
 
 def constant(value):
@@ -97,32 +116,13 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _toposort(root):
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
-def _accum(t, g):
+def _accum(t, g, shared=False):
+    """Add g to t's gradient. The first g becomes the gradient itself, unless
+    `shared` says that something else holds it, when it is copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a fresh copy: g may be a view of another node's gradient
-        shape = t.value.shape
-        t.grad = np.array(g if g.shape == shape else np.broadcast_to(g, shape))
+        t.grad = np.array(g) if shared else g
     else:
         t.grad += g
 
@@ -147,11 +147,43 @@ def _transposed(a):
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
+def _tape_of(parents):
+    """The record a node of these parents joins; None when none needs a gradient.
+
+    Parents from two graphs join them: the shorter record is appended to the
+    longer, which stays topological (neither graph reaches into the other),
+    and its nodes move over."""
+    tape = None
+    for p in parents:
+        if not p.requires_grad or p._tape is tape:
+            continue
+        if tape is None:
+            tape = p._tape
+            continue
+        small, tape = sorted((p._tape, tape), key=len)
+        tape.extend(small)
+        for node in small:
+            node._tape = tape
+    return tape
+
+
+def _record(node, tape):
+    node._tape = tape
+    tape.append(node)
+    return node
+
+
 def _make(value, parents, vjp):
     parents = tuple(parents)
-    if any(p.requires_grad for p in parents):
-        return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
-    return Tensor(value)
+    tape = _tape_of(parents)
+    if tape is None:
+        return Tensor(value)
+    return _record(Tensor(value, requires_grad=True, parents=parents, vjp=vjp), tape)
+
+
+# what a child output of a multi-output node leaves on its head when the loss
+# reaches the child but not the head's own output: the head's VJP still runs
+_REACHED_THROUGH_CHILD = object()
 
 
 def _make_multi(values, parents, vjp):
@@ -161,24 +193,28 @@ def _make_multi(values, parents, vjp):
     output is complete; an output the loss does not reach passes None. The
     first output carries the node (its parents and the VJP); each other
     output is a child of the first that hands its gradient over, so reverse
-    topological order reaches the first output after all the others.
+    creation order reaches the first output after all the others.
     """
     parents = tuple(parents)
-    if not any(p.requires_grad for p in parents):
+    tape = _tape_of(parents)
+    if tape is None:
         return tuple(Tensor(v) for v in values)
     grads = [None] * len(values)
 
     def run(g):
-        grads[0] = g
+        grads[0] = None if g is _REACHED_THROUGH_CHILD else g
         vjp(*grads)
 
-    head = Tensor(values[0], requires_grad=True, parents=parents, vjp=run)
+    head = _record(Tensor(values[0], requires_grad=True, parents=parents, vjp=run), tape)
 
     def handing_over(i):
         def hand_over(g):
             grads[i] = g
+            if head.grad is None:
+                head.grad = _REACHED_THROUGH_CHILD
 
-        return Tensor(values[i], requires_grad=True, parents=(head,), vjp=hand_over)
+        return _record(Tensor(values[i], requires_grad=True, parents=(head,), vjp=hand_over),
+                       tape)
 
     return (head, *(handing_over(i) for i in range(1, len(values))))
 
@@ -193,9 +229,9 @@ def add(a, b):
 
     def vjp(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.value.shape))
+            _accum(a, _unbroadcast(g, a.value.shape), shared=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.value.shape))
+            _accum(b, _unbroadcast(g, b.value.shape), shared=True)
 
     return _make(v, (a, b), vjp)
 
@@ -206,7 +242,7 @@ def sub(a, b):
 
     def vjp(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.value.shape))
+            _accum(a, _unbroadcast(g, a.value.shape), shared=True)
         if b.requires_grad:
             _accum(b, _unbroadcast(-g, b.value.shape))
 
@@ -237,7 +273,7 @@ def tsum(a, axis=None, keepdims=False):
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape))
+        _accum(a, np.broadcast_to(g, a.value.shape), shared=True)
 
     return _make(v, (a,), vjp)
 
@@ -249,23 +285,6 @@ def tmean(a, axis=None, keepdims=False):
     else:
         n = a.value.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra (batched over leading axes; operand batch shapes must match)
-
-
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    v = a.value @ b.value
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ _transposed(b.value), a.value.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(_transposed(a.value) @ g, b.value.shape))
-
-    return _make(v, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +308,6 @@ def square(a):
         _accum(a, g * (2.0 * a.value))
 
     return _make(a.value * a.value, (a,), vjp)
-
-
-def absval(a):
-    """|a| with subgradient 0 at a == 0."""
-    a = _wrap(a)
-
-    def vjp(g):
-        _accum(a, g * np.sign(a.value))
-
-    return _make(np.abs(a.value), (a,), vjp)
 
 
 def relu(a):
@@ -363,33 +372,28 @@ def gather(a, idx):
     return _make(a.value[index.idx], (a,), vjp)
 
 
-def edge_diff(a, idx, signs=None):
-    """Edge vectors a[idx] * signs - a[:, None] of a neighbour graph, as one node.
-
-    `idx` (a RowIndex, or ints) is (N, k) with row i listing the neighbours of
-    row i of `a` (N, ...); the optional constant `signs` broadcasts against
-    a[idx]. Backward scatters g * signs to the neighbour rows (as gather does)
-    and subtracts each row's sum of g over its k edges.
-    """
-    a = _wrap(a)
-    index = _row_index(idx, a)
-    v = np.take(a.value, index.idx, axis=0)  # a fresh array, several times faster than a[idx]
+def edge_values(a, index, signs=None):
+    """a[idx] * signs - a[:, None] for the (N, k) RowIndex `index`, as a fresh array."""
+    v = np.take(a, index.idx, axis=0)  # a fresh array, several times faster than a[idx]
     if signs is not None:
         v *= signs
-    v -= a.value[:, None]
+    v -= a[:, None]
+    return v
 
-    def vjp(g):
-        out = index.scatter(g if signs is None else g * signs)
-        # each row's sum of g over its k edges, adding whole (N, ...) slices
-        # in turn: g.sum(axis=1)'s order for several trailing columns, without
-        # its per-row loops
-        rows = g[:, 0].copy()
-        for j in range(1, g.shape[1]):
-            rows += g[:, j]
-        out -= rows
-        _accum(a, out)
 
-    return _make(v, (a,), vjp)
+def edge_adjoint(g, index, signs=None):
+    """The gradient of `edge_values` w.r.t. a, given the edges' gradient g:
+    g * signs scattered to the neighbour rows, less each row's sum of g over
+    its k edges."""
+    out = index.scatter(g if signs is None else g * signs)
+    # each row's sum of g over its k edges, adding whole (N, ...) slices in
+    # turn: g.sum(axis=1)'s order for several trailing columns, without its
+    # per-row loops
+    rows = g[:, 0].copy()
+    for j in range(1, g.shape[1]):
+        rows += g[:, j]
+    out -= rows
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from . import io_formats as iof
 from .clustering import build_hierarchy
 from .config import ConfigError, load_run_config
 from .core import GaussianSet
-from .deform import cascade_to_payload
+from .deform import _PD_FLOOR, cascade_to_payload
+from .geometry import _NORM_FLOOR
 from .losses import DataObservation
 from .optimize import fit_sequence, mean_center_error
 from .scenegen import _PALETTE, SceneSpec, SceneSequence, generate
@@ -74,6 +75,31 @@ def _input_file(path):
         raise ConfigError(str(e) if str(e).startswith(str(path)) else f"{path}: {e}") from e
 
 
+def _check_init_ranges(data):
+    """Reject initial Gaussians the fit cannot start from: a scale whose square
+    is not above the positive-definite floor of the propagated covariance,
+    and a quaternion whose squared norm overflows or whose norm is below the
+    normalization floor. (GaussianSet rejects a scale that is not positive.)"""
+    scales = data[:, 8:11]
+    small = np.argwhere((scales > 0.0) & (scales * scales <= _PD_FLOOR))
+    if len(small):
+        row, col = small[0]
+        raise ValueError(f"{INIT_GAUSSIANS_HEADER[8 + col]} = {float(scales[row, col])!r}"
+                         f" in data row {row + 1}: a scale's square must be above {_PD_FLOOR:g}")
+    quats = data[:, 4:8]
+    with np.errstate(over="ignore"):
+        ssq = np.sum(quats * quats, axis=1)
+    bad = np.nonzero((ssq == np.inf) | (np.sqrt(ssq) < _NORM_FLOOR))[0]
+    if len(bad):
+        row = bad[0]
+        if ssq[row] < np.inf:
+            raise ValueError(f"qw, qx, qy, qz in data row {row + 1}: the quaternion's norm is"
+                             f" below {_NORM_FLOOR:g}")
+        col = int(np.argmax(np.abs(quats[row])))
+        raise ValueError(f"{INIT_GAUSSIANS_HEADER[4 + col]} = {float(quats[row, col])!r}"
+                         f" in data row {row + 1}: the quaternion's squared norm overflows")
+
+
 def load_scene_dir(path):
     root = Path(path)
     with _input_file(root / "scene.json") as meta_path:
@@ -85,6 +111,7 @@ def load_scene_dir(path):
         data = iof.read_table(init_path, INIT_GAUSSIANS_HEADER, "initial Gaussians")
         if not np.array_equal(data[:, 0], np.arange(len(data))):
             raise ValueError("index column must count 0, 1, ... in row order")
+        _check_init_ranges(data)
         frame0 = GaussianSet(centers=data[:, 1:4], orientations=data[:, 4:8],
                              scales=data[:, 8:11], colors=data[:, 11:14], frame_index=0)
     with _input_file(root / "gt_trajectory.csv") as gt_path:

@@ -152,10 +152,15 @@ class ClusterHierarchy:
 
     @cached_property
     def row_indices(self):
-        """Per layer, the assignments as a RowIndex: the sparse transpose that
-        scatters the layer's gradients is built by the first fit that needs it
-        and serves the whole sequence, over which assignments stay fixed."""
-        return [RowIndex(a, size) for a, size in zip(self.assignments, self.layer_sizes)]
+        """Per layer, the assignments as a RowIndex into the rows of every
+        layer's clusters, layer by layer (a cascade's layer classes): each is
+        offset by the clusters of the layers before it. The sparse transpose
+        that scatters the layer's gradients is built by the first fit that
+        needs it and serves the whole sequence, over which assignments stay
+        fixed."""
+        starts = np.cumsum((0,) + tuple(self.layer_sizes))
+        return [RowIndex(a + start, int(starts[-1]))
+                for a, start in zip(self.assignments, starts[:-1])]
 
     def update_centroids(self, centers):
         """Recompute every layer's centroids as exact member means of `centers`."""

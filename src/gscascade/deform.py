@@ -18,10 +18,17 @@ center shift adds, orientation delta left-multiplies, log-scale delta adds.
 That makes seven parameter classes: four per cluster of each layer
 (`rotations`, `translations`, `scale_dirs`, `scale_biases`) and three per
 Gaussian (`d_centers`, `d_rotations`, `d_log_scales`). `IDENTITY_ROWS` names
-them once, with the row each holds in the identity cascade, and
-`CascadeDeform.arrays()` hands out the live arrays under the keys of
-`CascadeTrace.leaves`. `cascade_zero`, `is_zero`, `trace_cascade` and the
-checkpoint payload all iterate that table.
+them once, with the row each holds in the identity cascade; `cascade_zero`,
+`is_zero`, `trace_cascade` and the checkpoint payload all iterate that table.
+
+A cascade keeps all of them in one flat float64 buffer, `CascadeDeform.flat`.
+Each class is one block of it, and a layer class holds the clusters of every
+layer, sum L rows, layer by layer; the two quaternion classes are adjacent,
+so one (sum L + N, 4) view renormalizes both. The fields of the cascade and
+of its layers, and the arrays `CascadeDeform.arrays()` hands out under the
+keys `layer<k>.<class>` and `d_*`, are views into that buffer; `views` lays
+any buffer of the same layout out the same way (a gradient, for Adam and for
+naming a non-finite entry).
 
 The covariance factorization inside the cascade is gauge-continuous: the
 eigenbasis is expressed relative to R_casc * R_prev, where R_casc = R_K ... R_1
@@ -36,15 +43,18 @@ reference rotation and permutation only fix the gauge — near a given reference
 the factored output does not depend on it — so treating them as constants of
 the backward pass leaves gradients exact.
 
-One differentiable evaluation (`trace_cascade`) builds a short tape of fused
-nodes with closed-form VJPs; their forwards are the original op chains, op
-for op, so only the summation order of the backward differs from a chain of
-generic ops:
+One differentiable evaluation (`trace_cascade`) makes one leaf per class,
+over the class's block of `flat`, and gives each leaf the same block of one
+zeroed gradient buffer with the layout of `flat`, which the backward pass adds
+into. It then builds a short tape of fused nodes with closed-form VJPs; their
+forwards are the original op chains, op for op, so only the summation order of
+the backward differs from a chain of generic ops:
 
-  * per layer, `quat_normalize_t` and `quat_to_mat_t` on the L cluster rows,
-    then one two-output layer node (x, J) -> (x_next, J_k J), which looks up
-    the four per-cluster rows per Gaussian and scatters their gradients back
-    through the layer's RowIndex;
+  * one `quat_normalize_t` and one `quat_to_mat_t` on the sum L cluster
+    rotations of all layers;
+  * per layer, one two-output node (x, J) -> (x_next, J_k J), which looks up
+    the four per-cluster rows per Gaussian through the layer's RowIndex into
+    the class rows and scatters their gradients back through it;
   * the covariance: one node J -> B = Q^T (J A0)(J A0)^T Q, `autodiff.eigh3`
     (two outputs), one node (w, V) -> (R_dec, scales), and `mat_to_quat_t`;
   * the per-Gaussian deltas: an add, two `quat_normalize_t`, one
@@ -58,6 +68,7 @@ builds once for all its evaluations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,50 +95,116 @@ IDENTITY_ROWS = {
 }
 _LAYER_CLASSES = tuple(name for name in IDENTITY_ROWS if not name.startswith("d_"))
 _GAUSSIAN_CLASSES = tuple(name for name in IDENTITY_ROWS if name.startswith("d_"))
+_QUATERNION_CLASSES = tuple(name for name, row in IDENTITY_ROWS.items() if row.shape == (4,))
+# the classes' order in the flat buffer: the two quaternion classes next to
+# each other, so that one (sum L + N, 4) view renormalizes both
+_BUFFER_ORDER = (
+    *(name for name in _LAYER_CLASSES if name not in _QUATERNION_CLASSES),
+    *_QUATERNION_CLASSES,
+    *(name for name in _GAUSSIAN_CLASSES if name not in _QUATERNION_CLASSES),
+)
 
 
-@dataclass
+class _Field:
+    """A parameter field: reading it gives the array, assigning copies into
+    it, so the fields of a cascade stay views of its buffer."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj._arrays[self.name]
+
+    def __set__(self, obj, value):
+        obj._arrays[self.name][...] = value
+
+
 class DeformLayer:
     """Struct-of-arrays parameters for every cluster of one layer."""
 
-    rotations: np.ndarray  # (L, 4)
-    translations: np.ndarray  # (L, 3)
-    scale_dirs: np.ndarray  # (L, 3)
-    scale_biases: np.ndarray  # (L,)
+    rotations = _Field()  # (L, 4)
+    translations = _Field()  # (L, 3)
+    scale_dirs = _Field()  # (L, 3)
+    scale_biases = _Field()  # (L,)
+
+    def __init__(self, rotations, translations, scale_dirs, scale_biases):
+        self._arrays = {"rotations": rotations, "translations": translations,
+                        "scale_dirs": scale_dirs, "scale_biases": scale_biases}
 
     @property
     def size(self):
         return self.rotations.shape[0]
 
 
-@dataclass
 class CascadeDeform:
-    """K cluster layers (coarsest first) plus per-Gaussian deltas."""
+    """K cluster layers (coarsest first) plus per-Gaussian deltas.
 
-    layers: list  # list[DeformLayer]
-    d_centers: np.ndarray  # (N, 3)
-    d_rotations: np.ndarray  # (N, 4)
-    d_log_scales: np.ndarray  # (N, 3)
-    hierarchy: object  # ClusterHierarchy this cascade is bound to
+    Every parameter lives in one flat float64 buffer, `flat`. Each class is
+    one block of it: a layer class holds the clusters of every layer (sum L
+    rows, layer by layer), a d_* class the N Gaussians. The fields of the
+    cascade and of its layers are views into that buffer, and assigning one
+    copies into it. The given arrays are copied in.
+    """
 
-    def __post_init__(self):
-        sizes = tuple(layer.size for layer in self.layers)
-        if sizes != tuple(self.hierarchy.layer_sizes):
+    d_centers = _Field()  # (N, 3)
+    d_rotations = _Field()  # (N, 4)
+    d_log_scales = _Field()  # (N, 3)
+
+    def __init__(self, layers, d_centers, d_rotations, d_log_scales, hierarchy):
+        sizes = tuple(layer.size for layer in layers)
+        if sizes != tuple(hierarchy.layer_sizes):
             raise ValueError(
-                f"layer sizes {sizes} do not match hierarchy {tuple(self.hierarchy.layer_sizes)}"
+                f"layer sizes {sizes} do not match hierarchy {tuple(hierarchy.layer_sizes)}"
             )
+        self.hierarchy = hierarchy
+        n = np.shape(d_centers)[0]
+        rows = {name: sum(sizes) if name in _LAYER_CLASSES else n for name in IDENTITY_ROWS}
+        self._blocks = {}  # class -> (its slice of the buffer, its shape)
+        start = 0
+        for name in _BUFFER_ORDER:
+            shape = (rows[name],) + IDENTITY_ROWS[name].shape
+            self._blocks[name] = (slice(start, start + math.prod(shape)), shape)
+            start += math.prod(shape)
+        first, last = (self._blocks[name][0] for name in _QUATERNION_CLASSES)
+        self.quaternions = slice(first.start, last.stop)  # both classes, (sum L + N) x 4
+        self.flat = np.empty(start)
+        self.classes = self.class_views(self.flat)
+        ends = np.cumsum((0,) + sizes)
+        self._layer_rows = list(zip(ends[:-1], ends[1:]))
+        self._arrays = {name: self.classes[name] for name in _GAUSSIAN_CLASSES}
+        self.layers = [DeformLayer(**{name: self.classes[name][a:b] for name in _LAYER_CLASSES})
+                       for a, b in self._layer_rows]
+        given = [*(getattr(layer, name) for layer in layers for name in _LAYER_CLASSES),
+                 d_centers, d_rotations, d_log_scales]  # in the order of arrays()
+        for (key, view), array in zip(self.arrays().items(), given):
+            if np.shape(array) != view.shape:
+                raise ValueError(f"parameter {key} has shape {np.shape(array)},"
+                                 f" expected {view.shape}")
+            view[...] = array
 
     @property
     def n(self):
         return self.d_centers.shape[0]
 
+    def class_views(self, buffer):
+        """{class: its block of `buffer`} in table order, for a buffer laid out
+        like `flat`."""
+        return {name: buffer[self._blocks[name][0]].reshape(self._blocks[name][1])
+                for name in IDENTITY_ROWS}
+
+    def views(self, buffer):
+        """{key: view of `buffer`}, for a buffer laid out like `flat` (the
+        parameters, or a gradient of them), keyed and ordered like arrays()."""
+        classes = self.class_views(buffer)
+        views = {f"layer{k}.{name}": classes[name][a:b]
+                 for k, (a, b) in enumerate(self._layer_rows) for name in _LAYER_CLASSES}
+        views.update((name, classes[name]) for name in _GAUSSIAN_CLASSES)
+        return views
+
     def arrays(self):
-        """{key: live parameter array}, keyed and ordered like CascadeTrace.leaves:
-        `layer<k>.<class>` for every layer, then the d_* classes."""
-        out = {f"layer{k}.{name}": getattr(layer, name)
-               for k, layer in enumerate(self.layers) for name in _LAYER_CLASSES}
-        out.update((name, getattr(self, name)) for name in _GAUSSIAN_CLASSES)
-        return out
+        """{key: live parameter array}: `layer<k>.<class>` for every layer, then
+        the d_* classes."""
+        return self.views(self.flat)
 
     def is_zero(self):
         zero = cascade_zero(self.hierarchy, self.n).arrays()
@@ -194,7 +271,8 @@ class CascadeTrace:
     scales: ad.Tensor  # (N, 3)
     jacobians: ad.Tensor  # (N, 3, 3) accumulated spatial Jacobian
     covariances: np.ndarray  # (N, 3, 3) propagated, exactly symmetric; None if off
-    leaves: dict  # parameter name -> leaf Tensor
+    leaves: dict  # parameter class -> leaf Tensor over the class's block of `flat`
+    grad: np.ndarray  # the leaves' gradients, laid out like `flat`; None on constants
 
 
 class CascadeFrame:
@@ -225,8 +303,9 @@ class CascadeFrame:
 def _cascade_layer_t(x, J, R, t, c, s, index, pc):
     """One cascade layer as one tape node: (x, J) -> (x_next, J_next = J_k J).
 
-    R, t, c, s hold the layer's per-cluster rows, looked up per Gaussian
-    through the RowIndex `index`; pc are the looked-up centroids (constant).
+    R, t, c, s hold the rows of every layer's clusters; the RowIndex `index`
+    looks this layer's rows up per Gaussian. pc are the looked-up centroids
+    (constant).
     J is None on the first layer. Returns (x_next, J_next, the looked-up
     rotations as an array). The VJP needs only sigma, sigma', d and `moved`
     from the forward, and scatters the four per-Gaussian gradients back to
@@ -326,18 +405,23 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
     hier = cascade.hierarchy
     if frame is None:
         frame = CascadeFrame(gset, hier)
-    mk = ad.leaf if differentiable else ad.constant
-    leaves = {key: mk(a) for key, a in cascade.arrays().items()}
+    if differentiable:
+        grad = np.zeros_like(cascade.flat)
+        grads = cascade.class_views(grad)
+        leaves = {name: ad.leaf(a, grad=grads[name]) for name, a in cascade.classes.items()}
+    else:
+        grad = None
+        leaves = {name: ad.constant(a) for name, a in cascade.classes.items()}
 
     x = ad.constant(gset.centers)
     J = None
     R_casc = None  # composed layer rotations R_K ... R_1, the gauge reference
-    for k, (index, pc) in enumerate(zip(hier.row_indices, frame.centroids)):
-        layer = {name: leaves[f"layer{k}.{name}"] for name in _LAYER_CLASSES}
-        # convert the layer's L rotations once; the layer node looks them up
-        R = quat_to_mat_t(quat_normalize_t(layer["rotations"]))  # (L, 3, 3)
-        x, J, Rg = _cascade_layer_t(x, J, R, layer["translations"], layer["scale_dirs"],
-                                    layer["scale_biases"], index, pc)
+    # every layer's cluster rotations, converted at once; each layer node
+    # looks its rows up through the layer's RowIndex into the class rows
+    R = quat_to_mat_t(quat_normalize_t(leaves["rotations"]))  # (sum L, 3, 3)
+    for index, pc in zip(hier.row_indices, frame.centroids):
+        x, J, Rg = _cascade_layer_t(x, J, R, leaves["translations"], leaves["scale_dirs"],
+                                    leaves["scale_biases"], index, pc)
         R_casc = Rg if R_casc is None else Rg @ R_casc
 
     centers_out = x + leaves["d_centers"]
@@ -371,6 +455,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
         jacobians=J,
         covariances=cov,
         leaves=leaves,
+        grad=grad,
     )
 
 

@@ -35,10 +35,18 @@ frame-0 structure the isometry term compares against, derived once from the
 frame-0 centers: the floored rest length of every edge (`safe_norm` itself)
 and the largest absolute frame-0 coordinate, and its indices as a RowIndex
 whose sparse transpose scatters every edge term's gradient for the whole
-sequence. Every (N, k, .) edge array, taped or constant, comes from
-`autodiff.edge_diff` (with rotation's sign alignment folded in). The terms
-are short tapes: rigidity maps its edges back to the previous frame with one
-batched (N, k, 3) @ (N, 3, 3) matmul, and `tapemath.safe_norm` is one node.
+sequence. Each neighbour term is one tape node over its per-Gaussian input,
+with a closed-form VJP: it looks the edges up (`autodiff.edge_values`, with
+rotation's sign alignment folded in), takes their floored norms, weights
+them and takes the mean, and its VJP runs those steps back and scatters
+through the graph's RowIndex (`autodiff.edge_adjoint`). Rigidity's node takes
+the current rotation matrices (one `quat_to_mat_t` before it) and maps its
+edges back to the previous frame with one batched (N, k, 3) @ (N, 3, 3)
+product; rotation's takes the quaternion increments (one `quat_multiply_t`
+before it). The floored norm is `tapemath.floored_norm`, the forward of
+`safe_norm` too, so the rest lengths and the current lengths that the
+isometry dead zone compares come out of the same arithmetic. Every forward
+is the chain of generic ops it replaced, op for op.
 
 Everything routes through the autodiff tape, so `total_loss` returns exact
 gradients for every cascade parameter (including through covariance
@@ -59,7 +67,8 @@ from scipy.spatial import cKDTree
 from . import autodiff as ad
 from . import geometry
 from .deform import CascadeFrame, trace_cascade
-from .tapemath import quat_multiply_t, quat_to_mat_t, safe_norm
+from .tapemath import (floored_norm, floored_norm_adjoint, quat_multiply_t, quat_to_mat_t,
+                       safe_norm)
 
 DEFAULT_NEIGHBOR_COUNT = 20
 DEFAULT_LAMBDA_SCALE = 2000.0  # lambda_weight = 2000 / scene_scale**2
@@ -110,7 +119,7 @@ class NeighborGraph:
 
     def __post_init__(self):
         self.index = ad.RowIndex(self.indices, self.centers.shape[0])
-        self.rest_lengths = safe_norm(ad.edge_diff(self.centers, self.index)).value
+        self.rest_lengths = safe_norm(ad.edge_values(self.centers, self.index)).value
         self.max_abs_coord = np.abs(self.centers).max()
 
     @property
@@ -137,7 +146,7 @@ def build_neighbor_graph(centers, k=DEFAULT_NEIGHBOR_COUNT, lambda_weight=None,
         kept_cols = np.nonzero(keep[i])[0]
         keep[i, kept_cols[-1]] = False  # drop the farthest
     neighbors = idx[keep].reshape(n, k).astype(np.int64)
-    d2 = np.sum(ad.edge_diff(centers, neighbors).value ** 2, axis=-1)
+    d2 = np.sum(ad.edge_values(centers, ad.RowIndex(neighbors, n)) ** 2, axis=-1)
     return NeighborGraph(
         centers=centers,
         indices=neighbors,
@@ -178,32 +187,72 @@ def scale_loss_t(scales_t, max_scale):
     return ad.mul(ad.tsum(ad.relu(scales_t - max_scale)), 1.0 / n)
 
 
+def _mean_adjoint(g, weighted):
+    """The gradient of weighted.sum() * (1 / size) w.r.t. each entry, given
+    the mean's gradient g: what tmean's two nodes spread."""
+    return np.broadcast_to(g * (1.0 / weighted.size), weighted.shape)
+
+
 def rigidity_loss_t(frame, centers_t, orientations_t):
-    rot_curr = quat_to_mat_t(orientations_t)
+    return _rigidity_t(frame, centers_t, quat_to_mat_t(orientations_t))
+
+
+def _rigidity_t(frame, centers_t, rot_curr):
+    """Rigidity's weighted mean edge residual as one node over (centers,
+    rotation matrices)."""
+    graph = frame.graph
     # edge offsets are rows, so d (R_curr R_prev^T) = (R_prev R_curr^-1 d^T)^T
     # maps current-frame offsets back to the previous frame
-    back = ad.matmul(rot_curr, ad.constant(frame.prev_R_T))
-    pred = ad.matmul(ad.edge_diff(centers_t, frame.graph.index), back)  # (N,k,3) @ (N,3,3)
-    per_edge = safe_norm(frame.d_prev - pred)
-    return ad.tmean(ad.mul(ad.constant(frame.graph.weights), per_edge))
+    back = rot_curr.value @ frame.prev_R_T
+    edges = ad.edge_values(centers_t.value, graph.index)
+    residual = frame.d_prev - edges @ back  # (N,k,3) @ (N,3,3)
+    per_edge, above = floored_norm(residual)
+    weighted = graph.weights * per_edge
+
+    def vjp(g):
+        g_pred = -floored_norm_adjoint(_mean_adjoint(g, weighted) * graph.weights, residual,
+                                       per_edge, above)
+        if centers_t.requires_grad:
+            g_edges = g_pred @ ad._transposed(back)
+            ad._accum(centers_t, ad.edge_adjoint(g_edges, graph.index))
+        if rot_curr.requires_grad:
+            g_back = ad._transposed(edges) @ g_pred
+            ad._accum(rot_curr, g_back @ ad._transposed(frame.prev_R_T))
+
+    return ad._make(weighted.sum() * (1.0 / weighted.size), (centers_t, rot_curr), vjp)
 
 
 def isometry_loss_t(centers_t, graph):
-    # the rest lengths come from safe_norm too, so unmoved centers give
+    """Isometry's mean absolute edge-length change as one node over the centers."""
+    edges = ad.edge_values(centers_t.value, graph.index)
+    # the rest lengths are floored_norm's too, so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
-    dt = safe_norm(ad.edge_diff(centers_t, graph.index))
+    dt, above = floored_norm(edges)
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
     d0 = graph.rest_lengths
     coord = max(graph.max_abs_coord, np.abs(centers_t.value).max())
-    d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
-    return ad.tmean(ad.absval(ad.constant(d0) - dt))
+    d0 = np.where(np.abs(d0 - dt) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt, d0)
+    change = d0 - dt
+    absolute = np.abs(change)
+
+    def vjp(g):
+        g_dt = -(_mean_adjoint(g, absolute) * np.sign(change))
+        g_edges = floored_norm_adjoint(g_dt, edges, dt, above)
+        ad._accum(centers_t, ad.edge_adjoint(g_edges, graph.index))
+
+    return ad._make(absolute.sum() * (1.0 / absolute.size), (centers_t,), vjp)
 
 
 def rotation_loss_t(frame, orientations_t):
-    graph = frame.graph
     rel = quat_multiply_t(orientations_t, ad.constant(frame.prev_inv))  # (N, 4) increments
+    return _rotation_t(frame.graph, rel)
+
+
+def _rotation_t(graph, rel):
+    """Rotation's weighted mean increment difference as one node over the
+    quaternion increments."""
     # q and -q are the same rotation: align signs before differencing. The
     # dot products add their four component products in order, bit for bit
     # what np.sum does over the last axis, without its per-row loops.
@@ -213,8 +262,16 @@ def rotation_loss_t(frame, orientations_t):
     for c in range(1, 4):
         dots += nb[..., c] * r[:, None, c]
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
-    per_edge = safe_norm(ad.edge_diff(rel, graph.index, signs))
-    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+    edges = ad.edge_values(r, graph.index, signs)
+    per_edge, above = floored_norm(edges)
+    weighted = graph.weights * per_edge
+
+    def vjp(g):
+        g_edges = floored_norm_adjoint(_mean_adjoint(g, weighted) * graph.weights, edges,
+                                       per_edge, above)
+        ad._accum(rel, ad.edge_adjoint(g_edges, graph.index, signs))
+
+    return ad._make(weighted.sum() * (1.0 / weighted.size), (rel,), vjp)
 
 
 def observation_tree(obs):
@@ -255,7 +312,7 @@ class FrameConstants(CascadeFrame):
 
     @cached_property
     def d_prev(self):
-        return ad.edge_diff(self.prev_set.centers, self.graph.index)  # constant (N, k, 3)
+        return ad.edge_values(self.prev_set.centers, self.graph.index)  # (N, k, 3)
 
     @cached_property
     def prev_inv(self):
@@ -293,13 +350,14 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
                propagate_covariance=True, workers=1, with_grads=True, frame=None):
     """Weighted objective through cascade_apply.
 
-    Returns (total, components, grads) where components maps each term name
-    to its unweighted value and grads maps every cascade parameter leaf (same
-    keys as CascadeTrace.leaves) to its gradient array. With with_grads=False
-    the forward runs on constants and grads is None. `graph` is the frame-0
-    neighbour graph, whose rest lengths the isometry term holds the edges to.
-    `frame` is the FrameConstants of (prev_set, obs), which a frame's fit
-    builds once for all its evaluations; without it one is built for this call.
+    Returns (total, components, grad) where components maps each term name
+    to its unweighted value and grad is the gradient of the total w.r.t. the
+    cascade's flat parameter buffer, laid out like `cascade.flat` (whose
+    `views` names its parts). With with_grads=False the forward runs on
+    constants and grad is None. `graph` is the frame-0 neighbour graph, whose
+    rest lengths the isometry term holds the edges to. `frame` is the
+    FrameConstants of (prev_set, obs), which a frame's fit builds once for
+    all its evaluations; without it one is built for this call.
     """
     if frame is None:
         frame = FrameConstants(prev_set, obs, cascade.hierarchy, graph)
@@ -322,11 +380,6 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
         total = piece if total is None else total + piece
     components = {name: float(term.value) for name, term in terms.items()}
 
-    if not with_grads:
-        return float(total.value), components, None
-    total.backward()
-    grads = {
-        name: (np.zeros_like(t.value) if t.grad is None else t.grad)
-        for name, t in trace.leaves.items()
-    }
-    return float(total.value), components, grads
+    if with_grads:
+        total.backward()
+    return float(total.value), components, trace.grad

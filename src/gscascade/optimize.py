@@ -7,11 +7,12 @@ The hierarchy's assignments are fixed for the whole sequence; its centroids
 are recomputed from the previous frame's centers at the frame transition and
 stay frozen while that frame optimizes.
 
-Adam updates the live arrays of `CascadeDeform.arrays()` in place, keyed like
-the gradients, with one update over the classes' flat concatenation. Each
-parameter class steps with the rate of one TrainConfig field, the
-per-Gaussian d_* classes at DELTA_LR_FRACTION of it; quaternion parameters
-are renormalized to unit length after every step.
+Adam updates the cascade's flat parameter buffer (`CascadeDeform.flat`) in
+place, with one update over the whole buffer from a gradient laid out like it.
+Each parameter class steps with the rate of one TrainConfig field, the
+per-Gaussian d_* classes at DELTA_LR_FRACTION of it; the quaternion classes,
+one contiguous block of the buffer, are renormalized to unit length after
+every step.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
 
     def resolved_lr(self, key):
-        """Learning rate for a parameter key of CascadeDeform.arrays()."""
+        """Learning rate for a parameter key of CascadeDeform.arrays(), or a class."""
         name = key.rpartition(".")[2]
         if name not in _LR_FIELDS:
             raise KeyError(f"unknown parameter class: {key}")
@@ -75,8 +76,8 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam moments of every parameter class as two flat vectors, in sorted key
-    order, with the per-element learning rates; built at the first step."""
+    """Adam moments as two flat vectors laid out like the cascade's buffer, with
+    the per-element learning rates; built at a frame's first step."""
 
     def __init__(self):
         self.m = None
@@ -85,37 +86,31 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(cascade, grads, state, config):
-    """One Adam update in place; returns (cascade, state).
+def adam_step(cascade, grad, state, config):
+    """One Adam update of `cascade.flat` in place, from `grad`, the gradient
+    laid out like it; returns (cascade, state).
 
-    Raises on non-finite gradients, naming the offending parameter class.
-    Quaternion arrays are renormalized after the update.
+    Raises on non-finite gradients, naming the offending parameter key.
+    Quaternion rows are renormalized after the update.
     """
     state.t += 1
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    keys = sorted(grads)
-    g = np.concatenate([grads[key].ravel() for key in keys])
-    if not np.all(np.isfinite(g)):
-        bad = next(key for key in keys if not np.all(np.isfinite(grads[key])))
+    if not np.all(np.isfinite(grad)):
+        bad = next(key for key, g in cascade.views(grad).items() if not np.all(np.isfinite(g)))
         raise ValueError(f"non-finite gradient in parameter class '{bad}'")
     if state.m is None:
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
-        state.rates = np.concatenate([np.full(grads[key].size, config.resolved_lr(key))
-                                      for key in keys])
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * g * g
+        state.m = np.zeros_like(grad)
+        state.v = np.zeros_like(grad)
+        state.rates = np.empty_like(grad)
+        for name, rates in cascade.class_views(state.rates).items():
+            rates[...] = config.resolved_lr(name)
+    state.m = b1 * state.m + (1.0 - b1) * grad
+    state.v = b2 * state.v + (1.0 - b2) * grad * grad
     mhat = state.m / (1.0 - b1**state.t)
     vhat = state.v / (1.0 - b2**state.t)
-    step = state.rates * mhat / (np.sqrt(vhat) + eps)
-    arrays = cascade.arrays()
-    start = 0
-    for key in keys:
-        arr = arrays[key]
-        arr -= step[start:start + arr.size].reshape(arr.shape)
-        start += arr.size
-        if key.endswith("rotations"):
-            arr[:] = geometry.quat_normalize(arr)
+    cascade.flat -= state.rates * mhat / (np.sqrt(vhat) + eps)
+    quats = cascade.flat[cascade.quaternions].reshape(-1, 4)
+    quats[...] = geometry.quat_normalize(quats)
     return cascade, state
 
 
@@ -159,7 +154,7 @@ def fit_frame(prev_set, obs, hierarchy, config, graph=None):
     state = AdamState()
     curve = []
     for _ in range(config.iters_per_frame):
-        value, components, grads = total_loss(
+        value, components, grad = total_loss(
             cascade, prev_set, obs, graph, config.weights, config.max_scale,
             propagate_covariance=config.propagate_covariance,
             workers=config.threads, frame=frame,
@@ -167,7 +162,7 @@ def fit_frame(prev_set, obs, hierarchy, config, graph=None):
         entry = dict(components)
         entry["total"] = value
         curve.append(entry)
-        cascade, state = adam_step(cascade, grads, state, config)
+        cascade, state = adam_step(cascade, grad, state, config)
 
     final_value, final_components, _ = total_loss(
         cascade, prev_set, obs, graph, config.weights, config.max_scale,

@@ -14,7 +14,9 @@ vector-Jacobian product:
   * mat_to_quat_t: the chosen Shepperd branch's 4x9 Jacobian after the
     normalize VJP;
   * safe_norm: x / |x| above the norm floor and 0 below it, where the norm
-    is the constant floor.
+    is the constant floor. Its forward and VJP are the numpy helpers
+    `floored_norm` and `floored_norm_adjoint`, which the fused neighbour
+    terms in `losses` share.
 
 Piecewise definitions (branch selection, hemisphere signs, norm floors)
 take their branch from the forward values and treat it as constant, which is
@@ -29,30 +31,42 @@ from . import autodiff as ad
 from . import geometry
 
 
-def safe_norm(x, floor=geometry._NORM_FLOOR):
-    """Euclidean norm over the last axis, floored; gradient 0 below the floor.
-
-    The forward is sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)); the
-    neighbour graph's rest lengths are this forward of the frame-0 edges.
-    """
-    x = ad._wrap(x)
+def floored_norm(x, floor=geometry._NORM_FLOOR):
+    """(sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)), |x|^2 > floor^2) over the
+    last axis of a numpy array: the forward of `safe_norm`, and of the norms
+    inside the fused neighbour terms, which the rest lengths are compared to."""
     # the squares added in order, bit for bit what np.sum does over a short
     # last axis, but one whole component at a time: numpy's per-row loops
     # over 3 or 4 elements cost several times more at the terms' sizes
-    ssq = x.value[..., 0] * x.value[..., 0]
+    ssq = x[..., 0] * x[..., 0]
     for c in range(1, x.shape[-1]):
-        ssq += x.value[..., c] * x.value[..., c]
+        ssq += x[..., c] * x[..., c]
     above = ssq > floor * floor
-    v = np.sqrt(np.where(above, ssq, floor * floor))
+    return np.sqrt(np.where(above, ssq, floor * floor)), above
+
+
+def floored_norm_adjoint(g, x, norm, above):
+    """The gradient w.r.t. x of `floored_norm`, given the norms' gradient g:
+    (g * 0.5 / norm)[..., None] * 2x above the floor, one component at a time
+    as in the forward."""
+    scale = (g * (0.5 / norm)) * above
+    gx = 2.0 * x
+    for c in range(x.shape[-1]):
+        gx[..., c] *= scale
+    return gx
+
+
+def safe_norm(x, floor=geometry._NORM_FLOOR):
+    """Euclidean norm over the last axis, floored; gradient 0 below the floor.
+
+    One node over `floored_norm`; the neighbour graph's rest lengths are its
+    forward of the frame-0 edges.
+    """
+    x = ad._wrap(x)
+    v, above = floored_norm(x.value, floor)
 
     def vjp(g):
-        # (g * 0.5 / v)[..., None] * 2x above the floor, one component at a
-        # time as in the forward
-        scale = (g * (0.5 / v)) * above
-        gx = 2.0 * x.value
-        for c in range(x.shape[-1]):
-            gx[..., c] *= scale
-        ad._accum(x, gx)
+        ad._accum(x, floored_norm_adjoint(g, x.value, v, above))
 
     return ad._make(v, (x,), vjp)
 

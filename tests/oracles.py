@@ -7,10 +7,13 @@ rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, value-and-gradient wrappers around single loss terms, the
 three neighbour terms as chains of generic tape ops (with the sqrt,
-transpose, reshape and matvec ops that only they use), the bincount scatter
-and the two-node eigh3 that the shipped tape replaced, a brute-force Chamfer
-term, the inverse camera map, the per-candidate loop of track selection, and
-Procrustes subset checks for the rigid-subpart rotation property.
+transpose, reshape, matvec, matmul and absval ops that only they use) and as
+the short tapes that their one-node forms replaced, the bincount scatter and
+the two-node eigh3 that the shipped tape replaced, Adam on separate
+per-class arrays and the per-layer checkpoint payload that the flat
+parameter buffer replaced, a brute-force Chamfer term, the inverse camera
+map, the per-candidate loop of track selection, and Procrustes subset checks
+for the rigid-subpart rotation property.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from gscascade import geometry
 from gscascade.losses import (_RIGID_NOISE_ULPS, FrameConstants, data_loss_t,
                               isometry_loss_t, rigidity_loss_t, rotation_loss_t)
 from gscascade.segmentation import procrustes_rotation
-from gscascade.tapemath import quat_multiply_t, quat_to_mat_t
+from gscascade.tapemath import quat_multiply_t, quat_to_mat_t, safe_norm
 from gscascade.tracking import CANDIDATE_RADIUS_PX, mte, project, project_track
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def sqrt_t(a):
 
 def transpose_last2_t(a):
     def vjp(g):
-        ad._accum(a, np.swapaxes(g, -1, -2))
+        ad._accum(a, np.swapaxes(g, -1, -2), shared=True)
 
     return ad._make(np.swapaxes(a.value, -1, -2), (a,), vjp)
 
@@ -197,9 +200,31 @@ def reshape_t(a, shape):
     old = a.value.shape
 
     def vjp(g):
-        ad._accum(a, g.reshape(old))
+        ad._accum(a, g.reshape(old), shared=True)
 
     return ad._make(a.value.reshape(shape), (a,), vjp)
+
+
+def matmul_t(a, b):
+    """Batched a @ b (operand batch shapes must match)."""
+    a, b = ad._wrap(a), ad._wrap(b)
+
+    def vjp(g):
+        if a.requires_grad:
+            ad._accum(a, ad._unbroadcast(g @ ad._transposed(b.value), a.value.shape))
+        if b.requires_grad:
+            ad._accum(b, ad._unbroadcast(ad._transposed(a.value) @ g, b.value.shape))
+
+    return ad._make(a.value @ b.value, (a, b), vjp)
+
+
+def absval_t(a):
+    """|a| with subgradient 0 at a == 0."""
+
+    def vjp(g):
+        ad._accum(a, g * np.sign(a.value))
+
+    return ad._make(np.abs(a.value), (a,), vjp)
 
 
 def matvec_t(a, x):
@@ -214,6 +239,17 @@ def matvec_t(a, x):
             ad._accum(x, ad._unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
 
     return ad._make(v, (a, x), vjp)
+
+
+def edge_diff_t(a, idx, signs=None):
+    """Edge vectors a[idx] * signs - a[:, None] of a neighbour graph as one
+    generic node over autodiff's edge_values and edge_adjoint."""
+    index = idx if isinstance(idx, ad.RowIndex) else ad.RowIndex(idx, a.value.shape[0])
+
+    def vjp(g):
+        ad._accum(a, ad.edge_adjoint(g, index, signs))
+
+    return ad._make(ad.edge_values(a.value, index, signs), (a,), vjp)
 
 
 def bincount_scatter(g, idx, rows):
@@ -268,7 +304,7 @@ def safe_norm_chain_t(x, floor=geometry._NORM_FLOOR):
 
 
 # The three neighbour terms as chains of generic tape ops (gather, reshape,
-# sub, the broadcast matvec), which the shipped terms replace with edge_diff,
+# sub, the broadcast matvec), which the shipped terms replace with an edge lookup,
 # one batched matmul and the one-node safe_norm.
 
 
@@ -278,7 +314,7 @@ def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
     rot_prev = geometry.quat_to_matrix(prev_set.orientations)  # constant
     rot_curr = quat_to_mat_t(orientations_t)
     # R_prev R_curr^-1 maps current-frame offsets back to the previous frame
-    rel = ad.matmul(ad.constant(rot_prev), transpose_last2_t(rot_curr))
+    rel = matmul_t(ad.constant(rot_prev), transpose_last2_t(rot_curr))
     d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
     d_curr = ad.gather(centers_t, idx) - reshape_t(centers_t, (n, 1, 3))
     pred = matvec_t(reshape_t(rel, (n, 1, 3, 3)), d_curr)
@@ -300,7 +336,7 @@ def isometry_loss_chain_t(centers_t, graph):
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
     coord = max(np.abs(frame0_centers).max(), np.abs(centers_t.value).max())
     d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
-    return ad.tmean(ad.absval(ad.constant(d0) - dt))
+    return ad.tmean(absval_t(ad.constant(d0) - dt))
 
 
 def rotation_loss_chain_t(prev_set, orientations_t, graph):
@@ -314,6 +350,36 @@ def rotation_loss_chain_t(prev_set, orientations_t, graph):
     dots = np.sum(rel_j.value * rel_i.value, axis=-1)
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
     per_edge = safe_norm_chain_t(ad.mul(rel_j, ad.constant(signs)) - rel_i)
+    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+
+
+# The three neighbour terms as the short tapes of generic nodes that the
+# one-node terms replaced: an edge node, a batched matmul, the one-node
+# safe_norm, a weighting and tmean.
+
+
+def rigidity_loss_short_tape_t(frame, centers_t, orientations_t):
+    rot_curr = quat_to_mat_t(orientations_t)
+    back = matmul_t(rot_curr, ad.constant(frame.prev_R_T))
+    pred = matmul_t(edge_diff_t(centers_t, frame.graph.index), back)  # (N,k,3) @ (N,3,3)
+    per_edge = safe_norm(ad.constant(frame.d_prev) - pred)
+    return ad.tmean(ad.mul(ad.constant(frame.graph.weights), per_edge))
+
+
+def isometry_loss_short_tape_t(centers_t, graph):
+    dt = safe_norm(edge_diff_t(centers_t, graph.index))
+    d0 = graph.rest_lengths
+    coord = max(graph.max_abs_coord, np.abs(centers_t.value).max())
+    d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
+    return ad.tmean(absval_t(ad.constant(d0) - dt))
+
+
+def rotation_loss_short_tape_t(frame, orientations_t):
+    graph = frame.graph
+    rel = quat_multiply_t(orientations_t, ad.constant(frame.prev_inv))
+    dots = np.sum(np.take(rel.value, graph.indices, axis=0) * rel.value[:, None], axis=-1)
+    signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
+    per_edge = safe_norm(edge_diff_t(rel, graph.index, signs))
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
@@ -337,6 +403,62 @@ def chamfer_loss(centers, points):
     for j in range(m):
         grad[nn_o[j]] += (centers[nn_o[j]] - points[j]) / m
     return float(value), grad
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def adam_step_per_class(arrays, grads, state, config):
+    """optimize.adam_step on separate arrays: the gradients of every key
+    concatenated in sorted key order, one update of the flat moments, then
+    each key's slice subtracted from its array, and quaternion arrays
+    renormalized. `arrays` and `grads` map the keys of CascadeDeform.arrays();
+    `state` is an optimize.AdamState."""
+    state.t += 1
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    keys = sorted(grads)
+    g = np.concatenate([grads[key].ravel() for key in keys])
+    if not np.all(np.isfinite(g)):
+        bad = next(key for key in keys if not np.all(np.isfinite(grads[key])))
+        raise ValueError(f"non-finite gradient in parameter class '{bad}'")
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+        state.rates = np.concatenate([np.full(grads[key].size, config.resolved_lr(key))
+                                      for key in keys])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g * g
+    mhat = state.m / (1.0 - b1**state.t)
+    vhat = state.v / (1.0 - b2**state.t)
+    step = state.rates * mhat / (np.sqrt(vhat) + eps)
+    start = 0
+    for key in keys:
+        arr = arrays[key]
+        arr -= step[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+        if key.endswith("rotations"):
+            arr[:] = geometry.quat_normalize(arr)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint
+
+
+def cascade_payload_per_layer(cascade):
+    """deform.cascade_to_payload from a copy of every layer's arrays, each hex
+    encoded on its own, as when each layer held separate arrays."""
+    def hexed(a):
+        a = np.array(a)
+        return {"shape": list(a.shape), "data": [float(v).hex() for v in a.ravel()]}
+
+    return {
+        "layers": [{name: hexed(getattr(layer, name))
+                    for name in ("rotations", "translations", "scale_dirs", "scale_biases")}
+                   for layer in cascade.layers],
+        **{name: hexed(getattr(cascade, name))
+           for name in ("d_centers", "d_rotations", "d_log_scales")},
+    }
 
 
 # ---------------------------------------------------------------------------

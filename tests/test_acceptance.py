@@ -168,7 +168,7 @@ def test_criterion_1_gradient_finite_difference_agreement():
         def value():
             return total_loss(casc, gset, obs, graph, weights, 0.02, with_grads=False)[0]
 
-        _, _, grads = total_loss(casc, gset, obs, graph, weights, 0.02)
+        grads = casc.views(total_loss(casc, gset, obs, graph, weights, 0.02)[2])
         probe_rng = np.random.default_rng(2000 + seed)
         for key, grad in grads.items():
             flat = param_array(casc, key).reshape(-1)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import gscascade.autodiff as ad
 from gscascade.geometry import jacobi_eigh3
-from oracles import (bincount_scatter, eigh3_two_nodes, matvec_t, reshape_t, sqrt_t,
-                     transpose_last2_t)
+from oracles import (absval_t, bincount_scatter, edge_diff_t, eigh3_two_nodes, matmul_t,
+                     matvec_t, reshape_t, sqrt_t, transpose_last2_t)
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -86,7 +86,7 @@ def test_sub_grads():
 
 @pytest.mark.parametrize(
     "op",
-    [ad.exp, sqrt_t, ad.square, ad.absval],
+    [ad.exp, sqrt_t, ad.square, absval_t],
     ids=["exp", "sqrt", "square", "absval"],
 )
 def test_elementwise_grads(op):
@@ -97,7 +97,7 @@ def test_elementwise_grads(op):
 
 def test_absval_zero_has_zero_grad():
     t = ad.leaf(np.array([0.0, -1.5, 2.0]))
-    ad.tsum(ad.absval(t)).backward()
+    ad.tsum(absval_t(t)).backward()
     np.testing.assert_array_equal(t.grad, [0.0, -1.0, 1.0])
 
 
@@ -127,7 +127,7 @@ def test_matmul_matvec_grads():
     v = rng.normal(size=(5, 3))
 
     tA, tB, tv = ad.leaf(A), ad.leaf(B), ad.leaf(v)
-    out = ad.tsum(matvec_t(ad.matmul(tA, tB), tv))
+    out = ad.tsum(matvec_t(matmul_t(tA, tB), tv))
     out.backward()
 
     def value(Av, Bv, vv):
@@ -266,7 +266,7 @@ def test_edge_diff_matches_fd_with_repeated_indices(signed, trailing):
     W = rng.normal(size=(n, k) + trailing)
 
     def forward(v):
-        return ad.edge_diff(v, idx, signs)
+        return edge_diff_t(v, idx, signs)
 
     want = x[idx] * (1.0 if signs is None else signs) - x[:, None]
     np.testing.assert_array_equal(forward(ad.constant(x)).value, want)
@@ -288,6 +288,59 @@ def test_backward_accumulates_through_shared_subexpression():
     out = y + y
     out.backward()
     np.testing.assert_allclose(t.grad, [8.0])
+
+
+def test_add_of_two_leaves_gives_each_its_own_gradient():
+    """add hands one upstream gradient to both operands: the first to reach a
+    node is copied, so no gradient aliases another node's."""
+    w = np.array([1.0, 2.0, 3.0])
+    a, b = ad.leaf(np.ones(3)), ad.leaf(np.zeros(3))
+    s = a + b
+    ad.tsum(ad.mul(s, ad.constant(w))).backward()
+    np.testing.assert_array_equal(a.grad, w)
+    np.testing.assert_array_equal(b.grad, w)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, s.grad) and not np.shares_memory(b.grad, s.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(s.grad, w)
+
+
+def test_add_of_one_leaf_twice_accumulates_into_its_own_gradient():
+    w = np.array([1.0, 2.0, 3.0])
+    x = ad.leaf(np.ones(3))
+    s = x + x
+    ad.tsum(ad.mul(s, ad.constant(w))).backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * w)
+    np.testing.assert_array_equal(s.grad, w)  # the sum's own gradient is not added to
+    assert not np.shares_memory(x.grad, s.grad)
+    # tsum's read-only broadcast view reaches both operands too
+    y = ad.leaf(np.ones(3))
+    ad.tsum(y + y).backward()
+    np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
+
+
+def test_a_leaf_given_a_buffer_adds_into_it():
+    buffer = np.zeros(5)
+    t = ad.leaf(np.arange(3.0), grad=buffer[1:4])
+    ad.tsum(ad.square(t)).backward()
+    np.testing.assert_array_equal(buffer, [0.0, 0.0, 2.0, 4.0, 0.0])
+    assert t.grad.base is buffer
+
+
+def test_backward_walks_the_record_of_its_own_graph():
+    """Two graphs keep separate records until an op joins them; a root's
+    backward walks its record in reverse creation order and clears it."""
+    a, b = ad.leaf(np.ones(2)), ad.leaf(np.ones(2))
+    ea, eb = ad.exp(a), ad.square(b)
+    assert a._tape is ea._tape and b._tape is eb._tape and a._tape is not b._tape
+    root = ad.tsum(ad.mul(ea, eb))
+    assert all(node._tape is root._tape for node in (a, b, ea, eb))
+    assert len(root._tape) == 6
+    root.backward()
+    np.testing.assert_allclose(a.grad, np.e * np.ones(2))
+    np.testing.assert_allclose(b.grad, 2.0 * np.e * np.ones(2))
+    assert root._tape == [] and ea._parents == ()
 
 
 def test_constant_gets_no_grad():

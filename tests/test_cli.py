@@ -276,6 +276,19 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
                  id="init-nan"),
     pytest.param("init_gaussians.csv", _edit_cell(4, 9, "-0.5"),
                  "scales must be strictly positive", id="init-scale"),
+    # a positive scale whose square is at the covariance's PD floor, and a
+    # quaternion whose squared norm overflows, used to exit 3 inside the fit
+    pytest.param("init_gaussians.csv", _edit_cell(1, 8, "1e-7"),
+                 "sx = 1e-07 in data row 1: a scale's square must be above 1e-12",
+                 id="init-tiny-scale"),
+    pytest.param("init_gaussians.csv", _edit_cell(2, 4, "1e308"),
+                 "qw = 1e+308 in data row 2: the quaternion's squared norm overflows",
+                 id="init-huge-quaternion"),
+    pytest.param("init_gaussians.csv", _edit_rows(
+        lambda rows: rows[:3] + [",".join(rows[3].split(",")[:4] + ["0"] * 4
+                                          + rows[3].split(",")[8:])] + rows[4:]),
+                 "qw, qx, qy, qz in data row 3: the quaternion's norm is below 1e-12",
+                 id="init-zero-quaternion"),
     pytest.param("scene.json", _edit_json(lambda meta: meta.pop("part_quats")),
                  "missing key 'part_quats'", id="scene-no-part-quats"),
     pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(kind="ship")),

@@ -5,6 +5,8 @@ transformation of (centers, orientations, covariances) for the pure-rotation
 case, and the analytic composition law for stacked single-cluster layers.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from gscascade.deform import (
 )
 from oracles import (
     ClusterDeformParams,
+    cascade_payload_per_layer,
     cube_rotations,
     layer_apply,
     layer_jacobian,
@@ -422,6 +425,46 @@ def test_payload_roundtrip_bit_exact():
     assert np.array_equal(out_a.centers, out_b.centers)
 
 
+def test_parameters_are_views_of_one_flat_buffer():
+    """Every array of arrays() and every field is a view into `flat`; the
+    views tile the buffer, assigning a field copies into it, and the two
+    quaternion classes are one contiguous block."""
+    rng = np.random.default_rng(18)
+    gset = random_set(rng, n=14)
+    casc = random_cascade(rng, gset, sizes=(2, 5), mag=0.3)
+    arrays = casc.arrays()
+    assert all(a.base is casc.flat for a in arrays.values())
+    covered = np.zeros_like(casc.flat)
+    for view in casc.views(covered).values():
+        view += 1.0
+    assert np.all(covered == 1.0)
+    d_centers = rng.normal(size=(14, 3))
+    casc.d_centers = d_centers
+    casc.layers[1].scale_biases = np.arange(5.0)
+    assert np.array_equal(casc.arrays()["d_centers"], d_centers)
+    assert np.array_equal(casc.arrays()["layer1.scale_biases"], np.arange(5.0))
+    assert casc.d_centers.base is casc.flat and casc.layers[1].scale_biases.base is casc.flat
+    quats = casc.flat[casc.quaternions].reshape(-1, 4)
+    want = np.concatenate([*(layer.rotations for layer in casc.layers), casc.d_rotations])
+    assert np.array_equal(quats, want)
+    with pytest.raises(ValueError, match="d_log_scales has shape"):
+        CascadeDeform(layers=casc.layers, d_centers=casc.d_centers,
+                      d_rotations=casc.d_rotations, d_log_scales=np.zeros((13, 3)),
+                      hierarchy=casc.hierarchy)
+
+
+def test_payload_bytes_match_the_per_layer_payload():
+    rng = np.random.default_rng(19)
+    gset = random_set(rng, n=14)
+    casc = random_cascade(rng, gset, sizes=(2, 5), mag=0.3)
+    casc.d_centers = rng.normal(scale=0.01, size=(14, 3))
+    casc.d_log_scales = rng.normal(scale=0.1, size=(14, 3))
+    got = json.dumps(cascade_to_payload(casc), sort_keys=True, indent=2)
+    assert got == json.dumps(cascade_payload_per_layer(casc), sort_keys=True, indent=2)
+    back = cascade_from_payload(cascade_to_payload(casc), casc.hierarchy)
+    assert np.array_equal(back.flat, casc.flat)
+
+
 def test_payload_rejects_an_unanchored_checkpoint():
     rng = np.random.default_rng(17)
     gset = random_set(rng, n=10)
@@ -447,6 +490,7 @@ def test_trace_gradients_flow_at_zero_parameters():
     loss = ad.tsum(ad.square(tr.centers - ad.constant(gset.centers + 0.01)))
     loss = loss + ad.tsum(ad.square(tr.scales))
     loss.backward()
+    grads = casc.views(tr.grad)
     for name in ("layer0.translations", "layer0.rotations", "layer0.scale_biases", "d_centers"):
-        g = tr.leaves[name].grad
+        g = grads[name]
         assert g is not None and np.abs(g).max() > 0.0, name

@@ -19,6 +19,8 @@ from gscascade.losses import (
     LossWeights,
     NeighborGraph,
     build_neighbor_graph,
+    _rigidity_t,
+    _rotation_t,
     isometry_loss_t,
     observation_tree,
     rigidity_loss_t,
@@ -31,10 +33,13 @@ from oracles import (
     data_loss,
     isometry_loss,
     isometry_loss_chain_t,
+    isometry_loss_short_tape_t,
     rigidity_loss,
     rigidity_loss_chain_t,
+    rigidity_loss_short_tape_t,
     rotation_loss,
     rotation_loss_chain_t,
+    rotation_loss_short_tape_t,
     scale_loss,
 )
 
@@ -338,10 +343,10 @@ def test_chamfer_with_a_given_tree_is_bit_identical():
     h = build_hierarchy(gset.centers, (2, 5), seed=0)
     graph = build_neighbor_graph(gset.centers, k=3, lambda_weight=1.0)
     args = (cascade_zero(h, gset.n), gset, obs, graph, LossWeights(), 0.02)
-    v, comps, grads = total_loss(*args)
-    v_t, comps_t, grads_t = total_loss(*args, frame=FrameConstants(gset, obs, h, graph))
+    v, comps, grad = total_loss(*args)
+    v_t, comps_t, grad_t = total_loss(*args, frame=FrameConstants(gset, obs, h, graph))
     assert v == v_t and comps == comps_t
-    assert all(np.array_equal(grads[k], grads_t[k]) for k in grads)
+    assert np.array_equal(grad, grad_t)
     assert observation_tree(DataObservation(points=points, correspondence=np.zeros(
         len(points), dtype=int))) is None
 
@@ -516,6 +521,61 @@ def test_neighbour_terms_match_their_tape_chains(term):
     assert min(seen.values()) > 0, seen
 
 
+# term -> (shipped term, the short tape it replaced), called as above
+_TERMS_AND_SHORT_TAPES = {
+    "rigidity": (lambda prev, c, q, graph: rigidity_loss_t(_frame(prev, graph), c, q),
+                 lambda prev, c, q, graph: rigidity_loss_short_tape_t(_frame(prev, graph), c, q)),
+    "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph),
+                 lambda prev, c, q, graph: isometry_loss_short_tape_t(c, graph)),
+    "rotation": (lambda prev, c, q, graph: rotation_loss_t(_frame(prev, graph), q),
+                 lambda prev, c, q, graph: rotation_loss_short_tape_t(_frame(prev, graph), q)),
+}
+
+
+@pytest.mark.parametrize("term", sorted(_TERMS_AND_SHORT_TAPES))
+def test_one_node_terms_are_their_short_tapes_bit_for_bit(term):
+    """Each neighbour term's one node computes its short tape's value and
+    gradients op for op: bit-equal on coincident, repeated and flipped edges."""
+    for seed in range(60):
+        prev, centers, orientations, graph = _neighbour_case(seed)
+        (value, grads), (want, want_grads) = (
+            _value_and_grads(fn, prev, centers, orientations, graph)
+            for fn in _TERMS_AND_SHORT_TAPES[term])
+        assert value == want, seed
+        for g, w in zip(grads, want_grads):
+            assert (g is None) == (w is None), seed
+            assert w is None or np.array_equal(g, w), seed
+
+
+@pytest.mark.parametrize("term", ["rigidity", "isometry", "rotation"])
+def test_one_node_term_vjp_matches_central_differences(term):
+    """The closed-form VJP of each term's node, against central differences
+    in the node's own inputs: centers and (not necessarily orthogonal)
+    rotation matrices for rigidity, centers for isometry, quaternion
+    increments for rotation."""
+    rng = np.random.default_rng(30)
+    prev = small_scene(rng, n=9)
+    curr = small_scene(rng, n=9)
+    graph = build_neighbor_graph(prev.centers, k=3, lambda_weight=1.0)
+    frame = _frame(prev, graph)
+    inputs = {
+        "rigidity": [curr.centers, geometry.quat_to_matrix(curr.orientations)
+                     + 0.1 * rng.normal(size=(9, 3, 3))],
+        "isometry": [curr.centers],
+        "rotation": [curr.orientations * 1.3],
+    }[term]
+    node = {
+        "rigidity": lambda c, R: _rigidity_t(frame, c, R),
+        "isometry": lambda c: isometry_loss_t(c, graph),
+        "rotation": lambda r: _rotation_t(graph, r),
+    }[term]
+    leaves = [ad.leaf(a) for a in inputs]
+    node(*leaves).backward()
+    for array, leaf in zip(inputs, leaves):
+        _fd_check(lambda: float(node(*map(ad.constant, inputs)).value), array, leaf.grad,
+                  12, rng)
+
+
 # ---------------------------------------------------------------------------
 # the assembled objective
 
@@ -531,7 +591,8 @@ def test_total_loss_is_weighted_sum_and_matches_constant_forward():
     obs = DataObservation(points=gset.centers + rng.normal(scale=0.02, size=(20, 3)),
                           correspondence=np.arange(20))
     weights = LossWeights()
-    total, comps, grads = total_loss(casc, gset, obs, graph, weights, max_scale=0.02)
+    total, comps, grad = total_loss(casc, gset, obs, graph, weights, max_scale=0.02)
+    grads = casc.views(grad)
     want = (
         weights.w_rigid * comps["rigidity"]
         + weights.w_iso * comps["isometry"]
@@ -576,7 +637,7 @@ def test_total_loss_gradient_spot_check_fd():
         return total_loss(casc, gset, obs, graph, weights, max_scale=0.02,
                           with_grads=False)[0]
 
-    _, _, grads = total_loss(casc, gset, obs, graph, weights, max_scale=0.02)
+    grads = casc.views(total_loss(casc, gset, obs, graph, weights, max_scale=0.02)[2])
     for name, array in (
         ("layer0.translations", casc.layers[0].translations),
         ("layer1.rotations", casc.layers[1].rotations),
@@ -586,19 +647,7 @@ def test_total_loss_gradient_spot_check_fd():
         _fd_check(value, array, grads[name], 4, rng)
 
 
-def _tape_size(root):
-    """Nodes the backward pass from `root` visits: root plus differentiable ancestors."""
-    seen = {id(root)}
-    stack = [root]
-    while stack:
-        for parent in stack.pop()._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
-
-
-@pytest.mark.parametrize("scan, nodes", [(False, 79), (True, 85)],
+@pytest.mark.parametrize("scan, nodes", [(False, 51), (True, 57)],
                          ids=["correspondences", "scan"])
 def test_total_loss_tape_size(monkeypatch, scan, nodes):
     """One iteration's tape on a 3-layer cascade with covariance propagation;
@@ -613,12 +662,45 @@ def test_total_loss_tape_size(monkeypatch, scan, nodes):
     backward = ad.Tensor.backward
 
     def counted(root):
-        sizes.append(_tape_size(root))
+        sizes.append(len(root._tape))  # the nodes the backward pass walks
         return backward(root)
 
     monkeypatch.setattr(ad.Tensor, "backward", counted)
     total_loss(casc, gset, obs, graph, LossWeights(), max_scale=0.02)
     assert sizes == [nodes]
+
+
+def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
+    """An evaluation that raises inside the cascade (a degenerate layer makes
+    the propagated covariance singular) leaves its nodes on its own record:
+    the next evaluation's backward walks exactly its own nodes and gives the
+    gradient it gives when run alone, bit for bit."""
+    rng = np.random.default_rng(15)
+    gset = small_scene(rng, n=30, spread=2.0)
+    h = build_hierarchy(gset.centers, (2, 4, 8), seed=0)
+    graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
+    obs = DataObservation(points=gset.centers + rng.normal(scale=0.02, size=(30, 3)),
+                          correspondence=np.arange(30))
+    good = cascade_zero(h, 30)
+    good.layers[1].translations = rng.normal(scale=0.05, size=(4, 3))
+    bad = cascade_zero(h, 30)
+    bad.layers[0].scale_biases[0] = -60.0  # sigma == 0: the map collapses
+    walked = []
+    backward = ad.Tensor.backward
+
+    def counted(root):
+        walked.append(len(root._tape))
+        return backward(root)
+
+    monkeypatch.setattr(ad.Tensor, "backward", counted)
+    args = (gset, obs, graph, LossWeights(), 0.02)
+    alone = total_loss(good, *args)
+    with pytest.raises(ValueError, match="positive definite"):
+        total_loss(bad, *args)
+    after = total_loss(good, *args)
+    assert walked == [51, 51]
+    assert after[0] == alone[0] and after[1] == alone[1]
+    assert np.array_equal(after[2], alone[2])
 
 
 def test_zero_cascade_isometry_gradient_exactly_zero():
@@ -632,11 +714,10 @@ def test_zero_cascade_isometry_gradient_exactly_zero():
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     obs = DataObservation(points=gset.centers.copy(), correspondence=np.arange(15))
     weights = LossWeights(w_rigid=0.0, w_rot=0.0, w_data=0.0)  # isolate isometry+scale
-    _, comps, grads = total_loss(casc, gset, obs, graph, weights, max_scale=1.0)
+    _, comps, grad = total_loss(casc, gset, obs, graph, weights, max_scale=1.0)
     assert comps["isometry"] == 0.0
-    for g in grads.values():
-        assert np.all(np.isfinite(g))
-        assert np.abs(g).max() == 0.0
+    assert np.all(np.isfinite(grad))
+    assert np.abs(grad).max() == 0.0
 
 
 def test_rigid_motion_isometry_gradient_exactly_zero():

@@ -11,7 +11,7 @@ import pytest
 from gscascade import losses, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
-from gscascade.deform import cascade_zero, trace_cascade
+from gscascade.deform import IDENTITY_ROWS, cascade_zero, trace_cascade
 from gscascade.losses import DataObservation
 from gscascade.optimize import (
     AdamState,
@@ -21,6 +21,7 @@ from gscascade.optimize import (
     fit_sequence,
     mean_center_error,
 )
+from oracles import adam_step_per_class
 
 
 def scene(rng, n=25, spread=1.0):
@@ -32,7 +33,9 @@ def scene(rng, n=25, spread=1.0):
 
 
 def zero_grads(cascade):
-    return {key: np.zeros_like(a) for key, a in cascade.arrays().items()}
+    """A zero gradient laid out like cascade.flat, and its views by key."""
+    grad = np.zeros_like(cascade.flat)
+    return grad, cascade.views(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +72,11 @@ def test_arrays_are_the_leaves_and_gradients_adam_steps():
     graph = losses.build_neighbor_graph(gset.centers, k=5)
     keys = list(casc.arrays())
     assert len(keys) == 2 * 4 + 3
-    assert keys == list(trace_cascade(casc, gset).leaves)
-    _, _, grads = losses.total_loss(casc, gset, obs, graph, losses.LossWeights(), 0.02)
+    trace = trace_cascade(casc, gset)
+    assert list(trace.leaves) == list(IDENTITY_ROWS)  # one leaf per class
+    assert all(np.shares_memory(leaf.value, casc.flat) for leaf in trace.leaves.values())
+    _, _, grad = losses.total_loss(casc, gset, obs, graph, losses.LossWeights(), 0.02)
+    grads = casc.views(grad)
     assert keys == list(grads)
     casc.arrays()["layer1.translations"][3] = [0.5, 0.0, 0.0]
     assert casc.layers[1].translations[3, 0] == 0.5
@@ -85,10 +91,10 @@ def test_first_adam_step_has_closed_form():
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
     casc = cascade_zero(h, 20)
     cfg = TrainConfig(scene_scale=1.0)
-    grads = zero_grads(casc)
+    grad, grads = zero_grads(casc)
     g = np.array([[0.3, -2.0, 0.0], [0.0, 0.0, 1e-4]])
-    grads["layer0.translations"] = g.copy()
-    adam_step(casc, grads, AdamState(), cfg)
+    grads["layer0.translations"][...] = g
+    adam_step(casc, grad, AdamState(), cfg)
     # bias corrections cancel at t=1: step = -lr * g / (|g| + eps)
     lr = cfg.resolved_lr("layer0.translations")
     want = -lr * g / (np.abs(g) + cfg.adam_eps)
@@ -107,9 +113,9 @@ def test_constant_gradient_steps_accumulate_linearly():
     state = AdamState()
     g = np.full((3,), 0.7)
     for _ in range(4):
-        grads = zero_grads(casc)
-        grads["layer0.scale_biases"] = g.copy()
-        casc, state = adam_step(casc, grads, state, cfg)
+        grad, grads = zero_grads(casc)
+        grads["layer0.scale_biases"][...] = g
+        casc, state = adam_step(casc, grad, state, cfg)
     # for constant g the bias-corrected ratio is g/|g| every step
     want = -4 * cfg.lr_sbias * 0.7 / (0.7 + cfg.adam_eps)
     np.testing.assert_allclose(casc.layers[0].scale_biases, want, rtol=1e-9)
@@ -122,10 +128,10 @@ def test_quaternions_renormalized_after_step():
     h = build_hierarchy(gset.centers, (2,), seed=0)
     casc = cascade_zero(h, 12)
     cfg = TrainConfig()
-    grads = zero_grads(casc)
-    grads["layer0.rotations"] = rng.normal(size=(2, 4))
-    grads["d_rotations"] = rng.normal(size=(12, 4))
-    adam_step(casc, grads, AdamState(), cfg)
+    grad, grads = zero_grads(casc)
+    grads["layer0.rotations"][...] = rng.normal(size=(2, 4))
+    grads["d_rotations"][...] = rng.normal(size=(12, 4))
+    adam_step(casc, grad, AdamState(), cfg)
     np.testing.assert_allclose(np.linalg.norm(casc.layers[0].rotations, axis=-1), 1.0,
                                atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(casc.d_rotations, axis=-1), 1.0, atol=1e-12)
@@ -137,14 +143,36 @@ def test_non_finite_gradient_raises_with_class_name():
     h = build_hierarchy(gset.centers, (2,), seed=0)
     casc = cascade_zero(h, 10)
     cfg = TrainConfig()
-    grads = zero_grads(casc)
+    grad, grads = zero_grads(casc)
     grads["layer0.scale_dirs"][1, 2] = np.nan
     with pytest.raises(ValueError, match="layer0.scale_dirs"):
-        adam_step(casc, grads, AdamState(), cfg)
-    grads = zero_grads(casc)
+        adam_step(casc, grad, AdamState(), cfg)
+    grad, grads = zero_grads(casc)
     grads["d_log_scales"][0, 0] = np.inf
     with pytest.raises(ValueError, match="d_log_scales"):
-        adam_step(casc, grads, AdamState(), cfg)
+        adam_step(casc, grad, AdamState(), cfg)
+
+
+def test_flat_adam_step_is_the_per_class_step_bit_for_bit():
+    """One update over the flat buffer and one renormalization of its
+    quaternion block give the per-class update of separate arrays exactly,
+    step after step."""
+    rng = np.random.default_rng(31)
+    gset = scene(rng, n=18)
+    h = build_hierarchy(gset.centers, (2, 4, 7), seed=0)
+    cfg = TrainConfig(scene_scale=1.7)
+    flat_casc, split_casc = cascade_zero(h, 18), cascade_zero(h, 18)
+    split = {key: a.copy() for key, a in split_casc.arrays().items()}
+    flat_state, split_state = AdamState(), AdamState()
+    for _ in range(6):
+        grad = rng.normal(size=flat_casc.flat.shape) * rng.choice([1e-6, 1.0, 1e3],
+                                                                   size=flat_casc.flat.shape)
+        adam_step(flat_casc, grad, flat_state, cfg)
+        grads = {key: g.copy() for key, g in flat_casc.views(grad).items()}
+        adam_step_per_class(split, grads, split_state, cfg)
+        for key, a in flat_casc.arrays().items():
+            assert np.array_equal(a, split[key]), key
+    assert not flat_casc.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from gscascade.deform import _SIGNED_PERMUTATIONS, _cascade_layer_t, _covariance
 from gscascade.tapemath import (mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t,
                                 safe_norm)
 
-from oracles import safe_norm_chain_t, transpose_last2_t
+from oracles import matmul_t, safe_norm_chain_t, transpose_last2_t
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -291,10 +291,10 @@ def test_covariance_node_forward_is_the_op_chain_bit_for_bit():
     J = np.eye(3) + 0.4 * rng.normal(size=(200, 3, 3))
     A0 = _rotations(rng, 200) * rng.uniform(1e-3, 2.0, size=(200, 1, 3))
     Q = _rotations(rng, 200)
-    A = ad.matmul(ad.constant(J), ad.constant(A0))
-    M = ad.matmul(A, transpose_last2_t(A))
+    A = matmul_t(ad.constant(J), ad.constant(A0))
+    M = matmul_t(A, transpose_last2_t(A))
     M = ad.mul(M + transpose_last2_t(M), 0.5)
-    B = ad.matmul(ad.matmul(ad.constant(np.swapaxes(Q, -1, -2)), M), ad.constant(Q))
+    B = matmul_t(matmul_t(ad.constant(np.swapaxes(Q, -1, -2)), M), ad.constant(Q))
     B = ad.mul(B + transpose_last2_t(B), 0.5)
     got_B, got_M = _covariance_t(ad.constant(J), A0, Q)
     assert np.array_equal(got_M, M.value)
