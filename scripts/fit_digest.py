@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print digests of seeded fits, to check that a change keeps every bit.
+
+For each scene kind it generates one scene, fits it and prints one line with
+two sha256 digests: one over the `centers`, `orientations` and `scales` bytes
+of every fitted set, one over every frame's checkpoint payload
+(`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`). Run it on
+two checkouts and compare the lines.
+
+    python3 scripts/fit_digest.py
+    python3 scripts/fit_digest.py --kinds wheel --n-gaussians 60 --iters 3
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gscascade.clustering import build_hierarchy
+from gscascade.deform import cascade_to_payload
+from gscascade.optimize import TrainConfig, fit_sequence
+from gscascade.scenegen import SceneSpec, generate
+
+DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave"
+
+
+def parse_args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--kinds", default=DEFAULT_KINDS, help="comma-separated scene kinds")
+    ap.add_argument("--n-gaussians", type=int, default=400)
+    ap.add_argument("--n-frames", type=int, default=4)
+    ap.add_argument("--iters", type=int, default=25, help="iterations per frame")
+    ap.add_argument("--layers", default="8,40,160")
+    ap.add_argument("--seed", type=int, default=1)
+    return ap.parse_args(argv)
+
+
+def fit_digests(report):
+    """(trajectory digest, checkpoint digest) of a FitReport, as hex strings."""
+    trajectory = hashlib.sha256()
+    for gset in report.sets:
+        for array in (gset.centers, gset.orientations, gset.scales):
+            trajectory.update(array.tobytes())
+    checkpoints = hashlib.sha256()
+    for cascade in report.cascades:
+        payload = json.dumps(cascade_to_payload(cascade), sort_keys=True, indent=2)
+        checkpoints.update(payload.encode())
+    return trajectory.hexdigest(), checkpoints.hexdigest()
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    layers = tuple(int(s) for s in args.layers.split(","))
+    for kind in args.kinds.split(","):
+        seq = generate(SceneSpec(kind, n_gaussians=args.n_gaussians, n_frames=args.n_frames,
+                                 seed=args.seed))
+        config = TrainConfig(iters_per_frame=args.iters, layer_sizes=layers, seed=args.seed,
+                             scene_scale=seq.scene_scale)
+        hierarchy = build_hierarchy(seq.frame0.centers, layers, seed=args.seed)
+        report = fit_sequence(seq.frame0, seq.observations, config, hierarchy)
+        trajectory, checkpoints = fit_digests(report)
+        print(f"{kind} trajectory {trajectory} checkpoints {checkpoints}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

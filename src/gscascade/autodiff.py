@@ -16,11 +16,20 @@ Conventions:
     belongs to the graph (each leaf starts one; an op joining two graphs
     joins their records), so an evaluation that fails halfway leaves nothing
     for the next backward to walk.
-  * A scatter (the adjoint of a row lookup: `gather`, `edge_adjoint`, the
-    cascade layer) is one product with a `RowIndex`'s sparse transpose, which
-    sums each row in index order, so backward passes are deterministic. An
-    index fixed for a whole sequence (a hierarchy layer's assignments, the
-    neighbour graph) keeps its transpose, built once.
+  * A scatter (the adjoint of a row lookup: `edge_adjoint`, the cascade
+    layer, the correspondence term in `losses`) is one product with a
+    `RowIndex`'s sparse transpose, which sums each row in index order, so
+    backward passes are deterministic. An index fixed for a whole sequence (a
+    hierarchy layer's assignments, the neighbour graph) keeps its transpose,
+    built once.
+  * Edge kernels keep numpy off its per-row loops over 3 or 4 components.
+    `edge_adjoint`'s row sums (each row's sum over its k edges) are one
+    product with a second CSR matrix the RowIndex keeps, ones at (i, i k + j):
+    it adds a row's k entries in edge order from 0, which gives the bits of
+    adding the (N, C) slices in turn. `edge_values` subtracts each row from
+    its k edges (`subtract_rows`) as one contiguous (N k, C) subtract of the
+    rows repeated k times, not as a broadcast over (N, k, C): the same
+    elementwise subtraction.
   * A node may have several outputs (`_make_multi`): its VJP runs once, with
     the gradient of every output, or None for one the loss does not reach.
   * `_accum` keeps the first gradient that reaches a node as it is: a VJP
@@ -334,14 +343,17 @@ class RowIndex:
     on the first backward pass that needs it and kept with the index. Each
     output row adds its entries in index order, starting from 0, as
     np.bincount (and np.add.at) does, so the result is bit for bit theirs.
+    An (N, k) index also keeps the matrix of its edges' row sums (ones at
+    (i, i k + j)), which `edge_adjoint` multiplies by.
     """
 
-    __slots__ = ("idx", "rows", "_transpose")
+    __slots__ = ("idx", "rows", "_transpose", "_row_sums")
 
     def __init__(self, idx, rows):
         self.idx = np.asarray(idx)
         self.rows = rows
         self._transpose = None
+        self._row_sums = None
 
     def scatter(self, g):
         """Rows of g (idx.shape + trailing) summed by index: (rows,) + trailing."""
@@ -356,43 +368,36 @@ class RowIndex:
         out = self._transpose @ g.reshape(self.idx.size, math.prod(trailing))
         return out.reshape((self.rows,) + trailing)
 
-
-def _row_index(idx, a):
-    return idx if isinstance(idx, RowIndex) else RowIndex(idx, a.value.shape[0])
-
-
-def gather(a, idx):
-    """Row lookup a[idx] along axis 0 (idx a RowIndex, or nonnegative ints of any shape)."""
-    a = _wrap(a)
-    index = _row_index(idx, a)
-
-    def vjp(g):
-        _accum(a, index.scatter(g))
-
-    return _make(a.value[index.idx], (a,), vjp)
+    def row_sums(self, g):
+        """Each row's sum of g (N, k, C) over its k edges, in edge order: (N, C)."""
+        if self._row_sums is None:
+            n, k = self.idx.shape
+            self._row_sums = csr_array(
+                (np.ones(n * k), np.arange(n * k), np.arange(0, n * k + 1, k)), shape=(n, n * k))
+        return self._row_sums @ g.reshape(self.idx.size, g.shape[-1])
 
 
-def edge_values(a, index, signs=None):
-    """a[idx] * signs - a[:, None] for the (N, k) RowIndex `index`, as a fresh array."""
-    v = np.take(a, index.idx, axis=0)  # a fresh array, several times faster than a[idx]
-    if signs is not None:
-        v *= signs
-    v -= a[:, None]
+def subtract_rows(v, a):
+    """v - a[:, None] in place, for v of shape (N, k, C): one contiguous
+    (N k, C) subtract of each row of a repeated k times. Returns v."""
+    n, k, width = v.shape
+    np.subtract(v.reshape(n * k, width), np.repeat(a, k, axis=0), out=v.reshape(n * k, width))
     return v
 
 
+def edge_values(a, index):
+    """a[idx] - a[:, None] for the (N, k) RowIndex `index`, as a fresh array."""
+    # np.take gives a fresh array, several times faster than a[idx]
+    return subtract_rows(np.take(a, index.idx, axis=0), a)
+
+
 def edge_adjoint(g, index, signs=None):
-    """The gradient of `edge_values` w.r.t. a, given the edges' gradient g:
+    """The gradient w.r.t. a of the edges a[idx] * signs - a[:, None] (signs
+    of shape (N, k, 1); `edge_values` without them), given their gradient g:
     g * signs scattered to the neighbour rows, less each row's sum of g over
     its k edges."""
     out = index.scatter(g if signs is None else g * signs)
-    # each row's sum of g over its k edges, adding whole (N, ...) slices in
-    # turn: g.sum(axis=1)'s order for several trailing columns, without its
-    # per-row loops
-    rows = g[:, 0].copy()
-    for j in range(1, g.shape[1]):
-        rows += g[:, j]
-    out -= rows
+    out -= index.row_sums(g)
     return out
 
 
@@ -414,11 +419,12 @@ def eigh3(S):
         dS = V (diag(dw) + F o (V^T dV)) V^T,  F_ij = 1/(w_j - w_i),
 
     symmetrized, with the gap denominators smoothed by _EIG_GAP_EPS.
-    Returns (evals, evecs), the two outputs of one node: the adjoint is
-    formed once, from the gradients of both.
+    Returns (evals, evecs, converged): the two outputs of one node, whose
+    adjoint is formed once from the gradients of both, and the solver's
+    boolean array of which matrices converged.
     """
     S = _wrap(S)
-    w, V = jacobi_eigh3(S.value)
+    w, V, converged = jacobi_eigh3(S.value)
 
     def vjp(gw, gV):
         Vt = _transposed(V)
@@ -437,4 +443,4 @@ def eigh3(S):
         gS = 0.5 * (gS + np.swapaxes(gS, -1, -2))
         _accum(S, gS)
 
-    return _make_multi((w, V), (S,), vjp)
+    return (*_make_multi((w, V), (S,), vjp), converged)

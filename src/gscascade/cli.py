@@ -75,29 +75,54 @@ def _input_file(path):
         raise ConfigError(str(e) if str(e).startswith(str(path)) else f"{path}: {e}") from e
 
 
-def _check_init_ranges(data):
-    """Reject initial Gaussians the fit cannot start from: a scale whose square
-    is not above the positive-definite floor of the propagated covariance,
-    and a quaternion whose squared norm overflows or whose norm is below the
-    normalization floor. (GaussianSet rejects a scale that is not positive.)"""
-    scales = data[:, 8:11]
-    small = np.argwhere((scales > 0.0) & (scales * scales <= _PD_FLOOR))
-    if len(small):
-        row, col = small[0]
-        raise ValueError(f"{INIT_GAUSSIANS_HEADER[8 + col]} = {float(scales[row, col])!r}"
-                         f" in data row {row + 1}: a scale's square must be above {_PD_FLOOR:g}")
-    quats = data[:, 4:8]
+# the largest coordinate magnitude read: differences of two such points stay
+# below 2e150, so squared distances stay finite
+_MAX_ABS_COORD = 1e150
+
+
+def _check_coordinates(points, names, row_name):
+    """Reject a coordinate of magnitude above _MAX_ABS_COORD. `names` are the
+    column names of `points`; `row_name(i)` names its data row i."""
+    big = np.argwhere(np.abs(points) > _MAX_ABS_COORD)
+    if len(big):
+        row, col = big[0]
+        raise ValueError(f"{names[col]} = {float(points[row, col])!r} in {row_name(row)}:"
+                         f" a coordinate's magnitude must be at most {_MAX_ABS_COORD:g}")
+
+
+def _check_quaternions(quats, names, row_name):
+    """Reject a quaternion whose squared norm overflows or whose norm is below
+    the normalization floor; arguments as in _check_coordinates."""
     with np.errstate(over="ignore"):
         ssq = np.sum(quats * quats, axis=1)
     bad = np.nonzero((ssq == np.inf) | (np.sqrt(ssq) < _NORM_FLOOR))[0]
     if len(bad):
         row = bad[0]
         if ssq[row] < np.inf:
-            raise ValueError(f"qw, qx, qy, qz in data row {row + 1}: the quaternion's norm is"
+            raise ValueError(f"{', '.join(names)} in {row_name(row)}: the quaternion's norm is"
                              f" below {_NORM_FLOOR:g}")
         col = int(np.argmax(np.abs(quats[row])))
-        raise ValueError(f"{INIT_GAUSSIANS_HEADER[4 + col]} = {float(quats[row, col])!r}"
-                         f" in data row {row + 1}: the quaternion's squared norm overflows")
+        raise ValueError(f"{names[col]} = {float(quats[row, col])!r} in {row_name(row)}:"
+                         f" the quaternion's squared norm overflows")
+
+
+def _data_row(i):
+    return f"data row {i + 1}"
+
+
+def _check_init_ranges(data):
+    """Reject initial Gaussians the fit cannot start from: a coordinate out of
+    range, a scale whose square is not above the positive-definite floor of
+    the propagated covariance, and a quaternion out of range (see
+    _check_quaternions). (GaussianSet rejects a scale that is not positive.)"""
+    _check_coordinates(data[:, 1:4], INIT_GAUSSIANS_HEADER[1:4], _data_row)
+    scales = data[:, 8:11]
+    small = np.argwhere((scales > 0.0) & (scales * scales <= _PD_FLOOR))
+    if len(small):
+        row, col = small[0]
+        raise ValueError(f"{INIT_GAUSSIANS_HEADER[8 + col]} = {float(scales[row, col])!r}"
+                         f" in data row {row + 1}: a scale's square must be above {_PD_FLOOR:g}")
+    _check_quaternions(data[:, 4:8], INIT_GAUSSIANS_HEADER[4:8], _data_row)
 
 
 def load_scene_dir(path):
@@ -130,6 +155,7 @@ def load_scene_dir(path):
             # scene frames observe every Gaussian, in index order
             if len(pts) != frame0.n:
                 raise ValueError(f"{len(pts)} points, expected one per Gaussian ({frame0.n})")
+            _check_coordinates(pts, ("x", "y", "z"), _data_row)
             observations.append(DataObservation(points=pts, correspondence=np.arange(len(pts))))
     return SceneSequence(spec=spec, frame0=frame0, observations=observations, gt_centers=gt,
                          part_labels=labels, part_quats=part_quats, cameras=cameras)
@@ -208,6 +234,13 @@ def _load_fit_dir(fit_dir, scene_dir=None):
         if centers.shape[:2] != (seq.n_frames, seq.frame0.n):
             raise ValueError(f"{centers.shape[0]} frames x {centers.shape[1]} Gaussians, expected"
                              f" the scene's {seq.n_frames} x {seq.frame0.n}")
+        n = seq.frame0.n
+
+        def row_name(i):
+            return f"the data row of frame {i // n}, index {i % n}"
+
+        _check_coordinates(centers.reshape(-1, 3), iof.TRAJECTORY_HEADER[2:5], row_name)
+        _check_quaternions(quats.reshape(-1, 4), iof.TRAJECTORY_HEADER[5:9], row_name)
     return kind, seq, centers, quats, scales
 
 

@@ -255,7 +255,7 @@ def _nearest_signed_permutation(V):
     """
     V = np.asarray(V, dtype=np.float64)
     best = np.argmax(V.reshape(-1, 9) @ _SIGNED_PERMUTATION_SCORES, axis=1)
-    return _SIGNED_PERMUTATIONS[best]
+    return np.take(_SIGNED_PERMUTATIONS, best, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +313,11 @@ def _cascade_layer_t(x, J, R, t, c, s, index, pc):
     """
     n = x.shape[0]
     cid = index.idx
-    Rg, tg, cg, sg = R.value[cid], t.value[cid], c.value[cid], s.value[cid]
+    # np.take copies rows of the (L, 3) and (L, 3, 3) arrays faster than a[cid]
+    Rg, tg, cg = (np.take(a.value, cid, axis=0) for a in (R, t, c))
+    sg = s.value[cid]
     d = x.value - pc
-    th = np.tanh((cg * d).sum(axis=-1) + sg)  # (N,)
+    th = np.tanh(geometry.sum_last(cg * d) + sg)  # (N,)
     sig = th + 1.0
     moved = np.einsum("...ij,...j->...i", Rg, d) + tg
     # written as x + (sigma*moved - d) so the zero cascade is an exact
@@ -336,8 +338,8 @@ def _cascade_layer_t(x, J, R, t, c, s, index, pc):
         # x_next = x + sigma moved - d and J_k = sigma R + moved (sigma' c)^T
         g_moved = gx * sig[:, None] + np.einsum("...ij,...j->...i", gK, cs)
         g_cs = np.einsum("...ij,...i->...j", gK, moved)
-        g_sig = (gx * moved).sum(axis=-1) + (gK * Rg).sum(axis=(-2, -1))
-        g_u = (g_sig - 2.0 * th * (g_cs * cg).sum(axis=-1)) * sigp
+        g_sig = geometry.sum_last(gx * moved) + (gK * Rg).sum(axis=(-2, -1))
+        g_u = (g_sig - 2.0 * th * geometry.sum_last(g_cs * cg)) * sigp
         g_d = g_u[:, None] * cg + np.einsum("...ij,...i->...j", Rg, g_moved)
         if x.requires_grad:  # d = x - pc, and x_next's own x cancels -d's
             ad._accum(x, g_d)
@@ -400,7 +402,10 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
     With differentiable=False the same code path runs on constants (no graph),
     which keeps the evaluation and training forwards numerically identical.
     `frame` is the CascadeFrame of `gset` that a frame's fit shares between its
-    evaluations; without it one is built for this call.
+    evaluations; without it one is built for this call. Raises ValueError,
+    naming the first such Gaussian, on a propagated covariance that is not
+    positive definite, and then on one the eigensolver did not converge on
+    (a non-finite one passes the first check).
     """
     hier = cascade.hierarchy
     if frame is None:
@@ -431,13 +436,17 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
         # gauge reference: constants of the backward pass (see module docstring)
         Q = R_casc @ frame.prev_R
         B, cov = _covariance_t(J, frame.A0, Q)
-        evals, evecs = ad.eigh3(B)
+        evals, evecs, converged = ad.eigh3(B)
         if np.any(evals.value <= _PD_FLOOR):
             idx = int(np.argmax(np.min(evals.value, axis=-1) <= _PD_FLOOR))
             raise ValueError(
                 f"propagated covariance is not positive definite for Gaussian {idx}"
                 " (degenerate deformation Jacobian)"
             )
+        if not np.all(converged):
+            idx = int(np.argmin(converged))
+            raise ValueError(f"the eigensolver did not converge on the propagated covariance"
+                             f" of Gaussian {idx} (non-finite or too few sweeps)")
         R_dec, scales_prop = _factored_t(evals, evecs, Q, _nearest_signed_permutation(evecs.value))
         q_prop = mat_to_quat_t(R_dec)
     else:
@@ -459,18 +468,21 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
     )
 
 
-def cascade_apply(cascade, gset, propagate_covariance=True):
+def cascade_apply(cascade, gset, propagate_covariance=True, trace=None):
     """Deform a GaussianSet; returns a new set with frame_index + 1.
 
     The all-zero cascade short-circuits to an exact copy (identity map).
+    `trace` is the cascade's `trace_cascade` on `gset` on constants, when the
+    caller has it already; otherwise it is traced here.
     """
     if cascade.is_zero():
         out = gset.copy()
         out.frame_index = gset.frame_index + 1
         return out
-    trace = trace_cascade(
-        cascade, gset, propagate_covariance=propagate_covariance, differentiable=False
-    )
+    if trace is None:
+        trace = trace_cascade(
+            cascade, gset, propagate_covariance=propagate_covariance, differentiable=False
+        )
     return GaussianSet(
         centers=trace.centers.value,
         orientations=trace.orientations.value,

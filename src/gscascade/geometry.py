@@ -7,7 +7,15 @@ over leading axes.
 This module is the one implementation of each rotation kernel: the norm
 floor and floored normalize, Shepperd's matrix -> quaternion table and the
 cyclic Jacobi 3x3 eigensolver. The tape primitives in `tapemath` and
-`autodiff.eigh3` call these as their forwards and add only the VJPs.
+`autodiff.eigh3` call these as their forwards and add only the VJPs. Sums
+over a short last axis (3 or 4 components) go through `sum_last`, which
+gives np.sum's bits without its per-row loops.
+
+The Jacobi solver works on a batch of n matrices laid out by entry, not by
+matrix: the three diagonal and the three off-diagonal entries are six
+contiguous length-n vectors and the eigenvectors three (3, n) columns, so
+each rotation step is a few passes over n numbers. It reports which
+matrices did not converge.
 """
 
 from __future__ import annotations
@@ -15,6 +23,18 @@ from __future__ import annotations
 import numpy as np
 
 _NORM_FLOOR = 1e-12
+
+
+def sum_last(x):
+    """x.sum(axis=-1) for a last axis of 2 to 7 entries, bit for bit, one
+    whole component at a time instead of numpy's per-row reduction loops.
+    numpy adds fewer than 8 entries in order, starting from +0.0; the final
+    + 0.0 does what that start does (it turns an all -0.0 sum into +0.0)."""
+    out = x[..., 0] + x[..., 1]
+    for c in range(2, x.shape[-1]):
+        out += x[..., c]
+    out += 0.0
+    return out
 
 
 def quat_normalize(q):
@@ -102,7 +122,7 @@ _SHEPPERD_NUM = _shepperd_numerators()
 
 def _normalize(q):
     """q / max(|q|, floor) plus what its VJP needs: (unit, 1/norm, above-floor mask)."""
-    ssq = (q * q).sum(axis=-1)
+    ssq = sum_last(q * q)
     above = ssq > _NORM_FLOOR * _NORM_FLOOR
     inv = 1.0 / np.sqrt(np.where(above, ssq, _NORM_FLOOR * _NORM_FLOOR))
     return q * inv[..., None], inv, above
@@ -119,11 +139,11 @@ def shepperd(R):
     diag = flat[..., ::4]
     tr = diag[..., 0] + diag[..., 1] + diag[..., 2]
     pick = np.argmax(np.stack([tr, diag[..., 0], diag[..., 1], diag[..., 2]], axis=-1), axis=-1)
-    dominant = np.eye(4, dtype=bool)[pick]  # (..., 4), True at component `pick`
-    D = _SHEPPERD_DIAG[pick]  # (..., 3)
-    Nb = _SHEPPERD_NUM[pick]  # (..., 4, 9)
+    dominant = pick[..., None] == np.arange(4)  # (..., 4), True at component `pick`
+    D = np.take(_SHEPPERD_DIAG, pick, axis=0)  # (..., 3)
+    Nb = np.take(_SHEPPERD_NUM, pick, axis=0)  # (..., 4, 9)
 
-    t_raw = 1.0 + (D * diag).sum(axis=-1)
+    t_raw = 1.0 + sum_last(D * diag)
     open_ = t_raw > 1e-12
     s = np.sqrt(np.where(open_, t_raw, 1e-12)) * 2.0
     num = np.einsum("...ij,...j->...i", Nb, flat)
@@ -173,63 +193,74 @@ eigh3_offdiag_tol = 1e-10
 def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
     """Batched cyclic Jacobi diagonalization of symmetric 3x3 matrices.
 
-    Returns (evals, evecs) with S = V diag(w) V^T, V a proper rotation.
-    Eigenvalues come out unsorted, in whatever axis order the sweep leaves
-    them; callers that need a canonical order sort on top. Convergence is
-    declared when the off-diagonal Frobenius mass drops below tol relative
-    to the matrix norm.
+    Returns (evals, evecs, converged) with S = V diag(w) V^T, V a proper
+    rotation, and `converged` a boolean per matrix. Eigenvalues come out
+    unsorted, in whatever axis order the sweep leaves them; callers that need
+    a canonical order sort on top. Convergence is declared when the
+    off-diagonal Frobenius mass drops below tol relative to the matrix norm.
+    A matrix still above it after `max_sweeps` sweeps, or one with a
+    non-finite entry, is reported unconverged; its last iterate is returned.
+
+    Every sweep rotates all matrices until all have converged. A's entries
+    are held as six length-n vectors (see the module docstring): the first
+    rotation reads A[2, 0] and A[2, 1] from the lower triangle of S, and after
+    it A is symmetric. When every pivot |a_pq| of a step is above 1e-300, the
+    guards against a zero pivot are skipped: they select the same expressions
+    then.
     """
     S = np.asarray(S, dtype=np.float64)
-    A = S.copy()
-    V = np.zeros_like(A)
-    V[..., 0, 0] = 1.0
-    V[..., 1, 1] = 1.0
-    V[..., 2, 2] = 1.0
-    norm = np.sqrt(np.einsum("...ij,...ij->...", S, S))
+    batch = S.shape[:-2]
+    flat = S.reshape(-1, 9)
+    diag = [flat[:, 0].copy(), flat[:, 4].copy(), flat[:, 8].copy()]
+    # off[p + q - 1] is A[p, q] = A[q, p]: (0, 1), (0, 2), (1, 2)
+    off = [flat[:, 1].copy(), flat[:, 2].copy(), flat[:, 5].copy()]
+    zero = np.zeros(flat.shape[0])  # never written in place
+    V = list(np.eye(3)[:, :, None] * np.ones(flat.shape[0]))  # V[p][i] is V_ip, (3, n)
+    norm = np.sqrt(np.einsum("...ij,...ij->...", S, S)).reshape(-1)
     thresh = tol * np.maximum(norm, 1e-300)
 
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for _ in range(max_sweeps):
-        off = np.sqrt(
-            A[..., 0, 1] ** 2 + A[..., 0, 2] ** 2 + A[..., 1, 2] ** 2
-        )
-        if np.all(off <= thresh):
-            break
-        for p, q in pairs:
-            apq = A[..., p, q]
-            app = A[..., p, p]
-            aqq = A[..., q, q]
-            nonzero = np.abs(apq) > 1e-300
-            tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
-            sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
-            # |tau| can be ~1/eps when the off-diagonal is tiny; tau*tau then
-            # overflows to inf, which still yields the correct t -> 0 limit.
-            with np.errstate(over="ignore"):
-                t = np.where(
-                    nonzero, sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0
-                )
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
+    # |tau| can be ~1/eps when the off-diagonal is tiny; tau*tau then
+    # overflows to inf, which still yields the correct t -> 0 limit.
+    with np.errstate(over="ignore"):
+        for sweep in range(max_sweeps + 1):
+            converged = np.sqrt(off[0] ** 2 + off[1] ** 2 + off[2] ** 2) <= thresh
+            if sweep == max_sweeps or np.all(converged):
+                break
+            if sweep == 0:  # the first rotation reads A[2, 0] and A[2, 1]
+                off[1] = flat[:, 6].copy()
+                off[2] = flat[:, 7].copy()
+            for p, q in ((0, 1), (0, 2), (1, 2)):
+                apq, app, aqq = off[p + q - 1], diag[p], diag[q]
+                nonzero = np.abs(apq) > 1e-300
+                if np.all(nonzero):
+                    tau = (aqq - app) / (2.0 * apq)
+                    sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
+                    t = sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                else:
+                    tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
+                    sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
+                    t = np.where(nonzero, sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
+                                 0.0)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
 
-            r = 3 - p - q  # the untouched index
-            arp = A[..., r, p].copy()
-            arq = A[..., r, q].copy()
-            A[..., p, p] = app - t * apq
-            A[..., q, q] = aqq + t * apq
-            A[..., p, q] = 0.0
-            A[..., q, p] = 0.0
-            A[..., r, p] = c * arp - s * arq
-            A[..., p, r] = A[..., r, p]
-            A[..., r, q] = s * arp + c * arq
-            A[..., q, r] = A[..., r, q]
+                r = 3 - p - q  # the untouched index
+                rp, rq = r + p - 1, r + q - 1  # A[r, p] and A[r, q]
+                arp, arq = off[rp], off[rq]
+                t_apq = t * apq
+                diag[p] = app - t_apq
+                diag[q] = aqq + t_apq
+                off[p + q - 1] = zero
+                off[rp] = c * arp - s * arq
+                off[rq] = s * arp + c * arq
 
-            vp = V[..., :, p].copy()
-            vq = V[..., :, q].copy()
-            V[..., :, p] = c[..., None] * vp - s[..., None] * vq
-            V[..., :, q] = s[..., None] * vp + c[..., None] * vq
+                vp, vq = V[p], V[q]
+                V[p] = c * vp - s * vq
+                V[q] = s * vp + c * vq
 
-    evals = np.stack([A[..., 0, 0], A[..., 1, 1], A[..., 2, 2]], axis=-1)
-    return evals, V
+    evals = np.stack(diag, axis=-1).reshape(batch + (3,))
+    evecs = np.stack(V, axis=-1).transpose(1, 0, 2).copy().reshape(batch + (3, 3))
+    return evals, evecs, (converged & np.isfinite(norm)).reshape(batch)
 
 
 _EVAL_FLOOR = 1e-12
@@ -241,15 +272,18 @@ def decompose_covariance(sigma):
     Returns (q, scales) with scales sorted in descending order (ties keep the
     original eigenvector order) and the orientation a proper rotation with
     w >= 0. Raises ValueError if any eigenvalue falls at or below 1e-12, i.e.
-    the matrix is not usably positive definite.
+    the matrix is not usably positive definite, and if the eigensolver does
+    not converge (a non-finite matrix passes both other checks).
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     sym_err = np.abs(sigma - np.swapaxes(sigma, -1, -2)).max()
     if sym_err > 1e-9:
         raise ValueError("covariance must be symmetric")
-    w, V = jacobi_eigh3(sigma)
+    w, V, converged = jacobi_eigh3(sigma)
     if np.any(w <= _EVAL_FLOOR):
         raise ValueError("covariance is not positive definite")
+    if not np.all(converged):
+        raise ValueError("the eigensolver did not converge on the covariance")
     # stable descending sort (mergesort keeps tied axes in sweep order)
     order = np.argsort(-w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, axis=-1)

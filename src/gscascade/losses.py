@@ -36,10 +36,14 @@ frame-0 centers: the floored rest length of every edge (`safe_norm` itself)
 and the largest absolute frame-0 coordinate, and its indices as a RowIndex
 whose sparse transpose scatters every edge term's gradient for the whole
 sequence. Each neighbour term is one tape node over its per-Gaussian input,
-with a closed-form VJP: it looks the edges up (`autodiff.edge_values`, with
-rotation's sign alignment folded in), takes their floored norms, weights
+with a closed-form VJP: it looks the edges up (`autodiff.edge_values`; for
+rotation, the sign-aligned rows less each row), takes their floored norms, weights
 them and takes the mean, and its VJP runs those steps back and scatters
-through the graph's RowIndex (`autodiff.edge_adjoint`). Rigidity's node takes
+through the graph's RowIndex (`autodiff.edge_adjoint`). Rigidity and
+isometry read the same (N, k, 3) edges of the centers: `total_loss` looks
+them up once per evaluation and hands the array to both (each term still
+scatters its own gradient); rotation forms its sign-aligned edges from the
+rows it looks up for the sign dots. Rigidity's node takes
 the current rotation matrices (one `quat_to_mat_t` before it) and maps its
 edges back to the previous frame with one batched (N, k, 3) @ (N, 3, 3)
 product; rotation's takes the quaternion increments (one `quat_multiply_t`
@@ -47,6 +51,11 @@ before it). The floored norm is `tapemath.floored_norm`, the forward of
 `safe_norm` too, so the rest lengths and the current lengths that the
 isometry dead zone compares come out of the same arithmetic. Every forward
 is the chain of generic ops it replaced, op for op.
+
+The correspondence data term is one node too: it looks each point's
+Gaussian up, subtracts the point, squares, sums the components and takes the
+mean, the chain of six generic nodes it replaced op for op, and its VJP,
+(g / M) 2 diff, scatters through the correspondence's RowIndex.
 
 Everything routes through the autodiff tape, so `total_loss` returns exact
 gradients for every cascade parameter (including through covariance
@@ -193,18 +202,21 @@ def _mean_adjoint(g, weighted):
     return np.broadcast_to(g * (1.0 / weighted.size), weighted.shape)
 
 
-def rigidity_loss_t(frame, centers_t, orientations_t):
-    return _rigidity_t(frame, centers_t, quat_to_mat_t(orientations_t))
+def rigidity_loss_t(frame, centers_t, orientations_t, edges=None):
+    """`edges` are the centers' edges `ad.edge_values(centers, graph.index)`,
+    when the caller has looked them up already (for isometry too)."""
+    if edges is None:
+        edges = ad.edge_values(centers_t.value, frame.graph.index)
+    return _rigidity_t(frame, centers_t, quat_to_mat_t(orientations_t), edges)
 
 
-def _rigidity_t(frame, centers_t, rot_curr):
+def _rigidity_t(frame, centers_t, rot_curr, edges):
     """Rigidity's weighted mean edge residual as one node over (centers,
     rotation matrices)."""
     graph = frame.graph
     # edge offsets are rows, so d (R_curr R_prev^T) = (R_prev R_curr^-1 d^T)^T
     # maps current-frame offsets back to the previous frame
     back = rot_curr.value @ frame.prev_R_T
-    edges = ad.edge_values(centers_t.value, graph.index)
     residual = frame.d_prev - edges @ back  # (N,k,3) @ (N,3,3)
     per_edge, above = floored_norm(residual)
     weighted = graph.weights * per_edge
@@ -222,9 +234,11 @@ def _rigidity_t(frame, centers_t, rot_curr):
     return ad._make(weighted.sum() * (1.0 / weighted.size), (centers_t, rot_curr), vjp)
 
 
-def isometry_loss_t(centers_t, graph):
-    """Isometry's mean absolute edge-length change as one node over the centers."""
-    edges = ad.edge_values(centers_t.value, graph.index)
+def isometry_loss_t(centers_t, graph, edges=None):
+    """Isometry's mean absolute edge-length change as one node over the centers.
+    `edges` are as in `rigidity_loss_t`."""
+    if edges is None:
+        edges = ad.edge_values(centers_t.value, graph.index)
     # the rest lengths are floored_norm's too, so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     dt, above = floored_norm(edges)
@@ -256,13 +270,15 @@ def _rotation_t(graph, rel):
     # q and -q are the same rotation: align signs before differencing. The
     # dot products add their four component products in order, bit for bit
     # what np.sum does over the last axis, without its per-row loops.
+    # The aligned edges are the same looked-up rows times the signs, less each row.
     r = rel.value
     nb = np.take(r, graph.indices, axis=0)
     dots = nb[..., 0] * r[:, None, 0]
     for c in range(1, 4):
         dots += nb[..., c] * r[:, None, c]
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
-    edges = ad.edge_values(r, graph.index, signs)
+    nb *= signs
+    edges = ad.subtract_rows(nb, r)
     per_edge, above = floored_norm(edges)
     weighted = graph.weights * per_edge
 
@@ -319,11 +335,28 @@ class FrameConstants(CascadeFrame):
         return geometry.quat_conjugate(geometry.quat_normalize(self.prev_set.orientations))
 
 
+def _matched_t(centers_t, frame):
+    """The correspondence term, mean_m |c_corr(m) - p_m|^2, as one node over
+    the centers: the chain of a lookup, a subtraction, a square, a sum over
+    the components and a mean, op for op; its VJP, (g / M) 2 diff, scatters
+    through the correspondence's RowIndex."""
+    index = frame.correspondence
+    diff = np.take(centers_t.value, index.idx, axis=0)
+    diff -= frame.obs.points
+    sq = diff * diff
+    per_point = sq[:, 0] + sq[:, 1]  # np.sum's order over the components
+    per_point += sq[:, 2]
+
+    def vjp(g):
+        ad._accum(centers_t, index.scatter((g * (1.0 / diff.shape[0])) * (2.0 * diff)))
+
+    return ad._make(per_point.sum() * (1.0 / diff.shape[0]), (centers_t,), vjp)
+
+
 def data_loss_t(centers_t, frame, workers=1):
     obs = frame.obs
     if obs.correspondence is not None:
-        matched = ad.gather(centers_t, frame.correspondence)
-        return ad.tmean(ad.tsum(ad.square(matched - ad.constant(obs.points)), axis=-1))
+        return _matched_t(centers_t, frame)
     # symmetric Chamfer on squared distances; NN matches fixed from forward
     centers = centers_t.value
     n, m = centers.shape[0], obs.points.shape[0]
@@ -347,7 +380,7 @@ def data_loss_t(centers_t, frame, workers=1):
 
 
 def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
-               propagate_covariance=True, workers=1, with_grads=True, frame=None):
+               propagate_covariance=True, workers=1, with_grads=True, frame=None, trace=None):
     """Weighted objective through cascade_apply.
 
     Returns (total, components, grad) where components maps each term name
@@ -357,19 +390,23 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
     constants and grad is None. `graph` is the frame-0 neighbour graph, whose
     rest lengths the isometry term holds the edges to. `frame` is the
     FrameConstants of (prev_set, obs), which a frame's fit builds once for
-    all its evaluations; without it one is built for this call.
+    all its evaluations; without it one is built for this call. `trace` is
+    the cascade's trace on `frame` on constants, to evaluate with
+    with_grads=False instead of tracing it again.
     """
     if frame is None:
         frame = FrameConstants(prev_set, obs, cascade.hierarchy, graph)
-    trace = trace_cascade(
-        cascade, prev_set,
-        propagate_covariance=propagate_covariance,
-        differentiable=with_grads,
-        frame=frame,
-    )
+    if trace is None:
+        trace = trace_cascade(
+            cascade, prev_set,
+            propagate_covariance=propagate_covariance,
+            differentiable=with_grads,
+            frame=frame,
+        )
+    edges = ad.edge_values(trace.centers.value, graph.index)  # shared by two terms
     terms = {
-        "rigidity": rigidity_loss_t(frame, trace.centers, trace.orientations),
-        "isometry": isometry_loss_t(trace.centers, graph),
+        "rigidity": rigidity_loss_t(frame, trace.centers, trace.orientations, edges=edges),
+        "isometry": isometry_loss_t(trace.centers, graph, edges=edges),
         "rotation": rotation_loss_t(frame, trace.orientations),
         "scale": scale_loss_t(trace.scales, max_scale),
         "data": data_loss_t(trace.centers, frame, workers=workers),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, losses
 from .clustering import build_hierarchy
 from .deform import cascade_apply, cascade_zero
 from .losses import FrameConstants, LossWeights, build_neighbor_graph, total_loss
@@ -164,15 +164,18 @@ def fit_frame(prev_set, obs, hierarchy, config, graph=None):
         curve.append(entry)
         cascade, state = adam_step(cascade, grad, state, config)
 
+    # one forward on constants gives both the final losses and the new set;
+    # trace_cascade is looked up on `losses` at call time, as total_loss does
+    trace = losses.trace_cascade(cascade, prev_set,
+                                 propagate_covariance=config.propagate_covariance,
+                                 differentiable=False, frame=frame)
     final_value, final_components, _ = total_loss(
         cascade, prev_set, obs, graph, config.weights, config.max_scale,
-        propagate_covariance=config.propagate_covariance,
-        workers=config.threads, frame=frame,
-        with_grads=False,
+        workers=config.threads, frame=frame, with_grads=False, trace=trace,
     )
     final = dict(final_components)
     final["total"] = final_value
-    new_set = cascade_apply(cascade, prev_set, propagate_covariance=config.propagate_covariance)
+    new_set = cascade_apply(cascade, prev_set, trace=trace)
     report = FrameReport(
         frame_index=new_set.frame_index,
         curve=curve,

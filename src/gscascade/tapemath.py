@@ -72,7 +72,7 @@ def safe_norm(x, floor=geometry._NORM_FLOOR):
 
 
 def _normalize_vjp(g, unit, inv, above):
-    radial = np.where(above, (unit * g).sum(axis=-1), 0.0)
+    radial = np.where(above, geometry.sum_last(unit * g), 0.0)
     return (g - unit * radial[..., None]) * inv[..., None]
 
 
@@ -142,7 +142,7 @@ def mat_to_quat_t(R):
     def vjp(g):
         gc = _normalize_vjp(g * hemi, unit, inv, above)
         g_num = np.where(dominant, 0.0, gc / s[..., None])
-        g_s = np.where(dominant, 0.25 * gc, -g_num * cand).sum(axis=-1)
+        g_s = geometry.sum_last(np.where(dominant, 0.25 * gc, -g_num * cand))
         g_t = np.where(open_, g_s * (2.0 / s), 0.0)
         g_flat = np.einsum("...i,...ij->...j", g_num, Nb)
         g_flat[..., ::4] += g_t[..., None] * D

@@ -8,8 +8,12 @@ nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, value-and-gradient wrappers around single loss terms, the
 three neighbour terms as chains of generic tape ops (with the sqrt,
 transpose, reshape, matvec, matmul and absval ops that only they use) and as
-the short tapes that their one-node forms replaced, the bincount scatter and
-the two-node eigh3 that the shipped tape replaced, Adam on separate
+the short tapes that their one-node forms replaced, the row lookup node
+`gather`, the bincount scatter, the broadcast edge subtract, the
+slice-by-slice edge row sum and the
+two-node eigh3 that the shipped tape replaced, the row-wise Jacobi
+eigensolver, the correspondence term as its chain of six generic nodes, Adam
+on separate
 per-class arrays and the per-layer checkpoint payload that the flat
 parameter buffer replaced, a brute-force Chamfer term, the inverse camera
 map, the per-candidate loop of track selection, and Procrustes subset checks
@@ -241,15 +245,47 @@ def matvec_t(a, x):
     return ad._make(v, (a, x), vjp)
 
 
+def gather_t(a, idx):
+    """Row lookup a[idx] along axis 0 as one node (idx a RowIndex, or
+    nonnegative ints of any shape); the VJP scatters through the RowIndex."""
+    a = ad._wrap(a)
+    index = idx if isinstance(idx, ad.RowIndex) else ad.RowIndex(idx, a.value.shape[0])
+
+    def vjp(g):
+        ad._accum(a, index.scatter(g))
+
+    return ad._make(a.value[index.idx], (a,), vjp)
+
+
+def edge_adjoint_slices(g, index, signs=None):
+    """autodiff.edge_adjoint with each row's sum over its k edges formed by
+    adding whole (N, C) slices in turn, as before the row-sum product."""
+    out = index.scatter(g if signs is None else g * signs)
+    rows = g[:, 0].copy()
+    for j in range(1, g.shape[1]):
+        rows += g[:, j]
+    out -= rows
+    return out
+
+
+def subtract_rows_broadcast(v, a):
+    """autodiff.subtract_rows as the broadcast subtract v -= a[:, None]."""
+    v -= a[:, None]
+    return v
+
+
 def edge_diff_t(a, idx, signs=None):
     """Edge vectors a[idx] * signs - a[:, None] of a neighbour graph as one
-    generic node over autodiff's edge_values and edge_adjoint."""
+    generic node over autodiff's subtract_rows and edge_adjoint."""
     index = idx if isinstance(idx, ad.RowIndex) else ad.RowIndex(idx, a.value.shape[0])
+    v = np.take(a.value, index.idx, axis=0)
+    if signs is not None:
+        v *= signs
 
     def vjp(g):
         ad._accum(a, ad.edge_adjoint(g, index, signs))
 
-    return ad._make(ad.edge_values(a.value, index, signs), (a,), vjp)
+    return ad._make(ad.subtract_rows(v, a.value), (a,), vjp)
 
 
 def bincount_scatter(g, idx, rows):
@@ -267,7 +303,7 @@ def bincount_scatter(g, idx, rows):
 def eigh3_two_nodes(S):
     """autodiff.eigh3 as two single-output nodes, each forming the whole
     adjoint V M V^T from its own output's gradient."""
-    w, V = geometry.jacobi_eigh3(S.value)
+    w, V, _ = geometry.jacobi_eigh3(S.value)
 
     def backprop(gw, gV):
         M = np.zeros(V.shape)
@@ -316,7 +352,7 @@ def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
     # R_prev R_curr^-1 maps current-frame offsets back to the previous frame
     rel = matmul_t(ad.constant(rot_prev), transpose_last2_t(rot_curr))
     d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
-    d_curr = ad.gather(centers_t, idx) - reshape_t(centers_t, (n, 1, 3))
+    d_curr = gather_t(centers_t, idx) - reshape_t(centers_t, (n, 1, 3))
     pred = matvec_t(reshape_t(rel, (n, 1, 3, 3)), d_curr)
     per_edge = safe_norm_chain_t(ad.constant(d_prev) - pred)
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
@@ -330,7 +366,7 @@ def isometry_loss_chain_t(centers_t, graph):
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
     d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
-    dt = safe_norm_chain_t(ad.gather(centers_t, idx) - reshape_t(centers_t, (n, 1, 3)))
+    dt = safe_norm_chain_t(gather_t(centers_t, idx) - reshape_t(centers_t, (n, 1, 3)))
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
@@ -344,7 +380,7 @@ def rotation_loss_chain_t(prev_set, orientations_t, graph):
     idx = graph.indices
     prev_inv = geometry.quat_conjugate(geometry.quat_normalize(prev_set.orientations))
     rel = quat_multiply_t(orientations_t, ad.constant(prev_inv))  # (N, 4) increments
-    rel_j = ad.gather(rel, idx)  # (N, k, 4)
+    rel_j = gather_t(rel, idx)  # (N, k, 4)
     rel_i = reshape_t(rel, (n, 1, 4))
     # q and -q are the same rotation: align signs before differencing
     dots = np.sum(rel_j.value * rel_i.value, axis=-1)
@@ -383,6 +419,13 @@ def rotation_loss_short_tape_t(frame, orientations_t):
     return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
 
 
+def matched_loss_chain_t(centers_t, frame):
+    """The correspondence data term as the six generic nodes that its one
+    node replaced: gather, sub, square, a component tsum and tmean's two."""
+    matched = gather_t(centers_t, frame.correspondence)
+    return ad.tmean(ad.tsum(ad.square(matched - ad.constant(frame.obs.points)), axis=-1))
+
+
 def data_loss(curr_set, obs, workers=1):
     c = ad.leaf(curr_set.centers)
     frame = FrameConstants(curr_set, obs, None, None)
@@ -403,6 +446,54 @@ def chamfer_loss(centers, points):
     for j in range(m):
         grad[nn_o[j]] += (centers[nn_o[j]] - points[j]) / m
     return float(value), grad
+
+
+# ---------------------------------------------------------------------------
+# eigensolver
+
+
+def jacobi_eigh3_rowwise(S, tol=geometry.eigh3_offdiag_tol, max_sweeps=30):
+    """geometry.jacobi_eigh3 on (..., 3, 3) arrays, entry by entry of A and V,
+    with the zero-pivot guards on every step: (evals, evecs)."""
+    S = np.asarray(S, dtype=np.float64)
+    A = S.copy()
+    V = np.zeros_like(A)
+    V[..., 0, 0] = 1.0
+    V[..., 1, 1] = 1.0
+    V[..., 2, 2] = 1.0
+    norm = np.sqrt(np.einsum("...ij,...ij->...", S, S))
+    thresh = tol * np.maximum(norm, 1e-300)
+    for _ in range(max_sweeps):
+        off = np.sqrt(A[..., 0, 1] ** 2 + A[..., 0, 2] ** 2 + A[..., 1, 2] ** 2)
+        if np.all(off <= thresh):
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = A[..., p, q]
+            app = A[..., p, p]
+            aqq = A[..., q, q]
+            nonzero = np.abs(apq) > 1e-300
+            tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
+            sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
+            with np.errstate(over="ignore"):
+                t = np.where(nonzero, sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            r = 3 - p - q
+            arp = A[..., r, p].copy()
+            arq = A[..., r, q].copy()
+            A[..., p, p] = app - t * apq
+            A[..., q, q] = aqq + t * apq
+            A[..., p, q] = 0.0
+            A[..., q, p] = 0.0
+            A[..., r, p] = c * arp - s * arq
+            A[..., p, r] = A[..., r, p]
+            A[..., r, q] = s * arp + c * arq
+            A[..., q, r] = A[..., r, q]
+            vp = V[..., :, p].copy()
+            vq = V[..., :, q].copy()
+            V[..., :, p] = c[..., None] * vp - s[..., None] * vq
+            V[..., :, q] = s[..., None] * vp + c[..., None] * vq
+    return np.stack([A[..., 0, 0], A[..., 1, 1], A[..., 2, 2]], axis=-1), V
 
 
 # ---------------------------------------------------------------------------

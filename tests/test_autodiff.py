@@ -4,7 +4,8 @@ Every primitive is checked against central finite differences on random
 inputs; the batched 3x3 eigensolver is additionally checked against
 numpy.linalg.eigh as an independent oracle, and its one-node adjoint against
 the two-node form it replaced. A RowIndex's sparse scatter is checked bit for
-bit against the per-column np.bincount scatter.
+bit against the per-column np.bincount scatter, the edge adjoint's row sums
+against adding slices in turn, and the eigensolver against its row-wise form.
 """
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import gscascade.autodiff as ad
 from gscascade.geometry import jacobi_eigh3
-from oracles import (absval_t, bincount_scatter, edge_diff_t, eigh3_two_nodes, matmul_t,
-                     matvec_t, reshape_t, sqrt_t, transpose_last2_t)
+from oracles import (absval_t, bincount_scatter, edge_adjoint_slices, edge_diff_t,
+                     eigh3_two_nodes, gather_t, jacobi_eigh3_rowwise, matmul_t, matvec_t,
+                     reshape_t, sqrt_t, transpose_last2_t)
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -150,7 +152,7 @@ def test_gather_accumulates_duplicate_indices():
     x = np.array([1.0, 2.0, 3.0])
     idx = np.array([0, 0, 2, 2, 2])
     t = ad.leaf(x)
-    ad.tsum(ad.gather(t, idx)).backward()
+    ad.tsum(gather_t(t, idx)).backward()
     np.testing.assert_array_equal(t.grad, [2.0, 0.0, 3.0])
 
 
@@ -175,7 +177,7 @@ def test_gather_scatter_equals_add_at_on_fresh_grad(rows, idx_shape, trailing):
     idx = rng.integers(0, rows - 2, size=idx_shape)  # duplicates; the last rows unused
     upstream = rng.normal(size=idx_shape + trailing)
     t = ad.leaf(x)
-    ad.tsum(ad.mul(ad.gather(t, idx), ad.constant(upstream))).backward()
+    ad.tsum(ad.mul(gather_t(t, idx), ad.constant(upstream))).backward()
     want = np.zeros_like(x)
     np.add.at(want, idx, upstream)
     np.testing.assert_array_equal(t.grad, want)
@@ -195,6 +197,32 @@ def test_row_index_scatter_is_bit_equal_to_bincount(seed):
     want = bincount_scatter(g, idx, rows)
     assert np.array_equal(index.scatter(g), want)
     assert np.array_equal(index.scatter(2.0 * g), 2.0 * want)  # the transpose is kept
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([3, 4]), st.booleans())
+def test_edge_kernels_are_bit_equal_to_their_broadcast_and_slice_forms(seed, width, signed):
+    """subtract_rows' repeat-subtract is the broadcast subtract, and
+    edge_adjoint's row-sum product adds each row's k edges as the slices in
+    turn did, zeros of either sign and cancellation included."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 40)), int(rng.integers(1, 21))
+    a = rng.normal(size=(n, width)) * rng.choice([1e-8, 1.0, 1e8], size=(n, width))
+    index = ad.RowIndex(rng.integers(0, n, size=(n, k)), n)
+    signs = rng.choice([-1.0, 1.0], size=(n, k, 1)) if signed else None
+    rows = np.take(a, index.idx, axis=0) * (1.0 if signs is None else signs)
+    assert _same_bytes(ad.subtract_rows(rows.copy(), a), rows - a[:, None])
+    if signs is None:
+        assert _same_bytes(ad.edge_values(a, index), rows - a[:, None])
+    g = rng.normal(size=(n, k, width)) * rng.choice([1e-8, 1.0, 1e8], size=(n, k, width))
+    g[rng.uniform(size=g.shape) < 0.2] = 0.0
+    g[rng.uniform(size=g.shape) < 0.2] = -0.0
+    g[: n // 2] = np.where(rng.uniform(size=g[: n // 2].shape) < 0.5, 0.0, -0.0)  # zero rows
+    assert _same_bytes(ad.edge_adjoint(g, index, signs), edge_adjoint_slices(g, index, signs))
 
 
 def _square_and_cube(a, calls):
@@ -242,7 +270,7 @@ def test_eigh3_gradients_equal_the_two_node_form(used):
     grads = []
     for eigh in (ad.eigh3, eigh3_two_nodes):
         t = ad.leaf(S)
-        w, V = eigh(t)
+        w, V = eigh(t)[:2]
         terms = [ad.tsum(ad.mul(o, ad.constant(a))) for o, a, u in zip((w, V), (aw, aV), used)
                  if u]
         (terms[0] if len(terms) == 1 else terms[0] + terms[1]).backward()
@@ -363,7 +391,8 @@ def random_spd(rng, n, spread=1.0):
 def test_jacobi_matches_numpy_eigh():
     rng = np.random.default_rng(7)
     S = random_spd(rng, 200)
-    w, V = jacobi_eigh3(S)
+    w, V, converged = jacobi_eigh3(S)
+    assert converged.all()
     recon = np.einsum("...ij,...j,...kj->...ik", V, w, V)
     np.testing.assert_allclose(recon, S, atol=1e-12)
     np.testing.assert_allclose(
@@ -374,14 +403,16 @@ def test_jacobi_matches_numpy_eigh():
 
 def test_jacobi_diagonal_input_is_fixed_point():
     S = np.diag([3.0, 1.0, 2.0])[None]
-    w, V = jacobi_eigh3(S)
+    w, V, converged = jacobi_eigh3(S)
+    assert converged.all()
     np.testing.assert_array_equal(w[0], [3.0, 1.0, 2.0])
     np.testing.assert_array_equal(V[0], np.eye(3))
 
 
 def test_jacobi_handles_repeated_eigenvalues():
     S = np.eye(3)[None] * 2.0
-    w, V = jacobi_eigh3(S)
+    w, V, converged = jacobi_eigh3(S)
+    assert converged.all()
     np.testing.assert_allclose(w[0], [2.0, 2.0, 2.0])
     np.testing.assert_allclose(V[0] @ V[0].T, np.eye(3), atol=1e-14)
 
@@ -394,12 +425,12 @@ def test_eigh3_gradients_match_fd():
     aV = rng.normal(size=(6, 3, 3))
 
     def value(Sv):
-        w, V = jacobi_eigh3(Sv)
+        w, V, _ = jacobi_eigh3(Sv)
         # align eigenvector signs to the analytic run to compare consistently
         return float(np.sum(w * aw) + np.sum(V * aV))
 
     t = ad.leaf(S)
-    w, V = ad.eigh3(t)
+    w, V, _ = ad.eigh3(t)
     out = ad.tsum(ad.mul(w, ad.constant(aw))) + ad.tsum(ad.mul(V, ad.constant(aV)))
     out.backward()
 
@@ -429,7 +460,8 @@ def test_eigh3_gradients_match_fd():
 def test_jacobi_reconstruction_property(seed):
     rng = np.random.default_rng(seed)
     S = random_spd(rng, 8, spread=rng.uniform(0.1, 10.0))
-    w, V = jacobi_eigh3(S)
+    w, V, converged = jacobi_eigh3(S)
+    assert converged.all()
     recon = np.einsum("...ij,...j,...kj->...ik", V, w, V)
     np.testing.assert_allclose(recon, S, atol=1e-9 * max(1.0, np.abs(S).max()))
     # V is a proper rotation
@@ -437,3 +469,76 @@ def test_jacobi_reconstruction_property(seed):
         np.einsum("...ij,...ik->...jk", V, V), np.broadcast_to(np.eye(3), V.shape),
         atol=1e-12,
     )
+
+
+def _jacobi_cases(rng, n):
+    """Symmetric batches that take each path of the solver, one kind per call."""
+    A = rng.normal(size=(n, 3, 3)) * rng.uniform(0.1, 10.0)
+    S = A @ np.swapaxes(A, -1, -2)
+    kind = rng.integers(5)
+    if kind == 1:  # a zero pivot: the guarded step
+        S[: n // 2 + 1, 0, 1] = S[: n // 2 + 1, 1, 0] = 0.0
+    elif kind == 2:  # equal diagonal entries, negative off-diagonal: tau = -0.0
+        S[:, 1, 1] = S[:, 0, 0]
+        S[:, 0, 1] = S[:, 1, 0] = -np.abs(S[:, 0, 1]) - 0.5
+    elif kind == 3:  # a pivot so small that tau * tau overflows
+        S[:, 0, 1] = S[:, 1, 0] = 1e-200
+    elif kind == 4:  # diagonal: zero sweeps
+        S = S * np.eye(3)
+    return S
+
+
+@pytest.mark.parametrize("kind_seed", range(10))
+def test_jacobi_is_bit_equal_to_its_row_wise_form_on_each_path(kind_seed):
+    rng = np.random.default_rng(kind_seed)
+    for n in (1, 7, 50):
+        S = _jacobi_cases(rng, n)
+        w, V, converged = jacobi_eigh3(S)
+        want_w, want_V = jacobi_eigh3_rowwise(S)
+        assert _same_bytes(w, want_w) and _same_bytes(V, want_V) and converged.all()
+
+
+def test_jacobi_paths_are_exercised():
+    """The cases above reach the zero pivot, tau = -0.0, tau * tau = inf and
+    the zero-sweep exit, each on its own."""
+    S = np.array([[[2.0, 0.0, 0.3], [0.0, 1.0, 0.2], [0.3, 0.2, 3.0]],
+                  [[1.0, -0.5, 0.1], [-0.5, 1.0, 0.2], [0.1, 0.2, 3.0]],
+                  [[1.0, 1e-200, 0.4], [1e-200, 2.0, 0.2], [0.4, 0.2, 3.0]]])
+    assert S[0, 0, 1] == 0.0
+    tau = (S[1:, 1, 1] - S[1:, 0, 0]) / (2.0 * S[1:, 0, 1])
+    assert tau[0] == 0.0 and np.signbit(tau[0])
+    with np.errstate(over="ignore"):
+        assert tau[1] * tau[1] == np.inf
+    for batch in (S, S[1:], S[2:], np.diag([3.0, 1.0, 2.0])[None]):
+        w, V, converged = jacobi_eigh3(batch)
+        want_w, want_V = jacobi_eigh3_rowwise(batch)
+        assert _same_bytes(w, want_w) and _same_bytes(V, want_V) and converged.all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_jacobi_is_bit_equal_to_its_row_wise_form(seed):
+    rng = np.random.default_rng(seed)
+    S = _jacobi_cases(rng, int(rng.integers(1, 40)))
+    if rng.integers(2):  # not quite symmetric: the first step reads the lower triangle
+        S = S + rng.normal(scale=1e-9, size=S.shape)
+    w, V, converged = jacobi_eigh3(S)
+    want_w, want_V = jacobi_eigh3_rowwise(S)
+    assert _same_bytes(w, want_w) and _same_bytes(V, want_V)
+
+
+def test_jacobi_reports_the_matrices_it_did_not_converge_on():
+    rng = np.random.default_rng(12)
+    S = random_spd(rng, 20)
+    S[3, 1, 2] = S[3, 2, 1] = np.nan
+    S[11, 0, 0] = np.inf
+    w, V, converged = jacobi_eigh3(S)
+    assert np.flatnonzero(~converged).tolist() == [3, 11]
+    # the finite rows are the solver's on them alone, bit for bit
+    finite = np.delete(np.arange(20), [3, 11])
+    w_alone, V_alone, _ = jacobi_eigh3(S[finite])
+    np.testing.assert_allclose(w[finite], w_alone, atol=1e-12)
+    # too few sweeps: the last iterate, reported unconverged
+    w, V, converged = jacobi_eigh3(random_spd(rng, 20), max_sweeps=1)
+    assert not converged.all()
+    assert jacobi_eigh3(random_spd(rng, 20), max_sweeps=30)[2].all()

@@ -217,6 +217,10 @@ def _edit_header(old, new):
      "malformed PLY header line 3: 'element vertex -1'"),
     (_edit_header("property double x", "property double"),
      "malformed PLY header line 4: 'property double'"),
+    # squared distances to it overflowed: the fit exited 3 on a non-finite gradient
+    (lambda ply: _rewrite_points(
+        ply, lambda pts: np.where(np.arange(len(pts))[:, None] == 4, 1e308, pts)),
+     "x = 1e+308 in data row 5: a coordinate's magnitude must be at most 1e+150"),
 ])
 def test_bad_frame_ply_exits_2_naming_the_file(tmp_path, capsys, corrupt, message):
     cfg = write_config(tmp_path)
@@ -289,6 +293,9 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
                                           + rows[3].split(",")[8:])] + rows[4:]),
                  "qw, qx, qy, qz in data row 3: the quaternion's norm is below 1e-12",
                  id="init-zero-quaternion"),
+    pytest.param("init_gaussians.csv", _edit_cell(2, 1, "-1e308"),
+                 "x = -1e+308 in data row 2: a coordinate's magnitude must be at most 1e+150",
+                 id="init-huge-coordinate"),
     pytest.param("scene.json", _edit_json(lambda meta: meta.pop("part_quats")),
                  "missing key 'part_quats'", id="scene-no-part-quats"),
     pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(kind="ship")),
@@ -439,6 +446,18 @@ def test_k_parts_above_gaussian_count_exits_2(tiny_fit, tmp_path, capsys):
     pytest.param(_edit_rows(lambda rows: rows[:-1]), _GRID, id="missing-row"),
     pytest.param(_edit_cell(40, 6, "?"), "bad row", id="garbled"),
     pytest.param(_edit_cell(12, 0, "1"), _GRID, id="duplicate"),
+    # a coordinate far out of range: segment scored garbage with exit 0
+    pytest.param(_edit_cell(40, 2, "1e308"),
+                 "x = 1e+308 in the data row of frame 1, index 9: a coordinate's magnitude"
+                 " must be at most 1e+150", id="huge-coordinate"),
+    # a quaternion that normalizes to zero: segment exited 3
+    pytest.param(_edit_cell(40, 6, "1e308"),
+                 "qx = 1e+308 in the data row of frame 1, index 9: the quaternion's squared"
+                 " norm overflows", id="huge-quaternion"),
+    pytest.param(_edit_rows(lambda rows: rows[:12] + [",".join(
+        rows[12].split(",")[:5] + ["0"] * 4 + rows[12].split(",")[9:])] + rows[13:]),
+                 "qw, qx, qy, qz in the data row of frame 0, index 11: the quaternion's norm is"
+                 " below 1e-12", id="zero-quaternion"),
 ])
 def test_bad_trajectory_csv_exits_2_naming_it(tiny_fit, tmp_path, capsys, command, corrupt,
                                               message):

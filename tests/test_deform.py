@@ -406,6 +406,51 @@ def test_degenerate_jacobian_raises():
         cascade_apply(casc, gset)
 
 
+def test_non_finite_covariance_raises_naming_the_gaussian():
+    """A NaN covariance passes the positive-definiteness check (NaN <= floor
+    is False); the eigensolver's report catches it, naming the first Gaussian."""
+    rng = np.random.default_rng(21)
+    gset = random_set(rng, n=30)
+    casc = random_cascade(rng, gset)
+    casc.layers[1].translations[2] = np.nan
+    first = int(np.argmax(casc.hierarchy.assignments[1] == 2))
+    with pytest.raises(ValueError, match=rf"did not converge .* Gaussian {first} \("):
+        cascade_apply(casc, gset)
+
+
+def test_too_few_sweeps_raise_naming_the_first_unconverged_gaussian(monkeypatch):
+    rng = np.random.default_rng(22)
+    gset = random_set(rng, n=30)
+    casc = random_cascade(rng, gset, mag=0.3)
+    reports = []
+
+    def one_sweep(S):
+        out = geometry.jacobi_eigh3(S, max_sweeps=1)
+        reports.append(out[2])
+        return out
+
+    monkeypatch.setattr(ad, "jacobi_eigh3", one_sweep)
+    with pytest.raises(ValueError, match="did not converge") as raised:
+        cascade_apply(casc, gset)
+    assert not reports[0].all()
+    assert f"Gaussian {int(np.argmin(reports[0]))} (" in str(raised.value)
+
+
+def test_apply_with_a_given_trace_is_the_apply_that_traces():
+    """cascade_apply on a trace the caller made gives the set it traces
+    itself, and still copies the set exactly for the zero cascade."""
+    rng = np.random.default_rng(23)
+    gset = random_set(rng, n=30)
+    for casc in (random_cascade(rng, gset), cascade_zero(random_cascade(rng, gset).hierarchy, 30)):
+        trace = trace_cascade(casc, gset, differentiable=False)
+        given = cascade_apply(casc, gset, trace=trace)
+        own = cascade_apply(casc, gset)
+        for name in ("centers", "orientations", "scales", "colors"):
+            assert getattr(given, name).tobytes() == getattr(own, name).tobytes()
+        assert given.frame_index == own.frame_index == gset.frame_index + 1
+    assert given.centers.tobytes() == gset.centers.tobytes()
+
+
 def test_payload_roundtrip_bit_exact():
     rng = np.random.default_rng(16)
     gset = random_set(rng, n=14)

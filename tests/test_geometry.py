@@ -153,6 +153,14 @@ def test_decompose_rejects_non_pd():
         geo.decompose_covariance(cov)
 
 
+def test_decompose_rejects_a_covariance_the_solver_does_not_converge_on():
+    """A NaN covariance passes the symmetry and eigenvalue checks (NaN > tol
+    and NaN <= floor are False); the solver's report rejects it."""
+    cov = geo.compose_covariance(np.array([1.0, 0, 0, 0]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="did not converge"):
+        geo.decompose_covariance(np.stack([cov, np.full((3, 3), np.nan)]))
+
+
 def test_polar_rotation_of_rotation_is_itself():
     rng = np.random.default_rng(9)
     q = random_unit_quats(rng, 20)
@@ -186,3 +194,20 @@ def test_roundtrip_property(seed):
     cov2 = geo.compose_covariance(q2, s2)
     scale = np.abs(cov).max()
     assert np.abs(cov - cov2).max() < 1e-7 * max(1.0, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_sum_last_is_numpy_sum_bit_for_bit(seed):
+    """Short last axes, mixed magnitudes, overflow and zeros of both signs
+    (an all -0.0 row sums to +0.0, as in np.sum), contiguous or not."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(2, 8))
+    shape = tuple(int(d) for d in rng.integers(1, 30, size=rng.integers(1, 3))) + (width,)
+    x = rng.normal(size=shape) * rng.choice([1e-300, 1e-8, 1.0, 1e8, 1e300], size=shape)
+    r = rng.uniform(size=shape)
+    x[r < 0.3] = 0.0
+    x[r > 0.7] = -0.0
+    for a in (x, np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 0, -1)), 0, -1)):
+        with np.errstate(over="ignore"):
+            assert geo.sum_last(a).tobytes() == a.sum(axis=-1).tobytes()

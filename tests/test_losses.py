@@ -7,6 +7,8 @@ moved states.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gscascade import autodiff as ad
 from gscascade import geometry
@@ -19,6 +21,7 @@ from gscascade.losses import (
     LossWeights,
     NeighborGraph,
     build_neighbor_graph,
+    data_loss_t,
     _rigidity_t,
     _rotation_t,
     isometry_loss_t,
@@ -34,6 +37,7 @@ from oracles import (
     isometry_loss,
     isometry_loss_chain_t,
     isometry_loss_short_tape_t,
+    matched_loss_chain_t,
     rigidity_loss,
     rigidity_loss_chain_t,
     rigidity_loss_short_tape_t,
@@ -295,6 +299,28 @@ def test_data_loss_correspondence_hand_value():
     np.testing.assert_allclose(v, (0.01 + 0.04 + 0.0) / 3.0, atol=1e-12)
     # gradient of mean squared distance: 2/M * sum of (center - point)
     np.testing.assert_allclose(g["centers"][0], [2 * (0.0 - 0.1) / 3 + 0.0, 0, 0], atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_correspondence_node_is_its_six_node_chain_bit_for_bit(seed):
+    """The one-node correspondence term gives its chain's value and gradient,
+    bit for bit: repeated and unmatched Gaussians, any upstream weight."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    m = int(rng.integers(1, 3 * n + 2))
+    gset = small_scene(rng, n=n, spread=rng.choice([1e-3, 1.0, 1e3]))
+    obs = DataObservation(points=rng.normal(size=(m, 3)) * rng.choice([1e-3, 1.0, 1e3]),
+                          correspondence=rng.integers(0, n, size=m))
+    frame = FrameConstants(gset, obs, None, None)
+    weight = rng.uniform(0.1, 3.0)
+    got = []
+    for term in (data_loss_t, matched_loss_chain_t):
+        c = ad.leaf(gset.centers)
+        value = term(c, frame)
+        ad.mul(value, weight).backward()
+        got.append((value.value.tobytes(), c.grad.tobytes()))
+    assert got[0] == got[1]
 
 
 def test_data_loss_chamfer_convention():
@@ -565,7 +591,7 @@ def test_one_node_term_vjp_matches_central_differences(term):
         "rotation": [curr.orientations * 1.3],
     }[term]
     node = {
-        "rigidity": lambda c, R: _rigidity_t(frame, c, R),
+        "rigidity": lambda c, R: _rigidity_t(frame, c, R, ad.edge_values(c.value, graph.index)),
         "isometry": lambda c: isometry_loss_t(c, graph),
         "rotation": lambda r: _rotation_t(graph, r),
     }[term]
@@ -647,7 +673,7 @@ def test_total_loss_gradient_spot_check_fd():
         _fd_check(value, array, grads[name], 4, rng)
 
 
-@pytest.mark.parametrize("scan, nodes", [(False, 51), (True, 57)],
+@pytest.mark.parametrize("scan, nodes", [(False, 46), (True, 57)],
                          ids=["correspondences", "scan"])
 def test_total_loss_tape_size(monkeypatch, scan, nodes):
     """One iteration's tape on a 3-layer cascade with covariance propagation;
@@ -698,7 +724,7 @@ def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
     with pytest.raises(ValueError, match="positive definite"):
         total_loss(bad, *args)
     after = total_loss(good, *args)
-    assert walked == [51, 51]
+    assert walked == [46, 46]
     assert after[0] == alone[0] and after[1] == alone[1]
     assert np.array_equal(after[2], alone[2])
 

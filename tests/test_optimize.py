@@ -5,23 +5,28 @@ pins the update magnitudes exactly; the sequence-level checks use scenes whose
 correct answer is known by construction (static scene, uniform shift).
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from gscascade import losses, scenegen
+from gscascade import autodiff, deform, losses, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
-from gscascade.deform import IDENTITY_ROWS, cascade_zero, trace_cascade
+from gscascade.deform import (IDENTITY_ROWS, cascade_apply, cascade_to_payload, cascade_zero,
+                              trace_cascade)
 from gscascade.losses import DataObservation
 from gscascade.optimize import (
     AdamState,
     TrainConfig,
+    _neighbor_graph,
     adam_step,
     fit_frame,
     fit_sequence,
     mean_center_error,
 )
-from oracles import adam_step_per_class
+from oracles import (adam_step_per_class, edge_adjoint_slices, jacobi_eigh3_rowwise,
+                     matched_loss_chain_t, subtract_rows_broadcast)
 
 
 def scene(rng, n=25, spread=1.0):
@@ -217,6 +222,68 @@ def test_fit_frame_builds_the_scan_tree_once(monkeypatch):
     fit_frame(gset, obs, h, cfg, graph=graph)
     assert built.count(100) == 1
     assert built.count(25) == cfg.iters_per_frame + 1
+
+
+def test_fit_frame_ends_on_one_forward(monkeypatch):
+    """The converged cascade is traced once, on constants, for both the final
+    losses and the new set, which are what the two calls give on their own."""
+    rng = np.random.default_rng(8)
+    gset = scene(rng, n=25)
+    h = build_hierarchy(gset.centers, (2, 8), seed=0)
+    obs = DataObservation(points=gset.centers + 0.02, correspondence=np.arange(25))
+    cfg = TrainConfig(iters_per_frame=4, layer_sizes=(2, 8), seed=0)
+    traced = []
+
+    def counted(*args, **kwargs):
+        traced.append(kwargs.get("differentiable", True))
+        return trace_cascade(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(losses, "trace_cascade", counted)
+        patch.setattr(deform, "trace_cascade", counted)
+        new_set, cascade, report = fit_frame(gset, obs, h, cfg)
+    assert traced == [True] * 4 + [False]
+    value, components, _ = losses.total_loss(cascade, gset, obs, _neighbor_graph(gset.centers, cfg),
+                                             cfg.weights, cfg.max_scale, with_grads=False)
+    assert report.final_losses == dict(components, total=value)
+    alone = cascade_apply(cascade, gset)
+    for name in ("centers", "orientations", "scales", "colors"):
+        assert getattr(new_set, name).tobytes() == getattr(alone, name).tobytes()
+
+
+def _fit_bytes():
+    """Every fitted set's arrays and every checkpoint payload of a small fit."""
+    seq = scenegen.generate(scenegen.SceneSpec("two_link_arm", n_gaussians=60, n_frames=3,
+                                               seed=2))
+    cfg = TrainConfig(iters_per_frame=5, layer_sizes=(2, 4, 8), seed=0,
+                      scene_scale=seq.scene_scale, k_neighbors=8)
+    report = fit_sequence(seq.frame0, seq.observations, cfg)
+    return ([g.centers.tobytes() + g.orientations.tobytes() + g.scales.tobytes()
+             for g in report.sets],
+            [json.dumps(cascade_to_payload(c), sort_keys=True) for c in report.cascades])
+
+
+def test_fit_with_the_replaced_kernels_is_bit_identical(monkeypatch):
+    """The row-wise Jacobi, the slice-by-slice edge row sums, the broadcast
+    edge subtract and the six-node correspondence chain fit the same bits."""
+    want = _fit_bytes()
+    calls = dict.fromkeys(("jacobi", "adjoint", "subtract", "matched"), 0)
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    def rowwise(S):
+        return (*jacobi_eigh3_rowwise(S), np.ones(S.shape[:-2], dtype=bool))
+
+    monkeypatch.setattr(autodiff, "jacobi_eigh3", counting("jacobi", rowwise))
+    monkeypatch.setattr(autodiff, "edge_adjoint", counting("adjoint", edge_adjoint_slices))
+    monkeypatch.setattr(autodiff, "subtract_rows", counting("subtract", subtract_rows_broadcast))
+    monkeypatch.setattr(losses, "_matched_t", counting("matched", matched_loss_chain_t))
+    assert _fit_bytes() == want
+    assert min(calls.values()) > 0, calls
 
 
 def _fit_regression_error(path):

@@ -40,3 +40,19 @@ def test_convergence_sweep_writes_one_row_per_budget(tmp_path):
     values = np.array(rows, dtype=np.float64)
     assert values[:, 0].tolist() == [1.0, 3.0]
     assert np.all(np.isfinite(values)) and np.all(values[:, 1:] > 0.0)
+
+
+def test_fit_digest_prints_the_same_digests_twice(capsys):
+    script = load_script("fit_digest")
+    argv = ["--kinds", "wheel,pendulum", "--n-gaussians", "30", "--n-frames", "2",
+            "--iters", "2", "--layers", "2,6"]
+    runs = []
+    for _ in range(2):
+        assert script.main(argv) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == ["wheel", "pendulum"]
+    for line in runs[0]:
+        kind, label_t, trajectory, label_c, checkpoints = line.split()
+        assert (label_t, label_c) == ("trajectory", "checkpoints")
+        assert len(trajectory) == len(checkpoints) == 64
