@@ -2,10 +2,12 @@
 """Print digests of seeded fits, to check that a change keeps every bit.
 
 For each scene kind it generates one scene, fits it and prints one line with
-two sha256 digests: one over the `centers`, `orientations` and `scales` bytes
-of every fitted set, one over every frame's checkpoint payload
-(`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`). Run it on
-two checkouts and compare the lines.
+three sha256 digests: one over the `centers`, `orientations` and `scales`
+bytes of every fitted set, one over every frame's checkpoint payload
+(`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`), and one
+over every frame's loss `curve` and `final_losses` (as
+`json.dumps(sort_keys=True)`), what `losses.csv` and `summary.json` record.
+Run it on two checkouts and compare the lines.
 
     python3 scripts/fit_digest.py
     python3 scripts/fit_digest.py --kinds wheel --n-gaussians 60 --iters 3
@@ -39,7 +41,7 @@ def parse_args(argv=None):
 
 
 def fit_digests(report):
-    """(trajectory digest, checkpoint digest) of a FitReport, as hex strings."""
+    """(trajectory, checkpoint, loss) digests of a FitReport, as hex strings."""
     trajectory = hashlib.sha256()
     for gset in report.sets:
         for array in (gset.centers, gset.orientations, gset.scales):
@@ -48,7 +50,11 @@ def fit_digests(report):
     for cascade in report.cascades:
         payload = json.dumps(cascade_to_payload(cascade), sort_keys=True, indent=2)
         checkpoints.update(payload.encode())
-    return trajectory.hexdigest(), checkpoints.hexdigest()
+    losses = hashlib.sha256()
+    for frame in report.frames:
+        for record in (frame.curve, frame.final_losses):
+            losses.update(json.dumps(record, sort_keys=True).encode())
+    return trajectory.hexdigest(), checkpoints.hexdigest(), losses.hexdigest()
 
 
 def main(argv=None):
@@ -61,8 +67,8 @@ def main(argv=None):
                              scene_scale=seq.scene_scale)
         hierarchy = build_hierarchy(seq.frame0.centers, layers, seed=args.seed)
         report = fit_sequence(seq.frame0, seq.observations, config, hierarchy)
-        trajectory, checkpoints = fit_digests(report)
-        print(f"{kind} trajectory {trajectory} checkpoints {checkpoints}")
+        trajectory, checkpoints, losses = fit_digests(report)
+        print(f"{kind} trajectory {trajectory} checkpoints {checkpoints} losses {losses}")
     return 0
 
 

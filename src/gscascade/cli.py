@@ -25,7 +25,7 @@ from .config import ConfigError, load_run_config
 from .core import GaussianSet
 from .deform import _PD_FLOOR, cascade_to_payload
 from .geometry import _NORM_FLOOR
-from .losses import DataObservation
+from .losses import DEFAULT_LAMBDA_SCALE, DataObservation
 from .optimize import fit_sequence, mean_center_error
 from .scenegen import _PALETTE, SceneSpec, SceneSequence, generate
 from .segmentation import adjusted_rand_index, build_features, segment
@@ -112,10 +112,17 @@ def _data_row(i):
 
 def _check_init_ranges(data):
     """Reject initial Gaussians the fit cannot start from: a coordinate out of
-    range, a scale whose square is not above the positive-definite floor of
-    the propagated covariance, and a quaternion out of range (see
+    range, centers whose extent (the scene scale) gives no finite default
+    neighbour falloff, a scale whose square is not above the positive-definite
+    floor of the propagated covariance, and a quaternion out of range (see
     _check_quaternions). (GaussianSet rejects a scale that is not positive.)"""
-    _check_coordinates(data[:, 1:4], INIT_GAUSSIANS_HEADER[1:4], _data_row)
+    centers = data[:, 1:4]
+    _check_coordinates(centers, INIT_GAUSSIANS_HEADER[1:4], _data_row)
+    extent = np.linalg.norm(centers.max(axis=0) - centers.min(axis=0))
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if not np.isfinite(DEFAULT_LAMBDA_SCALE / extent**2):
+            raise ValueError(f"the centers' extent is {float(extent)!r}, too small for the"
+                             f" default neighbour falloff {DEFAULT_LAMBDA_SCALE:g} / extent**2")
     scales = data[:, 8:11]
     small = np.argwhere((scales > 0.0) & (scales * scales <= _PD_FLOOR))
     if len(small):

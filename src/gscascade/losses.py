@@ -12,12 +12,13 @@ Five terms, all reduced as means so weights are comparable across scene sizes:
     available, else symmetric nearest-neighbor (Chamfer) distance.
 
 What stays fixed while one frame transition is fitted lives in one
-`FrameConstants` holder, which `fit_frame` builds once and every evaluation
-of the frame shares (a caller that passes none gets one built per call): the
-cascade's R_prev, A0 and looked-up centroids, rigidity's R_prev^T and
-previous-frame edges, rotation's inverse previous orientations, the
-correspondence as a RowIndex and, for a scan, the k-d tree over its M points
-(`observation_tree`). It is dropped when the frame is done.
+`FrameConstants` holder, the only way a frame's inputs reach `total_loss`:
+`fit_frame` builds it once and every evaluation of the frame shares it. It
+holds the previous set, the observation and the frame-0 neighbour graph, and
+derives the cascade's R_prev, A0 and looked-up centroids, rigidity's R_prev^T
+and previous-frame edges, rotation's inverse previous orientations, the
+correspondence as a RowIndex and, for a scan, the k-d tree over its M points.
+It is dropped when the frame is done.
 
 The Chamfer term queries two k-d trees: the scan's, from the holder, and one
 over the N moving centers, rebuilt per evaluation. The scan-to-set half is
@@ -202,11 +203,9 @@ def _mean_adjoint(g, weighted):
     return np.broadcast_to(g * (1.0 / weighted.size), weighted.shape)
 
 
-def rigidity_loss_t(frame, centers_t, orientations_t, edges=None):
+def rigidity_loss_t(frame, centers_t, orientations_t, edges):
     """`edges` are the centers' edges `ad.edge_values(centers, graph.index)`,
-    when the caller has looked them up already (for isometry too)."""
-    if edges is None:
-        edges = ad.edge_values(centers_t.value, frame.graph.index)
+    which `total_loss` looks up once for isometry too."""
     return _rigidity_t(frame, centers_t, quat_to_mat_t(orientations_t), edges)
 
 
@@ -234,11 +233,9 @@ def _rigidity_t(frame, centers_t, rot_curr, edges):
     return ad._make(weighted.sum() * (1.0 / weighted.size), (centers_t, rot_curr), vjp)
 
 
-def isometry_loss_t(centers_t, graph, edges=None):
+def isometry_loss_t(centers_t, graph, edges):
     """Isometry's mean absolute edge-length change as one node over the centers.
     `edges` are as in `rigidity_loss_t`."""
-    if edges is None:
-        edges = ad.edge_values(centers_t.value, graph.index)
     # the rest lengths are floored_norm's too, so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     dt, above = floored_norm(edges)
@@ -290,20 +287,15 @@ def _rotation_t(graph, rel):
     return ad._make(weighted.sum() * (1.0 / weighted.size), (rel,), vjp)
 
 
-def observation_tree(obs):
-    """k-d tree over a scan's points; None for a correspondence-matched observation."""
-    return None if obs.correspondence is not None else cKDTree(obs.points)
-
-
 class FrameConstants(CascadeFrame):
     """Everything that stays fixed while one frame transition is fitted.
 
-    Built once per frame (by `fit_frame`, or by `total_loss` for a single
-    call) and shared by all of that frame's evaluations. Besides the cascade's
-    constants of `CascadeFrame`, it holds the frame's observation and the
-    frame-0 neighbour graph, and derives on first use:
+    Built once per frame by `fit_frame` and shared by all of that frame's
+    evaluations. Besides the cascade's constants of `CascadeFrame`, it holds
+    the frame's observation and the frame-0 neighbour graph, and derives on
+    first use:
 
-      * `scan_tree`: `observation_tree(obs)`, the k-d tree over the scan;
+      * `scan_tree`: the k-d tree over the scan's points (for a scan only);
       * `correspondence`: the observation's correspondence as a RowIndex;
       * `prev_R_T`, `d_prev`: rigidity's R_prev^T and previous-frame edges;
       * `prev_inv`: rotation's inverse previous orientations.
@@ -316,7 +308,7 @@ class FrameConstants(CascadeFrame):
 
     @cached_property
     def scan_tree(self):
-        return observation_tree(self.obs)
+        return cKDTree(self.obs.points)
 
     @cached_property
     def correspondence(self):
@@ -379,34 +371,28 @@ def data_loss_t(centers_t, frame, workers=1):
 # the full objective over cascade parameters
 
 
-def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
-               propagate_covariance=True, workers=1, with_grads=True, frame=None, trace=None):
-    """Weighted objective through cascade_apply.
+def total_loss(cascade, frame, weights, max_scale, propagate_covariance=True, workers=1,
+               with_grads=True):
+    """Weighted objective through cascade_apply, on the FrameConstants `frame`.
 
-    Returns (total, components, grad) where components maps each term name
-    to its unweighted value and grad is the gradient of the total w.r.t. the
+    Returns (total, components, trace): components maps each term name to its
+    unweighted value and trace is the cascade's `trace_cascade` on the
+    frame's previous set. Its `grad` is the gradient of the total w.r.t. the
     cascade's flat parameter buffer, laid out like `cascade.flat` (whose
     `views` names its parts). With with_grads=False the forward runs on
-    constants and grad is None. `graph` is the frame-0 neighbour graph, whose
-    rest lengths the isometry term holds the edges to. `frame` is the
-    FrameConstants of (prev_set, obs), which a frame's fit builds once for
-    all its evaluations; without it one is built for this call. `trace` is
-    the cascade's trace on `frame` on constants, to evaluate with
-    with_grads=False instead of tracing it again.
+    constants, the trace is what `cascade_apply` takes, and its grad is None.
     """
-    if frame is None:
-        frame = FrameConstants(prev_set, obs, cascade.hierarchy, graph)
-    if trace is None:
-        trace = trace_cascade(
-            cascade, prev_set,
-            propagate_covariance=propagate_covariance,
-            differentiable=with_grads,
-            frame=frame,
-        )
+    trace = trace_cascade(
+        cascade, frame.prev_set,
+        propagate_covariance=propagate_covariance,
+        differentiable=with_grads,
+        frame=frame,
+    )
+    graph = frame.graph
     edges = ad.edge_values(trace.centers.value, graph.index)  # shared by two terms
     terms = {
-        "rigidity": rigidity_loss_t(frame, trace.centers, trace.orientations, edges=edges),
-        "isometry": isometry_loss_t(trace.centers, graph, edges=edges),
+        "rigidity": rigidity_loss_t(frame, trace.centers, trace.orientations, edges),
+        "isometry": isometry_loss_t(trace.centers, graph, edges),
         "rotation": rotation_loss_t(frame, trace.orientations),
         "scale": scale_loss_t(trace.scales, max_scale),
         "data": data_loss_t(trace.centers, frame, workers=workers),
@@ -419,4 +405,4 @@ def total_loss(cascade, prev_set, obs, graph, weights, max_scale,
 
     if with_grads:
         total.backward()
-    return float(total.value), components, trace.grad
+    return float(total.value), components, trace

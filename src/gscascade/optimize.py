@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, losses
+from . import geometry
 from .clustering import build_hierarchy
 from .deform import cascade_apply, cascade_zero
 from .losses import FrameConstants, LossWeights, build_neighbor_graph, total_loss
@@ -130,56 +130,37 @@ class FitReport:
     hierarchy: object
 
 
-def _neighbor_graph(centers, config):
-    return build_neighbor_graph(
-        centers,
-        k=min(config.k_neighbors, centers.shape[0] - 1),
-        lambda_weight=config.lambda_weight,
-        scene_scale=config.scene_scale,
-        workers=config.threads,
-    )
-
-
-def fit_frame(prev_set, obs, hierarchy, config, graph=None):
+def fit_frame(prev_set, obs, hierarchy, config, graph):
     """Fit one frame transition from the zero cascade.
 
-    `graph` is the frame-0 neighbour graph; without it `prev_set` is taken as
-    frame 0. Returns (deformed set, cascade, FrameReport).
+    `graph` is the frame-0 neighbour graph of the sequence. Every evaluation
+    shares one FrameConstants of (prev_set, obs); the last one, on constants,
+    gives both the final losses and the trace the new set is read from.
+    Returns (deformed set, cascade, FrameReport).
     """
     t0 = time.perf_counter()
-    if graph is None:
-        graph = _neighbor_graph(prev_set.centers, config)
-    frame = FrameConstants(prev_set, obs, hierarchy, graph)  # shared by every evaluation
+    frame = FrameConstants(prev_set, obs, hierarchy, graph)
     cascade = cascade_zero(hierarchy, prev_set.n)
     state = AdamState()
     curve = []
     for _ in range(config.iters_per_frame):
-        value, components, grad = total_loss(
-            cascade, prev_set, obs, graph, config.weights, config.max_scale,
-            propagate_covariance=config.propagate_covariance,
-            workers=config.threads, frame=frame,
+        value, components, trace = total_loss(
+            cascade, frame, config.weights, config.max_scale,
+            propagate_covariance=config.propagate_covariance, workers=config.threads,
         )
-        entry = dict(components)
-        entry["total"] = value
-        curve.append(entry)
-        cascade, state = adam_step(cascade, grad, state, config)
+        curve.append(dict(components, total=value))
+        cascade, state = adam_step(cascade, trace.grad, state, config)
 
-    # one forward on constants gives both the final losses and the new set;
-    # trace_cascade is looked up on `losses` at call time, as total_loss does
-    trace = losses.trace_cascade(cascade, prev_set,
-                                 propagate_covariance=config.propagate_covariance,
-                                 differentiable=False, frame=frame)
-    final_value, final_components, _ = total_loss(
-        cascade, prev_set, obs, graph, config.weights, config.max_scale,
-        workers=config.threads, frame=frame, with_grads=False, trace=trace,
+    value, components, trace = total_loss(
+        cascade, frame, config.weights, config.max_scale,
+        propagate_covariance=config.propagate_covariance, workers=config.threads,
+        with_grads=False,
     )
-    final = dict(final_components)
-    final["total"] = final_value
     new_set = cascade_apply(cascade, prev_set, trace=trace)
     report = FrameReport(
         frame_index=new_set.frame_index,
         curve=curve,
-        final_losses=final,
+        final_losses=dict(components, total=value),
         wall_time=time.perf_counter() - t0,
     )
     return new_set, cascade, report
@@ -202,14 +183,20 @@ def fit_sequence(initial_set, sequence, config, hierarchy=None):
             )
     if hierarchy is None:
         hierarchy = build_hierarchy(initial_set.centers, config.layer_sizes, seed=config.seed)
-    graph = _neighbor_graph(initial_set.centers, config)
+    graph = build_neighbor_graph(
+        initial_set.centers,
+        k=min(config.k_neighbors, initial_set.n - 1),
+        lambda_weight=config.lambda_weight,
+        scene_scale=config.scene_scale,
+        workers=config.threads,
+    )
     sets = [initial_set]
     cascades = []
     reports = []
     for obs in observations[1:]:
         prev = sets[-1]
         hierarchy.update_centroids(prev.centers)
-        new_set, cascade, report = fit_frame(prev, obs, hierarchy, config, graph=graph)
+        new_set, cascade, report = fit_frame(prev, obs, hierarchy, config, graph)
         sets.append(new_set)
         cascades.append(cascade)
         reports.append(report)

@@ -37,6 +37,9 @@ class PinholeCamera:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy", "rotation", "translation"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"camera {name} must be finite")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:

@@ -164,14 +164,16 @@ def rigidity_loss(prev_set, curr_set, graph):
     c = ad.leaf(curr_set.centers)
     q = ad.leaf(curr_set.orientations)
     return eval_with_grads(
-        lambda: rigidity_loss_t(FrameConstants(prev_set, None, None, graph), c, q),
+        lambda: rigidity_loss_t(FrameConstants(prev_set, None, None, graph), c, q,
+                                ad.edge_values(c.value, graph.index)),
         {"centers": c, "orientations": q},
     )
 
 
 def isometry_loss(curr_set, graph):
     c = ad.leaf(curr_set.centers)
-    return eval_with_grads(lambda: isometry_loss_t(c, graph), {"centers": c})
+    return eval_with_grads(
+        lambda: isometry_loss_t(c, graph, ad.edge_values(c.value, graph.index)), {"centers": c})
 
 
 def rotation_loss(prev_set, curr_set, graph):

@@ -24,7 +24,8 @@ from gscascade.deform import (
     cascade_zero,
     propagated_covariances,
 )
-from gscascade.losses import DataObservation, LossWeights, build_neighbor_graph, total_loss
+from gscascade.losses import (DataObservation, FrameConstants, LossWeights, build_neighbor_graph,
+                              total_loss)
 from gscascade.optimize import TrainConfig, fit_sequence, mean_center_error
 from gscascade.scenegen import SceneSpec, generate
 from gscascade.segmentation import (
@@ -164,11 +165,12 @@ def test_criterion_1_gradient_finite_difference_agreement():
         obs = DataObservation(points=gset.centers + 0.05 * rng.normal(size=(n, 3)),
                               correspondence=np.arange(n))
         graph = build_neighbor_graph(gset.centers, k=8, lambda_weight=1.0)
+        frame = FrameConstants(gset, obs, casc.hierarchy, graph)
 
         def value():
-            return total_loss(casc, gset, obs, graph, weights, 0.02, with_grads=False)[0]
+            return total_loss(casc, frame, weights, 0.02, with_grads=False)[0]
 
-        grads = casc.views(total_loss(casc, gset, obs, graph, weights, 0.02)[2])
+        grads = casc.views(total_loss(casc, frame, weights, 0.02)[2].grad)
         probe_rng = np.random.default_rng(2000 + seed)
         for key, grad in grads.items():
             flat = param_array(casc, key).reshape(-1)

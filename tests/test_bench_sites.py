@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gscascade import autodiff
+from gscascade import autodiff, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
-from gscascade.losses import DataObservation, LossWeights, build_neighbor_graph, total_loss
+from gscascade.losses import (DataObservation, FrameConstants, LossWeights, build_neighbor_graph,
+                              total_loss)
+from gscascade.optimize import TrainConfig, fit_sequence
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,7 +50,8 @@ def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
     graph = build_neighbor_graph(centers, k=4, scene_scale=2.0)
     obs = DataObservation(points=centers + rng.normal(scale=0.02, size=(30, 3)),
                           correspondence=None if scan else np.arange(30))
-    casc = cascade_zero(build_hierarchy(centers, (2, 4, 8), seed=0), 30)
+    h = build_hierarchy(centers, (2, 4, 8), seed=0)
+    casc = cascade_zero(h, 30)
     counts = []
     backward = autodiff.Tensor.backward
 
@@ -57,5 +60,33 @@ def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
         return backward(root)
 
     monkeypatch.setattr(autodiff.Tensor, "backward", counted)
-    total_loss(casc, gset, obs, graph, LossWeights(), max_scale=0.02)
+    total_loss(casc, FrameConstants(gset, obs, h, graph), LossWeights(), max_scale=0.02)
     assert len(counts) == 1 and counts[0][0] == counts[0][1]
+
+
+def test_iterations_call_the_steps_in_lap_order(monkeypatch):
+    """`fit_iters_per_s` assigns the laps of an iteration by ITERATION_STEPS:
+    every training iteration calls each step once, in that order, and each
+    frame's closing evaluation calls the first seven (total_loss, the trace,
+    the five terms) with no backward or Adam step."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    pipeline = importlib.import_module("pipeline")
+    calls = []
+
+    def recorded(fn, name):
+        def step(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return step
+
+    names = [name for _, name in pipeline.ITERATION_STEPS]
+    for owner, name in pipeline.ITERATION_STEPS:
+        monkeypatch.setattr(owner, name, recorded(getattr(owner, name), name))
+    seq = scenegen.generate(scenegen.SceneSpec("two_link_arm", n_gaussians=40, n_frames=3,
+                                               seed=3))
+    cfg = TrainConfig(iters_per_frame=3, layer_sizes=(2, 4, 8), seed=0,
+                      scene_scale=seq.scene_scale, k_neighbors=6)
+    fit_sequence(seq.frame0, seq.observations, cfg)
+    assert names[7:] == ["backward", "adam_step"]
+    assert calls == (names * 3 + names[:7]) * 2

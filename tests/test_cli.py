@@ -249,6 +249,15 @@ def _edit_cell(row, col, value):
     return _edit_rows(edit)
 
 
+def _edit_centers(center):
+    """Set data row i + 1's x, y, z to center(i, data row 1's x, y, z), as strings."""
+    def edit(lines):
+        rows = [line.split(",") for line in lines[1:]]
+        return lines[:1] + [",".join(r[:1] + center(i, rows[0][1:4]) + r[4:])
+                            for i, r in enumerate(rows)]
+    return _edit_rows(edit)
+
+
 def _edit_json(edit):
     def corrupt(path):
         doc = json.loads(path.read_text())
@@ -296,6 +305,23 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
     pytest.param("init_gaussians.csv", _edit_cell(2, 1, "-1e308"),
                  "x = -1e+308 in data row 2: a coordinate's magnitude must be at most 1e+150",
                  id="init-huge-coordinate"),
+    # centers with no extent, or one whose square underflows, used to exit 3
+    # from the default neighbour falloff 2000 / extent**2: an extent of 1e-200
+    # is 0.0 as the norm computes it, and one of 1e-160 makes the falloff inf
+    pytest.param("init_gaussians.csv", _edit_centers(lambda i, first: first),
+                 "the centers' extent is 0.0", id="init-zero-extent"),
+    pytest.param("init_gaussians.csv",
+                 _edit_centers(lambda i, first: ["1e-200" if i == 0 else "0", "0", "0"]),
+                 "the centers' extent is 0.0", id="init-extent-1e-200"),
+    pytest.param("init_gaussians.csv",
+                 _edit_centers(lambda i, first: ["1e-160" if i == 0 else "0", "0", "0"]),
+                 "too small for the default neighbour falloff 2000 / extent**2",
+                 id="init-extent-1e-160"),
+    # a non-finite camera used to exit 3 from track and pass fit and segment
+    pytest.param("scene.json", _edit_json(lambda meta: meta["cameras"][0].update(fx=np.nan)),
+                 "camera fx must be finite", id="scene-camera-nan"),
+    pytest.param("scene.json", _edit_json(lambda meta: meta["cameras"][0].update(fx=np.inf)),
+                 "camera fx must be finite", id="scene-camera-inf"),
     pytest.param("scene.json", _edit_json(lambda meta: meta.pop("part_quats")),
                  "missing key 'part_quats'", id="scene-no-part-quats"),
     pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(kind="ship")),

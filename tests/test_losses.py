@@ -25,7 +25,6 @@ from gscascade.losses import (
     _rigidity_t,
     _rotation_t,
     isometry_loss_t,
-    observation_tree,
     rigidity_loss_t,
     rotation_loss_t,
     total_loss,
@@ -362,21 +361,6 @@ def test_chamfer_matches_bruteforce_oracle():
                                atol=1e-12 * np.abs(want_g).max())
 
 
-def test_chamfer_with_a_given_tree_is_bit_identical():
-    rng = np.random.default_rng(22)
-    gset, points = _clumped_scan(rng)
-    obs = DataObservation(points=points)
-    h = build_hierarchy(gset.centers, (2, 5), seed=0)
-    graph = build_neighbor_graph(gset.centers, k=3, lambda_weight=1.0)
-    args = (cascade_zero(h, gset.n), gset, obs, graph, LossWeights(), 0.02)
-    v, comps, grad = total_loss(*args)
-    v_t, comps_t, grad_t = total_loss(*args, frame=FrameConstants(gset, obs, h, graph))
-    assert v == v_t and comps == comps_t
-    assert np.array_equal(grad, grad_t)
-    assert observation_tree(DataObservation(points=points, correspondence=np.zeros(
-        len(points), dtype=int))) is None
-
-
 def test_data_observation_validation():
     with pytest.raises(ValueError, match="empty"):
         DataObservation(points=np.zeros((0, 3)))
@@ -495,11 +479,17 @@ def _frame(prev, graph):
     return FrameConstants(prev, None, None, graph)
 
 
+def _edges(centers_t, graph):
+    """The centers' edges, which total_loss looks up for rigidity and isometry."""
+    return ad.edge_values(centers_t.value, graph.index)
+
+
 # term -> (shipped term, its chain), each called as (prev, centers, orientations, graph)
 _TERMS_AND_CHAINS = {
-    "rigidity": (lambda prev, c, q, graph: rigidity_loss_t(_frame(prev, graph), c, q),
+    "rigidity": (lambda prev, c, q, graph: rigidity_loss_t(_frame(prev, graph), c, q,
+                                                           _edges(c, graph)),
                  rigidity_loss_chain_t),
-    "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph),
+    "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph, _edges(c, graph)),
                  lambda prev, c, q, graph: isometry_loss_chain_t(c, graph)),
     "rotation": (lambda prev, c, q, graph: rotation_loss_t(_frame(prev, graph), q),
                  lambda prev, c, q, graph: rotation_loss_chain_t(prev, q, graph)),
@@ -549,9 +539,10 @@ def test_neighbour_terms_match_their_tape_chains(term):
 
 # term -> (shipped term, the short tape it replaced), called as above
 _TERMS_AND_SHORT_TAPES = {
-    "rigidity": (lambda prev, c, q, graph: rigidity_loss_t(_frame(prev, graph), c, q),
+    "rigidity": (lambda prev, c, q, graph: rigidity_loss_t(_frame(prev, graph), c, q,
+                                                           _edges(c, graph)),
                  lambda prev, c, q, graph: rigidity_loss_short_tape_t(_frame(prev, graph), c, q)),
-    "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph),
+    "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph, _edges(c, graph)),
                  lambda prev, c, q, graph: isometry_loss_short_tape_t(c, graph)),
     "rotation": (lambda prev, c, q, graph: rotation_loss_t(_frame(prev, graph), q),
                  lambda prev, c, q, graph: rotation_loss_short_tape_t(_frame(prev, graph), q)),
@@ -591,8 +582,8 @@ def test_one_node_term_vjp_matches_central_differences(term):
         "rotation": [curr.orientations * 1.3],
     }[term]
     node = {
-        "rigidity": lambda c, R: _rigidity_t(frame, c, R, ad.edge_values(c.value, graph.index)),
-        "isometry": lambda c: isometry_loss_t(c, graph),
+        "rigidity": lambda c, R: _rigidity_t(frame, c, R, _edges(c, graph)),
+        "isometry": lambda c: isometry_loss_t(c, graph, _edges(c, graph)),
         "rotation": lambda r: _rotation_t(graph, r),
     }[term]
     leaves = [ad.leaf(a) for a in inputs]
@@ -617,8 +608,9 @@ def test_total_loss_is_weighted_sum_and_matches_constant_forward():
     obs = DataObservation(points=gset.centers + rng.normal(scale=0.02, size=(20, 3)),
                           correspondence=np.arange(20))
     weights = LossWeights()
-    total, comps, grad = total_loss(casc, gset, obs, graph, weights, max_scale=0.02)
-    grads = casc.views(grad)
+    frame = FrameConstants(gset, obs, h, graph)
+    total, comps, trace = total_loss(casc, frame, weights, max_scale=0.02)
+    grads = casc.views(trace.grad)
     want = (
         weights.w_rigid * comps["rigidity"]
         + weights.w_iso * comps["isometry"]
@@ -632,10 +624,9 @@ def test_total_loss_is_weighted_sum_and_matches_constant_forward():
         "layer1.rotations", "layer1.translations", "layer1.scale_dirs", "layer1.scale_biases",
         "d_centers", "d_rotations", "d_log_scales",
     }
-    total_nog, comps_nog, grads_nog = total_loss(
-        casc, gset, obs, graph, weights, max_scale=0.02, with_grads=False
-    )
-    assert grads_nog is None
+    total_nog, comps_nog, trace_nog = total_loss(casc, frame, weights, max_scale=0.02,
+                                                 with_grads=False)
+    assert trace_nog.grad is None
     assert total_nog == total  # identical forward on constants vs leaves
     assert comps_nog == comps
 
@@ -658,12 +649,12 @@ def test_total_loss_gradient_spot_check_fd():
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     obs = DataObservation(points=gset.centers + 0.03, correspondence=np.arange(15))
     weights = LossWeights()
+    frame = FrameConstants(gset, obs, h, graph)
 
     def value():
-        return total_loss(casc, gset, obs, graph, weights, max_scale=0.02,
-                          with_grads=False)[0]
+        return total_loss(casc, frame, weights, max_scale=0.02, with_grads=False)[0]
 
-    grads = casc.views(total_loss(casc, gset, obs, graph, weights, max_scale=0.02)[2])
+    grads = casc.views(total_loss(casc, frame, weights, max_scale=0.02)[2].grad)
     for name, array in (
         ("layer0.translations", casc.layers[0].translations),
         ("layer1.rotations", casc.layers[1].rotations),
@@ -680,7 +671,8 @@ def test_total_loss_tape_size(monkeypatch, scan, nodes):
     the count does not depend on N, so a regression in it shows here."""
     rng = np.random.default_rng(14)
     gset = small_scene(rng, n=30, spread=2.0)
-    casc = cascade_zero(build_hierarchy(gset.centers, (2, 4, 8), seed=0), 30)
+    h = build_hierarchy(gset.centers, (2, 4, 8), seed=0)
+    casc = cascade_zero(h, 30)
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     points = gset.centers + rng.normal(scale=0.02, size=(30, 3))
     obs = DataObservation(points=points, correspondence=None if scan else np.arange(30))
@@ -692,7 +684,7 @@ def test_total_loss_tape_size(monkeypatch, scan, nodes):
         return backward(root)
 
     monkeypatch.setattr(ad.Tensor, "backward", counted)
-    total_loss(casc, gset, obs, graph, LossWeights(), max_scale=0.02)
+    total_loss(casc, FrameConstants(gset, obs, h, graph), LossWeights(), max_scale=0.02)
     assert sizes == [nodes]
 
 
@@ -719,14 +711,14 @@ def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
         return backward(root)
 
     monkeypatch.setattr(ad.Tensor, "backward", counted)
-    args = (gset, obs, graph, LossWeights(), 0.02)
+    args = (FrameConstants(gset, obs, h, graph), LossWeights(), 0.02)
     alone = total_loss(good, *args)
     with pytest.raises(ValueError, match="positive definite"):
         total_loss(bad, *args)
     after = total_loss(good, *args)
     assert walked == [46, 46]
     assert after[0] == alone[0] and after[1] == alone[1]
-    assert np.array_equal(after[2], alone[2])
+    assert np.array_equal(after[2].grad, alone[2].grad)
 
 
 def test_zero_cascade_isometry_gradient_exactly_zero():
@@ -740,7 +732,9 @@ def test_zero_cascade_isometry_gradient_exactly_zero():
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     obs = DataObservation(points=gset.centers.copy(), correspondence=np.arange(15))
     weights = LossWeights(w_rigid=0.0, w_rot=0.0, w_data=0.0)  # isolate isometry+scale
-    _, comps, grad = total_loss(casc, gset, obs, graph, weights, max_scale=1.0)
+    _, comps, trace = total_loss(casc, FrameConstants(gset, obs, h, graph), weights,
+                                 max_scale=1.0)
+    grad = trace.grad
     assert comps["isometry"] == 0.0
     assert np.all(np.isfinite(grad))
     assert np.abs(grad).max() == 0.0

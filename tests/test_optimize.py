@@ -19,7 +19,6 @@ from gscascade.losses import DataObservation
 from gscascade.optimize import (
     AdamState,
     TrainConfig,
-    _neighbor_graph,
     adam_step,
     fit_frame,
     fit_sequence,
@@ -35,6 +34,12 @@ def scene(rng, n=25, spread=1.0):
         orientations=rng.normal(size=(n, 4)),
         scales=rng.uniform(0.008, 0.015, size=(n, 3)),
     )
+
+
+def frame0_graph(gset, cfg):
+    """The neighbour graph fit_sequence builds on `gset` as frame 0."""
+    return losses.build_neighbor_graph(gset.centers, k=min(cfg.k_neighbors, gset.n - 1),
+                                       scene_scale=cfg.scene_scale)
 
 
 def zero_grads(cascade):
@@ -80,8 +85,8 @@ def test_arrays_are_the_leaves_and_gradients_adam_steps():
     trace = trace_cascade(casc, gset)
     assert list(trace.leaves) == list(IDENTITY_ROWS)  # one leaf per class
     assert all(np.shares_memory(leaf.value, casc.flat) for leaf in trace.leaves.values())
-    _, _, grad = losses.total_loss(casc, gset, obs, graph, losses.LossWeights(), 0.02)
-    grads = casc.views(grad)
+    frame = losses.FrameConstants(gset, obs, h, graph)
+    grads = casc.views(losses.total_loss(casc, frame, losses.LossWeights(), 0.02)[2].grad)
     assert keys == list(grads)
     casc.arrays()["layer1.translations"][3] = [0.5, 0.0, 0.0]
     assert casc.layers[1].translations[3, 0] == 0.5
@@ -191,7 +196,7 @@ def test_fit_frame_reduces_loss_on_uniform_shift():
     shift = np.array([0.05, -0.03, 0.02])
     obs = DataObservation(points=gset.centers + shift, correspondence=np.arange(25))
     cfg = TrainConfig(iters_per_frame=80, layer_sizes=(2, 8), seed=0)
-    new_set, cascade, report = fit_frame(gset, obs, h, cfg)
+    new_set, cascade, report = fit_frame(gset, obs, h, cfg, frame0_graph(gset, cfg))
     assert new_set.frame_index == gset.frame_index + 1
     assert len(report.curve) == 80
     assert report.wall_time > 0.0
@@ -219,7 +224,7 @@ def test_fit_frame_builds_the_scan_tree_once(monkeypatch):
     graph = losses.build_neighbor_graph(gset.centers, k=8)
     tree_cls = losses.cKDTree
     monkeypatch.setattr(losses, "cKDTree", counting_tree)
-    fit_frame(gset, obs, h, cfg, graph=graph)
+    fit_frame(gset, obs, h, cfg, graph)
     assert built.count(100) == 1
     assert built.count(25) == cfg.iters_per_frame + 1
 
@@ -232,6 +237,7 @@ def test_fit_frame_ends_on_one_forward(monkeypatch):
     h = build_hierarchy(gset.centers, (2, 8), seed=0)
     obs = DataObservation(points=gset.centers + 0.02, correspondence=np.arange(25))
     cfg = TrainConfig(iters_per_frame=4, layer_sizes=(2, 8), seed=0)
+    graph = frame0_graph(gset, cfg)
     traced = []
 
     def counted(*args, **kwargs):
@@ -241,9 +247,9 @@ def test_fit_frame_ends_on_one_forward(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(losses, "trace_cascade", counted)
         patch.setattr(deform, "trace_cascade", counted)
-        new_set, cascade, report = fit_frame(gset, obs, h, cfg)
+        new_set, cascade, report = fit_frame(gset, obs, h, cfg, graph)
     assert traced == [True] * 4 + [False]
-    value, components, _ = losses.total_loss(cascade, gset, obs, _neighbor_graph(gset.centers, cfg),
+    value, components, _ = losses.total_loss(cascade, losses.FrameConstants(gset, obs, h, graph),
                                              cfg.weights, cfg.max_scale, with_grads=False)
     assert report.final_losses == dict(components, total=value)
     alone = cascade_apply(cascade, gset)

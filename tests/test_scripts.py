@@ -53,6 +53,6 @@ def test_fit_digest_prints_the_same_digests_twice(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0]] == ["wheel", "pendulum"]
     for line in runs[0]:
-        kind, label_t, trajectory, label_c, checkpoints = line.split()
-        assert (label_t, label_c) == ("trajectory", "checkpoints")
-        assert len(trajectory) == len(checkpoints) == 64
+        kind, label_t, trajectory, label_c, checkpoints, label_l, losses = line.split()
+        assert (label_t, label_c, label_l) == ("trajectory", "checkpoints", "losses")
+        assert len(trajectory) == len(checkpoints) == len(losses) == 64
