@@ -7,7 +7,10 @@ bytes of every fitted set, one over every frame's checkpoint payload
 (`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`), and one
 over every frame's loss `curve` and `final_losses` (as
 `json.dumps(sort_keys=True)`), what `losses.csv` and `summary.json` record.
-Run it on two checkouts and compare the lines.
+After each kind's line comes a `<kind>_scan` line with the same digests of a
+fit to seeded scan points around the ground-truth centers, with no
+correspondences, so that the Chamfer data term is covered too. Run it on two
+checkouts and compare the lines.
 
     python3 scripts/fit_digest.py
     python3 scripts/fit_digest.py --kinds wheel --n-gaussians 60 --iters 3
@@ -19,14 +22,19 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gscascade.clustering import build_hierarchy
 from gscascade.deform import cascade_to_payload
+from gscascade.losses import DataObservation
 from gscascade.optimize import TrainConfig, fit_sequence
 from gscascade.scenegen import SceneSpec, generate
 
 DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave"
+SCAN_SAMPLES = 8  # scan points per ground-truth center
+SCAN_SIGMA = 0.005  # their spread around it
 
 
 def parse_args(argv=None):
@@ -57,6 +65,16 @@ def fit_digests(report):
     return trajectory.hexdigest(), checkpoints.hexdigest(), losses.hexdigest()
 
 
+def scan_observations(gt_centers, seed):
+    """Per frame, SCAN_SAMPLES noisy points around every ground-truth center."""
+    rng = np.random.default_rng((seed, SCAN_SAMPLES))
+    observations = []
+    for centers in gt_centers:
+        noise = rng.normal(scale=SCAN_SIGMA, size=(centers.shape[0], SCAN_SAMPLES, 3))
+        observations.append(DataObservation(points=(centers[:, None, :] + noise).reshape(-1, 3)))
+    return observations
+
+
 def main(argv=None):
     args = parse_args(argv)
     layers = tuple(int(s) for s in args.layers.split(","))
@@ -66,9 +84,11 @@ def main(argv=None):
         config = TrainConfig(iters_per_frame=args.iters, layer_sizes=layers, seed=args.seed,
                              scene_scale=seq.scene_scale)
         hierarchy = build_hierarchy(seq.frame0.centers, layers, seed=args.seed)
-        report = fit_sequence(seq.frame0, seq.observations, config, hierarchy)
-        trajectory, checkpoints, losses = fit_digests(report)
-        print(f"{kind} trajectory {trajectory} checkpoints {checkpoints} losses {losses}")
+        for name, observations in ((kind, seq.observations),
+                                   (f"{kind}_scan", scan_observations(seq.gt_centers, args.seed))):
+            report = fit_sequence(seq.frame0, observations, config, hierarchy)
+            trajectory, checkpoints, losses = fit_digests(report)
+            print(f"{name} trajectory {trajectory} checkpoints {checkpoints} losses {losses}")
     return 0
 
 

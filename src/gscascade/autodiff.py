@@ -1,13 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Everything in the fitting pipeline that needs parameter gradients is expressed
-with the ops in this module, so the chain rule through the full deformation
-(including covariance propagation and its eigendecomposition) is exact.
+This module owns the tape: tensors, leaves, the recorded graph, its backward
+pass and the helpers that the fused primitives share. Every node is a fused
+primitive with a closed-form VJP (vector-Jacobian product); there are no
+generic elementwise or broadcasting ops and no operator overloads.
 
 Conventions:
-  * float64 everywhere; shapes follow numpy broadcasting.
-  * Ops build a graph only when an input has requires_grad=True; otherwise they
-    are plain (slightly wrapped) numpy calls.
+  * float64 everywhere; each primitive's operands have the shapes it
+    documents, and its VJP hands each operand a gradient of that shape.
+  * A primitive builds a node only when an input has requires_grad=True;
+    otherwise it returns a constant.
   * A node's VJP computes the gradient of an operand only when that operand
     requires it: nothing is computed for constants and then thrown away.
   * Every graph keeps a record of its nodes in creation order, which is
@@ -32,18 +34,16 @@ Conventions:
     elementwise subtraction.
   * A node may have several outputs (`_make_multi`): its VJP runs once, with
     the gradient of every output, or None for one the loss does not reach.
-  * `_accum` keeps the first gradient that reaches a node as it is: a VJP
-    hands over an array it has just made. A VJP whose array someone else
-    holds (its own upstream gradient, a read-only broadcast) passes
-    `shared=True`, and the first such array is copied.
+  * `_accum` keeps the first gradient that reaches a node as it is, so a VJP
+    hands over only arrays that no one else holds: one it has just made, or
+    a copy of one it has not (its own upstream gradient).
   * A leaf may be given its gradient buffer (zeros, or a view of one flat
     buffer); gradients are then added into it.
-  * Per-node Python overhead dominates at the pipeline's array sizes, so hot
-    composite kernels (`eigh3` here, the quaternion kernels and `safe_norm`
-    in `tapemath`, a cascade layer and the covariance steps in `deform`, each
-    neighbour term in `losses`) are primitives with closed-form VJPs, not
-    chains of elementwise ops. Their forwards (the Jacobi eigensolver,
-    Shepperd's table) live in `geometry`; this module owns only the tape.
+  * Per-node Python overhead dominates at the pipeline's array sizes, so
+    each composite kernel is one primitive: `eigh3` here; the quaternion
+    kernels and `safe_norm` in `tapemath`; a cascade layer, the covariance
+    steps and the deltas in `deform`; each loss term and the weighted total
+    in `losses`. The Jacobi and Shepperd forwards live in `geometry`.
 """
 
 from __future__ import annotations
@@ -88,25 +88,6 @@ class Tensor:
             node._parents = ()
         tape.clear()  # each node refers to the record: clearing it frees the graph
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
 
 def leaf(value, grad=None):
     """A differentiable input; gradients accumulate on .grad, which may be given
@@ -125,28 +106,15 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t, g, shared=False):
-    """Add g to t's gradient. The first g becomes the gradient itself, unless
-    `shared` says that something else holds it, when it is copied."""
+def _accum(t, g):
+    """Add g to t's gradient. The first g becomes the gradient itself: a VJP
+    hands over an array no one else holds (one it made, or its own copy)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g) if shared else g
+        t.grad = g
     else:
         t.grad += g
-
-
-def _unbroadcast(g, shape):
-    """Reduce gradient g back to `shape` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _transposed(a):
@@ -226,108 +194,6 @@ def _make_multi(values, parents, vjp):
                        tape)
 
     return (head, *(handing_over(i) for i in range(1, len(values))))
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-
-
-def add(a, b):
-    a, b = _wrap(a), _wrap(b)
-    v = a.value + b.value
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.value.shape), shared=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.value.shape), shared=True)
-
-    return _make(v, (a, b), vjp)
-
-
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    v = a.value - b.value
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.value.shape), shared=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.value.shape))
-
-    return _make(v, (a, b), vjp)
-
-
-def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    v = a.value * b.value
-
-    def vjp(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return _make(v, (a, b), vjp)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    v = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape), shared=True)
-
-    return _make(v, (a,), vjp)
-
-
-def tmean(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    if axis is None:
-        n = a.value.size
-    else:
-        n = a.value.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-# ---------------------------------------------------------------------------
-# elementwise nonlinearities
-
-
-def exp(a):
-    a = _wrap(a)
-    v = np.exp(a.value)
-
-    def vjp(g):
-        _accum(a, g * v)
-
-    return _make(v, (a,), vjp)
-
-
-def square(a):
-    a = _wrap(a)
-
-    def vjp(g):
-        _accum(a, g * (2.0 * a.value))
-
-    return _make(a.value * a.value, (a,), vjp)
-
-
-def relu(a):
-    """max(a, 0) with subgradient 0 at the kink."""
-    a = _wrap(a)
-    mask = a.value > 0.0
-
-    def vjp(g):
-        _accum(a, g * mask)
-
-    return _make(np.where(mask, a.value, 0.0), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -80,19 +80,31 @@ def _input_file(path):
 _MAX_ABS_COORD = 1e150
 
 
+# the largest initial scale: the entries of R diag(s^2) R^T reach s^2, and
+# the Jacobi eigensolver squares them, which stays finite for s up to 1e50
+_MAX_SCALE = 1e50
+# the largest ratio of a Gaussian's initial scales: float64 keeps the smallest
+# eigenvalue of R diag(s^2) R^T only while eps * ratio^2 << 1
+_MAX_SCALE_RATIO = 1e7
+
+
+def _reject(cells, values, names, row_name, rule):
+    """Raise a ValueError naming the first True entry of `cells` in the table
+    `values`, by its column in `names` and `row_name(row)`, and its `rule`."""
+    if cells.any():
+        row, col = np.argwhere(cells)[0]
+        raise ValueError(f"{names[col]} = {float(values[row, col])!r} in {row_name(row)}: {rule}")
+
+
 def _check_coordinates(points, names, row_name):
-    """Reject a coordinate of magnitude above _MAX_ABS_COORD. `names` are the
-    column names of `points`; `row_name(i)` names its data row i."""
-    big = np.argwhere(np.abs(points) > _MAX_ABS_COORD)
-    if len(big):
-        row, col = big[0]
-        raise ValueError(f"{names[col]} = {float(points[row, col])!r} in {row_name(row)}:"
-                         f" a coordinate's magnitude must be at most {_MAX_ABS_COORD:g}")
+    """Reject a coordinate of magnitude above _MAX_ABS_COORD; arguments as in _reject."""
+    _reject(np.abs(points) > _MAX_ABS_COORD, points, names, row_name,
+            f"a coordinate's magnitude must be at most {_MAX_ABS_COORD:g}")
 
 
 def _check_quaternions(quats, names, row_name):
     """Reject a quaternion whose squared norm overflows or whose norm is below
-    the normalization floor; arguments as in _check_coordinates."""
+    the normalization floor; arguments as in _reject."""
     with np.errstate(over="ignore"):
         ssq = np.sum(quats * quats, axis=1)
     bad = np.nonzero((ssq == np.inf) | (np.sqrt(ssq) < _NORM_FLOOR))[0]
@@ -110,12 +122,15 @@ def _data_row(i):
     return f"data row {i + 1}"
 
 
+def _frame_row(n):
+    """The row_name of a trajectory table of N = n Gaussians, read as T N rows."""
+    return lambda i: f"the data row of frame {i // n}, index {i % n}"
+
+
 def _check_init_ranges(data):
-    """Reject initial Gaussians the fit cannot start from: a coordinate out of
-    range, centers whose extent (the scene scale) gives no finite default
-    neighbour falloff, a scale whose square is not above the positive-definite
-    floor of the propagated covariance, and a quaternion out of range (see
-    _check_quaternions). (GaussianSet rejects a scale that is not positive.)"""
+    """Reject initial Gaussians the fit cannot start from: a coordinate, the
+    centers' extent (the scene scale), a scale or a quaternion out of the
+    ranges of docs/FORMATS.md. (GaussianSet rejects a scale that is not positive.)"""
     centers = data[:, 1:4]
     _check_coordinates(centers, INIT_GAUSSIANS_HEADER[1:4], _data_row)
     extent = np.linalg.norm(centers.max(axis=0) - centers.min(axis=0))
@@ -123,12 +138,15 @@ def _check_init_ranges(data):
         if not np.isfinite(DEFAULT_LAMBDA_SCALE / extent**2):
             raise ValueError(f"the centers' extent is {float(extent)!r}, too small for the"
                              f" default neighbour falloff {DEFAULT_LAMBDA_SCALE:g} / extent**2")
-    scales = data[:, 8:11]
-    small = np.argwhere((scales > 0.0) & (scales * scales <= _PD_FLOOR))
-    if len(small):
-        row, col = small[0]
-        raise ValueError(f"{INIT_GAUSSIANS_HEADER[8 + col]} = {float(scales[row, col])!r}"
-                         f" in data row {row + 1}: a scale's square must be above {_PD_FLOOR:g}")
+    scales, names = data[:, 8:11], INIT_GAUSSIANS_HEADER[8:11]
+    # the bound first: squaring a larger scale may overflow
+    _reject(scales > _MAX_SCALE, scales, names, _data_row,
+            f"a scale must be at most {_MAX_SCALE:g}")
+    _reject((scales > 0.0) & (scales * scales <= _PD_FLOOR), scales, names, _data_row,
+            f"a scale's square must be above {_PD_FLOOR:g}")
+    smallest = scales.min(axis=1, keepdims=True)
+    _reject((smallest > 0.0) & (scales > _MAX_SCALE_RATIO * smallest), scales, names, _data_row,
+            f"a scale must be at most {_MAX_SCALE_RATIO:g} times its Gaussian's smallest")
     _check_quaternions(data[:, 4:8], INIT_GAUSSIANS_HEADER[4:8], _data_row)
 
 
@@ -151,6 +169,7 @@ def load_scene_dir(path):
         if gt.shape[:2] != (spec.n_frames, frame0.n):
             raise ValueError(f"{gt.shape[0]} frames x {gt.shape[1]} Gaussians, expected"
                              f" {spec.n_frames} x {frame0.n} (scene.json, init_gaussians.csv)")
+        _check_coordinates(gt.reshape(-1, 3), iof.GT_TRAJECTORY_HEADER[2:], _frame_row(frame0.n))
     with _input_file(root / "labels.csv") as labels_path:
         labels = iof.read_labels_csv(labels_path)
         if len(labels) != frame0.n:
@@ -241,13 +260,11 @@ def _load_fit_dir(fit_dir, scene_dir=None):
         if centers.shape[:2] != (seq.n_frames, seq.frame0.n):
             raise ValueError(f"{centers.shape[0]} frames x {centers.shape[1]} Gaussians, expected"
                              f" the scene's {seq.n_frames} x {seq.frame0.n}")
-        n = seq.frame0.n
-
-        def row_name(i):
-            return f"the data row of frame {i // n}, index {i % n}"
-
+        row_name = _frame_row(seq.frame0.n)
         _check_coordinates(centers.reshape(-1, 3), iof.TRAJECTORY_HEADER[2:5], row_name)
         _check_quaternions(quats.reshape(-1, 4), iof.TRAJECTORY_HEADER[5:9], row_name)
+        _reject(scales.reshape(-1, 3) <= 0.0, scales.reshape(-1, 3), iof.TRAJECTORY_HEADER[9:],
+                row_name, "a scale must be positive")
     return kind, seq, centers, quats, scales
 
 
@@ -314,7 +331,11 @@ def cmd_track(cfg, fit_dir, scene_dir=None):
         gt_track = project_track(camera, seq.gt_centers[:, gi])
         if not gt_track.valid[0]:
             continue  # target starts behind the camera; not a usable track
-        cand = select_candidate(centers, camera, gt_track)
+        try:
+            cand = select_candidate(centers, camera, gt_track)
+        except ValueError as e:  # frame 0 of the two trajectories disagrees
+            raise ConfigError(f"track {track_id} (Gaussian {gi} of gt_trajectory.csv): {e} in"
+                              " trajectory.csv") from e
         pred_track = project_track(camera, centers[:, cand])
         err = mte(pred_track, gt_track, camera.image_diagonal)
         entries.append((track_id, int(cand), float(err)))

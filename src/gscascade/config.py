@@ -170,6 +170,18 @@ def _coerce(name, value, kind):
         raise ConfigError(f"invalid value for {name}: {value!r}") from e
 
 
+# what the flag --<name> and the variable GSCASCADE_<NAME> set: name -> (its
+# train key, or None for the RunConfig field <name>; parser(value, source))
+_OVERRIDES = {
+    "seed": (None, lambda v, source: _run_option("seed", _coerce(source, v, int), source)),
+    "threads": (None, lambda v, source: _run_option("threads", _coerce(source, v, int), source)),
+    "out": (None, lambda v, source: v),
+    "iters": ("iters_per_frame", lambda v, source: _coerce(source, v, int)),
+    "layers": ("layer_sizes", lambda v, source: _parse_layers(v)),
+    "max_scale": ("max_scale", lambda v, source: _coerce(source, v, float)),
+}
+
+
 def load_run_config(document=None, env=None, cli=None):
     """Merge a parsed JSON document, environment dict, and CLI namespace."""
     cfg = RunConfig()
@@ -200,35 +212,17 @@ def load_run_config(document=None, env=None, cli=None):
                 setattr(cfg, key, _run_option(key, document[key], "the config"))
 
     env = os.environ if env is None else env
-    for key in _RUN_OPTIONS:
-        var = ENV_PREFIX + key.upper()
-        if env.get(var) is not None:
-            setattr(cfg, key, _run_option(key, _coerce(var, env[var], int), var))
-    if env.get(ENV_PREFIX + "OUT") is not None:
-        cfg.out = env[ENV_PREFIX + "OUT"]
-    if env.get(ENV_PREFIX + "ITERS") is not None:
-        cfg.train["iters_per_frame"] = _coerce(
-            "GSCASCADE_ITERS", env[ENV_PREFIX + "ITERS"], int
-        )
-    if env.get(ENV_PREFIX + "LAYERS") is not None:
-        cfg.train["layer_sizes"] = _parse_layers(env[ENV_PREFIX + "LAYERS"])
-    if env.get(ENV_PREFIX + "MAX_SCALE") is not None:
-        cfg.train["max_scale"] = _coerce(
-            "GSCASCADE_MAX_SCALE", env[ENV_PREFIX + "MAX_SCALE"], float
-        )
-
-    if cli is not None:
-        for key in _RUN_OPTIONS:
-            if getattr(cli, key, None) is not None:
-                setattr(cfg, key, _run_option(key, getattr(cli, key), f"--{key}"))
-        if getattr(cli, "out", None) is not None:
-            cfg.out = cli.out
-        if getattr(cli, "iters", None) is not None:
-            cfg.train["iters_per_frame"] = int(cli.iters)
-        if getattr(cli, "layers", None) is not None:
-            cfg.train["layer_sizes"] = _parse_layers(cli.layers)
-        if getattr(cli, "max_scale", None) is not None:
-            cfg.train["max_scale"] = float(cli.max_scale)
+    given = [(name, env.get(ENV_PREFIX + name.upper()), ENV_PREFIX + name.upper())
+             for name in _OVERRIDES]
+    given += [(name, getattr(cli, name, None), "--" + name.replace("_", "-"))
+              for name in _OVERRIDES]  # after the environment, so the flags win
+    for name, value, source in given:
+        if value is not None:
+            train_key, parse = _OVERRIDES[name]
+            if train_key is None:
+                setattr(cfg, name, parse(value, source))
+            else:
+                cfg.train[train_key] = parse(value, source)
 
     cfg.train = _check_train(cfg.train)
     return cfg

@@ -57,8 +57,9 @@ the backward differs from a chain of generic ops:
     the class rows and scatters their gradients back through it;
   * the covariance: one node J -> B = Q^T (J A0)(J A0)^T Q, `autodiff.eigh3`
     (two outputs), one node (w, V) -> (R_dec, scales), and `mat_to_quat_t`;
-  * the per-Gaussian deltas: an add, two `quat_normalize_t`, one
-    `quat_multiply_t`, an exp and a mul.
+  * the per-Gaussian deltas: one node for the centers' shift, two
+    `quat_normalize_t` and one `quat_multiply_t` for the orientations, and one
+    node for the scales' factor exp(d_log_scales).
 
 The constants of one previous frame (R_prev, A0 = R_prev diag(s_prev), each
 layer's looked-up centroids) live in a `CascadeFrame`, which a frame's fit
@@ -396,6 +397,27 @@ def _factored_t(evals, evecs, Q, P):
     return ad._make_multi((R_dec, scales), (evals, evecs), vjp)
 
 
+def _shifted_t(x, d_centers):
+    """The center deltas, x + d_centers, as one node (d_centers's leaf buffer adds g in)."""
+
+    def vjp(g):
+        ad._accum(x, g.copy())  # g is the sum's own gradient
+        ad._accum(d_centers, g)
+
+    return ad._make(x.value + d_centers.value, (x, d_centers), vjp)
+
+
+def _scaled_t(scales, d_log_scales):
+    """The scale deltas, scales * exp(d_log_scales), as one node."""
+    factor = np.exp(d_log_scales.value)
+
+    def vjp(g):
+        ad._accum(scales, g * factor)
+        ad._accum(d_log_scales, (g * scales.value) * factor)
+
+    return ad._make(scales.value * factor, (scales, d_log_scales), vjp)
+
+
 def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True, frame=None):
     """Run the cascade on `gset`, building the autodiff graph.
 
@@ -429,7 +451,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
                                     leaves["scale_biases"], index, pc)
         R_casc = Rg if R_casc is None else Rg @ R_casc
 
-    centers_out = x + leaves["d_centers"]
+    centers_out = _shifted_t(x, leaves["d_centers"])
 
     cov = None
     if propagate_covariance:
@@ -455,7 +477,7 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
 
     dq = quat_normalize_t(leaves["d_rotations"])
     orientations_out = quat_normalize_t(quat_multiply_t(dq, q_prop))
-    scales_out = ad.mul(scales_prop, ad.exp(leaves["d_log_scales"]))
+    scales_out = _scaled_t(scales_prop, leaves["d_log_scales"])
 
     return CascadeTrace(
         centers=centers_out,

@@ -38,11 +38,11 @@ def sum_last(x):
 
 
 def quat_normalize(q):
-    """Scale to unit length. Raises ValueError on (near-)zero input."""
+    """Scale to unit length. Raises ValueError on a (near-)zero or overflowing norm."""
     q = np.asarray(q, dtype=np.float64)
     n = np.linalg.norm(q, axis=-1)
-    if np.any(n < _NORM_FLOOR):
-        raise ValueError("cannot normalize a zero-length quaternion")
+    if np.any((n < _NORM_FLOOR) | (n == np.inf)):
+        raise ValueError("cannot normalize a quaternion of zero or overflowing length")
     return q / n[..., None]
 
 

@@ -50,18 +50,23 @@ edges back to the previous frame with one batched (N, k, 3) @ (N, 3, 3)
 product; rotation's takes the quaternion increments (one `quat_multiply_t`
 before it). The floored norm is `tapemath.floored_norm`, the forward of
 `safe_norm` too, so the rest lengths and the current lengths that the
-isometry dead zone compares come out of the same arithmetic. Every forward
-is the chain of generic ops it replaced, op for op.
+isometry dead zone compares come out of the same arithmetic.
 
-The correspondence data term is one node too: it looks each point's
-Gaussian up, subtracts the point, squares, sums the components and takes the
-mean, the chain of six generic nodes it replaced op for op, and its VJP,
-(g / M) 2 diff, scatters through the correspondence's RowIndex.
+The other terms and the total are one node each too, every forward the
+chain of generic nodes it replaced, op for op:
 
-Everything routes through the autodiff tape, so `total_loss` returns exact
-gradients for every cascade parameter (including through covariance
-propagation). Norms use a small floor so the null cases (current == previous)
-produce zero gradients instead of NaNs; nearest-neighbor matches and
+  * the scale hinge (four nodes), whose VJP passes g / N where it is open;
+  * the correspondence data term (six): it looks each point's Gaussian up,
+    subtracts the point, squares, sums the components and takes the mean; its
+    VJP, (g / M) 2 diff, scatters through the correspondence's RowIndex;
+  * the Chamfer data term (twelve), whose VJP adds its scan-to-set half into
+    the centers before its set-to-scan half, as the chain's reverse walk did;
+  * the weighted total (nine), summed in `_TERM_WEIGHTS` order.
+
+So one evaluation's tape holds the cascade's nodes, the quaternion kernel in
+front of rigidity and of rotation, a node per term and one for the total.
+Norms use a small floor so the null cases (current ==
+previous) produce zero gradients instead of NaNs; nearest-neighbor matches and
 quaternion sign alignments are taken from forward values and held constant
 during the backward pass.
 """
@@ -193,13 +198,20 @@ class DataObservation:
 
 
 def scale_loss_t(scales_t, max_scale):
+    """The scale hinge as one node over the scales (see the module docstring)."""
     n = scales_t.shape[0]
-    return ad.mul(ad.tsum(ad.relu(scales_t - max_scale)), 1.0 / n)
+    over = scales_t.value - max_scale
+    above = over > 0.0
+
+    def vjp(g):
+        ad._accum(scales_t, (g * (1.0 / n)) * above)
+
+    return ad._make(np.where(above, over, 0.0).sum() * (1.0 / n), (scales_t,), vjp)
 
 
 def _mean_adjoint(g, weighted):
     """The gradient of weighted.sum() * (1 / size) w.r.t. each entry, given
-    the mean's gradient g: what tmean's two nodes spread."""
+    the mean's gradient g, as a read-only broadcast of g * (1 / size)."""
     return np.broadcast_to(g * (1.0 / weighted.size), weighted.shape)
 
 
@@ -346,25 +358,50 @@ def _matched_t(centers_t, frame):
 
 
 def data_loss_t(centers_t, frame, workers=1):
+    """The data term: `_matched_t` for an observation with a correspondence,
+    else the symmetric Chamfer term as one node over the centers, half the
+    set-to-scan mean plus the scan-to-set moment form above, with the
+    forward's nearest-neighbour matches held fixed."""
     obs = frame.obs
     if obs.correspondence is not None:
         return _matched_t(centers_t, frame)
-    # symmetric Chamfer on squared distances; NN matches fixed from forward
     centers = centers_t.value
     n, m = centers.shape[0], obs.points.shape[0]
     nn_c = frame.scan_tree.query(centers, workers=workers)[1]
     nn_o = cKDTree(centers).query(obs.points, workers=workers)[1]
-    to_obs = ad.tmean(ad.tsum(ad.square(centers_t - ad.constant(obs.points[nn_c])), axis=-1))
-    # scan-to-set on the count and mean of each Gaussian's matched points
-    # (the moment form of the module docstring)
+    to_scan = centers - obs.points[nn_c]
+    set_to_scan = (to_scan * to_scan).sum(axis=-1).sum() * (1.0 / n)
+    # scan-to-set on the count and mean of each Gaussian's matched points;
+    # a Gaussian that no point matches has a share of 0
     counts = np.bincount(nn_o, minlength=n)
     sums = np.stack([np.bincount(nn_o, weights=obs.points[:, a], minlength=n) for a in range(3)],
                     axis=-1)
     mu = sums / np.maximum(counts, 1)[:, None]
     spread = np.sum(np.square(obs.points - mu[nn_o]))
-    to_set = ad.tsum(ad.mul(ad.square(centers_t - ad.constant(mu)),
-                            ad.constant((counts / m)[:, None]))) + spread / m
-    return ad.mul(to_obs + to_set, 0.5)
+    to_mean = centers - mu
+    share = (counts / m)[:, None]
+    scan_to_set = ((to_mean * to_mean) * share).sum() + spread / m
+
+    def vjp(g):
+        half = g * 0.5
+        ad._accum(centers_t, (half * share) * (2.0 * to_mean))
+        ad._accum(centers_t, (half * (1.0 / n)) * (2.0 * to_scan))
+
+    return ad._make((set_to_scan + scan_to_set) * 0.5, (centers_t,), vjp)
+
+
+def _weighted_total_t(terms, weights):
+    """sum_k w_k term_k as one node over the five terms; term k's gradient is g w_k."""
+    weighted = [(terms[name], getattr(weights, field)) for name, field in _TERM_WEIGHTS.items()]
+    total = weighted[0][0].value * weighted[0][1]
+    for term, weight in weighted[1:]:
+        total = total + term.value * weight
+
+    def vjp(g):
+        for term, weight in weighted:
+            ad._accum(term, g * weight)
+
+    return ad._make(total, [term for term, _ in weighted], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +434,7 @@ def total_loss(cascade, frame, weights, max_scale, propagate_covariance=True, wo
         "scale": scale_loss_t(trace.scales, max_scale),
         "data": data_loss_t(trace.centers, frame, workers=workers),
     }
-    total = None
-    for name, weight_field in _TERM_WEIGHTS.items():
-        piece = ad.mul(terms[name], getattr(weights, weight_field))
-        total = piece if total is None else total + piece
+    total = _weighted_total_t(terms, weights)
     components = {name: float(term.value) for name, term in terms.items()}
 
     if with_grads:

@@ -88,17 +88,15 @@ def quat_normalize_t(q):
 
 
 def quat_multiply_t(a, b):
-    """Hamilton product a * b on the tape; operands broadcast over leading axes."""
+    """Hamilton product a * b on the tape, for operands of one shape (N, 4)."""
     a, b = ad._wrap(a), ad._wrap(b)
     v = geometry.quat_multiply(a.value, b.value)
 
     def vjp(g):
         if a.requires_grad:
-            ga = geometry.quat_multiply(g, geometry.quat_conjugate(b.value))
-            ad._accum(a, ad._unbroadcast(ga, a.value.shape))
+            ad._accum(a, geometry.quat_multiply(g, geometry.quat_conjugate(b.value)))
         if b.requires_grad:
-            gb = geometry.quat_multiply(geometry.quat_conjugate(a.value), g)
-            ad._accum(b, ad._unbroadcast(gb, b.value.shape))
+            ad._accum(b, geometry.quat_multiply(geometry.quat_conjugate(a.value), g))
 
     return ad._make(v, (a, b), vjp)
 

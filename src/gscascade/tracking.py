@@ -37,14 +37,18 @@ class PinholeCamera:
     height: int
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy", "rotation", "translation"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"camera {name} must be finite")
+        shapes = {"fx": (), "fy": (), "cx": (), "cy": (), "rotation": (4,), "translation": (3,)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if np.shape(value) != shape or not np.all(np.isfinite(value)):
+                raise ValueError(f"camera {name} must be finite, of shape {shape}")
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image size must be at least 1x1")
-        self.rotation = geometry.quat_normalize(np.asarray(self.rotation, dtype=np.float64))
+        if not all(float(v).is_integer() and 1 <= v <= 65536 for v in (self.width, self.height)):
+            raise ValueError("image size must be integers from 1 to 65536")
+        self.width, self.height = int(self.width), int(self.height)
+        with np.errstate(over="ignore"):  # a norm that overflows raises instead
+            self.rotation = geometry.quat_normalize(np.asarray(self.rotation, dtype=np.float64))
         self.translation = np.asarray(self.translation, dtype=np.float64)
 
     @property

@@ -6,15 +6,16 @@ an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, value-and-gradient wrappers around single loss terms, the
-three neighbour terms as chains of generic tape ops (with the sqrt,
-transpose, reshape, matvec, matmul and absval ops that only they use) and as
-the short tapes that their one-node forms replaced, the row lookup node
-`gather`, the bincount scatter, the broadcast edge subtract, the
-slice-by-slice edge row sum and the
-two-node eigh3 that the shipped tape replaced, the row-wise Jacobi
-eigensolver, the correspondence term as its chain of six generic nodes, Adam
-on separate
-per-class arrays and the per-layer checkpoint payload that the flat
+generic broadcasting tape ops that every fused primitive replaced (add, sub,
+mul, tsum, tmean, exp, square, relu), the three neighbour terms as chains of
+generic tape ops (with the sqrt, transpose, reshape, matvec, matmul and
+absval ops that only they use) and as the short tapes that their one-node
+forms replaced, the row lookup node `gather`, the bincount scatter, the
+broadcast edge subtract, the slice-by-slice edge row sum and the two-node
+eigh3 that the shipped tape replaced, the row-wise Jacobi eigensolver, the
+correspondence term, the Chamfer term, the scale hinge and the weighted
+total as the chains of generic nodes their one-node forms replaced, Adam on
+separate per-class arrays and the per-layer checkpoint payload that the flat
 parameter buffer replaced, a brute-force Chamfer term, the inverse camera
 map, the per-candidate loop of track selection, and Procrustes subset checks
 for the rigid-subpart rotation property.
@@ -23,10 +24,11 @@ for the rigid-subpart rotation property.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from gscascade import autodiff as ad
 from gscascade import geometry
-from gscascade.losses import (_RIGID_NOISE_ULPS, FrameConstants, data_loss_t,
+from gscascade.losses import (_RIGID_NOISE_ULPS, _TERM_WEIGHTS, FrameConstants, data_loss_t,
                               isometry_loss_t, rigidity_loss_t, rotation_loss_t)
 from gscascade.segmentation import procrustes_rotation
 from gscascade.tapemath import quat_multiply_t, quat_to_mat_t, safe_norm
@@ -183,7 +185,110 @@ def rotation_loss(prev_set, curr_set, graph):
 
 
 # ---------------------------------------------------------------------------
-# generic tape ops the fused primitives replaced, kept for the chain oracles
+# generic tape ops the fused primitives replaced, kept for the chain oracles:
+# broadcasting arithmetic, reductions and elementwise nonlinearities
+
+
+def _accum_shared(t, g):
+    """autodiff._accum for a g that someone else holds (an upstream gradient,
+    a read-only broadcast): the first such g to reach t is copied."""
+    ad._accum(t, np.array(g) if t.grad is None else g)
+
+
+def unbroadcast(g, shape):
+    """Reduce gradient g back to `shape` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a, b):
+    a, b = ad._wrap(a), ad._wrap(b)
+
+    def vjp(g):
+        if a.requires_grad:
+            _accum_shared(a, unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accum_shared(b, unbroadcast(g, b.value.shape))
+
+    return ad._make(a.value + b.value, (a, b), vjp)
+
+
+def sub(a, b):
+    a, b = ad._wrap(a), ad._wrap(b)
+
+    def vjp(g):
+        if a.requires_grad:
+            _accum_shared(a, unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            ad._accum(b, unbroadcast(-g, b.value.shape))
+
+    return ad._make(a.value - b.value, (a, b), vjp)
+
+
+def mul(a, b):
+    a, b = ad._wrap(a), ad._wrap(b)
+
+    def vjp(g):
+        if a.requires_grad:
+            ad._accum(a, unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            ad._accum(b, unbroadcast(g * a.value, b.value.shape))
+
+    return ad._make(a.value * b.value, (a, b), vjp)
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = ad._wrap(a)
+
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum_shared(a, np.broadcast_to(g, a.value.shape))
+
+    return ad._make(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+
+
+def tmean(a, axis=None, keepdims=False):
+    a = ad._wrap(a)
+    n = a.value.size if axis is None else a.value.shape[axis]
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def exp(a):
+    a = ad._wrap(a)
+    v = np.exp(a.value)
+
+    def vjp(g):
+        ad._accum(a, g * v)
+
+    return ad._make(v, (a,), vjp)
+
+
+def square(a):
+    a = ad._wrap(a)
+
+    def vjp(g):
+        ad._accum(a, g * (2.0 * a.value))
+
+    return ad._make(a.value * a.value, (a,), vjp)
+
+
+def relu(a):
+    """max(a, 0) with subgradient 0 at the kink."""
+    a = ad._wrap(a)
+    mask = a.value > 0.0
+
+    def vjp(g):
+        ad._accum(a, g * mask)
+
+    return ad._make(np.where(mask, a.value, 0.0), (a,), vjp)
 
 
 def sqrt_t(a):
@@ -197,7 +302,7 @@ def sqrt_t(a):
 
 def transpose_last2_t(a):
     def vjp(g):
-        ad._accum(a, np.swapaxes(g, -1, -2), shared=True)
+        _accum_shared(a, np.swapaxes(g, -1, -2))
 
     return ad._make(np.swapaxes(a.value, -1, -2), (a,), vjp)
 
@@ -206,7 +311,7 @@ def reshape_t(a, shape):
     old = a.value.shape
 
     def vjp(g):
-        ad._accum(a, g.reshape(old), shared=True)
+        _accum_shared(a, g.reshape(old))
 
     return ad._make(a.value.reshape(shape), (a,), vjp)
 
@@ -217,9 +322,9 @@ def matmul_t(a, b):
 
     def vjp(g):
         if a.requires_grad:
-            ad._accum(a, ad._unbroadcast(g @ ad._transposed(b.value), a.value.shape))
+            ad._accum(a, unbroadcast(g @ ad._transposed(b.value), a.value.shape))
         if b.requires_grad:
-            ad._accum(b, ad._unbroadcast(ad._transposed(a.value) @ g, b.value.shape))
+            ad._accum(b, unbroadcast(ad._transposed(a.value) @ g, b.value.shape))
 
     return ad._make(a.value @ b.value, (a, b), vjp)
 
@@ -240,9 +345,9 @@ def matvec_t(a, x):
 
     def vjp(g):
         if a.requires_grad:
-            ad._accum(a, ad._unbroadcast(np.einsum("...i,...j->...ij", g, x.value), a.value.shape))
+            ad._accum(a, unbroadcast(np.einsum("...i,...j->...ij", g, x.value), a.value.shape))
         if x.requires_grad:
-            ad._accum(x, ad._unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
+            ad._accum(x, unbroadcast(np.einsum("...ij,...i->...j", a.value, g), x.value.shape))
 
     return ad._make(v, (a, x), vjp)
 
@@ -337,7 +442,7 @@ def clamp_min_t(a, floor):
 
 def safe_norm_chain_t(x, floor=geometry._NORM_FLOOR):
     """tapemath.safe_norm as the square, sum, clamp and sqrt nodes it replaced."""
-    ssq = ad.tsum(ad.square(x), axis=-1)
+    ssq = tsum(square(x), axis=-1)
     return sqrt_t(clamp_min_t(ssq, floor * floor))
 
 
@@ -354,10 +459,10 @@ def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
     # R_prev R_curr^-1 maps current-frame offsets back to the previous frame
     rel = matmul_t(ad.constant(rot_prev), transpose_last2_t(rot_curr))
     d_prev = prev_set.centers[idx] - prev_set.centers[:, None, :]  # constant (N,k,3)
-    d_curr = gather_t(centers_t, idx) - reshape_t(centers_t, (n, 1, 3))
+    d_curr = sub(gather_t(centers_t, idx), reshape_t(centers_t, (n, 1, 3)))
     pred = matvec_t(reshape_t(rel, (n, 1, 3, 3)), d_curr)
-    per_edge = safe_norm_chain_t(ad.constant(d_prev) - pred)
-    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+    per_edge = safe_norm_chain_t(sub(ad.constant(d_prev), pred))
+    return tmean(mul(ad.constant(graph.weights), per_edge))
 
 
 def isometry_loss_chain_t(centers_t, graph):
@@ -368,13 +473,13 @@ def isometry_loss_chain_t(centers_t, graph):
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]
     d0 = np.sqrt(np.maximum(np.sum(diff0 * diff0, axis=-1), 1e-24))
-    dt = safe_norm_chain_t(gather_t(centers_t, idx) - reshape_t(centers_t, (n, 1, 3)))
+    dt = safe_norm_chain_t(sub(gather_t(centers_t, idx), reshape_t(centers_t, (n, 1, 3))))
     # a rigidly moved edge still differs from d0 by the rounding of its
     # endpoint coordinates; within that dead zone take d0 = dt, so absval's
     # sign(0) = 0 gives it no gradient instead of a sign drawn from noise
     coord = max(np.abs(frame0_centers).max(), np.abs(centers_t.value).max())
     d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
-    return ad.tmean(absval_t(ad.constant(d0) - dt))
+    return tmean(absval_t(sub(ad.constant(d0), dt)))
 
 
 def rotation_loss_chain_t(prev_set, orientations_t, graph):
@@ -387,8 +492,8 @@ def rotation_loss_chain_t(prev_set, orientations_t, graph):
     # q and -q are the same rotation: align signs before differencing
     dots = np.sum(rel_j.value * rel_i.value, axis=-1)
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
-    per_edge = safe_norm_chain_t(ad.mul(rel_j, ad.constant(signs)) - rel_i)
-    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+    per_edge = safe_norm_chain_t(sub(mul(rel_j, ad.constant(signs)), rel_i))
+    return tmean(mul(ad.constant(graph.weights), per_edge))
 
 
 # The three neighbour terms as the short tapes of generic nodes that the
@@ -400,8 +505,8 @@ def rigidity_loss_short_tape_t(frame, centers_t, orientations_t):
     rot_curr = quat_to_mat_t(orientations_t)
     back = matmul_t(rot_curr, ad.constant(frame.prev_R_T))
     pred = matmul_t(edge_diff_t(centers_t, frame.graph.index), back)  # (N,k,3) @ (N,3,3)
-    per_edge = safe_norm(ad.constant(frame.d_prev) - pred)
-    return ad.tmean(ad.mul(ad.constant(frame.graph.weights), per_edge))
+    per_edge = safe_norm(sub(ad.constant(frame.d_prev), pred))
+    return tmean(mul(ad.constant(frame.graph.weights), per_edge))
 
 
 def isometry_loss_short_tape_t(centers_t, graph):
@@ -409,7 +514,7 @@ def isometry_loss_short_tape_t(centers_t, graph):
     d0 = graph.rest_lengths
     coord = max(graph.max_abs_coord, np.abs(centers_t.value).max())
     d0 = np.where(np.abs(d0 - dt.value) <= _RIGID_NOISE_ULPS * np.spacing(coord), dt.value, d0)
-    return ad.tmean(absval_t(ad.constant(d0) - dt))
+    return tmean(absval_t(sub(ad.constant(d0), dt)))
 
 
 def rotation_loss_short_tape_t(frame, orientations_t):
@@ -418,14 +523,50 @@ def rotation_loss_short_tape_t(frame, orientations_t):
     dots = np.sum(np.take(rel.value, graph.indices, axis=0) * rel.value[:, None], axis=-1)
     signs = np.where(dots < 0.0, -1.0, 1.0)[..., None]
     per_edge = safe_norm(edge_diff_t(rel, graph.index, signs))
-    return ad.tmean(ad.mul(ad.constant(graph.weights), per_edge))
+    return tmean(mul(ad.constant(graph.weights), per_edge))
 
 
 def matched_loss_chain_t(centers_t, frame):
     """The correspondence data term as the six generic nodes that its one
     node replaced: gather, sub, square, a component tsum and tmean's two."""
     matched = gather_t(centers_t, frame.correspondence)
-    return ad.tmean(ad.tsum(ad.square(matched - ad.constant(frame.obs.points)), axis=-1))
+    return tmean(tsum(square(sub(matched, ad.constant(frame.obs.points))), axis=-1))
+
+
+def chamfer_loss_chain_t(centers_t, frame, workers=1):
+    """The Chamfer branch of losses.data_loss_t as the twelve generic nodes its
+    one node replaced: sub, square, a component tsum and tmean's two for the
+    set-to-scan mean; sub, square, mul, tsum and add for the scan-to-set
+    moment form; an add and a mul by 0.5."""
+    obs = frame.obs
+    centers = centers_t.value
+    n, m = centers.shape[0], obs.points.shape[0]
+    nn_c = frame.scan_tree.query(centers, workers=workers)[1]
+    nn_o = cKDTree(centers).query(obs.points, workers=workers)[1]
+    to_obs = tmean(tsum(square(sub(centers_t, ad.constant(obs.points[nn_c]))), axis=-1))
+    counts = np.bincount(nn_o, minlength=n)
+    sums = np.stack([np.bincount(nn_o, weights=obs.points[:, a], minlength=n) for a in range(3)],
+                    axis=-1)
+    mu = sums / np.maximum(counts, 1)[:, None]
+    spread = np.sum(np.square(obs.points - mu[nn_o]))
+    to_set = add(tsum(mul(square(sub(centers_t, ad.constant(mu))),
+                          ad.constant((counts / m)[:, None]))), spread / m)
+    return mul(add(to_obs, to_set), 0.5)
+
+
+def scale_loss_chain_t(scales_t, max_scale):
+    """losses.scale_loss_t as the sub, relu, tsum and mul nodes it replaced."""
+    return mul(tsum(relu(sub(scales_t, max_scale))), 1.0 / scales_t.shape[0])
+
+
+def weighted_total_chain_t(terms, weights):
+    """The weighted total of losses.total_loss as the five muls and four adds
+    it replaced, in _TERM_WEIGHTS order."""
+    total = None
+    for name, weight_field in _TERM_WEIGHTS.items():
+        piece = mul(terms[name], getattr(weights, weight_field))
+        total = piece if total is None else add(total, piece)
+    return total
 
 
 def data_loss(curr_set, obs, workers=1):

@@ -1,7 +1,9 @@
 """Gradient checks for the reverse-mode tape.
 
-Every primitive is checked against central finite differences on random
-inputs; the batched 3x3 eigensolver is additionally checked against
+The tape mechanics (shared subexpressions, accumulation, records per graph)
+are checked on the generic broadcasting ops of `tests/oracles.py`, which the
+shipped code no longer uses but the chain oracles still build on. Every
+primitive is checked against central finite differences on random inputs; the batched 3x3 eigensolver is additionally checked against
 numpy.linalg.eigh as an independent oracle, and its one-node adjoint against
 the two-node form it replaced. A RowIndex's sparse scatter is checked bit for
 bit against the per-column np.bincount scatter, the edge adjoint's row sums
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 import gscascade.autodiff as ad
 from gscascade.geometry import jacobi_eigh3
-from oracles import (absval_t, bincount_scatter, edge_adjoint_slices, edge_diff_t,
-                     eigh3_two_nodes, gather_t, jacobi_eigh3_rowwise, matmul_t, matvec_t,
-                     reshape_t, sqrt_t, transpose_last2_t)
+from oracles import (absval_t, add, bincount_scatter, edge_adjoint_slices, edge_diff_t,
+                     eigh3_two_nodes, exp, gather_t, jacobi_eigh3_rowwise, matmul_t, matvec_t, mul,
+                     relu, reshape_t, sqrt_t, square, sub, tmean, transpose_last2_t, tsum)
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -38,10 +40,10 @@ def numeric_grad(fn, x, eps=1e-6):
 
 def check_unary(op, x, atol=1e-8, rtol=1e-5):
     def value(v):
-        return float(ad.tsum(op(ad.leaf(v))).value)
+        return float(tsum(op(ad.leaf(v))).value)
 
     t = ad.leaf(x)
-    out = ad.tsum(op(t))
+    out = tsum(op(t))
     out.backward()
     num = numeric_grad(value, x.copy())
     np.testing.assert_allclose(t.grad, num, atol=atol, rtol=rtol)
@@ -59,7 +61,7 @@ def test_add_mul_broadcast_grads():
     b = rng.normal(size=(3,))
 
     ta, tb = ad.leaf(a), ad.leaf(b)
-    out = ad.tsum(ad.mul(ta + tb, ta))
+    out = tsum(mul(add(ta, tb), ta))
     out.backward()
 
     def value(av, bv):
@@ -76,7 +78,7 @@ def test_sub_grads():
     a = rng.normal(size=(5,)) + 3.0
     b = rng.normal(size=(5,)) + 3.0
     ta, tb = ad.leaf(a), ad.leaf(b)
-    out = ad.tsum(ad.mul(ta - tb, tb) + (1.0 - ta))
+    out = tsum(add(mul(sub(ta, tb), tb), sub(1.0, ta)))
     out.backward()
 
     def value(av, bv):
@@ -88,7 +90,7 @@ def test_sub_grads():
 
 @pytest.mark.parametrize(
     "op",
-    [ad.exp, sqrt_t, ad.square, absval_t],
+    [exp, sqrt_t, square, absval_t],
     ids=["exp", "sqrt", "square", "absval"],
 )
 def test_elementwise_grads(op):
@@ -99,14 +101,14 @@ def test_elementwise_grads(op):
 
 def test_absval_zero_has_zero_grad():
     t = ad.leaf(np.array([0.0, -1.5, 2.0]))
-    ad.tsum(absval_t(t)).backward()
+    tsum(absval_t(t)).backward()
     np.testing.assert_array_equal(t.grad, [0.0, -1.0, 1.0])
 
 
 def test_relu_grads():
     x = np.array([-1.0, 0.5, 2.0, -0.2])
     t = ad.leaf(x)
-    ad.tsum(ad.relu(t)).backward()
+    tsum(relu(t)).backward()
     np.testing.assert_array_equal(t.grad, [0.0, 1.0, 1.0, 0.0])
 
 
@@ -114,7 +116,7 @@ def test_tmean_axis_grad():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
     t = ad.leaf(x)
-    ad.tsum(ad.square(ad.tmean(t, axis=0))).backward()
+    tsum(square(tmean(t, axis=0))).backward()
 
     def value(v):
         return float(np.sum(np.mean(v, axis=0) ** 2))
@@ -129,7 +131,7 @@ def test_matmul_matvec_grads():
     v = rng.normal(size=(5, 3))
 
     tA, tB, tv = ad.leaf(A), ad.leaf(B), ad.leaf(v)
-    out = ad.tsum(matvec_t(matmul_t(tA, tB), tv))
+    out = tsum(matvec_t(matmul_t(tA, tB), tv))
     out.backward()
 
     def value(Av, Bv, vv):
@@ -144,7 +146,7 @@ def test_transpose_last2_grad():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 3, 3))
     t = ad.leaf(A)
-    ad.tsum(ad.mul(transpose_last2_t(t), ad.constant(A))).backward()
+    tsum(mul(transpose_last2_t(t), ad.constant(A))).backward()
     np.testing.assert_allclose(t.grad, np.swapaxes(A, -1, -2), atol=1e-12)
 
 
@@ -152,7 +154,7 @@ def test_gather_accumulates_duplicate_indices():
     x = np.array([1.0, 2.0, 3.0])
     idx = np.array([0, 0, 2, 2, 2])
     t = ad.leaf(x)
-    ad.tsum(gather_t(t, idx)).backward()
+    tsum(gather_t(t, idx)).backward()
     np.testing.assert_array_equal(t.grad, [2.0, 0.0, 3.0])
 
 
@@ -162,7 +164,7 @@ def test_reshape_roundtrip_grads():
     t = ad.leaf(x)
     flat = reshape_t(t, (20,))
     back = reshape_t(flat, (5, 4))
-    ad.tsum(ad.square(back)).backward()
+    tsum(square(back)).backward()
     np.testing.assert_allclose(t.grad, 2.0 * x, atol=1e-12)
 
 
@@ -177,7 +179,7 @@ def test_gather_scatter_equals_add_at_on_fresh_grad(rows, idx_shape, trailing):
     idx = rng.integers(0, rows - 2, size=idx_shape)  # duplicates; the last rows unused
     upstream = rng.normal(size=idx_shape + trailing)
     t = ad.leaf(x)
-    ad.tsum(ad.mul(gather_t(t, idx), ad.constant(upstream))).backward()
+    tsum(mul(gather_t(t, idx), ad.constant(upstream))).backward()
     want = np.zeros_like(x)
     np.add.at(want, idx, upstream)
     np.testing.assert_array_equal(t.grad, want)
@@ -249,8 +251,8 @@ def test_multi_output_node_runs_its_vjp_once(used):
 
     def loss(t, calls):
         outs = _square_and_cube(t, calls)
-        terms = [ad.tsum(ad.mul(o, ad.constant(w))) for o, w, u in zip(outs, W, used) if u]
-        return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        terms = [tsum(mul(o, ad.constant(w))) for o, w, u in zip(outs, W, used) if u]
+        return terms[0] if len(terms) == 1 else add(terms[0], terms[1])
 
     calls = []
     t = ad.leaf(x)
@@ -271,9 +273,9 @@ def test_eigh3_gradients_equal_the_two_node_form(used):
     for eigh in (ad.eigh3, eigh3_two_nodes):
         t = ad.leaf(S)
         w, V = eigh(t)[:2]
-        terms = [ad.tsum(ad.mul(o, ad.constant(a))) for o, a, u in zip((w, V), (aw, aV), used)
+        terms = [tsum(mul(o, ad.constant(a))) for o, a, u in zip((w, V), (aw, aV), used)
                  if u]
-        (terms[0] if len(terms) == 1 else terms[0] + terms[1]).backward()
+        (terms[0] if len(terms) == 1 else add(terms[0], terms[1])).backward()
         grads.append(t.grad)
     if all(used):  # one adjoint of the summed M, not the sum of two adjoints
         np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-13 * np.abs(grads[1]).max())
@@ -299,7 +301,7 @@ def test_edge_diff_matches_fd_with_repeated_indices(signed, trailing):
     want = x[idx] * (1.0 if signs is None else signs) - x[:, None]
     np.testing.assert_array_equal(forward(ad.constant(x)).value, want)
     t = ad.leaf(x)
-    ad.tsum(ad.mul(forward(t), ad.constant(W))).backward()
+    tsum(mul(forward(t), ad.constant(W))).backward()
     num = numeric_grad(lambda v: float(np.sum(W * forward(ad.constant(v)).value)), x.copy())
     np.testing.assert_allclose(t.grad, num, atol=1e-8)
     # the closed form: W (times the signs) scattered to the neighbours, less
@@ -312,8 +314,8 @@ def test_edge_diff_matches_fd_with_repeated_indices(signed, trailing):
 def test_backward_accumulates_through_shared_subexpression():
     x = np.array([2.0])
     t = ad.leaf(x)
-    y = ad.square(t)
-    out = y + y
+    y = square(t)
+    out = add(y, y)
     out.backward()
     np.testing.assert_allclose(t.grad, [8.0])
 
@@ -323,8 +325,8 @@ def test_add_of_two_leaves_gives_each_its_own_gradient():
     node is copied, so no gradient aliases another node's."""
     w = np.array([1.0, 2.0, 3.0])
     a, b = ad.leaf(np.ones(3)), ad.leaf(np.zeros(3))
-    s = a + b
-    ad.tsum(ad.mul(s, ad.constant(w))).backward()
+    s = add(a, b)
+    tsum(mul(s, ad.constant(w))).backward()
     np.testing.assert_array_equal(a.grad, w)
     np.testing.assert_array_equal(b.grad, w)
     assert not np.shares_memory(a.grad, b.grad)
@@ -337,21 +339,21 @@ def test_add_of_two_leaves_gives_each_its_own_gradient():
 def test_add_of_one_leaf_twice_accumulates_into_its_own_gradient():
     w = np.array([1.0, 2.0, 3.0])
     x = ad.leaf(np.ones(3))
-    s = x + x
-    ad.tsum(ad.mul(s, ad.constant(w))).backward()
+    s = add(x, x)
+    tsum(mul(s, ad.constant(w))).backward()
     np.testing.assert_array_equal(x.grad, 2.0 * w)
     np.testing.assert_array_equal(s.grad, w)  # the sum's own gradient is not added to
     assert not np.shares_memory(x.grad, s.grad)
     # tsum's read-only broadcast view reaches both operands too
     y = ad.leaf(np.ones(3))
-    ad.tsum(y + y).backward()
+    tsum(add(y, y)).backward()
     np.testing.assert_array_equal(y.grad, [2.0, 2.0, 2.0])
 
 
 def test_a_leaf_given_a_buffer_adds_into_it():
     buffer = np.zeros(5)
     t = ad.leaf(np.arange(3.0), grad=buffer[1:4])
-    ad.tsum(ad.square(t)).backward()
+    tsum(square(t)).backward()
     np.testing.assert_array_equal(buffer, [0.0, 0.0, 2.0, 4.0, 0.0])
     assert t.grad.base is buffer
 
@@ -360,9 +362,9 @@ def test_backward_walks_the_record_of_its_own_graph():
     """Two graphs keep separate records until an op joins them; a root's
     backward walks its record in reverse creation order and clears it."""
     a, b = ad.leaf(np.ones(2)), ad.leaf(np.ones(2))
-    ea, eb = ad.exp(a), ad.square(b)
+    ea, eb = exp(a), square(b)
     assert a._tape is ea._tape and b._tape is eb._tape and a._tape is not b._tape
-    root = ad.tsum(ad.mul(ea, eb))
+    root = tsum(mul(ea, eb))
     assert all(node._tape is root._tape for node in (a, b, ea, eb))
     assert len(root._tape) == 6
     root.backward()
@@ -374,7 +376,7 @@ def test_backward_walks_the_record_of_its_own_graph():
 def test_constant_gets_no_grad():
     c = ad.constant(np.ones(3))
     t = ad.leaf(np.ones(3))
-    ad.tsum(ad.mul(c, t)).backward()
+    tsum(mul(c, t)).backward()
     assert c.grad is None
     np.testing.assert_array_equal(t.grad, np.ones(3))
 
@@ -431,7 +433,7 @@ def test_eigh3_gradients_match_fd():
 
     t = ad.leaf(S)
     w, V, _ = ad.eigh3(t)
-    out = ad.tsum(ad.mul(w, ad.constant(aw))) + ad.tsum(ad.mul(V, ad.constant(aV)))
+    out = add(tsum(mul(w, ad.constant(aw))), tsum(mul(V, ad.constant(aV))))
     out.backward()
 
     # FD must perturb symmetrically to stay on the symmetric manifold

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,12 +242,27 @@ def _edit_rows(edit):
     return corrupt
 
 
-def _edit_cell(row, col, value):
+def _edit_cells(row, values):
+    """Set the cells {column: value} of line `row` (the header is line 0)."""
     def edit(lines):
         cells = lines[row].split(",")
-        cells[col] = value
+        for col, value in values.items():
+            cells[col] = value
         return lines[:row] + [",".join(cells)] + lines[row + 1:]
     return _edit_rows(edit)
+
+
+def _edit_cell(row, col, value):
+    return _edit_cells(row, {col: value})
+
+
+# the quaternion cells of a data row turned to (0.9, 0.3, 0.2, 0.1)
+_TURNED = dict(zip(range(4, 8), ("0.9", "0.3", "0.2", "0.1")))
+
+
+def _scales(*values):
+    """The scale cells sx, sy, ... of a data row set to `values`."""
+    return dict(zip(range(8, 11), values))
 
 
 def _edit_centers(center):
@@ -305,6 +321,27 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
     pytest.param("init_gaussians.csv", _edit_cell(2, 1, "-1e308"),
                  "x = -1e+308 in data row 2: a coordinate's magnitude must be at most 1e+150",
                  id="init-huge-coordinate"),
+    # scales beyond the float64 range of the propagated covariance used to exit
+    # 3 from the fit ("not positive definite", "did not converge"), one of 1e160
+    # with an overflow warning from squaring it
+    pytest.param("init_gaussians.csv", _edit_cell(1, 8, "1e10"),
+                 "sx = 10000000000.0 in data row 1: a scale must be at most 1e+07 times its"
+                 " Gaussian's smallest", id="init-scale-ratio-1e12"),
+    pytest.param("init_gaussians.csv", _edit_cells(1, {**_TURNED, **_scales("3e6")}),
+                 "sx = 3000000.0 in data row 1: a scale must be at most 1e+07 times its"
+                 " Gaussian's smallest", id="init-scale-ratio-turned"),
+    pytest.param("init_gaussians.csv", _edit_cell(1, 8, "1e100"),
+                 "sx = 1e+100 in data row 1: a scale must be at most 1e+50",
+                 id="init-scale-1e100"),
+    pytest.param("init_gaussians.csv", _edit_cells(3, _scales("1e150", "1e150", "1e150")),
+                 "sx = 1e+150 in data row 3: a scale must be at most 1e+50",
+                 id="init-isotropic-1e150"),
+    pytest.param("init_gaussians.csv", _edit_cells(3, _scales("1e160", "1e160", "1e160")),
+                 "sx = 1e+160 in data row 3: a scale must be at most 1e+50",
+                 id="init-isotropic-1e160"),
+    pytest.param("init_gaussians.csv", _edit_cells(2, _scales("0.01", "2e-6", "30000.1")),
+                 "sz = 30000.1 in data row 2: a scale must be at most 1e+07 times its"
+                 " Gaussian's smallest", id="init-scale-ratio-sz"),
     # centers with no extent, or one whose square underflows, used to exit 3
     # from the default neighbour falloff 2000 / extent**2: an extent of 1e-200
     # is 0.0 as the norm computes it, and one of 1e-160 makes the falloff inf
@@ -332,10 +369,25 @@ def test_bad_scene_file_exits_2_naming_it(tmp_path, capsys, name, corrupt, messa
     scene = tmp_path / "scene"
     assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
     corrupt(scene / name)
-    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on the way would exit 3
+        assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and name in err and message in err
     assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("values", [_scales("1e4"), _scales("1e50", "1e50", "1e50")],
+                         ids=["sx-1e4", "isotropic-1e50"])
+def test_large_initial_scales_in_range_still_fit(tmp_path, values):
+    """A scale about 1e6 times its Gaussian's smallest, and an isotropic
+    Gaussian at the largest scale allowed, fit with exit 0."""
+    cfg = write_config(tmp_path)
+    scene = tmp_path / "scene"
+    assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
+    _edit_cells(1, values)(scene / "init_gaussians.csv")
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+    assert read_csv(tmp_path / "fit" / "trajectory.csv")[1]
 
 
 @pytest.mark.parametrize("layers", ["8,4", "2,31"])

@@ -17,6 +17,8 @@ from gscascade.core import GaussianSet
 from gscascade.deform import (
     CascadeDeform,
     _nearest_signed_permutation,
+    _scaled_t,
+    _shifted_t,
     cascade_apply,
     cascade_from_payload,
     cascade_jacobians,
@@ -27,14 +29,20 @@ from gscascade.deform import (
 )
 from oracles import (
     ClusterDeformParams,
+    add,
     cascade_payload_per_layer,
     cube_rotations,
+    exp,
     layer_apply,
     layer_jacobian,
+    mul,
     nearest_signed_permutation,
     polar_rotation,
     quat_distance,
     scaling_factor,
+    square,
+    sub,
+    tsum,
 )
 
 
@@ -524,6 +532,31 @@ def test_payload_rejects_an_unanchored_checkpoint():
         cascade_from_payload(payload, casc.hierarchy)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("node, chain", [
+    (_shifted_t, add),
+    (_scaled_t, lambda s, d: mul(s, exp(d))),
+], ids=["centers", "scales"])
+def test_delta_nodes_are_their_generic_chains_bit_for_bit(node, chain, seed):
+    """The two delta nodes give the values and gradients of the add, and of
+    the exp and mul, that they replaced: the delta a leaf adding into a
+    zeroed buffer (as trace_cascade makes it), the other operand a node
+    whose first gradient is this one's, with an upstream weight of 0 in some
+    cases."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    base = rng.uniform(1e-3, 2.0, size=(n, 3)) * rng.choice([1e-3, 1.0, 1e3])
+    delta = rng.normal(scale=rng.choice([1e-8, 0.1, 3.0]), size=(n, 3))
+    upstream = rng.normal(size=(n, 3)) * (seed % 3 != 0)
+    got = []
+    for fn in (node, chain):
+        b, d = ad.leaf(base), ad.leaf(delta, grad=np.zeros((n, 3)))
+        out = fn(mul(b, 1.0), d)  # a node in front of b, as the cascade's output is
+        tsum(mul(out, ad.constant(upstream))).backward()
+        got.append((out.value.tobytes(), b.grad.tobytes(), d.grad.tobytes()))
+    assert got[0] == got[1]
+
+
 def test_trace_gradients_flow_at_zero_parameters():
     """Every frame's fit starts from the zero cascade; gradients there must
     be live for all parameter groups."""
@@ -532,8 +565,8 @@ def test_trace_gradients_flow_at_zero_parameters():
     h = build_hierarchy(gset.centers, (2, 5), seed=0)
     casc = cascade_zero(h, 15)
     tr = trace_cascade(casc, gset)
-    loss = ad.tsum(ad.square(tr.centers - ad.constant(gset.centers + 0.01)))
-    loss = loss + ad.tsum(ad.square(tr.scales))
+    loss = tsum(square(sub(tr.centers, ad.constant(gset.centers + 0.01))))
+    loss = add(loss, tsum(square(tr.scales)))
     loss.backward()
     grads = casc.views(tr.grad)
     for name in ("layer0.translations", "layer0.rotations", "layer0.scale_biases", "d_centers"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gscascade import autodiff as ad
-from gscascade import geometry
+from gscascade import deform, geometry, losses
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
@@ -27,16 +27,21 @@ from gscascade.losses import (
     isometry_loss_t,
     rigidity_loss_t,
     rotation_loss_t,
+    scale_loss_t,
     total_loss,
 )
 from gscascade.tapemath import safe_norm
 from oracles import (
+    add,
     chamfer_loss,
+    chamfer_loss_chain_t,
     data_loss,
+    exp,
     isometry_loss,
     isometry_loss_chain_t,
     isometry_loss_short_tape_t,
     matched_loss_chain_t,
+    mul,
     rigidity_loss,
     rigidity_loss_chain_t,
     rigidity_loss_short_tape_t,
@@ -44,6 +49,8 @@ from oracles import (
     rotation_loss_chain_t,
     rotation_loss_short_tape_t,
     scale_loss,
+    scale_loss_chain_t,
+    weighted_total_chain_t,
 )
 
 FD_EPS = 1e-6
@@ -317,9 +324,70 @@ def test_correspondence_node_is_its_six_node_chain_bit_for_bit(seed):
     for term in (data_loss_t, matched_loss_chain_t):
         c = ad.leaf(gset.centers)
         value = term(c, frame)
-        ad.mul(value, weight).backward()
+        mul(value, weight).backward()
         got.append((value.value.tobytes(), c.grad.tobytes()))
     assert got[0] == got[1]
+
+
+def _node_and_chain_bits(node, chain, array, weight):
+    """(value bytes, gradient bytes) of node(leaf) and chain(leaf) on one
+    array, each scaled by `weight` upstream as total_loss weights a term."""
+    got = []
+    for term in (node, chain):
+        leaf = ad.leaf(array)
+        value = term(leaf)
+        mul(value, weight).backward()
+        got.append((value.value.tobytes(), leaf.grad.tobytes()))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_scale_node_is_its_four_node_chain_bit_for_bit(seed):
+    """The one-node scale hinge gives the value and gradient of sub, relu,
+    tsum and mul: scales below, at and above max_scale, any upstream weight,
+    0 included."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    max_scale = rng.choice([1e-3, 0.02, 1.0])
+    scales = max_scale * rng.uniform(0.0, 2.0, size=(n, 3))
+    scales[rng.random((n, 3)) < 0.2] = max_scale  # the kink: no gradient
+    weight = rng.choice([0.0, rng.uniform(0.1, 3.0)])
+    got = _node_and_chain_bits(lambda t: scale_loss_t(t, max_scale),
+                               lambda t: scale_loss_chain_t(t, max_scale), scales, weight)
+    assert got[0] == got[1]
+
+
+def _chamfer_case(seed):
+    """Gaussians and a scan for the Chamfer term: the clumped case (some
+    Gaussians match many points, others none) or random sizes and scales."""
+    rng = np.random.default_rng(seed)
+    if seed % 3 == 0:
+        gset, points = _clumped_scan(rng)
+    else:
+        n = int(rng.integers(1, 40))
+        gset = small_scene(rng, n=n, spread=rng.choice([1e-3, 1.0, 1e3]))
+        points = rng.normal(size=(int(rng.integers(1, 4 * n + 2)), 3)) * rng.choice([1e-3, 1.0])
+    return gset, points, rng.choice([0.0, rng.uniform(0.1, 3.0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_chamfer_node_is_its_twelve_node_chain_bit_for_bit(seed):
+    """The one-node Chamfer term gives its twelve-node chain's value and
+    gradient, bit for bit, Gaussians that no scan point matches included."""
+    gset, points, weight = _chamfer_case(seed)
+    frame = FrameConstants(gset, DataObservation(points=points), None, None)
+    got = _node_and_chain_bits(lambda t: data_loss_t(t, frame),
+                               lambda t: chamfer_loss_chain_t(t, frame), gset.centers, weight)
+    assert got[0] == got[1]
+
+
+def test_chamfer_cases_leave_gaussians_unmatched():
+    """The clumped case of the test above has Gaussians no point matches."""
+    gset, points, _ = _chamfer_case(0)
+    nearest = np.argmin(np.sum((gset.centers[:, None] - points[None]) ** 2, axis=-1), axis=0)
+    assert (np.bincount(nearest, minlength=gset.n) == 0).sum() >= 6
 
 
 def test_data_loss_chamfer_convention():
@@ -631,6 +699,43 @@ def test_total_loss_is_weighted_sum_and_matches_constant_forward():
     assert comps_nog == comps
 
 
+@pytest.mark.parametrize("scan", [False, True], ids=["correspondences", "scan"])
+@pytest.mark.parametrize("zero", [None, "w_rigid", "w_scale", "w_data"])
+def test_total_loss_is_its_generic_chains_bit_for_bit(monkeypatch, scan, zero):
+    """total_loss on the one-node scale term, Chamfer term, weighted total and
+    deltas gives the total, components and gradient that it gives on the
+    generic chains they replaced, bit for bit, with any one weight 0 too."""
+    rng = np.random.default_rng(16)
+    gset = small_scene(rng, n=30, spread=2.0)
+    gset.scales[::3] *= 3.0  # some above max_scale
+    h = build_hierarchy(gset.centers, (2, 4, 8), seed=0)
+    casc = cascade_zero(h, 30)
+    for layer in casc.layers:
+        layer.translations = rng.normal(scale=0.05, size=layer.translations.shape)
+        layer.scale_biases = rng.normal(scale=0.1, size=layer.scale_biases.shape)
+    casc.d_centers = rng.normal(scale=0.01, size=(30, 3))
+    casc.d_log_scales = rng.normal(scale=0.1, size=(30, 3))
+    graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
+    points = (gset.centers[::2, None] + rng.normal(scale=0.05, size=(15, 6, 3))).reshape(-1, 3)
+    obs = (DataObservation(points=points) if scan
+           else DataObservation(points=gset.centers + 0.03, correspondence=np.arange(30)))
+    weights = LossWeights(**({} if zero is None else {zero: 0.0}))
+
+    def evaluate():
+        total, comps, trace = total_loss(casc, FrameConstants(gset, obs, h, graph), weights,
+                                         max_scale=0.02)
+        return total, comps, trace.grad.tobytes()
+
+    fused = evaluate()
+    monkeypatch.setattr(losses, "scale_loss_t", scale_loss_chain_t)
+    monkeypatch.setattr(losses, "data_loss_t", lambda c, frame, workers=1: (
+        chamfer_loss_chain_t(c, frame, workers) if scan else matched_loss_chain_t(c, frame)))
+    monkeypatch.setattr(losses, "_weighted_total_t", weighted_total_chain_t)
+    monkeypatch.setattr(deform, "_shifted_t", add)
+    monkeypatch.setattr(deform, "_scaled_t", lambda s, d: mul(s, exp(d)))
+    assert evaluate() == fused
+
+
 def test_total_loss_gradient_spot_check_fd():
     # the cascade must be generic (every group perturbed): at configurations
     # where some neighborhood moves exactly rigidly, the isometry term sits on
@@ -664,7 +769,7 @@ def test_total_loss_gradient_spot_check_fd():
         _fd_check(value, array, grads[name], 4, rng)
 
 
-@pytest.mark.parametrize("scan, nodes", [(False, 46), (True, 57)],
+@pytest.mark.parametrize("scan, nodes", [(False, 34), (True, 34)],
                          ids=["correspondences", "scan"])
 def test_total_loss_tape_size(monkeypatch, scan, nodes):
     """One iteration's tape on a 3-layer cascade with covariance propagation;
@@ -716,7 +821,7 @@ def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
     with pytest.raises(ValueError, match="positive definite"):
         total_loss(bad, *args)
     after = total_loss(good, *args)
-    assert walked == [46, 46]
+    assert walked == [34, 34]
     assert after[0] == alone[0] and after[1] == alone[1]
     assert np.array_equal(after[2].grad, alone[2].grad)
 

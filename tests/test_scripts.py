@@ -51,8 +51,15 @@ def test_fit_digest_prints_the_same_digests_twice(capsys):
         assert script.main(argv) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    assert [line.split()[0] for line in runs[0]] == ["wheel", "pendulum"]
+    # each kind's line, then the line of its fit to a scan with no correspondences
+    assert [line.split()[0] for line in runs[0]] == ["wheel", "wheel_scan", "pendulum",
+                                                     "pendulum_scan"]
+    digests = []
     for line in runs[0]:
         kind, label_t, trajectory, label_c, checkpoints, label_l, losses = line.split()
         assert (label_t, label_c, label_l) == ("trajectory", "checkpoints", "losses")
         assert len(trajectory) == len(checkpoints) == len(losses) == 64
+        digests.append((trajectory, checkpoints, losses))
+    # the scan fit differs from the fit to correspondences in every digest
+    for matched, scanned in zip(digests[0::2], digests[1::2]):
+        assert all(a != b for a, b in zip(matched, scanned))

@@ -19,7 +19,7 @@ from gscascade.deform import _SIGNED_PERMUTATIONS, _cascade_layer_t, _covariance
 from gscascade.tapemath import (mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t,
                                 safe_norm)
 
-from oracles import matmul_t, safe_norm_chain_t, transpose_last2_t
+from oracles import add, matmul_t, mul, safe_norm_chain_t, transpose_last2_t, tsum
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -37,7 +37,7 @@ def check_vjp(op, x, eps=1e-6, atol=1e-8):
     """Tape gradient of <W, op(x)> against finite differences, W random."""
     W = np.random.default_rng(x.size).normal(size=op(ad.constant(x)).shape)
     t = ad.leaf(x)
-    ad.tsum(ad.mul(op(t), ad.constant(W))).backward()
+    tsum(mul(op(t), ad.constant(W))).backward()
     num = numeric_grad(lambda v: float(np.sum(W * op(ad.constant(v)).value)), x, eps)
     np.testing.assert_allclose(t.grad, num, atol=atol, rtol=1e-6)
     return t.grad, W
@@ -93,20 +93,11 @@ def test_quat_multiply_constant_operand_gets_no_grad():
     rng = np.random.default_rng(4)
     a, b = ad.leaf(rng.normal(size=(5, 4))), ad.constant(rng.normal(size=(5, 4)))
     W = rng.normal(size=(5, 4))
-    ad.tsum(ad.mul(quat_multiply_t(a, b), ad.constant(W))).backward()
+    tsum(mul(quat_multiply_t(a, b), ad.constant(W))).backward()
     assert b.grad is None
     # grad_a = W * conj(b) for any b, unit or not
     np.testing.assert_allclose(a.grad, geometry.quat_multiply(W, geometry.quat_conjugate(b.value)),
                                atol=1e-14)
-
-
-def test_quat_multiply_vjp_unbroadcasts():
-    rng = np.random.default_rng(5)
-    a, b = rng.normal(size=(4,)), rng.normal(size=(6, 4))
-    grad_a, _ = check_vjp(lambda t: quat_multiply_t(t, ad.constant(b)), a)
-    assert grad_a.shape == (4,)
-    grad_b, _ = check_vjp(lambda t: quat_multiply_t(ad.constant(b), t), rng.normal(size=(3, 1, 4)))
-    assert grad_b.shape == (3, 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,7 @@ def test_quat_normalize_below_floor_divides_by_the_floor():
     # and a row below the floor leaves its batch neighbours' gradients alone
     t = ad.leaf(q)
     W = np.random.default_rng(8).normal(size=q.shape)
-    ad.tsum(ad.mul(quat_normalize_t(t), ad.constant(W))).backward()
+    tsum(mul(quat_normalize_t(t), ad.constant(W))).backward()
     np.testing.assert_allclose(t.grad[0], W[0] / 1e-12, rtol=1e-12)
     u = q[1] / np.linalg.norm(q[1])
     np.testing.assert_allclose(t.grad[1], (W[1] - u * (u @ W[1])) / np.linalg.norm(q[1]),
@@ -194,9 +185,9 @@ def test_safe_norm_is_one_node_equal_to_the_chain_and_fd():
     assert out._parents == (t,)
     np.testing.assert_array_equal(out.value, np.sqrt(np.sum(x * x, axis=-1)))
     W = np.random.default_rng(10).normal(size=out.shape)
-    ad.tsum(ad.mul(out, ad.constant(W))).backward()
+    tsum(mul(out, ad.constant(W))).backward()
     chain = ad.leaf(x)
-    ad.tsum(ad.mul(safe_norm_chain_t(chain), ad.constant(W))).backward()
+    tsum(mul(safe_norm_chain_t(chain), ad.constant(W))).backward()
     np.testing.assert_array_equal(t.grad, chain.grad)
     check_vjp(safe_norm, x)
 
@@ -208,7 +199,7 @@ def test_safe_norm_below_the_floor_is_the_floor_with_zero_gradient():
     out = safe_norm(t)
     np.testing.assert_array_equal(out.value[:2], [1e-12, 1e-12])
     W = rng.normal(size=3)
-    ad.tsum(ad.mul(out, ad.constant(W))).backward()
+    tsum(mul(out, ad.constant(W))).backward()
     np.testing.assert_array_equal(t.grad[:2], np.zeros((2, 3)))
     np.testing.assert_allclose(t.grad[2], W[2] * x[2] / np.linalg.norm(x[2]), rtol=1e-15)
     # the rows above the floor match finite differences; the norm is flat below
@@ -229,10 +220,10 @@ def check_multi_vjp(node, inputs, used, eps=1e-6, atol=1e-7):
 
     def value(*vals, taped=False):
         outs = node(*vals)
-        terms = [ad.tsum(ad.mul(o, ad.constant(w))) for o, w, u in zip(outs, W, used) if u]
+        terms = [tsum(mul(o, ad.constant(w))) for o, w, u in zip(outs, W, used) if u]
         total = terms[0]
         for term in terms[1:]:
-            total = total + term
+            total = add(total, term)
         return total if taped else float(total.value)
 
     leaves = [ad.leaf(v) for v in inputs]
@@ -293,9 +284,9 @@ def test_covariance_node_forward_is_the_op_chain_bit_for_bit():
     Q = _rotations(rng, 200)
     A = matmul_t(ad.constant(J), ad.constant(A0))
     M = matmul_t(A, transpose_last2_t(A))
-    M = ad.mul(M + transpose_last2_t(M), 0.5)
+    M = mul(add(M, transpose_last2_t(M)), 0.5)
     B = matmul_t(matmul_t(ad.constant(np.swapaxes(Q, -1, -2)), M), ad.constant(Q))
-    B = ad.mul(B + transpose_last2_t(B), 0.5)
+    B = mul(add(B, transpose_last2_t(B)), 0.5)
     got_B, got_M = _covariance_t(ad.constant(J), A0, Q)
     assert np.array_equal(got_M, M.value)
     assert np.array_equal(got_B.value, B.value)
