@@ -23,16 +23,12 @@ from . import io_formats as iof
 from .clustering import build_hierarchy
 from .config import ConfigError, load_run_config
 from .core import GaussianSet
-from .deform import _PD_FLOOR, cascade_to_payload
-from .geometry import _NORM_FLOOR
-from .losses import DEFAULT_LAMBDA_SCALE, DataObservation
+from .deform import cascade_to_payload
+from .losses import DataObservation
 from .optimize import fit_sequence, mean_center_error
 from .scenegen import _PALETTE, SceneSpec, SceneSequence, generate
 from .segmentation import adjusted_rand_index, build_features, segment
 from .tracking import PinholeCamera, mte, project_track, select_candidate
-
-INIT_GAUSSIANS_HEADER = ["index", "x", "y", "z", "qw", "qx", "qy", "qz",
-                         "sx", "sy", "sz", "r", "g", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +52,7 @@ def write_scene_dir(seq, out_dir):
         iof.write_ply(out / "frames" / f"frame_{t:03d}.ply", obs.points)
     iof.write_gt_trajectory_csv(out / "gt_trajectory.csv", seq.gt_centers)
     iof.write_labels_csv(out / "labels.csv", seq.part_labels)
-    g = seq.frame0
-    rows = [
-        [i, *g.centers[i], *g.orientations[i], *g.scales[i], *g.colors[i]]
-        for i in range(g.n)
-    ]
-    iof.write_csv(out / "init_gaussians.csv", INIT_GAUSSIANS_HEADER, rows)
+    iof.write_init_gaussians_csv(out / "init_gaussians.csv", seq.frame0)
 
 
 @contextlib.contextmanager
@@ -75,81 +66,6 @@ def _input_file(path):
         raise ConfigError(str(e) if str(e).startswith(str(path)) else f"{path}: {e}") from e
 
 
-# the largest coordinate magnitude read: differences of two such points stay
-# below 2e150, so squared distances stay finite
-_MAX_ABS_COORD = 1e150
-
-
-# the largest initial scale: the entries of R diag(s^2) R^T reach s^2, and
-# the Jacobi eigensolver squares them, which stays finite for s up to 1e50
-_MAX_SCALE = 1e50
-# the largest ratio of a Gaussian's initial scales: float64 keeps the smallest
-# eigenvalue of R diag(s^2) R^T only while eps * ratio^2 << 1
-_MAX_SCALE_RATIO = 1e7
-
-
-def _reject(cells, values, names, row_name, rule):
-    """Raise a ValueError naming the first True entry of `cells` in the table
-    `values`, by its column in `names` and `row_name(row)`, and its `rule`."""
-    if cells.any():
-        row, col = np.argwhere(cells)[0]
-        raise ValueError(f"{names[col]} = {float(values[row, col])!r} in {row_name(row)}: {rule}")
-
-
-def _check_coordinates(points, names, row_name):
-    """Reject a coordinate of magnitude above _MAX_ABS_COORD; arguments as in _reject."""
-    _reject(np.abs(points) > _MAX_ABS_COORD, points, names, row_name,
-            f"a coordinate's magnitude must be at most {_MAX_ABS_COORD:g}")
-
-
-def _check_quaternions(quats, names, row_name):
-    """Reject a quaternion whose squared norm overflows or whose norm is below
-    the normalization floor; arguments as in _reject."""
-    with np.errstate(over="ignore"):
-        ssq = np.sum(quats * quats, axis=1)
-    bad = np.nonzero((ssq == np.inf) | (np.sqrt(ssq) < _NORM_FLOOR))[0]
-    if len(bad):
-        row = bad[0]
-        if ssq[row] < np.inf:
-            raise ValueError(f"{', '.join(names)} in {row_name(row)}: the quaternion's norm is"
-                             f" below {_NORM_FLOOR:g}")
-        col = int(np.argmax(np.abs(quats[row])))
-        raise ValueError(f"{names[col]} = {float(quats[row, col])!r} in {row_name(row)}:"
-                         f" the quaternion's squared norm overflows")
-
-
-def _data_row(i):
-    return f"data row {i + 1}"
-
-
-def _frame_row(n):
-    """The row_name of a trajectory table of N = n Gaussians, read as T N rows."""
-    return lambda i: f"the data row of frame {i // n}, index {i % n}"
-
-
-def _check_init_ranges(data):
-    """Reject initial Gaussians the fit cannot start from: a coordinate, the
-    centers' extent (the scene scale), a scale or a quaternion out of the
-    ranges of docs/FORMATS.md. (GaussianSet rejects a scale that is not positive.)"""
-    centers = data[:, 1:4]
-    _check_coordinates(centers, INIT_GAUSSIANS_HEADER[1:4], _data_row)
-    extent = np.linalg.norm(centers.max(axis=0) - centers.min(axis=0))
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        if not np.isfinite(DEFAULT_LAMBDA_SCALE / extent**2):
-            raise ValueError(f"the centers' extent is {float(extent)!r}, too small for the"
-                             f" default neighbour falloff {DEFAULT_LAMBDA_SCALE:g} / extent**2")
-    scales, names = data[:, 8:11], INIT_GAUSSIANS_HEADER[8:11]
-    # the bound first: squaring a larger scale may overflow
-    _reject(scales > _MAX_SCALE, scales, names, _data_row,
-            f"a scale must be at most {_MAX_SCALE:g}")
-    _reject((scales > 0.0) & (scales * scales <= _PD_FLOOR), scales, names, _data_row,
-            f"a scale's square must be above {_PD_FLOOR:g}")
-    smallest = scales.min(axis=1, keepdims=True)
-    _reject((smallest > 0.0) & (scales > _MAX_SCALE_RATIO * smallest), scales, names, _data_row,
-            f"a scale must be at most {_MAX_SCALE_RATIO:g} times its Gaussian's smallest")
-    _check_quaternions(data[:, 4:8], INIT_GAUSSIANS_HEADER[4:8], _data_row)
-
-
 def load_scene_dir(path):
     root = Path(path)
     with _input_file(root / "scene.json") as meta_path:
@@ -158,18 +74,12 @@ def load_scene_dir(path):
         cameras = [PinholeCamera.from_payload(c) for c in meta["cameras"]]
         part_quats = np.asarray(meta["part_quats"], dtype=np.float64)
     with _input_file(root / "init_gaussians.csv") as init_path:
-        data = iof.read_table(init_path, INIT_GAUSSIANS_HEADER, "initial Gaussians")
-        if not np.array_equal(data[:, 0], np.arange(len(data))):
-            raise ValueError("index column must count 0, 1, ... in row order")
-        _check_init_ranges(data)
-        frame0 = GaussianSet(centers=data[:, 1:4], orientations=data[:, 4:8],
-                             scales=data[:, 8:11], colors=data[:, 11:14], frame_index=0)
+        frame0 = iof.read_init_gaussians_csv(init_path)
     with _input_file(root / "gt_trajectory.csv") as gt_path:
         gt = iof.read_gt_trajectory_csv(gt_path)
         if gt.shape[:2] != (spec.n_frames, frame0.n):
             raise ValueError(f"{gt.shape[0]} frames x {gt.shape[1]} Gaussians, expected"
                              f" {spec.n_frames} x {frame0.n} (scene.json, init_gaussians.csv)")
-        _check_coordinates(gt.reshape(-1, 3), iof.GT_TRAJECTORY_HEADER[2:], _frame_row(frame0.n))
     with _input_file(root / "labels.csv") as labels_path:
         labels = iof.read_labels_csv(labels_path)
         if len(labels) != frame0.n:
@@ -181,7 +91,6 @@ def load_scene_dir(path):
             # scene frames observe every Gaussian, in index order
             if len(pts) != frame0.n:
                 raise ValueError(f"{len(pts)} points, expected one per Gaussian ({frame0.n})")
-            _check_coordinates(pts, ("x", "y", "z"), _data_row)
             observations.append(DataObservation(points=pts, correspondence=np.arange(len(pts))))
     return SceneSequence(spec=spec, frame0=frame0, observations=observations, gt_centers=gt,
                          part_labels=labels, part_quats=part_quats, cameras=cameras)
@@ -260,11 +169,6 @@ def _load_fit_dir(fit_dir, scene_dir=None):
         if centers.shape[:2] != (seq.n_frames, seq.frame0.n):
             raise ValueError(f"{centers.shape[0]} frames x {centers.shape[1]} Gaussians, expected"
                              f" the scene's {seq.n_frames} x {seq.frame0.n}")
-        row_name = _frame_row(seq.frame0.n)
-        _check_coordinates(centers.reshape(-1, 3), iof.TRAJECTORY_HEADER[2:5], row_name)
-        _check_quaternions(quats.reshape(-1, 4), iof.TRAJECTORY_HEADER[5:9], row_name)
-        _reject(scales.reshape(-1, 3) <= 0.0, scales.reshape(-1, 3), iof.TRAJECTORY_HEADER[9:],
-                row_name, "a scale must be positive")
     return kind, seq, centers, quats, scales
 
 
@@ -362,10 +266,14 @@ def cmd_track(cfg, fit_dir, scene_dir=None):
 
 
 def cmd_eval(cfg, run_dirs):
-    runs = {}
+    runs, dirs = {}, {}
     for d in run_dirs:
+        name = Path(d).name
+        if name in dirs:  # the name keys eval.json
+            raise ConfigError(f"runs {dirs[name]} and {d} share the directory name {name!r}")
+        dirs[name] = d
         with _input_file(Path(d) / "summary.json") as path:
-            runs[Path(d).name] = iof.read_json(path)
+            runs[name] = iof.read_json(path)
     out = Path(cfg.out)
     if out.suffix != ".json":
         out.mkdir(parents=True, exist_ok=True)

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gscascade.cli import INIT_GAUSSIANS_HEADER, load_scene_dir, main, write_scene_dir
+from gscascade.cli import load_scene_dir, main, write_scene_dir
 from gscascade.clustering import ClusterHierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_apply, cascade_from_payload
-from gscascade.io_formats import read_csv, read_json, read_ply, read_trajectory_csv, write_ply
+from gscascade.io_formats import (INIT_GAUSSIANS_HEADER, read_csv, read_json, read_ply,
+                                  read_trajectory_csv, write_ply)
 from gscascade.scenegen import SceneSpec, generate
 from gscascade.tracking import mte, project_track
 from oracles import select_candidate_loop
@@ -218,6 +219,12 @@ def _edit_header(old, new):
      "malformed PLY header line 3: 'element vertex -1'"),
     (_edit_header("property double x", "property double"),
      "malformed PLY header line 4: 'property double'"),
+    # a binary body was read as text, and swapped axes were read as x, y, z
+    (_edit_header("format ascii 1.0", "format binary_little_endian 1.0"),
+     "malformed PLY header line 2: 'format binary_little_endian 1.0'"),
+    (_edit_header("property double x\nproperty double y\nproperty double z",
+                  "property double z\nproperty double y\nproperty double x"),
+     "malformed PLY header line 4: 'property double z'"),
     # squared distances to it overflowed: the fit exited 3 on a non-finite gradient
     (lambda ply: _rewrite_points(
         ply, lambda pts: np.where(np.arange(len(pts))[:, None] == 4, 1e308, pts)),
@@ -304,7 +311,10 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
     pytest.param("init_gaussians.csv", _edit_cell(4, 12, "nan"), "non-finite g in data row 4",
                  id="init-nan"),
     pytest.param("init_gaussians.csv", _edit_cell(4, 9, "-0.5"),
-                 "scales must be strictly positive", id="init-scale"),
+                 "sy = -0.5 in data row 4: a scale must be positive", id="init-scale"),
+    # a header and no rows: numpy's reduction error on the centers' extent
+    pytest.param("init_gaussians.csv", _edit_rows(lambda rows: rows[:1]), "holds no Gaussians",
+                 id="init-empty"),
     # a positive scale whose square is at the covariance's PD floor, and a
     # quaternion whose squared norm overflows, used to exit 3 inside the fit
     pytest.param("init_gaussians.csv", _edit_cell(1, 8, "1e-7"),
@@ -592,6 +602,19 @@ def test_bad_fit_summary_exits_2_naming_it(tiny_fit, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert "config error" in err and str(fit / "summary.json") in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_runs_sharing_a_name_exits_2_naming_both(tmp_path, capsys):
+    """Runs are keyed by their directory's name: the first run was dropped."""
+    runs = [tmp_path / "a" / "fit", tmp_path / "b" / "fit"]
+    for run in runs:
+        run.mkdir(parents=True)
+        (run / "summary.json").write_text("{}")
+    out = tmp_path / "out.json"
+    assert main(["eval", *map(str, runs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(str(run) in err for run in runs)
+    assert not out.exists()
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

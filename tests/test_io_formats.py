@@ -1,14 +1,21 @@
-"""File formats: roundtrips, byte determinism, pinned headers."""
+"""File formats: roundtrips, byte determinism, pinned headers, input rules."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gscascade.core import GaussianSet
 from gscascade.io_formats import (
+    GT_TRAJECTORY_HEADER,
+    INIT_GAUSSIANS_HEADER,
     LOSSES_HEADER,
+    RULES,
     TRAJECTORY_HEADER,
     read_csv,
     read_gt_trajectory_csv,
+    read_init_gaussians_csv,
     read_json,
     read_labels_csv,
     read_ply,
@@ -72,7 +79,13 @@ def test_ply_rejects_garbage(tmp_path):
     ("element vertex 2", "element vertex -1", "line 3: 'element vertex -1'"),
     ("element vertex 2", "element vertex two", "line 3: 'element vertex two'"),
     ("property double y", "property double", "line 5: 'property double'"),
-], ids=["bare-element", "no-count", "negative-count", "word-count", "unnamed-property"])
+    # a binary body was parsed as text, and axes declared z, y, x were read as x, y, z
+    ("format ascii 1.0", "format binary_little_endian 1.0",
+     "line 2: 'format binary_little_endian 1.0'"),
+    ("property double x\nproperty double y\nproperty double z",
+     "property double z\nproperty double y\nproperty double x", "line 4: 'property double z'"),
+], ids=["bare-element", "no-count", "negative-count", "word-count", "unnamed-property",
+        "binary-format", "axes-z-y-x"])
 def test_ply_malformed_header_line_is_named(tmp_path, old, new, line):
     p = tmp_path / "bad.ply"
     write_ply(p, np.zeros((2, 3)))
@@ -80,6 +93,14 @@ def test_ply_malformed_header_line_is_named(tmp_path, old, new, line):
     with pytest.raises(ValueError) as err:
         read_ply(p)
     assert str(err.value) == f"{p}: malformed PLY header {line}"
+
+
+def test_ply_non_finite_point_is_named(tmp_path):
+    p = tmp_path / "nan.ply"
+    write_ply(p, [[0.0, 1.0, 2.0], [3.0, np.nan, 5.0]])
+    with pytest.raises(ValueError) as err:
+        read_ply(p)
+    assert str(err.value) == f"{p}: non-finite y in data row 2"
 
 
 def test_ply_with_no_vertices_reads_as_no_points(tmp_path):
@@ -220,3 +241,111 @@ def test_mte_csv_columns(tmp_path):
     header, rows = read_csv(p)
     assert header == ["track", "gaussian_index", "mte"]
     assert rows[0] == ["0", "17", "0.004"]
+
+
+# ---------------------------------------------------------------------------
+# input rules
+
+
+def _frame_rows(cells):
+    """Rows (t, i, *cells(t, i)) of a 2 x 2 (frame, index) grid."""
+    return [[t, i, *cells(t, i)] for t in range(2) for i in range(2)]
+
+
+# per file of RULES: header, valid rows, the row a case edits, its name in a
+# message, and the reader
+TABLES = {
+    "init_gaussians.csv": (
+        INIT_GAUSSIANS_HEADER,
+        [[i, *center, 1.0, 0.0, 0.0, 0.0, 0.01, 0.01, 0.01, 0.5, 0.5, 0.5]
+         for i, center in enumerate(np.eye(3))],
+        1, "data row 2", read_init_gaussians_csv),
+    "gt_trajectory.csv": (
+        GT_TRAJECTORY_HEADER, _frame_rows(lambda t, i: [0.1 * i, 0.2 * t, 0.0]),
+        2, "the data row of frame 1, index 0", read_gt_trajectory_csv),
+    "trajectory.csv": (
+        TRAJECTORY_HEADER,
+        _frame_rows(lambda t, i: [0.1 * i, 0.2 * t, 0.0, 1.0, 0.0, 0.0, 0.0, 0.01, 0.01, 0.01]),
+        2, "the data row of frame 1, index 0", read_trajectory_csv),
+    "frames/frame_NNN.ply": (["x", "y", "z"], np.eye(3).tolist(), 1, "data row 2", read_ply),
+}
+
+# per rule text: the cells a case sets from a value v (the group's first column
+# gets v), the bound (the last value the rule accepts), the side of it that the
+# rule rejects, and whether the rule is on the whole row (its message names the
+# group's columns, not one cell)
+BOUNDS = {
+    "a coordinate's magnitude must be at most 1e+150":
+        (lambda cols, v: {cols[0]: v}, 1e150, np.inf, False),
+    "the quaternion's squared norm overflows":  # sqrt of the largest double
+        (lambda cols, v: {cols[0]: v, **dict.fromkeys(cols[1:], 0.0)}, 1.3407807929942596e154,
+         np.inf, False),
+    "the quaternion's norm is below 1e-12":
+        (lambda cols, v: {cols[0]: v, **dict.fromkeys(cols[1:], 0.0)}, 1e-12, 0.0, True),
+    "a scale must be positive": (lambda cols, v: {cols[0]: v}, 5e-324, -np.inf, False),
+    "a scale must be at most 1e+50": (lambda cols, v: dict.fromkeys(cols, v), 1e50, np.inf, False),
+    # 1e-6 squares to 1e-12 in float64
+    "a scale's square must be above 1e-12":
+        (lambda cols, v: {cols[0]: v}, np.nextafter(1e-6, 1.0), 0.0, False),
+    "a scale must be at most 1e+07 times its Gaussian's smallest":
+        (lambda cols, v: {cols[0]: v, cols[1]: 1.0, cols[2]: 1.0}, 1e7, np.inf, False),
+}
+
+
+def _rule_cases():
+    for key, groups in RULES.items():
+        for cols, rules in groups.items():
+            for index in range(len(rules)):
+                yield pytest.param(key, cols, index, id=f"{key}-{cols[0]}-{index}")
+
+
+@pytest.mark.parametrize("key, cols, index", _rule_cases())
+def test_each_rule_accepts_its_bound_and_rejects_the_next_float(tmp_path, key, cols, index):
+    """A table at the rule's bound passes it, and one at the next float past the
+    bound is rejected naming the file, the rule, the row and the column. At its
+    bound a value passes the rules before this one; a later rule of the group
+    may still reject it, as the init scales' square rejects the smallest
+    positive scale."""
+    rules = RULES[key][cols]
+    text = rules[index][1]
+    cells, bound, bad_side, whole_row = BOUNDS[text]
+    header, rows, row, row_name, read = TABLES[key]
+    path = tmp_path / Path(key).name
+
+    def read_with(v):
+        table = [list(r) for r in rows]
+        for col, value in cells(cols, v).items():
+            table[row][header.index(col)] = value
+        if key.endswith(".ply"):
+            write_ply(path, table)
+        else:
+            write_csv(path, header, table)
+        read(path)
+
+    try:
+        read_with(bound)
+    except ValueError as e:
+        assert any(str(e).endswith(f": {later}") for _, later in rules[index + 1:]), str(e)
+    bad = float(np.nextafter(bound, bad_side))
+    with pytest.raises(ValueError) as err:
+        read_with(bad)
+    named = ", ".join(cols) if whole_row else f"{cols[0]} = {bad!r}"
+    assert str(err.value) == f"{path}: {named} in {row_name}: {text}"
+
+
+def _formats_rules_table():
+    """(file, columns, rule) of each row of the rules table in docs/FORMATS.md."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md").read_text()
+    lines = text[text.index("| file | columns | rule |"):].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        file, cols, rule = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:3])
+        rows.append((file, tuple(re.split(r",\s*", cols)), rule))
+    return rows
+
+
+def test_formats_doc_lists_the_rules_table():
+    assert _formats_rules_table() == [(key, cols, text) for key, groups in RULES.items()
+                                      for cols, rules in groups.items() for _, text in rules]
