@@ -2,12 +2,14 @@
 """Print digests of seeded fits, to check that a change keeps every bit.
 
 For each scene kind it generates one scene, fits it and prints one line with
-three sha256 digests: one over the `centers`, `orientations` and `scales`
+four sha256 digests: one over the `centers`, `orientations` and `scales`
 bytes of every fitted set, one over every frame's checkpoint payload
-(`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`), and one
-over every frame's loss `curve` and `final_losses` (as
-`json.dumps(sort_keys=True)`), what `losses.csv` and `summary.json` record.
-After each kind's line comes a `<kind>_scan` line with the same digests of a
+(`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`), one over
+every frame's loss `curve` and `final_losses` (as
+`json.dumps(sort_keys=True)`), what `losses.csv` and `summary.json` record,
+and one over the int64 part labels that `segment` gives the fitted sets'
+motion features, with as many parts as the scene has (k-means at
+D = 15 * frames). After each kind's line comes a `<kind>_scan` line with the same digests of a
 fit to seeded scan points around the ground-truth centers, with no
 correspondences, so that the Chamfer data term is covered too. Run it on two
 checkouts and compare the lines.
@@ -31,6 +33,7 @@ from gscascade.deform import cascade_to_payload
 from gscascade.losses import DataObservation
 from gscascade.optimize import TrainConfig, fit_sequence
 from gscascade.scenegen import SceneSpec, generate
+from gscascade.segmentation import build_features, segment
 
 DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave"
 SCAN_SAMPLES = 8  # scan points per ground-truth center
@@ -48,8 +51,9 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
-def fit_digests(report):
-    """(trajectory, checkpoint, loss) digests of a FitReport, as hex strings."""
+def fit_digests(report, k_parts):
+    """(trajectory, checkpoint, loss, segmentation) digests of a FitReport, as
+    hex strings."""
     trajectory = hashlib.sha256()
     for gset in report.sets:
         for array in (gset.centers, gset.orientations, gset.scales):
@@ -62,7 +66,10 @@ def fit_digests(report):
     for frame in report.frames:
         for record in (frame.curve, frame.final_losses):
             losses.update(json.dumps(record, sort_keys=True).encode())
-    return trajectory.hexdigest(), checkpoints.hexdigest(), losses.hexdigest()
+    labels = segment(build_features(report.sets), k_parts, seed=0)
+    segmentation = hashlib.sha256(labels.astype(np.int64).tobytes())
+    return (trajectory.hexdigest(), checkpoints.hexdigest(), losses.hexdigest(),
+            segmentation.hexdigest())
 
 
 def scan_observations(gt_centers, seed):
@@ -84,11 +91,13 @@ def main(argv=None):
         config = TrainConfig(iters_per_frame=args.iters, layer_sizes=layers, seed=args.seed,
                              scene_scale=seq.scene_scale)
         hierarchy = build_hierarchy(seq.frame0.centers, layers, seed=args.seed)
+        k_parts = len(np.unique(seq.part_labels))
         for name, observations in ((kind, seq.observations),
                                    (f"{kind}_scan", scan_observations(seq.gt_centers, args.seed))):
             report = fit_sequence(seq.frame0, observations, config, hierarchy)
-            trajectory, checkpoints, losses = fit_digests(report)
-            print(f"{name} trajectory {trajectory} checkpoints {checkpoints} losses {losses}")
+            trajectory, checkpoints, losses, segmentation = fit_digests(report, k_parts)
+            print(f"{name} trajectory {trajectory} checkpoints {checkpoints} losses {losses}"
+                  f" segmentation {segmentation}")
     return 0
 
 

@@ -276,8 +276,8 @@ def cmd_eval(cfg, run_dirs):
             runs[name] = iof.read_json(path)
     out = Path(cfg.out)
     if out.suffix != ".json":
-        out.mkdir(parents=True, exist_ok=True)
         out = out / "eval.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     iof.write_json(out, {"runs": runs})
     print(f"aggregated {len(runs)} run(s) -> {out}")
     return 0

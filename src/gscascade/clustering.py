@@ -8,6 +8,21 @@ coarse parent.
 
 k-means is written for general (N, D) data because motion-feature
 segmentation reuses it with D = 15*T.
+
+A Lloyd iteration or a merge costs a fixed number of array operations,
+whatever the number of clusters, and every result keeps the bits of the
+plain per-cluster loops (`tests/oracles.py` holds them):
+
+- member means are one `RowIndex` scatter, which adds each cluster's rows in
+  index order from 0 as `np.add.at` and, for D >= 2, a per-cluster
+  `mean(axis=0)` do, divided by the `np.bincount` counts;
+- squared distances below D = 8 are summed one coordinate column at a time,
+  in column order from 0, which is how `np.sum(..., axis=-1)` adds so short
+  an axis (see `geometry.sum_last`); from D = 8 up numpy sums pairwise, so
+  there they are that `np.sum` (segmentation's D = 15*T among them);
+- agglomeration retires a merged cluster by setting its row and column of the
+  distance matrix to inf in place, so the closest pair is the argmin of the
+  matrix itself, with the same values and tie order as a masked copy.
 """
 
 from __future__ import annotations
@@ -21,6 +36,20 @@ from .autodiff import RowIndex
 
 _LLOYD_TOL = 1e-7
 _LLOYD_MAX_ITERS = 300
+_PAIRWISE_FROM = 8  # numpy sums a last axis this long or longer pairwise
+
+
+def _sq_dists(points, centroids):
+    """(N, k) squared distances between the rows of (N, D) points and (k, D) centroids."""
+    n, dim = points.shape
+    if dim >= _PAIRWISE_FROM:
+        return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+    d2 = np.zeros((n, centroids.shape[0]))
+    for a in range(dim):
+        d = points[:, a, None] - centroids[None, :, a]
+        d *= d
+        d2 += d
+    return d2
 
 
 def _farthest_point_seeds(points, k, rng):
@@ -28,15 +57,15 @@ def _farthest_point_seeds(points, k, rng):
     n = points.shape[0]
     seeds = np.empty(k, dtype=np.int64)
     seeds[0] = rng.integers(n)
-    d2 = np.sum((points - points[seeds[0]]) ** 2, axis=-1)
+    d2 = _sq_dists(points, points[seeds[0], None])[:, 0]
     for i in range(1, k):
         seeds[i] = int(np.argmax(d2))
-        d2 = np.minimum(d2, np.sum((points - points[seeds[i]]) ** 2, axis=-1))
+        np.minimum(d2, _sq_dists(points, points[seeds[i], None])[:, 0], out=d2)
     return points[seeds].copy()
 
 
 def _assign(points, centroids):
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+    d2 = _sq_dists(points, centroids)
     return np.argmin(d2, axis=1), d2
 
 
@@ -58,10 +87,7 @@ def kmeans(points, k, seed=0):
 
     for _ in range(_LLOYD_MAX_ITERS):
         assign, d2 = _assign(points, centroids)
-        _repair_empty(assign, d2, k)
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            new_centroids[j] = points[assign == j].mean(axis=0)
+        new_centroids = _member_means(points, assign, _repair_empty(assign, d2, k))
         shift = np.max(np.linalg.norm(new_centroids - centroids, axis=-1))
         centroids = new_centroids
         if shift <= _LLOYD_TOL:
@@ -75,14 +101,22 @@ def kmeans(points, k, seed=0):
 
 
 def _repair_empty(assign, d2, k):
-    """Give every empty cluster the farthest member of the largest cluster."""
-    for j in range(k):
-        if not np.any(assign == j):
-            counts = np.bincount(assign, minlength=k)
-            big = int(np.argmax(counts))
-            members_big = np.nonzero(assign == big)[0]
-            far = members_big[int(np.argmax(d2[members_big, big]))]
-            assign[far] = j
+    """Give every empty cluster, in id order, the farthest member of the
+    largest cluster. Returns the cluster sizes after the repair.
+
+    As k <= N, the largest cluster has two members or more while one is
+    empty, so a repair empties no cluster: those empty at the start are
+    exactly the ones to repair.
+    """
+    counts = np.bincount(assign, minlength=k)
+    for j in np.flatnonzero(counts == 0):
+        big = int(np.argmax(counts))
+        members_big = np.flatnonzero(assign == big)
+        far = members_big[int(np.argmax(d2[members_big, big]))]
+        assign[far] = j
+        counts[big] -= 1
+        counts[j] += 1
+    return counts
 
 
 def agglomerate(points, target_k):
@@ -101,15 +135,13 @@ def agglomerate(points, target_k):
     if target_k > m:
         raise ValueError(f"target_k={target_k} exceeds number of points ({m})")
 
-    d = np.sqrt(np.maximum(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1), 0.0))
+    d = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
     np.fill_diagonal(d, np.inf)
     sizes = np.ones(m)
-    alive = np.ones(m, dtype=bool)
     parent = np.arange(m)
 
     for _ in range(m - target_k):
-        masked = np.where(alive[:, None] & alive[None, :], d, np.inf)
-        flat = int(np.argmin(masked))  # ties: lowest flat index == lowest (i, j)
+        flat = int(np.argmin(d))  # ties: lowest flat index == lowest (i, j)
         i, j = divmod(flat, m)
         if i > j:
             i, j = j, i
@@ -119,7 +151,8 @@ def agglomerate(points, target_k):
         d[i] = newd
         d[:, i] = newd
         d[i, i] = np.inf
-        alive[j] = False
+        d[j] = np.inf  # j is merged: its row and column leave the argmin
+        d[:, j] = np.inf
         sizes[i] = ni + nj
         parent[parent == j] = i
 
@@ -143,10 +176,6 @@ class ClusterHierarchy:
     seed: int = 0
 
     @property
-    def num_layers(self):
-        return len(self.layer_sizes)
-
-    @property
     def n(self):
         return self.assignments[0].shape[0]
 
@@ -165,8 +194,8 @@ class ClusterHierarchy:
     def update_centroids(self, centers):
         """Recompute every layer's centroids as exact member means of `centers`."""
         centers = np.asarray(centers, dtype=np.float64)
-        for k in range(self.num_layers):
-            self.centroids[k] = _member_means(centers, self.assignments[k], self.layer_sizes[k])
+        for k, (assign, size) in enumerate(zip(self.assignments, self.layer_sizes)):
+            self.centroids[k] = _member_means(centers, assign, np.bincount(assign, minlength=size))
 
     def to_payload(self):
         return {
@@ -188,13 +217,12 @@ class ClusterHierarchy:
         )
 
 
-def _member_means(centers, assign, size):
-    sums = np.zeros((size, centers.shape[1]))
-    np.add.at(sums, assign, centers)
-    counts = np.bincount(assign, minlength=size).astype(np.float64)
-    if np.any(counts == 0):
+def _member_means(points, assign, counts):
+    """(k, D) means of the rows of (N, D) points in each of the k clusters of
+    `assign`, given its (k,) cluster sizes."""
+    if not counts.all():
         raise ValueError("empty cluster in hierarchy")
-    return sums / counts[:, None]
+    return RowIndex(assign, counts.size).scatter(points) / counts[:, None]
 
 
 def build_hierarchy(centers, layer_sizes, seed=0):
@@ -216,20 +244,19 @@ def build_hierarchy(centers, layer_sizes, seed=0):
 
     fine_assign, _ = kmeans(centers, layer_sizes[-1], seed=seed)
     assignments = [fine_assign]
+    centroids = [_member_means(centers, fine_assign, np.bincount(fine_assign))]
     parent_maps = []
     for size in reversed(layer_sizes[:-1]):
-        child_assign = assignments[0]
-        child_centroids = _member_means(centers, child_assign, child_assign.max() + 1)
-        pmap = agglomerate(child_centroids, size).astype(np.int64)
-        assignments.insert(0, pmap[child_assign])
+        pmap = agglomerate(centroids[0], size).astype(np.int64)
+        assign = pmap[assignments[0]]
+        assignments.insert(0, assign)
+        centroids.insert(0, _member_means(centers, assign, np.bincount(assign)))
         parent_maps.insert(0, pmap)
 
-    hier = ClusterHierarchy(
+    return ClusterHierarchy(
         layer_sizes=layer_sizes,
         assignments=assignments,
-        centroids=[None] * len(layer_sizes),
+        centroids=centroids,
         parent_maps=parent_maps,
         seed=seed,
     )
-    hier.update_centroids(centers)
-    return hier

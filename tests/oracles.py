@@ -5,20 +5,22 @@ its simplest form, or measures one: a sign-insensitive quaternion distance,
 an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
-traced cascade, value-and-gradient wrappers around single loss terms, the
-generic broadcasting tape ops that every fused primitive replaced (add, sub,
-mul, tsum, tmean, exp, square, relu), the three neighbour terms as chains of
-generic tape ops (with the sqrt, transpose, reshape, matvec, matmul and
-absval ops that only they use) and as the short tapes that their one-node
-forms replaced, the row lookup node `gather`, the bincount scatter, the
-broadcast edge subtract, the slice-by-slice edge row sum and the two-node
-eigh3 that the shipped tape replaced, the row-wise Jacobi eigensolver, the
-correspondence term, the Chamfer term, the scale hinge and the weighted
-total as the chains of generic nodes their one-node forms replaced, Adam on
-separate per-class arrays and the per-layer checkpoint payload that the flat
-parameter buffer replaced, a brute-force Chamfer term, the inverse camera
-map, the per-candidate loop of track selection, and Procrustes subset checks
-for the rigid-subpart rotation property.
+traced cascade, k-means and agglomeration with the per-cluster loops that
+their fixed-op-count kernels replaced, value-and-gradient wrappers around
+single loss terms, the generic broadcasting tape ops that every fused
+primitive replaced (add, sub, mul, tsum, tmean, exp, square, relu), the three
+neighbour terms as chains of generic tape ops (with the sqrt, transpose,
+reshape, matvec, matmul and absval ops that only they use) and as the short
+tapes that their one-node forms replaced, the row lookup node `gather`, the
+bincount scatter, the broadcast edge subtract, the slice-by-slice edge row
+sum and the two-node eigh3 that the shipped tape replaced, the row-wise
+Jacobi eigensolver, the correspondence term, the Chamfer term, the scale
+hinge and the weighted total as the chains of generic nodes their one-node
+forms replaced, Adam on separate per-class arrays and the per-layer
+checkpoint payload that the flat parameter buffer replaced, a brute-force
+Chamfer term, the inverse camera map, the per-candidate loop of track
+selection, and Procrustes subset checks for the rigid-subpart rotation
+property.
 """
 
 from dataclasses import dataclass
@@ -137,6 +139,105 @@ def layer_jacobian(params, centroid, x):
     return sig[..., None, None] * R + np.einsum(
         "...i,...j->...ij", moved, sigp[..., None] * np.broadcast_to(params.scale_dir, x.shape)
     )
+
+
+# ---------------------------------------------------------------------------
+# k-means and agglomeration with per-cluster loops, as `clustering` had them
+# before its fixed-op-count kernels: a mean per cluster, a scan of every
+# cluster for emptiness, and a masked copy of the distance matrix per merge
+
+_LLOYD_TOL = 1e-7
+_LLOYD_MAX_ITERS = 300
+
+
+def _farthest_point_seeds(points, k, rng):
+    """k-means++-style seeding: random first pick, then greedy farthest points."""
+    n = points.shape[0]
+    seeds = np.empty(k, dtype=np.int64)
+    seeds[0] = rng.integers(n)
+    d2 = np.sum((points - points[seeds[0]]) ** 2, axis=-1)
+    for i in range(1, k):
+        seeds[i] = int(np.argmax(d2))
+        d2 = np.minimum(d2, np.sum((points - points[seeds[i]]) ** 2, axis=-1))
+    return points[seeds].copy()
+
+
+def assign_broadcast(points, centroids):
+    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=1), d2
+
+
+def kmeans_loop(points, k, seed=0):
+    """Lloyd k-means on (N, D) data. Returns (assignments (N,), centroids (k, D))."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n:
+        raise ValueError(f"k={k} exceeds number of points ({n})")
+    rng = np.random.default_rng(seed)
+    centroids = _farthest_point_seeds(points, k, rng)
+
+    for _ in range(_LLOYD_MAX_ITERS):
+        assign, d2 = assign_broadcast(points, centroids)
+        repair_empty_loop(assign, d2, k)
+        new_centroids = np.empty_like(centroids)
+        for j in range(k):
+            new_centroids[j] = points[assign == j].mean(axis=0)
+        shift = np.max(np.linalg.norm(new_centroids - centroids, axis=-1))
+        centroids = new_centroids
+        if shift <= _LLOYD_TOL:
+            break
+    assign, d2 = assign_broadcast(points, centroids)
+    repair_empty_loop(assign, d2, k)
+    return assign, centroids
+
+
+def repair_empty_loop(assign, d2, k):
+    """Give every empty cluster the farthest member of the largest cluster."""
+    for j in range(k):
+        if not np.any(assign == j):
+            counts = np.bincount(assign, minlength=k)
+            big = int(np.argmax(counts))
+            members_big = np.nonzero(assign == big)[0]
+            far = members_big[int(np.argmax(d2[members_big, big]))]
+            assign[far] = j
+
+
+def agglomerate_masked(points, target_k):
+    """Average-linkage agglomeration of (M, D) points down to target_k groups."""
+    points = np.asarray(points, dtype=np.float64)
+    m = points.shape[0]
+    if target_k < 1:
+        raise ValueError("target_k must be >= 1")
+    if target_k > m:
+        raise ValueError(f"target_k={target_k} exceeds number of points ({m})")
+
+    d = np.sqrt(np.maximum(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1), 0.0))
+    np.fill_diagonal(d, np.inf)
+    sizes = np.ones(m)
+    alive = np.ones(m, dtype=bool)
+    parent = np.arange(m)
+
+    for _ in range(m - target_k):
+        masked = np.where(alive[:, None] & alive[None, :], d, np.inf)
+        flat = int(np.argmin(masked))  # ties: lowest flat index == lowest (i, j)
+        i, j = divmod(flat, m)
+        if i > j:
+            i, j = j, i
+        # average linkage: d(i∪j, l) = (n_i d_il + n_j d_jl) / (n_i + n_j)
+        ni, nj = sizes[i], sizes[j]
+        newd = (ni * d[i] + nj * d[j]) / (ni + nj)
+        d[i] = newd
+        d[:, i] = newd
+        d[i, i] = np.inf
+        alive[j] = False
+        sizes[i] = ni + nj
+        parent[parent == j] = i
+
+    roots = np.unique(parent)  # sorted -> labels ordered by smallest member
+    labels = np.searchsorted(roots, parent)
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,16 @@ def test_bad_fit_summary_exits_2_naming_it(tiny_fit, tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_creates_the_missing_parents_of_a_json_out(tmp_path):
+    """A .json --out gets its parent directories, as a directory --out does."""
+    run = tmp_path / "fit"
+    run.mkdir()
+    (run / "summary.json").write_text('{"scene_kind": "wheel"}')
+    out = tmp_path / "nodir" / "sub" / "out.json"
+    assert main(["eval", str(run), "--out", str(out)]) == 0
+    assert read_json(out) == {"runs": {"fit": {"scene_kind": "wheel"}}}
+
+
 def test_eval_of_runs_sharing_a_name_exits_2_naming_both(tmp_path, capsys):
     """Runs are keyed by their directory's name: the first run was dropped."""
     runs = [tmp_path / "a" / "fit", tmp_path / "b" / "fit"]

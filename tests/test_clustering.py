@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from gscascade.clustering import (
     ClusterHierarchy,
+    _assign,
     agglomerate,
     build_hierarchy,
     kmeans,
 )
+from oracles import agglomerate_masked, assign_broadcast, kmeans_loop
 
 
 def two_separated_blobs(rng, n_each=30, gap=5.0):
@@ -126,6 +128,45 @@ def test_agglomerate_labels_ordered_by_smallest_member():
     assert labels[0] == 0
 
 
+def oracle_cases(dim, rng):
+    """(points, k) cases in `dim` dimensions: plain, rounded to a grid (distance
+    ties), drawn with repeats (duplicate points), one point repeated with a
+    few others (empty clusters to repair), with k = 1, k = n and k between."""
+    cases = []
+    for trial in range(6):
+        n = int(rng.integers(2, 90))
+        pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 50.0)
+        pts = [pts, np.round(pts), pts[rng.integers(n // 3 + 1, size=n)],
+               np.concatenate([np.zeros((n, dim)), pts[:3]])][trial % 4]
+        for k in (1, len(pts), int(rng.integers(1, len(pts) + 1))):
+            cases.append((pts, k))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 75])
+def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
+    """Assignments and labels match the loops exactly. Below D = 8 the squared
+    distances are summed column by column, from 8 up by np.sum itself; both
+    are np.sum's bits, which the first check pins. The member means add rows
+    in order as a per-cluster mean(axis=0) does for D >= 2; at D = 1 that
+    mean sums one contiguous column pairwise, so there the means may differ
+    in the last few bits. No caller passes D = 1."""
+    rng = np.random.default_rng(100 + dim)
+    eps = np.finfo(np.float64).eps
+    for case, (pts, k) in enumerate(oracle_cases(dim, rng)):
+        np.testing.assert_array_equal(_assign(pts, pts[:k] + 0.5)[1],
+                                      assign_broadcast(pts, pts[:k] + 0.5)[1])
+        labels, centroids = kmeans(pts, k, seed=case)
+        want_labels, want_centroids = kmeans_loop(pts, k, seed=case)
+        np.testing.assert_array_equal(labels, want_labels)
+        if dim >= 2:
+            np.testing.assert_array_equal(centroids, want_centroids)
+        else:
+            np.testing.assert_allclose(centroids, want_centroids, rtol=0,
+                                       atol=len(pts) * eps * np.abs(pts).max())
+        np.testing.assert_array_equal(agglomerate(pts, k), agglomerate_masked(pts, k))
+
+
 # ---------------------------------------------------------------------------
 # hierarchy
 
@@ -146,7 +187,27 @@ def test_build_hierarchy_nested_and_exact_centroids():
         for j in range(h.layer_sizes[k]):
             members = pts[h.assignments[k] == j]
             assert len(members) > 0
-            np.testing.assert_allclose(h.centroids[k][j], members.mean(axis=0), atol=1e-12)
+            np.testing.assert_array_equal(h.centroids[k][j], members.mean(axis=0))
+
+
+def test_build_hierarchy_matches_the_per_cluster_loops():
+    """The finest layer is kmeans_loop's, each coarser one agglomerate_masked's
+    over the finer layer's member means (np.add.at sums), bit for bit."""
+    rng = np.random.default_rng(15)
+    pts = rng.normal(size=(300, 3))
+    h = build_hierarchy(pts, (3, 10, 40), seed=2)
+    assign, _ = kmeans_loop(pts, 40, seed=2)
+    for layer in (2, 1, 0):
+        np.testing.assert_array_equal(h.assignments[layer], assign)
+        size = h.layer_sizes[layer]
+        sums = np.zeros((size, 3))
+        np.add.at(sums, assign, pts)
+        means = sums / np.bincount(assign, minlength=size)[:, None]
+        np.testing.assert_array_equal(h.centroids[layer], means)
+        if layer:
+            pmap = agglomerate_masked(means, h.layer_sizes[layer - 1])
+            np.testing.assert_array_equal(h.parent_maps[layer - 1], pmap)
+            assign = pmap[assign]
 
 
 def test_build_hierarchy_single_cluster_layers():
@@ -155,7 +216,7 @@ def test_build_hierarchy_single_cluster_layers():
     h = build_hierarchy(pts, (1, 1, 1), seed=0)
     for k in range(3):
         assert np.all(h.assignments[k] == 0)
-        np.testing.assert_allclose(h.centroids[k][0], pts.mean(axis=0), atol=1e-12)
+        np.testing.assert_array_equal(h.centroids[k][0], pts.mean(axis=0))
 
 
 def test_build_hierarchy_rejects_decreasing_sizes():

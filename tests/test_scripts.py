@@ -56,10 +56,11 @@ def test_fit_digest_prints_the_same_digests_twice(capsys):
                                                      "pendulum_scan"]
     digests = []
     for line in runs[0]:
-        kind, label_t, trajectory, label_c, checkpoints, label_l, losses = line.split()
-        assert (label_t, label_c, label_l) == ("trajectory", "checkpoints", "losses")
-        assert len(trajectory) == len(checkpoints) == len(losses) == 64
-        digests.append((trajectory, checkpoints, losses))
-    # the scan fit differs from the fit to correspondences in every digest
+        kind, *fields = line.split()
+        labels, values = fields[0::2], fields[1::2]
+        assert labels == ["trajectory", "checkpoints", "losses", "segmentation"]
+        assert all(len(value) == 64 for value in values)
+        digests.append(values)
+    # the scan fit differs from the fit to correspondences in every fit digest
     for matched, scanned in zip(digests[0::2], digests[1::2]):
-        assert all(a != b for a, b in zip(matched, scanned))
+        assert all(a != b for a, b in zip(matched[:3], scanned[:3]))
