@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import io_formats as iof
 from .clustering import build_hierarchy
-from .config import ConfigError, load_run_config
+from .config import ConfigError, check_section, load_run_config
 from .core import GaussianSet
 from .deform import cascade_to_payload
 from .losses import DataObservation
@@ -70,7 +71,7 @@ def load_scene_dir(path):
     root = Path(path)
     with _input_file(root / "scene.json") as meta_path:
         meta = iof.read_json(meta_path)
-        spec = SceneSpec.from_payload(meta["spec"])
+        spec = SceneSpec.from_payload(check_section("scene", meta["spec"], meta_path, name="spec"))
         cameras = [PinholeCamera.from_payload(c) for c in meta["cameras"]]
         part_quats = np.asarray(meta["part_quats"], dtype=np.float64)
     with _input_file(root / "init_gaussians.csv") as init_path:
@@ -284,23 +285,21 @@ def cmd_eval(cfg, run_dirs):
 
 
 def cmd_repro(cfg):
-    """Small end-to-end pipeline: generate, fit K=3 vs K=1, segment, track, eval."""
+    """Small end-to-end pipeline: generate, fit K=3 vs K=1, segment, track, eval.
+    It sets every run option but `seed`, `threads` and `out` itself."""
+    sections = ("scene", "train", "weights", "segmentation", "tracking")
+    given = [f"{section}.{key}" for section in sections for key in getattr(cfg, section) or {}]
+    if given:
+        raise ConfigError("repro sets its own scene, train, weights, segmentation and tracking"
+                          f" options; remove {', '.join(given)}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed
 
-    def sub(**overrides):
-        c = load_run_config(None)
-        c.seed = seed
-        c.threads = cfg.threads
-        c.train = dict(base_train)
-        for k, v in overrides.pop("train", {}).items():
-            c.train[k] = v
-        for k, v in overrides.items():
-            setattr(c, k, v)
-        return c
+    def sub(path, layers=(4, 12, 40), **options):
+        train = {"iters_per_frame": 30, "layer_sizes": layers}
+        return dataclasses.replace(cfg, out=str(path), train=train, **options)
 
-    base_train = {"iters_per_frame": 30, "layer_sizes": (4, 12, 40)}
     scenes = {
         "wheel": SceneSpec("wheel", n_gaussians=120, n_frames=6,
                            motion_magnitude=18.0, seed=seed),
@@ -316,16 +315,12 @@ def cmd_repro(cfg):
     for name in scenes:
         for tag, layers in (("k3", (4, 12, 40)), ("k1", (40,))):
             fit_out = out / f"fit_{name}_{tag}"
-            cmd_fit(sub(out=str(fit_out), train={"layer_sizes": layers}),
-                    out / f"scene_{name}")
+            cmd_fit(sub(fit_out, layers), out / f"scene_{name}")
             fits[(name, tag)] = fit_out
 
-    seg_cfg = sub(out=str(out / "seg_two_blobs"))
-    seg_cfg.segmentation = {"k_parts": 2}
-    cmd_segment(seg_cfg, fits[("two_blobs", "k3")])
-
-    track_cfg = sub(out=str(out / "track_pendulum"))
-    cmd_track(track_cfg, fits[("pendulum", "k3")])
+    cmd_segment(sub(out / "seg_two_blobs", segmentation={"k_parts": 2}),
+                fits[("two_blobs", "k3")])
+    cmd_track(sub(out / "track_pendulum"), fits[("pendulum", "k3")])
 
     rows = []
     for name in scenes:
@@ -336,8 +331,7 @@ def cmd_repro(cfg):
     iof.write_csv(out / "comparison.csv",
                   ["scene", "err_single_layer", "err_cascade", "ratio"], rows)
 
-    eval_cfg = sub(out=str(out / "eval.json"))
-    cmd_eval(eval_cfg, [fits[(n, t)] for n in scenes for t in ("k3", "k1")]
+    cmd_eval(sub(out / "eval.json"), [fits[(n, t)] for n in scenes for t in ("k3", "k1")]
              + [out / "seg_two_blobs", out / "track_pendulum"])
     print(f"repro pipeline complete -> {out}")
     return 0
@@ -400,8 +394,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(_config_document(args), cli=args)
-        if not cfg.out:  # unset, or empty: "" would write into the working directory
-            raise ConfigError(f"{args.command} needs a non-empty output path (--out)")
+        if cfg.out is None:
+            raise ConfigError(f"{args.command} needs an output path (--out)")
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "fit":

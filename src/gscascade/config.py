@@ -1,228 +1,215 @@
 """Run configuration: JSON document + environment + CLI flag merging.
 
 Precedence (highest wins): CLI flags > GSCASCADE_* environment variables >
-config file > built-in defaults. Documents are schema-checked before any work
-starts; unknown keys anywhere are an error (exit code 2 in the CLI).
+config file > built-in defaults. `OPTIONS` states every option a run can set
+and its rule once; the merged values are checked against it before any work
+starts, and `cli` applies its `scene` rows to a scene directory's
+`scene.json` too. Unknown keys anywhere are an error (exit code 2 in the CLI).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from .losses import LossWeights
 from .optimize import TrainConfig
-from .scenegen import SceneSpec
+from .scenegen import KINDS, SceneSpec
 
 
 class ConfigError(Exception):
     pass
 
 
-def _field_names(cls):
-    return {f.name for f in fields(cls)}
+@dataclass(frozen=True)
+class Rule:
+    """An option's kind (a key of `_KINDS`, or a tuple of the allowed values),
+    its bounds (`least` inclusive, `above` and `below` strict), whether it may
+    be null, and its default in the sections that keep theirs here."""
+
+    kind: object
+    least: float = None
+    above: float = None
+    below: float = None
+    null: bool = False
+    default: object = None
 
 
-_SCENE_KEYS = _field_names(SceneSpec)
-# weights, seed, scene_scale and threads come from elsewhere in the run config
-_TRAIN_KEYS = _field_names(TrainConfig) - {"weights", "seed", "scene_scale", "threads"}
-# option -> (type, least allowed value); the upper bounds are checked apart:
-# adam_beta* < 1 here, camera_index below the scene's camera count by the
-# track command
-_TRAIN_OPTIONS = {"iters_per_frame": (int, 1), "k_neighbors": (int, 1),
-                  **dict.fromkeys(("lr_rot", "lr_trans", "lr_scaledir", "lr_sbias", "adam_beta1",
-                                   "adam_beta2", "adam_eps", "max_scale", "lambda_weight"),
-                                  (float, 0.0))}
-_NULLABLE_TRAIN = {"lr_trans", "lambda_weight"}  # null: scaled to the scene
-_WEIGHT_OPTIONS = dict.fromkeys(_field_names(LossWeights), (float, 0.0))
-_SEG_OPTIONS = {"k_parts": (int, 1), "lambda_p": (float, None), "lambda_r": (float, None),
-                "lambda_p0": (float, None)}
-_TRACK_OPTIONS = {"camera_index": (int, 0), "n_tracks": (int, 1)}
-_TOP_KEYS = {"scene", "train", "weights", "segmentation", "tracking", "out", "seed", "threads"}
-_RUN_OPTIONS = {"seed": 0, "threads": 1}  # top-level integer option -> least allowed value
+def _layer_sizes(value):
+    """A layer list (a non-empty list of integers >= 1, or the same as a
+    comma-separated string) as a tuple; None if it is not one."""
+    if isinstance(value, str):
+        try:
+            value = [int(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            return None
+    if (isinstance(value, (list, tuple)) and value
+            and all(type(s) is int and s >= 1 for s in value)):
+        return tuple(value)
+    return None
+
+
+# kind -> (its text, the typed value of a JSON value of that kind or None)
+_KINDS = {
+    "integer": ("an integer", lambda v: v if type(v) is int else None),
+    "number": ("a finite number",
+               lambda v: float(v) if type(v) in (int, float) and math.isfinite(v) else None),
+    "boolean": ("true or false", lambda v: v if type(v) is bool else None),
+    "string": ("a non-empty string", lambda v: v if isinstance(v, str) and v else None),
+    "layers": ("a non-empty list of integers >= 1 or a comma-separated string", _layer_sizes),
+}
+
+_RATE = Rule("number", above=0.0)
+_BETA = Rule("number", least=0.0, below=1.0)
+
+# section -> key -> rule; "" is the document's top level. The scene, train and
+# weights defaults are those of SceneSpec, TrainConfig and LossWeights.
+OPTIONS = {
+    "": {"seed": Rule("integer", least=0, default=0),
+         "threads": Rule("integer", least=1, default=1),
+         "out": Rule("string")},
+    "scene": {"kind": Rule(KINDS), "n_gaussians": Rule("integer", least=10),
+              "n_frames": Rule("integer", least=2),
+              "motion_magnitude": Rule("number", null=True),
+              "noise_sigma": Rule("number", least=0.0), "seed": Rule("integer", least=0)},
+    "train": {"iters_per_frame": Rule("integer", least=1), "layer_sizes": Rule("layers"),
+              "k_neighbors": Rule("integer", least=1),
+              "lambda_weight": Rule("number", least=0.0, null=True),
+              "max_scale": Rule("number", least=0.0), "propagate_covariance": Rule("boolean"),
+              "lr_rot": _RATE, "lr_trans": Rule("number", least=0.0, null=True),
+              "lr_scaledir": _RATE, "lr_sbias": _RATE, "adam_beta1": _BETA, "adam_beta2": _BETA,
+              "adam_eps": _RATE},
+    "weights": dict.fromkeys(("w_rigid", "w_iso", "w_rot", "w_scale", "w_data"),
+                             Rule("number", least=0.0)),
+    "segmentation": {"k_parts": Rule("integer", least=1, default=2),
+                     **dict.fromkeys(("lambda_p", "lambda_r", "lambda_p0"),
+                                     Rule("number", default=1.0))},
+    "tracking": {"camera_index": Rule("integer", least=0, default=0),
+                 "n_tracks": Rule("integer", least=1, default=12)},
+}
 
 ENV_PREFIX = "GSCASCADE_"
 
+# what the flag --<name> and the variable GSCASCADE_<NAME> set: name -> (section, key)
+_OVERRIDES = {"seed": ("", "seed"), "threads": ("", "threads"), "out": ("", "out"),
+              "iters": ("train", "iters_per_frame"), "layers": ("train", "layer_sizes"),
+              "max_scale": ("train", "max_scale")}
 
-def _check_keys(section, mapping, allowed):
+
+def _check_keys(section, mapping, allowed, where=""):
     if not isinstance(mapping, dict):
-        raise ConfigError(f"'{section}' must be a JSON object")
+        raise ConfigError(f"'{section}'{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in '{section}'{where}: {sorted(unknown)}")
 
 
-def _is_option(value, kind, least):
-    """Is a JSON value a finite number, integral if `kind` is int, and >= `least`?"""
-    return not (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value) or (kind is int and value != int(value))
-                or (least is not None and value < least))
+def _check_value(name, rule, value, source):
+    """`value` of the option `name` as `source` sets it, typed by `rule`;
+    raises ConfigError naming the option and the source."""
+    got = f", got {value!r} from {source}"
+    if value is None and rule.null:
+        return None
+    if isinstance(rule.kind, tuple):  # the scene kinds, the one such rule
+        if value not in rule.kind:
+            raise ConfigError(f"{name}: unknown scene kind {value!r} from {source} (choose"
+                              f" from {', '.join(rule.kind)})")
+        return value
+    typed = _KINDS[rule.kind][1](value)
+    if typed is None:
+        what = _KINDS[rule.kind][0] + (" or null" if rule.null else "")
+        raise ConfigError(f"{name} must be {what}{got}")
+    for holds, op, bound in ((operator.ge, ">=", rule.least), (operator.gt, ">", rule.above),
+                             (operator.lt, "<", rule.below)):
+        if bound is not None and not holds(typed, bound):
+            raise ConfigError(f"{name} must be {op} {bound!r}{got}")
+    return typed
 
 
-def _check_options(section, mapping, options):
-    """Schema-check a section of numeric options; returns it with typed values."""
-    _check_keys(section, mapping, set(options))
-    checked = {}
-    for key, value in mapping.items():
-        kind, least = options[key]
-        if not _is_option(value, kind, least):
-            what = "an integer" if kind is int else "a finite number"
-            bound = "" if least is None else f" >= {least}"
-            raise ConfigError(f"{section}.{key} must be {what}{bound}, got {value!r}")
-        checked[key] = kind(value)
-    return checked
+def check_section(section, mapping, source, name=None):
+    """A document section, checked against OPTIONS[section] and typed; the
+    messages call it `name` (default: the section)."""
+    name = name or section
+    _check_keys(name, mapping, set(OPTIONS[section]), f" of {source}")
+    return {key: _check_value(f"{name}.{key}", OPTIONS[section][key], value, source)
+            for key, value in mapping.items()}
 
 
-def _check_train(train):
-    """Schema-check the merged train section; returns it with typed numbers."""
-    numeric = {key: value for key, value in train.items()
-               if key in _TRAIN_OPTIONS and not (value is None and key in _NULLABLE_TRAIN)}
-    checked = dict(train, **_check_options("train", numeric, _TRAIN_OPTIONS))
-    for key in ("adam_beta1", "adam_beta2"):
-        if checked.get(key, 0.0) >= 1.0:
-            raise ConfigError(f"train.{key} must be < 1, got {checked[key]!r}")
-    if not isinstance(checked.get("propagate_covariance", True), bool):
-        raise ConfigError("train.propagate_covariance must be true or false, got"
-                          f" {checked['propagate_covariance']!r}")
-    return checked
+def _from_text(name, rule, text, var):
+    """The text of the environment variable `var`, which sets the option
+    `name`, as the integer or number the option takes (else as it is)."""
+    try:
+        return {"integer": int, "number": float}.get(rule.kind, str)(text)
+    except ValueError:
+        raise ConfigError(f"invalid value for {var}: {name} must be {_KINDS[rule.kind][0]},"
+                          f" got {text!r}") from None
+
+
+def _option(section, key):
+    return f"{section}.{key}" if section else key
+
+
+def _defaults(section):
+    return {key: rule.default for key, rule in OPTIONS[section].items()}
 
 
 @dataclass
 class RunConfig:
-    scene: dict = None  # raw SceneSpec kwargs (seed filled at build time)
-    train: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    segmentation: dict = field(default_factory=dict)
-    tracking: dict = field(default_factory=dict)
-    out: str = None
-    seed: int = 0
-    threads: int = 1
+    scene: dict  # checked SceneSpec kwargs (seed filled at build time); None without a section
+    train: dict
+    weights: dict
+    segmentation: dict
+    tracking: dict
+    out: str
+    seed: int
+    threads: int
 
     def scene_spec(self):
         if self.scene is None:
             raise ConfigError("config has no 'scene' section")
-        kwargs = dict(self.scene)
-        kwargs.setdefault("seed", self.seed)
         try:
-            return SceneSpec(**kwargs)
-        except (TypeError, ValueError) as e:
+            return SceneSpec(**{"seed": self.seed, **self.scene})
+        except TypeError as e:  # no kind
             raise ConfigError(f"invalid scene spec: {e}") from e
 
     def train_config(self, scene_scale=1.0):
-        kwargs = dict(self.train)
-        try:
-            weights = LossWeights(**self.weights)
-            return TrainConfig(
-                weights=weights,
-                seed=self.seed,
-                scene_scale=scene_scale,
-                threads=self.threads,
-                **kwargs,
-            )
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid train config: {e}") from e
+        return TrainConfig(weights=LossWeights(**self.weights), seed=self.seed,
+                           scene_scale=scene_scale, threads=self.threads, **self.train)
 
     def seg_options(self):
-        opts = {"k_parts": 2, "lambda_p": 1.0, "lambda_r": 1.0, "lambda_p0": 1.0}
-        opts.update(self.segmentation)
-        return opts
+        return _defaults("segmentation") | self.segmentation
 
     def track_options(self):
-        opts = {"camera_index": 0, "n_tracks": 12}
-        opts.update(self.tracking)
-        return opts
-
-
-def _parse_layers(text):
-    try:
-        sizes = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as e:
-        raise ConfigError(f"invalid layer list '{text}': {e}") from e
-    if not sizes or any(s < 1 for s in sizes):
-        raise ConfigError(f"invalid layer list '{text}'")
-    return sizes
-
-
-def _check_layer_list(sizes):
-    """A document's non-string train.layer_sizes: a non-empty list of integers >= 1."""
-    if not (isinstance(sizes, (list, tuple)) and sizes
-            and all(_is_option(s, int, 1) for s in sizes)):
-        raise ConfigError("train.layer_sizes must be a non-empty list of integers >= 1 or a"
-                          f" comma-separated string, got {sizes!r}")
-    return tuple(int(s) for s in sizes)
-
-
-def _run_option(key, value, source):
-    """`seed` or `threads` as one layer (`source`) sets it: an integer >= its least value."""
-    least = _RUN_OPTIONS[key]
-    if not _is_option(value, int, None):
-        raise ConfigError(f"{key} must be an integer, got {value!r} from {source}")
-    if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value!r} from {source}")
-    return int(value)
-
-
-def _coerce(name, value, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid value for {name}: {value!r}") from e
-
-
-# what the flag --<name> and the variable GSCASCADE_<NAME> set: name -> (its
-# train key, or None for the RunConfig field <name>; parser(value, source))
-_OVERRIDES = {
-    "seed": (None, lambda v, source: _run_option("seed", _coerce(source, v, int), source)),
-    "threads": (None, lambda v, source: _run_option("threads", _coerce(source, v, int), source)),
-    "out": (None, lambda v, source: v),
-    "iters": ("iters_per_frame", lambda v, source: _coerce(source, v, int)),
-    "layers": ("layer_sizes", lambda v, source: _parse_layers(v)),
-    "max_scale": ("max_scale", lambda v, source: _coerce(source, v, float)),
-}
+        return _defaults("tracking") | self.tracking
 
 
 def load_run_config(document=None, env=None, cli=None):
-    """Merge a parsed JSON document, environment dict, and CLI namespace."""
-    cfg = RunConfig()
-
+    """Merge a parsed JSON document, environment dict, and CLI namespace, and
+    check every merged value against OPTIONS."""
+    given = {section: {} for section in OPTIONS}  # section -> key -> (value, source)
     if document is not None:
-        _check_keys("config", document, _TOP_KEYS)
-        if "scene" in document:
-            _check_keys("scene", document["scene"], _SCENE_KEYS)
-            cfg.scene = dict(document["scene"])
-        if "train" in document:
-            _check_keys("train", document["train"], _TRAIN_KEYS)
-            cfg.train = dict(document["train"])
-            if "layer_sizes" in cfg.train:
-                sizes = cfg.train["layer_sizes"]
-                cfg.train["layer_sizes"] = (_parse_layers(sizes) if isinstance(sizes, str)
-                                            else _check_layer_list(sizes))
-        if "weights" in document:
-            cfg.weights = _check_options("weights", document["weights"], _WEIGHT_OPTIONS)
-        if "segmentation" in document:
-            cfg.segmentation = _check_options(
-                "segmentation", document["segmentation"], _SEG_OPTIONS)
-        if "tracking" in document:
-            cfg.tracking = _check_options("tracking", document["tracking"], _TRACK_OPTIONS)
-        if "out" in document:
-            cfg.out = str(document["out"])
-        for key in _RUN_OPTIONS:
-            if key in document:
-                setattr(cfg, key, _run_option(key, document[key], "the config"))
+        _check_keys("config", document, (set(OPTIONS) | set(OPTIONS[""])) - {""})
+        for section, rules in OPTIONS.items():
+            mapping = ({k: document[k] for k in rules if k in document} if section == ""
+                       else document.get(section, {}))
+            _check_keys(section, mapping, set(rules))
+            given[section] = {key: (value, "the config") for key, value in mapping.items()}
 
     env = os.environ if env is None else env
-    given = [(name, env.get(ENV_PREFIX + name.upper()), ENV_PREFIX + name.upper())
-             for name in _OVERRIDES]
-    given += [(name, getattr(cli, name, None), "--" + name.replace("_", "-"))
-              for name in _OVERRIDES]  # after the environment, so the flags win
-    for name, value, source in given:
-        if value is not None:
-            train_key, parse = _OVERRIDES[name]
-            if train_key is None:
-                setattr(cfg, name, parse(value, source))
-            else:
-                cfg.train[train_key] = parse(value, source)
+    for name, (section, key) in _OVERRIDES.items():
+        var, flag = ENV_PREFIX + name.upper(), "--" + name.replace("_", "-")
+        if env.get(var) is not None:
+            given[section][key] = (_from_text(_option(section, key), OPTIONS[section][key],
+                                              env[var], var), var)
+        if getattr(cli, name, None) is not None:  # the flag outranks the variable
+            given[section][key] = (getattr(cli, name), flag)
 
-    cfg.train = _check_train(cfg.train)
-    return cfg
+    checked = {section: {key: _check_value(_option(section, key), OPTIONS[section][key], value,
+                                          source)
+                         for key, (value, source) in entries.items()}
+               for section, entries in given.items()}
+    top, scene = checked.pop(""), checked.pop("scene")
+    return RunConfig(scene=scene if document and "scene" in document else None,
+                     **checked, **_defaults("") | top)

@@ -81,7 +81,6 @@ from .core import GaussianSet
 from .tapemath import mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t
 
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
-_PD_FLOOR = 1e-12
 
 # the row each parameter class holds in the identity cascade: the d_* classes
 # are CascadeDeform fields (per Gaussian), the rest DeformLayer fields (per cluster)
@@ -459,8 +458,8 @@ def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True,
         Q = R_casc @ frame.prev_R
         B, cov = _covariance_t(J, frame.A0, Q)
         evals, evecs, converged = ad.eigh3(B)
-        if np.any(evals.value <= _PD_FLOOR):
-            idx = int(np.argmax(np.min(evals.value, axis=-1) <= _PD_FLOOR))
+        if np.any(evals.value <= geometry._PD_FLOOR):
+            idx = int(np.argmax(np.min(evals.value, axis=-1) <= geometry._PD_FLOOR))
             raise ValueError(
                 f"propagated covariance is not positive definite for Gaussian {idx}"
                 " (degenerate deformation Jacobian)"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 _NORM_FLOOR = 1e-12
+_PD_FLOOR = 1e-12  # the eigenvalues of a usable covariance are above it
 
 
 def sum_last(x):
@@ -35,6 +36,20 @@ def sum_last(x):
         out += x[..., c]
     out += 0.0
     return out
+
+
+def floored_norm(x, floor=_NORM_FLOOR):
+    """(sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)), |x|^2 > floor^2) over the
+    last axis of a numpy array: the norm of `_normalize`, of `tapemath.safe_norm`
+    and of the fused neighbour terms, which the rest lengths are compared to."""
+    # the squares added in order, bit for bit what np.sum does over a short
+    # last axis, but one whole component at a time: numpy's per-row loops
+    # over 3 or 4 elements cost several times more at the terms' sizes
+    ssq = x[..., 0] * x[..., 0]
+    for c in range(1, x.shape[-1]):
+        ssq += x[..., c] * x[..., c]
+    above = ssq > floor * floor
+    return np.sqrt(np.where(above, ssq, floor * floor)), above
 
 
 def quat_normalize(q):
@@ -122,9 +137,8 @@ _SHEPPERD_NUM = _shepperd_numerators()
 
 def _normalize(q):
     """q / max(|q|, floor) plus what its VJP needs: (unit, 1/norm, above-floor mask)."""
-    ssq = sum_last(q * q)
-    above = ssq > _NORM_FLOOR * _NORM_FLOOR
-    inv = 1.0 / np.sqrt(np.where(above, ssq, _NORM_FLOOR * _NORM_FLOOR))
+    norm, above = floored_norm(q)
+    inv = 1.0 / norm
     return q * inv[..., None], inv, above
 
 
@@ -263,9 +277,6 @@ def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
     return evals, evecs, (converged & np.isfinite(norm)).reshape(batch)
 
 
-_EVAL_FLOOR = 1e-12
-
-
 def decompose_covariance(sigma):
     """Inverse of compose_covariance up to axis permutation / sign gauge.
 
@@ -280,7 +291,7 @@ def decompose_covariance(sigma):
     if sym_err > 1e-9:
         raise ValueError("covariance must be symmetric")
     w, V, converged = jacobi_eigh3(sigma)
-    if np.any(w <= _EVAL_FLOOR):
+    if np.any(w <= _PD_FLOOR):
         raise ValueError("covariance is not positive definite")
     if not np.all(converged):
         raise ValueError("the eigensolver did not converge on the covariance")

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GaussianSet
-from .deform import _PD_FLOOR
-from .geometry import _NORM_FLOOR
+from .geometry import _NORM_FLOOR, _PD_FLOOR
 from .losses import DEFAULT_LAMBDA_SCALE
 
 

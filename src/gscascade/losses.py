@@ -48,7 +48,7 @@ rows it looks up for the sign dots. Rigidity's node takes
 the current rotation matrices (one `quat_to_mat_t` before it) and maps its
 edges back to the previous frame with one batched (N, k, 3) @ (N, 3, 3)
 product; rotation's takes the quaternion increments (one `quat_multiply_t`
-before it). The floored norm is `tapemath.floored_norm`, the forward of
+before it). The floored norm is `geometry.floored_norm`, the forward of
 `safe_norm` too, so the rest lengths and the current lengths that the
 isometry dead zone compares come out of the same arithmetic.
 
@@ -73,7 +73,7 @@ during the backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,8 +82,8 @@ from scipy.spatial import cKDTree
 from . import autodiff as ad
 from . import geometry
 from .deform import CascadeFrame, trace_cascade
-from .tapemath import (floored_norm, floored_norm_adjoint, quat_multiply_t, quat_to_mat_t,
-                       safe_norm)
+from .geometry import floored_norm
+from .tapemath import floored_norm_adjoint, quat_multiply_t, quat_to_mat_t, safe_norm
 
 DEFAULT_NEIGHBOR_COUNT = 20
 DEFAULT_LAMBDA_SCALE = 2000.0  # lambda_weight = 2000 / scene_scale**2
@@ -101,11 +101,6 @@ class LossWeights:
     w_rot: float = 0.19
     w_scale: float = 0.48
     w_data: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(f"{f.name} must be nonnegative")
 
 
 # loss term -> the LossWeights field of its weight, in the order total_loss

@@ -57,12 +57,7 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.iters_per_frame < 1:
-            raise ValueError("iters_per_frame must be >= 1")
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        for name in ("lr_rot", "lr_scaledir", "lr_sbias", "adam_eps"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
     def resolved_lr(self, key):
         """Learning rate for a parameter key of CascadeDeform.arrays(), or a class."""

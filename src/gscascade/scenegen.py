@@ -32,8 +32,6 @@ from .core import GaussianSet
 from .losses import DataObservation
 from .tracking import look_at_camera
 
-KINDS = ("wheel", "pendulum", "two_link_arm", "cloth_wave", "two_blobs")
-
 _DEFAULT_MAGNITUDE = {
     "wheel": 24.0,
     "pendulum": 25.0,
@@ -41,6 +39,7 @@ _DEFAULT_MAGNITUDE = {
     "cloth_wave": 0.08,
     "two_blobs": 0.05,
 }
+KINDS = tuple(_DEFAULT_MAGNITUDE)
 
 _PALETTE = np.array(
     [
@@ -62,14 +61,6 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown scene kind '{self.kind}' (choose from {KINDS})")
-        if self.n_gaussians < 10:
-            raise ValueError("n_gaussians must be >= 10")
-        if self.n_frames < 2:
-            raise ValueError("n_frames must be >= 2")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
         if self.motion_magnitude is None:
             self.motion_magnitude = _DEFAULT_MAGNITUDE[self.kind]
 

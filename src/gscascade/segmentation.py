@@ -40,12 +40,7 @@ def build_features(sets, lambda_p=1.0, lambda_r=1.0, lambda_p0=1.0):
 def segment(features, k_parts, seed=0):
     """k-means part labels from (N, T, 15) features (flattened per Gaussian)."""
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    if k_parts < 1:
-        raise ValueError("k_parts must be >= 1")
-    if k_parts > n:
-        raise ValueError(f"k_parts={k_parts} exceeds number of Gaussians ({n})")
-    labels, _ = kmeans(features.reshape(n, -1), k_parts, seed=seed)
+    labels, _ = kmeans(features.reshape(features.shape[0], -1), k_parts, seed=seed)
     return labels
 
 

@@ -15,8 +15,8 @@ vector-Jacobian product:
     normalize VJP;
   * safe_norm: x / |x| above the norm floor and 0 below it, where the norm
     is the constant floor. Its forward and VJP are the numpy helpers
-    `floored_norm` and `floored_norm_adjoint`, which the fused neighbour
-    terms in `losses` share.
+    `geometry.floored_norm` and `floored_norm_adjoint`, which the fused
+    neighbour terms in `losses` share.
 
 Piecewise definitions (branch selection, hemisphere signs, norm floors)
 take their branch from the forward values and treat it as constant, which is
@@ -31,24 +31,10 @@ from . import autodiff as ad
 from . import geometry
 
 
-def floored_norm(x, floor=geometry._NORM_FLOOR):
-    """(sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)), |x|^2 > floor^2) over the
-    last axis of a numpy array: the forward of `safe_norm`, and of the norms
-    inside the fused neighbour terms, which the rest lengths are compared to."""
-    # the squares added in order, bit for bit what np.sum does over a short
-    # last axis, but one whole component at a time: numpy's per-row loops
-    # over 3 or 4 elements cost several times more at the terms' sizes
-    ssq = x[..., 0] * x[..., 0]
-    for c in range(1, x.shape[-1]):
-        ssq += x[..., c] * x[..., c]
-    above = ssq > floor * floor
-    return np.sqrt(np.where(above, ssq, floor * floor)), above
-
-
 def floored_norm_adjoint(g, x, norm, above):
-    """The gradient w.r.t. x of `floored_norm`, given the norms' gradient g:
-    (g * 0.5 / norm)[..., None] * 2x above the floor, one component at a time
-    as in the forward."""
+    """The gradient w.r.t. x of `geometry.floored_norm`, given the norms'
+    gradient g: (g * 0.5 / norm)[..., None] * 2x above the floor, one
+    component at a time as in the forward."""
     scale = (g * (0.5 / norm)) * above
     gx = 2.0 * x
     for c in range(x.shape[-1]):
@@ -59,11 +45,11 @@ def floored_norm_adjoint(g, x, norm, above):
 def safe_norm(x, floor=geometry._NORM_FLOOR):
     """Euclidean norm over the last axis, floored; gradient 0 below the floor.
 
-    One node over `floored_norm`; the neighbour graph's rest lengths are its
-    forward of the frame-0 edges.
+    One node over `geometry.floored_norm`; the neighbour graph's rest lengths
+    are its forward of the frame-0 edges.
     """
     x = ad._wrap(x)
-    v, above = floored_norm(x.value, floor)
+    v, above = geometry.floored_norm(x.value, floor)
 
     def vjp(g):
         ad._accum(x, floored_norm_adjoint(g, x.value, v, above))

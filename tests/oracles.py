@@ -1,7 +1,9 @@
 """Plain reference implementations that the tests check shipped code against.
 
 None of these run in the pipeline. Each one restates a shipped computation in
-its simplest form, or measures one: a sign-insensitive quaternion distance,
+its simplest form, or measures one: the floored normalize with its own sum of
+squares, as it was before it shared `geometry.floored_norm`, a
+sign-insensitive quaternion distance,
 an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
@@ -38,6 +40,15 @@ from gscascade.tracking import CANDIDATE_RADIUS_PX, mte, project, project_track
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+def normalize_sum_last(q):
+    """(unit, 1/norm, above-floor mask) of `geometry._normalize`, from np.sum's
+    bits of the squares (`geometry.sum_last`) and the norm floor."""
+    ssq = geometry.sum_last(q * q)
+    above = ssq > geometry._NORM_FLOOR * geometry._NORM_FLOOR
+    inv = 1.0 / np.sqrt(np.where(above, ssq, geometry._NORM_FLOOR * geometry._NORM_FLOOR))
+    return q * inv[..., None], inv, above
 
 
 def quat_distance(a, b):

@@ -373,6 +373,13 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
                  "missing key 'part_quats'", id="scene-no-part-quats"),
     pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(kind="ship")),
                  "unknown scene kind 'ship'", id="scene-kind"),
+    # a float frame count used to exit 3 (TypeError) inside the fit
+    pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(n_frames=3.0)),
+                 "spec.n_frames must be an integer, got 3.0", id="scene-n-frames-float"),
+    pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(seed=-1)),
+                 "spec.seed must be >= 0, got -1", id="scene-seed"),
+    pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(frames=3)),
+                 "unknown key(s) in 'spec' of ", id="scene-spec-key"),
 ])
 def test_bad_scene_file_exits_2_naming_it(tmp_path, capsys, name, corrupt, message):
     cfg = write_config(tmp_path)
@@ -476,6 +483,33 @@ def test_bad_layer_size_list_exits_2_naming_it(tiny_scene, tmp_path, capsys, siz
     assert main(["fit", str(tiny_scene), "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "train.layer_sizes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scene, name", [
+    # each used to exit 3, or (n_gaussians 40.5) to write a 41-Gaussian scene
+    # whose scene.json said 40
+    ({"n_frames": 2.5}, "scene.n_frames must be an integer, got 2.5"),
+    ({"motion_magnitude": "x"}, "scene.motion_magnitude must be a finite number or null"),
+    ({"motion_magnitude": float("inf")}, "scene.motion_magnitude must be a finite number"),
+    ({"seed": -1}, "scene.seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "scene.seed must be an integer, got 1.5"),
+    ({"n_gaussians": 40.5}, "scene.n_gaussians must be an integer, got 40.5"),
+])
+def test_bad_scene_values_exit_2_naming_them(tmp_path, capsys, scene, name):
+    cfg = write_config(tmp_path, doc=dict(TINY, scene=dict(TINY["scene"], **scene)))
+    out = tmp_path / "scene"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not out.exists()
+
+
+def test_fit_checks_the_scene_section_it_does_not_use(tiny_scene, tmp_path, capsys):
+    cfg = write_config(tmp_path, doc=dict(TINY, scene=dict(TINY["scene"], n_frames=2.5)))
+    out = tmp_path / "fit"
+    assert main(["fit", str(tiny_scene), "--config", cfg, "--out", str(out)]) == 2
+    assert "scene.n_frames must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -671,6 +705,27 @@ def test_repro_pipeline_smoke(tmp_path):
         assert (out / f"scene_{name}" / "scene.json").exists()
         assert (out / f"fit_{name}_k3" / "trajectory.csv").exists()
         assert (out / f"fit_{name}_k1" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv, env, doc, names", [
+    (["--iters", "2", "--max-scale", "0.5"], {}, None,
+     ["train.iters_per_frame", "train.max_scale"]),
+    ([], {"GSCASCADE_LAYERS": "2,6"}, None, ["train.layer_sizes"]),
+    ([], {}, {"segmentation": {"k_parts": 3}}, ["segmentation.k_parts"]),
+], ids=["flags", "environment", "document"])
+def test_repro_rejects_the_options_it_sets_itself(tmp_path, capsys, monkeypatch, argv, env, doc,
+                                                  names):
+    """repro fits, segments and tracks with its own settings, which used to
+    drop the options it was given without a word."""
+    for var, text in env.items():
+        monkeypatch.setenv(var, text)
+    if doc is not None:
+        argv = argv + ["--config", write_config(tmp_path, doc=doc)]
+    out = tmp_path / "repro"
+    assert main(["repro", "--out", str(out), "--seed", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(name in err for name in names)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gscascade import geometry as geo
-from oracles import polar_rotation, quat_distance
+from oracles import normalize_sum_last, polar_rotation, quat_distance
 
 HALF_SQRT2 = np.sqrt(0.5)
 
@@ -21,6 +21,25 @@ def test_quat_normalize_unit_norm():
     q = rng.normal(size=(50, 4)) * 3.0
     u = geo.quat_normalize(q)
     np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, atol=1e-12)
+
+
+def test_normalize_is_the_floored_norm_with_the_bits_of_its_own_sum():
+    """5,000 rows, among them zero rows, rows below and at the norm floor and
+    rows of huge and tiny components: `_normalize`'s 1/norm and mask are
+    `floored_norm`'s, and both are the bits of a sum over np.sum's order."""
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(5000, 4)) * 10.0 ** rng.integers(-14, 14, size=(5000, 1))
+    q[:100] = 0.0
+    q[100:200] *= 1e-13 / np.linalg.norm(q[100:200], axis=-1, keepdims=True)
+    q[200:300] = [geo._NORM_FLOOR, 0.0, 0.0, 0.0]
+    q[300:400] = [-1e-300, 1e-300, 0.0, -0.0]
+    unit, inv, above = geo._normalize(q)
+    norm, mask = geo.floored_norm(q)
+    assert (1.0 / norm).tobytes() == inv.tobytes() and np.array_equal(mask, above)
+    want_unit, want_inv, want_above = normalize_sum_last(q)
+    assert inv.tobytes() == want_inv.tobytes() and np.array_equal(above, want_above)
+    assert unit.tobytes() == want_unit.tobytes()
+    assert 0 < above.sum() < len(q) - 300
 
 
 def test_quat_normalize_rejects_zero():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gscascade import autodiff as ad
 from gscascade import deform, geometry, losses
 from gscascade.clustering import build_hierarchy
+from gscascade.config import ConfigError, check_section
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_zero
 from gscascade.losses import (
@@ -429,6 +430,12 @@ def test_chamfer_matches_bruteforce_oracle():
                                atol=1e-12 * np.abs(want_g).max())
 
 
+def test_loss_weights_reject_negative():
+    # LossWeights checks nothing; its fields' rules are the weights rows of config.OPTIONS
+    with pytest.raises(ConfigError, match="weights.w_rigid must be >= 0.0, got -0.1"):
+        check_section("weights", {"w_rigid": -0.1}, "the config")
+
+
 def test_data_observation_validation():
     with pytest.raises(ValueError, match="empty"):
         DataObservation(points=np.zeros((0, 3)))
@@ -444,11 +451,6 @@ def test_data_observation_validation():
         DataObservation(points=np.full((2, 3), np.inf))
     with pytest.raises(ValueError, match="correspondence contains negative"):
         DataObservation(points=np.zeros((3, 3)), correspondence=np.array([0, -1, 2]))
-
-
-def test_loss_weights_reject_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        LossWeights(w_rigid=-0.1)
 
 
 # ---------------------------------------------------------------------------

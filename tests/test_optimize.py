@@ -12,6 +12,7 @@ import pytest
 
 from gscascade import autodiff, deform, losses, scenegen
 from gscascade.clustering import build_hierarchy
+from gscascade.config import ConfigError, check_section
 from gscascade.core import GaussianSet
 from gscascade.deform import (IDENTITY_ROWS, cascade_apply, cascade_to_payload, cascade_zero,
                               trace_cascade)
@@ -53,10 +54,11 @@ def zero_grads(cascade):
 
 
 def test_config_validation_and_learning_rates():
-    with pytest.raises(ValueError, match="iters_per_frame"):
-        TrainConfig(iters_per_frame=0)
-    with pytest.raises(ValueError, match="lr_rot"):
-        TrainConfig(lr_rot=0.0)
+    # TrainConfig checks nothing; its options' rules are rows of config.OPTIONS
+    with pytest.raises(ConfigError, match="train.iters_per_frame must be >= 1, got 0"):
+        check_section("train", {"iters_per_frame": 0}, "the config")
+    with pytest.raises(ConfigError, match="train.lr_rot must be > 0.0, got 0.0"):
+        check_section("train", {"lr_rot": 0.0}, "the config")
     cfg = TrainConfig(scene_scale=2.0)
     assert cfg.resolved_lr("layer0.translations") == pytest.approx(1.6e-2 * 2.0)
     assert cfg.resolved_lr("layer2.rotations") == cfg.lr_rot

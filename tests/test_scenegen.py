@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gscascade import geometry
+from gscascade.config import ConfigError, check_section
 from gscascade.scenegen import KINDS, SceneSpec, generate
 from gscascade.tracking import PinholeCamera
 
@@ -30,14 +31,13 @@ def procrustes(A, B):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="unknown scene kind"):
-        SceneSpec(kind="gearbox")
-    with pytest.raises(ValueError, match="n_gaussians"):
-        SceneSpec(kind="wheel", n_gaussians=9)
-    with pytest.raises(ValueError, match="n_frames"):
-        SceneSpec(kind="wheel", n_frames=1)
-    with pytest.raises(ValueError, match="noise_sigma"):
-        SceneSpec(kind="wheel", noise_sigma=-0.01)
+    # SceneSpec checks nothing; its fields' rules are the scene rows of config.OPTIONS
+    for spec, message in (({"kind": "gearbox"}, "scene.kind: unknown scene kind 'gearbox'"),
+                          ({"n_gaussians": 9}, "scene.n_gaussians must be >= 10, got 9"),
+                          ({"n_frames": 1}, "scene.n_frames must be >= 2, got 1"),
+                          ({"noise_sigma": -0.01}, "scene.noise_sigma must be >= 0.0, got -0.01")):
+        with pytest.raises(ConfigError, match=message):
+            check_section("scene", dict({"kind": "wheel"}, **spec), "the config")
 
 
 def test_spec_default_magnitude_and_payload_roundtrip():

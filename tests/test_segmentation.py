@@ -172,9 +172,10 @@ def test_segment_k1_and_validation():
     feats = rng.normal(size=(10, 3, FEATURE_WIDTH))
     labels = segment(feats, k_parts=1)
     assert np.all(labels == labels[0])
-    with pytest.raises(ValueError, match="k_parts"):
+    # k-means' own checks of k
+    with pytest.raises(ValueError, match="k must be >= 1"):
         segment(feats, k_parts=0)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="k=11 exceeds number of points"):
         segment(feats, k_parts=11)
 
 
