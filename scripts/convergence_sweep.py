@@ -17,30 +17,32 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gscascade.clustering import build_hierarchy
+from gscascade.config import argument
 from gscascade.io_formats import write_csv
 from gscascade.optimize import TrainConfig, fit_sequence, mean_center_error
-from gscascade.scenegen import KINDS, SceneSpec, generate
+from gscascade.scenegen import SceneSpec, generate
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kind", default="pendulum", choices=KINDS)
-    ap.add_argument("--n-gaussians", type=int, default=120)
-    ap.add_argument("--n-frames", type=int, default=4)
-    ap.add_argument("--magnitude", type=float, default=25.0)
-    ap.add_argument("--noise", type=float, default=0.02)
-    ap.add_argument("--layers", default="4,20,80")
+    iters = argument("train", "iters_per_frame")
+    ap.add_argument("--kind", type=argument("scene", "kind"), default="pendulum")
+    ap.add_argument("--n-gaussians", type=argument("scene", "n_gaussians"), default=120)
+    ap.add_argument("--n-frames", type=argument("scene", "n_frames"), default=4)
+    ap.add_argument("--magnitude", type=argument("scene", "motion_magnitude"), default=25.0)
+    ap.add_argument("--noise", type=argument("scene", "noise_sigma"), default=0.02)
+    ap.add_argument("--layers", type=argument("train", "layer_sizes"), default="4,20,80")
     ap.add_argument("--budgets", default="10,40,100,400,2000",
+                    type=lambda text: [iters(s) for s in text.split(",")],
                     help="comma-separated iteration counts per frame")
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--out", default="convergence.csv")
+    ap.add_argument("--seed", type=argument("", "seed"), default=11)
+    ap.add_argument("--out", type=argument("", "out"), default="convergence.csv")
     return ap.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
-    layers = tuple(int(s) for s in args.layers.split(","))
-    budgets = [int(s) for s in args.budgets.split(",")]
+    layers, budgets = args.layers, args.budgets
     seq = generate(SceneSpec(args.kind, n_gaussians=args.n_gaussians,
                              n_frames=args.n_frames,
                              motion_magnitude=args.magnitude,

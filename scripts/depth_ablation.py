@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gscascade.clustering import build_hierarchy
+from gscascade.config import argument
 from gscascade.io_formats import write_csv
 from gscascade.optimize import TrainConfig, fit_sequence, mean_center_error
 from gscascade.scenegen import SceneSpec, generate
@@ -25,12 +26,12 @@ SCENES = (("wheel", 40.0), ("pendulum", 85.0), ("two_link_arm", 20.0))
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-gaussians", type=int, default=400)
-    ap.add_argument("--n-frames", type=int, default=4)
-    ap.add_argument("--iters", type=int, default=100)
-    ap.add_argument("--deep-layers", default="8,40,160")
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--out", default="ablation.csv")
+    ap.add_argument("--n-gaussians", type=argument("scene", "n_gaussians"), default=400)
+    ap.add_argument("--n-frames", type=argument("scene", "n_frames"), default=4)
+    ap.add_argument("--iters", type=argument("train", "iters_per_frame"), default=100)
+    ap.add_argument("--deep-layers", type=argument("train", "layer_sizes"), default="8,40,160")
+    ap.add_argument("--seed", type=argument("", "seed"), default=11)
+    ap.add_argument("--out", type=argument("", "out"), default="ablation.csv")
     return ap.parse_args(argv)
 
 
@@ -44,7 +45,7 @@ def fit_once(seq, layers, iters, seed):
 
 def main(argv=None):
     args = parse_args(argv)
-    deep = tuple(int(s) for s in args.deep_layers.split(","))
+    deep = args.deep_layers
     rows = []
     for kind, magnitude in SCENES:
         seq = generate(SceneSpec(kind, n_gaussians=args.n_gaussians,

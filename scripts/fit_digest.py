@@ -29,6 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gscascade.clustering import build_hierarchy
+from gscascade.config import argument
 from gscascade.deform import cascade_to_payload
 from gscascade.losses import DataObservation
 from gscascade.optimize import TrainConfig, fit_sequence
@@ -42,12 +43,15 @@ SCAN_SIGMA = 0.005  # their spread around it
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kinds", default=DEFAULT_KINDS, help="comma-separated scene kinds")
-    ap.add_argument("--n-gaussians", type=int, default=400)
-    ap.add_argument("--n-frames", type=int, default=4)
-    ap.add_argument("--iters", type=int, default=25, help="iterations per frame")
-    ap.add_argument("--layers", default="8,40,160")
-    ap.add_argument("--seed", type=int, default=1)
+    kind = argument("scene", "kind")
+    ap.add_argument("--kinds", default=DEFAULT_KINDS, help="comma-separated scene kinds",
+                    type=lambda text: [kind(name) for name in text.split(",")])
+    ap.add_argument("--n-gaussians", type=argument("scene", "n_gaussians"), default=400)
+    ap.add_argument("--n-frames", type=argument("scene", "n_frames"), default=4)
+    ap.add_argument("--iters", type=argument("train", "iters_per_frame"), default=25,
+                    help="iterations per frame")
+    ap.add_argument("--layers", type=argument("train", "layer_sizes"), default="8,40,160")
+    ap.add_argument("--seed", type=argument("", "seed"), default=1)
     return ap.parse_args(argv)
 
 
@@ -84,8 +88,8 @@ def scan_observations(gt_centers, seed):
 
 def main(argv=None):
     args = parse_args(argv)
-    layers = tuple(int(s) for s in args.layers.split(","))
-    for kind in args.kinds.split(","):
+    layers = args.layers
+    for kind in args.kinds:
         seq = generate(SceneSpec(kind, n_gaussians=args.n_gaussians, n_frames=args.n_frames,
                                  seed=args.seed))
         config = TrainConfig(iters_per_frame=args.iters, layer_sizes=layers, seed=args.seed,

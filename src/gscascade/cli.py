@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io_formats as iof
 from .clustering import build_hierarchy
-from .config import ConfigError, check_section, load_run_config
+from .config import OPTIONS, ConfigError, check_section, load_run_config
 from .core import GaussianSet
 from .deform import cascade_to_payload
 from .losses import DataObservation
@@ -287,11 +287,11 @@ def cmd_eval(cfg, run_dirs):
 def cmd_repro(cfg):
     """Small end-to-end pipeline: generate, fit K=3 vs K=1, segment, track, eval.
     It sets every run option but `seed`, `threads` and `out` itself."""
-    sections = ("scene", "train", "weights", "segmentation", "tracking")
+    sections = [section for section in OPTIONS if section]
     given = [f"{section}.{key}" for section in sections for key in getattr(cfg, section) or {}]
     if given:
-        raise ConfigError("repro sets its own scene, train, weights, segmentation and tracking"
-                          f" options; remove {', '.join(given)}")
+        raise ConfigError(f"repro sets its own {', '.join(sections)} options;"
+                          f" remove {', '.join(given)}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed

@@ -3,12 +3,14 @@
 Precedence (highest wins): CLI flags > GSCASCADE_* environment variables >
 config file > built-in defaults. `OPTIONS` states every option a run can set
 and its rule once; the merged values are checked against it before any work
-starts, and `cli` applies its `scene` rows to a scene directory's
-`scene.json` too. Unknown keys anywhere are an error (exit code 2 in the CLI).
+starts, `cli` applies its `scene` rows to a scene directory's `scene.json`
+too, and the scripts in scripts/ check their flags with it through
+`argument`. Unknown keys anywhere are an error (exit code 2 in the CLI).
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import operator
 import os
@@ -149,6 +151,21 @@ def _from_text(name, rule, text, var):
 
 def _option(section, key):
     return f"{section}.{key}" if section else key
+
+
+def argument(section, key):
+    """An argparse `type` for a script's flag that sets the option
+    `section.key`: the flag's text as the option's value, checked against
+    OPTIONS (a bad value makes argparse exit 2 naming the flag and the option)."""
+    name, rule = _option(section, key), OPTIONS[section][key]
+
+    def typed(text):
+        try:
+            value = _from_text(name, rule, text, "this flag")
+            return _check_value(name, rule, value, "this flag")
+        except ConfigError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return typed
 
 
 def _defaults(section):

@@ -1,9 +1,12 @@
 """Smoke runs of the scripts in scripts/: each main() on tiny arguments."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gscascade.io_formats import read_csv
 
@@ -64,3 +67,36 @@ def test_fit_digest_prints_the_same_digests_twice(capsys):
     # the scan fit differs from the fit to correspondences in every fit digest
     for matched, scanned in zip(digests[0::2], digests[1::2]):
         assert all(a != b for a, b in zip(matched[:3], scanned[:3]))
+
+
+def test_fit_digest_exits_2_on_zero_iterations():
+    """The scripts' flags are checked against config.OPTIONS: zero iterations
+    per frame used to print digests of sets that were never fitted."""
+    run = subprocess.run([sys.executable, str(SCRIPTS / "fit_digest.py"), "--kinds", "wheel",
+                          "--n-gaussians", "60", "--layers", "4,12", "--iters", "0"],
+                         capture_output=True, text=True)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "argument --iters: train.iters_per_frame must be >= 1" in run.stderr
+
+
+@pytest.mark.parametrize("name, argv, option", [
+    ("fit_digest", ["--kinds", "wheel,ship"], "scene.kind"),
+    ("fit_digest", ["--n-gaussians", "9"], "scene.n_gaussians"),
+    ("fit_digest", ["--n-frames", "1"], "scene.n_frames"),
+    ("fit_digest", ["--layers", "4,0"], "train.layer_sizes"),
+    ("fit_digest", ["--seed", "-1"], "seed"),
+    ("depth_ablation", ["--iters", "0"], "train.iters_per_frame"),
+    ("depth_ablation", ["--deep-layers", "2,x"], "train.layer_sizes"),
+    ("depth_ablation", ["--n-frames", "2.5"], "scene.n_frames"),
+    ("depth_ablation", ["--out", ""], "out"),
+    ("convergence_sweep", ["--kind", "ship"], "scene.kind"),
+    ("convergence_sweep", ["--budgets", "10,0"], "train.iters_per_frame"),
+    ("convergence_sweep", ["--magnitude", "inf"], "scene.motion_magnitude"),
+    ("convergence_sweep", ["--noise", "-0.1"], "scene.noise_sigma"),
+])
+def test_script_flags_are_checked_against_the_options(capsys, name, argv, option):
+    with pytest.raises(SystemExit) as exit_:
+        load_script(name).main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}: " in err and option in err
