@@ -2,17 +2,21 @@
 """Print digests of seeded fits, to check that a change keeps every bit.
 
 For each scene kind it generates one scene, fits it and prints one line with
-four sha256 digests: one over the `centers`, `orientations` and `scales`
+five sha256 digests: one over the `centers`, `orientations` and `scales`
 bytes of every fitted set, one over every frame's checkpoint payload
 (`cascade_to_payload`, as `json.dumps(sort_keys=True, indent=2)`), one over
 every frame's loss `curve` and `final_losses` (as
 `json.dumps(sort_keys=True)`), what `losses.csv` and `summary.json` record,
-and one over the int64 part labels that `segment` gives the fitted sets'
+one over the int64 part labels that `segment` gives the fitted sets'
 motion features, with as many parts as the scene has (k-means at
-D = 15 * frames). After each kind's line comes a `<kind>_scan` line with the same digests of a
-fit to seeded scan points around the ground-truth centers, with no
-correspondences, so that the Chamfer data term is covered too. Run it on two
-checkouts and compare the lines.
+D = 15 * frames), and one over the fit's outputs: the bytes that
+`write_trajectory_csv`, `write_json` (each checkpoint) and `write_losses_csv`
+write, and for every Gaussian visible in camera 0 at frame 0 the Gaussian
+that `select_candidate` picks for its ground-truth track (or the message it
+raises) and that pick's `mte(...).hex()`. After each kind's line comes a
+`<kind>_scan` line with the same digests of a fit to seeded scan points
+around the ground-truth centers, with no correspondences, so that the Chamfer
+data term is covered too. Run it on two checkouts and compare the lines.
 
     python3 scripts/fit_digest.py
     python3 scripts/fit_digest.py --kinds wheel --n-gaussians 60 --iters 3
@@ -22,6 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +36,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gscascade.clustering import build_hierarchy
 from gscascade.config import argument
 from gscascade.deform import cascade_to_payload
+from gscascade.io_formats import write_json, write_losses_csv, write_trajectory_csv
 from gscascade.losses import DataObservation
 from gscascade.optimize import TrainConfig, fit_sequence
 from gscascade.scenegen import SceneSpec, generate
 from gscascade.segmentation import build_features, segment
+from gscascade.tracking import mte, project, project_track, select_candidate
 
 DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave"
 SCAN_SAMPLES = 8  # scan points per ground-truth center
 SCAN_SIGMA = 0.005  # their spread around it
+DIGESTS = ("trajectory", "checkpoints", "losses", "segmentation", "outputs")
 
 
 def parse_args(argv=None):
@@ -55,9 +63,9 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
-def fit_digests(report, k_parts):
-    """(trajectory, checkpoint, loss, segmentation) digests of a FitReport, as
-    hex strings."""
+def fit_digests(report, k_parts, seq):
+    """(trajectory, checkpoint, loss, segmentation, outputs) digests of a
+    FitReport of the scene `seq`, as hex strings."""
     trajectory = hashlib.sha256()
     for gset in report.sets:
         for array in (gset.centers, gset.orientations, gset.scales):
@@ -73,7 +81,32 @@ def fit_digests(report, k_parts):
     labels = segment(build_features(report.sets), k_parts, seed=0)
     segmentation = hashlib.sha256(labels.astype(np.int64).tobytes())
     return (trajectory.hexdigest(), checkpoints.hexdigest(), losses.hexdigest(),
-            segmentation.hexdigest())
+            segmentation.hexdigest(), outputs_digest(report, seq))
+
+
+def outputs_digest(report, seq):
+    """The fifth digest of `fit_digests`: written files, then track picks."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "written"
+        files = [(write_trajectory_csv, report.sets), (write_losses_csv, report.frames)]
+        files += [(write_json, cascade_to_payload(cascade)) for cascade in report.cascades]
+        for write, content in files:
+            write(path, content)
+            digest.update(path.read_bytes())
+    centers = np.stack([gset.centers for gset in report.sets])
+    camera = seq.cameras[0]
+    _, _, visible = project(camera, seq.gt_centers[0])
+    for index in np.flatnonzero(visible):
+        gt_track = project_track(camera, seq.gt_centers[:, index])
+        try:
+            pick = select_candidate(centers, camera, gt_track)
+        except ValueError as e:
+            digest.update(f"{index} {e}\n".encode())
+            continue
+        error = mte(project_track(camera, centers[:, pick]), gt_track, camera.image_diagonal)
+        digest.update(f"{index} {pick} {error.hex()}\n".encode())
+    return digest.hexdigest()
 
 
 def scan_observations(gt_centers, seed):
@@ -99,9 +132,8 @@ def main(argv=None):
         for name, observations in ((kind, seq.observations),
                                    (f"{kind}_scan", scan_observations(seq.gt_centers, args.seed))):
             report = fit_sequence(seq.frame0, observations, config, hierarchy)
-            trajectory, checkpoints, losses, segmentation = fit_digests(report, k_parts)
-            print(f"{name} trajectory {trajectory} checkpoints {checkpoints} losses {losses}"
-                  f" segmentation {segmentation}")
+            digests = dict(zip(DIGESTS, fit_digests(report, k_parts, seq)))
+            print(name, " ".join(f"{label} {digest}" for label, digest in digests.items()))
     return 0
 
 

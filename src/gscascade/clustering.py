@@ -37,18 +37,24 @@ from .autodiff import RowIndex
 _LLOYD_TOL = 1e-7
 _LLOYD_MAX_ITERS = 300
 _PAIRWISE_FROM = 8  # numpy sums a last axis this long or longer pairwise
+_ROW_BLOCK = 512  # rows of the (N, k) grid filled at once, so temporaries stay in cache
 
 
 def _sq_dists(points, centroids):
-    """(N, k) squared distances between the rows of (N, D) points and (k, D) centroids."""
+    """(N, k) squared distances between the rows of (N, D) points and (k, D)
+    centroids, filled _ROW_BLOCK rows at a time; each entry's arithmetic does
+    not depend on the block."""
     n, dim = points.shape
-    if dim >= _PAIRWISE_FROM:
-        return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
     d2 = np.zeros((n, centroids.shape[0]))
-    for a in range(dim):
-        d = points[:, a, None] - centroids[None, :, a]
-        d *= d
-        d2 += d
+    for start in range(0, n, _ROW_BLOCK):
+        block, out = points[start:start + _ROW_BLOCK], d2[start:start + _ROW_BLOCK]
+        if dim >= _PAIRWISE_FROM:
+            out[...] = np.sum((block[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+            continue
+        for a in range(dim):
+            d = block[:, a, None] - centroids[None, :, a]
+            d *= d
+            out += d
     return d2
 
 

@@ -530,11 +530,11 @@ def propagated_covariances(cascade, gset):
 
 
 def _arr_to_hex(a):
-    return {"shape": list(a.shape), "data": [float(v).hex() for v in a.ravel()]}
+    return {"shape": list(a.shape), "data": list(map(float.hex, a.ravel().tolist()))}
 
 
 def _arr_from_hex(payload):
-    data = np.array([float.fromhex(v) for v in payload["data"]], dtype=np.float64)
+    data = np.array(list(map(float.fromhex, payload["data"])), dtype=np.float64)
     return data.reshape(payload["shape"])
 
 

@@ -20,8 +20,11 @@ from .geometry import _NORM_FLOOR, _PD_FLOOR
 from .losses import DEFAULT_LAMBDA_SCALE
 
 
-def _fmt(v):
-    return repr(float(v))
+def _lines(rows, sep=","):
+    """`sep`-joined lines of rows of Python ints and floats, as `ndarray.tolist()`
+    gives them: repr of each cell, which for a float is the bytes `write_csv`
+    writes and for an int is str's."""
+    return [sep.join(map(repr, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +98,10 @@ def write_ply(path, points, colors=None):
                              ).astype(np.uint8)
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
-    for i in range(points.shape[0]):
-        row = " ".join(_fmt(v) for v in points[i])
-        if colors is not None:
-            row += " " + " ".join(str(int(v)) for v in colors[i])
-        lines.append(row)
+    rows = points.tolist()
+    if colors is not None:
+        rows = [xyz + rgb for xyz, rgb in zip(rows, colors.tolist(), strict=True)]
+    lines += _lines(rows, sep=" ")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -165,7 +167,7 @@ def write_csv(path, header, rows):
         cells = []
         for v in row:
             if isinstance(v, (float, np.floating)):
-                cells.append(_fmt(v))
+                cells.append(repr(float(v)))
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
@@ -184,18 +186,23 @@ def read_table(path, header, name, kind=float):
     if got != header:
         raise ValueError(f"{path}: unexpected {name} header {got}, expected {header}")
     try:
-        data = np.array([[kind(v) for v in r] for r in rows]).reshape(len(rows), len(header))
+        data = np.array([list(map(kind, r)) for r in rows]).reshape(len(rows), len(header))
     except ValueError as e:
         raise ValueError(f"{path}: bad row: {e}") from e
     _check_finite(path, header, data)
     return data
 
 
+def _write_rows(path, header, rows):
+    """`write_csv`'s bytes for rows of Python ints and floats (see `_lines`)."""
+    Path(path).write_text("\n".join([",".join(header), *_lines(rows)]) + "\n")
+
+
 def _write_frame_table(path, header, frames):
     """CSV keyed by (frame, index): frame t's (N, len(header) - 2) array gives
     the rows (t, i, *frames[t][i])."""
-    write_csv(path, header, ([t, i, *row] for t, frame in enumerate(frames)
-                             for i, row in enumerate(frame)))
+    _write_rows(path, header, ([t, i, *row] for t, frame in enumerate(frames)
+                               for i, row in enumerate(np.asarray(frame).tolist())))
 
 
 def _read_frame_table(path, header, name, key):
@@ -303,8 +310,8 @@ INIT_GAUSSIANS_HEADER = ["index", "x", "y", "z", "qw", "qx", "qy", "qz",
 
 
 def write_init_gaussians_csv(path, gset):
-    write_csv(path, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
-        np.hstack([gset.centers, gset.orientations, gset.scales, gset.colors]))))
+    _write_rows(path, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
+        np.hstack([gset.centers, gset.orientations, gset.scales, gset.colors]).tolist())))
 
 
 def read_init_gaussians_csv(path):

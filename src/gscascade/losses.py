@@ -372,7 +372,10 @@ def data_loss_t(centers_t, frame, workers=1):
     sums = np.stack([np.bincount(nn_o, weights=obs.points[:, a], minlength=n) for a in range(3)],
                     axis=-1)
     mu = sums / np.maximum(counts, 1)[:, None]
-    spread = np.sum(np.square(obs.points - mu[nn_o]))
+    # each point's offset from its Gaussian's mean, squared in place in one (M, 3) array
+    offsets = np.take(mu, nn_o, axis=0)
+    np.subtract(obs.points, offsets, out=offsets)
+    spread = np.sum(np.square(offsets, out=offsets))
     to_mean = centers - mu
     share = (counts / m)[:, None]
     scan_to_set = ((to_mean * to_mean) * share).sum() + spread / m

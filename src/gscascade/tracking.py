@@ -4,16 +4,18 @@ A tracked point is just a Gaussian index: its predicted 2D track is the
 projection of that Gaussian's center at every frame. No re-association ever
 happens — index identity across frames is the tracker.
 
-A ground-truth track is matched to a Gaussian by scoring every candidate in
-one batched pass: the whole trajectory is projected once, and each
-candidate's median track error is taken column-wise over the frames it shares
-with the track (`_median_error`, the one definition of the median track error,
-which `mte` uses too).
+A ground-truth track is matched to a Gaussian in two batched passes: frame 0
+of every Gaussian is projected to find the candidates within 10 px of the
+track's start, then only the candidates are projected over all T frames, and
+each candidate's median track error is taken column-wise over the frames it
+shares with the track (`_median_error`, the one definition of the median track
+error, which `mte` uses too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +25,14 @@ _MIN_DEPTH = 1e-9
 CANDIDATE_RADIUS_PX = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PinholeCamera:
-    """World-to-camera rigid transform plus intrinsics (pixels). +z looks forward."""
+    """World-to-camera rigid transform plus intrinsics (pixels). +z looks forward.
+
+    Frozen, with a read-only `rotation`, so that `world_to_camera`, computed
+    once from it, cannot go stale; `dataclasses.replace` builds a camera with
+    new fields.
+    """
 
     fx: float
     fy: float
@@ -46,10 +53,19 @@ class PinholeCamera:
             raise ValueError("focal lengths must be positive")
         if not all(float(v).is_integer() and 1 <= v <= 65536 for v in (self.width, self.height)):
             raise ValueError("image size must be integers from 1 to 65536")
-        self.width, self.height = int(self.width), int(self.height)
         with np.errstate(over="ignore"):  # a norm that overflows raises instead
-            self.rotation = geometry.quat_normalize(np.asarray(self.rotation, dtype=np.float64))
-        self.translation = np.asarray(self.translation, dtype=np.float64)
+            rotation = geometry.quat_normalize(np.asarray(self.rotation, dtype=np.float64))
+        rotation.flags.writeable = False
+        fields = {"width": int(self.width), "height": int(self.height), "rotation": rotation,
+                  "translation": np.asarray(self.translation, dtype=np.float64)}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def world_to_camera(self):
+        """The rotation matrix of `rotation`, computed on first use. It is not a
+        field: equality and the payload ignore it."""
+        return geometry.quat_to_matrix(self.rotation)
 
     @property
     def image_diagonal(self):
@@ -96,15 +112,19 @@ def project(camera, points):
     with NaN pixels.
     """
     points = np.asarray(points, dtype=np.float64)
-    R = geometry.quat_to_matrix(camera.rotation)
-    cam = points @ R.T + camera.translation
+    cam = points @ camera.world_to_camera.T + camera.translation
     depth = cam[..., 2]
     valid = depth > _MIN_DEPTH
-    zsafe = np.where(valid, depth, 1.0)
-    u = camera.fx * cam[..., 0] / zsafe + camera.cx
-    v = camera.fy * cam[..., 1] / zsafe + camera.cy
-    pix = np.stack([u, v], axis=-1)
-    pix = np.where(valid[..., None], pix, np.nan)
+    every = valid.all()
+    zsafe = depth if every else np.where(valid, depth, 1.0)
+    pix = np.empty(depth.shape + (2,))
+    for axis, f, c in ((0, camera.fx, camera.cx), (1, camera.fy, camera.cy)):
+        out = pix[..., axis]  # f * cam / zsafe + c
+        np.multiply(f, cam[..., axis], out=out)
+        out /= zsafe
+        out += c
+    if not every:
+        pix[~valid] = np.nan
     return pix, depth, valid
 
 
@@ -128,6 +148,14 @@ def project_track(camera, centers_over_time):
     return Track2D(pixels=pix, valid=valid)
 
 
+def _pixel_distance(a, b):
+    """Euclidean distance over the last axis of (..., 2) pixel arrays: the bits
+    of `np.linalg.norm(a - b, axis=-1)`, without its set-up."""
+    d = a - b
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1])
+
+
 def _median_error(dist, shared, image_diagonal):
     """Per-column median of `dist` (T, C) over the frames where `shared` (T, C)
     holds, divided by `image_diagonal`: (C,) errors as diagonal fractions.
@@ -144,16 +172,17 @@ def _median_error(dist, shared, image_diagonal):
     lo = ordered[(count - 1) // 2, cols]
     hi = ordered[count // 2, cols]
     median = np.where(count % 2 == 1, lo, (lo + hi) / 2)
-    median[(np.isnan(dist) & shared).any(axis=0)] = np.nan
+    # NaNs sort last: row count - 1 holds one only if a shared frame's distance is NaN
+    median[np.isnan(ordered[count - 1, cols])] = np.nan
     return median / image_diagonal
 
 
 def mte(pred, gt, image_diagonal):
     """Median pixel distance between two tracks / image diagonal (a fraction)."""
     both = pred.valid & gt.valid
-    if not np.any(both):
+    if not both.any():
         raise ValueError("tracks share no valid frames")
-    d = np.linalg.norm(pred.pixels - gt.pixels, axis=-1)
+    d = _pixel_distance(pred.pixels, gt.pixels)
     return float(_median_error(d[:, None], both[:, None], image_diagonal)[0])
 
 
@@ -163,22 +192,24 @@ def select_candidate(centers_traj, camera, gt_track):
     centers_traj is the fitted (T, N, 3) center trajectory. Candidates are
     all Gaussians whose frame-0 projection lands within 10 pixels of the
     track's first point; among them the one with the lowest full-sequence
-    MTE wins. All candidates are scored at once: the trajectory is projected
-    in one call and the candidates' MTEs come from one (T, C) array of pixel
-    distances, each column over the frames valid in both the candidate and
-    the track (frame 0 always is, through the gate). A tie goes to the lowest
-    index. A non-finite MTE (a candidate whose valid frames project to
-    non-finite pixels) never wins. Raises ValueError if no candidate is in
-    range, or if no candidate has a finite MTE.
+    MTE wins. All candidates are scored at once: frame 0 of every Gaussian is
+    projected in one call, then the candidates' trajectories in another, and
+    their MTEs come from one (T, C) array of pixel distances, each column over
+    the frames valid in both the candidate and the track (frame 0 always is,
+    through the gate). A tie goes to the lowest index. A non-finite MTE (a
+    candidate whose valid frames project to non-finite pixels) never wins.
+    Raises ValueError if no candidate is in range, or if no candidate has a
+    finite MTE.
     """
     centers_traj = np.asarray(centers_traj, dtype=np.float64)
-    pix, _, valid = project(camera, centers_traj)
-    d0 = np.linalg.norm(pix[0] - gt_track.pixels[0], axis=-1)
-    cand = np.nonzero(valid[0] & (d0 <= CANDIDATE_RADIUS_PX))[0]
+    pix0, _, valid0 = project(camera, centers_traj[0])
+    d0 = _pixel_distance(pix0, gt_track.pixels[0])
+    cand = np.nonzero(valid0 & (d0 <= CANDIDATE_RADIUS_PX))[0]
     if cand.size == 0:
         raise ValueError("no Gaussian projects within 10 px of the track start")
-    dist = np.linalg.norm(pix[:, cand] - gt_track.pixels[:, None], axis=-1)
-    shared = valid[:, cand] & gt_track.valid[:, None]
+    pix, _, valid = project(camera, centers_traj[:, cand])
+    dist = _pixel_distance(pix, gt_track.pixels[:, None])
+    shared = valid & gt_track.valid[:, None]
     errors = _median_error(dist, shared, camera.image_diagonal)
     finite = np.isfinite(errors)
     if not finite.any():

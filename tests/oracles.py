@@ -19,13 +19,16 @@ sum and the two-node eigh3 that the shipped tape replaced, the row-wise
 Jacobi eigensolver, the correspondence term, the Chamfer term, the scale
 hinge and the weighted total as the chains of generic nodes their one-node
 forms replaced, Adam on separate per-class arrays and the per-layer
-checkpoint payload that the flat parameter buffer replaced, a brute-force
-Chamfer term, the inverse camera map, the per-candidate loop of track
-selection, and Procrustes subset checks for the rigid-subpart rotation
-property.
+checkpoint payload that the flat parameter buffer replaced, the per-cell
+writers of the CSV and PLY tables and the per-element checkpoint hex that the
+row formatters replaced, a brute-force Chamfer term, the inverse camera map,
+the projection that rebuilt the camera matrix on every call, track selection
+over the whole projected trajectory and as a per-candidate loop, and
+Procrustes subset checks for the rigid-subpart rotation property.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -36,7 +39,8 @@ from gscascade.losses import (_RIGID_NOISE_ULPS, _TERM_WEIGHTS, FrameConstants, 
                               isometry_loss_t, rigidity_loss_t, rotation_loss_t)
 from gscascade.segmentation import procrustes_rotation
 from gscascade.tapemath import quat_multiply_t, quat_to_mat_t, safe_norm
-from gscascade.tracking import CANDIDATE_RADIUS_PX, mte, project, project_track
+from gscascade.tracking import (_MIN_DEPTH, CANDIDATE_RADIUS_PX, _median_error, mte, project,
+                                project_track)
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -791,12 +795,16 @@ def adam_step_per_class(arrays, grads, state, config):
 # checkpoint
 
 
+def arr_to_hex_per_element(a):
+    """deform._arr_to_hex with one `float(v).hex()` call per element."""
+    return {"shape": list(a.shape), "data": [float(v).hex() for v in a.ravel()]}
+
+
 def cascade_payload_per_layer(cascade):
     """deform.cascade_to_payload from a copy of every layer's arrays, each hex
     encoded on its own, as when each layer held separate arrays."""
     def hexed(a):
-        a = np.array(a)
-        return {"shape": list(a.shape), "data": [float(v).hex() for v in a.ravel()]}
+        return arr_to_hex_per_element(np.array(a))
 
     return {
         "layers": [{name: hexed(getattr(layer, name))
@@ -808,7 +816,93 @@ def cascade_payload_per_layer(cascade):
 
 
 # ---------------------------------------------------------------------------
+# writers, one cell at a time
+
+
+def write_csv_per_cell(path, header, rows):
+    """io_formats.write_csv: floats (Python or numpy) through repr(float(v)),
+    every other cell through str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_frame_table_per_cell(path, header, frames):
+    """io_formats._write_frame_table as rows (t, i, *frames[t][i]) of numpy
+    scalars through `write_csv_per_cell`."""
+    write_csv_per_cell(path, header, ([t, i, *row] for t, frame in enumerate(frames)
+                                      for i, row in enumerate(frame)))
+
+
+def write_ply_per_cell(path, points, colors=None):
+    """io_formats.write_ply with each vertex row formatted one cell at a time."""
+    points = np.asarray(points, dtype=np.float64)
+    lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+             "property double x", "property double y", "property double z"]
+    if colors is not None:
+        colors = np.asarray(colors)
+        if colors.dtype != np.uint8:
+            colors = np.clip(np.round(np.asarray(colors, dtype=np.float64) * 255.0), 0, 255
+                             ).astype(np.uint8)
+        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+    lines.append("end_header")
+    for i in range(points.shape[0]):
+        row = " ".join(repr(float(v)) for v in points[i])
+        if colors is not None:
+            row += " " + " ".join(str(int(v)) for v in colors[i])
+        lines.append(row)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # camera
+
+
+def project_rebuilt(camera, points):
+    """tracking.project with the camera matrix rebuilt from the quaternion on
+    every call and the pixels assembled by np.stack and np.where."""
+    points = np.asarray(points, dtype=np.float64)
+    R = geometry.quat_to_matrix(camera.rotation)
+    cam = points @ R.T + camera.translation
+    depth = cam[..., 2]
+    valid = depth > _MIN_DEPTH
+    zsafe = np.where(valid, depth, 1.0)
+    u = camera.fx * cam[..., 0] / zsafe + camera.cx
+    v = camera.fy * cam[..., 1] / zsafe + camera.cy
+    pix = np.stack([u, v], axis=-1)
+    pix = np.where(valid[..., None], pix, np.nan)
+    return pix, depth, valid
+
+
+def mte_norm(pred, gt, image_diagonal):
+    """tracking.mte with np.linalg.norm for the pixel distances."""
+    both = pred.valid & gt.valid
+    if not np.any(both):
+        raise ValueError("tracks share no valid frames")
+    d = np.linalg.norm(pred.pixels - gt.pixels, axis=-1)
+    return float(_median_error(d[:, None], both[:, None], image_diagonal)[0])
+
+
+def select_candidate_whole(centers_traj, camera, gt_track):
+    """tracking.select_candidate from one projection of the whole (T, N, 3)
+    trajectory (`project_rebuilt`) and np.linalg.norm distances."""
+    centers_traj = np.asarray(centers_traj, dtype=np.float64)
+    pix, _, valid = project_rebuilt(camera, centers_traj)
+    d0 = np.linalg.norm(pix[0] - gt_track.pixels[0], axis=-1)
+    cand = np.nonzero(valid[0] & (d0 <= CANDIDATE_RADIUS_PX))[0]
+    if cand.size == 0:
+        raise ValueError("no Gaussian projects within 10 px of the track start")
+    dist = np.linalg.norm(pix[:, cand] - gt_track.pixels[:, None], axis=-1)
+    shared = valid[:, cand] & gt_track.valid[:, None]
+    errors = _median_error(dist, shared, camera.image_diagonal)
+    finite = np.isfinite(errors)
+    if not finite.any():
+        u, v = gt_track.pixels[0]
+        raise ValueError(f"no candidate for the track starting at pixel ({u:.6g}, {v:.6g})"
+                         " has a finite error")
+    return int(cand[np.argmin(np.where(finite, errors, np.inf))])
 
 
 def unproject(camera, pixels, depth):

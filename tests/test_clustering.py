@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gscascade.clustering import (
+    _ROW_BLOCK,
     ClusterHierarchy,
     _assign,
     agglomerate,
@@ -165,6 +166,19 @@ def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
             np.testing.assert_allclose(centroids, want_centroids, rtol=0,
                                        atol=len(pts) * eps * np.abs(pts).max())
         np.testing.assert_array_equal(agglomerate(pts, k), agglomerate_masked(pts, k))
+
+
+@pytest.mark.parametrize("dim", [3, 9])
+def test_squared_distances_in_row_blocks_keep_the_bits_of_one_grid(dim):
+    """Past _ROW_BLOCK rows the grid fills block by block, with a short last
+    block; every entry keeps the whole-grid arithmetic."""
+    rng = np.random.default_rng(dim)
+    for n in (_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK + 1, 3 * _ROW_BLOCK - 7):
+        pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 50.0)
+        centroids = pts[rng.integers(n, size=int(rng.integers(1, 40)))] + 0.25
+        got, want = _assign(pts, centroids), assign_broadcast(pts, centroids)
+        assert got[1].tobytes() == want[1].tobytes()
+        np.testing.assert_array_equal(got[0], want[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from gscascade import geometry
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import (
+    _arr_from_hex,
+    _arr_to_hex,
     CascadeDeform,
     _nearest_signed_permutation,
     _scaled_t,
@@ -28,6 +30,7 @@ from gscascade.deform import (
     trace_cascade,
 )
 from oracles import (
+    arr_to_hex_per_element,
     ClusterDeformParams,
     add,
     cascade_payload_per_layer,
@@ -516,6 +519,19 @@ def test_payload_bytes_match_the_per_layer_payload():
     assert got == json.dumps(cascade_payload_per_layer(casc), sort_keys=True, indent=2)
     back = cascade_from_payload(cascade_to_payload(casc), casc.hierarchy)
     assert np.array_equal(back.flat, casc.flat)
+
+
+def test_hex_codec_keeps_the_bits_of_one_call_per_element():
+    rng = np.random.default_rng(20)
+    special = np.array([[-0.0, 0.0, 5e-324, 1.7976931348623157e308],
+                        [np.inf, -np.inf, np.nan, 0.1]])
+    wide = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))
+    narrow = np.clip(wide, -1e38, 1e38).astype(np.float32)
+    for a in (special, wide, wide[:, ::2], wide.T, narrow, np.zeros((0, 3))):
+        payload = _arr_to_hex(a)
+        assert payload == arr_to_hex_per_element(a)
+        want = np.array([float.fromhex(v) for v in payload["data"]], dtype=np.float64)
+        assert _arr_from_hex(payload).tobytes() == want.reshape(a.shape).tobytes()
 
 
 def test_payload_rejects_an_unanchored_checkpoint():

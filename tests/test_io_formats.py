@@ -19,9 +19,11 @@ from gscascade.io_formats import (
     read_json,
     read_labels_csv,
     read_ply,
+    read_table,
     read_trajectory_csv,
     write_csv,
     write_gt_trajectory_csv,
+    write_init_gaussians_csv,
     write_json,
     write_labels_csv,
     write_losses_csv,
@@ -31,6 +33,7 @@ from gscascade.io_formats import (
     write_trajectory_csv,
 )
 from gscascade.optimize import FrameReport
+from oracles import write_csv_per_cell, write_frame_table_per_cell, write_ply_per_cell
 
 
 def test_ply_roundtrip_exact_doubles(tmp_path):
@@ -349,3 +352,87 @@ def _formats_rules_table():
 def test_formats_doc_lists_the_rules_table():
     assert _formats_rules_table() == [(key, cols, text) for key, groups in RULES.items()
                                       for cols, rules in groups.items() for _, text in rules]
+
+
+# ---------------------------------------------------------------------------
+# the row writers against their per-cell oracles
+
+
+def awkward(rng, shape):
+    """Doubles whose repr takes every form: exponents from 1e-20 to 1e20, and
+    -0.0, integral values, subnormals, the extremes and the switches to and
+    from exponent notation in random cells."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+    specials = [-0.0, 0.0, 1.0, -3.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1e16, 9999999999999998.0, 1e-5, 0.0001, -123456789.125]
+    flat = values.reshape(-1)
+    at = rng.choice(flat.size, size=min(len(specials), flat.size), replace=False)
+    flat[at] = specials[:len(at)]
+    return values
+
+
+def test_frame_tables_keep_the_bytes_of_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(30)
+    sets = [GaussianSet(centers=awkward(rng, (7, 3)), orientations=rng.normal(size=(7, 4)),
+                        scales=np.abs(awkward(rng, (7, 3))) + 5e-324, frame_index=t)
+            for t in range(4)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory_csv(got, sets)
+    write_frame_table_per_cell(want, TRAJECTORY_HEADER, (np.hstack(
+        [g.centers, g.orientations, g.scales]) for g in sets))
+    assert got.read_bytes() == want.read_bytes()
+    gt = awkward(rng, (3, 5, 3))
+    gt[1, 2] = [np.nan, np.inf, -np.inf]
+    narrow = np.clip(gt, -1e38, 1e38).astype(np.float32)
+    for frames in (gt, narrow, np.arange(36).reshape(3, 4, 3) - 17):
+        write_gt_trajectory_csv(got, frames)
+        write_frame_table_per_cell(want, GT_TRAJECTORY_HEADER, frames)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_init_gaussians_and_ply_keep_the_bytes_of_the_per_cell_writers(tmp_path):
+    rng = np.random.default_rng(31)
+    gset = GaussianSet(centers=awkward(rng, (9, 3)), orientations=rng.normal(size=(9, 4)),
+                       scales=np.abs(awkward(rng, (9, 3))) + 5e-324, colors=rng.random((9, 3)),
+                       frame_index=0)
+    got, want = tmp_path / "got", tmp_path / "want"
+    write_init_gaussians_csv(got, gset)
+    write_csv_per_cell(want, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
+        np.hstack([gset.centers, gset.orientations, gset.scales, gset.colors]))))
+    assert got.read_bytes() == want.read_bytes()
+    points = awkward(rng, (11, 3))
+    for colors in (None, rng.random((11, 3)) * 1.2 - 0.1,
+                   rng.integers(0, 256, size=(11, 3)).astype(np.uint8)):
+        write_ply(got, points, colors)
+        write_ply_per_cell(want, points, colors)
+        assert got.read_bytes() == want.read_bytes()
+    write_ply(got, np.zeros((0, 3)))
+    write_ply_per_cell(want, np.zeros((0, 3)))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_losses_csv_keeps_the_bytes_of_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(32)
+    columns = LOSSES_HEADER[2:]
+    reports = [FrameReport(frame_index=t, final_losses={}, wall_time=0.0, curve=[
+        {c: (np.float64(v) if t % 2 else float(v)) for c, v in zip(columns, awkward(rng, 6))}
+        for _ in range(3)]) for t in (1, 2)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_losses_csv(got, reports)
+    write_csv_per_cell(want, LOSSES_HEADER, ([rep.frame_index, it, *(e[c] for c in columns)]
+                                             for rep in reports for it, e in enumerate(rep.curve)))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(("cell", "kind"), [("0.1x", float), ("two", float), ("", float),
+                                            ("1.5", int), ("1e3", int)])
+def test_read_table_names_a_bad_cell_as_float_and_int_do(tmp_path, cell, kind):
+    p = tmp_path / "t.csv"
+    p.write_text(f"a,b\n1,2\n3,{cell}\n")
+    try:
+        kind(cell)
+    except ValueError as e:
+        message = f"{p}: bad row: {e}"
+    with pytest.raises(ValueError) as raised:
+        read_table(p, ["a", "b"], "test", kind=kind)
+    assert str(raised.value) == message

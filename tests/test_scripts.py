@@ -61,12 +61,12 @@ def test_fit_digest_prints_the_same_digests_twice(capsys):
     for line in runs[0]:
         kind, *fields = line.split()
         labels, values = fields[0::2], fields[1::2]
-        assert labels == ["trajectory", "checkpoints", "losses", "segmentation"]
+        assert labels == ["trajectory", "checkpoints", "losses", "segmentation", "outputs"]
         assert all(len(value) == 64 for value in values)
         digests.append(values)
     # the scan fit differs from the fit to correspondences in every fit digest
     for matched, scanned in zip(digests[0::2], digests[1::2]):
-        assert all(a != b for a, b in zip(matched[:3], scanned[:3]))
+        assert all(a != b for a, b in zip(matched[:3] + matched[4:], scanned[:3] + scanned[4:]))
 
 
 def test_fit_digest_exits_2_on_zero_iterations():

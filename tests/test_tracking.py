@@ -2,12 +2,19 @@
 
 Projection oracles are hand-worked similar-triangle cases; the error metric
 is pinned by literal pixel arithmetic. Batched candidate selection is checked
-against the per-candidate loop in `oracles.select_candidate_loop`.
+against the per-candidate loop in `oracles.select_candidate_loop`, and
+projection, selection and the error bit for bit against the forms that
+rebuilt the camera matrix on every call and projected the whole trajectory.
 """
+
+import copy
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from gscascade import geometry
+from gscascade.scenegen import SceneSpec, generate
 from gscascade.tracking import (
     CANDIDATE_RADIUS_PX,
     PinholeCamera,
@@ -18,7 +25,13 @@ from gscascade.tracking import (
     project_track,
     select_candidate,
 )
-from oracles import select_candidate_loop, unproject
+from oracles import (
+    mte_norm,
+    project_rebuilt,
+    select_candidate_loop,
+    select_candidate_whole,
+    unproject,
+)
 
 
 def identity_camera(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=200, height=200):
@@ -97,6 +110,53 @@ def test_camera_validation_and_payload_roundtrip():
     np.testing.assert_allclose(back.rotation, cam.rotation, atol=1e-15)
     np.testing.assert_allclose(back.translation, cam.translation, atol=1e-15)
     assert back.image_diagonal == cam.image_diagonal == float(np.hypot(320, 240))
+
+
+def same_bits(got, want):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+
+
+def test_project_keeps_the_bits_of_the_rebuilt_camera_matrix():
+    """Pixels, depths and flags equal the rebuilt-matrix projection's bytes,
+    with every point valid and with some behind the camera (the NaN fill)."""
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(60):
+        cam = look_at_camera(eye=rng.normal(size=3) * 3.0, target=rng.normal(size=3) * 0.2,
+                             fx=rng.uniform(50.0, 900.0), fy=rng.uniform(50.0, 900.0),
+                             width=int(rng.integers(1, 1000)), height=int(rng.integers(1, 1000)))
+        T, N = int(rng.integers(1, 6)), int(rng.integers(0, 40))
+        for points in (rng.normal(size=3), rng.normal(size=(N, 3)) * rng.choice([0.3, 6.0]),
+                       rng.normal(size=(T, N, 3)) * rng.choice([0.3, 6.0])):
+            got = project(cam, points)
+            assert same_bits(got, project_rebuilt(cam, points))
+            seen.add("all valid" if got[2].all() else "some behind")
+    assert seen == {"all valid", "some behind"}
+
+
+def test_camera_matrix_cannot_go_stale():
+    """A camera is frozen and its rotation read-only; one built with a new
+    rotation projects with that rotation's matrix. The matrix is no field: the
+    payload and equality ignore it."""
+    rng = np.random.default_rng(12)
+    cam = look_at_camera(eye=[1.0, 2.0, -4.0], target=[0.0, 0.0, 0.0],
+                         fx=300.0, fy=280.0, width=320, height=240)
+    points = rng.normal(size=(25, 3))
+    with pytest.raises(FrozenInstanceError):
+        cam.rotation = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        cam.rotation[0] = 1.0
+    turned = replace(cam, rotation=np.array([0.9, 0.1, -0.3, 0.2]))
+    for camera in (turned, PinholeCamera.from_payload(turned.to_payload())):
+        assert camera.world_to_camera.tobytes() == \
+            geometry.quat_to_matrix(camera.rotation).tobytes()
+        assert same_bits(project(camera, points), project_rebuilt(camera, points))
+    assert not np.array_equal(project(turned, points)[0], project(cam, points)[0])
+    assert "world_to_camera" not in turned.to_payload()
+    assert "world_to_camera" not in {f.name for f in fields(PinholeCamera)}
+    twin = copy.copy(turned)  # shares the fields' arrays, so == can compare them
+    object.__setattr__(twin, "world_to_camera", np.eye(3))
+    assert twin == turned
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +337,59 @@ def test_mte_is_bit_identical_to_the_median_formula():
     for T in range(1, 12):
         for _ in range(10):
             pred = Track2D(rng.uniform(0, 640, size=(T, 2)), rng.random(T) < 0.8)
+            pred.pixels[rng.random(T) < 0.1] = np.nan  # a valid frame at a NaN pixel
             gt = Track2D(rng.uniform(0, 640, size=(T, 2)), rng.random(T) < 0.8)
             both = pred.valid & gt.valid
             if not both.any():
                 continue
             d = np.linalg.norm(pred.pixels[both] - gt.pixels[both], axis=-1)
             assert mte(pred, gt, 800.0).hex() == float(np.median(d) / 800.0).hex()
+
+
+def _selection(traj, camera, gt, select):
+    """The pick of `select`, or the message it raised."""
+    try:
+        return select(traj, camera, gt)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_select_candidate_keeps_the_picks_of_the_whole_trajectory_projection():
+    """Projecting frame 0 of every Gaussian and then only the candidates picks
+    what projecting the whole trajectory picked, raises the same messages, and
+    the picked track's error keeps its bits; on the random cases (ties,
+    candidates valid at frame 0 and behind the camera later, no candidate) and
+    on every Gaussian visible in each camera of a generated arm scene."""
+    cam = look_at_camera(eye=[0.0, 0.0, -4.0], target=[0.0, 0.0, 0.0],
+                         fx=200.0, fy=200.0, width=160, height=120)
+    rng = np.random.default_rng(9)
+    cases = [(cam, *_random_selection_case(rng, cam)[:2]) for _ in range(300)]
+    seq = generate(SceneSpec("two_link_arm", n_gaussians=60, n_frames=4, seed=3))
+    fitted = seq.gt_centers + rng.normal(scale=0.01, size=seq.gt_centers.shape)
+    for camera in seq.cameras:
+        _, _, visible = project(camera, seq.gt_centers[0])
+        cases += [(camera, fitted, project_track(camera, seq.gt_centers[:, gi]))
+                  for gi in np.flatnonzero(visible)]
+    tilted = look_at_camera(eye=[1.0, 2.0, -4.0], target=[0.0, 0.0, 0.0],
+                            fx=200.0, fy=200.0, width=160, height=120)
+    infinite = np.zeros((3, 1, 3))
+    infinite[1, 0, 0] = -np.inf  # valid, with NaN pixels: no finite error
+    cases.append((tilted, infinite, project_track(tilted, np.zeros((3, 3)))))
+    seen = set()
+    for camera, traj, gt in cases:
+        got = _selection(traj, camera, gt, select_candidate)
+        assert got == _selection(traj, camera, gt, select_candidate_whole)
+        if isinstance(got, str):
+            seen.add("no candidate" if "10 px" in got else "no finite error")
+            continue
+        pred = project_track(camera, traj[:, got])
+        assert mte(pred, gt, camera.image_diagonal).hex() == \
+            mte_norm(pred, gt, camera.image_diagonal).hex()
+        pix, _, valid = project(camera, traj)
+        gated = valid[0] & (np.linalg.norm(pix[0] - gt.pixels[0], axis=-1) <= 10.0)
+        if (~valid[1:, gated]).any():
+            seen.add("candidate behind later")
+        if (traj[:, got:got + 1] == traj).all(axis=(0, 2)).sum() > 1:
+            seen.add("winner tied")
+    assert seen == {"no candidate", "no finite error", "candidate behind later", "winner tied"}
