@@ -181,10 +181,6 @@ class ClusterHierarchy:
     parent_maps: list  # K-1 arrays, fine id -> coarse id
     seed: int = 0
 
-    @property
-    def n(self):
-        return self.assignments[0].shape[0]
-
     @cached_property
     def row_indices(self):
         """Per layer, the assignments as a RowIndex into the rows of every

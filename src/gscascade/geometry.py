@@ -218,9 +218,8 @@ def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
     Every sweep rotates all matrices until all have converged. A's entries
     are held as six length-n vectors (see the module docstring): the first
     rotation reads A[2, 0] and A[2, 1] from the lower triangle of S, and after
-    it A is symmetric. When every pivot |a_pq| of a step is above 1e-300, the
-    guards against a zero pivot are skipped: they select the same expressions
-    then.
+    it A is symmetric. A pivot |a_pq| at or below 1e-300 (or NaN) gets no
+    rotation: its t is masked to 0 after tau and t are computed unguarded.
     """
     S = np.asarray(S, dtype=np.float64)
     batch = S.shape[:-2]
@@ -234,8 +233,9 @@ def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
     thresh = tol * np.maximum(norm, 1e-300)
 
     # |tau| can be ~1/eps when the off-diagonal is tiny; tau*tau then
-    # overflows to inf, which still yields the correct t -> 0 limit.
-    with np.errstate(over="ignore"):
+    # overflows to inf, which still yields the correct t -> 0 limit. A zero
+    # pivot divides by zero (0/0 on an equal diagonal); its t is masked out.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for sweep in range(max_sweeps + 1):
             converged = np.sqrt(off[0] ** 2 + off[1] ** 2 + off[2] ** 2) <= thresh
             if sweep == max_sweeps or np.all(converged):
@@ -245,16 +245,10 @@ def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
                 off[2] = flat[:, 7].copy()
             for p, q in ((0, 1), (0, 2), (1, 2)):
                 apq, app, aqq = off[p + q - 1], diag[p], diag[q]
-                nonzero = np.abs(apq) > 1e-300
-                if np.all(nonzero):
-                    tau = (aqq - app) / (2.0 * apq)
-                    sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                else:
-                    tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
-                    sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
-                    t = np.where(nonzero, sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-                                 0.0)
+                tau = (aqq - app) / (2.0 * apq)
+                sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
+                t = sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                t = np.where(np.abs(apq) > 1e-300, t, 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
 

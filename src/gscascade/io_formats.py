@@ -21,10 +21,10 @@ from .losses import DEFAULT_LAMBDA_SCALE
 
 
 def _lines(rows, sep=","):
-    """`sep`-joined lines of rows of Python ints and floats, as `ndarray.tolist()`
-    gives them: repr of each cell, which for a float is the bytes `write_csv`
-    writes and for an int is str's."""
-    return [sep.join(map(repr, row)) for row in rows]
+    """`sep`-joined lines of rows, str of each cell: for a Python or numpy
+    float64 that is the float's repr (shortest round-trip form), for an int
+    its digits and for a string the string itself."""
+    return [sep.join(map(str, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +161,8 @@ def read_ply(path):
 
 
 def write_csv(path, header, rows):
-    """Rows of mixed ints/floats; floats through repr, everything else str()."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The header line, then one line of `_lines` per row."""
+    Path(path).write_text("\n".join([",".join(header), *_lines(rows)]) + "\n")
 
 
 def read_csv(path):
@@ -193,16 +184,11 @@ def read_table(path, header, name, kind=float):
     return data
 
 
-def _write_rows(path, header, rows):
-    """`write_csv`'s bytes for rows of Python ints and floats (see `_lines`)."""
-    Path(path).write_text("\n".join([",".join(header), *_lines(rows)]) + "\n")
-
-
 def _write_frame_table(path, header, frames):
     """CSV keyed by (frame, index): frame t's (N, len(header) - 2) array gives
     the rows (t, i, *frames[t][i])."""
-    _write_rows(path, header, ([t, i, *row] for t, frame in enumerate(frames)
-                               for i, row in enumerate(np.asarray(frame).tolist())))
+    write_csv(path, header, ([t, i, *row] for t, frame in enumerate(frames)
+                             for i, row in enumerate(np.asarray(frame).tolist())))
 
 
 def _read_frame_table(path, header, name, key):
@@ -310,7 +296,7 @@ INIT_GAUSSIANS_HEADER = ["index", "x", "y", "z", "qw", "qx", "qy", "qz",
 
 
 def write_init_gaussians_csv(path, gset):
-    _write_rows(path, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
+    write_csv(path, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
         np.hstack([gset.centers, gset.orientations, gset.scales, gset.colors]).tolist())))
 
 
@@ -336,4 +322,4 @@ def read_init_gaussians_csv(path):
 
 def write_mte_csv(path, entries):
     """entries: list of (track_id, gaussian_index, mte_fraction)."""
-    write_csv(path, ["track", "gaussian_index", "mte"], [list(e) for e in entries])
+    write_csv(path, ["track", "gaussian_index", "mte"], entries)

@@ -132,10 +132,6 @@ class NeighborGraph:
         self.rest_lengths = safe_norm(ad.edge_values(self.centers, self.index)).value
         self.max_abs_coord = np.abs(self.centers).max()
 
-    @property
-    def k(self):
-        return self.indices.shape[1]
-
 
 def build_neighbor_graph(centers, k=DEFAULT_NEIGHBOR_COUNT, lambda_weight=None,
                          scene_scale=1.0, workers=1):
@@ -331,7 +327,7 @@ class FrameConstants(CascadeFrame):
 
     @cached_property
     def prev_inv(self):
-        return geometry.quat_conjugate(geometry.quat_normalize(self.prev_set.orientations))
+        return geometry.quat_inverse(self.prev_set.orientations)
 
 
 def _matched_t(centers_t, frame):
@@ -342,9 +338,7 @@ def _matched_t(centers_t, frame):
     index = frame.correspondence
     diff = np.take(centers_t.value, index.idx, axis=0)
     diff -= frame.obs.points
-    sq = diff * diff
-    per_point = sq[:, 0] + sq[:, 1]  # np.sum's order over the components
-    per_point += sq[:, 2]
+    per_point = geometry.sum_last(diff * diff)
 
     def vjp(g):
         ad._accum(centers_t, index.scatter((g * (1.0 / diff.shape[0])) * (2.0 * diff)))

@@ -10,6 +10,8 @@ bit against the per-column np.bincount scatter, the edge adjoint's row sums
 against adding slices in turn, and the eigensolver against its row-wise form.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -478,7 +480,7 @@ def _jacobi_cases(rng, n):
     A = rng.normal(size=(n, 3, 3)) * rng.uniform(0.1, 10.0)
     S = A @ np.swapaxes(A, -1, -2)
     kind = rng.integers(5)
-    if kind == 1:  # a zero pivot: the guarded step
+    if kind == 1:  # a zero pivot: the masked step, t = 0 after an unguarded divide
         S[: n // 2 + 1, 0, 1] = S[: n // 2 + 1, 1, 0] = 0.0
     elif kind == 2:  # equal diagonal entries, negative off-diagonal: tau = -0.0
         S[:, 1, 1] = S[:, 0, 0]
@@ -527,6 +529,22 @@ def test_jacobi_is_bit_equal_to_its_row_wise_form(seed):
     w, V, converged = jacobi_eigh3(S)
     want_w, want_V = jacobi_eigh3_rowwise(S)
     assert _same_bytes(w, want_w) and _same_bytes(V, want_V)
+
+
+def test_jacobi_lets_no_floating_point_warning_escape():
+    """Exact-zero pivots (x / 0 beside unequal diagonal entries, 0 / 0 beside
+    equal ones), a NaN matrix and ordinary matrices in one batch."""
+    rng = np.random.default_rng(14)
+    S = random_spd(rng, 6)
+    S[1] = np.diag([3.0, 1.0, 2.0])
+    S[2] = np.eye(3)
+    S[3, 0, 1] = S[3, 1, 0] = 0.0
+    S[4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, V, converged = jacobi_eigh3(S)
+    assert converged.tolist() == [True, True, True, True, False, True]
+    assert _same_bytes(w[1:3], S[1:3].diagonal(axis1=-2, axis2=-1))
 
 
 def test_jacobi_reports_the_matrices_it_did_not_converge_on():

@@ -411,16 +411,41 @@ def test_init_gaussians_and_ply_keep_the_bytes_of_the_per_cell_writers(tmp_path)
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_losses_csv_keeps_the_bytes_of_the_per_cell_writer(tmp_path):
-    rng = np.random.default_rng(32)
-    columns = LOSSES_HEADER[2:]
-    reports = [FrameReport(frame_index=t, final_losses={}, wall_time=0.0, curve=[
-        {c: (np.float64(v) if t % 2 else float(v)) for c, v in zip(columns, awkward(rng, 6))}
-        for _ in range(3)]) for t in (1, 2)]
+def _csv_table(rng, table):
+    """(write, header, rows): how a shipped caller writes `table` to a path,
+    and the header and rows it hands `write_csv`, cells of the types it passes."""
+    if table == "losses":  # Python floats in frame 1's curve, np.float64 in frame 2's
+        columns = LOSSES_HEADER[2:]
+        reports = [FrameReport(frame_index=t, final_losses={}, wall_time=0.0, curve=[
+            {c: (np.float64(v) if t % 2 else float(v)) for c, v in zip(columns, awkward(rng, 6))}
+            for _ in range(3)]) for t in (1, 2)]
+        rows = [[rep.frame_index, it, *(e[c] for c in columns)]
+                for rep in reports for it, e in enumerate(rep.curve)]
+        return lambda p: write_losses_csv(p, reports), LOSSES_HEADER, rows
+    if table == "labels":  # [int, int]
+        labels = rng.integers(0, 5, size=9)
+        return (lambda p: write_labels_csv(p, labels), ["index", "label"],
+                [[i, int(v)] for i, v in enumerate(labels)])
+    if table == "mte":  # cmd_track's (track, Gaussian, error) entries: [int, int, float]
+        entries = [(t, int(g), float(e))
+                   for t, (g, e) in enumerate(zip(rng.integers(0, 50, 6), awkward(rng, 6)))]
+        return lambda p: write_mte_csv(p, entries), ["track", "gaussian_index", "mte"], entries
+    if table == "comparison":  # cmd_repro's and depth_ablation's [str, float, float, float]
+        header = ["scene", "err_single_layer", "err_cascade", "ratio"]
+        rows = [["wheel", *awkward(rng, 3).tolist()], ["pendulum", 0.25, 0.0, float("inf")]]
+    else:  # numpy scalars: np.int64 and np.float64 cells
+        header = ["i", "a", "b", "c", "d"]
+        rows = [[np.int64(i), *awkward(rng, 4)] for i in range(6)]
+        rows[0][1:] = np.array([np.nan, np.inf, -np.inf, -0.0])
+    return lambda p: write_csv(p, header, rows), header, rows
+
+
+@pytest.mark.parametrize("table", ["losses", "labels", "mte", "comparison", "numpy"])
+def test_csv_tables_keep_the_bytes_of_the_per_cell_writer(tmp_path, table):
+    write, header, rows = _csv_table(np.random.default_rng(32), table)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_losses_csv(got, reports)
-    write_csv_per_cell(want, LOSSES_HEADER, ([rep.frame_index, it, *(e[c] for c in columns)]
-                                             for rep in reports for it, e in enumerate(rep.curve)))
+    write(got)
+    write_csv_per_cell(want, header, rows)
     assert got.read_bytes() == want.read_bytes()
 
 
