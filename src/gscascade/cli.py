@@ -206,14 +206,14 @@ def cmd_segment(cfg, fit_dir, scene_dir=None):
     return 0
 
 
-def _draw_dots(image, pixels, color, radius=1):
+def _draw_dots(image, pixels, color):
+    """Paint a 3x3 dot at every finite pixel."""
     h, w = image.shape[:2]
     for u, v in pixels:
         if not (np.isfinite(u) and np.isfinite(v)):
             continue
         x, y = int(round(u)), int(round(v))
-        image[max(0, y - radius):min(h, y + radius + 1),
-              max(0, x - radius):min(w, x + radius + 1)] = color
+        image[max(0, y - 1):min(h, y + 2), max(0, x - 1):min(w, x + 2)] = color
 
 
 def cmd_track(cfg, fit_dir, scene_dir=None):

@@ -18,7 +18,7 @@ center shift adds, orientation delta left-multiplies, log-scale delta adds.
 That makes seven parameter classes: four per cluster of each layer
 (`rotations`, `translations`, `scale_dirs`, `scale_biases`) and three per
 Gaussian (`d_centers`, `d_rotations`, `d_log_scales`). `IDENTITY_ROWS` names
-them once, with the row each holds in the identity cascade; `cascade_zero`,
+them once, with the row each holds in the identity cascade; the constructor,
 `is_zero`, `trace_cascade` and the checkpoint payload all iterate that table.
 
 A cascade keeps all of them in one flat float64 buffer, `CascadeDeform.flat`.
@@ -120,44 +120,35 @@ class _Field:
 
 
 class DeformLayer:
-    """Struct-of-arrays parameters for every cluster of one layer."""
+    """Struct-of-arrays parameters for every cluster of one layer, over given views."""
 
     rotations = _Field()  # (L, 4)
     translations = _Field()  # (L, 3)
     scale_dirs = _Field()  # (L, 3)
     scale_biases = _Field()  # (L,)
 
-    def __init__(self, rotations, translations, scale_dirs, scale_biases):
-        self._arrays = {"rotations": rotations, "translations": translations,
-                        "scale_dirs": scale_dirs, "scale_biases": scale_biases}
-
-    @property
-    def size(self):
-        return self.rotations.shape[0]
+    def __init__(self, arrays):
+        self._arrays = arrays
 
 
 class CascadeDeform:
     """K cluster layers (coarsest first) plus per-Gaussian deltas.
 
-    Every parameter lives in one flat float64 buffer, `flat`. Each class is
-    one block of it: a layer class holds the clusters of every layer (sum L
-    rows, layer by layer), a d_* class the N Gaussians. The fields of the
-    cascade and of its layers are views into that buffer, and assigning one
-    copies into it. The given arrays are copied in.
+    `CascadeDeform(hierarchy, n)` is the identity cascade on `hierarchy` for n
+    Gaussians, the fixed point of cascade_apply. Every parameter lives in one
+    flat float64 buffer, `flat`. Each class is one block of it: a layer class
+    holds the clusters of every layer (sum L rows, layer by layer), a d_*
+    class the N Gaussians. The fields of the cascade and of its layers are
+    views into that buffer, and assigning one copies into it.
     """
 
     d_centers = _Field()  # (N, 3)
     d_rotations = _Field()  # (N, 4)
     d_log_scales = _Field()  # (N, 3)
 
-    def __init__(self, layers, d_centers, d_rotations, d_log_scales, hierarchy):
-        sizes = tuple(layer.size for layer in layers)
-        if sizes != tuple(hierarchy.layer_sizes):
-            raise ValueError(
-                f"layer sizes {sizes} do not match hierarchy {tuple(hierarchy.layer_sizes)}"
-            )
+    def __init__(self, hierarchy, n):
         self.hierarchy = hierarchy
-        n = np.shape(d_centers)[0]
+        sizes = tuple(hierarchy.layer_sizes)
         rows = {name: sum(sizes) if name in _LAYER_CLASSES else n for name in IDENTITY_ROWS}
         self._blocks = {}  # class -> (its slice of the buffer, its shape)
         start = 0
@@ -169,22 +160,13 @@ class CascadeDeform:
         self.quaternions = slice(first.start, last.stop)  # both classes, (sum L + N) x 4
         self.flat = np.empty(start)
         self.classes = self.class_views(self.flat)
+        for name, block in self.classes.items():
+            block[...] = IDENTITY_ROWS[name]
         ends = np.cumsum((0,) + sizes)
         self._layer_rows = list(zip(ends[:-1], ends[1:]))
         self._arrays = {name: self.classes[name] for name in _GAUSSIAN_CLASSES}
-        self.layers = [DeformLayer(**{name: self.classes[name][a:b] for name in _LAYER_CLASSES})
+        self.layers = [DeformLayer({name: self.classes[name][a:b] for name in _LAYER_CLASSES})
                        for a, b in self._layer_rows]
-        given = [*(getattr(layer, name) for layer in layers for name in _LAYER_CLASSES),
-                 d_centers, d_rotations, d_log_scales]  # in the order of arrays()
-        for (key, view), array in zip(self.arrays().items(), given):
-            if np.shape(array) != view.shape:
-                raise ValueError(f"parameter {key} has shape {np.shape(array)},"
-                                 f" expected {view.shape}")
-            view[...] = array
-
-    @property
-    def n(self):
-        return self.d_centers.shape[0]
 
     def class_views(self, buffer):
         """{class: its block of `buffer`} in table order, for a buffer laid out
@@ -207,22 +189,8 @@ class CascadeDeform:
         return self.views(self.flat)
 
     def is_zero(self):
-        zero = cascade_zero(self.hierarchy, self.n).arrays()
-        return all(np.array_equal(a, zero[key]) for key, a in self.arrays().items())
-
-
-def _identity_rows(names, count):
-    return {name: np.repeat(IDENTITY_ROWS[name][None], count, axis=0) for name in names}
-
-
-def cascade_zero(hierarchy, n_gaussians):
-    """Identity cascade bound to `hierarchy` (fixed point of cascade_apply)."""
-    return CascadeDeform(
-        layers=[DeformLayer(**_identity_rows(_LAYER_CLASSES, size))
-                for size in hierarchy.layer_sizes],
-        **_identity_rows(_GAUSSIAN_CLASSES, n_gaussians),
-        hierarchy=hierarchy,
-    )
+        """Whether every class block equals its identity row (-0.0 does, NaN never)."""
+        return all(np.all(block == IDENTITY_ROWS[name]) for name, block in self.classes.items())
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +385,18 @@ def _scaled_t(scales, d_log_scales):
     return ad._make(scales.value * factor, (scales, d_log_scales), vjp)
 
 
-def trace_cascade(cascade, gset, propagate_covariance=True, differentiable=True, frame=None):
-    """Run the cascade on `gset`, building the autodiff graph.
+def trace_cascade(cascade, frame, propagate_covariance=True, differentiable=True):
+    """Run the cascade on the CascadeFrame `frame`'s prev_set, building the autodiff graph.
 
     With differentiable=False the same code path runs on constants (no graph),
     which keeps the evaluation and training forwards numerically identical.
-    `frame` is the CascadeFrame of `gset` that a frame's fit shares between its
-    evaluations; without it one is built for this call. Raises ValueError,
+    A frame's fit shares one `frame` between its evaluations. Raises ValueError,
     naming the first such Gaussian, on a propagated covariance that is not
     positive definite, and then on one the eigensolver did not converge on
     (a non-finite one passes the first check).
     """
     hier = cascade.hierarchy
-    if frame is None:
-        frame = CascadeFrame(gset, hier)
+    gset = frame.prev_set
     if differentiable:
         grad = np.zeros_like(cascade.flat)
         grads = cascade.class_views(grad)
@@ -501,9 +467,8 @@ def cascade_apply(cascade, gset, propagate_covariance=True, trace=None):
         out.frame_index = gset.frame_index + 1
         return out
     if trace is None:
-        trace = trace_cascade(
-            cascade, gset, propagate_covariance=propagate_covariance, differentiable=False
-        )
+        trace = trace_cascade(cascade, CascadeFrame(gset, cascade.hierarchy),
+                              propagate_covariance=propagate_covariance, differentiable=False)
     return GaussianSet(
         centers=trace.centers.value,
         orientations=trace.orientations.value,
@@ -515,13 +480,14 @@ def cascade_apply(cascade, gset, propagate_covariance=True, trace=None):
 
 def cascade_jacobians(cascade, gset):
     """Accumulated spatial Jacobian J = J_K ... J_1 per Gaussian, (N, 3, 3)."""
-    trace = trace_cascade(cascade, gset, propagate_covariance=False, differentiable=False)
+    trace = trace_cascade(cascade, CascadeFrame(gset, cascade.hierarchy),
+                          propagate_covariance=False, differentiable=False)
     return trace.jacobians.value
 
 
 def propagated_covariances(cascade, gset):
     """J Sigma J^T per Gaussian (exactly symmetric), without the refactoring."""
-    trace = trace_cascade(cascade, gset, propagate_covariance=True, differentiable=False)
+    trace = trace_cascade(cascade, CascadeFrame(gset, cascade.hierarchy), differentiable=False)
     return trace.covariances
 
 
@@ -547,13 +513,21 @@ def cascade_to_payload(cascade):
 
 
 def cascade_from_payload(payload, hierarchy):
+    """The checkpoint `payload`'s cascade on `hierarchy`; a layer count or an
+    array shape that the hierarchy does not have raises ValueError naming it."""
     # checkpoints may carry an "anchored" flag; the map below is the anchored one
     if payload.get("anchored", True) is not True:
         raise ValueError("checkpoint field 'anchored' is not true: only the anchored"
                          " cascade map can be replayed")
-    return CascadeDeform(
-        layers=[DeformLayer(**{name: _arr_from_hex(layer[name]) for name in _LAYER_CLASSES})
-                for layer in payload["layers"]],
-        **{name: _arr_from_hex(payload[name]) for name in _GAUSSIAN_CLASSES},
-        hierarchy=hierarchy,
-    )
+    layers = payload["layers"]
+    if len(layers) != len(hierarchy.layer_sizes):
+        raise ValueError(f"checkpoint has {len(layers)} layers, the hierarchy"
+                         f" {len(hierarchy.layer_sizes)}")
+    cascade = CascadeDeform(hierarchy, payload["d_centers"]["shape"][0])
+    given = [*(layer[name] for layer in layers for name in _LAYER_CLASSES),
+             *(payload[name] for name in _GAUSSIAN_CLASSES)]  # in the order of arrays()
+    for (key, view), array in zip(cascade.arrays().items(), map(_arr_from_hex, given)):
+        if array.shape != view.shape:
+            raise ValueError(f"parameter {key} has shape {array.shape}, expected {view.shape}")
+        view[...] = array
+    return cascade

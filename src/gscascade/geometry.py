@@ -38,9 +38,9 @@ def sum_last(x):
     return out
 
 
-def floored_norm(x, floor=_NORM_FLOOR):
-    """(sqrt(where(|x|^2 > floor^2, |x|^2, floor^2)), |x|^2 > floor^2) over the
-    last axis of a numpy array: the norm of `_normalize`, of `tapemath.safe_norm`
+def floored_norm(x):
+    """(sqrt(where(|x|^2 > f^2, |x|^2, f^2)), |x|^2 > f^2), f = `_NORM_FLOOR`, over
+    the last axis of a numpy array: the norm of `_normalize`, of `tapemath.safe_norm`
     and of the fused neighbour terms, which the rest lengths are compared to."""
     # the squares added in order, bit for bit what np.sum does over a short
     # last axis, but one whole component at a time: numpy's per-row loops
@@ -48,8 +48,8 @@ def floored_norm(x, floor=_NORM_FLOOR):
     ssq = x[..., 0] * x[..., 0]
     for c in range(1, x.shape[-1]):
         ssq += x[..., c] * x[..., c]
-    above = ssq > floor * floor
-    return np.sqrt(np.where(above, ssq, floor * floor)), above
+    above = ssq > _NORM_FLOOR * _NORM_FLOOR
+    return np.sqrt(np.where(above, ssq, _NORM_FLOOR * _NORM_FLOOR)), above
 
 
 def quat_normalize(q):
@@ -204,14 +204,14 @@ def compose_covariance(q, scales):
 eigh3_offdiag_tol = 1e-10
 
 
-def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
+def jacobi_eigh3(S, max_sweeps=30):
     """Batched cyclic Jacobi diagonalization of symmetric 3x3 matrices.
 
     Returns (evals, evecs, converged) with S = V diag(w) V^T, V a proper
     rotation, and `converged` a boolean per matrix. Eigenvalues come out
     unsorted, in whatever axis order the sweep leaves them; callers that need
     a canonical order sort on top. Convergence is declared when the
-    off-diagonal Frobenius mass drops below tol relative to the matrix norm.
+    off-diagonal Frobenius mass drops below eigh3_offdiag_tol times the norm.
     A matrix still above it after `max_sweeps` sweeps, or one with a
     non-finite entry, is reported unconverged; its last iterate is returned.
 
@@ -230,7 +230,7 @@ def jacobi_eigh3(S, tol=eigh3_offdiag_tol, max_sweeps=30):
     zero = np.zeros(flat.shape[0])  # never written in place
     V = list(np.eye(3)[:, :, None] * np.ones(flat.shape[0]))  # V[p][i] is V_ip, (3, n)
     norm = np.sqrt(np.einsum("...ij,...ij->...", S, S)).reshape(-1)
-    thresh = tol * np.maximum(norm, 1e-300)
+    thresh = eigh3_offdiag_tol * np.maximum(norm, 1e-300)
 
     # |tau| can be ~1/eps when the off-diagonal is tiny; tau*tau then
     # overflows to inf, which still yields the correct t -> 0 limit. A zero

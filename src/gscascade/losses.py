@@ -411,12 +411,8 @@ def total_loss(cascade, frame, weights, max_scale, propagate_covariance=True, wo
     `views` names its parts). With with_grads=False the forward runs on
     constants, the trace is what `cascade_apply` takes, and its grad is None.
     """
-    trace = trace_cascade(
-        cascade, frame.prev_set,
-        propagate_covariance=propagate_covariance,
-        differentiable=with_grads,
-        frame=frame,
-    )
+    trace = trace_cascade(cascade, frame, propagate_covariance=propagate_covariance,
+                          differentiable=with_grads)
     graph = frame.graph
     edges = ad.edge_values(trace.centers.value, graph.index)  # shared by two terms
     terms = {

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .clustering import build_hierarchy
-from .deform import cascade_apply, cascade_zero
+from .deform import CascadeDeform, cascade_apply
 from .losses import FrameConstants, LossWeights, build_neighbor_graph, total_loss
 
 DELTA_LR_FRACTION = 0.1  # the d_* classes step at this share of their rate
@@ -59,11 +59,8 @@ class TrainConfig:
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
 
-    def resolved_lr(self, key):
-        """Learning rate for a parameter key of CascadeDeform.arrays(), or a class."""
-        name = key.rpartition(".")[2]
-        if name not in _LR_FIELDS:
-            raise KeyError(f"unknown parameter class: {key}")
+    def resolved_lr(self, name):
+        """Learning rate of a parameter class (a key of deform.IDENTITY_ROWS)."""
         lr = getattr(self, _LR_FIELDS[name])
         if lr is None:  # lr_trans scales with the scene unless set
             lr = 1.6e-2 * self.scene_scale
@@ -71,19 +68,21 @@ class TrainConfig:
 
 
 class AdamState:
-    """Adam moments as two flat vectors laid out like the cascade's buffer, with
-    the per-element learning rates; built at a frame's first step."""
+    """Adam's step count and moments, two zeroed vectors laid out like the
+    cascade's buffer, with the per-element learning rates of `config`."""
 
-    def __init__(self):
-        self.m = None
-        self.v = None
-        self.rates = None
+    def __init__(self, cascade, config):
+        self.m = np.zeros_like(cascade.flat)
+        self.v = np.zeros_like(cascade.flat)
+        self.rates = np.empty_like(cascade.flat)
+        for name, rates in cascade.class_views(self.rates).items():
+            rates[...] = config.resolved_lr(name)
         self.t = 0
 
 
 def adam_step(cascade, grad, state, config):
-    """One Adam update of `cascade.flat` in place, from `grad`, the gradient
-    laid out like it; returns (cascade, state).
+    """One Adam update of `cascade.flat` and of `state` in place, from `grad`,
+    the gradient laid out like the buffer.
 
     Raises on non-finite gradients, naming the offending parameter key.
     Quaternion rows are renormalized after the update.
@@ -93,20 +92,15 @@ def adam_step(cascade, grad, state, config):
     if not np.all(np.isfinite(grad)):
         bad = next(key for key, g in cascade.views(grad).items() if not np.all(np.isfinite(g)))
         raise ValueError(f"non-finite gradient in parameter class '{bad}'")
-    if state.m is None:
-        state.m = np.zeros_like(grad)
-        state.v = np.zeros_like(grad)
-        state.rates = np.empty_like(grad)
-        for name, rates in cascade.class_views(state.rates).items():
-            rates[...] = config.resolved_lr(name)
-    state.m = b1 * state.m + (1.0 - b1) * grad
-    state.v = b2 * state.v + (1.0 - b2) * grad * grad
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * grad * grad
     mhat = state.m / (1.0 - b1**state.t)
     vhat = state.v / (1.0 - b2**state.t)
     cascade.flat -= state.rates * mhat / (np.sqrt(vhat) + eps)
     quats = cascade.flat[cascade.quaternions].reshape(-1, 4)
     quats[...] = geometry.quat_normalize(quats)
-    return cascade, state
 
 
 @dataclass
@@ -135,8 +129,8 @@ def fit_frame(prev_set, obs, hierarchy, config, graph):
     """
     t0 = time.perf_counter()
     frame = FrameConstants(prev_set, obs, hierarchy, graph)
-    cascade = cascade_zero(hierarchy, prev_set.n)
-    state = AdamState()
+    cascade = CascadeDeform(hierarchy, prev_set.n)
+    state = AdamState(cascade, config)
     curve = []
     for _ in range(config.iters_per_frame):
         value, components, trace = total_loss(
@@ -144,7 +138,7 @@ def fit_frame(prev_set, obs, hierarchy, config, graph):
             propagate_covariance=config.propagate_covariance, workers=config.threads,
         )
         curve.append(dict(components, total=value))
-        cascade, state = adam_step(cascade, trace.grad, state, config)
+        adam_step(cascade, trace.grad, state, config)
 
     value, components, trace = total_loss(
         cascade, frame, config.weights, config.max_scale,
@@ -161,15 +155,13 @@ def fit_frame(prev_set, obs, hierarchy, config, graph):
     return new_set, cascade, report
 
 
-def fit_sequence(initial_set, sequence, config, hierarchy=None):
+def fit_sequence(initial_set, observations, config, hierarchy=None):
     """Fit a whole sequence online, frame by frame.
 
-    `sequence` is a SceneSequence or any object with an `observations` list
-    aligned to frames 0..T-1 (a plain list works too); observation 0
+    `observations` holds one DataObservation per frame 0..T-1; observation 0
     corresponds to the given initial set and is not fitted. Raises ValueError,
     naming the frame, on a correspondence index past the last Gaussian.
     """
-    observations = getattr(sequence, "observations", sequence)
     for frame, obs in enumerate(observations):
         if obs.correspondence is not None and np.any(obs.correspondence >= initial_set.n):
             raise ValueError(

@@ -152,11 +152,12 @@ def _split_counts(n, fractions):
     return counts
 
 
-def _camera_ring(n_cams=8, radius=2.6, height=0.5):
+def _camera_ring():
+    """Eight cameras on a circle of radius 2.6 at height 0.5, facing the origin."""
     cams = []
-    for i in range(n_cams):
-        a = 2.0 * np.pi * i / n_cams
-        eye = np.array([radius * np.cos(a), height, radius * np.sin(a)])
+    for i in range(8):
+        a = 2.0 * np.pi * i / 8
+        eye = np.array([2.6 * np.cos(a), 0.5, 2.6 * np.sin(a)])
         cams.append(look_at_camera(eye, target=np.zeros(3), fx=800.0, fy=800.0,
                                    width=640, height=640))
     return cams

@@ -42,14 +42,14 @@ def floored_norm_adjoint(g, x, norm, above):
     return gx
 
 
-def safe_norm(x, floor=geometry._NORM_FLOOR):
+def safe_norm(x):
     """Euclidean norm over the last axis, floored; gradient 0 below the floor.
 
     One node over `geometry.floored_norm`; the neighbour graph's rest lengths
     are its forward of the frame-0 edges.
     """
     x = ad._wrap(x)
-    v, above = geometry.floored_norm(x.value, floor)
+    v, above = geometry.floored_norm(x.value)
 
     def vjp(g):
         ad._accum(x, floored_norm_adjoint(g, x.value, v, above))

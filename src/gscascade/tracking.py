@@ -84,12 +84,12 @@ class PinholeCamera:
         return cls(**payload)
 
 
-def look_at_camera(eye, target, fx, fy, width, height, up=(0.0, 1.0, 0.0)):
-    """Camera at `eye` looking at `target`: +z forward, +x right, +y image-down."""
+def look_at_camera(eye, target, fx, fy, width, height):
+    """Camera at `eye` looking at `target` (world +y up): +z forward, +x right, +y image-down."""
     eye = np.asarray(eye, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - eye
     forward = forward / np.linalg.norm(forward)
-    right = np.cross(forward, np.asarray(up, dtype=np.float64))
+    right = np.cross(forward, np.array([0.0, 1.0, 0.0]))
     nr = np.linalg.norm(right)
     if nr < 1e-12:
         right = np.cross(forward, np.array([1.0, 0.0, 0.0]))

@@ -764,24 +764,24 @@ def adam_step_per_class(arrays, grads, state, config):
     concatenated in sorted key order, one update of the flat moments, then
     each key's slice subtracted from its array, and quaternion arrays
     renormalized. `arrays` and `grads` map the keys of CascadeDeform.arrays();
-    `state` is an optimize.AdamState."""
-    state.t += 1
+    `state` is a dict, empty before the first step, that holds the step
+    count t, the moments m and v and the rates of the keys' classes."""
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     keys = sorted(grads)
     g = np.concatenate([grads[key].ravel() for key in keys])
+    if not state:
+        state.update(t=0, m=np.zeros_like(g), v=np.zeros_like(g), rates=np.concatenate([
+            np.full(grads[key].size, config.resolved_lr(key.rpartition(".")[2]))
+            for key in keys]))
+    state["t"] += 1
     if not np.all(np.isfinite(g)):
         bad = next(key for key in keys if not np.all(np.isfinite(grads[key])))
         raise ValueError(f"non-finite gradient in parameter class '{bad}'")
-    if state.m is None:
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
-        state.rates = np.concatenate([np.full(grads[key].size, config.resolved_lr(key))
-                                      for key in keys])
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * g * g
-    mhat = state.m / (1.0 - b1**state.t)
-    vhat = state.v / (1.0 - b2**state.t)
-    step = state.rates * mhat / (np.sqrt(vhat) + eps)
+    state["m"] = b1 * state["m"] + (1.0 - b1) * g
+    state["v"] = b2 * state["v"] + (1.0 - b2) * g * g
+    mhat = state["m"] / (1.0 - b1 ** state["t"])
+    vhat = state["v"] / (1.0 - b2 ** state["t"])
+    step = state["rates"] * mhat / (np.sqrt(vhat) + eps)
     start = 0
     for key in keys:
         arr = arrays[key]

@@ -21,7 +21,7 @@ from gscascade.core import GaussianSet
 from gscascade.deform import (
     cascade_apply,
     cascade_jacobians,
-    cascade_zero,
+    CascadeDeform,
     propagated_covariances,
 )
 from gscascade.losses import (DataObservation, FrameConstants, LossWeights, build_neighbor_graph,
@@ -59,7 +59,7 @@ def random_cascade(rng, gset, sizes, with_deltas=True):
     not a generic one.
     """
     h = build_hierarchy(gset.centers, sizes, seed=0)
-    casc = cascade_zero(h, gset.n)
+    casc = CascadeDeform(h, gset.n)
     for layer in casc.layers:
         layer.rotations = layer.rotations + 0.05 * rng.normal(size=layer.rotations.shape)
         layer.translations = 0.02 * rng.normal(size=layer.translations.shape)

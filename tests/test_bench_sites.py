@@ -17,7 +17,7 @@ import pytest
 from gscascade import autodiff, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.core import GaussianSet
-from gscascade.deform import cascade_zero
+from gscascade.deform import CascadeDeform
 from gscascade.losses import (DataObservation, FrameConstants, LossWeights, build_neighbor_graph,
                               total_loss)
 from gscascade.optimize import TrainConfig, fit_sequence
@@ -40,7 +40,8 @@ def test_every_patched_name_resolves(monkeypatch):
 def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
     """`spans.tape_size` counts the traced run's `autodiff.tape_nodes` by
     walking `Tensor._parents` from the root; on a real objective it must
-    count exactly the nodes the backward pass walks."""
+    count exactly the nodes the backward pass walks, 34 on a three-layer
+    cascade on either data path."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
     rng = np.random.default_rng(14)
@@ -51,7 +52,7 @@ def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
     obs = DataObservation(points=centers + rng.normal(scale=0.02, size=(30, 3)),
                           correspondence=None if scan else np.arange(30))
     h = build_hierarchy(centers, (2, 4, 8), seed=0)
-    casc = cascade_zero(h, 30)
+    casc = CascadeDeform(h, 30)
     counts = []
     backward = autodiff.Tensor.backward
 
@@ -61,7 +62,7 @@ def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
 
     monkeypatch.setattr(autodiff.Tensor, "backward", counted)
     total_loss(casc, FrameConstants(gset, obs, h, graph), LossWeights(), max_scale=0.02)
-    assert len(counts) == 1 and counts[0][0] == counts[0][1]
+    assert len(counts) == 1 and counts[0][0] == counts[0][1] == 34
 
 
 def test_iterations_call_the_steps_in_lap_order(monkeypatch):

@@ -17,7 +17,9 @@ from gscascade.core import GaussianSet
 from gscascade.deform import (
     _arr_from_hex,
     _arr_to_hex,
+    IDENTITY_ROWS,
     CascadeDeform,
+    CascadeFrame,
     _nearest_signed_permutation,
     _scaled_t,
     _shifted_t,
@@ -25,7 +27,6 @@ from gscascade.deform import (
     cascade_from_payload,
     cascade_jacobians,
     cascade_to_payload,
-    cascade_zero,
     propagated_covariances,
     trace_cascade,
 )
@@ -63,7 +64,7 @@ def covariances(gset):
 
 def random_cascade(rng, gset, sizes=(2, 5, 12), mag=0.1):
     h = build_hierarchy(gset.centers, sizes, seed=0)
-    casc = cascade_zero(h, gset.n)
+    casc = CascadeDeform(h, gset.n)
     for layer in casc.layers:
         layer.rotations = layer.rotations + rng.normal(scale=mag, size=layer.rotations.shape)
         layer.translations = rng.normal(scale=mag * 0.2, size=layer.translations.shape)
@@ -163,35 +164,46 @@ def test_cascade_zero_is_exact_identity():
     rng = np.random.default_rng(5)
     gset = random_set(rng)
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
-    casc = cascade_zero(h, gset.n)
+    casc = CascadeDeform(h, gset.n)
     assert casc.is_zero()
     out = cascade_apply(casc, gset)
     assert out.frame_index == gset.frame_index + 1
     assert np.array_equal(out.centers, gset.centers)
     assert np.array_equal(out.orientations, gset.orientations)
     assert np.array_equal(out.scales, gset.scales)
+    # one changed entry of any class breaks it, a NaN never equals, and a
+    # -0.0 for a 0.0 keeps it
+    for name, block in casc.classes.items():
+        for at in (0, block.size - 1):
+            entry = np.unravel_index(at, block.shape)
+            identity = block[entry]
+            for value in (identity + 0.5, np.nan):
+                block[entry] = value
+                assert not casc.is_zero(), (name, at, value)
+            block[entry] = -0.0 if identity == 0.0 else identity
+            assert casc.is_zero(), (name, at)
+    assert set(casc.classes) == set(IDENTITY_ROWS) and casc.is_zero()
 
 
 def test_layer_size_mismatch_rejected():
+    """A checkpoint made on other layer sizes, or another layer count, does
+    not load on the hierarchy, naming the array or the count."""
     rng = np.random.default_rng(60)
     gset = random_set(rng, n=20)
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
-    other = cascade_zero(build_hierarchy(gset.centers, (2, 7), seed=0), 20)
-    with pytest.raises(ValueError, match="do not match"):
-        CascadeDeform(
-            layers=other.layers,
-            d_centers=other.d_centers,
-            d_rotations=other.d_rotations,
-            d_log_scales=other.d_log_scales,
-            hierarchy=h,
-        )
+    other = CascadeDeform(build_hierarchy(gset.centers, (2, 7), seed=0), 20)
+    with pytest.raises(ValueError, match=r"layer1\.rotations has shape \(7, 4\), expected \(6"):
+        cascade_from_payload(cascade_to_payload(other), h)
+    fewer = CascadeDeform(build_hierarchy(gset.centers, (2,), seed=0), 20)
+    with pytest.raises(ValueError, match="checkpoint has 1 layers, the hierarchy 2"):
+        cascade_from_payload(cascade_to_payload(fewer), h)
 
 
 def test_single_cluster_translation_moves_everything():
     rng = np.random.default_rng(7)
     gset = random_set(rng, n=20)
     h = build_hierarchy(gset.centers, (1,), seed=0)
-    casc = cascade_zero(h, 20)
+    casc = CascadeDeform(h, 20)
     casc.layers[0].translations[0] = [0.5, -0.25, 1.0]
     out = cascade_apply(casc, gset)
     np.testing.assert_allclose(out.centers, gset.centers + [0.5, -0.25, 1.0], atol=1e-12)
@@ -204,7 +216,7 @@ def test_global_rotation_co_rotates_centers_orientations_covariances():
     rng = np.random.default_rng(8)
     gset = random_set(rng, n=25)
     h = build_hierarchy(gset.centers, (1,), seed=0)
-    casc = cascade_zero(h, 25)
+    casc = CascadeDeform(h, 25)
     q = geometry.quat_normalize(np.array([0.9, 0.2, -0.3, 0.1]))
     casc.layers[0].rotations[0] = q
     out = cascade_apply(casc, gset)
@@ -232,7 +244,7 @@ def test_stacked_rotations_compose():
         scales=rng.uniform(0.01, 0.04, size=(n, 3)),
     )
     h = build_hierarchy(gset.centers, (1, 1, 1), seed=0)
-    casc = cascade_zero(h, n)
+    casc = CascadeDeform(h, n)
     qs = [geometry.quat_normalize(rng.normal(size=4)) for _ in range(3)]
     for k, q in enumerate(qs):
         casc.layers[k].rotations[0] = q
@@ -250,7 +262,7 @@ def test_per_gaussian_deltas_apply_after_cascade():
     rng = np.random.default_rng(10)
     gset = random_set(rng, n=12)
     h = build_hierarchy(gset.centers, (1,), seed=0)
-    casc = cascade_zero(h, 12)
+    casc = CascadeDeform(h, 12)
     casc.d_centers = rng.normal(scale=0.01, size=(12, 3))
     dq = geometry.quat_normalize(
         np.concatenate([np.ones((12, 1)), rng.normal(scale=0.05, size=(12, 3))], axis=1)
@@ -277,7 +289,8 @@ def test_cascade_jacobian_matches_finite_differences():
 
     def forward(x_all):
         probe = GaussianSet(centers=x_all, orientations=gset.orientations, scales=gset.scales)
-        tr = trace_cascade(casc, probe, propagate_covariance=False, differentiable=False)
+        tr = trace_cascade(casc, CascadeFrame(probe, casc.hierarchy),
+                           propagate_covariance=False, differentiable=False)
         return tr.centers.value
 
     # cluster assignments are frozen in the hierarchy, so probing nearby
@@ -410,7 +423,7 @@ def test_degenerate_jacobian_raises():
     rng = np.random.default_rng(14)
     gset = random_set(rng, n=10)
     h = build_hierarchy(gset.centers, (1,), seed=0)
-    casc = cascade_zero(h, 10)
+    casc = CascadeDeform(h, 10)
     # saturate the tanh so sigma == 0: the map collapses and J is singular
     casc.layers[0].scale_biases[0] = -60.0
     with pytest.raises(ValueError, match="positive definite"):
@@ -452,8 +465,8 @@ def test_apply_with_a_given_trace_is_the_apply_that_traces():
     itself, and still copies the set exactly for the zero cascade."""
     rng = np.random.default_rng(23)
     gset = random_set(rng, n=30)
-    for casc in (random_cascade(rng, gset), cascade_zero(random_cascade(rng, gset).hierarchy, 30)):
-        trace = trace_cascade(casc, gset, differentiable=False)
+    for casc in (random_cascade(rng, gset), CascadeDeform(random_cascade(rng, gset).hierarchy, 30)):
+        trace = trace_cascade(casc, CascadeFrame(gset, casc.hierarchy), differentiable=False)
         given = cascade_apply(casc, gset, trace=trace)
         own = cascade_apply(casc, gset)
         for name in ("centers", "orientations", "scales", "colors"):
@@ -483,8 +496,9 @@ def test_payload_roundtrip_bit_exact():
 
 def test_parameters_are_views_of_one_flat_buffer():
     """Every array of arrays() and every field is a view into `flat`; the
-    views tile the buffer, assigning a field copies into it, and the two
-    quaternion classes are one contiguous block."""
+    views tile the buffer, assigning a field copies into it, the two
+    quaternion classes are one contiguous block, and a checkpoint array of
+    another shape does not load into its view."""
     rng = np.random.default_rng(18)
     gset = random_set(rng, n=14)
     casc = random_cascade(rng, gset, sizes=(2, 5), mag=0.3)
@@ -503,10 +517,10 @@ def test_parameters_are_views_of_one_flat_buffer():
     quats = casc.flat[casc.quaternions].reshape(-1, 4)
     want = np.concatenate([*(layer.rotations for layer in casc.layers), casc.d_rotations])
     assert np.array_equal(quats, want)
-    with pytest.raises(ValueError, match="d_log_scales has shape"):
-        CascadeDeform(layers=casc.layers, d_centers=casc.d_centers,
-                      d_rotations=casc.d_rotations, d_log_scales=np.zeros((13, 3)),
-                      hierarchy=casc.hierarchy)
+    payload = cascade_to_payload(casc)
+    payload["d_log_scales"] = _arr_to_hex(np.zeros((13, 3)))
+    with pytest.raises(ValueError, match=r"d_log_scales has shape \(13, 3\), expected \(14, 3\)"):
+        cascade_from_payload(payload, casc.hierarchy)
 
 
 def test_payload_bytes_match_the_per_layer_payload():
@@ -579,8 +593,8 @@ def test_trace_gradients_flow_at_zero_parameters():
     rng = np.random.default_rng(17)
     gset = random_set(rng, n=15)
     h = build_hierarchy(gset.centers, (2, 5), seed=0)
-    casc = cascade_zero(h, 15)
-    tr = trace_cascade(casc, gset)
+    casc = CascadeDeform(h, 15)
+    tr = trace_cascade(casc, CascadeFrame(gset, h))
     loss = tsum(square(sub(tr.centers, ad.constant(gset.centers + 0.01))))
     loss = add(loss, tsum(square(tr.scales)))
     loss.backward()

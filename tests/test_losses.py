@@ -15,7 +15,7 @@ from gscascade import deform, geometry, losses
 from gscascade.clustering import build_hierarchy
 from gscascade.config import ConfigError, check_section
 from gscascade.core import GaussianSet
-from gscascade.deform import cascade_zero
+from gscascade.deform import CascadeDeform
 from gscascade.losses import (
     DataObservation,
     FrameConstants,
@@ -671,7 +671,7 @@ def test_total_loss_is_weighted_sum_and_matches_constant_forward():
     rng = np.random.default_rng(10)
     gset = small_scene(rng, n=20, spread=2.0)
     h = build_hierarchy(gset.centers, (2, 5), seed=0)
-    casc = cascade_zero(h, 20)
+    casc = CascadeDeform(h, 20)
     casc.layers[0].translations += rng.normal(scale=0.05, size=(2, 3))
     casc.d_centers = rng.normal(scale=0.01, size=(20, 3))
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
@@ -711,7 +711,7 @@ def test_total_loss_is_its_generic_chains_bit_for_bit(monkeypatch, scan, zero):
     gset = small_scene(rng, n=30, spread=2.0)
     gset.scales[::3] *= 3.0  # some above max_scale
     h = build_hierarchy(gset.centers, (2, 4, 8), seed=0)
-    casc = cascade_zero(h, 30)
+    casc = CascadeDeform(h, 30)
     for layer in casc.layers:
         layer.translations = rng.normal(scale=0.05, size=layer.translations.shape)
         layer.scale_biases = rng.normal(scale=0.1, size=layer.scale_biases.shape)
@@ -745,7 +745,7 @@ def test_total_loss_gradient_spot_check_fd():
     rng = np.random.default_rng(11)
     gset = small_scene(rng, n=15, spread=2.0)
     h = build_hierarchy(gset.centers, (2, 4), seed=0)
-    casc = cascade_zero(h, 15)
+    casc = CascadeDeform(h, 15)
     for layer in casc.layers:
         layer.rotations = layer.rotations + rng.normal(scale=0.1, size=layer.rotations.shape)
         layer.translations = rng.normal(scale=0.02, size=layer.translations.shape)
@@ -779,7 +779,7 @@ def test_total_loss_tape_size(monkeypatch, scan, nodes):
     rng = np.random.default_rng(14)
     gset = small_scene(rng, n=30, spread=2.0)
     h = build_hierarchy(gset.centers, (2, 4, 8), seed=0)
-    casc = cascade_zero(h, 30)
+    casc = CascadeDeform(h, 30)
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     points = gset.centers + rng.normal(scale=0.02, size=(30, 3))
     obs = DataObservation(points=points, correspondence=None if scan else np.arange(30))
@@ -806,9 +806,9 @@ def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     obs = DataObservation(points=gset.centers + rng.normal(scale=0.02, size=(30, 3)),
                           correspondence=np.arange(30))
-    good = cascade_zero(h, 30)
+    good = CascadeDeform(h, 30)
     good.layers[1].translations = rng.normal(scale=0.05, size=(4, 3))
-    bad = cascade_zero(h, 30)
+    bad = CascadeDeform(h, 30)
     bad.layers[0].scale_biases[0] = -60.0  # sigma == 0: the map collapses
     walked = []
     backward = ad.Tensor.backward
@@ -835,7 +835,7 @@ def test_zero_cascade_isometry_gradient_exactly_zero():
     rng = np.random.default_rng(12)
     gset = small_scene(rng, n=15, spread=2.0)
     h = build_hierarchy(gset.centers, (2, 4), seed=0)
-    casc = cascade_zero(h, 15)
+    casc = CascadeDeform(h, 15)
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     obs = DataObservation(points=gset.centers.copy(), correspondence=np.arange(15))
     weights = LossWeights(w_rigid=0.0, w_rot=0.0, w_data=0.0)  # isolate isometry+scale

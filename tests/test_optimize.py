@@ -14,7 +14,7 @@ from gscascade import autodiff, deform, losses, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.config import ConfigError, check_section
 from gscascade.core import GaussianSet
-from gscascade.deform import (IDENTITY_ROWS, cascade_apply, cascade_to_payload, cascade_zero,
+from gscascade.deform import (IDENTITY_ROWS, CascadeDeform, cascade_apply, cascade_to_payload,
                               trace_cascade)
 from gscascade.losses import DataObservation
 from gscascade.optimize import (
@@ -60,13 +60,17 @@ def test_config_validation_and_learning_rates():
     with pytest.raises(ConfigError, match="train.lr_rot must be > 0.0, got 0.0"):
         check_section("train", {"lr_rot": 0.0}, "the config")
     cfg = TrainConfig(scene_scale=2.0)
-    assert cfg.resolved_lr("layer0.translations") == pytest.approx(1.6e-2 * 2.0)
-    assert cfg.resolved_lr("layer2.rotations") == cfg.lr_rot
+    assert cfg.resolved_lr("translations") == pytest.approx(1.6e-2 * 2.0)
+    assert cfg.resolved_lr("rotations") == cfg.lr_rot
+    assert cfg.resolved_lr("scale_dirs") == cfg.lr_scaledir
+    assert cfg.resolved_lr("scale_biases") == cfg.lr_sbias
     assert cfg.resolved_lr("d_centers") == pytest.approx(0.1 * 1.6e-2 * 2.0)
     assert cfg.resolved_lr("d_rotations") == pytest.approx(0.1 * cfg.lr_rot)
     assert cfg.resolved_lr("d_log_scales") == pytest.approx(0.1 * cfg.lr_scaledir)
-    with pytest.raises(KeyError):
-        cfg.resolved_lr("layer0.bogus")
+    assert TrainConfig(lr_trans=0.5).resolved_lr("translations") == 0.5
+    for name in ("bogus", "layer0.translations"):  # classes only, not arrays() keys
+        with pytest.raises(KeyError):
+            cfg.resolved_lr(name)
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +83,15 @@ def test_arrays_are_the_leaves_and_gradients_adam_steps():
     rng = np.random.default_rng(11)
     gset = scene(rng, n=20)
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
-    casc = cascade_zero(h, 20)
+    casc = CascadeDeform(h, 20)
     obs = DataObservation(points=gset.centers + 0.01, correspondence=np.arange(20))
     graph = losses.build_neighbor_graph(gset.centers, k=5)
     keys = list(casc.arrays())
     assert len(keys) == 2 * 4 + 3
-    trace = trace_cascade(casc, gset)
+    frame = losses.FrameConstants(gset, obs, h, graph)
+    trace = trace_cascade(casc, frame)
     assert list(trace.leaves) == list(IDENTITY_ROWS)  # one leaf per class
     assert all(np.shares_memory(leaf.value, casc.flat) for leaf in trace.leaves.values())
-    frame = losses.FrameConstants(gset, obs, h, graph)
     grads = casc.views(losses.total_loss(casc, frame, losses.LossWeights(), 0.02)[2].grad)
     assert keys == list(grads)
     casc.arrays()["layer1.translations"][3] = [0.5, 0.0, 0.0]
@@ -101,14 +105,14 @@ def test_first_adam_step_has_closed_form():
     rng = np.random.default_rng(0)
     gset = scene(rng, n=20)
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
-    casc = cascade_zero(h, 20)
+    casc = CascadeDeform(h, 20)
     cfg = TrainConfig(scene_scale=1.0)
     grad, grads = zero_grads(casc)
     g = np.array([[0.3, -2.0, 0.0], [0.0, 0.0, 1e-4]])
     grads["layer0.translations"][...] = g
-    adam_step(casc, grad, AdamState(), cfg)
+    adam_step(casc, grad, AdamState(casc, cfg), cfg)
     # bias corrections cancel at t=1: step = -lr * g / (|g| + eps)
-    lr = cfg.resolved_lr("layer0.translations")
+    lr = cfg.resolved_lr("translations")
     want = -lr * g / (np.abs(g) + cfg.adam_eps)
     np.testing.assert_allclose(casc.layers[0].translations, want, atol=1e-12)
     # untouched classes stay exactly zero
@@ -120,14 +124,16 @@ def test_constant_gradient_steps_accumulate_linearly():
     rng = np.random.default_rng(1)
     gset = scene(rng, n=15)
     h = build_hierarchy(gset.centers, (3,), seed=0)
-    casc = cascade_zero(h, 15)
+    casc = CascadeDeform(h, 15)
     cfg = TrainConfig()
-    state = AdamState()
+    state = AdamState(casc, cfg)
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    np.testing.assert_array_equal(casc.views(state.rates)["layer0.scale_biases"], cfg.lr_sbias)
     g = np.full((3,), 0.7)
     for _ in range(4):
         grad, grads = zero_grads(casc)
         grads["layer0.scale_biases"][...] = g
-        casc, state = adam_step(casc, grad, state, cfg)
+        assert adam_step(casc, grad, state, cfg) is None  # the cascade and state change in place
     # for constant g the bias-corrected ratio is g/|g| every step
     want = -4 * cfg.lr_sbias * 0.7 / (0.7 + cfg.adam_eps)
     np.testing.assert_allclose(casc.layers[0].scale_biases, want, rtol=1e-9)
@@ -138,12 +144,12 @@ def test_quaternions_renormalized_after_step():
     rng = np.random.default_rng(2)
     gset = scene(rng, n=12)
     h = build_hierarchy(gset.centers, (2,), seed=0)
-    casc = cascade_zero(h, 12)
+    casc = CascadeDeform(h, 12)
     cfg = TrainConfig()
     grad, grads = zero_grads(casc)
     grads["layer0.rotations"][...] = rng.normal(size=(2, 4))
     grads["d_rotations"][...] = rng.normal(size=(12, 4))
-    adam_step(casc, grad, AdamState(), cfg)
+    adam_step(casc, grad, AdamState(casc, cfg), cfg)
     np.testing.assert_allclose(np.linalg.norm(casc.layers[0].rotations, axis=-1), 1.0,
                                atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(casc.d_rotations, axis=-1), 1.0, atol=1e-12)
@@ -153,16 +159,16 @@ def test_non_finite_gradient_raises_with_class_name():
     rng = np.random.default_rng(3)
     gset = scene(rng, n=10)
     h = build_hierarchy(gset.centers, (2,), seed=0)
-    casc = cascade_zero(h, 10)
+    casc = CascadeDeform(h, 10)
     cfg = TrainConfig()
     grad, grads = zero_grads(casc)
     grads["layer0.scale_dirs"][1, 2] = np.nan
     with pytest.raises(ValueError, match="layer0.scale_dirs"):
-        adam_step(casc, grad, AdamState(), cfg)
+        adam_step(casc, grad, AdamState(casc, cfg), cfg)
     grad, grads = zero_grads(casc)
     grads["d_log_scales"][0, 0] = np.inf
     with pytest.raises(ValueError, match="d_log_scales"):
-        adam_step(casc, grad, AdamState(), cfg)
+        adam_step(casc, grad, AdamState(casc, cfg), cfg)
 
 
 def test_flat_adam_step_is_the_per_class_step_bit_for_bit():
@@ -173,9 +179,9 @@ def test_flat_adam_step_is_the_per_class_step_bit_for_bit():
     gset = scene(rng, n=18)
     h = build_hierarchy(gset.centers, (2, 4, 7), seed=0)
     cfg = TrainConfig(scene_scale=1.7)
-    flat_casc, split_casc = cascade_zero(h, 18), cascade_zero(h, 18)
+    flat_casc, split_casc = CascadeDeform(h, 18), CascadeDeform(h, 18)
     split = {key: a.copy() for key, a in split_casc.arrays().items()}
-    flat_state, split_state = AdamState(), AdamState()
+    flat_state, split_state = AdamState(flat_casc, cfg), {}
     for _ in range(6):
         grad = rng.normal(size=flat_casc.flat.shape) * rng.choice([1e-6, 1.0, 1e3],
                                                                    size=flat_casc.flat.shape)

@@ -1,16 +1,20 @@
-"""Smoke runs of the scripts in scripts/: each main() on tiny arguments."""
+"""Smoke runs of the scripts in scripts/: each main() on tiny arguments, and
+`fit_digest.py` with its defaults against the committed digests."""
 
 import importlib.util
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gscascade.io_formats import read_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "fit_digest_golden.txt"
 
 
 def load_script(name):
@@ -67,6 +71,36 @@ def test_fit_digest_prints_the_same_digests_twice(capsys):
     # the scan fit differs from the fit to correspondences in every fit digest
     for matched, scanned in zip(digests[0::2], digests[1::2]):
         assert all(a != b for a, b in zip(matched[:3] + matched[4:], scanned[:3] + scanned[4:]))
+
+
+def digest_lines(lines):
+    """{(kind, digest label): digest} of fit_digest.py's output lines."""
+    found = {}
+    for line in lines:
+        kind, *fields = line.split()
+        found.update(((kind, label), value) for label, value in zip(fields[0::2], fields[1::2]))
+    return found
+
+
+def test_fit_digest_defaults_print_the_golden_digests():
+    """Every bit of the default fits is pinned: `fit_digest.py` with its
+    defaults prints the committed lines, and a mismatch names the kind and
+    the digest. The lines were recorded in one environment; numpy or scipy of
+    another version may round differently, so the message then says so."""
+    run = subprocess.run([sys.executable, str(SCRIPTS / "fit_digest.py")],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    text = GOLDEN_DIGESTS.read_text().splitlines()
+    recorded = next(line for line in text if line.startswith("# environment: "))[15:]
+    want = digest_lines(line for line in text if not line.startswith("#"))
+    got = digest_lines(run.stdout.splitlines())
+    moved = [f"{kind} {label}" for (kind, label), digest in want.items()
+             if got.get((kind, label)) != digest]
+    moved += [f"{kind} {label} (not recorded)" for kind, label in got.keys() - want.keys()]
+    here = (f"python {platform.python_version()}, numpy {np.__version__},"
+            f" scipy {scipy.__version__}, machine {platform.machine()}")
+    note = "" if here == recorded else f"; recorded on {recorded}, run on {here}"
+    assert not moved, f"digests differ from {GOLDEN_DIGESTS.name}: {moved}{note}"
 
 
 def test_fit_digest_exits_2_on_zero_iterations():

@@ -14,6 +14,12 @@ accessed: a `ClusterHierarchy.n` property would pass, since `.n` is also
 `GaussianSet`'s.
 An imported name counts as a reference, so no module in `src/`, `scripts/`,
 `tests/` or `bench/` may import a name it never uses.
+
+Every parameter with a default of a function in `src/` is passed, by keyword
+or by position, by some call of a function of that name in `src/`,
+`scripts/`, `bench/` or `tests/`: a default no caller overrides is a constant.
+A call `ClassName(...)` is a call of `ClassName.__init__`; the other dunder
+methods are not checked.
 """
 
 import ast
@@ -29,8 +35,9 @@ CALLERS = [
     *sorted((ROOT / "bench").rglob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 IMPORTERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").rglob("*.py")),
-             *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+             *TESTS, *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def _public(nodes, kinds):
@@ -101,3 +108,64 @@ def test_no_unused_imports():
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_star_import_succeeds(module):
     exec(f"from gscascade.{module} import *", {})
+
+
+def defaulted_parameters(path):
+    """(called name, parameter, position) for every parameter with a default
+    of a function in `path`. The called name of `__init__` is its class's;
+    the position counts the arguments a call passes before it (None if it is
+    keyword-only), and a method's does not count `self` or `cls`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = node.name
+        if name == "__init__":
+            name = methods[id(node)]
+        elif name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if id(node) in methods and not static else 0
+        for at in range(len(positional) - len(args.defaults), len(positional)):
+            found.append((name, positional[at].arg, at - skip))
+        found += [(name, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return found
+
+
+def passed_arguments(paths):
+    """{called name: [(positional count, keywords)]} over every call in
+    `paths`; a `*args` counts as every position, a `**kwargs` as every
+    keyword (None)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    calls = passed_arguments({*CALLERS, *TESTS})
+    dead = sorted(
+        f"{path.stem}.{function}({parameter})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, parameter, position in defaulted_parameters(path)
+        if not any(keywords is None or parameter in keywords
+                   or (position is not None and count > position)
+                   for count, keywords in calls.get(function, ()))
+    )
+    assert not dead, f"defaulted parameters that no caller passes: {dead}"
