@@ -43,7 +43,7 @@ from gscascade.scenegen import SceneSpec, generate
 from gscascade.segmentation import build_features, segment
 from gscascade.tracking import mte, project, project_track, select_candidate
 
-DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave"
+DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave,two_blobs"
 SCAN_SAMPLES = 8  # scan points per ground-truth center
 SCAN_SIGMA = 0.005  # their spread around it
 DIGESTS = ("trajectory", "checkpoints", "losses", "segmentation", "outputs")

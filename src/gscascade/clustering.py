@@ -23,6 +23,28 @@ plain per-cluster loops (`tests/oracles.py` holds them):
 - agglomeration retires a merged cluster by setting its row and column of the
   distance matrix to inf in place, so the closest pair is the argmin of the
   matrix itself, with the same values and tie order as a masked copy.
+
+Each Lloyd assignment equals the argmin of the full (N, k) grid of squared
+distances, where the lowest cluster id wins a tie, yet most of that grid is
+never computed (Elkan, "Using the Triangle Inequality to Accelerate
+k-Means", ICML 2003). The seeding's distance columns are the first
+assignment's grid. From then on each point keeps an upper bound on its
+distance to its own centroid and a lower bound on its distance to every
+other centroid, and each member-mean update moves them by the centroids'
+shifts. A point keeps its cluster when `upper + _BOUND_ABS < min(lower)`;
+the row of every other point is recomputed with `_sq_dists` and gives its
+argmin. A certified point keeps the full grid's argmin because its exact gap
+exceeds the rounding of the squared distances: each bound is widened by the
+relative _BOUND_REL when it is set and each time it moves, far above the
+(D + 4) eps relative rounding of a squared distance, a shift or a bound
+update, so its own entry is the row's unique minimum and no tie is left for
+the lowest index to break. _BOUND_ABS is far above the distance that
+underflowing squares lose, a square that overflows to inf gives a lower bound
+of 0 (and an upper bound of inf), and NaN fails every comparison, so ties,
+underflowing and overflowing squares and NaN are always recomputed, and there
+the lowest index wins as in the full grid. A point that the empty-cluster repair moves is recomputed
+too; the repair computes only the grid entries it compares, and only when a
+count is 0.
 """
 
 from __future__ import annotations
@@ -38,6 +60,8 @@ _LLOYD_TOL = 1e-7
 _LLOYD_MAX_ITERS = 300
 _PAIRWISE_FROM = 8  # numpy sums a last axis this long or longer pairwise
 _ROW_BLOCK = 512  # rows of the (N, k) grid filled at once, so temporaries stay in cache
+_BOUND_REL = 1e-9  # relative widening of each bound, against rounding
+_BOUND_ABS = 1e-150  # absolute margin of the bound test, against underflow
 
 
 def _sq_dists(points, centroids):
@@ -59,15 +83,20 @@ def _sq_dists(points, centroids):
 
 
 def _farthest_point_seeds(points, k, rng):
-    """k-means++-style seeding: random first pick, then greedy farthest points."""
+    """k-means++-style seeding: random first pick, then greedy farthest points.
+
+    Returns the (k, D) seeds and the (k, N) squared distances of the seeds to
+    every point: the transposed grid of the first assignment.
+    """
     n = points.shape[0]
     seeds = np.empty(k, dtype=np.int64)
-    seeds[0] = rng.integers(n)
-    d2 = _sq_dists(points, points[seeds[0], None])[:, 0]
-    for i in range(1, k):
-        seeds[i] = int(np.argmax(d2))
-        np.minimum(d2, _sq_dists(points, points[seeds[i], None])[:, 0], out=d2)
-    return points[seeds].copy()
+    grid_t = np.empty((k, n))
+    for j in range(k):
+        seeds[j] = rng.integers(n) if j == 0 else nearest.argmax()
+        row = grid_t[j]
+        row[...] = _sq_dists(points, points[seeds[j], None])[:, 0]
+        nearest = row.copy() if j == 0 else np.minimum(nearest, row, out=nearest)
+    return points[seeds], grid_t
 
 
 def _assign(points, centroids):
@@ -75,12 +104,27 @@ def _assign(points, centroids):
     return np.argmin(d2, axis=1), d2
 
 
+def _bounds(grid_t, assign):
+    """(upper (n,), lower (k, n)) bounds, widened by _BOUND_REL, on the
+    distances of n points to their assigned centroids and to every other
+    one (inf at the assigned one), from their (k, n) squared distances."""
+    lower = np.sqrt(grid_t)
+    own = assign, np.arange(len(assign))
+    upper = lower[own] * (1.0 + _BOUND_REL)
+    lower[np.isinf(lower)] = 0.0  # an overflowing square bounds nothing from below
+    lower *= 1.0 - _BOUND_REL
+    lower[own] = np.inf
+    return upper, lower
+
+
 def kmeans(points, k, seed=0):
     """Lloyd k-means on (N, D) data. Returns (assignments (N,), centroids (k, D)).
 
     Deterministic for a fixed seed. Empty clusters are repaired by splitting
     the largest cluster (its farthest member becomes the new centroid). Every
-    point ends up assigned to its nearest returned centroid.
+    point ends up assigned to its nearest returned centroid. Each assignment
+    is the argmin of the full grid of squared distances, computed only for
+    the points whose bounds do not certify it (see the module docstring).
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -89,40 +133,54 @@ def kmeans(points, k, seed=0):
     if k > n:
         raise ValueError(f"k={k} exceeds number of points ({n})")
     rng = np.random.default_rng(seed)
-    centroids = _farthest_point_seeds(points, k, rng)
+    centroids, grid_t = _farthest_point_seeds(points, k, rng)
+    assign = np.argmin(grid_t, axis=0)
+    # lower is (k, N): a shift moves one contiguous row
+    upper, lower = _bounds(grid_t, assign)
 
     for _ in range(_LLOYD_MAX_ITERS):
-        assign, d2 = _assign(points, centroids)
-        new_centroids = _member_means(points, assign, _repair_empty(assign, d2, k))
-        shift = np.max(np.linalg.norm(new_centroids - centroids, axis=-1))
+        counts, moved = _repair_empty(points, centroids, assign, k)
+        upper[moved] = np.inf  # its bound is on the cluster it left
+        new_centroids = _member_means(points, assign, counts)
+        shifts = np.linalg.norm(new_centroids - centroids, axis=-1)
         centroids = new_centroids
-        if shift <= _LLOYD_TOL:
+        upper += shifts[assign]
+        upper *= 1.0 + _BOUND_REL
+        lower *= 1.0 - _BOUND_REL
+        lower -= shifts[:, None] * (1.0 + _BOUND_REL)
+        stale = np.flatnonzero(~(upper + _BOUND_ABS < lower.min(axis=0)))
+        assign[stale], d2 = _assign(points[stale], centroids)
+        upper[stale], lower[:, stale] = _bounds(d2.T, assign[stale])
+        if np.max(shifts) <= _LLOYD_TOL:
             break
-    # final re-assignment so the nearest-centroid postcondition holds exactly;
-    # a converged solution keeps every cluster nonempty, but exact-tie
+    # the nearest-centroid postcondition holds for the last assignment; a
+    # converged solution keeps every cluster nonempty, but exact-tie
     # degeneracies still get the repair pass
-    assign, d2 = _assign(points, centroids)
-    _repair_empty(assign, d2, k)
+    _repair_empty(points, centroids, assign, k)
     return assign, centroids
 
 
-def _repair_empty(assign, d2, k):
+def _repair_empty(points, centroids, assign, k):
     """Give every empty cluster, in id order, the farthest member of the
-    largest cluster. Returns the cluster sizes after the repair.
+    largest cluster. Returns the cluster sizes after the repair and the moved
+    points.
 
     As k <= N, the largest cluster has two members or more while one is
     empty, so a repair empties no cluster: those empty at the start are
-    exactly the ones to repair.
+    exactly the ones to repair. Only the largest cluster's column of the
+    squared distances is computed, for its members.
     """
     counts = np.bincount(assign, minlength=k)
+    moved = []
     for j in np.flatnonzero(counts == 0):
         big = int(np.argmax(counts))
         members_big = np.flatnonzero(assign == big)
-        far = members_big[int(np.argmax(d2[members_big, big]))]
+        far = members_big[int(np.argmax(_sq_dists(points[members_big], centroids[big, None])))]
         assign[far] = j
         counts[big] -= 1
         counts[j] += 1
-    return counts
+        moved.append(far)
+    return counts, moved
 
 
 def agglomerate(points, target_k):

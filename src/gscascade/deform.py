@@ -499,9 +499,22 @@ def _arr_to_hex(a):
     return {"shape": list(a.shape), "data": list(map(float.hex, a.ravel().tolist()))}
 
 
-def _arr_from_hex(payload):
+def _hex_shape(payload, key):
+    """The checkpoint array `payload`'s shape, as a tuple; a shape that is not
+    a list of non-negative ints (bools are not) whose product is the data
+    length raises ValueError naming `key`."""
+    shape = payload["shape"]
+    if not (isinstance(shape, list)
+            and all(type(s) is int and s >= 0 for s in shape)
+            and math.prod(shape) == len(payload["data"])):
+        raise ValueError(f"parameter {key} has shape {shape!r}, which does not hold"
+                         f" its {len(payload['data'])} data values")
+    return tuple(shape)
+
+
+def _arr_from_hex(payload, key):
     data = np.array(list(map(float.fromhex, payload["data"])), dtype=np.float64)
-    return data.reshape(payload["shape"])
+    return data.reshape(_hex_shape(payload, key))
 
 
 def cascade_to_payload(cascade):
@@ -514,7 +527,8 @@ def cascade_to_payload(cascade):
 
 def cascade_from_payload(payload, hierarchy):
     """The checkpoint `payload`'s cascade on `hierarchy`; a layer count or an
-    array shape that the hierarchy does not have raises ValueError naming it."""
+    array shape that the hierarchy does not have, or a `shape` that does not
+    hold its array's data, raises ValueError naming it."""
     # checkpoints may carry an "anchored" flag; the map below is the anchored one
     if payload.get("anchored", True) is not True:
         raise ValueError("checkpoint field 'anchored' is not true: only the anchored"
@@ -523,10 +537,12 @@ def cascade_from_payload(payload, hierarchy):
     if len(layers) != len(hierarchy.layer_sizes):
         raise ValueError(f"checkpoint has {len(layers)} layers, the hierarchy"
                          f" {len(hierarchy.layer_sizes)}")
-    cascade = CascadeDeform(hierarchy, payload["d_centers"]["shape"][0])
+    shape = _hex_shape(payload["d_centers"], "d_centers")
+    cascade = CascadeDeform(hierarchy, shape[0] if shape else 0)  # () fails the check below
     given = [*(layer[name] for layer in layers for name in _LAYER_CLASSES),
              *(payload[name] for name in _GAUSSIAN_CLASSES)]  # in the order of arrays()
-    for (key, view), array in zip(cascade.arrays().items(), map(_arr_from_hex, given)):
+    for (key, view), entry in zip(cascade.arrays().items(), given):
+        array = _arr_from_hex(entry, key)
         if array.shape != view.shape:
             raise ValueError(f"parameter {key} has shape {array.shape}, expected {view.shape}")
         view[...] = array

@@ -8,7 +8,8 @@ an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, k-means and agglomeration with the per-cluster loops that
-their fixed-op-count kernels replaced, value-and-gradient wrappers around
+their fixed-op-count kernels replaced, a count of the squared distances that
+k-means computes, value-and-gradient wrappers around
 single loss terms, the generic broadcasting tape ops that every fused
 primitive replaced (add, sub, mul, tsum, tmean, exp, square, relu), the three
 neighbour terms as chains of generic tape ops (with the sqrt, transpose,
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from gscascade import autodiff as ad
-from gscascade import geometry
+from gscascade import clustering, geometry
 from gscascade.losses import (_RIGID_NOISE_ULPS, _TERM_WEIGHTS, FrameConstants, data_loss_t,
                               isometry_loss_t, rigidity_loss_t, rotation_loss_t)
 from gscascade.segmentation import procrustes_rotation
@@ -217,6 +218,24 @@ def repair_empty_loop(assign, d2, k):
             members_big = np.nonzero(assign == big)[0]
             far = members_big[int(np.argmax(d2[members_big, big]))]
             assign[far] = j
+
+
+def distance_entries(call):
+    """The squared-distance entries that `call()` computes through
+    `clustering._sq_dists`, the only place k-means computes them."""
+    entries = []
+    sq_dists = clustering._sq_dists
+
+    def counted(points, centroids):
+        entries.append(points.shape[0] * centroids.shape[0])
+        return sq_dists(points, centroids)
+
+    clustering._sq_dists = counted
+    try:
+        call()
+    finally:
+        clustering._sq_dists = sq_dists
+    return sum(entries)
 
 
 def agglomerate_masked(points, target_k):

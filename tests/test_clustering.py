@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gscascade import clustering
 from gscascade.clustering import (
     _ROW_BLOCK,
     ClusterHierarchy,
@@ -13,7 +14,8 @@ from gscascade.clustering import (
     build_hierarchy,
     kmeans,
 )
-from oracles import agglomerate_masked, assign_broadcast, kmeans_loop
+from gscascade.scenegen import SceneSpec, generate
+from oracles import agglomerate_masked, assign_broadcast, distance_entries, kmeans_loop
 
 
 def two_separated_blobs(rng, n_each=30, gap=5.0):
@@ -132,7 +134,11 @@ def test_agglomerate_labels_ordered_by_smallest_member():
 def oracle_cases(dim, rng):
     """(points, k) cases in `dim` dimensions: plain, rounded to a grid (distance
     ties), drawn with repeats (duplicate points), one point repeated with a
-    few others (empty clusters to repair), with k = 1, k = n and k between."""
+    few others (empty clusters to repair), with k = 1, k = n and k between;
+    then points scaled to 1e-162, whose squared distances underflow to exact
+    ties, points scaled to 1e154, where some overflow to inf, and six points
+    on two values in four clusters, where the empty-cluster repair moves
+    points in every Lloyd iteration."""
     cases = []
     for trial in range(6):
         n = int(rng.integers(2, 90))
@@ -141,6 +147,11 @@ def oracle_cases(dim, rng):
                np.concatenate([np.zeros((n, dim)), pts[:3]])][trial % 4]
         for k in (1, len(pts), int(rng.integers(1, len(pts) + 1))):
             cases.append((pts, k))
+    cases.append((rng.normal(size=(40, dim)) * 1e-162, 7))
+    cases.append((rng.normal(size=(40, dim)) * 1e154, 7))
+    repaired = np.zeros((6, dim))
+    repaired[:, 0] = [3.0, 3.0, 0.0, 0.0, 0.0, 0.0]
+    cases.append((repaired, 4))
     return cases
 
 
@@ -166,6 +177,36 @@ def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
             np.testing.assert_allclose(centroids, want_centroids, rtol=0,
                                        atol=len(pts) * eps * np.abs(pts).max())
         np.testing.assert_array_equal(agglomerate(pts, k), agglomerate_masked(pts, k))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 75])
+def test_an_oracle_case_repairs_after_the_first_iteration(dim, monkeypatch):
+    """The last oracle case, seeded with its index as the oracle test seeds
+    it, moves points in the empty-cluster repair of a later Lloyd iteration
+    too, while the bounds are in use: the oracle test covers the recompute of
+    a moved point."""
+    moves = []
+    repair = clustering._repair_empty
+
+    def recorded(*args):
+        counts, moved = repair(*args)
+        moves.append(len(moved))
+        return counts, moved
+
+    monkeypatch.setattr(clustering, "_repair_empty", recorded)
+    cases = oracle_cases(dim, np.random.default_rng(100 + dim))
+    kmeans(*cases[-1], seed=len(cases) - 1)
+    assert len(moves) > 2 and any(moves[1:-1])
+
+
+def test_kmeans_distance_work_stays_within_its_measured_count():
+    """The arm400 hierarchy's k-means (N = 400, k = 160, seed 1) computes
+    104,960 squared distances: the seeding's 64,000 and 0.64 of a grid more,
+    where the plain Lloyd loop computed 8 whole grids, 512,000. A change that
+    lowers the count lowers the bound."""
+    seq = generate(SceneSpec("two_link_arm", n_gaussians=400, n_frames=5, seed=1))
+    centers = seq.frame0.centers
+    assert distance_entries(lambda: kmeans(centers, 160, seed=1)) <= 104_960
 
 
 @pytest.mark.parametrize("dim", [3, 9])

@@ -6,6 +6,7 @@ case, and the analytic composition law for stacked single-cluster layers.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -523,6 +524,27 @@ def test_parameters_are_views_of_one_flat_buffer():
         cascade_from_payload(payload, casc.hierarchy)
 
 
+@pytest.mark.parametrize("key, shape", [
+    ("d_centers", []),  # raised IndexError
+    ("layer0.translations", [2.0, 3]),  # raised numpy's TypeError
+    ("layer1.scale_biases", [True, 5]),
+    ("d_log_scales", [14, 2]),  # 28 entries for 42 values
+])
+def test_payload_rejects_a_shape_that_does_not_hold_its_data(key, shape):
+    """A checkpoint array's `shape` must be a list of ints whose product is
+    its data length; otherwise loading raises ValueError naming the array."""
+    rng = np.random.default_rng(21)
+    gset = random_set(rng, n=14)
+    casc = random_cascade(rng, gset, sizes=(2, 5), mag=0.3)
+    payload = cascade_to_payload(casc)
+    layer, _, name = key.rpartition(".")
+    entry = payload["layers"][int(layer[5:])][name] if layer else payload[key]
+    entry["shape"] = shape
+    with pytest.raises(ValueError, match=rf"parameter {re.escape(key)} has shape"
+                                         rf" {re.escape(repr(shape))}, which does not hold"):
+        cascade_from_payload(payload, casc.hierarchy)
+
+
 def test_payload_bytes_match_the_per_layer_payload():
     rng = np.random.default_rng(19)
     gset = random_set(rng, n=14)
@@ -545,7 +567,7 @@ def test_hex_codec_keeps_the_bits_of_one_call_per_element():
         payload = _arr_to_hex(a)
         assert payload == arr_to_hex_per_element(a)
         want = np.array([float.fromhex(v) for v in payload["data"]], dtype=np.float64)
-        assert _arr_from_hex(payload).tobytes() == want.reshape(a.shape).tobytes()
+        assert _arr_from_hex(payload, "a").tobytes() == want.reshape(a.shape).tobytes()
 
 
 def test_payload_rejects_an_unanchored_checkpoint():

@@ -18,7 +18,7 @@ from gscascade.segmentation import (
     procrustes_rotation,
     segment,
 )
-from oracles import fitted_subpart_check, rigid_subpart_rotation_check
+from oracles import distance_entries, fitted_subpart_check, rigid_subpart_rotation_check
 
 
 def pair_count_ari(a, b):
@@ -165,6 +165,16 @@ def test_segment_separates_wheel_from_stand():
     seq = generate(SceneSpec(kind="wheel", n_gaussians=80, n_frames=5))
     labels = segment(build_features(gt_trajectory(seq)), k_parts=2, seed=0)
     assert adjusted_rand_index(labels, seq.part_labels) >= 0.95
+
+
+def test_segment_distance_work_stays_within_its_measured_count():
+    """k-means at D = 75 on the pendulum's motion (N = 600, 5 frames, 2
+    parts) computes 1,438 squared distances, where the plain Lloyd loop
+    computed 8 whole grids, 9,600. A change that lowers the count lowers the
+    bound."""
+    feats = build_features(gt_trajectory(generate(SceneSpec("pendulum", n_gaussians=600,
+                                                            n_frames=5, seed=0))))
+    assert distance_entries(lambda: segment(feats, 2, seed=0)) <= 1_438
 
 
 def test_segment_k1_and_validation():
