@@ -239,8 +239,7 @@ class CascadeTrace:
     scales: ad.Tensor  # (N, 3)
     jacobians: ad.Tensor  # (N, 3, 3) accumulated spatial Jacobian
     covariances: np.ndarray  # (N, 3, 3) propagated, exactly symmetric; None if off
-    leaves: dict  # parameter class -> leaf Tensor over the class's block of `flat`
-    grad: np.ndarray  # the leaves' gradients, laid out like `flat`; None on constants
+    grad: np.ndarray  # the parameters' gradients, laid out like `flat`; None on constants
 
 
 class CascadeFrame:
@@ -450,7 +449,6 @@ def trace_cascade(cascade, frame, propagate_covariance=True, differentiable=True
         scales=scales_out,
         jacobians=J,
         covariances=cov,
-        leaves=leaves,
         grad=grad,
     )
 

@@ -122,7 +122,6 @@ class NeighborGraph:
     centers: np.ndarray  # (N, 3) frame-0 centers the graph is built on
     indices: np.ndarray  # (N, k) neighbor Gaussian indices
     weights: np.ndarray  # (N, k) in (0, 1]
-    lambda_weight: float
     index: ad.RowIndex = field(init=False, repr=False)  # indices, with their scatter
     rest_lengths: np.ndarray = field(init=False, repr=False)  # (N, k)
     max_abs_coord: float = field(init=False)
@@ -157,7 +156,6 @@ def build_neighbor_graph(centers, k=DEFAULT_NEIGHBOR_COUNT, lambda_weight=None,
         centers=centers,
         indices=neighbors,
         weights=np.exp(-lambda_weight * d2),
-        lambda_weight=float(lambda_weight),
     )
 
 

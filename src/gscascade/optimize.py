@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .clustering import build_hierarchy
 from .deform import CascadeDeform, cascade_apply
 from .losses import FrameConstants, LossWeights, build_neighbor_graph, total_loss
 
@@ -155,12 +154,14 @@ def fit_frame(prev_set, obs, hierarchy, config, graph):
     return new_set, cascade, report
 
 
-def fit_sequence(initial_set, observations, config, hierarchy=None):
+def fit_sequence(initial_set, observations, config, hierarchy):
     """Fit a whole sequence online, frame by frame.
 
     `observations` holds one DataObservation per frame 0..T-1; observation 0
-    corresponds to the given initial set and is not fitted. Raises ValueError,
-    naming the frame, on a correspondence index past the last Gaussian.
+    corresponds to the given initial set and is not fitted. `hierarchy` is
+    built on the initial set's centers; its centroids are updated in place at
+    every frame transition. Raises ValueError, naming the frame, on a
+    correspondence index past the last Gaussian.
     """
     for frame, obs in enumerate(observations):
         if obs.correspondence is not None and np.any(obs.correspondence >= initial_set.n):
@@ -168,8 +169,6 @@ def fit_sequence(initial_set, observations, config, hierarchy=None):
                 f"frame {frame}: correspondence index {int(obs.correspondence.max())}"
                 f" is out of range for {initial_set.n} Gaussians"
             )
-    if hierarchy is None:
-        hierarchy = build_hierarchy(initial_set.centers, config.layer_sizes, seed=config.seed)
     graph = build_neighbor_graph(
         initial_set.centers,
         k=min(config.k_neighbors, initial_set.n - 1),

@@ -1,8 +1,12 @@
 """Deterministic synthetic articulated scenes with exact ground truth.
 
-Each scene kind places Gaussians on a few parts at frame 0 and moves every
-rigid part by an exact closed-form rigid transform per frame (the cloth kind
-applies a smooth sinusoidal field instead, and is deliberately non-rigid).
+Each scene kind is a list of rigid parts: the part's frame-0 points, its
+rotation per frame (a (T, 4) quaternion track, relative to frame 0), the pivot
+it turns about, and an optional translation per frame. One shared step turns
+that list into the part labels, the ground-truth centers (each part's points
+moved by its closed-form rigid transform, parts concatenated in order) and
+the per-part rotations. cloth_wave, the one non-rigid kind, is a single still
+part with a travelling sine wave added to its heights afterwards.
 The generator emits, per frame, ground-truth centers and identity-matched
 observations (optionally noised), plus part labels, per-part rotations, and a
 ring of pinhole cameras — everything the fitting, segmentation, and tracking
@@ -100,11 +104,10 @@ class SceneSequence:
         return float(np.linalg.norm(hi - lo))
 
 
-def _axis_quat(axis, angle_rad):
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle_rad
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
+def _z_turns(angles):
+    """Unit quaternions of turns by `angles` (radians) about +z, shape (..., 4)."""
+    s = np.sin(0.5 * angles)
+    return np.stack([np.cos(0.5 * angles), 0.0 * s, 0.0 * s, s], axis=-1)
 
 
 def _sample_box(rng, n, lo, hi):
@@ -118,26 +121,16 @@ def _sample_disc(rng, n, radius, thickness):
     return np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
 
 
-def _sample_ball(rng, n, center, radius):
+def _ball_offsets(rng, n, radius):
+    """`n` points drawn uniformly from the ball of `radius` about the origin."""
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    r = radius * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
-    return np.asarray(center) + v * r
+    return v * (radius * rng.uniform(size=(n, 1)) ** (1.0 / 3.0))
 
 
 def _sample_capsule(rng, n, a, b, radius):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     t = rng.uniform(size=(n, 1))
-    offs = rng.normal(size=(n, 3))
-    offs /= np.linalg.norm(offs, axis=-1, keepdims=True)
-    offs *= radius * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
-    return a + t * (b - a) + offs
-
-
-def _rigid_motion(points, quat, pivot, extra_translation=0.0):
-    R = geometry.quat_to_matrix(quat)
-    return (points - pivot) @ R.T + pivot + extra_translation
+    return a + t * (b - a) + _ball_offsets(rng, n, radius)
 
 
 def _split_counts(n, fractions):
@@ -167,52 +160,34 @@ def generate(spec):
     """Build the full deterministic sequence for a SceneSpec."""
     rng = np.random.default_rng(spec.seed)
     t_idx = np.arange(spec.n_frames)
-
+    origin = np.zeros(3)
+    still = np.tile((1.0, 0.0, 0.0, 0.0), (spec.n_frames, 1))
+    # each rigid part: (frame-0 points, rotation per frame (T, 4), pivot,
+    # translation per frame (T, 3) or None), in Gaussian order
     if spec.kind == "wheel":
         n_wheel, n_stand = _split_counts(spec.n_gaussians, (0.75, 0.25))
         parts = [
-            _sample_disc(rng, n_wheel, radius=0.5, thickness=0.02),
-            _sample_box(rng, n_stand, (-0.06, -1.05, -0.04), (0.06, -0.68, 0.04)),
+            (_sample_disc(rng, n_wheel, radius=0.5, thickness=0.02),
+             _z_turns(np.deg2rad(spec.motion_magnitude) * t_idx), origin, None),
+            (_sample_box(rng, n_stand, (-0.06, -1.05, -0.04), (0.06, -0.68, 0.04)),
+             still, origin, None),
         ]
-        angles = np.deg2rad(spec.motion_magnitude) * t_idx
-        part_quats = np.stack(
-            [
-                [_axis_quat((0.0, 0.0, 1.0), a) for a in angles],
-                [geometry.quat_normalize((1.0, 0.0, 0.0, 0.0))] * spec.n_frames,
-            ],
-            axis=1,
-        )
-        pivots = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        translations = np.zeros((spec.n_frames, 2, 3))
 
     elif spec.kind == "pendulum":
         pivot = np.array([0.0, 0.55, 0.0])
         n_mount, n_arm = _split_counts(spec.n_gaussians, (0.2, 0.8))
         bob_center = pivot + np.array([0.0, -0.8, 0.0])
         n_rod = max(4, n_arm // 3)
-        n_bob = n_arm - n_rod
+        swing = np.deg2rad(spec.motion_magnitude) * np.sin(2.0 * np.pi * t_idx / 16.0)
         parts = [
-            _sample_box(rng, n_mount, (-0.12, 0.58, -0.08), (0.12, 0.74, 0.08)),
-            np.concatenate(
-                [
-                    _sample_capsule(rng, n_rod, pivot, bob_center, radius=0.03),
-                    _sample_ball(rng, n_bob, bob_center, radius=0.14),
-                ]
-            ),
+            (_sample_box(rng, n_mount, (-0.12, 0.58, -0.08), (0.12, 0.74, 0.08)),
+             still, origin, None),
+            (np.concatenate([_sample_capsule(rng, n_rod, pivot, bob_center, radius=0.03),
+                             bob_center + _ball_offsets(rng, n_arm - n_rod, 0.14)]),
+             _z_turns(swing), pivot, None),
         ]
-        angles = np.deg2rad(spec.motion_magnitude) * np.sin(2.0 * np.pi * t_idx / 16.0)
-        part_quats = np.stack(
-            [
-                [geometry.quat_normalize((1.0, 0.0, 0.0, 0.0))] * spec.n_frames,
-                [_axis_quat((0.0, 0.0, 1.0), a) for a in angles],
-            ],
-            axis=1,
-        )
-        pivots = np.array([[0.0, 0.0, 0.0], pivot])
-        translations = np.zeros((spec.n_frames, 2, 3))
 
     elif spec.kind == "two_link_arm":
-        shoulder = np.zeros(3)
         elbow = np.array([0.45, 0.0, 0.0])
         tip = np.array([0.9, 0.0, 0.0])
         n_base, n_link1, n_link2 = _split_counts(spec.n_gaussians, (0.2, 0.4, 0.4))
@@ -220,36 +195,20 @@ def generate(spec):
         # points whose trajectories are identical for both links, making the
         # part assignment genuinely ambiguous there
         joint_gap = np.array([0.09, 0.0, 0.0])
+        q1 = _z_turns(np.deg2rad(spec.motion_magnitude) * t_idx)
+        q2 = _z_turns(np.deg2rad(1.5 * spec.motion_magnitude) * t_idx)
+        # link2 turns about the elbow and is carried by the shoulder at the
+        # origin: x_t = R1 (R2 (x0 - elbow) + elbow) = (R1 R2) x0 + shift
+        R1, R2 = geometry.quat_to_matrix(q1), geometry.quat_to_matrix(q2)
+        shift = R1 @ (np.eye(3) - R2) @ elbow
         parts = [
-            _sample_box(rng, n_base, (-0.16, -0.3, -0.16), (0.16, -0.08, 0.16)),
-            _sample_capsule(rng, n_link1, shoulder, elbow - joint_gap, radius=0.055),
-            _sample_capsule(rng, n_link2, elbow + joint_gap, tip, radius=0.045),
+            (_sample_box(rng, n_base, (-0.16, -0.3, -0.16), (0.16, -0.08, 0.16)),
+             still, origin, None),
+            (_sample_capsule(rng, n_link1, origin, elbow - joint_gap, radius=0.055),
+             q1, origin, None),
+            (_sample_capsule(rng, n_link2, elbow + joint_gap, tip, radius=0.045),
+             geometry.quat_multiply(q1, q2), origin, shift),
         ]
-        th1 = np.deg2rad(spec.motion_magnitude) * t_idx
-        th2 = np.deg2rad(1.5 * spec.motion_magnitude) * t_idx
-        identity = geometry.quat_normalize((1.0, 0.0, 0.0, 0.0))
-        q1 = [_axis_quat((0.0, 0.0, 1.0), a) for a in th1]
-        q2 = [_axis_quat((0.0, 0.0, 1.0), a) for a in th2]
-        # link2 composes: rotate about the elbow, then carry with the shoulder
-        part_quats = np.stack(
-            [
-                [identity] * spec.n_frames,
-                q1,
-                [geometry.quat_multiply(a, b) for a, b in zip(q1, q2)],
-            ],
-            axis=1,
-        )
-        pivots = np.array([shoulder, shoulder, shoulder])
-        # effective pivot of link2's composed rotation is not the shoulder;
-        # fold the correction into a per-frame translation
-        translations = np.zeros((spec.n_frames, 3, 3))
-        for t in range(spec.n_frames):
-            R1 = geometry.quat_to_matrix(q1[t])
-            R2 = geometry.quat_to_matrix(q2[t])
-            # x_t = R1 (R2 (x0 - elbow) + elbow - shoulder) + shoulder
-            #     = (R1 R2)(x0 - shoulder) + shift
-            shift = R1 @ (np.eye(3) - R2) @ (elbow - shoulder)
-            translations[t, 2] = shift
 
     elif spec.kind == "cloth_wave":
         side = int(np.ceil(np.sqrt(spec.n_gaussians)))
@@ -257,49 +216,30 @@ def generate(spec):
         xx, zz = np.meshgrid(g, g)
         pts = np.stack([xx.ravel(), np.zeros(side * side), zz.ravel()], axis=-1)
         pts = pts[: spec.n_gaussians]
-        pts = pts + rng.normal(scale=0.004, size=pts.shape)
-        parts = [pts]
-        part_quats = np.tile(
-            geometry.quat_normalize((1.0, 0.0, 0.0, 0.0)), (spec.n_frames, 1, 1)
-        )
-        pivots = np.zeros((1, 3))
-        translations = np.zeros((spec.n_frames, 1, 3))
+        parts = [(pts + rng.normal(scale=0.004, size=pts.shape), still, origin, None)]
 
     else:  # two_blobs
         n_a, n_b = _split_counts(spec.n_gaussians, (0.5, 0.5))
-        c_a = np.array([-0.3, 0.0, 0.0])
-        c_b = np.array([0.3, 0.0, 0.0])
+        step = spec.motion_magnitude * t_idx[:, None] * np.array([1.0, 0.0, 0.0])
         parts = [
-            _sample_ball(rng, n_a, c_a, radius=0.18),
-            _sample_ball(rng, n_b, c_b, radius=0.18),
+            (np.array([-0.3, 0.0, 0.0]) + _ball_offsets(rng, n_a, 0.18), still, origin, -step),
+            (np.array([0.3, 0.0, 0.0]) + _ball_offsets(rng, n_b, 0.18), still, origin, step),
         ]
-        part_quats = np.tile(
-            geometry.quat_normalize((1.0, 0.0, 0.0, 0.0)), (spec.n_frames, 2, 1)
-        )
-        pivots = np.zeros((2, 3))
-        translations = np.zeros((spec.n_frames, 2, 3))
-        translations[:, 0, 0] = -spec.motion_magnitude * t_idx
-        translations[:, 1, 0] = +spec.motion_magnitude * t_idx
 
-    labels = np.concatenate([np.full(len(p), i, dtype=np.int64) for i, p in enumerate(parts)])
-    base_points = np.concatenate(parts)
-    n = base_points.shape[0]
-
-    gt = np.empty((spec.n_frames, n, 3))
-    for t in range(spec.n_frames):
-        if spec.kind == "cloth_wave":
-            phase = 2.0 * np.pi * (base_points[:, 0] + 0.3 * base_points[:, 2]) / 0.8
-            wave = spec.motion_magnitude * np.sin(phase - 2.0 * np.pi * t / 10.0)
-            rest = spec.motion_magnitude * np.sin(phase)
-            moved = base_points.copy()
-            moved[:, 1] += wave - rest  # frame 0 stays at the sampled points
-            gt[t] = moved
-        else:
-            for p in range(len(parts)):
-                sel = labels == p
-                gt[t, sel] = _rigid_motion(
-                    base_points[sel], part_quats[t, p], pivots[p], translations[t, p]
-                )
+    labels = np.concatenate([np.full(len(part[0]), p, dtype=np.int64)
+                             for p, part in enumerate(parts)])
+    gt = np.concatenate(
+        [(points - pivot) @ np.swapaxes(geometry.quat_to_matrix(quats), 1, 2) + pivot
+         + (0.0 if shift is None else shift[:, None])
+         for points, quats, pivot, shift in parts],
+        axis=1,
+    )  # (T, N, 3)
+    if spec.kind == "cloth_wave":  # a wave travelling along y over the still grid
+        x, z = gt[0, :, 0], gt[0, :, 2]
+        phase = 2.0 * np.pi * (x + 0.3 * z) / 0.8
+        wave = spec.motion_magnitude * np.sin(phase - 2.0 * np.pi * t_idx[:, None] / 10.0)
+        gt[..., 1] += wave - spec.motion_magnitude * np.sin(phase)  # frame 0 stays put
+    n = gt.shape[1]
 
     base_scale = rng.uniform(0.005, 0.009, size=(n, 1))
     scales = base_scale * np.array([2.0, 1.4, 1.0])
@@ -330,6 +270,6 @@ def generate(spec):
         observations=observations,
         gt_centers=gt,
         part_labels=labels,
-        part_quats=np.asarray(part_quats, dtype=np.float64),
+        part_quats=np.stack([quats for _, quats, _, _ in parts], axis=1),
         cameras=_camera_ring(),
     )

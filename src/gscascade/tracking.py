@@ -84,25 +84,18 @@ class PinholeCamera:
         return cls(**payload)
 
 
-def _cross(a, b):
-    """a x b for two 3-vectors, written out in np.cross's own order and with
-    its bits, without its per-call axis set-up."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def look_at_camera(eye, target, fx, fy, width, height):
     """Camera at `eye` looking at `target` (world +y up): +z forward, +x right, +y image-down."""
     eye = np.asarray(eye, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - eye
     forward = forward / np.linalg.norm(forward)
-    right = _cross(forward, (0.0, 1.0, 0.0))
+    right = np.cross(forward, np.array([0.0, 1.0, 0.0]))
     nr = np.linalg.norm(right)
     if nr < 1e-12:
-        right = _cross(forward, (1.0, 0.0, 0.0))
+        right = np.cross(forward, np.array([1.0, 0.0, 0.0]))
         nr = np.linalg.norm(right)
     right /= nr
-    down = _cross(forward, right)
+    down = np.cross(forward, right)
     R = np.stack([right, down, forward])  # rows: camera axes in world coords
     return PinholeCamera(
         fx=float(fx), fy=float(fy), cx=width / 2.0, cy=height / 2.0,

@@ -88,6 +88,7 @@ def test_iterations_call_the_steps_in_lap_order(monkeypatch):
                                                seed=3))
     cfg = TrainConfig(iters_per_frame=3, layer_sizes=(2, 4, 8), seed=0,
                       scene_scale=seq.scene_scale, k_neighbors=6)
-    fit_sequence(seq.frame0, seq.observations, cfg)
+    fit_sequence(seq.frame0, seq.observations, cfg,
+                 build_hierarchy(seq.frame0.centers, cfg.layer_sizes, seed=0))
     assert names[7:] == ["backward", "adam_step"]
     assert calls == (names * 3 + names[:7]) * 2

@@ -110,9 +110,8 @@ def test_neighbor_graph_default_falloff_scales_with_scene():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(10, 3))
     g = build_neighbor_graph(pts, k=3, scene_scale=2.0)
-    assert g.lambda_weight == pytest.approx(2000.0 / 4.0)
     d2 = np.sum((pts[g.indices[4]] - pts[4]) ** 2, axis=-1)
-    np.testing.assert_allclose(g.weights[4], np.exp(-g.lambda_weight * d2), atol=1e-15)
+    np.testing.assert_allclose(g.weights[4], np.exp(-2000.0 / 2.0**2 * d2), atol=1e-15)
 
 
 def test_neighbor_graph_handles_duplicate_points():
@@ -138,8 +137,7 @@ def test_neighbor_graph_rest_lengths_are_safe_norm_of_frame0_edges():
     pts[7] = pts[8]  # a zero-length edge sits on the norm floor
     built = build_neighbor_graph(pts, k=6)
     idx = rng.integers(0, 40, size=(40, 4))  # repeated and self neighbours
-    direct = NeighborGraph(centers=pts, indices=idx, weights=np.ones((40, 4)),
-                           lambda_weight=0.0)
+    direct = NeighborGraph(centers=pts, indices=idx, weights=np.ones((40, 4)))
     for g in (built, direct):
         assert np.array_equal(g.rest_lengths, _frame0_rest_lengths(pts, g.indices))
         assert g.max_abs_coord == np.abs(pts).max()
@@ -154,7 +152,7 @@ def test_isometry_of_frame0_is_exactly_zero():
     f0.centers = f0.centers + 5.0
     f0.centers[3] = f0.centers[4]
     direct = NeighborGraph(centers=f0.centers, indices=rng.integers(0, 50, size=(50, 5)),
-                           weights=np.ones((50, 5)), lambda_weight=0.0)
+                           weights=np.ones((50, 5)))
     for graph in (build_neighbor_graph(f0.centers, k=8), direct):
         value, grads = isometry_loss(f0, graph)
         assert value == 0.0
@@ -541,7 +539,7 @@ def _neighbour_case(seed):
     if rng.random() < 0.5:  # q and -q are the same orientation
         orientations *= np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
     graph = NeighborGraph(centers=prev.centers, indices=idx,
-                          weights=rng.uniform(0.05, 1.0, size=(n, k)), lambda_weight=1.0)
+                          weights=rng.uniform(0.05, 1.0, size=(n, k)))
     return prev, centers, orientations, graph
 
 

@@ -5,7 +5,9 @@ pins the update magnitudes exactly; the sequence-level checks use scenes whose
 correct answer is known by construction (static scene, uniform shift).
 """
 
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +16,7 @@ from gscascade import autodiff, deform, losses, scenegen
 from gscascade.clustering import build_hierarchy
 from gscascade.config import ConfigError, check_section
 from gscascade.core import GaussianSet
-from gscascade.deform import (IDENTITY_ROWS, CascadeDeform, cascade_apply, cascade_to_payload,
-                              trace_cascade)
+from gscascade.deform import CascadeDeform, cascade_apply, cascade_to_payload, trace_cascade
 from gscascade.losses import DataObservation
 from gscascade.optimize import (
     AdamState,
@@ -78,8 +79,8 @@ def test_config_validation_and_learning_rates():
 
 
 def test_arrays_are_the_leaves_and_gradients_adam_steps():
-    """arrays() names every parameter like the trace's leaves and the loss's
-    gradients, in the same order, and hands out the live arrays."""
+    """arrays() names every parameter like the loss's gradients, in the same
+    order, and hands out the live arrays, which the trace takes as its leaves."""
     rng = np.random.default_rng(11)
     gset = scene(rng, n=20)
     h = build_hierarchy(gset.centers, (2, 6), seed=0)
@@ -89,9 +90,7 @@ def test_arrays_are_the_leaves_and_gradients_adam_steps():
     keys = list(casc.arrays())
     assert len(keys) == 2 * 4 + 3
     frame = losses.FrameConstants(gset, obs, h, graph)
-    trace = trace_cascade(casc, frame)
-    assert list(trace.leaves) == list(IDENTITY_ROWS)  # one leaf per class
-    assert all(np.shares_memory(leaf.value, casc.flat) for leaf in trace.leaves.values())
+    assert all(np.shares_memory(a, casc.flat) for a in casc.arrays().values())
     grads = casc.views(losses.total_loss(casc, frame, losses.LossWeights(), 0.02)[2].grad)
     assert keys == list(grads)
     casc.arrays()["layer1.translations"][3] = [0.5, 0.0, 0.0]
@@ -271,7 +270,8 @@ def _fit_bytes():
                                                seed=2))
     cfg = TrainConfig(iters_per_frame=5, layer_sizes=(2, 4, 8), seed=0,
                       scene_scale=seq.scene_scale, k_neighbors=8)
-    report = fit_sequence(seq.frame0, seq.observations, cfg)
+    report = fit_sequence(seq.frame0, seq.observations, cfg,
+                          build_hierarchy(seq.frame0.centers, cfg.layer_sizes, seed=0))
     return ([g.centers.tobytes() + g.orientations.tobytes() + g.scales.tobytes()
              for g in report.sets],
             [json.dumps(cascade_to_payload(c), sort_keys=True) for c in report.cascades])
@@ -314,7 +314,8 @@ def _fit_regression_error(path):
                for c in seq.gt_centers]
     cfg = TrainConfig(iters_per_frame=20, layer_sizes=(4, 16), seed=0,
                       scene_scale=seq.scene_scale, k_neighbors=8)
-    report = fit_sequence(seq.frame0, obs, cfg)
+    report = fit_sequence(seq.frame0, obs, cfg,
+                          build_hierarchy(seq.frame0.centers, cfg.layer_sizes, seed=0))
     return mean_center_error(report.sets, seq.gt_centers)
 
 
@@ -332,6 +333,64 @@ def test_correspondence_fit_regression():
                                rtol=1e-6)
 
 
+def _iteration_calls(monkeypatch, scan):
+    """`sys.setprofile` `call` and `c_call` events over the sixth iteration of
+    frame 1 (one `total_loss` and one `adam_step`) of a two_link_arm fit, N = 60.
+    The two wrapper events that switch the profiler off are counted too. The
+    cyclic garbage collector is off in that window, so no finalizer of garbage
+    that an earlier test left lands in the count."""
+    seq = scenegen.generate(scenegen.SceneSpec("two_link_arm", n_gaussians=60, n_frames=2))
+    obs = seq.observations
+    if scan:
+        rng = np.random.default_rng(0)
+        obs = [DataObservation(points=(c[:, None, :] + rng.normal(scale=0.005, size=(60, 64, 3)))
+                               .reshape(-1, 3))
+               for c in seq.gt_centers]
+    cfg = TrainConfig(iters_per_frame=6, layer_sizes=(2, 6, 20), seed=0,
+                      scene_scale=seq.scene_scale)
+    events = dict.fromkeys(("call", "c_call"), 0)
+    evaluations = 0
+
+    def count(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    def loss(*args, **kwargs):
+        nonlocal evaluations
+        evaluations += 1
+        if evaluations == 6:
+            gc.collect()
+            gc.disable()
+            sys.setprofile(count)
+        return losses.total_loss(*args, **kwargs)
+
+    def step(*args):
+        adam_step(*args)
+        if evaluations == 6:
+            sys.setprofile(None)
+            gc.enable()
+
+    monkeypatch.setattr("gscascade.optimize.total_loss", loss)
+    monkeypatch.setattr("gscascade.optimize.adam_step", step)
+    try:
+        fit_sequence(seq.frame0, obs, cfg,
+                     build_hierarchy(seq.frame0.centers, cfg.layer_sizes, seed=0))
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return events["call"], events["c_call"]
+
+
+@pytest.mark.parametrize("scan, measured", [(False, (900, 561)), (True, (948, 593))],
+                         ids=["correspondences", "scan"])
+def test_iteration_work_stays_within_its_measured_calls(monkeypatch, scan, measured):
+    """The Python- and C-level calls of one iteration do not depend on N (the
+    same counts at N = 400), so a change that adds per-iteration work fails here.
+    A change that removes some lowers the bound with it."""
+    calls = _iteration_calls(monkeypatch, scan)
+    assert calls[0] <= measured[0] and calls[1] <= measured[1], calls
+
+
 # ---------------------------------------------------------------------------
 # fit_sequence
 
@@ -342,7 +401,7 @@ def test_static_sequence_stays_put():
     obs = [DataObservation(points=gset.centers.copy(), correspondence=np.arange(25))
            for _ in range(4)]
     cfg = TrainConfig(iters_per_frame=30, layer_sizes=(2, 8), seed=0)
-    report = fit_sequence(gset, obs, cfg)
+    report = fit_sequence(gset, obs, cfg, build_hierarchy(gset.centers, cfg.layer_sizes, seed=0))
     assert len(report.sets) == 4 and len(report.cascades) == 3
     assert report.sets[0] is gset
     gt = np.broadcast_to(gset.centers, (4, 25, 3))
@@ -359,7 +418,8 @@ def test_sequence_rejects_correspondence_past_last_gaussian():
            for _ in range(3)]
     obs[2] = DataObservation(points=gset.centers.copy(), correspondence=np.arange(1, 26))
     with pytest.raises(ValueError, match="frame 2: correspondence index 25 .* 25 Gaussians"):
-        fit_sequence(gset, obs, TrainConfig(iters_per_frame=2, layer_sizes=(2, 8)))
+        fit_sequence(gset, obs, TrainConfig(iters_per_frame=2, layer_sizes=(2, 8)),
+                     build_hierarchy(gset.centers, (2, 8), seed=0))
 
 
 def test_sequence_tracks_a_uniform_drift():
@@ -369,7 +429,7 @@ def test_sequence_tracks_a_uniform_drift():
     obs = [DataObservation(points=gset.centers + t * drift, correspondence=np.arange(25))
            for t in range(3)]
     cfg = TrainConfig(iters_per_frame=80, layer_sizes=(1,), seed=0)
-    report = fit_sequence(gset, obs, cfg)
+    report = fit_sequence(gset, obs, cfg, build_hierarchy(gset.centers, cfg.layer_sizes, seed=0))
     gt = np.stack([gset.centers + t * drift for t in range(3)])
     assert mean_center_error(report.sets, gt) < 0.02
     assert len(report.frames) == 2

@@ -3,8 +3,12 @@
 The rigid-part oracle is an independent Procrustes solve (SVD) per part and
 frame: residual must vanish and the recovered rotation must equal the emitted
 per-part quaternion. Schedules are pinned by their closed forms (full wheel
-revolution, pendulum sine zeros).
+revolution, pendulum sine zeros). Every array and camera `generate` emits is
+pinned by a digest per kind, over specs that vary N, T, magnitude, noise and
+seed.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -178,3 +182,47 @@ def test_noise_statistics_match_sigma():
     # ground truth itself stays exact
     assert np.array_equal(seq.gt_centers[0], seq.frame0.centers)
 
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes
+
+# Five specs per kind: the defaults, a zero and a negative magnitude, noise,
+# odd N, N = 10 (the part-split floor) and T from 2 to 20, over five seeds.
+PINNED_SPECS = (
+    {},
+    {"n_gaussians": 37, "n_frames": 17, "motion_magnitude": 0.0, "seed": 3},
+    {"n_gaussians": 61, "n_frames": 5, "motion_magnitude": 13.5, "noise_sigma": 0.01,
+     "seed": 11},
+    {"n_gaussians": 10, "n_frames": 2, "seed": 2},
+    {"n_gaussians": 123, "n_frames": 9, "motion_magnitude": -0.07, "noise_sigma": 0.003,
+     "seed": 42},
+)
+
+# sha256 of `scene_bytes` over PINNED_SPECS, per kind
+PINNED_DIGESTS = {
+    "wheel": "d870f4fcb6ec2c394a49fb6b213c38d284d8db275d5572254cd402d161fda852",
+    "pendulum": "44f7118e2b2a022d8bb1eef5cf01ed3b8d2c02c8718dca3ffcfaaf52ce7f397b",
+    "two_link_arm": "35eaec6d295bd648de1558f3f05d2fa653c0a1c9bd785d16a6ca58b6df98153e",
+    "cloth_wave": "ddd442bb726a379118bdf6f1af059ebfb67b52e0d8ebd5d104dc1cbd821f0114",
+    "two_blobs": "8be2d893d646af8a1c9671e27275588c1cb89bb02b3a8f108a443453334a0d4a",
+}
+
+
+def scene_bytes(seq):
+    """Every array and camera field `generate` emits, with dtypes and shapes."""
+    arrays = [seq.gt_centers, seq.part_labels, seq.part_quats, seq.frame0.centers,
+              seq.frame0.orientations, seq.frame0.scales, seq.frame0.colors]
+    for obs in seq.observations:
+        arrays += [obs.points, obs.correspondence]
+    chunks = [f"{a.dtype.str}{a.shape}".encode() + a.tobytes() for a in arrays]
+    chunks += [repr(camera.to_payload()).encode() for camera in seq.cameras]
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generate_keeps_its_pinned_bytes(kind):
+    digest = hashlib.sha256()
+    for fields in PINNED_SPECS:
+        digest.update(scene_bytes(generate(SceneSpec(kind=kind, **fields))))
+    assert digest.hexdigest() == PINNED_DIGESTS[kind], kind

@@ -6,12 +6,14 @@ or the acceptance suite. A re-export from the package's `__init__.py` is not a
 use, and unit tests do not count: code that only unit tests reach belongs in
 `tests/` (see `tests/oracles.py`) or nowhere.
 
-A method or property of a class counts as used only when a caller accesses it
+A method or property of a class counts as used only when a caller reads it
 as an attribute (`.name`) or names it in a string, so a local variable of the
 same name does not keep it. The scan is still by name, so a dead method
 escapes it when another class's attribute, field or method of the same name is
 accessed: a `ClusterHierarchy.n` property would pass, since `.n` is also
-`GaussianSet`'s.
+`GaussianSet`'s. The same holds for every field of a dataclass in `src/`,
+private classes included: a field that callers only construct or assign is
+dead weight.
 An imported name counts as a reference, so no module in `src/`, `scripts/`,
 `tests/` or `bench/` may import a name it never uses.
 
@@ -57,14 +59,27 @@ def public_definitions(path):
     return names
 
 
+def dataclass_fields(path):
+    """`Class.field` -> field for every field of the dataclasses in `path`."""
+    fields = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign):
+                    fields[f"{node.name}.{statement.target.id}"] = statement.target.id
+    return fields
+
+
 def referenced_names(path):
     """(names, attributes): every name `path` references, and the subset it
-    accesses as an attribute or spells as an identifier string."""
+    reads as an attribute or spells as an identifier string."""
     names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
@@ -74,9 +89,13 @@ def referenced_names(path):
     return names | attributes, attributes
 
 
+def shipped_references():
+    """(names, attributes) of `referenced_names` over every shipped caller."""
+    return (set().union(*found) for found in zip(*(referenced_names(p) for p in CALLERS)))
+
+
 def test_every_public_definition_has_a_shipped_caller():
-    names, attributes = (set().union(*found)
-                         for found in zip(*(referenced_names(p) for p in CALLERS)))
+    names, attributes = shipped_references()
     unused = sorted(
         f"{path.stem}.{qualname}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -84,6 +103,14 @@ def test_every_public_definition_has_a_shipped_caller():
         if name not in (attributes if "." in qualname else names)
     )
     assert not unused, f"public but used only by unit tests (or not at all): {unused}"
+
+
+def test_every_dataclass_field_has_a_shipped_reader():
+    _, attributes = shipped_references()
+    unread = sorted(f"{path.stem}.{qualname}" for path in sorted(PACKAGE.glob("*.py"))
+                    for qualname, name in dataclass_fields(path).items()
+                    if name not in attributes)
+    assert not unread, f"dataclass fields no shipped caller reads: {unread}"
 
 
 def unused_imports(path):

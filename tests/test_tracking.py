@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from gscascade import geometry, tracking
+from gscascade import geometry
 from gscascade.scenegen import SceneSpec, generate
 from gscascade.tracking import (
     CANDIDATE_RADIUS_PX,
@@ -114,26 +114,6 @@ def test_camera_validation_and_payload_roundtrip():
 
 def same_bits(got, want):
     return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
-
-
-def test_camera_axes_keep_the_bits_of_np_cross(monkeypatch):
-    """Every cross product that look_at_camera takes for a scene's eight
-    cameras, and for a camera looking straight down (its fallback axis), has
-    np.cross's bytes: look_at_camera writes the 3-vector products out."""
-    calls = []
-    cross = tracking._cross
-
-    def recorded(a, b):
-        out = cross(a, b)
-        calls.append((np.array(a, dtype=np.float64), np.array(b, dtype=np.float64), out.copy()))
-        return out
-
-    monkeypatch.setattr(tracking, "_cross", recorded)
-    generate(SceneSpec("two_link_arm", n_gaussians=40, n_frames=2, seed=0))
-    look_at_camera((0.0, 2.0, 0.0), (0.0, 0.0, 0.0), 800.0, 800.0, 640, 640)
-    assert len(calls) == 8 * 2 + 3
-    for a, b, out in calls:
-        assert out.tobytes() == np.cross(a, b).tobytes()
 
 
 def test_project_keeps_the_bits_of_the_rebuilt_camera_matrix():
