@@ -13,11 +13,12 @@ A Lloyd iteration or a merge costs a fixed number of array operations,
 whatever the number of clusters, and every result keeps the bits of the
 plain per-cluster loops (`tests/oracles.py` holds them):
 
-- member means are one `RowIndex` scatter, which adds each cluster's rows in
-  index order from 0 as `np.add.at` and, for D >= 2, a per-cluster
-  `mean(axis=0)` do, divided by the `np.bincount` counts;
+- member means are one `np.bincount` over flattened (cluster, column) bins,
+  which adds each cluster's rows in index order from 0 as `np.add.at` and,
+  for D >= 2, a per-cluster `mean(axis=0)` do, divided by the cluster sizes;
 - squared distances below D = 8 are summed one coordinate column at a time,
-  in column order from 0, which is how `np.sum(..., axis=-1)` adds so short
+  in column order from 0 (the first column's squares are written into the
+  grid, the others added), which is how `np.sum(..., axis=-1)` adds so short
   an axis (see `geometry.sum_last`); from D = 8 up numpy sums pairwise, so
   there they are that `np.sum` (segmentation's D = 15*T among them);
 - agglomeration retires a merged cluster by setting its row and column of the
@@ -69,13 +70,17 @@ def _sq_dists(points, centroids):
     centroids, filled _ROW_BLOCK rows at a time; each entry's arithmetic does
     not depend on the block."""
     n, dim = points.shape
-    d2 = np.zeros((n, centroids.shape[0]))
+    d2 = np.empty((n, centroids.shape[0]))
     for start in range(0, n, _ROW_BLOCK):
         block, out = points[start:start + _ROW_BLOCK], d2[start:start + _ROW_BLOCK]
         if dim >= _PAIRWISE_FROM:
-            out[...] = np.sum((block[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+            diff = block[:, None, :] - centroids[None, :, :]
+            diff *= diff
+            np.sum(diff, axis=-1, out=out)
             continue
-        for a in range(dim):
+        np.subtract(block[:, 0, None], centroids[None, :, 0], out=out)
+        out *= out
+        for a in range(1, dim):
             d = block[:, a, None] - centroids[None, :, a]
             d *= d
             out += d
@@ -282,7 +287,10 @@ def _member_means(points, assign, counts):
     `assign`, given its (k,) cluster sizes."""
     if not counts.all():
         raise ValueError("empty cluster in hierarchy")
-    return RowIndex(assign, counts.size).scatter(points) / counts[:, None]
+    k, dim = counts.size, points.shape[1]
+    bins = (assign[:, None] * dim + np.arange(dim)).ravel()  # (cluster, column), row-major
+    sums = np.bincount(bins, weights=points.ravel(), minlength=k * dim)
+    return sums.reshape(k, dim) / counts[:, None]
 
 
 def build_hierarchy(centers, layer_sizes, seed=0):

@@ -28,6 +28,7 @@ units/frame for two_blobs, and wave amplitude in world units for cloth_wave.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -145,15 +146,18 @@ def _split_counts(n, fractions):
     return counts
 
 
+@cache
 def _camera_ring():
-    """Eight cameras on a circle of radius 2.6 at height 0.5, facing the origin."""
+    """Eight cameras on a circle of radius 2.6 at height 0.5, facing the origin,
+    built on the first call of a process; every scene shares them (a camera is
+    immutable)."""
     cams = []
     for i in range(8):
         a = 2.0 * np.pi * i / 8
         eye = np.array([2.6 * np.cos(a), 0.5, 2.6 * np.sin(a)])
         cams.append(look_at_camera(eye, target=np.zeros(3), fx=800.0, fy=800.0,
                                    width=640, height=640))
-    return cams
+    return tuple(cams)
 
 
 def generate(spec):
@@ -271,5 +275,5 @@ def generate(spec):
         gt_centers=gt,
         part_labels=labels,
         part_quats=np.stack([quats for _, quats, _, _ in parts], axis=1),
-        cameras=_camera_ring(),
+        cameras=list(_camera_ring()),
     )

@@ -29,9 +29,10 @@ CANDIDATE_RADIUS_PX = 10.0
 class PinholeCamera:
     """World-to-camera rigid transform plus intrinsics (pixels). +z looks forward.
 
-    Frozen, with a read-only `rotation`, so that `world_to_camera`, computed
-    once from it, cannot go stale; `dataclasses.replace` builds a camera with
-    new fields.
+    Frozen, and every array it holds (`rotation`, `translation` and
+    `world_to_camera`, computed once from `rotation`) is read-only, so a
+    camera can be shared, as `scenegen`'s ring is, and `world_to_camera`
+    cannot go stale; `dataclasses.replace` builds a camera with new fields.
     """
 
     fx: float
@@ -55,9 +56,10 @@ class PinholeCamera:
             raise ValueError("image size must be integers from 1 to 65536")
         with np.errstate(over="ignore"):  # a norm that overflows raises instead
             rotation = geometry.quat_normalize(np.asarray(self.rotation, dtype=np.float64))
-        rotation.flags.writeable = False
+        translation = np.array(self.translation, dtype=np.float64)
+        rotation.flags.writeable = translation.flags.writeable = False
         fields = {"width": int(self.width), "height": int(self.height), "rotation": rotation,
-                  "translation": np.asarray(self.translation, dtype=np.float64)}
+                  "translation": translation}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -65,7 +67,9 @@ class PinholeCamera:
     def world_to_camera(self):
         """The rotation matrix of `rotation`, computed on first use. It is not a
         field: equality and the payload ignore it."""
-        return geometry.quat_to_matrix(self.rotation)
+        matrix = geometry.quat_to_matrix(self.rotation)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def image_diagonal(self):

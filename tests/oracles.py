@@ -8,7 +8,9 @@ an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, k-means and agglomeration with the per-cluster loops that
-their fixed-op-count kernels replaced, a count of the squared distances that
+their fixed-op-count kernels replaced, the squared-distance grid added into
+zeros and the member means as one CSR product (the forms those kernels had
+before), a count of the squared distances that
 k-means computes, value-and-gradient wrappers around
 single loss terms, the generic broadcasting tape ops that every fused
 primitive replaced (add, sub, mul, tsum, tmean, exp, square, relu), the three
@@ -218,6 +220,31 @@ def repair_empty_loop(assign, d2, k):
             members_big = np.nonzero(assign == big)[0]
             far = members_big[int(np.argmax(d2[members_big, big]))]
             assign[far] = j
+
+
+def sq_dists_zeroed(points, centroids):
+    """`clustering._sq_dists` as it was before it wrote the first column in
+    place: a zeroed grid, each block of rows added into, below D = 8 one
+    coordinate column's squares at a time, from D = 8 up as np.sum."""
+    n, dim = points.shape
+    d2 = np.zeros((n, centroids.shape[0]))
+    for start in range(0, n, clustering._ROW_BLOCK):
+        block = points[start:start + clustering._ROW_BLOCK]
+        out = d2[start:start + clustering._ROW_BLOCK]
+        if dim >= clustering._PAIRWISE_FROM:
+            out[...] = np.sum((block[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)
+            continue
+        for a in range(dim):
+            d = block[:, a, None] - centroids[None, :, a]
+            d *= d
+            out += d
+    return d2
+
+
+def member_means_csr(points, assign, counts):
+    """(k, D) member means as one product with a fresh `RowIndex`'s CSR
+    transpose, as `clustering._member_means` had them before its bincount."""
+    return ad.RowIndex(assign, counts.size).scatter(points) / counts[:, None]
 
 
 def distance_entries(call):

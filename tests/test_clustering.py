@@ -1,5 +1,7 @@
 """k-means, agglomerative merging, and the cluster hierarchy."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,15 @@ from gscascade.clustering import (
     _ROW_BLOCK,
     ClusterHierarchy,
     _assign,
+    _member_means,
+    _sq_dists,
     agglomerate,
     build_hierarchy,
     kmeans,
 )
 from gscascade.scenegen import SceneSpec, generate
-from oracles import agglomerate_masked, assign_broadcast, distance_entries, kmeans_loop
+from oracles import (agglomerate_masked, assign_broadcast, distance_entries, kmeans_loop,
+                     member_means_csr, sq_dists_zeroed)
 
 
 def two_separated_blobs(rng, n_each=30, gap=5.0):
@@ -162,7 +167,14 @@ def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
     are np.sum's bits, which the first check pins. The member means add rows
     in order as a per-cluster mean(axis=0) does for D >= 2; at D = 1 that
     mean sums one contiguous column pairwise, so there the means may differ
-    in the last few bits. No caller passes D = 1."""
+    in the last few bits. No caller passes D = 1.
+
+    The kernels also keep the bits of their first forms, at every D: the
+    squared distances (the first column written into the grid) equal a grid
+    added into zeros, and the member means (one bincount over (cluster,
+    column) bins) equal the CSR product, as each bin adds its rows in index
+    order from 0. Those cases cross the _ROW_BLOCK boundary and hold repeated
+    points, -0.0 and NaN, in both the points and the centroids."""
     rng = np.random.default_rng(100 + dim)
     eps = np.finfo(np.float64).eps
     for case, (pts, k) in enumerate(oracle_cases(dim, rng)):
@@ -177,6 +189,19 @@ def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
             np.testing.assert_allclose(centroids, want_centroids, rtol=0,
                                        atol=len(pts) * eps * np.abs(pts).max())
         np.testing.assert_array_equal(agglomerate(pts, k), agglomerate_masked(pts, k))
+    for n in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1):
+        pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 50.0)
+        pts[rng.integers(n, size=n // 4)] = pts[0]
+        pts[1] = -0.0
+        pts[2, -1] = np.nan
+        pts[3] = -pts[4]
+        centroids = np.concatenate([pts[:6], pts[rng.integers(n, size=30)] + 0.25])
+        assert _sq_dists(pts, centroids).tobytes() == sq_dists_zeroed(pts, centroids).tobytes()
+        for k in (1, 7, n):
+            assign = rng.permutation(np.arange(n) % k)
+            counts = np.bincount(assign, minlength=k)
+            got, want = _member_means(pts, assign, counts), member_means_csr(pts, assign, counts)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 3, 75])
@@ -220,6 +245,24 @@ def test_squared_distances_in_row_blocks_keep_the_bits_of_one_grid(dim):
         got, want = _assign(pts, centroids), assign_broadcast(pts, centroids)
         assert got[1].tobytes() == want[1].tobytes()
         np.testing.assert_array_equal(got[0], want[0])
+
+
+def test_build_hierarchy_builds_no_sparse_matrix():
+    """The hierarchy's member means are bincounts: building arm400's
+    hierarchy runs no code of scipy.sparse."""
+    seq = generate(SceneSpec("two_link_arm", n_gaussians=400, n_frames=2, seed=1))
+    sparse = []
+
+    def record(frame, event, arg):
+        if event == "call" and "scipy/sparse" in frame.f_code.co_filename:
+            sparse.append(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        build_hierarchy(seq.frame0.centers, (8, 40, 160), seed=1)
+    finally:
+        sys.setprofile(None)
+    assert not sparse, sorted(set(sparse))
 
 
 # ---------------------------------------------------------------------------

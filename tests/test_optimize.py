@@ -8,6 +8,7 @@ correct answer is known by construction (static scene, uniform shift).
 import gc
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,12 +334,11 @@ def test_correspondence_fit_regression():
                                rtol=1e-6)
 
 
-def _iteration_calls(monkeypatch, scan):
-    """`sys.setprofile` `call` and `c_call` events over the sixth iteration of
-    frame 1 (one `total_loss` and one `adam_step`) of a two_link_arm fit, N = 60.
-    The two wrapper events that switch the profiler off are counted too. The
-    cyclic garbage collector is off in that window, so no finalizer of garbage
-    that an earlier test left lands in the count."""
+def _sixth_iteration(monkeypatch, scan, switch, probe):
+    """A two_link_arm fit, N = 60, that calls `switch(probe)` as the sixth
+    iteration of frame 1 (one `total_loss` and one `adam_step`) begins and
+    `switch(None)` as it ends. The cyclic garbage collector is off in that
+    window, so no finalizer of garbage that an earlier test left lands in it."""
     seq = scenegen.generate(scenegen.SceneSpec("two_link_arm", n_gaussians=60, n_frames=2))
     obs = seq.observations
     if scan:
@@ -348,12 +348,7 @@ def _iteration_calls(monkeypatch, scan):
                for c in seq.gt_centers]
     cfg = TrainConfig(iters_per_frame=6, layer_sizes=(2, 6, 20), seed=0,
                       scene_scale=seq.scene_scale)
-    events = dict.fromkeys(("call", "c_call"), 0)
     evaluations = 0
-
-    def count(frame, event, arg):
-        if event in events:
-            events[event] += 1
 
     def loss(*args, **kwargs):
         nonlocal evaluations
@@ -361,13 +356,13 @@ def _iteration_calls(monkeypatch, scan):
         if evaluations == 6:
             gc.collect()
             gc.disable()
-            sys.setprofile(count)
+            switch(probe)
         return losses.total_loss(*args, **kwargs)
 
     def step(*args):
         adam_step(*args)
         if evaluations == 6:
-            sys.setprofile(None)
+            switch(None)
             gc.enable()
 
     monkeypatch.setattr("gscascade.optimize.total_loss", loss)
@@ -376,8 +371,22 @@ def _iteration_calls(monkeypatch, scan):
         fit_sequence(seq.frame0, obs, cfg,
                      build_hierarchy(seq.frame0.centers, cfg.layer_sizes, seed=0))
     finally:
-        sys.setprofile(None)
         gc.enable()
+
+
+def _iteration_calls(monkeypatch, scan):
+    """`sys.setprofile` `call` and `c_call` events over the sixth iteration.
+    The two wrapper events that switch the profiler off are counted too."""
+    events = dict.fromkeys(("call", "c_call"), 0)
+
+    def count(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    try:
+        _sixth_iteration(monkeypatch, scan, sys.setprofile, count)
+    finally:
+        sys.setprofile(None)
     return events["call"], events["c_call"]
 
 
@@ -389,6 +398,36 @@ def test_iteration_work_stays_within_its_measured_calls(monkeypatch, scan, measu
     A change that removes some lowers the bound with it."""
     calls = _iteration_calls(monkeypatch, scan)
     assert calls[0] <= measured[0] and calls[1] <= measured[1], calls
+
+
+def _iteration_peak(monkeypatch, scan):
+    """The tracemalloc peak, in bytes, of the memory allocated over the sixth
+    iteration."""
+    peaks = []
+
+    def switch(probe):
+        if probe:
+            tracemalloc.start()
+        else:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    try:
+        _sixth_iteration(monkeypatch, scan, switch, True)
+    finally:
+        tracemalloc.stop()
+    return peaks[0]
+
+
+@pytest.mark.parametrize("scan, measured", [(False, 488_112), (True, 508_072)],
+                         ids=["correspondences", "scan"])
+def test_iteration_memory_stays_at_its_measured_peak(monkeypatch, scan, measured):
+    """The peak of the memory one iteration allocates stays within 1 KB of its
+    measured value, so a change that adds a temporary array of 128 float64s or
+    more to the iteration's high point fails here. A change that lowers the
+    peak re-measures it."""
+    peak = _iteration_peak(monkeypatch, scan)
+    assert abs(peak - measured) <= 1024, peak
 
 
 # ---------------------------------------------------------------------------

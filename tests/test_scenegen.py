@@ -9,11 +9,16 @@ seed.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gscascade import geometry
+from gscascade import geometry, scenegen
 from gscascade.config import ConfigError, check_section
 from gscascade.scenegen import KINDS, SceneSpec, generate
 from gscascade.tracking import PinholeCamera
@@ -62,6 +67,36 @@ def test_generate_is_deterministic(kind):
     assert np.array_equal(a.part_quats, b.part_quats)
     for oa, ob in zip(a.observations, b.observations):
         assert np.array_equal(oa.points, ob.points)
+
+
+def test_the_camera_ring_is_built_once_per_process():
+    """A process builds the eight ring cameras on its first `generate` and
+    shares them after: in a fresh process `look_at_camera` runs 8 times, then
+    0, and both scenes carry equal camera payloads. Each scene gets its own
+    list of the shared cameras."""
+    script = textwrap.dedent("""
+        from gscascade import scenegen
+        calls = []
+        look_at = scenegen.look_at_camera
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return look_at(*args, **kwargs)
+        scenegen.look_at_camera = counted
+        payloads = []
+        for kind in ("two_link_arm", "cloth_wave"):
+            before = len(calls)
+            seq = scenegen.generate(scenegen.SceneSpec(kind, n_gaussians=60, n_frames=2))
+            payloads.append([camera.to_payload() for camera in seq.cameras])
+            print(len(calls) - before)
+        print(payloads[0] == payloads[1])
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(scenegen.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["8", "0", "True"]
+    a, b = (generate(SceneSpec("wheel", n_gaussians=60, n_frames=2)) for _ in range(2))
+    assert a.cameras is not b.cameras
+    assert all(ca is cb for ca, cb in zip(a.cameras, b.cameras, strict=True))
 
 
 # ---------------------------------------------------------------------------

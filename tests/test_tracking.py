@@ -112,6 +112,21 @@ def test_camera_validation_and_payload_roundtrip():
     assert back.image_diagonal == cam.image_diagonal == float(np.hypot(320, 240))
 
 
+def test_every_camera_array_is_read_only():
+    """A camera's arrays cannot be written, so a camera can be shared between
+    scenes (scenegen's ring is) and its matrix cannot go stale. The
+    translation is the camera's own copy: the caller's array stays writable."""
+    given = np.array([0.1, -0.2, 3.0])
+    built = PinholeCamera(fx=1.0, fy=1.0, cx=0.0, cy=0.0, rotation=np.array([1.0, 0, 0, 0]),
+                          translation=given, width=10, height=10)
+    assert given.flags.writeable
+    ring = generate(SceneSpec("wheel", n_gaussians=60, n_frames=2)).cameras
+    for cam in (built, ring[3]):
+        for array in (cam.rotation, cam.translation, cam.world_to_camera):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
 def same_bits(got, want):
     return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
 
