@@ -9,7 +9,7 @@ coarse parent.
 k-means is written for general (N, D) data because motion-feature
 segmentation reuses it with D = 15*T.
 
-A Lloyd iteration or a merge costs a fixed number of array operations,
+A seed, a Lloyd iteration or a merge costs a fixed number of array operations,
 whatever the number of clusters, and every result keeps the bits of the
 plain per-cluster loops (`tests/oracles.py` holds them):
 
@@ -21,9 +21,17 @@ plain per-cluster loops (`tests/oracles.py` holds them):
   grid, the others added), which is how `np.sum(..., axis=-1)` adds so short
   an axis (see `geometry.sum_last`); from D = 8 up numpy sums pairwise, so
   there they are that `np.sum` (segmentation's D = 15*T among them);
+- a seed's row of squared distances is one subtract and one square over the
+  points' (D, N) coordinate rows, transposed once per k-means call, and the
+  rows summed in order from 0 (the first written, the others added): the same
+  order as the grid's, so the same bits (from D = 8 up the seeding uses the
+  grid's pairwise `np.sum`);
 - agglomeration retires a merged cluster by setting its row and column of the
   distance matrix to inf in place, so the closest pair is the argmin of the
-  matrix itself, with the same values and tie order as a masked copy.
+  matrix itself, with the same values and tie order as a masked copy. Each
+  merge's Lance-Williams row is computed into preallocated buffers, with
+  cluster sizes as Python floats (the same float64 arithmetic), and merged
+  clusters are relabelled once after the loop.
 
 Each Lloyd assignment equals the argmin of the full (N, k) grid of squared
 distances, where the lowest cluster id wins a tie, yet most of that grid is
@@ -43,9 +51,11 @@ the lowest index to break. _BOUND_ABS is far above the distance that
 underflowing squares lose, a square that overflows to inf gives a lower bound
 of 0 (and an upper bound of inf), and NaN fails every comparison, so ties,
 underflowing and overflowing squares and NaN are always recomputed, and there
-the lowest index wins as in the full grid. A point that the empty-cluster repair moves is recomputed
-too; the repair computes only the grid entries it compares, and only when a
-count is 0.
+the lowest index wins as in the full grid. A point that the empty-cluster
+repair moves is recomputed too; the repair computes only the grid entries it
+compares, and only when a count is 0. Overflowing squares and the NaN they
+lead to are thus handled by design, so `kmeans` and `agglomerate` each run
+under one `np.errstate(over="ignore", invalid="ignore")`.
 """
 
 from __future__ import annotations
@@ -87,19 +97,38 @@ def _sq_dists(points, centroids):
     return d2
 
 
+def _sq_dists_to(coords, point, out, work):
+    """(N,) squared distances of the points in (D, N) coordinate rows to one
+    (D, 1) point, written into `out`, with `_sq_dists`' arithmetic below D = 8:
+    one subtract and one square over a (D, N) work buffer, then the rows summed
+    in order from 0 (the first written, the others added)."""
+    np.subtract(coords, point, out=work)
+    work *= work
+    np.add.reduce(work, axis=0, out=out)
+
+
 def _farthest_point_seeds(points, k, rng):
     """k-means++-style seeding: random first pick, then greedy farthest points.
 
     Returns the (k, D) seeds and the (k, N) squared distances of the seeds to
-    every point: the transposed grid of the first assignment.
+    every point: the transposed grid of the first assignment. Below D = 8 each
+    seed's row comes from the points' (D, N) coordinate rows, from D = 8 up
+    from `_sq_dists`.
     """
-    n = points.shape[0]
+    n, dim = points.shape
     seeds = np.empty(k, dtype=np.int64)
     grid_t = np.empty((k, n))
+    from_rows = dim < _PAIRWISE_FROM
+    if from_rows:
+        coords = np.ascontiguousarray(points.T)
+        work = np.empty_like(coords)
     for j in range(k):
-        seeds[j] = rng.integers(n) if j == 0 else nearest.argmax()
+        seeds[j] = s = rng.integers(n) if j == 0 else nearest.argmax()
         row = grid_t[j]
-        row[...] = _sq_dists(points, points[seeds[j], None])[:, 0]
+        if from_rows:
+            _sq_dists_to(coords, points[s, :, None], row, work)
+        else:
+            row[...] = _sq_dists(points, points[s, None])[:, 0]
         nearest = row.copy() if j == 0 else np.minimum(nearest, row, out=nearest)
     return points[seeds], grid_t
 
@@ -137,32 +166,33 @@ def kmeans(points, k, seed=0):
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points ({n})")
-    rng = np.random.default_rng(seed)
-    centroids, grid_t = _farthest_point_seeds(points, k, rng)
-    assign = np.argmin(grid_t, axis=0)
-    # lower is (k, N): a shift moves one contiguous row
-    upper, lower = _bounds(grid_t, assign)
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+        rng = np.random.default_rng(seed)
+        centroids, grid_t = _farthest_point_seeds(points, k, rng)
+        assign = np.argmin(grid_t, axis=0)
+        # lower is (k, N): a shift moves one contiguous row
+        upper, lower = _bounds(grid_t, assign)
 
-    for _ in range(_LLOYD_MAX_ITERS):
-        counts, moved = _repair_empty(points, centroids, assign, k)
-        upper[moved] = np.inf  # its bound is on the cluster it left
-        new_centroids = _member_means(points, assign, counts)
-        shifts = np.linalg.norm(new_centroids - centroids, axis=-1)
-        centroids = new_centroids
-        upper += shifts[assign]
-        upper *= 1.0 + _BOUND_REL
-        lower *= 1.0 - _BOUND_REL
-        lower -= shifts[:, None] * (1.0 + _BOUND_REL)
-        stale = np.flatnonzero(~(upper + _BOUND_ABS < lower.min(axis=0)))
-        assign[stale], d2 = _assign(points[stale], centroids)
-        upper[stale], lower[:, stale] = _bounds(d2.T, assign[stale])
-        if np.max(shifts) <= _LLOYD_TOL:
-            break
-    # the nearest-centroid postcondition holds for the last assignment; a
-    # converged solution keeps every cluster nonempty, but exact-tie
-    # degeneracies still get the repair pass
-    _repair_empty(points, centroids, assign, k)
-    return assign, centroids
+        for _ in range(_LLOYD_MAX_ITERS):
+            counts, moved = _repair_empty(points, centroids, assign, k)
+            upper[moved] = np.inf  # its bound is on the cluster it left
+            new_centroids = _member_means(points, assign, counts)
+            shifts = np.linalg.norm(new_centroids - centroids, axis=-1)
+            centroids = new_centroids
+            upper += shifts[assign]
+            upper *= 1.0 + _BOUND_REL
+            lower *= 1.0 - _BOUND_REL
+            lower -= shifts[:, None] * (1.0 + _BOUND_REL)
+            stale = np.flatnonzero(~(upper + _BOUND_ABS < lower.min(axis=0)))
+            assign[stale], d2 = _assign(points[stale], centroids)
+            upper[stale], lower[:, stale] = _bounds(d2.T, assign[stale])
+            if np.max(shifts) <= _LLOYD_TOL:
+                break
+        # the nearest-centroid postcondition holds for the last assignment; a
+        # converged solution keeps every cluster nonempty, but exact-tie
+        # degeneracies still get the repair pass
+        _repair_empty(points, centroids, assign, k)
+        return assign, centroids
 
 
 def _repair_empty(points, centroids, assign, k):
@@ -204,30 +234,34 @@ def agglomerate(points, target_k):
     if target_k > m:
         raise ValueError(f"target_k={target_k} exceeds number of points ({m})")
 
-    d = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
-    np.fill_diagonal(d, np.inf)
-    sizes = np.ones(m)
-    parent = np.arange(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+        d = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
+        np.fill_diagonal(d, np.inf)
+        sizes = [1.0] * m
+        parent = list(range(m))  # the cluster each one merged into, always a lower id
+        row, other = np.empty(m), np.empty(m)
+        for _ in range(m - target_k):
+            i, j = divmod(int(d.argmin()), m)  # ties: lowest flat index == lowest (i, j)
+            if i > j:
+                i, j = j, i
+            # average linkage: d(i∪j, l) = (n_i d_il + n_j d_jl) / (n_i + n_j)
+            ni, nj = sizes[i], sizes[j]
+            np.multiply(d[i], ni, out=row)
+            np.multiply(d[j], nj, out=other)
+            row += other
+            row /= ni + nj
+            row[i] = np.inf
+            d[i] = row
+            d[:, i] = row
+            d[j] = np.inf  # j is merged: its row and column leave the argmin
+            d[:, j] = np.inf
+            sizes[i] = ni + nj
+            parent[j] = i
 
-    for _ in range(m - target_k):
-        flat = int(np.argmin(d))  # ties: lowest flat index == lowest (i, j)
-        i, j = divmod(flat, m)
-        if i > j:
-            i, j = j, i
-        # average linkage: d(i∪j, l) = (n_i d_il + n_j d_jl) / (n_i + n_j)
-        ni, nj = sizes[i], sizes[j]
-        newd = (ni * d[i] + nj * d[j]) / (ni + nj)
-        d[i] = newd
-        d[:, i] = newd
-        d[i, i] = np.inf
-        d[j] = np.inf  # j is merged: its row and column leave the argmin
-        d[:, j] = np.inf
-        sizes[i] = ni + nj
-        parent[parent == j] = i
-
+    for c in range(m):  # in id order, so parent[c] <= c already ends at its root
+        parent[c] = parent[parent[c]]
     roots = np.unique(parent)  # sorted -> labels ordered by smallest member
-    labels = np.searchsorted(roots, parent)
-    return labels
+    return np.searchsorted(roots, parent)
 
 
 @dataclass

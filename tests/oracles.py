@@ -10,15 +10,16 @@ nearest-signed-permutation search, one cluster layer in plain numpy for the
 traced cascade, k-means and agglomeration with the per-cluster loops that
 their fixed-op-count kernels replaced, the squared-distance grid added into
 zeros and the member means as one CSR product (the forms those kernels had
-before), a count of the squared distances that
-k-means computes, value-and-gradient wrappers around
-single loss terms, the generic broadcasting tape ops that every fused
-primitive replaced (add, sub, mul, tsum, tmean, exp, square, relu), the three
-neighbour terms as chains of generic tape ops (with the sqrt, transpose,
-reshape, matvec, matmul and absval ops that only they use) and as the short
-tapes that their one-node forms replaced, the row lookup node `gather`, the
-bincount scatter, the broadcast edge subtract, the slice-by-slice edge row
-sum and the two-node eigh3 that the shipped tape replaced, the row-wise
+before), the seeding's rows of squared distances as np.sum over (N, D)
+differences, a count of the squared distances that k-means computes,
+value-and-gradient wrappers around single loss terms, the generic
+broadcasting tape ops that every fused primitive replaced (add, sub, mul,
+tsum, tmean, exp, square, relu), the three neighbour terms as chains of
+generic tape ops (with the sqrt, transpose, reshape, matvec, matmul and
+absval ops that only they use) and as the short tapes that their one-node
+forms replaced, the row lookup node `gather`, the bincount scatter, the
+broadcast edge subtract, the slice-by-slice edge row sum and the two-node
+eigh3 that the shipped tape replaced, the row-wise
 Jacobi eigensolver, the correspondence term, the Chamfer term, the scale
 hinge and the weighted total as the chains of generic nodes their one-node
 forms replaced, Adam on separate per-class arrays and the per-layer
@@ -168,16 +169,19 @@ _LLOYD_TOL = 1e-7
 _LLOYD_MAX_ITERS = 300
 
 
-def _farthest_point_seeds(points, k, rng):
-    """k-means++-style seeding: random first pick, then greedy farthest points."""
+def farthest_point_seeds(points, k, rng):
+    """k-means++-style seeding: random first pick, then greedy farthest points.
+    Returns the (k, D) seeds and their (k, N) squared distances to every point."""
     n = points.shape[0]
     seeds = np.empty(k, dtype=np.int64)
     seeds[0] = rng.integers(n)
-    d2 = np.sum((points - points[seeds[0]]) ** 2, axis=-1)
+    grid_t = [np.sum((points - points[seeds[0]]) ** 2, axis=-1)]
+    d2 = grid_t[0]
     for i in range(1, k):
         seeds[i] = int(np.argmax(d2))
-        d2 = np.minimum(d2, np.sum((points - points[seeds[i]]) ** 2, axis=-1))
-    return points[seeds].copy()
+        grid_t.append(np.sum((points - points[seeds[i]]) ** 2, axis=-1))
+        d2 = np.minimum(d2, grid_t[-1])
+    return points[seeds].copy(), np.array(grid_t).reshape(k, n)
 
 
 def assign_broadcast(points, centroids):
@@ -194,7 +198,7 @@ def kmeans_loop(points, k, seed=0):
     if k > n:
         raise ValueError(f"k={k} exceeds number of points ({n})")
     rng = np.random.default_rng(seed)
-    centroids = _farthest_point_seeds(points, k, rng)
+    centroids, _ = farthest_point_seeds(points, k, rng)
 
     for _ in range(_LLOYD_MAX_ITERS):
         assign, d2 = assign_broadcast(points, centroids)
@@ -249,19 +253,24 @@ def member_means_csr(points, assign, counts):
 
 def distance_entries(call):
     """The squared-distance entries that `call()` computes through
-    `clustering._sq_dists`, the only place k-means computes them."""
+    `clustering._sq_dists` and `clustering._sq_dists_to`, the only places
+    k-means computes them."""
     entries = []
-    sq_dists = clustering._sq_dists
+    sq_dists, sq_dists_to = clustering._sq_dists, clustering._sq_dists_to
 
     def counted(points, centroids):
         entries.append(points.shape[0] * centroids.shape[0])
         return sq_dists(points, centroids)
 
-    clustering._sq_dists = counted
+    def counted_to(coords, point, out, work):
+        entries.append(out.size)
+        sq_dists_to(coords, point, out, work)
+
+    clustering._sq_dists, clustering._sq_dists_to = counted, counted_to
     try:
         call()
     finally:
-        clustering._sq_dists = sq_dists
+        clustering._sq_dists, clustering._sq_dists_to = sq_dists, sq_dists_to
     return sum(entries)
 
 

@@ -1,5 +1,6 @@
 """k-means, agglomerative merging, and the cluster hierarchy."""
 
+import hashlib
 import sys
 
 import numpy as np
@@ -12,15 +13,16 @@ from gscascade.clustering import (
     _ROW_BLOCK,
     ClusterHierarchy,
     _assign,
+    _farthest_point_seeds,
     _member_means,
     _sq_dists,
     agglomerate,
     build_hierarchy,
     kmeans,
 )
-from gscascade.scenegen import SceneSpec, generate
-from oracles import (agglomerate_masked, assign_broadcast, distance_entries, kmeans_loop,
-                     member_means_csr, sq_dists_zeroed)
+from gscascade.scenegen import KINDS, SceneSpec, generate
+from oracles import (agglomerate_masked, assign_broadcast, distance_entries,
+                     farthest_point_seeds, kmeans_loop, member_means_csr, sq_dists_zeroed)
 
 
 def two_separated_blobs(rng, n_each=30, gap=5.0):
@@ -160,6 +162,13 @@ def oracle_cases(dim, rng):
     return cases
 
 
+def assert_same_seeding(pts, k, seed):
+    got = _farthest_point_seeds(pts, k, np.random.default_rng(seed))
+    want = farthest_point_seeds(pts, k, np.random.default_rng(seed))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 75])
 def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
     """Assignments and labels match the loops exactly. Below D = 8 the squared
@@ -173,22 +182,30 @@ def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
     squared distances (the first column written into the grid) equal a grid
     added into zeros, and the member means (one bincount over (cluster,
     column) bins) equal the CSR product, as each bin adds its rows in index
-    order from 0. Those cases cross the _ROW_BLOCK boundary and hold repeated
-    points, -0.0 and NaN, in both the points and the centroids."""
+    order from 0. The seeding's rows, from (D, N) coordinate rows below D = 8,
+    equal np.sum's over (N, D) differences, seeds and (k, N) grid byte for
+    byte. Those cases cross the _ROW_BLOCK boundary and hold repeated points,
+    -0.0 and NaN, in both the points and the centroids; agglomerate's labels
+    over their first 40 points equal the masked loop's too. kmeans and
+    agglomerate handle the overflowing and NaN cases by design and raise no
+    RuntimeWarning on them; the oracles and the private kernels run quieted."""
     rng = np.random.default_rng(100 + dim)
     eps = np.finfo(np.float64).eps
     for case, (pts, k) in enumerate(oracle_cases(dim, rng)):
-        np.testing.assert_array_equal(_assign(pts, pts[:k] + 0.5)[1],
-                                      assign_broadcast(pts, pts[:k] + 0.5)[1])
+        with np.errstate(over="ignore", invalid="ignore"):  # plain numpy warns
+            np.testing.assert_array_equal(_assign(pts, pts[:k] + 0.5)[1],
+                                          assign_broadcast(pts, pts[:k] + 0.5)[1])
+            assert_same_seeding(pts, k, case)
+            want_labels, want_centroids = kmeans_loop(pts, k, seed=case)
+            want_agglomerated = agglomerate_masked(pts, k)
         labels, centroids = kmeans(pts, k, seed=case)
-        want_labels, want_centroids = kmeans_loop(pts, k, seed=case)
         np.testing.assert_array_equal(labels, want_labels)
         if dim >= 2:
             np.testing.assert_array_equal(centroids, want_centroids)
         else:
             np.testing.assert_allclose(centroids, want_centroids, rtol=0,
                                        atol=len(pts) * eps * np.abs(pts).max())
-        np.testing.assert_array_equal(agglomerate(pts, k), agglomerate_masked(pts, k))
+        np.testing.assert_array_equal(agglomerate(pts, k), want_agglomerated)
     for n in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1):
         pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 50.0)
         pts[rng.integers(n, size=n // 4)] = pts[0]
@@ -197,11 +214,42 @@ def test_kmeans_and_agglomerate_keep_the_bits_of_their_per_cluster_loops(dim):
         pts[3] = -pts[4]
         centroids = np.concatenate([pts[:6], pts[rng.integers(n, size=30)] + 0.25])
         assert _sq_dists(pts, centroids).tobytes() == sq_dists_zeroed(pts, centroids).tobytes()
+        assert_same_seeding(pts, 7, n)
+        np.testing.assert_array_equal(agglomerate(pts[:40], 7), agglomerate_masked(pts[:40], 7))
         for k in (1, 7, n):
             assign = rng.permutation(np.arange(n) % k)
             counts = np.bincount(assign, minlength=k)
             got, want = _member_means(pts, assign, counts), member_means_csr(pts, assign, counts)
             assert got.tobytes() == want.tobytes()
+
+
+# Layer sizes per N, coarsest first; at N = 2000 k-means' grids span four
+# _ROW_BLOCK blocks
+PINNED_LAYERS = {60: (2, 6, 24), 400: (8, 40, 160), 2000: (8, 40, 160)}
+
+# sha256 of `hierarchy_bytes` over PINNED_LAYERS, per kind
+PINNED_HIERARCHIES = {
+    "wheel": "bc0ad01df441abf9f3b8b508c3a9ba10524300b37a50157c459bdfe5ee92757d",
+    "pendulum": "c45a9c04fb3c8c26b586e484952b7c058a7cd1bbd014b1dcec133ce24d74823a",
+    "two_link_arm": "a9a5e3d68e857aa016ac14800ec18e82f6cf52045c2d61bf18592069fe8eb35a",
+    "cloth_wave": "e7acbd9cb5cc942259e422dc29bd07a68b2cf3e7c7df1df263be07da47a208f1",
+    "two_blobs": "2aef8b29265b841ff6a6a9016fd314a3e4b1972058e61065df53c16947b97e5f",
+}
+
+
+def hierarchy_bytes(h):
+    """Every assignment, centroid and parent-map array, with dtypes and shapes."""
+    arrays = [*h.assignments, *h.centroids, *h.parent_maps]
+    return b"".join(f"{a.dtype.str}{a.shape}".encode() + a.tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_build_hierarchy_keeps_its_pinned_bytes(kind):
+    digest = hashlib.sha256()
+    for n, sizes in PINNED_LAYERS.items():
+        seq = generate(SceneSpec(kind, n_gaussians=n, n_frames=2, seed=1))
+        digest.update(hierarchy_bytes(build_hierarchy(seq.frame0.centers, sizes, seed=1)))
+    assert digest.hexdigest() == PINNED_HIERARCHIES[kind], kind
 
 
 @pytest.mark.parametrize("dim", [1, 3, 75])
@@ -227,11 +275,12 @@ def test_an_oracle_case_repairs_after_the_first_iteration(dim, monkeypatch):
 def test_kmeans_distance_work_stays_within_its_measured_count():
     """The arm400 hierarchy's k-means (N = 400, k = 160, seed 1) computes
     104,960 squared distances: the seeding's 64,000 and 0.64 of a grid more,
-    where the plain Lloyd loop computed 8 whole grids, 512,000. A change that
-    lowers the count lowers the bound."""
+    where the plain Lloyd loop computed 8 whole grids, 512,000. The count is
+    exact: a change that moves it, or computes entries that the count does not
+    see, fails here."""
     seq = generate(SceneSpec("two_link_arm", n_gaussians=400, n_frames=5, seed=1))
     centers = seq.frame0.centers
-    assert distance_entries(lambda: kmeans(centers, 160, seed=1)) <= 104_960
+    assert distance_entries(lambda: kmeans(centers, 160, seed=1)) == 104_960
 
 
 @pytest.mark.parametrize("dim", [3, 9])
@@ -263,6 +312,27 @@ def test_build_hierarchy_builds_no_sparse_matrix():
     finally:
         sys.setprofile(None)
     assert not sparse, sorted(set(sparse))
+
+
+def test_build_hierarchy_stays_within_its_measured_calls():
+    """`sys.setprofile` `call` and `c_call` events over arm400's hierarchy
+    (N = 400, layers 8, 40, 160): each seed and each merge is a fixed handful
+    of whole-row numpy operations, so a change that adds per-seed or
+    per-merge calls fails here. The event that switches the profiler off is
+    counted too. A change that removes some lowers the bound with it."""
+    seq = generate(SceneSpec("two_link_arm", n_gaussians=400, n_frames=2, seed=1))
+    events = dict.fromkeys(("call", "c_call"), 0)
+
+    def count(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    sys.setprofile(count)
+    try:
+        build_hierarchy(seq.frame0.centers, (8, 40, 160), seed=1)
+    finally:
+        sys.setprofile(None)
+    assert events["call"] <= 428 and events["c_call"] <= 895, events
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,11 @@ def test_segment_separates_wheel_from_stand():
 def test_segment_distance_work_stays_within_its_measured_count():
     """k-means at D = 75 on the pendulum's motion (N = 600, 5 frames, 2
     parts) computes 1,438 squared distances, where the plain Lloyd loop
-    computed 8 whole grids, 9,600. A change that lowers the count lowers the
-    bound."""
+    computed 8 whole grids, 9,600. The count is exact: a change that moves
+    it, or computes entries that the count does not see, fails here."""
     feats = build_features(gt_trajectory(generate(SceneSpec("pendulum", n_gaussians=600,
                                                             n_frames=5, seed=0))))
-    assert distance_entries(lambda: segment(feats, 2, seed=0)) <= 1_438
+    assert distance_entries(lambda: segment(feats, 2, seed=0)) == 1_438
 
 
 def test_segment_k1_and_validation():
