@@ -1,6 +1,6 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-This module owns the tape: tensors, leaves, the recorded graph, its backward
+This module owns the tape: tensors, leaves, the linked graph, its backward
 pass and the helpers that the fused primitives share. Every node is a fused
 primitive with a closed-form VJP (vector-Jacobian product); there are no
 generic elementwise or broadcasting ops and no operator overloads.
@@ -12,12 +12,13 @@ Conventions:
     otherwise it returns a constant.
   * A node's VJP computes the gradient of an operand only when that operand
     requires it: nothing is computed for constants and then thrown away.
-  * Every graph keeps a record of its nodes in creation order, which is
-    topological; `backward` walks that record in reverse, so gradients
-    accumulate in reverse creation order, and then clears it. The record
-    belongs to the graph (each leaf starts one; an op joining two graphs
-    joins their records), so an evaluation that fails halfway leaves nothing
-    for the next backward to walk.
+  * The parent links are the graph. Each node with a VJP is stamped with
+    its place in creation order, which is topological; `backward` collects
+    its root's ancestors that have a VJP through the links, runs the VJPs
+    newest first, so every gradient takes its contributions in reverse
+    creation order, and frees each node's links and VJP. It reaches only the
+    root's ancestors, so an evaluation that fails halfway, whose nodes no
+    later loss descends from, is never walked.
   * A scatter (the adjoint of a row lookup: `edge_adjoint`, the cascade
     layer, the correspondence term in `losses`) is one product with a
     `RowIndex`'s sparse transpose, which sums each row in index order, so
@@ -49,6 +50,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -56,10 +58,15 @@ from scipy.sparse import csr_array
 from .geometry import jacobi_eigh3
 
 
+# the creation count of the last node made with a VJP; stamps order the nodes
+# of any graphs that a later op may join, so the count is the process's
+_made = 0
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode AD."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_tape")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_order")
 
     def __init__(self, value, requires_grad=False, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -67,7 +74,10 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._vjp = vjp
-        self._tape = None  # the record of this node's graph (a list); None for constants
+        if vjp is not None:  # leaves and constants are never sorted: no stamp
+            global _made
+            _made += 1
+            self._order = _made
 
     @property
     def shape(self):
@@ -77,16 +87,22 @@ class Tensor:
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         self.grad = np.ones_like(self.value)
-        tape = self._tape
-        if tape is None:
+        if self._vjp is None:
             return
-        for node in reversed(tape):
+        # the root and its ancestors with a VJP: a node's links are freed once
+        # its parents are listed, so a node reached again lists none, and a
+        # node listed twice runs its VJP once
+        nodes = [self]
+        for node in nodes:
+            for parent in node._parents:
+                if parent._vjp is not None:
+                    nodes += (parent,)
+            node._parents = ()
+        nodes.sort(key=attrgetter("_order"), reverse=True)
+        for node in nodes:
             if node.grad is not None and node._vjp is not None:
                 node._vjp(node.grad)
-            # free graph refs as we go; grads on leaves survive
-            node._vjp = None
-            node._parents = ()
-        tape.clear()  # each node refers to the record: clearing it frees the graph
+            node._vjp = None  # the forward's arrays go; gradients stay
 
 
 def leaf(value, grad=None):
@@ -94,7 +110,6 @@ def leaf(value, grad=None):
     as a zeroed buffer of the value's shape to add them into."""
     t = Tensor(value, requires_grad=True)
     t.grad = grad
-    t._tape = [t]
     return t
 
 
@@ -124,38 +139,12 @@ def _transposed(a):
     return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
 
-def _tape_of(parents):
-    """The record a node of these parents joins; None when none needs a gradient.
-
-    Parents from two graphs join them: the shorter record is appended to the
-    longer, which stays topological (neither graph reaches into the other),
-    and its nodes move over."""
-    tape = None
-    for p in parents:
-        if not p.requires_grad or p._tape is tape:
-            continue
-        if tape is None:
-            tape = p._tape
-            continue
-        small, tape = sorted((p._tape, tape), key=len)
-        tape.extend(small)
-        for node in small:
-            node._tape = tape
-    return tape
-
-
-def _record(node, tape):
-    node._tape = tape
-    tape.append(node)
-    return node
-
-
 def _make(value, parents, vjp):
     parents = tuple(parents)
-    tape = _tape_of(parents)
-    if tape is None:
-        return Tensor(value)
-    return _record(Tensor(value, requires_grad=True, parents=parents, vjp=vjp), tape)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
+    return Tensor(value)
 
 
 # what a child output of a multi-output node leaves on its head when the loss
@@ -169,20 +158,19 @@ def _make_multi(values, parents, vjp):
     `vjp(*grads)` runs once per backward pass, after the gradient of every
     output is complete; an output the loss does not reach passes None. The
     first output carries the node (its parents and the VJP); each other
-    output is a child of the first that hands its gradient over, so reverse
-    creation order reaches the first output after all the others.
+    output is a child of the first that hands its gradient over, made after
+    it, so the backward pass, newest first, reaches the first output after
+    all the others.
     """
-    parents = tuple(parents)
-    tape = _tape_of(parents)
-    if tape is None:
-        return tuple(Tensor(v) for v in values)
     grads = [None] * len(values)
 
     def run(g):
         grads[0] = None if g is _REACHED_THROUGH_CHILD else g
         vjp(*grads)
 
-    head = _record(Tensor(values[0], requires_grad=True, parents=parents, vjp=run), tape)
+    head = _make(values[0], parents, run)
+    if not head.requires_grad:
+        return (head, *(Tensor(v) for v in values[1:]))
 
     def handing_over(i):
         def hand_over(g):
@@ -190,8 +178,7 @@ def _make_multi(values, parents, vjp):
             if head.grad is None:
                 head.grad = _REACHED_THROUGH_CHILD
 
-        return _record(Tensor(values[i], requires_grad=True, parents=(head,), vjp=hand_over),
-                       tape)
+        return Tensor(values[i], requires_grad=True, parents=(head,), vjp=hand_over)
 
     return (head, *(handing_over(i) for i in range(1, len(values))))
 

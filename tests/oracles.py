@@ -11,7 +11,8 @@ traced cascade, k-means and agglomeration with the per-cluster loops that
 their fixed-op-count kernels replaced, the squared-distance grid added into
 zeros and the member means as one CSR product (the forms those kernels had
 before), the seeding's rows of squared distances as np.sum over (N, D)
-differences, a count of the squared distances that k-means computes,
+differences, a count of the squared distances that k-means computes, the
+nodes each backward pass walks,
 value-and-gradient wrappers around single loss terms, the generic
 broadcasting tape ops that every fused primitive replaced (add, sub, mul,
 tsum, tmean, exp, square, relu), the three neighbour terms as chains of
@@ -272,6 +273,31 @@ def distance_entries(call):
     finally:
         clustering._sq_dists, clustering._sq_dists_to = sq_dists, sq_dists_to
     return sum(entries)
+
+
+def record_walks(monkeypatch):
+    """Patch `Tensor.backward` to append, on each call, the nodes it walks: the
+    root and its ancestors that need a gradient, each once (leaves too, whose
+    gradients it fills), listed by their parent links before it runs. The
+    walk is checked once it returns: every listed node that had a VJP has
+    run it, or dropped it unreached, and has freed its links."""
+    walks = []
+    backward = ad.Tensor.backward
+
+    def walked(root):
+        seen = {id(root): root}
+        stack = [root]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen[id(parent)] = parent
+                    stack.append(parent)
+        backward(root)
+        assert all(node._vjp is None and node._parents == () for node in seen.values())
+        walks.append(list(seen.values()))
+
+    monkeypatch.setattr(ad.Tensor, "backward", walked)
+    return walks
 
 
 def agglomerate_masked(points, target_k):

@@ -1,8 +1,9 @@
 """Gradient checks for the reverse-mode tape.
 
-The tape mechanics (shared subexpressions, accumulation, records per graph)
-are checked on the generic broadcasting ops of `tests/oracles.py`, which the
-shipped code no longer uses but the chain oracles still build on. Every
+The tape mechanics (shared subexpressions, accumulation, the walk of a
+root's ancestors) are checked on the generic broadcasting ops of
+`tests/oracles.py`, which the shipped code no longer uses but the chain
+oracles still build on. Every
 primitive is checked against central finite differences on random inputs; the batched 3x3 eigensolver is additionally checked against
 numpy.linalg.eigh as an independent oracle, and its one-node adjoint against
 the two-node form it replaced. A RowIndex's sparse scatter is checked bit for
@@ -21,7 +22,8 @@ import gscascade.autodiff as ad
 from gscascade.geometry import jacobi_eigh3
 from oracles import (absval_t, add, bincount_scatter, edge_adjoint_slices, edge_diff_t,
                      eigh3_two_nodes, exp, gather_t, jacobi_eigh3_rowwise, matmul_t, matvec_t, mul,
-                     relu, reshape_t, sqrt_t, square, sub, tmean, transpose_last2_t, tsum)
+                     record_walks, relu, reshape_t, sqrt_t, square, sub, tmean, transpose_last2_t,
+                     tsum)
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -360,19 +362,27 @@ def test_a_leaf_given_a_buffer_adds_into_it():
     assert t.grad.base is buffer
 
 
-def test_backward_walks_the_record_of_its_own_graph():
-    """Two graphs keep separate records until an op joins them; a root's
-    backward walks its record in reverse creation order and clears it."""
+def test_backward_runs_its_roots_ancestors_newest_first(monkeypatch):
+    """A root's backward walks its ancestors through their parent links, runs
+    their VJPs in reverse creation order and frees their links; a node made
+    from the same leaf that the root does not descend from is not walked."""
     a, b = ad.leaf(np.ones(2)), ad.leaf(np.ones(2))
-    ea, eb = exp(a), square(b)
-    assert a._tape is ea._tape and b._tape is eb._tape and a._tape is not b._tape
-    root = tsum(mul(ea, eb))
-    assert all(node._tape is root._tape for node in (a, b, ea, eb))
-    assert len(root._tape) == 6
+    ea = exp(a)
+    stray = square(a)  # made between the root's nodes
+    eb = square(b)
+    product = mul(ea, eb)
+    root = tsum(product)
+    ran = []
+    for name, node in (("ea", ea), ("stray", stray), ("eb", eb), ("product", product),
+                       ("root", root)):
+        node._vjp = lambda g, vjp=node._vjp, name=name: (ran.append(name), vjp(g))
+    walks = record_walks(monkeypatch)
     root.backward()
+    assert ran == ["root", "product", "eb", "ea"]
+    assert {id(n) for n in walks[0]} == {id(n) for n in (a, b, ea, eb, product, root)}
     np.testing.assert_allclose(a.grad, np.e * np.ones(2))
     np.testing.assert_allclose(b.grad, 2.0 * np.e * np.ones(2))
-    assert root._tape == [] and ea._parents == ()
+    assert stray._parents == (a,) and stray._vjp is not None and stray.grad is None
 
 
 def test_constant_gets_no_grad():

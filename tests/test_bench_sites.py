@@ -21,6 +21,7 @@ from gscascade.deform import CascadeDeform
 from gscascade.losses import (DataObservation, FrameConstants, LossWeights, build_neighbor_graph,
                               total_loss)
 from gscascade.optimize import TrainConfig, fit_sequence
+from oracles import record_walks
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -53,16 +54,17 @@ def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
                           correspondence=None if scan else np.arange(30))
     h = build_hierarchy(centers, (2, 4, 8), seed=0)
     casc = CascadeDeform(h, 30)
-    counts = []
+    walks = record_walks(monkeypatch)
     backward = autodiff.Tensor.backward
+    sizes = []
 
-    def counted(root):
-        counts.append((spans.tape_size(root), len(root._tape)))
+    def sized(root):
+        sizes.append(spans.tape_size(root))
         return backward(root)
 
-    monkeypatch.setattr(autodiff.Tensor, "backward", counted)
+    monkeypatch.setattr(autodiff.Tensor, "backward", sized)
     total_loss(casc, FrameConstants(gset, obs, h, graph), LossWeights(), max_scale=0.02)
-    assert len(counts) == 1 and counts[0][0] == counts[0][1] == 34
+    assert sizes == [len(walk) for walk in walks] == [34]
 
 
 def test_iterations_call_the_steps_in_lap_order(monkeypatch):

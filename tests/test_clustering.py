@@ -123,6 +123,16 @@ def test_agglomerate_matches_bruteforce_oracle():
             np.testing.assert_array_equal(got, want)
 
 
+def test_agglomerate_keeps_the_rounding_of_its_lance_williams_division():
+    """On these 1-D points the merged distances tie but for their last bits,
+    so the labels follow the rounding of `(n_i d_i + n_j d_j) / (n_i + n_j)`:
+    a product with the reciprocal of n_i + n_j gives other labels."""
+    pts = np.array([[0.30000000000000004], [0.0], [0.5], [0.2], [0.4]])
+    want = agglomerate_masked(pts, 2)
+    np.testing.assert_array_equal(want, [0, 1, 0, 1, 0])
+    np.testing.assert_array_equal(agglomerate(pts, 2), want)
+
+
 def test_agglomerate_trivial_cases():
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(6, 3))

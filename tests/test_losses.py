@@ -43,6 +43,7 @@ from oracles import (
     isometry_loss_short_tape_t,
     matched_loss_chain_t,
     mul,
+    record_walks,
     rigidity_loss,
     rigidity_loss_chain_t,
     rigidity_loss_short_tape_t,
@@ -781,23 +782,16 @@ def test_total_loss_tape_size(monkeypatch, scan, nodes):
     graph = build_neighbor_graph(gset.centers, k=4, scene_scale=2.0)
     points = gset.centers + rng.normal(scale=0.02, size=(30, 3))
     obs = DataObservation(points=points, correspondence=None if scan else np.arange(30))
-    sizes = []
-    backward = ad.Tensor.backward
-
-    def counted(root):
-        sizes.append(len(root._tape))  # the nodes the backward pass walks
-        return backward(root)
-
-    monkeypatch.setattr(ad.Tensor, "backward", counted)
+    walks = record_walks(monkeypatch)
     total_loss(casc, FrameConstants(gset, obs, h, graph), LossWeights(), max_scale=0.02)
-    assert sizes == [nodes]
+    assert [len(walk) for walk in walks] == [nodes]
 
 
 def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
     """An evaluation that raises inside the cascade (a degenerate layer makes
-    the propagated covariance singular) leaves its nodes on its own record:
-    the next evaluation's backward walks exactly its own nodes and gives the
-    gradient it gives when run alone, bit for bit."""
+    the propagated covariance singular) leaves nodes that no later loss
+    descends from: the next evaluation's backward walks exactly its own nodes
+    and gives the gradient it gives when run alone, bit for bit."""
     rng = np.random.default_rng(15)
     gset = small_scene(rng, n=30, spread=2.0)
     h = build_hierarchy(gset.centers, (2, 4, 8), seed=0)
@@ -808,20 +802,13 @@ def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
     good.layers[1].translations = rng.normal(scale=0.05, size=(4, 3))
     bad = CascadeDeform(h, 30)
     bad.layers[0].scale_biases[0] = -60.0  # sigma == 0: the map collapses
-    walked = []
-    backward = ad.Tensor.backward
-
-    def counted(root):
-        walked.append(len(root._tape))
-        return backward(root)
-
-    monkeypatch.setattr(ad.Tensor, "backward", counted)
+    walks = record_walks(monkeypatch)
     args = (FrameConstants(gset, obs, h, graph), LossWeights(), 0.02)
     alone = total_loss(good, *args)
     with pytest.raises(ValueError, match="positive definite"):
         total_loss(bad, *args)
     after = total_loss(good, *args)
-    assert walked == [34, 34]
+    assert [len(walk) for walk in walks] == [34, 34]
     assert after[0] == alone[0] and after[1] == alone[1]
     assert np.array_equal(after[2].grad, alone[2].grad)
 
