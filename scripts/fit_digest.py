@@ -9,13 +9,15 @@ every frame's loss `curve` and `final_losses` (as
 `json.dumps(sort_keys=True)`), what `losses.csv` and `summary.json` record,
 one over the int64 part labels that `segment` gives the fitted sets'
 motion features, with as many parts as the scene has (k-means at
-D = 15 * frames), and one over the fit's outputs: the bytes that
-`write_trajectory_csv`, `write_json` (each checkpoint) and `write_losses_csv`
-write, and for every Gaussian visible in camera 0 at frame 0 the Gaussian
-that `select_candidate` picks for its ground-truth track (or the message it
-raises) and that pick's `mte(...).hex()`. After each kind's line comes a
-`<kind>_scan` line with the same digests of a fit to seeded scan points
-around the ground-truth centers, with no correspondences, so that the Chamfer
+D = 15 * frames), and one over the fit's outputs: the bytes of every file
+that `cli.write_fit_dir` writes (`checkpoints/frame_NNN.json` with their
+`frame_index`, `hierarchy.json`, `losses.csv` and `trajectory.csv`, in that
+sorted path order), then, for every Gaussian whose ground truth starts in
+front of camera 0, what `tracking.score_track` gives: the Gaussian that
+`select_candidate` picks (or the message it raises) and that pick's
+`mte(...).hex()`. After each kind's line comes a `<kind>_scan` line with the
+same digests of a fit to seeded scan points around the ground-truth centers
+(`scenegen.scan_observations`), with no correspondences, so that the Chamfer
 data term is covered too. Run it on two checkouts and compare the lines.
 
     python3 scripts/fit_digest.py
@@ -33,19 +35,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gscascade.cli import write_fit_dir
 from gscascade.clustering import build_hierarchy
 from gscascade.config import argument
 from gscascade.deform import cascade_to_payload
-from gscascade.io_formats import write_json, write_losses_csv, write_trajectory_csv
-from gscascade.losses import DataObservation
 from gscascade.optimize import TrainConfig, fit_sequence
-from gscascade.scenegen import SceneSpec, generate
+from gscascade.scenegen import SceneSpec, generate, scan_observations
 from gscascade.segmentation import build_features, segment
-from gscascade.tracking import mte, project, project_track, select_candidate
+from gscascade.tracking import score_track
 
 DEFAULT_KINDS = "two_link_arm,wheel,pendulum,cloth_wave,two_blobs"
 SCAN_SAMPLES = 8  # scan points per ground-truth center
-SCAN_SIGMA = 0.005  # their spread around it
 DIGESTS = ("trajectory", "checkpoints", "losses", "segmentation", "outputs")
 
 
@@ -88,35 +88,22 @@ def outputs_digest(report, seq):
     """The fifth digest of `fit_digests`: written files, then track picks."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "written"
-        files = [(write_trajectory_csv, report.sets), (write_losses_csv, report.frames)]
-        files += [(write_json, cascade_to_payload(cascade)) for cascade in report.cascades]
-        for write, content in files:
-            write(path, content)
-            digest.update(path.read_bytes())
+        write_fit_dir(report, tmp)
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                digest.update(path.read_bytes())
     centers = np.stack([gset.centers for gset in report.sets])
     camera = seq.cameras[0]
-    _, _, visible = project(camera, seq.gt_centers[0])
-    for index in np.flatnonzero(visible):
-        gt_track = project_track(camera, seq.gt_centers[:, index])
+    for index in range(seq.gt_centers.shape[1]):
         try:
-            pick = select_candidate(centers, camera, gt_track)
+            score = score_track(camera, seq.gt_centers[:, index], centers)
         except ValueError as e:
             digest.update(f"{index} {e}\n".encode())
             continue
-        error = mte(project_track(camera, centers[:, pick]), gt_track, camera.image_diagonal)
-        digest.update(f"{index} {pick} {error.hex()}\n".encode())
+        if score is not None:
+            _, pick, _, error = score
+            digest.update(f"{index} {pick} {error.hex()}\n".encode())
     return digest.hexdigest()
-
-
-def scan_observations(gt_centers, seed):
-    """Per frame, SCAN_SAMPLES noisy points around every ground-truth center."""
-    rng = np.random.default_rng((seed, SCAN_SAMPLES))
-    observations = []
-    for centers in gt_centers:
-        noise = rng.normal(scale=SCAN_SIGMA, size=(centers.shape[0], SCAN_SAMPLES, 3))
-        observations.append(DataObservation(points=(centers[:, None, :] + noise).reshape(-1, 3)))
-    return observations
 
 
 def main(argv=None):
@@ -129,8 +116,8 @@ def main(argv=None):
                              scene_scale=seq.scene_scale)
         hierarchy = build_hierarchy(seq.frame0.centers, layers, seed=args.seed)
         k_parts = len(np.unique(seq.part_labels))
-        for name, observations in ((kind, seq.observations),
-                                   (f"{kind}_scan", scan_observations(seq.gt_centers, args.seed))):
+        scan = scan_observations(seq.gt_centers, SCAN_SAMPLES, args.seed)
+        for name, observations in ((kind, seq.observations), (f"{kind}_scan", scan)):
             report = fit_sequence(seq.frame0, observations, config, hierarchy)
             digests = dict(zip(DIGESTS, fit_digests(report, k_parts, seq)))
             print(name, " ".join(f"{label} {digest}" for label, digest in digests.items()))

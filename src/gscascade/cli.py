@@ -27,9 +27,9 @@ from .core import GaussianSet
 from .deform import cascade_to_payload
 from .losses import DataObservation
 from .optimize import fit_sequence, mean_center_error
-from .scenegen import _PALETTE, SceneSpec, SceneSequence, generate
+from .scenegen import SceneSpec, SceneSequence, generate, label_colors
 from .segmentation import adjusted_rand_index, build_features, segment
-from .tracking import PinholeCamera, mte, project_track, select_candidate
+from .tracking import PinholeCamera, score_track
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,21 @@ def write_scene_dir(seq, out_dir):
     iof.write_gt_trajectory_csv(out / "gt_trajectory.csv", seq.gt_centers)
     iof.write_labels_csv(out / "labels.csv", seq.part_labels)
     iof.write_init_gaussians_csv(out / "init_gaussians.csv", seq.frame0)
+
+
+def write_fit_dir(report, out_dir):
+    """Write a FitReport's `trajectory.csv`, `losses.csv`, `hierarchy.json` and
+    `checkpoints/frame_NNN.json` (each with its `frame_index`) to `out_dir`:
+    the one writer of those files."""
+    out = Path(out_dir)
+    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
+    iof.write_trajectory_csv(out / "trajectory.csv", report.sets)
+    iof.write_losses_csv(out / "losses.csv", report.frames)
+    iof.write_json(out / "hierarchy.json", report.hierarchy.to_payload())
+    for frame_rep, cascade in zip(report.frames, report.cascades):
+        payload = cascade_to_payload(cascade)
+        payload["frame_index"] = frame_rep.frame_index
+        iof.write_json(out / "checkpoints" / f"frame_{frame_rep.frame_index:03d}.json", payload)
 
 
 @contextlib.contextmanager
@@ -121,14 +136,7 @@ def cmd_fit(cfg, scene_dir):
     report = fit_sequence(seq.frame0, seq.observations, tc, hierarchy)
 
     out = Path(cfg.out)
-    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
-    iof.write_trajectory_csv(out / "trajectory.csv", report.sets)
-    iof.write_losses_csv(out / "losses.csv", report.frames)
-    iof.write_json(out / "hierarchy.json", report.hierarchy.to_payload())
-    for frame_rep, cascade in zip(report.frames, report.cascades):
-        payload = cascade_to_payload(cascade)
-        payload["frame_index"] = frame_rep.frame_index
-        iof.write_json(out / "checkpoints" / f"frame_{frame_rep.frame_index:03d}.json", payload)
+    write_fit_dir(report, out)
     err = mean_center_error(report.sets, seq.gt_centers)
     summary = {
         "scene_dir": str(scene_dir),
@@ -199,7 +207,7 @@ def cmd_segment(cfg, fit_dir, scene_dir=None):
         "k_parts": int(opts["k_parts"]),
         "ari": float(ari),
     })
-    colors = _PALETTE[labels % len(_PALETTE)]
+    colors = label_colors(labels)
     for t in range(centers.shape[0]):
         iof.write_ply(out / "labeled" / f"frame_{t:03d}.ply", centers[t], colors)
     print(f"segment {kind}: k={opts['k_parts']} ARI {ari:.4f} -> {out}")
@@ -229,28 +237,29 @@ def cmd_track(cfg, fit_dir, scene_dir=None):
     n_tracks = min(opts["n_tracks"], n)
     chosen = np.sort(rng.choice(n, size=n_tracks, replace=False))
 
-    out = Path(cfg.out)
-    (out / "overlays").mkdir(parents=True, exist_ok=True)
-    entries = []
+    scored = []
     for track_id, gi in enumerate(chosen):
-        gt_track = project_track(camera, seq.gt_centers[:, gi])
-        if not gt_track.valid[0]:
-            continue  # target starts behind the camera; not a usable track
         try:
-            cand = select_candidate(centers, camera, gt_track)
+            score = score_track(camera, seq.gt_centers[:, gi], centers)
         except ValueError as e:  # frame 0 of the two trajectories disagrees
             raise ConfigError(f"track {track_id} (Gaussian {gi} of gt_trajectory.csv): {e} in"
                               " trajectory.csv") from e
-        pred_track = project_track(camera, centers[:, cand])
-        err = mte(pred_track, gt_track, camera.image_diagonal)
-        entries.append((track_id, int(cand), float(err)))
+        if score is not None:  # None: the target starts behind the camera
+            scored.append((track_id, *score))
+    if not scored:
+        raise ConfigError(f"camera {opts['camera_index']} of scene.json (tracking.camera_index)"
+                          f" has all {n_tracks} tracked Gaussians behind it at frame 0")
+
+    out = Path(cfg.out)
+    (out / "overlays").mkdir(parents=True, exist_ok=True)
+    entries = []
+    for track_id, gt_track, pick, pred_track, err in scored:
+        entries.append((track_id, pick, float(err)))
         image = np.zeros((camera.height, camera.width, 3), dtype=np.uint8)
         _draw_dots(image, gt_track.pixels[gt_track.valid], np.array([220, 60, 50], np.uint8))
         _draw_dots(image, pred_track.pixels[pred_track.valid], np.array([70, 220, 90], np.uint8))
         iof.write_ppm(out / "overlays" / f"track_{track_id:02d}.ppm", image)
 
-    if not entries:
-        raise RuntimeError("no usable tracks (all targets behind the camera)")
     iof.write_mte_csv(out / "mte.csv", entries)
     errs = np.array([e[2] for e in entries])
     iof.write_json(out / "summary.json", {

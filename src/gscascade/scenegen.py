@@ -10,7 +10,9 @@ part with a travelling sine wave added to its heights afterwards.
 The generator emits, per frame, ground-truth centers and identity-matched
 observations (optionally noised), plus part labels, per-part rotations, and a
 ring of pinhole cameras — everything the fitting, segmentation, and tracking
-evaluations need.
+evaluations need. `scan_observations` draws seeded scans around the
+ground-truth centers instead, with no correspondences, for the Chamfer data
+term.
 
 Kinds:
   * wheel         spinning disc plus a static stand (rotationally symmetric,
@@ -54,6 +56,12 @@ _PALETTE = np.array(
         [0.90, 0.75, 0.20],
     ]
 )
+_SCAN_SIGMA = 0.005  # std of the scan points around each ground-truth center
+
+
+def label_colors(labels):
+    """(N, 3) RGB in [0, 1] of integer part labels, from a four-color palette."""
+    return _PALETTE[labels % len(_PALETTE)]
 
 
 @dataclass
@@ -251,7 +259,7 @@ def generate(spec):
     # scene, so absolute per-frame rotations carry the part-motion signal
     # instead of a random per-Gaussian gauge.
     orientations = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1))
-    colors = _PALETTE[labels % len(_PALETTE)]
+    colors = label_colors(labels)
     frame0 = GaussianSet(
         centers=gt[0].copy(),
         orientations=orientations,
@@ -277,3 +285,15 @@ def generate(spec):
         part_quats=np.stack([quats for _, quats, _, _ in parts], axis=1),
         cameras=list(_camera_ring()),
     )
+
+
+def scan_observations(gt_centers, samples, seed):
+    """Per frame of the (T, N, 3) `gt_centers`, `samples` noisy points around
+    every center (std 0.005), with no correspondences: a scan for the Chamfer
+    data term. The noise is seeded by (seed, samples)."""
+    rng = np.random.default_rng((seed, samples))
+    observations = []
+    for centers in gt_centers:
+        noise = rng.normal(scale=_SCAN_SIGMA, size=(centers.shape[0], samples, 3))
+        observations.append(DataObservation(points=(centers[:, None, :] + noise).reshape(-1, 3)))
+    return observations

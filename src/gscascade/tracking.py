@@ -9,7 +9,9 @@ of every Gaussian is projected to find the candidates within 10 px of the
 track's start, then only the candidates are projected over all T frames, and
 each candidate's median track error is taken column-wise over the frames it
 shares with the track (`_median_error`, the one definition of the median track
-error, which `mte` uses too).
+error, which `mte` uses too). `score_track` is the one scorer of a track:
+project the ground truth, select the candidate, project it and take its
+`mte`.
 """
 
 from __future__ import annotations
@@ -221,3 +223,17 @@ def select_candidate(centers_traj, camera, gt_track):
         raise ValueError(f"no candidate for the track starting at pixel ({u:.6g}, {v:.6g})"
                          " has a finite error")
     return int(cand[np.argmin(np.where(finite, errors, np.inf))])
+
+
+def score_track(camera, gt_trajectory, centers):
+    """Score the fitted (T, N, 3) `centers` on one (T, 3) ground-truth
+    trajectory seen by `camera`: (gt_track, pick, pred_track, mte), where
+    `pick` is `select_candidate`'s Gaussian and `pred_track` its projection.
+    None when the ground truth starts behind the camera, which leaves no
+    track to score; `select_candidate`'s ValueError propagates."""
+    gt_track = project_track(camera, gt_trajectory)
+    if not gt_track.valid[0]:
+        return None
+    pick = select_candidate(centers, camera, gt_track)
+    pred_track = project_track(camera, centers[:, pick])
+    return gt_track, pick, pred_track, mte(pred_track, gt_track, camera.image_diagonal)

@@ -34,7 +34,7 @@ from gscascade.segmentation import (
     procrustes_rotation,
     segment,
 )
-from gscascade.tracking import mte, project_track, select_candidate
+from gscascade.tracking import score_track
 from oracles import ClusterDeformParams, layer_apply, layer_jacobian
 
 
@@ -114,15 +114,8 @@ def track_errors(seq, sets, n_tracks=12, seed=11):
     centers = np.stack([s.centers for s in sets])
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(seq.gt_centers.shape[1], size=n_tracks, replace=False))
-    errs = []
-    for gi in chosen:
-        gt_track = project_track(camera, seq.gt_centers[:, gi])
-        if not gt_track.valid[0]:
-            continue
-        cand = select_candidate(centers, camera, gt_track)
-        pred = project_track(camera, centers[:, cand])
-        errs.append(mte(pred, gt_track, camera.image_diagonal))
-    return np.asarray(errs)
+    scores = (score_track(camera, seq.gt_centers[:, gi], centers) for gi in chosen)
+    return np.asarray([score[3] for score in scores if score is not None])
 
 
 # Shared across the K-ablation and tracking criteria: three articulated scenes

@@ -6,6 +6,7 @@ functions in place, by owner and attribute name. A refactor that deletes or
 renames one of them breaks only those runs; this check makes it fail here.
 The traced run also counts tape nodes by walking `Tensor._parents`; a check
 on a real objective pins that count to the nodes the backward pass walks.
+The benchmark's own scan generator must draw the library's points.
 """
 
 import importlib
@@ -94,3 +95,22 @@ def test_iterations_call_the_steps_in_lap_order(monkeypatch):
                  build_hierarchy(seq.frame0.centers, cfg.layer_sizes, seed=0))
     assert names[7:] == ["backward", "adam_step"]
     assert calls == (names * 3 + names[:7]) * 2
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bench_scan_points_are_the_library_generators(monkeypatch, seed):
+    """The benchmark's copy of the scan generator draws the points of
+    `scenegen.scan_observations`, byte for byte, on the arm400_scan scene, so
+    swapping the copy for the library's changes no workload."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    pipeline = importlib.import_module("pipeline")
+    workload = pipeline.WORKLOADS["arm400_scan"]
+    seq = scenegen.generate(scenegen.SceneSpec(workload.kind, n_gaussians=workload.n_gaussians,
+                                               n_frames=workload.n_frames, seed=seed))
+    bench = pipeline.scan_observations(seq.gt_centers, workload.scan_samples, seed)
+    library = scenegen.scan_observations(seq.gt_centers, workload.scan_samples, seed)
+    assert workload.scan_samples == 64 and len(bench) == len(library) == workload.n_frames
+    for got, want in zip(library, bench):
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.correspondence is want.correspondence is None

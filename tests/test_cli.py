@@ -554,6 +554,23 @@ def test_track_picks_match_the_per_candidate_loop(tiny_fit, tmp_path):
         assert float(err) == mte(pred_track, gt_track, camera.image_diagonal)
 
 
+def test_camera_with_every_target_behind_it_exits_2_naming_it(tmp_path, capsys):
+    """A camera that sees none of the tracked Gaussians' starts used to exit 3
+    with "no usable tracks" after `fit` passed: the scene's camera is bad input."""
+    cfg = write_config(tmp_path, doc=dict(TINY, scene=dict(TINY["scene"], n_gaussians=40)))
+    scene, fit, out = tmp_path / "scene", tmp_path / "fit", tmp_path / "track"
+    assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
+    _edit_json(lambda meta: meta["cameras"][0].update(translation=[0.0, 0.0, -100.0]))(
+        scene / "scene.json")
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(fit)]) == 0
+    capsys.readouterr()
+    assert main(["track", str(fit), "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: camera 0 of scene.json (tracking.camera_index) has all 3 tracked" \
+        " Gaussians behind it at frame 0" in err
+    assert not out.exists()
+
+
 def test_k_parts_above_gaussian_count_exits_2(tiny_fit, tmp_path, capsys):
     cfg = write_config(tmp_path, doc=dict(TINY, segmentation={"k_parts": 31}))
     out = tmp_path / "seg"

@@ -5,15 +5,20 @@ is pinned by literal pixel arithmetic. Batched candidate selection is checked
 against the per-candidate loop in `oracles.select_candidate_loop`, and
 projection, selection and the error bit for bit against the forms that
 rebuilt the camera matrix on every call and projected the whole trajectory.
+`score_track` is checked against the four calls it makes.
 """
 
 import copy
+import itertools
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from gscascade import geometry
+from gscascade.clustering import build_hierarchy
+from gscascade.optimize import TrainConfig, fit_sequence
 from gscascade.scenegen import SceneSpec, generate
 from gscascade.tracking import (
     CANDIDATE_RADIUS_PX,
@@ -23,6 +28,7 @@ from gscascade.tracking import (
     mte,
     project,
     project_track,
+    score_track,
     select_candidate,
 )
 from oracles import (
@@ -408,3 +414,79 @@ def test_select_candidate_keeps_the_picks_of_the_whole_trajectory_projection():
         if (traj[:, got:got + 1] == traj).all(axis=(0, 2)).sum() > 1:
             seen.add("winner tied")
     assert seen == {"no candidate", "no finite error", "candidate behind later", "winner tied"}
+
+
+# ---------------------------------------------------------------------------
+# track scoring
+
+
+def _four_calls(camera, gt_trajectory, centers):
+    """What `score_track` replaces: project the ground truth, skip it if it
+    starts behind the camera, select the candidate, project it, take its mte."""
+    gt_track = project_track(camera, gt_trajectory)
+    if not gt_track.valid[0]:
+        return None
+    pick = select_candidate(centers, camera, gt_track)
+    pred_track = project_track(camera, centers[:, pick])
+    return gt_track, pick, pred_track, mte(pred_track, gt_track, camera.image_diagonal)
+
+
+def test_score_track_keeps_the_picks_and_bits_of_the_four_calls():
+    """On every Gaussian of a small fit, and of the fit shifted by 0.05, seen
+    by every camera of the ring and by one inside the scene: the same pick,
+    tracks and `mte` bits, the same None for a start behind the camera, and
+    the same message for a start no Gaussian is near."""
+    seq = generate(SceneSpec("two_link_arm", n_gaussians=40, n_frames=3, seed=3))
+    config = TrainConfig(iters_per_frame=3, layer_sizes=(2, 4, 8), seed=0,
+                         scene_scale=seq.scene_scale, k_neighbors=6)
+    report = fit_sequence(seq.frame0, seq.observations, config,
+                          build_hierarchy(seq.frame0.centers, config.layer_sizes, seed=0))
+    fitted = np.stack([gset.centers for gset in report.sets])
+    # a camera inside the scene has Gaussians behind it; the shifted fit
+    # leaves some tracks with no Gaussian within 10 px of their start
+    inside = look_at_camera(eye=[0.0, 0.0, 0.0], target=[0.0, 0.0, 1.0],
+                            fx=800.0, fy=800.0, width=640, height=640)
+    seen = set()
+    for camera, centers, gi in itertools.product([*seq.cameras, inside],
+                                                 [fitted, fitted + [0.05, 0.0, 0.0]],
+                                                 range(fitted.shape[1])):
+        args = (camera, seq.gt_centers[:, gi], centers)
+        try:
+            want = _four_calls(*args)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                score_track(*args)
+            seen.add("raised")
+            continue
+        got = score_track(*args)
+        if want is None:
+            assert got is None
+            seen.add("behind")
+            continue
+        (gt, pick, pred, error), (gt_want, pick_want, pred_want, error_want) = got, want
+        assert pick == pick_want and error.hex() == error_want.hex()
+        for track, other in ((gt, gt_want), (pred, pred_want)):
+            assert track.pixels.tobytes() == other.pixels.tobytes()
+            assert np.array_equal(track.valid, other.valid)
+        seen.add("scored")
+    assert seen == {"raised", "behind", "scored"}
+
+
+def test_score_track_is_none_for_a_start_behind_the_camera():
+    cam = identity_camera(cx=100.0, cy=100.0)
+    gt_trajectory = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    centers = np.tile([0.0, 0.0, 1.0], (3, 2, 1))  # both start on the optical axis
+    assert score_track(cam, gt_trajectory, centers) is None
+
+
+def test_score_track_raises_when_no_gaussian_starts_near_the_track():
+    cam = identity_camera(cx=100.0, cy=100.0)
+    gt_trajectory = np.tile([0.0, 0.0, 1.0], (3, 1))
+    centers = np.tile([0.11, 0.0, 1.0], (3, 1, 1))  # 11 px off at frame 0
+    with pytest.raises(ValueError, match="no Gaussian projects within 10 px of the track start"):
+        score_track(cam, gt_trajectory, centers)
+    centers[..., 0] = 0.09  # 9 px: picked, and scored against the still track
+    gt_track, pick, pred_track, error = score_track(cam, gt_trajectory, centers)
+    assert pick == 0 and error == 9.0 / np.hypot(200, 200)
+    np.testing.assert_array_equal(pred_track.pixels, np.tile([109.0, 100.0], (3, 1)))
+    np.testing.assert_array_equal(gt_track.pixels, np.tile([100.0, 100.0], (3, 1)))
