@@ -19,11 +19,11 @@ Conventions:
     creation order, and frees each node's links and VJP. It reaches only the
     root's ancestors, so an evaluation that fails halfway, whose nodes no
     later loss descends from, is never walked.
-  * A scatter (the adjoint of a row lookup: `edge_adjoint`, the cascade
-    layer, the correspondence term in `losses`) is one product with a
+  * A scatter (the adjoint of a row lookup: `edge_adjoint`, the cascade's
+    layers, the correspondence term in `losses`) is one product with a
     `RowIndex`'s sparse transpose, which sums each row in index order, so
-    backward passes are deterministic. An index fixed for a whole sequence (a
-    hierarchy layer's assignments, the neighbour graph) keeps its transpose,
+    backward passes are deterministic. An index fixed for a whole sequence
+    (the hierarchy's assignments, the neighbour graph) keeps its transpose,
     built once.
   * Edge kernels keep numpy off its per-row loops over 3 or 4 components.
     `edge_adjoint`'s row sums (each row's sum over its k edges) are one
@@ -42,7 +42,7 @@ Conventions:
     buffer); gradients are then added into it.
   * Per-node Python overhead dominates at the pipeline's array sizes, so
     each composite kernel is one primitive: `eigh3` here; the quaternion
-    kernels and `safe_norm` in `tapemath`; a cascade layer, the covariance
+    kernels and `safe_norm` in `tapemath`; the centre path, the covariance
     steps and the deltas in `deform`; each loss term and the weighted total
     in `losses`. The Jacobi and Shepperd forwards live in `geometry`.
 """

@@ -279,16 +279,16 @@ class ClusterHierarchy:
     seed: int = 0
 
     @cached_property
-    def row_indices(self):
-        """Per layer, the assignments as a RowIndex into the rows of every
-        layer's clusters, layer by layer (a cascade's layer classes): each is
-        offset by the clusters of the layers before it. The sparse transpose
-        that scatters the layer's gradients is built by the first fit that
-        needs it and serves the whole sequence, over which assignments stay
-        fixed."""
+    def row_index(self):
+        """Every layer's assignments, offset by the clusters of the layers
+        before it, as one (K, N) RowIndex into the rows of every layer's
+        clusters (a cascade's layer classes), so one scatter sends each
+        layer's gradients to its own clusters. Its sparse transpose, built by
+        the first fit that needs it, serves the whole sequence, over which
+        assignments stay fixed."""
         starts = np.cumsum((0,) + tuple(self.layer_sizes))
-        return [RowIndex(a + start, int(starts[-1]))
-                for a, start in zip(self.assignments, starts[:-1])]
+        return RowIndex(np.stack([a + start for a, start in zip(self.assignments, starts[:-1])]),
+                        int(starts[-1]))
 
     def update_centroids(self, centers):
         """Recompute every layer's centroids as exact member means of `centers`."""

@@ -52,14 +52,15 @@ the backward differs from a chain of generic ops:
 
   * one `quat_normalize_t` and one `quat_to_mat_t` on the sum L cluster
     rotations of all layers;
-  * per layer, one two-output node (x, J) -> (x_next, J_k J), which looks up
-    the four per-cluster rows per Gaussian through the layer's RowIndex into
-    the class rows and scatters their gradients back through it;
+  * the centre path, one two-output node for every layer and the centre
+    delta, -> (centers, J = J_K ... J_1), which looks up the four
+    per-cluster rows per Gaussian through the hierarchy's RowIndex into the
+    class rows and scatters every layer's gradients back through it at once;
   * the covariance: one node J -> B = Q^T (J A0)(J A0)^T Q, `autodiff.eigh3`
     (two outputs), one node (w, V) -> (R_dec, scales), and `mat_to_quat_t`;
-  * the per-Gaussian deltas: one node for the centers' shift, two
-    `quat_normalize_t` and one `quat_multiply_t` for the orientations, and one
-    node for the scales' factor exp(d_log_scales).
+  * the other per-Gaussian deltas: two `quat_normalize_t` and one
+    `quat_multiply_t` for the orientations, and one node for the scales'
+    factor exp(d_log_scales).
 
 The constants of one previous frame (R_prev, A0 = R_prev diag(s_prev), each
 layer's looked-up centroids) live in a `CascadeFrame`, which a frame's fit
@@ -267,64 +268,73 @@ class CascadeFrame:
         return [c[a] for c, a in zip(hier.centroids, hier.assignments)]
 
 
-def _cascade_layer_t(x, J, R, t, c, s, index, pc):
-    """One cascade layer as one tape node: (x, J) -> (x_next, J_next = J_k J).
+def _cascade_t(x, R, t, c, s, d_centers, index, centroids):
+    """The cascade's centre path as one tape node: every layer, coarsest
+    first, then the centre delta, (R, t, c, s, d_centers) -> (centers, J).
 
-    R, t, c, s hold the rows of every layer's clusters; the RowIndex `index`
-    looks this layer's rows up per Gaussian. pc are the looked-up centroids
-    (constant).
-    J is None on the first layer. Returns (x_next, J_next, the looked-up
-    rotations as an array). The VJP needs only sigma, sigma', d and `moved`
-    from the forward, and scatters the four per-Gaussian gradients back to
-    the clusters in one sparse product.
+    x are the previous centres and `centroids` each layer's centroids looked
+    up per Gaussian (constants); R, t, c, s hold every layer's cluster rows,
+    which row k of the RowIndex `index` looks up for layer k. Layer k maps
+    (x, J) to (x_next, J_k J), so J = J_K ... J_1. Also returns the looked-up
+    rotations composed, R_K ... R_1, as an array. The VJP runs the layers'
+    adjoints from last to first on their sigma, sigma', d and `moved`, and
+    scatters every layer's four per-Gaussian gradients in one sparse product.
     """
     n = x.shape[0]
-    cid = index.idx
-    # np.take copies rows of the (L, 3) and (L, 3, 3) arrays faster than a[cid]
-    Rg, tg, cg = (np.take(a.value, cid, axis=0) for a in (R, t, c))
-    sg = s.value[cid]
-    d = x.value - pc
-    th = np.tanh(geometry.sum_last(cg * d) + sg)  # (N,)
-    sig = th + 1.0
-    moved = np.einsum("...ij,...j->...i", Rg, d) + tg
-    # written as x + (sigma*moved - d) so the zero cascade is an exact
-    # identity in floating point
-    x_next = x.value + (moved * sig.reshape(n, 1) - d)
-    sigp = 1.0 - th * th
-    cs = cg * sigp.reshape(n, 1)
-    Jk = Rg * sig.reshape(n, 1, 1) + np.einsum("...i,...j->...ij", moved, cs)
-    J_next = Jk if J is None else Jk @ J.value
+    saved = []  # per layer: its forward arrays and its input J
+    J = R_casc = None
+    for cid, pc in zip(index.idx, centroids):
+        # np.take copies rows of the (L, 3) and (L, 3, 3) arrays faster than a[cid]
+        Rg, tg, cg = (np.take(a.value, cid, axis=0) for a in (R, t, c))
+        sg = s.value[cid]
+        d = x - pc
+        th = np.tanh(geometry.sum_last(cg * d) + sg)  # (N,)
+        sig = th + 1.0
+        moved = np.einsum("...ij,...j->...i", Rg, d) + tg
+        # written as x + (sigma*moved - d) so the zero cascade is an exact
+        # identity in floating point
+        x = x + (moved * sig.reshape(n, 1) - d)
+        sigp = 1.0 - th * th
+        cs = cg * sigp.reshape(n, 1)
+        Jk = Rg * sig.reshape(n, 1, 1) + np.einsum("...i,...j->...ij", moved, cs)
+        saved.append((Rg, cg, d, th, sig, sigp, moved, cs, Jk, J))
+        J = Jk if J is None else Jk @ J
+        R_casc = Rg if R_casc is None else Rg @ R_casc
 
     def vjp(gx, gJ):
-        gx = np.zeros((n, 3)) if gx is None else gx
-        gK = np.zeros((n, 3, 3)) if gJ is None else gJ
-        if J is not None:
-            if J.requires_grad and gJ is not None:
-                ad._accum(J, ad._transposed(Jk) @ gJ)
-            gK = gK @ ad._transposed(J.value)
-        # x_next = x + sigma moved - d and J_k = sigma R + moved (sigma' c)^T
-        g_moved = gx * sig[:, None] + np.einsum("...ij,...j->...i", gK, cs)
-        g_cs = np.einsum("...ij,...i->...j", gK, moved)
-        g_sig = geometry.sum_last(gx * moved) + (gK * Rg).sum(axis=(-2, -1))
-        g_u = (g_sig - 2.0 * th * geometry.sum_last(g_cs * cg)) * sigp
-        g_d = g_u[:, None] * cg + np.einsum("...ij,...i->...j", Rg, g_moved)
-        if x.requires_grad:  # d = x - pc, and x_next's own x cancels -d's
-            ad._accum(x, g_d)
-        per_gaussian = np.concatenate([
-            (gK * sig[:, None, None] + g_moved[:, :, None] * d[:, None, :]).reshape(n, 9),
-            g_moved,
-            g_cs * sigp[:, None] + g_u[:, None] * d,
-            g_u[:, None],
-        ], axis=1)
+        if gx is None:
+            gx = np.zeros((n, 3))
+        else:
+            ad._accum(d_centers, gx)
+        per_gaussian = np.empty((len(saved), n, 16))
+        for k in reversed(range(len(saved))):
+            Rg, cg, d, th, sig, sigp, moved, cs, Jk, J = saved[k]
+            gK = np.zeros((n, 3, 3)) if gJ is None else gJ
+            if J is not None:
+                if gJ is not None:
+                    gJ = ad._transposed(Jk) @ gJ
+                gK = gK @ ad._transposed(J)
+            # x_next = x + sigma moved - d and J_k = sigma R + moved (sigma' c)^T
+            g_moved = gx * sig[:, None] + np.einsum("...ij,...j->...i", gK, cs)
+            g_cs = np.einsum("...ij,...i->...j", gK, moved)
+            g_sig = geometry.sum_last(gx * moved) + (gK * Rg).sum(axis=(-2, -1))
+            g_u = (g_sig - 2.0 * th * geometry.sum_last(g_cs * cg)) * sigp
+            if k:  # d = x - pc, and x_next's own x cancels -d's; the first x is constant
+                gx = g_u[:, None] * cg + np.einsum("...ij,...i->...j", Rg, g_moved)
+            np.concatenate([
+                (gK * sig[:, None, None] + g_moved[:, :, None] * d[:, None, :]).reshape(n, 9),
+                g_moved,
+                g_cs * sigp[:, None] + g_u[:, None] * d,
+                g_u[:, None],
+            ], axis=1, out=per_gaussian[k])
         per_cluster = index.scatter(per_gaussian)
         ad._accum(R, per_cluster[:, :9].reshape(R.shape))
         ad._accum(t, per_cluster[:, 9:12])
         ad._accum(c, per_cluster[:, 12:15])
         ad._accum(s, per_cluster[:, 15])
 
-    parents = (x, R, t, c, s) if J is None else (x, R, t, c, s, J)
-    x_next, J_next = ad._make_multi((x_next, J_next), parents, vjp)
-    return x_next, J_next, Rg
+    centers, J = ad._make_multi((x + d_centers.value, J), (R, t, c, s, d_centers), vjp)
+    return centers, J, R_casc
 
 
 def _covariance_t(J, A0, Q):
@@ -363,22 +373,13 @@ def _factored_t(evals, evecs, Q, P):
     return ad._make_multi((R_dec, scales), (evals, evecs), vjp)
 
 
-def _shifted_t(x, d_centers):
-    """The center deltas, x + d_centers, as one node (d_centers's leaf buffer adds g in)."""
-
-    def vjp(g):
-        ad._accum(x, g.copy())  # g is the sum's own gradient
-        ad._accum(d_centers, g)
-
-    return ad._make(x.value + d_centers.value, (x, d_centers), vjp)
-
-
 def _scaled_t(scales, d_log_scales):
     """The scale deltas, scales * exp(d_log_scales), as one node."""
     factor = np.exp(d_log_scales.value)
 
     def vjp(g):
-        ad._accum(scales, g * factor)
+        if scales.requires_grad:
+            ad._accum(scales, g * factor)
         ad._accum(d_log_scales, (g * scales.value) * factor)
 
     return ad._make(scales.value * factor, (scales, d_log_scales), vjp)
@@ -394,7 +395,6 @@ def trace_cascade(cascade, frame, propagate_covariance=True, differentiable=True
     positive definite, and then on one the eigensolver did not converge on
     (a non-finite one passes the first check).
     """
-    hier = cascade.hierarchy
     gset = frame.prev_set
     if differentiable:
         grad = np.zeros_like(cascade.flat)
@@ -404,18 +404,13 @@ def trace_cascade(cascade, frame, propagate_covariance=True, differentiable=True
         grad = None
         leaves = {name: ad.constant(a) for name, a in cascade.classes.items()}
 
-    x = ad.constant(gset.centers)
-    J = None
-    R_casc = None  # composed layer rotations R_K ... R_1, the gauge reference
-    # every layer's cluster rotations, converted at once; each layer node
-    # looks its rows up through the layer's RowIndex into the class rows
+    # every layer's cluster rotations, converted at once; the centre path looks
+    # each layer's rows up through its row of the hierarchy's RowIndex
     R = quat_to_mat_t(quat_normalize_t(leaves["rotations"]))  # (sum L, 3, 3)
-    for index, pc in zip(hier.row_indices, frame.centroids):
-        x, J, Rg = _cascade_layer_t(x, J, R, leaves["translations"], leaves["scale_dirs"],
-                                    leaves["scale_biases"], index, pc)
-        R_casc = Rg if R_casc is None else Rg @ R_casc
-
-    centers_out = _shifted_t(x, leaves["d_centers"])
+    centers_out, J, R_casc = _cascade_t(gset.centers, R, leaves["translations"],
+                                        leaves["scale_dirs"], leaves["scale_biases"],
+                                        leaves["d_centers"], cascade.hierarchy.row_index,
+                                        frame.centroids)
 
     cov = None
     if propagate_covariance:

@@ -7,7 +7,8 @@ sign-insensitive quaternion distance,
 an SVD polar factor (the gauge reference that the cascade's own composed
 rotation is checked against), the 24 cube rotations and an exhaustive
 nearest-signed-permutation search, one cluster layer in plain numpy for the
-traced cascade, k-means and agglomeration with the per-cluster loops that
+traced cascade, the per-layer tape nodes and the centre shift node that the
+cascade's one-node centre path replaced, k-means and agglomeration with the per-cluster loops that
 their fixed-op-count kernels replaced, the squared-distance grid added into
 zeros and the member means as one CSR product (the forms those kernels had
 before), the seeding's rows of squared distances as np.sum over (N, D)
@@ -159,6 +160,89 @@ def layer_jacobian(params, centroid, x):
     return sig[..., None, None] * R + np.einsum(
         "...i,...j->...ij", moved, sigp[..., None] * np.broadcast_to(params.scale_dir, x.shape)
     )
+
+
+# ---------------------------------------------------------------------------
+# the cascade's centre path as the per-layer tape nodes and the centre shift
+# node that `deform._cascade_t` replaced
+
+
+def cascade_layer_t(x, J, R, t, c, s, index, pc):
+    """One cascade layer as one tape node: (x, J) -> (x_next, J_next = J_k J).
+
+    R, t, c, s hold the rows of every layer's clusters; the RowIndex `index`
+    looks this layer's rows up per Gaussian. pc are the looked-up centroids
+    (constant).
+    J is None on the first layer. Returns (x_next, J_next, the looked-up
+    rotations as an array). The VJP needs only sigma, sigma', d and `moved`
+    from the forward, and scatters the four per-Gaussian gradients back to
+    the clusters in one sparse product.
+    """
+    n = x.shape[0]
+    cid = index.idx
+    Rg, tg, cg = (np.take(a.value, cid, axis=0) for a in (R, t, c))
+    sg = s.value[cid]
+    d = x.value - pc
+    th = np.tanh(geometry.sum_last(cg * d) + sg)  # (N,)
+    sig = th + 1.0
+    moved = np.einsum("...ij,...j->...i", Rg, d) + tg
+    x_next = x.value + (moved * sig.reshape(n, 1) - d)
+    sigp = 1.0 - th * th
+    cs = cg * sigp.reshape(n, 1)
+    Jk = Rg * sig.reshape(n, 1, 1) + np.einsum("...i,...j->...ij", moved, cs)
+    J_next = Jk if J is None else Jk @ J.value
+
+    def vjp(gx, gJ):
+        gx = np.zeros((n, 3)) if gx is None else gx
+        gK = np.zeros((n, 3, 3)) if gJ is None else gJ
+        if J is not None:
+            if J.requires_grad and gJ is not None:
+                ad._accum(J, ad._transposed(Jk) @ gJ)
+            gK = gK @ ad._transposed(J.value)
+        g_moved = gx * sig[:, None] + np.einsum("...ij,...j->...i", gK, cs)
+        g_cs = np.einsum("...ij,...i->...j", gK, moved)
+        g_sig = geometry.sum_last(gx * moved) + (gK * Rg).sum(axis=(-2, -1))
+        g_u = (g_sig - 2.0 * th * geometry.sum_last(g_cs * cg)) * sigp
+        g_d = g_u[:, None] * cg + np.einsum("...ij,...i->...j", Rg, g_moved)
+        if x.requires_grad:
+            ad._accum(x, g_d)
+        per_gaussian = np.concatenate([
+            (gK * sig[:, None, None] + g_moved[:, :, None] * d[:, None, :]).reshape(n, 9),
+            g_moved,
+            g_cs * sigp[:, None] + g_u[:, None] * d,
+            g_u[:, None],
+        ], axis=1)
+        per_cluster = index.scatter(per_gaussian)
+        ad._accum(R, per_cluster[:, :9].reshape(R.shape))
+        ad._accum(t, per_cluster[:, 9:12])
+        ad._accum(c, per_cluster[:, 12:15])
+        ad._accum(s, per_cluster[:, 15])
+
+    parents = (x, R, t, c, s) if J is None else (x, R, t, c, s, J)
+    x_next, J_next = ad._make_multi((x_next, J_next), parents, vjp)
+    return x_next, J_next, Rg
+
+
+def shifted_t(x, d_centers):
+    """The center deltas, x + d_centers, as one node (d_centers's leaf buffer adds g in)."""
+
+    def vjp(g):
+        ad._accum(x, g.copy())  # g is the sum's own gradient
+        ad._accum(d_centers, g)
+
+    return ad._make(x.value + d_centers.value, (x, d_centers), vjp)
+
+
+def cascade_chain_t(x, R, t, c, s, d_centers, index, centroids, shift=None):
+    """`deform._cascade_t` as the chain it replaced: one `cascade_layer_t`
+    per layer, each with its own RowIndex (row k of the (K, N) `index`), then
+    the centre delta as `shift` (the generic `add` unless given, or
+    `shifted_t`). Returns (centers, J, R_K ... R_1)."""
+    x, J, R_casc = ad.constant(x), None, None
+    for cid, pc in zip(index.idx, centroids):
+        x, J, Rg = cascade_layer_t(x, J, R, t, c, s, ad.RowIndex(cid, index.rows), pc)
+        R_casc = Rg if R_casc is None else Rg @ R_casc
+    return (shift or add)(x, d_centers), J, R_casc
 
 
 # ---------------------------------------------------------------------------

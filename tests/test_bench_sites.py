@@ -42,7 +42,7 @@ def test_every_patched_name_resolves(monkeypatch):
 def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
     """`spans.tape_size` counts the traced run's `autodiff.tape_nodes` by
     walking `Tensor._parents` from the root; on a real objective it must
-    count exactly the nodes the backward pass walks, 34 on a three-layer
+    count exactly the nodes the backward pass walks, 29 on a three-layer
     cascade on either data path."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
@@ -65,7 +65,7 @@ def test_tape_size_counts_the_nodes_backward_walks(monkeypatch, scan):
 
     monkeypatch.setattr(autodiff.Tensor, "backward", sized)
     total_loss(casc, FrameConstants(gset, obs, h, graph), LossWeights(), max_scale=0.02)
-    assert sizes == [len(walk) for walk in walks] == [34]
+    assert sizes == [len(walk) for walk in walks] == [29]
 
 
 def test_iterations_call_the_steps_in_lap_order(monkeypatch):

@@ -21,9 +21,9 @@ from gscascade.deform import (
     IDENTITY_ROWS,
     CascadeDeform,
     CascadeFrame,
+    _cascade_t,
     _nearest_signed_permutation,
     _scaled_t,
-    _shifted_t,
     cascade_apply,
     cascade_from_payload,
     cascade_jacobians,
@@ -35,6 +35,7 @@ from oracles import (
     arr_to_hex_per_element,
     ClusterDeformParams,
     add,
+    cascade_chain_t,
     cascade_payload_per_layer,
     cube_rotations,
     exp,
@@ -45,6 +46,7 @@ from oracles import (
     polar_rotation,
     quat_distance,
     scaling_factor,
+    shifted_t,
     square,
     sub,
     tsum,
@@ -584,29 +586,89 @@ def test_payload_rejects_an_unanchored_checkpoint():
         cascade_from_payload(payload, casc.hierarchy)
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("node, chain", [
-    (_shifted_t, add),
-    (_scaled_t, lambda s, d: mul(s, exp(d))),
-], ids=["centers", "scales"])
-def test_delta_nodes_are_their_generic_chains_bit_for_bit(node, chain, seed):
-    """The two delta nodes give the values and gradients of the add, and of
-    the exp and mul, that they replaced: the delta a leaf adding into a
-    zeroed buffer (as trace_cascade makes it), the other operand a node
-    whose first gradient is this one's, with an upstream weight of 0 in some
-    cases."""
+def _centre_path_is_its_chain(seed):
+    """deform._cascade_t gives the values and gradients of the chain of
+    per-layer nodes and centre delta it replaced, with the generic add and
+    with the one-node shift: K = 1 to 4 layers, cluster 0 of every layer with
+    one member, -0.0 among the parameters and the upstream weights, and J's
+    gradient present and absent. R is a node in front of a leaf, as the
+    cascade's rotations are, and the other operands leaves adding into zeroed
+    buffers, as trace_cascade makes them."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(6, 30)), 1 + seed % 4
+    sizes = np.sort(rng.integers(2, 6, size=k))
+    starts = np.cumsum(np.concatenate([[0], sizes]))
+    cids = []
+    for size, start in zip(sizes, starts):
+        cid = rng.integers(1, size, size=n)
+        cid[:size] = np.arange(size)  # every cluster has a member, cluster 0 only one
+        cids.append(cid + start)
+    rows = int(starts[-1])
+    index = ad.RowIndex(np.stack(cids), rows)
+    x = rng.normal(size=(n, 3))
+    centroids = [rng.normal(scale=0.5, size=(n, 3)) for _ in range(k)]
+    R = geometry.quat_to_matrix(geometry.quat_normalize(rng.normal(size=(rows, 4))))
+    t, c = rng.normal(scale=0.2, size=(rows, 3)), rng.normal(scale=0.8, size=(rows, 3))
+    s, d = rng.normal(scale=0.3, size=rows), rng.normal(scale=0.01, size=(n, 3))
+    t[0], c[1], d[2] = -0.0, -0.0, -0.0
+    w_centers, w_J = rng.normal(size=(n, 3)), rng.normal(size=(n, 3, 3))
+    w_centers[:2], w_J[:2] = -0.0, 0.0
+    for use_J in (True, False):
+        got = []
+        for fn in (_cascade_t,
+                   cascade_chain_t,
+                   lambda *args: cascade_chain_t(*args, shift=shifted_t)):
+            r = ad.leaf(R)
+            leaves = [ad.leaf(a, grad=np.zeros_like(a)) for a in (t, c, s, d)]
+            centers, J, R_casc = fn(x, mul(r, 1.0), *leaves, index, centroids)
+            loss = tsum(mul(centers, ad.constant(w_centers)))
+            if use_J:
+                loss = add(loss, tsum(mul(J, ad.constant(w_J))))
+            loss.backward()
+            got.append([a.tobytes() for a in (centers.value, J.value, R_casc, r.grad,
+                                              *(leaf.grad for leaf in leaves))])
+        assert got[0] == got[1] == got[2], use_J
+
+
+def _scale_delta_is_its_chain(seed):
+    """The scale delta node gives the values and gradients of the exp and mul
+    that it replaced: the delta a leaf adding into a zeroed buffer (as
+    trace_cascade makes it), the scales a node whose first gradient is this
+    one's, with an upstream weight of 0 in some cases."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
     base = rng.uniform(1e-3, 2.0, size=(n, 3)) * rng.choice([1e-3, 1.0, 1e3])
     delta = rng.normal(scale=rng.choice([1e-8, 0.1, 3.0]), size=(n, 3))
     upstream = rng.normal(size=(n, 3)) * (seed % 3 != 0)
     got = []
-    for fn in (node, chain):
+    for fn in (_scaled_t, lambda s, d: mul(s, exp(d))):
         b, d = ad.leaf(base), ad.leaf(delta, grad=np.zeros((n, 3)))
         out = fn(mul(b, 1.0), d)  # a node in front of b, as the cascade's output is
         tsum(mul(out, ad.constant(upstream))).backward()
         got.append((out.value.tobytes(), b.grad.tobytes(), d.grad.tobytes()))
     assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("check", [_centre_path_is_its_chain, _scale_delta_is_its_chain],
+                         ids=["centers", "scales"])
+def test_delta_nodes_are_their_generic_chains_bit_for_bit(check, seed):
+    """The centre path and the scale delta node are bit for bit the chains of
+    nodes they replaced (see each check)."""
+    check(seed)
+
+
+def test_scale_delta_computes_no_gradient_for_constant_scales(monkeypatch):
+    """Without covariance propagation the scales are constants: the scale
+    delta's VJP forms only d_log_scales's gradient, not one for them."""
+    rng = np.random.default_rng(3)
+    scales = ad.constant(rng.uniform(0.01, 0.05, size=(5, 3)))
+    d = ad.leaf(rng.normal(scale=0.1, size=(5, 3)), grad=np.zeros((5, 3)))
+    out = _scaled_t(scales, d)
+    handed, accum = [], ad._accum
+    monkeypatch.setattr(ad, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
+    tsum(out).backward()
+    assert any(t is d for t in handed) and not any(t is scales for t in handed)
 
 
 def test_trace_gradients_flow_at_zero_parameters():

@@ -33,7 +33,7 @@ from gscascade.losses import (
 )
 from gscascade.tapemath import safe_norm
 from oracles import (
-    add,
+    cascade_chain_t,
     chamfer_loss,
     chamfer_loss_chain_t,
     data_loss,
@@ -703,9 +703,10 @@ def test_total_loss_is_weighted_sum_and_matches_constant_forward():
 @pytest.mark.parametrize("scan", [False, True], ids=["correspondences", "scan"])
 @pytest.mark.parametrize("zero", [None, "w_rigid", "w_scale", "w_data"])
 def test_total_loss_is_its_generic_chains_bit_for_bit(monkeypatch, scan, zero):
-    """total_loss on the one-node scale term, Chamfer term, weighted total and
-    deltas gives the total, components and gradient that it gives on the
-    generic chains they replaced, bit for bit, with any one weight 0 too."""
+    """total_loss on the one-node scale term, Chamfer term, weighted total,
+    centre path and scale delta gives the total, components and gradient that
+    it gives on the chains they replaced (the per-layer cascade nodes and the
+    generic ops), bit for bit, with any one weight 0 too."""
     rng = np.random.default_rng(16)
     gset = small_scene(rng, n=30, spread=2.0)
     gset.scales[::3] *= 3.0  # some above max_scale
@@ -732,7 +733,7 @@ def test_total_loss_is_its_generic_chains_bit_for_bit(monkeypatch, scan, zero):
     monkeypatch.setattr(losses, "data_loss_t", lambda c, frame, workers=1: (
         chamfer_loss_chain_t(c, frame, workers) if scan else matched_loss_chain_t(c, frame)))
     monkeypatch.setattr(losses, "_weighted_total_t", weighted_total_chain_t)
-    monkeypatch.setattr(deform, "_shifted_t", add)
+    monkeypatch.setattr(deform, "_cascade_t", cascade_chain_t)
     monkeypatch.setattr(deform, "_scaled_t", lambda s, d: mul(s, exp(d)))
     assert evaluate() == fused
 
@@ -770,7 +771,7 @@ def test_total_loss_gradient_spot_check_fd():
         _fd_check(value, array, grads[name], 4, rng)
 
 
-@pytest.mark.parametrize("scan, nodes", [(False, 34), (True, 34)],
+@pytest.mark.parametrize("scan, nodes", [(False, 29), (True, 29)],
                          ids=["correspondences", "scan"])
 def test_total_loss_tape_size(monkeypatch, scan, nodes):
     """One iteration's tape on a 3-layer cascade with covariance propagation;
@@ -808,7 +809,7 @@ def test_a_failed_evaluation_leaves_nothing_for_the_next_backward(monkeypatch):
     with pytest.raises(ValueError, match="positive definite"):
         total_loss(bad, *args)
     after = total_loss(good, *args)
-    assert [len(walk) for walk in walks] == [34, 34]
+    assert [len(walk) for walk in walks] == [29, 29]
     assert after[0] == alone[0] and after[1] == alone[1]
     assert np.array_equal(after[2].grad, alone[2].grad)
 

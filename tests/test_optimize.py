@@ -391,7 +391,7 @@ def _iteration_calls(monkeypatch, scan):
     return events["call"], events["c_call"]
 
 
-@pytest.mark.parametrize("scan, measured", [(False, (856, 522)), (True, (904, 554))],
+@pytest.mark.parametrize("scan, measured", [(False, (776, 485)), (True, (824, 517))],
                          ids=["correspondences", "scan"])
 def test_iteration_work_stays_within_its_measured_calls(monkeypatch, scan, measured):
     """The Python- and C-level calls of one iteration do not depend on N (the
@@ -420,7 +420,7 @@ def _iteration_peak(monkeypatch, scan):
     return peaks[0]
 
 
-@pytest.mark.parametrize("scan, measured", [(False, 488_112), (True, 508_072)],
+@pytest.mark.parametrize("scan, measured", [(False, 479_400), (True, 499_176)],
                          ids=["correspondences", "scan"])
 def test_iteration_memory_stays_at_its_measured_peak(monkeypatch, scan, measured):
     """The peak of the memory one iteration allocates stays within 1 KB of its

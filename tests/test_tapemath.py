@@ -1,5 +1,5 @@
-"""Fused tape primitives: the quaternion kernels, safe_norm, and the cascade
-layer and covariance nodes of `deform`.
+"""Fused tape primitives: the quaternion kernels, safe_norm, and the cascade's
+centre path and covariance nodes of `deform`.
 
 Each quaternion kernel's forward is checked against its plain-numpy
 counterpart in `geometry`, and each closed-form VJP against central finite
@@ -15,7 +15,7 @@ import pytest
 
 import gscascade.autodiff as ad
 from gscascade import geometry
-from gscascade.deform import _SIGNED_PERMUTATIONS, _cascade_layer_t, _covariance_t, _factored_t
+from gscascade.deform import _SIGNED_PERMUTATIONS, _cascade_t, _covariance_t, _factored_t
 from gscascade.tapemath import (mat_to_quat_t, quat_multiply_t, quat_normalize_t, quat_to_mat_t,
                                 safe_norm)
 
@@ -237,28 +237,35 @@ def check_multi_vjp(node, inputs, used, eps=1e-6, atol=1e-7):
         np.testing.assert_allclose(got, num, atol=atol, rtol=1e-6)
 
 
-def layer_case(rng, first):
-    n, L = 7, 3
-    cid = rng.integers(0, L, size=n)
-    cid[:L] = np.arange(L)  # every cluster has a member
-    inputs = [rng.normal(size=(n, 3))]
-    if not first:
-        inputs.append(np.eye(3) + 0.3 * rng.normal(size=(n, 3, 3)))
-    inputs += [np.array([axis_angle_matrix(rng.normal(size=3), a) for a in rng.normal(size=L)]),
-               0.2 * rng.normal(size=(L, 3)), 0.8 * rng.normal(size=(L, 3)),
-               0.3 * rng.normal(size=L)]
-    return inputs, ad.RowIndex(cid, L), rng.normal(size=(n, 3))
+def centre_path_case(rng, layers):
+    """Inputs (R, t, c, s, d_centers) of the centre path on `layers` layers of
+    2, 3 and 4 clusters, every cluster with a member, with its constants."""
+    n, sizes = 7, (2, 3, 4)[:layers]
+    starts = np.cumsum((0,) + sizes)
+    cids = []
+    for size, start in zip(sizes, starts):
+        cid = rng.integers(0, size, size=n)
+        cid[:size] = np.arange(size)
+        cids.append(cid + start)
+    rows = int(starts[-1])
+    inputs = [np.array([axis_angle_matrix(rng.normal(size=3), a) for a in rng.normal(size=rows)]),
+              0.2 * rng.normal(size=(rows, 3)), 0.8 * rng.normal(size=(rows, 3)),
+              0.3 * rng.normal(size=rows), 0.1 * rng.normal(size=(n, 3))]
+    centroids = [rng.normal(size=(n, 3)) for _ in sizes]
+    return inputs, rng.normal(size=(n, 3)), ad.RowIndex(np.stack(cids), rows), centroids
 
 
-@pytest.mark.parametrize("first", [True, False], ids=["first-layer", "inner-layer"])
+@pytest.mark.parametrize("layers", [1, 3], ids=["first-layer", "inner-layer"])
 @pytest.mark.parametrize("used", [(True, True), (True, False), (False, True)],
                          ids=["both", "x-only", "J-only"])
-def test_cascade_layer_vjp_matches_fd(first, used):
-    inputs, index, pc = layer_case(np.random.default_rng(20 + first), first)
+def test_cascade_layer_vjp_matches_fd(layers, used):
+    """The centre path's VJP w.r.t. R, t, c, s and d_centers: on one layer,
+    which has no J or x input, and on three, whose inner layers take both;
+    with the centres and J used, the centres only and J only."""
+    inputs, x, index, centroids = centre_path_case(np.random.default_rng(20 + layers), layers)
 
-    def node(x, *rest):
-        J, (R, t, c, s) = (None, rest) if first else (rest[0], rest[1:])
-        return _cascade_layer_t(x, J, R, t, c, s, index, pc)[:2]
+    def node(R, t, c, s, d_centers):
+        return _cascade_t(x, R, t, c, s, d_centers, index, centroids)[:2]
 
     check_multi_vjp(node, inputs, used)
 
