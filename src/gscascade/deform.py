@@ -309,24 +309,31 @@ def _cascade_t(x, R, t, c, s, d_centers, index, centroids):
         per_gaussian = np.empty((len(saved), n, 16))
         for k in reversed(range(len(saved))):
             Rg, cg, d, th, sig, sigp, moved, cs, Jk, J = saved[k]
-            gK = np.zeros((n, 3, 3)) if gJ is None else gJ
-            if J is not None:
-                if gJ is not None:
-                    gJ = ad._transposed(Jk) @ gJ
-                gK = gK @ ad._transposed(J)
             # x_next = x + sigma moved - d and J_k = sigma R + moved (sigma' c)^T
-            g_moved = gx * sig[:, None] + np.einsum("...ij,...j->...i", gK, cs)
-            g_cs = np.einsum("...ij,...i->...j", gK, moved)
-            g_sig = geometry.sum_last(gx * moved) + (gK * Rg).sum(axis=(-2, -1))
-            g_u = (g_sig - 2.0 * th * geometry.sum_last(g_cs * cg)) * sigp
+            g_moved = gx * sig[:, None]
+            g_sig = geometry.sum_last(gx * moved)
+            # Without J's gradient its terms are zeros, left out. Adding them
+            # only turned -0.0 into +0.0, and every row below reaches the
+            # parameters through the scatter, whose sums start from +0.0.
+            if gJ is None:
+                g_u = g_sig * sigp
+                g_R = g_moved[:, :, None] * d[:, None, :]
+                g_c = g_u[:, None] * d
+            else:
+                gK = gJ
+                if J is not None:
+                    gJ = ad._transposed(Jk) @ gJ
+                    gK = gK @ ad._transposed(J)
+                g_moved = g_moved + np.einsum("...ij,...j->...i", gK, cs)
+                g_cs = np.einsum("...ij,...i->...j", gK, moved)
+                g_sig = g_sig + (gK * Rg).sum(axis=(-2, -1))
+                g_u = (g_sig - 2.0 * th * geometry.sum_last(g_cs * cg)) * sigp
+                g_R = gK * sig[:, None, None] + g_moved[:, :, None] * d[:, None, :]
+                g_c = g_cs * sigp[:, None] + g_u[:, None] * d
             if k:  # d = x - pc, and x_next's own x cancels -d's; the first x is constant
                 gx = g_u[:, None] * cg + np.einsum("...ij,...i->...j", Rg, g_moved)
-            np.concatenate([
-                (gK * sig[:, None, None] + g_moved[:, :, None] * d[:, None, :]).reshape(n, 9),
-                g_moved,
-                g_cs * sigp[:, None] + g_u[:, None] * d,
-                g_u[:, None],
-            ], axis=1, out=per_gaussian[k])
+            np.concatenate([g_R.reshape(n, 9), g_moved, g_c, g_u[:, None]],
+                           axis=1, out=per_gaussian[k])
         per_cluster = index.scatter(per_gaussian)
         ad._accum(R, per_cluster[:, :9].reshape(R.shape))
         ad._accum(t, per_cluster[:, 9:12])

@@ -399,8 +399,10 @@ def test_build_hierarchy_single_cluster_layers():
 
 def test_build_hierarchy_rejects_decreasing_sizes():
     pts = np.random.default_rng(10).normal(size=(50, 3))
-    with pytest.raises(ValueError):
-        build_hierarchy(pts, (10, 4), seed=0)
+    # (4, 2, 8) falls only from its first layer to its second
+    for sizes in ((10, 4), (4, 2, 8)):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            build_hierarchy(pts, sizes, seed=0)
 
 
 def test_build_hierarchy_rejects_oversized_finest_layer():

@@ -433,6 +433,21 @@ def test_degenerate_jacobian_raises():
         cascade_apply(casc, gset)
 
 
+def test_an_eigenvalue_at_the_floor_raises_naming_the_gaussian(monkeypatch):
+    rng = np.random.default_rng(23)
+    gset = random_set(rng, n=30)
+    casc = random_cascade(rng, gset)
+
+    def floored(S):
+        evals, evecs, converged = geometry.jacobi_eigh3(S)
+        evals[7, 1] = geometry._PD_FLOOR
+        return evals, evecs, converged
+
+    monkeypatch.setattr(ad, "jacobi_eigh3", floored)
+    with pytest.raises(ValueError, match=r"not positive definite for Gaussian 7 \("):
+        cascade_apply(casc, gset)
+
+
 def test_non_finite_covariance_raises_naming_the_gaussian():
     """A NaN covariance passes the positive-definiteness check (NaN <= floor
     is False); the eigensolver's report catches it, naming the first Gaussian."""

@@ -172,6 +172,14 @@ def test_decompose_rejects_non_pd():
         geo.decompose_covariance(cov)
 
 
+def test_decompose_rejects_an_eigenvalue_at_the_floor():
+    """The floor itself is not positive enough; the next float above it is."""
+    with pytest.raises(ValueError, match="not positive definite"):
+        geo.decompose_covariance(np.diag([geo._PD_FLOOR, 1.0, 2.0]))
+    _, scales = geo.decompose_covariance(np.diag([np.nextafter(geo._PD_FLOOR, 1.0), 1.0, 2.0]))
+    assert scales[-1] == np.sqrt(np.nextafter(geo._PD_FLOOR, 1.0))
+
+
 def test_decompose_rejects_a_covariance_the_solver_does_not_converge_on():
     """A NaN covariance passes the symmetry and eigenvalue checks (NaN > tol
     and NaN <= floor are False); the solver's report rejects it."""

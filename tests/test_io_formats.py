@@ -74,6 +74,10 @@ def test_ply_rejects_garbage(tmp_path):
     p.write_text("ply\nformat ascii 1.0\n")  # header never ends
     with pytest.raises(ValueError, match="malformed"):
         read_ply(p)
+    write_ply(p, np.zeros((2, 3)))
+    p.write_text(p.read_text().replace("format ascii 1.0\n", "", 1))  # no format line
+    with pytest.raises(ValueError, match="malformed PLY header$"):
+        read_ply(p)
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -430,7 +434,7 @@ def _csv_table(rng, table):
         entries = [(t, int(g), float(e))
                    for t, (g, e) in enumerate(zip(rng.integers(0, 50, 6), awkward(rng, 6)))]
         return lambda p: write_mte_csv(p, entries), ["track", "gaussian_index", "mte"], entries
-    if table == "comparison":  # cmd_repro's and depth_ablation's [str, float, float, float]
+    if table == "comparison":  # cmd_repro's [str, float, float, float]
         header = ["scene", "err_single_layer", "err_cascade", "ratio"]
         rows = [["wheel", *awkward(rng, 3).tolist()], ["pendulum", 0.25, 0.0, float("inf")]]
     else:  # numpy scalars: np.int64 and np.float64 cells

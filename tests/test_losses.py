@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from gscascade import autodiff as ad
 from gscascade import deform, geometry, losses
@@ -125,6 +126,16 @@ def test_neighbor_graph_handles_duplicate_points():
     assert g.weights.max() == 1.0
 
 
+def test_neighbor_graph_drops_the_farthest_when_duplicates_crowd_self_out():
+    """Four copies of one point: point 3's k + 1 = 3 query results are the
+    other copies, nearest first, without point 3 itself; the last is dropped."""
+    pts = np.array([[0.0, 0, 0]] * 4 + [[1.0, 0, 0], [2.0, 0, 0]])
+    _, idx = cKDTree(pts).query(pts, k=3)
+    assert 3 not in idx[3]
+    g = build_neighbor_graph(pts, k=2, lambda_weight=1.0)
+    assert g.indices[3].tolist() == idx[3, :2].tolist()
+
+
 def _frame0_rest_lengths(centers, idx):
     return safe_norm(centers[idx] - centers[:, None]).value
 
@@ -162,7 +173,7 @@ def test_isometry_of_frame0_is_exactly_zero():
 
 def test_neighbor_graph_rejects_bad_k():
     pts = np.zeros((4, 3))
-    with pytest.raises(ValueError, match="k must be"):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 3\], got 4$"):
         build_neighbor_graph(pts, k=4)
     with pytest.raises(ValueError, match="k must be"):
         build_neighbor_graph(pts, k=0)

@@ -1,7 +1,7 @@
-"""Smoke runs of the scripts in scripts/: each main() on tiny arguments, and
-`fit_digest.py` with its defaults against the committed digests."""
+"""Runs of the scripts in scripts/: `fit_digest.py` on tiny arguments and with
+its defaults against the committed digests, `acceptance_margins.py`'s report
+on stubbed criteria, and each script's flag checks."""
 
-import importlib.util
 import platform
 import subprocess
 import sys
@@ -11,42 +11,32 @@ import numpy as np
 import pytest
 import scipy
 
-from gscascade.io_formats import read_csv
+from conftest import SCRIPTS, load_script
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "fit_digest_golden.txt"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_acceptance_margins_reports_spread_margin_and_aborts(monkeypatch, capsys):
+    script = load_script("acceptance_margins")
 
+    def stub(seed):
+        """a stub"""
+        yield "x", float(seed)
+        if seed == 2:
+            raise ValueError("not positive definite")
+        yield "y", 10.0 * seed
 
-def test_depth_ablation_writes_one_row_per_scene(tmp_path):
-    script = load_script("depth_ablation")
-    out = tmp_path / "ablation.csv"
-    assert script.main(["--n-gaussians", "30", "--n-frames", "2", "--iters", "2",
-                        "--deep-layers", "2,6", "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["scene", "err_single_layer", "err_cascade", "ratio"]
-    assert [row[0] for row in rows] == [kind for kind, _ in script.SCENES]
-    values = np.array([row[1:] for row in rows], dtype=np.float64)
-    assert np.all(np.isfinite(values)) and np.all(values > 0.0)
-    np.testing.assert_allclose(values[:, 2], values[:, 0] / values[:, 1], rtol=1e-6)
-
-
-def test_convergence_sweep_writes_one_row_per_budget(tmp_path):
-    script = load_script("convergence_sweep")
-    out = tmp_path / "sweep.csv"
-    assert script.main(["--n-gaussians", "30", "--n-frames", "2", "--layers", "2,6",
-                        "--budgets", "1,3", "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["iters_per_frame", "mean_center_error", "wall_seconds"]
-    values = np.array(rows, dtype=np.float64)
-    assert values[:, 0].tolist() == [1.0, 3.0]
-    assert np.all(np.isfinite(values)) and np.all(values[:, 1:] > 0.0)
+    monkeypatch.setattr(script, "CRITERIA", {3: stub})
+    monkeypatch.setattr(script, "BOUNDS", {3: {"x": ("<", 5.0), "y": (">=", 15.0)}})
+    assert script.main(["--seeds", "1-3,5", "--criteria", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "criterion 3: a stub"
+    # quantity, seeds that gave it, min, median, max, comparison, bound, margin
+    assert [line.split() for line in lines[2:]] == [
+        ["x", "4", "1", "2.5", "5", "<", "5", "0"],
+        ["y", "3", "10", "30", "50", ">=", "15", "-5"],
+        ["seed", "2", "aborted:", "not", "positive", "definite"],
+    ]
 
 
 def test_fit_digest_prints_the_same_digests_twice(capsys):
@@ -119,14 +109,8 @@ def test_fit_digest_exits_2_on_zero_iterations():
     ("fit_digest", ["--n-frames", "1"], "scene.n_frames"),
     ("fit_digest", ["--layers", "4,0"], "train.layer_sizes"),
     ("fit_digest", ["--seed", "-1"], "seed"),
-    ("depth_ablation", ["--iters", "0"], "train.iters_per_frame"),
-    ("depth_ablation", ["--deep-layers", "2,x"], "train.layer_sizes"),
-    ("depth_ablation", ["--n-frames", "2.5"], "scene.n_frames"),
-    ("depth_ablation", ["--out", ""], "out"),
-    ("convergence_sweep", ["--kind", "ship"], "scene.kind"),
-    ("convergence_sweep", ["--budgets", "10,0"], "train.iters_per_frame"),
-    ("convergence_sweep", ["--magnitude", "inf"], "scene.motion_magnitude"),
-    ("convergence_sweep", ["--noise", "-0.1"], "scene.noise_sigma"),
+    ("acceptance_margins", ["--seeds", "1-x"], "seed"),
+    ("acceptance_margins", ["--criteria", "3,9"], "criteria"),
 ])
 def test_script_flags_are_checked_against_the_options(capsys, name, argv, option):
     with pytest.raises(SystemExit) as exit_:
