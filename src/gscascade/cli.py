@@ -1,5 +1,9 @@
 """Command-line pipeline: generate | fit | segment | track | eval | repro.
 
+A run's options come from its `--config` document and its command's own
+flags, a flag outranking the document (see `config`). Each command takes
+only the flags it reads; any other is an argparse error, which exits 2.
+
 Every command is deterministic given (inputs, seed): CSV/JSON/PLY/PPM outputs
 are byte-identical across reruns and across --threads values. Wall-clock
 timings go to run.log only, which is the one file excluded from that
@@ -356,39 +360,29 @@ def build_parser():
         description="Cascaded deformation fitting for dynamic Gaussian scenes",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON run configuration")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--layers", help="comma-separated cluster counts, coarsest first")
-        sp.add_argument("--iters", type=int, help="iterations per frame")
-        sp.add_argument("--max-scale", dest="max_scale", type=float)
-
-    sp = sub.add_parser("generate", help="write a synthetic scene directory")
-    common(sp)
-    sp = sub.add_parser("fit", help="fit the deformation cascade to a scene")
-    sp.add_argument("scene_dir")
-    common(sp)
-    sp = sub.add_parser("segment", help="motion-based part segmentation of a fit")
-    sp.add_argument("fit_dir")
-    sp.add_argument("--scene", help="override the scene directory recorded in the fit")
-    common(sp)
-    sp = sub.add_parser("track", help="2D tracking evaluation of a fit")
-    sp.add_argument("fit_dir")
-    sp.add_argument("--scene", help="override the scene directory recorded in the fit")
-    common(sp)
-    sp = sub.add_parser("eval", help="aggregate run summaries into one JSON")
-    sp.add_argument("run_dirs", nargs="+")
-    common(sp)
-    sp = sub.add_parser("repro", help="full small-scale pipeline, twice-runnable")
-    common(sp)
+    flags = {"config": {"help": "JSON run configuration"}, "out": {"help": "output directory"},
+             "seed": {"type": int}, "threads": {"type": int},
+             "scene": {"help": "override the scene directory recorded in the fit"}}
+    # command -> (help, positional argument, the flags besides --config it reads)
+    commands = {
+        "generate": ("write a synthetic scene directory", None, ("out", "seed")),
+        "fit": ("fit the deformation cascade to a scene", "scene_dir", ("out", "seed", "threads")),
+        "segment": ("motion-based part segmentation of a fit", "fit_dir", ("out", "seed", "scene")),
+        "track": ("2D tracking evaluation of a fit", "fit_dir", ("out", "seed", "scene")),
+        "eval": ("aggregate run summaries into one JSON", "run_dirs", ("out",)),
+        "repro": ("full small-scale pipeline, twice-runnable", None, ("out", "seed", "threads")),
+    }
+    for command, (text, positional, names) in commands.items():
+        sp = sub.add_parser(command, help=text)
+        if positional is not None:
+            sp.add_argument(positional, nargs="+" if positional == "run_dirs" else None)
+        for name in ("config", *names):
+            sp.add_argument("--" + name, **flags[name])
     return p
 
 
 def _config_document(args):
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return None
     path = Path(args.config)
     if not path.exists():

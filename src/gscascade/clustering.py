@@ -305,16 +305,6 @@ class ClusterHierarchy:
             "seed": int(self.seed),
         }
 
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(
-            layer_sizes=tuple(payload["layer_sizes"]),
-            assignments=[np.asarray(a, dtype=np.int64) for a in payload["assignments"]],
-            centroids=[np.asarray(c, dtype=np.float64) for c in payload["centroids"]],
-            parent_maps=[np.asarray(p, dtype=np.int64) for p in payload["parent_maps"]],
-            seed=int(payload.get("seed", 0)),
-        )
-
 
 def _member_means(points, assign, counts):
     """(k, D) means of the rows of (N, D) points in each of the k clusters of

@@ -1,11 +1,13 @@
-"""Run configuration: JSON document + environment + CLI flag merging.
+"""Run configuration: a JSON document merged with a command's flags.
 
-Precedence (highest wins): CLI flags > GSCASCADE_* environment variables >
-config file > built-in defaults. `OPTIONS` states every option a run can set
-and its rule once; the merged values are checked against it before any work
-starts, `cli` applies its `scene` rows to a scene directory's `scene.json`
-too, and the scripts in scripts/ check their flags with it through
-`argument`. Unknown keys anywhere are an error (exit code 2 in the CLI).
+A run's options come from two sources, highest precedence first: the flags
+`--seed`, `--threads` and `--out`, each setting the top-level key of its
+name, then the `--config` document; built-in defaults fill the rest.
+`OPTIONS` states every option a run can set and its rule once; the merged
+values are checked against it before any work starts, `cli` applies its
+`scene` rows to a scene directory's `scene.json` too, and the scripts in
+scripts/ check their flags with it through `argument`. Unknown keys anywhere
+are an error (exit code 2 in the CLI).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 from .losses import LossWeights
@@ -92,13 +93,6 @@ OPTIONS = {
                  "n_tracks": Rule("integer", least=1, default=12)},
 }
 
-ENV_PREFIX = "GSCASCADE_"
-
-# what the flag --<name> and the variable GSCASCADE_<NAME> set: name -> (section, key)
-_OVERRIDES = {"seed": ("", "seed"), "threads": ("", "threads"), "out": ("", "out"),
-              "iters": ("train", "iters_per_frame"), "layers": ("train", "layer_sizes"),
-              "max_scale": ("train", "max_scale")}
-
 
 def _check_keys(section, mapping, allowed, where=""):
     if not isinstance(mapping, dict):
@@ -139,16 +133,6 @@ def check_section(section, mapping, source, name=None):
             for key, value in mapping.items()}
 
 
-def _from_text(name, rule, text, var):
-    """The text of the environment variable `var`, which sets the option
-    `name`, as the integer or number the option takes (else as it is)."""
-    try:
-        return {"integer": int, "number": float}.get(rule.kind, str)(text)
-    except ValueError:
-        raise ConfigError(f"invalid value for {var}: {name} must be {_KINDS[rule.kind][0]},"
-                          f" got {text!r}") from None
-
-
 def _option(section, key):
     return f"{section}.{key}" if section else key
 
@@ -158,11 +142,15 @@ def argument(section, key):
     `section.key`: the flag's text as the option's value, checked against
     OPTIONS (a bad value makes argparse exit 2 naming the flag and the option)."""
     name, rule = _option(section, key), OPTIONS[section][key]
+    parse = {"integer": int, "number": float}.get(rule.kind, str)
 
     def typed(text):
         try:
-            value = _from_text(name, rule, text, "this flag")
-            return _check_value(name, rule, value, "this flag")
+            return _check_value(name, rule, parse(text), "this flag")
+        except ValueError:  # not an integer or a number
+            raise argparse.ArgumentTypeError(
+                f"invalid value for this flag: {name} must be {_KINDS[rule.kind][0]},"
+                f" got {text!r}") from None
         except ConfigError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
     return typed
@@ -202,9 +190,10 @@ class RunConfig:
         return _defaults("tracking") | self.tracking
 
 
-def load_run_config(document=None, env=None, cli=None):
-    """Merge a parsed JSON document, environment dict, and CLI namespace, and
-    check every merged value against OPTIONS."""
+def load_run_config(document=None, cli=None):
+    """Merge a parsed JSON document and a CLI namespace, whose `seed`,
+    `threads` and `out` (when not None) outrank the document's, and check
+    every merged value against OPTIONS."""
     given = {section: {} for section in OPTIONS}  # section -> key -> (value, source)
     if document is not None:
         _check_keys("config", document, (set(OPTIONS) | set(OPTIONS[""])) - {""})
@@ -214,14 +203,9 @@ def load_run_config(document=None, env=None, cli=None):
             _check_keys(section, mapping, set(rules))
             given[section] = {key: (value, "the config") for key, value in mapping.items()}
 
-    env = os.environ if env is None else env
-    for name, (section, key) in _OVERRIDES.items():
-        var, flag = ENV_PREFIX + name.upper(), "--" + name.replace("_", "-")
-        if env.get(var) is not None:
-            given[section][key] = (_from_text(_option(section, key), OPTIONS[section][key],
-                                              env[var], var), var)
-        if getattr(cli, name, None) is not None:  # the flag outranks the variable
-            given[section][key] = (getattr(cli, name), flag)
+    for key in OPTIONS[""]:
+        if getattr(cli, key, None) is not None:
+            given[""][key] = (getattr(cli, key), "--" + key)
 
     checked = {section: {key: _check_value(_option(section, key), OPTIONS[section][key], value,
                                           source)

@@ -526,14 +526,18 @@ def cascade_to_payload(cascade):
 
 
 def cascade_from_payload(payload, hierarchy):
-    """The checkpoint `payload`'s cascade on `hierarchy`; a layer count or an
-    array shape that the hierarchy does not have, or a `shape` that does not
-    hold its array's data, raises ValueError naming it."""
-    # checkpoints may carry an "anchored" flag; the map below is the anchored one
-    if payload.get("anchored", True) is not True:
-        raise ValueError("checkpoint field 'anchored' is not true: only the anchored"
-                         " cascade map can be replayed")
+    """The checkpoint `payload`'s cascade on `hierarchy`; a key that
+    `cascade_to_payload` does not write (at the top level, where the fit's
+    `frame_index` may stand too, or in a layer), a layer count or an array
+    shape that the hierarchy does not have, or a `shape` that does not hold
+    its array's data, raises ValueError naming it."""
     layers = payload["layers"]
+    unknown = [("checkpoint", set(payload) - {"layers", "frame_index", *_GAUSSIAN_CLASSES})]
+    unknown += [(f"checkpoint layer {k}", set(layer) - set(_LAYER_CLASSES))
+                for k, layer in enumerate(layers)]
+    for where, keys in unknown:
+        if keys:
+            raise ValueError(f"unknown key(s) in {where}: {sorted(keys)}")
     if len(layers) != len(hierarchy.layer_sizes):
         raise ValueError(f"checkpoint has {len(layers)} layers, the hierarchy"
                          f" {len(hierarchy.layer_sizes)}")

@@ -202,9 +202,10 @@ def compose_covariance(q, scales):
 # Relative off-diagonal Frobenius residual at which the cyclic Jacobi sweep
 # stops; also the documented accuracy of the factorization.
 eigh3_offdiag_tol = 1e-10
+_EIGH3_MAX_SWEEPS = 30
 
 
-def jacobi_eigh3(S, max_sweeps=30):
+def jacobi_eigh3(S):
     """Batched cyclic Jacobi diagonalization of symmetric 3x3 matrices.
 
     Returns (evals, evecs, converged) with S = V diag(w) V^T, V a proper
@@ -212,7 +213,7 @@ def jacobi_eigh3(S, max_sweeps=30):
     unsorted, in whatever axis order the sweep leaves them; callers that need
     a canonical order sort on top. Convergence is declared when the
     off-diagonal Frobenius mass drops below eigh3_offdiag_tol times the norm.
-    A matrix still above it after `max_sweeps` sweeps, or one with a
+    A matrix still above it after `_EIGH3_MAX_SWEEPS` sweeps, or one with a
     non-finite entry, is reported unconverged; its last iterate is returned.
 
     Every sweep rotates all matrices until all have converged. A's entries
@@ -236,9 +237,9 @@ def jacobi_eigh3(S, max_sweeps=30):
     # overflows to inf, which still yields the correct t -> 0 limit. A zero
     # pivot divides by zero (0/0 on an equal diagonal); its t is masked out.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for sweep in range(max_sweeps + 1):
+        for sweep in range(_EIGH3_MAX_SWEEPS + 1):
             converged = np.sqrt(off[0] ** 2 + off[1] ** 2 + off[2] ** 2) <= thresh
-            if sweep == max_sweeps or np.all(converged):
+            if sweep == _EIGH3_MAX_SWEEPS or np.all(converged):
                 break
             if sweep == 0:  # the first rotation reads A[2, 0] and A[2, 1]
                 off[1] = flat[:, 6].copy()

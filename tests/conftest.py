@@ -1,8 +1,5 @@
 import importlib.util
-import os
 from pathlib import Path
-
-import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -14,10 +11,3 @@ def load_script(name):
     spec.loader.exec_module(module)
     return module
 
-
-@pytest.fixture(autouse=True)
-def _no_gscascade_env(monkeypatch):
-    """Keep ambient GSCASCADE_* variables from leaking into config merging."""
-    for key in list(os.environ):
-        if key.startswith("GSCASCADE_"):
-            monkeypatch.delenv(key)

@@ -25,7 +25,8 @@ eigh3 that the shipped tape replaced, the row-wise
 Jacobi eigensolver, the correspondence term, the Chamfer term, the scale
 hinge and the weighted total as the chains of generic nodes their one-node
 forms replaced, Adam on separate per-class arrays and the per-layer
-checkpoint payload that the flat parameter buffer replaced, the per-cell
+checkpoint payload that the flat parameter buffer replaced, the hierarchy
+read back from its payload, the per-cell
 writers of the CSV and PLY tables and the per-element checkpoint hex that the
 row formatters replaced, a brute-force Chamfer term, the inverse camera map,
 the projection that rebuilt the camera matrix on every call, track selection
@@ -978,6 +979,18 @@ def cascade_payload_per_layer(cascade):
         **{name: hexed(getattr(cascade, name))
            for name in ("d_centers", "d_rotations", "d_log_scales")},
     }
+
+
+def hierarchy_from_payload(payload):
+    """The `ClusterHierarchy` of a `hierarchy.json` payload, the inverse of
+    `ClusterHierarchy.to_payload` (the pipeline never reads the file back)."""
+    return clustering.ClusterHierarchy(
+        layer_sizes=tuple(payload["layer_sizes"]),
+        assignments=[np.asarray(a, dtype=np.int64) for a in payload["assignments"]],
+        centroids=[np.asarray(c, dtype=np.float64) for c in payload["centroids"]],
+        parent_maps=[np.asarray(p, dtype=np.int64) for p in payload["parent_maps"]],
+        seed=int(payload["seed"]),
+    )
 
 
 # ---------------------------------------------------------------------------

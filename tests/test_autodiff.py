@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gscascade.autodiff as ad
+from gscascade import geometry
 from gscascade.geometry import jacobi_eigh3
 from oracles import (absval_t, add, bincount_scatter, edge_adjoint_slices, edge_diff_t,
                      eigh3_two_nodes, exp, gather_t, jacobi_eigh3_rowwise, matmul_t, matvec_t, mul,
@@ -557,7 +558,7 @@ def test_jacobi_lets_no_floating_point_warning_escape():
     assert _same_bytes(w[1:3], S[1:3].diagonal(axis1=-2, axis2=-1))
 
 
-def test_jacobi_reports_the_matrices_it_did_not_converge_on():
+def test_jacobi_reports_the_matrices_it_did_not_converge_on(monkeypatch):
     rng = np.random.default_rng(12)
     S = random_spd(rng, 20)
     S[3, 1, 2] = S[3, 2, 1] = np.nan
@@ -569,6 +570,8 @@ def test_jacobi_reports_the_matrices_it_did_not_converge_on():
     w_alone, V_alone, _ = jacobi_eigh3(S[finite])
     np.testing.assert_allclose(w[finite], w_alone, atol=1e-12)
     # too few sweeps: the last iterate, reported unconverged
-    w, V, converged = jacobi_eigh3(random_spd(rng, 20), max_sweeps=1)
+    monkeypatch.setattr(geometry, "_EIGH3_MAX_SWEEPS", 1)
+    w, V, converged = jacobi_eigh3(random_spd(rng, 20))
     assert not converged.all()
-    assert jacobi_eigh3(random_spd(rng, 20), max_sweeps=30)[2].all()
+    monkeypatch.undo()
+    assert jacobi_eigh3(random_spd(rng, 20))[2].all()

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: pipeline happy path, exit codes, byte determinism."""
 
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -9,14 +10,13 @@ import numpy as np
 import pytest
 
 from gscascade.cli import load_scene_dir, main, write_scene_dir
-from gscascade.clustering import ClusterHierarchy
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_apply, cascade_from_payload
 from gscascade.io_formats import (INIT_GAUSSIANS_HEADER, read_csv, read_json, read_ply,
                                   read_trajectory_csv, write_ply)
 from gscascade.scenegen import SceneSpec, generate
 from gscascade.tracking import mte, project_track
-from oracles import select_candidate_loop
+from oracles import hierarchy_from_payload, select_candidate_loop
 
 TINY = {
     "scene": {"kind": "wheel", "n_gaussians": 30, "n_frames": 3, "motion_magnitude": 18.0},
@@ -143,15 +143,9 @@ def test_fit_outputs_invariant_to_thread_count(tmp_path):
     ["eval", "somewhere"],
     pytest.param(["repro"], id="repro"),
     pytest.param(["generate", "--out", ""], id="empty-flag"),
-    pytest.param(["GSCASCADE_OUT=", "generate"], id="empty-env"),
 ])
 def test_missing_out_is_a_config_error(argv, tmp_path, capsys, monkeypatch):
-    """No output path, or an empty one. Leading VAR=value words set the
-    environment, as on a shell command line."""
-    while "=" in argv[0]:
-        var, value = argv[0].split("=", 1)
-        monkeypatch.setenv(var, value)
-        argv = argv[1:]
+    """No output path, or an empty one."""
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path)
     assert main(argv + ["--config", cfg]) == 2
@@ -409,11 +403,10 @@ def test_large_initial_scales_in_range_still_fit(tmp_path, values):
 
 @pytest.mark.parametrize("layers", ["8,4", "2,31"])
 def test_bad_layer_sizes_exit_2_naming_them(tmp_path, capsys, layers):
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, doc=dict(TINY, train=dict(TINY["train"], layer_sizes=layers)))
     scene = tmp_path / "scene"
     assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
-    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit"),
-                 "--layers", layers]) == 2
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
     err = capsys.readouterr().err
     assert f"layer_sizes [{layers.replace(',', ', ')}] for N=30" in err
     assert not (tmp_path / "fit").exists()
@@ -514,15 +507,14 @@ def test_fit_checks_the_scene_section_it_does_not_use(tiny_scene, tmp_path, caps
 
 
 @pytest.mark.parametrize("top, env, name", [
-    ({"seed": 1.7}, {}, "seed"),
-    ({"seed": True}, {}, "seed"),
-    ({"seed": -1}, {}, "seed"),
-    ({"threads": 2.9}, {}, "threads"),
-    ({}, {"GSCASCADE_SEED": "-1"}, "GSCASCADE_SEED"),
-    ({}, {"GSCASCADE_THREADS": "2.9"}, "GSCASCADE_THREADS"),
-    ({}, {"GSCASCADE_THREADS": "0"}, "GSCASCADE_THREADS"),
+    ({"seed": 1.7}, {"GSCASCADE_SEED": "3"}, "seed"),
+    ({"seed": True}, {"GSCASCADE_SEED": "3"}, "seed"),
+    ({"seed": -1}, {"GSCASCADE_SEED": "3"}, "seed"),
+    ({"threads": 2.9}, {"GSCASCADE_THREADS": "1"}, "threads"),
 ])
 def test_bad_seed_or_threads_exits_2_naming_it(tmp_path, capsys, monkeypatch, top, env, name):
+    """The document's bad value exits 2 even under an exported variable of the
+    removed GSCASCADE_* layer, which used to outrank it."""
     for var, text in env.items():
         monkeypatch.setenv(var, text)
     cfg = write_config(tmp_path, doc=dict(TINY, **top))
@@ -690,24 +682,54 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert "runtime error" in err and "not positive definite" in err
 
 
-def test_cli_flags_override_config(tmp_path, monkeypatch):
+def test_cli_flags_override_config(tmp_path):
     cfg = write_config(tmp_path)
     scene = tmp_path / "scene"
     assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
 
-    monkeypatch.setenv("GSCASCADE_ITERS", "4")
-    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "env")]) == 0
-    env_summary = read_json(tmp_path / "env" / "summary.json")
-    assert env_summary["iters_per_frame"] == 4
-    _, rows = read_csv(tmp_path / "env" / "losses.csv")
-    assert len(rows) == 2 * 4  # two fitted frames, four iterations each
-
-    # the --iters / --layers flags outrank the environment and the file
+    assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "doc")]) == 0
+    assert read_json(tmp_path / "doc" / "summary.json")["seed"] == TINY["seed"]
+    # --seed outranks the document's seed
     assert main(["fit", str(scene), "--config", cfg, "--out", str(tmp_path / "flag"),
-                 "--iters", "2", "--layers", "3"]) == 0
+                 "--seed", "5"]) == 0
     flag_summary = read_json(tmp_path / "flag" / "summary.json")
-    assert flag_summary["iters_per_frame"] == 2
-    assert flag_summary["layer_sizes"] == [3]
+    assert flag_summary["seed"] == 5
+    assert flag_summary["iters_per_frame"] == TINY["train"]["iters_per_frame"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ["--config", "--out", "--seed"]),
+    ("fit", ["--config", "--out", "--seed", "--threads"]),
+    ("segment", ["--config", "--out", "--seed", "--scene"]),
+    ("track", ["--config", "--out", "--seed", "--scene"]),
+    ("eval", ["--config", "--out"]),
+    ("repro", ["--config", "--out", "--seed", "--threads"]),
+])
+def test_each_command_lists_only_the_flags_it_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    listed = re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out)
+    assert sorted(set(listed) - {"--help"}) == sorted(flags)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "run", "--iters", "3"],
+    ["eval", "run", "--seed", "1"],
+    ["segment", "fit", "--threads", "2"],
+    ["track", "fit", "--threads", "2"],
+    ["generate", "--layers", "4"],
+    ["generate", "--scene", "scene"],
+    ["fit", "scene", "--max-scale", "0.5"],
+    ["repro", "--scene", "scene"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--out", str(out)])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repro_pipeline_smoke(tmp_path):
@@ -724,22 +746,17 @@ def test_repro_pipeline_smoke(tmp_path):
         assert (out / f"fit_{name}_k1" / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("argv, env, doc, names", [
-    (["--iters", "2", "--max-scale", "0.5"], {}, None,
+@pytest.mark.parametrize("doc, names", [
+    ({"train": {"iters_per_frame": 2, "max_scale": 0.5}},
      ["train.iters_per_frame", "train.max_scale"]),
-    ([], {"GSCASCADE_LAYERS": "2,6"}, None, ["train.layer_sizes"]),
-    ([], {}, {"segmentation": {"k_parts": 3}}, ["segmentation.k_parts"]),
-], ids=["flags", "environment", "document"])
-def test_repro_rejects_the_options_it_sets_itself(tmp_path, capsys, monkeypatch, argv, env, doc,
-                                                  names):
+    ({"segmentation": {"k_parts": 3}}, ["segmentation.k_parts"]),
+], ids=["train", "document"])
+def test_repro_rejects_the_options_it_sets_itself(tmp_path, capsys, doc, names):
     """repro fits, segments and tracks with its own settings, which used to
     drop the options it was given without a word."""
-    for var, text in env.items():
-        monkeypatch.setenv(var, text)
-    if doc is not None:
-        argv = argv + ["--config", write_config(tmp_path, doc=doc)]
     out = tmp_path / "repro"
-    assert main(["repro", "--out", str(out), "--seed", "1", *argv]) == 2
+    assert main(["repro", "--out", str(out), "--seed", "1",
+                 "--config", write_config(tmp_path, doc=doc)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and all(name in err for name in names)
     assert not out.exists()
@@ -770,7 +787,7 @@ def test_checkpoint_replays_the_trajectory_bit_for_bit(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(scene)]) == 0
     assert main(["fit", str(scene), "--config", cfg, "--out", str(fit)]) == 0
     centers, quats, scales = read_trajectory_csv(fit / "trajectory.csv")
-    hierarchy = ClusterHierarchy.from_payload(read_json(fit / "hierarchy.json"))
+    hierarchy = hierarchy_from_payload(read_json(fit / "hierarchy.json"))
     stored = [c.copy() for c in hierarchy.centroids]
     hierarchy.update_centroids(centers[-2])
     for a, b in zip(stored, hierarchy.centroids):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gscascade import clustering
 from gscascade.clustering import (
     _ROW_BLOCK,
-    ClusterHierarchy,
     _assign,
     _farthest_point_seeds,
     _member_means,
@@ -22,7 +21,8 @@ from gscascade.clustering import (
 )
 from gscascade.scenegen import KINDS, SceneSpec, generate
 from oracles import (agglomerate_masked, assign_broadcast, distance_entries,
-                     farthest_point_seeds, kmeans_loop, member_means_csr, sq_dists_zeroed)
+                     farthest_point_seeds, hierarchy_from_payload, kmeans_loop,
+                     member_means_csr, sq_dists_zeroed)
 
 
 def two_separated_blobs(rng, n_each=30, gap=5.0):
@@ -427,7 +427,7 @@ def test_hierarchy_payload_roundtrip():
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(40, 3))
     h = build_hierarchy(pts, (2, 8), seed=3)
-    h2 = ClusterHierarchy.from_payload(h.to_payload())
+    h2 = hierarchy_from_payload(h.to_payload())
     assert h2.layer_sizes == h.layer_sizes
     for a, b in zip(h.assignments, h2.assignments):
         np.testing.assert_array_equal(a, b)

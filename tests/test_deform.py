@@ -467,10 +467,11 @@ def test_too_few_sweeps_raise_naming_the_first_unconverged_gaussian(monkeypatch)
     reports = []
 
     def one_sweep(S):
-        out = geometry.jacobi_eigh3(S, max_sweeps=1)
+        out = geometry.jacobi_eigh3(S)
         reports.append(out[2])
         return out
 
+    monkeypatch.setattr(geometry, "_EIGH3_MAX_SWEEPS", 1)
     monkeypatch.setattr(ad, "jacobi_eigh3", one_sweep)
     with pytest.raises(ValueError, match="did not converge") as raised:
         cascade_apply(casc, gset)
@@ -588,16 +589,23 @@ def test_hex_codec_keeps_the_bits_of_one_call_per_element():
 
 
 def test_payload_rejects_an_unanchored_checkpoint():
+    """A checkpoint key that `cascade_to_payload` does not write, at the top
+    level or in a layer, raises ValueError naming it: `anchored` is one, of
+    either value. The fit's own `frame_index` loads at the top level."""
     rng = np.random.default_rng(17)
     gset = random_set(rng, n=10)
     casc = random_cascade(rng, gset, sizes=(2,))
     payload = cascade_to_payload(casc)
-    assert "anchored" not in payload
-    # checkpoints written with the flag still load when it is true
-    payload["anchored"] = True
-    cascade_from_payload(payload, casc.hierarchy)
-    payload["anchored"] = False
-    with pytest.raises(ValueError, match="'anchored'"):
+    payload["frame_index"] = 1
+    assert np.array_equal(cascade_from_payload(payload, casc.hierarchy).flat, casc.flat)
+    for value in (True, False):
+        payload["anchored"] = value
+        with pytest.raises(ValueError, match=r"unknown key\(s\) in checkpoint: \['anchored'\]"):
+            cascade_from_payload(payload, casc.hierarchy)
+    del payload["anchored"]
+    payload["layers"][0]["frame_index"] = 1
+    with pytest.raises(ValueError,
+                       match=r"unknown key\(s\) in checkpoint layer 0: \['frame_index'\]"):
         cascade_from_payload(payload, casc.hierarchy)
 
 

@@ -188,6 +188,18 @@ def test_decompose_rejects_a_covariance_the_solver_does_not_converge_on():
         geo.decompose_covariance(np.stack([cov, np.full((3, 3), np.nan)]))
 
 
+@pytest.mark.parametrize("p, q", [(0, 1), (0, 2), (1, 2)])
+def test_jacobi_rotates_a_lone_off_diagonal_pair_above_the_tolerance(p, q):
+    """diag(1, 2, 3) with one pair of entries 1e-7: a residual about 270 times
+    the convergence threshold, whose square cubed instead would fall below it.
+    The solver must rotate the pair away, wherever it stands."""
+    S = np.diag([1.0, 2.0, 3.0])
+    S[p, q] = S[q, p] = 1e-7
+    _, V, converged = geo.jacobi_eigh3(S)
+    off = np.linalg.norm((V.T @ S @ V)[~np.eye(3, dtype=bool)])
+    assert converged and off <= geo.eigh3_offdiag_tol * np.linalg.norm(S)
+
+
 def test_polar_rotation_of_rotation_is_itself():
     rng = np.random.default_rng(9)
     q = random_unit_quats(rng, 20)

@@ -18,10 +18,13 @@ An imported name counts as a reference, so no module in `src/`, `scripts/`,
 `tests/` or `bench/` may import a name it never uses.
 
 Every parameter with a default of a function in `src/` is passed, by keyword
-or by position, by some call of a function of that name in `src/`,
-`scripts/`, `bench/` or `tests/`: a default no caller overrides is a constant.
-A call `ClassName(...)` is a call of `ClassName.__init__`; the other dunder
-methods are not checked.
+or by position, by some call of a function of that name in a shipped caller:
+a default that only unit tests override is a test-only knob, and one that no
+caller overrides is a constant. A call `ClassName(...)` is a call of
+`ClassName.__init__`; the other dunder methods are not checked.
+
+No module in `src/` reads the process environment (`os.environ`,
+`os.getenv`): a run's inputs are its files and its command line.
 """
 
 import ast
@@ -186,7 +189,7 @@ def passed_arguments(paths):
 
 
 def test_every_defaulted_parameter_is_passed_by_a_caller():
-    calls = passed_arguments({*CALLERS, *TESTS})
+    calls = passed_arguments(CALLERS)
     dead = sorted(
         f"{path.stem}.{function}({parameter})"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -196,3 +199,13 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
                    for count, keywords in calls.get(function, ()))
     )
     assert not dead, f"defaulted parameters that no caller passes: {dead}"
+
+
+def test_no_module_reads_the_process_environment():
+    readers = sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "getenv")))
+    assert not readers, f"reads of the process environment: {readers}"
