@@ -57,7 +57,8 @@ def write_scene_dir(seq, out_dir):
         iof.write_ply(out / "frames" / f"frame_{t:03d}.ply", obs.points)
     iof.write_gt_trajectory_csv(out / "gt_trajectory.csv", seq.gt_centers)
     iof.write_labels_csv(out / "labels.csv", seq.part_labels)
-    iof.write_init_gaussians_csv(out / "init_gaussians.csv", seq.frame0)
+    iof.write_init_gaussians_csv(out / "init_gaussians.csv", seq.frame0,
+                                 label_colors(seq.part_labels))
 
 
 def write_fit_dir(report, out_dir):
@@ -107,7 +108,7 @@ def load_scene_dir(path):
     observations = []
     for t in range(spec.n_frames):
         with _input_file(root / "frames" / f"frame_{t:03d}.ply") as ply:
-            pts, _ = iof.read_ply(ply)
+            pts = iof.read_ply(ply)
             # scene frames observe every Gaussian, in index order
             if len(pts) != frame0.n:
                 raise ValueError(f"{len(pts)} points, expected one per Gaussian ({frame0.n})")

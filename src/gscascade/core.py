@@ -1,10 +1,12 @@
 """Gaussian scene containers.
 
 A scene frame is a set of anisotropic 3D Gaussians stored struct-of-arrays:
-centers, orientation quaternions (w,x,y,z), per-axis scales (standard
-deviations), and carried-along colors. The list index of a Gaussian is its
-identity for the whole sequence — no operation in this package ever permutes
-it, which is what makes per-index tracking meaningful.
+centers, orientation quaternions (w,x,y,z) and per-axis scales (standard
+deviations), the geometry the cascade deforms. Appearance is not fitted: the
+colors a writer needs come from the part labels (`scenegen.label_colors`).
+The list index of a Gaussian is its identity for the whole sequence — no
+operation in this package ever permutes it, which is what makes per-index
+tracking meaningful.
 
 Covariance is never stored; `geometry.compose_covariance` derives it on demand
 as R diag(s^2) R^T, so the (orientation, scale) factorization stays exact and
@@ -27,7 +29,6 @@ class GaussianSet:
     centers: np.ndarray  # (N, 3)
     orientations: np.ndarray  # (N, 4)
     scales: np.ndarray  # (N, 3)
-    colors: np.ndarray = None  # (N, 3), defaults to mid-gray
     frame_index: int = 0
 
     def __post_init__(self):
@@ -41,12 +42,7 @@ class GaussianSet:
             raise ValueError(f"orientations must be (N, 4), got {self.orientations.shape}")
         if self.scales.shape != (n, 3):
             raise ValueError(f"scales must be (N, 3), got {self.scales.shape}")
-        if self.colors is None:
-            self.colors = np.full((n, 3), 0.5)
-        self.colors = np.ascontiguousarray(self.colors, dtype=np.float64)
-        if self.colors.shape != (n, 3):
-            raise ValueError(f"colors must be (N, 3), got {self.colors.shape}")
-        for name in ("centers", "orientations", "scales", "colors"):
+        for name in ("centers", "orientations", "scales"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contain non-finite values")
         if np.any(self.scales <= 0.0):
@@ -66,6 +62,5 @@ class GaussianSet:
             centers=self.centers.copy(),
             orientations=self.orientations.copy(),
             scales=self.scales.copy(),
-            colors=self.colors.copy(),
             frame_index=self.frame_index,
         )

@@ -473,7 +473,6 @@ def cascade_apply(cascade, gset, propagate_covariance=True, trace=None):
         centers=trace.centers.value,
         orientations=trace.orientations.value,
         scales=trace.scales.value,
-        colors=gset.colors.copy(),
         frame_index=gset.frame_index + 1,
     )
 

@@ -58,6 +58,7 @@ RULES = {
     "gt_trajectory.csv": {_XYZ: _COORDINATE},
     "trajectory.csv": {_XYZ: _COORDINATE, _QUAT: _QUATERNION, _SCALES: [_POSITIVE]},
     "frames/frame_NNN.ply": {_XYZ: _COORDINATE},
+    "labels.csv": {("label",): [(lambda v: v < 0, "a part label must be at least 0")]},
 }
 
 
@@ -72,7 +73,7 @@ def _check(path, key, header, data, row_name=lambda i: f"data row {i + 1}"):
                 at = np.argwhere(bad(values))
             if len(at):
                 row, *col = at[0]  # a row rule's mask has no column axis
-                cell = (f"{cols[col[0]]} = {float(values[row, col[0]])!r}" if col
+                cell = (f"{cols[col[0]]} = {values[row, col[0]].item()!r}" if col
                         else ", ".join(cols))
                 raise ValueError(f"{path}: {cell} in {row_name(row)}: {text}")
 
@@ -106,8 +107,9 @@ def write_ply(path, points, colors=None):
 
 
 def read_ply(path):
-    """(points, colors or None) of an ASCII PLY whose vertices start with x, y, z;
-    the points are checked against RULES["frames/frame_NNN.ply"]."""
+    """The (N, 3) points of an ASCII PLY whose vertices start with x, y, z,
+    checked against RULES["frames/frame_NNN.ply"]; further properties, such
+    as colors, must be finite and are dropped."""
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != "ply":
         raise ValueError(f"{path}: not a PLY file")
@@ -141,7 +143,7 @@ def read_ply(path):
         raise ValueError(f"{path}: header declares {n} vertices,"
                          f" body has {len(text) - body_at} rows")
     if n == 0:
-        return np.zeros((0, 3)), None
+        return np.zeros((0, 3))
     try:
         data = np.array([[float(v) for v in text[body_at + i].split()] for i in range(n)])
         if data.shape[1] != len(props):
@@ -150,10 +152,7 @@ def read_ply(path):
         raise ValueError(f"{path}: bad vertex row: {e}") from e
     _check_finite(path, props, data)
     _check(path, "frames/frame_NNN.ply", props, data)
-    colors = None
-    if len(props) >= 6:
-        colors = data[:, 3:6].astype(np.uint8)
-    return data[:, :3], colors
+    return data[:, :3]
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +262,19 @@ def write_losses_csv(path, frame_reports):
                                     for rep in frame_reports for it, entry in enumerate(rep.curve)))
 
 
+LABELS_HEADER = ["index", "label"]
+
+
 def write_labels_csv(path, labels):
-    write_csv(path, ["index", "label"], [[i, int(v)] for i, v in enumerate(labels)])
+    write_csv(path, LABELS_HEADER, [[i, int(v)] for i, v in enumerate(labels)])
 
 
 def read_labels_csv(path):
-    data = read_table(path, ["index", "label"], "labels", kind=int)
+    data = read_table(path, LABELS_HEADER, "labels", kind=int)
     data = data[np.argsort(data[:, 0], kind="stable")]
     if not np.array_equal(data[:, 0], np.arange(len(data))):
         raise ValueError(f"{path}: each index 0..{len(data) - 1} must appear exactly once")
-    if np.any(data[:, 1] < 0):
-        i = int(np.argmax(data[:, 1] < 0))
-        raise ValueError(f"{path}: label {data[i, 1]} of index {i} is negative;"
-                         " part labels count from 0")
+    _check(path, "labels.csv", LABELS_HEADER, data, lambda i: f"the data row of index {i}")
     return data[:, 1]
 
 
@@ -295,15 +294,17 @@ INIT_GAUSSIANS_HEADER = ["index", "x", "y", "z", "qw", "qx", "qy", "qz",
                          "sx", "sy", "sz", "r", "g", "b"]
 
 
-def write_init_gaussians_csv(path, gset):
+def write_init_gaussians_csv(path, gset, colors):
+    """`gset`'s geometry, with the (N, 3) `colors` in the r, g, b columns."""
     write_csv(path, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
-        np.hstack([gset.centers, gset.orientations, gset.scales, gset.colors]).tolist())))
+        np.hstack([gset.centers, gset.orientations, gset.scales, colors]).tolist())))
 
 
 def read_init_gaussians_csv(path):
     """The frame-0 GaussianSet of a scene: at least one Gaussian, its indices
     in row order, its cells within RULES["init_gaussians.csv"], and centers
-    whose extent (the scene scale) leaves the default neighbour falloff finite."""
+    whose extent (the scene scale) leaves the default neighbour falloff finite.
+    The r, g, b cells must be finite too, but the set does not keep them."""
     data = read_table(path, INIT_GAUSSIANS_HEADER, "initial Gaussians")
     if not np.array_equal(data[:, 0], np.arange(len(data))):
         raise ValueError(f"{path}: index column must count 0, 1, ... in row order")
@@ -317,7 +318,7 @@ def read_init_gaussians_csv(path):
             raise ValueError(f"{path}: the centers' extent is {float(extent)!r}, too small for"
                              f" the default neighbour falloff {DEFAULT_LAMBDA_SCALE:g} / extent**2")
     return GaussianSet(centers=centers, orientations=data[:, 4:8], scales=data[:, 8:11],
-                       colors=data[:, 11:14], frame_index=0)
+                       frame_index=0)
 
 
 def write_mte_csv(path, entries):

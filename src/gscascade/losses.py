@@ -73,7 +73,7 @@ during the backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -113,23 +113,23 @@ _TERM_WEIGHTS = {"rigidity": "w_rigid", "isometry": "w_iso", "rotation": "w_rot"
 class NeighborGraph:
     """Frozen k-nearest-neighbor graph on the frame-0 centers.
 
-    Holds the Gaussian falloff weights and, derived once from `centers`, the
-    indices as a RowIndex (whose scatter every edge term shares for the whole
-    sequence), the floored rest length of every edge and the largest absolute
-    frame-0 coordinate (the scale of the isometry dead zone).
+    Holds the Gaussian falloff weights and what it derives once from `centers`,
+    which it does not keep: the indices as a RowIndex (whose scatter every edge
+    term shares for the whole sequence), the floored rest length of every edge
+    and the largest absolute frame-0 coordinate (the isometry dead zone's scale).
     """
 
-    centers: np.ndarray  # (N, 3) frame-0 centers the graph is built on
+    centers: InitVar[np.ndarray]  # (N, 3) frame-0 centers the graph is built on
     indices: np.ndarray  # (N, k) neighbor Gaussian indices
     weights: np.ndarray  # (N, k) in (0, 1]
     index: ad.RowIndex = field(init=False, repr=False)  # indices, with their scatter
     rest_lengths: np.ndarray = field(init=False, repr=False)  # (N, k)
     max_abs_coord: float = field(init=False)
 
-    def __post_init__(self):
-        self.index = ad.RowIndex(self.indices, self.centers.shape[0])
-        self.rest_lengths = safe_norm(ad.edge_values(self.centers, self.index)).value
-        self.max_abs_coord = np.abs(self.centers).max()
+    def __post_init__(self, centers):
+        self.index = ad.RowIndex(self.indices, centers.shape[0])
+        self.rest_lengths = safe_norm(ad.edge_values(centers, self.index)).value
+        self.max_abs_coord = np.abs(centers).max()
 
 
 def build_neighbor_graph(centers, k=DEFAULT_NEIGHBOR_COUNT, lambda_weight=None,

@@ -259,14 +259,8 @@ def generate(spec):
     # scene, so absolute per-frame rotations carry the part-motion signal
     # instead of a random per-Gaussian gauge.
     orientations = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1))
-    colors = label_colors(labels)
-    frame0 = GaussianSet(
-        centers=gt[0].copy(),
-        orientations=orientations,
-        scales=scales,
-        colors=colors,
-        frame_index=0,
-    )
+    frame0 = GaussianSet(centers=gt[0].copy(), orientations=orientations, scales=scales,
+                         frame_index=0)
 
     noise_rng = np.random.default_rng(spec.seed + 7919)
     observations = []

@@ -47,6 +47,10 @@ class PinholeCamera:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy", "rotation", "translation", "width", "height"):
+            if any(isinstance(v, (bool, np.bool_))  # a JSON true would pass as 1
+                   for v in np.ravel(np.asarray(getattr(self, name), dtype=object))):
+                raise ValueError(f"camera {name} must hold numbers, not booleans")
         shapes = {"fx": (), "fy": (), "cx": (), "cy": (), "rotation": (4,), "translation": (3,)}
         for name, shape in shapes.items():
             value = getattr(self, name)

@@ -747,10 +747,9 @@ def rigidity_loss_chain_t(prev_set, centers_t, orientations_t, graph):
     return tmean(mul(ad.constant(graph.weights), per_edge))
 
 
-def isometry_loss_chain_t(centers_t, graph):
+def isometry_loss_chain_t(centers_t, graph, frame0_centers):
     n = centers_t.shape[0]
     idx = graph.indices
-    frame0_centers = graph.centers
     # mirror safe_norm's formula bit-for-bit so unmoved centers give
     # d0 - dt == 0.0 exactly and the absval subgradient is 0, not fp noise
     diff0 = frame0_centers[idx] - frame0_centers[:, None, :]

@@ -13,8 +13,8 @@ from gscascade.cli import load_scene_dir, main, write_scene_dir
 from gscascade.core import GaussianSet
 from gscascade.deform import cascade_apply, cascade_from_payload
 from gscascade.io_formats import (INIT_GAUSSIANS_HEADER, read_csv, read_json, read_ply,
-                                  read_trajectory_csv, write_ply)
-from gscascade.scenegen import SceneSpec, generate
+                                  read_table, read_trajectory_csv, write_ply)
+from gscascade.scenegen import SceneSpec, generate, label_colors
 from gscascade.tracking import mte, project_track
 from oracles import hierarchy_from_payload, select_candidate_loop
 
@@ -51,7 +51,9 @@ def test_scene_dir_roundtrip(tmp_path):
     assert np.array_equal(back.frame0.centers, seq.frame0.centers)
     assert np.array_equal(back.frame0.orientations, seq.frame0.orientations)
     assert np.array_equal(back.frame0.scales, seq.frame0.scales)
-    assert np.array_equal(back.frame0.colors, seq.frame0.colors)
+    colors = read_table(tmp_path / "scene" / "init_gaussians.csv", INIT_GAUSSIANS_HEADER,
+                        "initial Gaussians")[:, 11:]
+    assert np.array_equal(colors, label_colors(seq.part_labels))  # the part-label palette
     assert np.array_equal(back.gt_centers, seq.gt_centers)
     assert np.array_equal(back.part_labels, seq.part_labels)
     assert np.array_equal(back.part_quats, seq.part_quats)
@@ -178,7 +180,7 @@ def test_missing_scene_dir_exits_2(tmp_path, capsys):
 
 
 def _rewrite_points(ply, corrupt):
-    write_ply(ply, corrupt(read_ply(ply)[0]))
+    write_ply(ply, corrupt(read_ply(ply)))
 
 
 def _drop_last_line(ply):
@@ -297,7 +299,8 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
     pytest.param("labels.csv", _edit_cell(30, 0, "999"), "exactly once", id="labels-999"),
     pytest.param("labels.csv", _edit_cell(3, 0, "1"), "exactly once", id="labels-duplicate"),
     pytest.param("labels.csv", _edit_cell(3, 1, "two"), "bad row", id="labels-garbled"),
-    pytest.param("labels.csv", _edit_cell(3, 1, "-4"), "label -4 of index 2 is negative",
+    pytest.param("labels.csv", _edit_cell(3, 1, "-4"),
+                 "label = -4 in the data row of index 2: a part label must be at least 0",
                  id="labels-negative"),
     pytest.param("init_gaussians.csv",
                  _edit_rows(lambda rows: [rows[0].replace("qw", "w")] + rows[1:]),
@@ -363,6 +366,11 @@ _GRID = "(frame, index) pairs must cover the 3 x 30 grid exactly once"
                  "camera fx must be finite", id="scene-camera-nan"),
     pytest.param("scene.json", _edit_json(lambda meta: meta["cameras"][0].update(fx=np.inf)),
                  "camera fx must be finite", id="scene-camera-inf"),
+    # a JSON true used to load as 1
+    pytest.param("scene.json", _edit_json(lambda meta: meta["cameras"][0].update(width=True)),
+                 "camera width must hold numbers, not booleans", id="scene-camera-width-bool"),
+    pytest.param("scene.json", _edit_json(lambda meta: meta["cameras"][0].update(fx=True)),
+                 "camera fx must hold numbers, not booleans", id="scene-camera-fx-bool"),
     pytest.param("scene.json", _edit_json(lambda meta: meta.pop("part_quats")),
                  "missing key 'part_quats'", id="scene-no-part-quats"),
     pytest.param("scene.json", _edit_json(lambda meta: meta["spec"].update(kind="ship")),

@@ -488,7 +488,7 @@ def test_apply_with_a_given_trace_is_the_apply_that_traces():
         trace = trace_cascade(casc, CascadeFrame(gset, casc.hierarchy), differentiable=False)
         given = cascade_apply(casc, gset, trace=trace)
         own = cascade_apply(casc, gset)
-        for name in ("centers", "orientations", "scales", "colors"):
+        for name in ("centers", "orientations", "scales"):
             assert getattr(given, name).tobytes() == getattr(own, name).tobytes()
         assert given.frame_index == own.frame_index == gset.frame_index + 1
     assert given.centers.tobytes() == gset.centers.tobytes()

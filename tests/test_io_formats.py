@@ -41,20 +41,26 @@ def test_ply_roundtrip_exact_doubles(tmp_path):
     pts = rng.normal(size=(20, 3))
     p = tmp_path / "pts.ply"
     write_ply(p, pts)
-    back, colors = read_ply(p)
+    back = read_ply(p)
     assert np.array_equal(back, pts)  # repr() floats survive bit-for-bit
-    assert colors is None
+
+
+def _body(path):
+    """The rows after a PLY's `end_header`, split into cells."""
+    lines = Path(path).read_text().splitlines()
+    return [line.split() for line in lines[lines.index("end_header") + 1:]]
 
 
 def test_ply_with_colors(tmp_path):
+    """Float colors are written as uchar RGB; reading the cloud back gives
+    its points only."""
     pts = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
     cols = np.array([[1.0, 0.0, 0.5], [0.0, 0.25, 1.0]])
     p = tmp_path / "c.ply"
     write_ply(p, pts, colors=cols)
-    back, back_cols = read_ply(p)
-    assert np.array_equal(back, pts)
-    assert back_cols.dtype == np.uint8
-    np.testing.assert_array_equal(back_cols, [[255, 0, 128], [0, 64, 255]])
+    back = read_ply(p)
+    assert np.array_equal(back, pts) and back.shape == (2, 3)
+    assert [row[3:] for row in _body(p)] == [["255", "0", "128"], ["0", "64", "255"]]
 
 
 def test_ply_uint8_colors_pass_through(tmp_path):
@@ -62,8 +68,18 @@ def test_ply_uint8_colors_pass_through(tmp_path):
     cols = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=np.uint8)
     p = tmp_path / "u.ply"
     write_ply(p, pts, colors=cols)
-    _, back = read_ply(p)
-    assert np.array_equal(back, cols)
+    assert np.array_equal(read_ply(p), pts)
+    assert np.array_equal(np.array([row[3:] for row in _body(p)], dtype=np.uint8), cols)
+
+
+def test_ply_non_finite_color_is_named(tmp_path):
+    """The reader drops colors but still checks that they are finite."""
+    p = tmp_path / "c.ply"
+    write_ply(p, np.zeros((2, 3)), colors=np.zeros((2, 3)))
+    p.write_text(p.read_text().replace("0.0 0.0 0.0 0 0 0\n", "0.0 0.0 0.0 0 nan 0\n", 1))
+    with pytest.raises(ValueError) as err:
+        read_ply(p)
+    assert str(err.value) == f"{p}: non-finite green in data row 1"
 
 
 def test_ply_rejects_garbage(tmp_path):
@@ -113,8 +129,7 @@ def test_ply_non_finite_point_is_named(tmp_path):
 def test_ply_with_no_vertices_reads_as_no_points(tmp_path):
     p = tmp_path / "empty.ply"
     write_ply(p, np.zeros((0, 3)))
-    points, colors = read_ply(p)
-    assert points.shape == (0, 3) and colors is None
+    assert read_ply(p).shape == (0, 3)
 
 
 def test_ply_writer_is_byte_deterministic(tmp_path):
@@ -275,6 +290,8 @@ TABLES = {
         _frame_rows(lambda t, i: [0.1 * i, 0.2 * t, 0.0, 1.0, 0.0, 0.0, 0.0, 0.01, 0.01, 0.01]),
         2, "the data row of frame 1, index 0", read_trajectory_csv),
     "frames/frame_NNN.ply": (["x", "y", "z"], np.eye(3).tolist(), 1, "data row 2", read_ply),
+    "labels.csv": (["index", "label"], [[2, 1], [0, 0], [1, 1]], 0, "the data row of index 2",
+                   read_labels_csv),
 }
 
 # per rule text: the cells a case sets from a value v (the group's first column
@@ -296,6 +313,7 @@ BOUNDS = {
         (lambda cols, v: {cols[0]: v}, np.nextafter(1e-6, 1.0), 0.0, False),
     "a scale must be at most 1e+07 times its Gaussian's smallest":
         (lambda cols, v: {cols[0]: v, cols[1]: 1.0, cols[2]: 1.0}, 1e7, np.inf, False),
+    "a part label must be at least 0": (lambda cols, v: {cols[0]: v}, 0, -np.inf, False),
 }
 
 
@@ -309,10 +327,10 @@ def _rule_cases():
 @pytest.mark.parametrize("key, cols, index", _rule_cases())
 def test_each_rule_accepts_its_bound_and_rejects_the_next_float(tmp_path, key, cols, index):
     """A table at the rule's bound passes it, and one at the next float past the
-    bound is rejected naming the file, the rule, the row and the column. At its
-    bound a value passes the rules before this one; a later rule of the group
-    may still reject it, as the init scales' square rejects the smallest
-    positive scale."""
+    bound (the next integer, in the integer labels) is rejected naming the file,
+    the rule, the row and the column. At its bound a value passes the rules
+    before this one; a later rule of the group may still reject it, as the init
+    scales' square rejects the smallest positive scale."""
     rules = RULES[key][cols]
     text = rules[index][1]
     cells, bound, bad_side, whole_row = BOUNDS[text]
@@ -333,7 +351,8 @@ def test_each_rule_accepts_its_bound_and_rejects_the_next_float(tmp_path, key, c
         read_with(bound)
     except ValueError as e:
         assert any(str(e).endswith(f": {later}") for _, later in rules[index + 1:]), str(e)
-    bad = float(np.nextafter(bound, bad_side))
+    bad = (bound + int(np.sign(bad_side)) if isinstance(bound, int)
+           else float(np.nextafter(bound, bad_side)))
     with pytest.raises(ValueError) as err:
         read_with(bad)
     named = ", ".join(cols) if whole_row else f"{cols[0]} = {bad!r}"
@@ -397,12 +416,12 @@ def test_frame_tables_keep_the_bytes_of_the_per_cell_writer(tmp_path):
 def test_init_gaussians_and_ply_keep_the_bytes_of_the_per_cell_writers(tmp_path):
     rng = np.random.default_rng(31)
     gset = GaussianSet(centers=awkward(rng, (9, 3)), orientations=rng.normal(size=(9, 4)),
-                       scales=np.abs(awkward(rng, (9, 3))) + 5e-324, colors=rng.random((9, 3)),
-                       frame_index=0)
+                       scales=np.abs(awkward(rng, (9, 3))) + 5e-324, frame_index=0)
+    colors = rng.random((9, 3))
     got, want = tmp_path / "got", tmp_path / "want"
-    write_init_gaussians_csv(got, gset)
+    write_init_gaussians_csv(got, gset, colors)
     write_csv_per_cell(want, INIT_GAUSSIANS_HEADER, ([i, *row] for i, row in enumerate(
-        np.hstack([gset.centers, gset.orientations, gset.scales, gset.colors]))))
+        np.hstack([gset.centers, gset.orientations, gset.scales, colors]))))
     assert got.read_bytes() == want.read_bytes()
     points = awkward(rng, (11, 3))
     for colors in (None, rng.random((11, 3)) * 1.2 - 0.1,

@@ -570,7 +570,7 @@ _TERMS_AND_CHAINS = {
                                                            _edges(c, graph)),
                  rigidity_loss_chain_t),
     "isometry": (lambda prev, c, q, graph: isometry_loss_t(c, graph, _edges(c, graph)),
-                 lambda prev, c, q, graph: isometry_loss_chain_t(c, graph)),
+                 lambda prev, c, q, graph: isometry_loss_chain_t(c, graph, prev.centers)),
     "rotation": (lambda prev, c, q, graph: rotation_loss_t(_frame(prev, graph), q),
                  lambda prev, c, q, graph: rotation_loss_chain_t(prev, q, graph)),
 }

@@ -262,7 +262,7 @@ def test_fit_frame_ends_on_one_forward(monkeypatch):
                                              cfg.weights, cfg.max_scale, with_grads=False)
     assert report.final_losses == dict(components, total=value)
     alone = cascade_apply(cascade, gset)
-    for name in ("centers", "orientations", "scales", "colors"):
+    for name in ("centers", "orientations", "scales"):
         assert getattr(new_set, name).tobytes() == getattr(alone, name).tobytes()
 
 

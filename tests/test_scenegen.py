@@ -236,18 +236,18 @@ PINNED_SPECS = (
 
 # sha256 of `scene_bytes` over PINNED_SPECS, per kind
 PINNED_DIGESTS = {
-    "wheel": "d870f4fcb6ec2c394a49fb6b213c38d284d8db275d5572254cd402d161fda852",
-    "pendulum": "44f7118e2b2a022d8bb1eef5cf01ed3b8d2c02c8718dca3ffcfaaf52ce7f397b",
-    "two_link_arm": "35eaec6d295bd648de1558f3f05d2fa653c0a1c9bd785d16a6ca58b6df98153e",
-    "cloth_wave": "ddd442bb726a379118bdf6f1af059ebfb67b52e0d8ebd5d104dc1cbd821f0114",
-    "two_blobs": "8be2d893d646af8a1c9671e27275588c1cb89bb02b3a8f108a443453334a0d4a",
+    "wheel": "07570e7ad6d524c0dbb2d3c3615dbb7fd564570347c51514fa1a2818bb9056b4",
+    "pendulum": "6af2fc6d017270ccb3c9b63a5ab83e63a6d95ac8db73e4eb003d0ac14edbd2d8",
+    "two_link_arm": "d7306bcf06fb62aff48080e1ca8a61dd2227445c903f07b51815abfa678c2a19",
+    "cloth_wave": "97a230dda6e791bb3b0ea2e48a4526064d4579f60647a9a510397a6d2b3471fe",
+    "two_blobs": "10e70b3c94dedc87fa9dc7f05e2844c639c44ddc3b115fffc305b37714050f96",
 }
 
 
 def scene_bytes(seq):
     """Every array and camera field `generate` emits, with dtypes and shapes."""
     arrays = [seq.gt_centers, seq.part_labels, seq.part_quats, seq.frame0.centers,
-              seq.frame0.orientations, seq.frame0.scales, seq.frame0.colors]
+              seq.frame0.orientations, seq.frame0.scales]
     for obs in seq.observations:
         arrays += [obs.points, obs.correspondence]
     chunks = [f"{a.dtype.str}{a.shape}".encode() + a.tobytes() for a in arrays]

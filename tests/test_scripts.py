@@ -2,6 +2,7 @@
 its defaults against the committed digests, `acceptance_margins.py`'s report
 on stubbed criteria, and each script's flag checks."""
 
+import ctypes
 import platform
 import subprocess
 import sys
@@ -72,24 +73,43 @@ def digest_lines(lines):
     return found
 
 
+def environment():
+    """{entry: value} of what decides the bits of a fit: the versions, the
+    machine, numpy's active SIMD dispatch targets and the core OpenBLAS chose
+    for numpy's BLAS (`unknown` where numpy ships no such OpenBLAS)."""
+    from numpy._core import _multiarray_umath as umath
+    simd = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "simd": " ".join(simd) or "none", "openblas": core}
+
+
 def test_fit_digest_defaults_print_the_golden_digests():
     """Every bit of the default fits is pinned: `fit_digest.py` with its
     defaults prints the committed lines, and a mismatch names the kind and
     the digest. The lines were recorded in one environment; numpy or scipy of
-    another version may round differently, so the message then says so."""
+    another version, or other SIMD kernels or another OpenBLAS core, may round
+    differently, so the message then names the entries that differ."""
     run = subprocess.run([sys.executable, str(SCRIPTS / "fit_digest.py")],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     text = GOLDEN_DIGESTS.read_text().splitlines()
-    recorded = next(line for line in text if line.startswith("# environment: "))[15:]
+    recorded = dict(entry.split(" ", 1) for entry in next(
+        line for line in text if line.startswith("# environment: "))[15:].split(", "))
     want = digest_lines(line for line in text if not line.startswith("#"))
     got = digest_lines(run.stdout.splitlines())
     moved = [f"{kind} {label}" for (kind, label), digest in want.items()
              if got.get((kind, label)) != digest]
     moved += [f"{kind} {label} (not recorded)" for kind, label in got.keys() - want.keys()]
-    here = (f"python {platform.python_version()}, numpy {np.__version__},"
-            f" scipy {scipy.__version__}, machine {platform.machine()}")
-    note = "" if here == recorded else f"; recorded on {recorded}, run on {here}"
+    differ = [f"{name} {recorded.get(name)!r} recorded, {value!r} here"
+              for name, value in environment().items() if recorded.get(name) != value]
+    note = f"; the environment differs: {'; '.join(differ)}" if differ else ""
     assert not moved, f"digests differ from {GOLDEN_DIGESTS.name}: {moved}{note}"
 
 

@@ -118,6 +118,20 @@ def test_camera_validation_and_payload_roundtrip():
     assert back.image_diagonal == cam.image_diagonal == float(np.hypot(320, 240))
 
 
+@pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy", "rotation", "translation", "width",
+                                  "height"])
+def test_camera_rejects_a_boolean_in_every_field(name):
+    """A JSON true, alone or as one entry of an array, used to load as 1."""
+    payload = look_at_camera(eye=[1.0, 2.0, 3.0], target=[0.0, 0.0, 0.0], fx=100.0, fy=120.0,
+                             width=320, height=240).to_payload()
+    value = payload[name]
+    for bad in ([True, *value[1:]] if isinstance(value, list) else True,
+                np.array([True] * len(value)) if isinstance(value, list) else np.True_):
+        with pytest.raises(ValueError) as err:
+            PinholeCamera.from_payload(dict(payload, **{name: bad}))
+        assert str(err.value) == f"camera {name} must hold numbers, not booleans"
+
+
 def test_every_camera_array_is_read_only():
     """A camera's arrays cannot be written, so a camera can be shared between
     scenes (scenegen's ring is) and its matrix cannot go stale. The
